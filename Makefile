@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test lint bench bench-micro soak soak-short fuzz-smoke
+.PHONY: build test lint benchmark benchmark-compare bench bench-micro soak soak-short fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,18 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; else echo "lint: govulncheck not installed, skipping (CI runs it)"; fi
 
 LBSVET ?= /tmp/lbsvet
+
+# The repository benchmark (BENCHMARK.json, benchmark/README.md): every
+# workload untraced then traced against the real three-tier stack, ~4 min.
+# It is the basis for performance claims; judge two -out files with
+# `make benchmark-compare A=parent.json B=change.json` (exit 1 on a metric
+# worse than its bound).
+benchmark:
+	@mkdir -p .bench_build
+	$(GO) run ./benchmark -seed 1 -out .bench_build/result.json
+
+benchmark-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)
 
 # bench regenerates the committed baseline matrix: both v2 harnesses
 # measure the full GOMAXPROCS grid {1, 4, 8, 16} in-process, then the

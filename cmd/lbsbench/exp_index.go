@@ -52,7 +52,7 @@ func expRegionIndex(cfg benchConfig) {
 
 		t0 = time.Now()
 		for _, qq := range queries {
-			if _, err := srv.PublicRangeCountScanForBench(qq); err != nil {
+			if _, err := srv.PublicRangeCountScan(qq); err != nil {
 				log.Fatalf("lbsbench: %v", err)
 			}
 		}

@@ -520,3 +520,37 @@ func TestBatchUpdateDedupsForwarding(t *testing.T) {
 		t.Errorf("forwarded %d messages for a doubled batch, want %d", forwarded, len(reqs))
 	}
 }
+
+// TestBatchUpdateInvalidatesIncrementalCache pins invariant I1 at the
+// server across a batch: BatchUpdate cloaks past the incremental cache, so
+// it must not leave the pre-batch region cached. Otherwise the next single
+// update inside that stale region is "reused", forwards nothing, and the
+// database keeps the batch's region — which no longer contains the user's
+// acknowledged location.
+func TestBatchUpdateInvalidatesIncrementalCache(t *testing.T) {
+	const u = 1
+	forwarded := map[uint64]geo.Rect{}
+	a := newAnon(t, Config{Incremental: true, Forward: func(id uint64, region geo.Rect) error {
+		forwarded[id] = region
+		return nil
+	}})
+	seedUsers(t, a, 2000, 5, 4)
+	p0, p1 := geo.Pt(0.1, 0.1), geo.Pt(0.9, 0.9)
+	if _, err := a.Update(u, p0); err != nil {
+		t.Fatal(err)
+	}
+	if res := a.BatchUpdate([]cloak.Request{{ID: u, Loc: p1}}); res[0] == nil || !res[0].Region.Contains(p1) {
+		t.Fatalf("batch update result = %+v", res[0])
+	}
+	res, err := a.Update(u, p0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Region.Contains(p0) {
+		t.Fatalf("acknowledged region %v misses the location %v", res.Region, p0)
+	}
+	if got := forwarded[u]; !got.Eq(res.Region) {
+		t.Errorf("database holds %v for the user, anonymizer acknowledged %v (reused=%v)",
+			got, res.Region, res.Reused)
+	}
+}

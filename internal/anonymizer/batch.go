@@ -103,6 +103,13 @@ func (a *Anonymizer) BatchUpdateCtx(ctx context.Context, updates []cloak.Request
 				}
 				reqs[i] = cloak.Request{ID: u.ID, Loc: u.Loc, Req: req}
 				live = append(live, i)
+				// The batch cloaks past the incremental cache and forwards
+				// a fresh region, so the cached one stops being "the last
+				// region forwarded for this user" (invariant I1 at the
+				// server): drop it, and her next single update recloaks.
+				if s.inc != nil {
+					s.inc.Invalidate(u.ID)
+				}
 			}
 			// This shard's relocations, applied as one write section: the
 			// "single writer applying relocations in batches".

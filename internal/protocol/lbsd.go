@@ -187,7 +187,7 @@ func (h *dbHandler) handle(ctx context.Context, typ byte, payload []byte) ([]byt
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		parts, err := h.srv.PrivateNNParts(q)
+		parts, err := h.srv.PrivateNNPartsCtx(ctx, q)
 		if err != nil {
 			return nil, err
 		}
@@ -201,7 +201,7 @@ func (h *dbHandler) handle(ctx context.Context, typ byte, payload []byte) ([]byt
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		pairs, err := h.srv.PublicCountProbs(q)
+		pairs, err := h.srv.PublicCountProbsCtx(ctx, q)
 		if err != nil {
 			return nil, err
 		}

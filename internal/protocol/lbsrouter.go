@@ -397,14 +397,14 @@ func evalSubQueries(ctx context.Context, srv *server.Server, subs []router.SubQu
 				sr.Range = objs
 			}
 		case server.BatchPrivateNN:
-			parts, err := srv.PrivateNNParts(sq.Entry.NN)
+			parts, err := srv.PrivateNNPartsCtx(ctx, sq.Entry.NN)
 			if err != nil {
 				sr.Err = err.Error()
 			} else {
 				sr.NN = parts
 			}
 		case server.BatchPublicCount:
-			pairs, err := srv.PublicCountProbs(sq.Entry.Count)
+			pairs, err := srv.PublicCountProbsCtx(ctx, sq.Entry.Count)
 			if err != nil {
 				sr.Err = err.Error()
 			} else {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/anonymizer"
 	"repro/internal/geo"
 	"repro/internal/privacy"
+	"repro/internal/router"
 	"repro/internal/server"
 	"repro/internal/trace"
 )
@@ -324,5 +325,137 @@ func TestUnsampledRequestsRecordNothing(t *testing.T) {
 	}
 	if n := len(dbTr.Snapshot()); n != 0 {
 		t.Fatalf("database recorded %d spans for unsampled traffic", n)
+	}
+}
+
+// A routed deployment's shards run the query kernels, so that is where a
+// routed query's kernel time must show: a traced private NN and a traced
+// public count through lbsrouter over two lbsd shards each carry one
+// lbs_* kernel span per contacted shard, parented (through the shard
+// link's proto_call/proto_serve pair) under the router's scatter span.
+func TestTracedRoutedQueryCarriesShardKernelSpans(t *testing.T) {
+	cli := trace.New(trace.Config{Process: "client", Sample: 1})
+	routerTr := trace.New(trace.Config{Process: "lbsrouter"})
+	tracers := []*trace.Tracer{cli, routerTr}
+	var links []router.Shard
+	for _, proc := range []string{"lbsd0", "lbsd1"} {
+		tr := trace.New(trace.Config{Process: proc})
+		tracers = append(tracers, tr)
+		srv, err := server.New(server.Config{World: world, Tracer: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := ServeDatabase("127.0.0.1:0", srv, quiet, WithTracing(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		link, err := DialDatabase(svc.Addr(), WithClientTracing(routerTr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer link.Close()
+		links = append(links, link)
+	}
+	rt, err := router.New(router.Config{World: world, Shards: links, Tracer: routerTr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtSvc, err := ServeRouter("127.0.0.1:0", rt, quiet, WithTracing(routerTr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rtSvc.Close()
+	admin, err := DialDatabase(rtSvc.Addr(), WithClientTracing(cli))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+
+	var objs []server.PublicObject
+	for i := 0; i < 64; i++ {
+		p := geo.Pt(0.06+0.125*float64(i%8), 0.06+0.125*float64(i/8))
+		objs = append(objs, server.PublicObject{ID: uint64(i + 1), Class: "gas", Loc: p})
+		if err := admin.UpdatePrivate(uint64(i+1), geo.RectAround(p, 0.05)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := admin.LoadStationary(objs); err != nil {
+		t.Fatal(err)
+	}
+
+	// Both rectangles cover most of the world, so both shards own tiles
+	// under them.
+	wide := geo.R(0.1, 0.1, 0.9, 0.9)
+	queries := []struct {
+		kernel string
+		run    func(ctx context.Context) error
+	}{
+		{"lbs_private_nn", func(ctx context.Context) error {
+			_, err := admin.PrivateNNCtx(ctx, server.PrivateNNQuery{Region: wide, Class: "gas"})
+			return err
+		}},
+		{"lbs_public_count", func(ctx context.Context) error {
+			_, err := admin.PublicCountCtx(ctx, wide)
+			return err
+		}},
+	}
+	for _, q := range queries {
+		root := cli.StartRoot("load_routed_query")
+		if err := q.run(trace.NewContext(context.Background(), root.Context())); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+
+		var groups [][]trace.SpanRecord
+		for _, tr := range tracers {
+			groups = append(groups, tr.Snapshot())
+		}
+		byID := map[uint64]trace.SpanRecord{}
+		for _, rec := range trace.Merge(groups...) {
+			if rec.TraceID == root.Context().TraceID {
+				byID[rec.SpanID] = rec
+			}
+		}
+		// Contacted shards: the fan-out the scatter spans report.
+		contacted := 0
+		for _, rec := range byID {
+			if rec.Name != "route_scatter" {
+				continue
+			}
+			for _, a := range rec.Attrs {
+				if a.Key == "fanout" {
+					contacted += int(a.Int)
+				}
+			}
+		}
+		if contacted < 2 {
+			t.Fatalf("%s: scatter spans report %d contacted shards, want both", q.kernel, contacted)
+		}
+		kernels := 0
+		procs := map[string]bool{}
+		for _, rec := range byID {
+			if rec.Name != q.kernel {
+				continue
+			}
+			kernels++
+			procs[rec.Proc] = true
+			underScatter := false
+			for cur, ok := rec, true; ok && cur.ParentID != 0; {
+				if cur, ok = byID[cur.ParentID]; ok && cur.Name == "route_scatter" {
+					underScatter = true
+					break
+				}
+			}
+			if !underScatter {
+				t.Errorf("%s span on %s is not under a route_scatter span", q.kernel, rec.Proc)
+			}
+		}
+		if kernels != contacted {
+			t.Errorf("%s: %d kernel spans for %d contacted shards", q.kernel, kernels, contacted)
+		}
+		if !procs["lbsd0"] || !procs["lbsd1"] {
+			t.Errorf("%s: kernel spans recorded by %v, want both shards", q.kernel, procs)
+		}
 	}
 }

@@ -1,16 +1,19 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/prob"
 	"repro/internal/rtree"
 	"repro/internal/trace"
@@ -27,7 +30,7 @@ import (
 // snapshot of the indices.
 //
 // The engine is deterministic by construction: results are bit-identical
-// to the sequential per-query path for every worker count (the
+// to the per-query methods for every worker count and every grouping (the
 // differential suite pins this down). The argument, per query class:
 //
 //   - Private range: the R-tree and grid traversals emit items in a fixed
@@ -37,11 +40,19 @@ import (
 //     member's expanded MBR therefore yields exactly the item sequence the
 //     member's own search would have produced.
 //   - Public count: per-user probabilities are sorted before accumulation
-//     (the determinism rule PublicRangeCount documents), so any candidate
+//     (the determinism rule foldCount documents), so any candidate
 //     superset that contains the member's own candidate set produces a
 //     bit-identical PDF.
-//   - Private NN: evaluated per entry on the worker pool through the same
-//     privateNNLocked core the sequential path uses.
+//   - Private NN: the min–max superset of a union region contains every
+//     member's own candidate set and bound minimizer (the argument lives on
+//     runNNGroupLocked), and candidates are emitted in canonical order.
+//
+// The three group runners below are the only code that probes the indices
+// for a query. The single-query methods (privatequery.go, publicquery.go)
+// run them on a group of one whose union is the query's own probe rectangle,
+// so "sequential" and "batch" cannot drift apart; what the differential
+// suite pins down is that filtering a shared union descent equals a member's
+// own descent.
 //
 // Lock order: BatchQuery takes s.mu (read) once in the coordinating
 // goroutine and holds it across the fan-out, so workers read a frozen
@@ -112,8 +123,8 @@ type BatchItemResult struct {
 type BatchResult struct {
 	// Items holds one result per input entry, in input order.
 	Items []BatchItemResult
-	// Groups is the number of independent work units the batch was split
-	// into (shared descents plus per-entry NN evaluations).
+	// Groups is the number of independent work units (shared descents) the
+	// batch was split into.
 	Groups int
 	// SharedHits counts the entries that were answered by a descent
 	// another entry initiated: sum over groups of (size − 1).
@@ -121,51 +132,113 @@ type BatchResult struct {
 }
 
 // batchUnit is one independent work unit: a shared descent over the union
-// rectangle of overlapping range-shaped entries, or a single NN entry.
+// rectangle of overlapping same-kind entries.
 type batchUnit struct {
 	kind    BatchKind
 	members []int    // entry indices, ascending (= input order)
 	union   geo.Rect // union rectangle of the members' probe rects
 }
 
+// groupOfOne is the unit a single query runs as: entry 0 alone, its own
+// probe rectangle as the union.
+func groupOfOne(probe geo.Rect) batchUnit {
+	return batchUnit{members: oneMember, union: probe}
+}
+
+var oneMember = []int{0} // read-only
+
 // batchScratch is one worker's reusable buffer set. Each worker of the
 // fan-out owns exactly one (indexed by worker id), so units processed by
 // the same worker reuse the same backing arrays instead of reallocating
-// per unit. Nothing here escapes into results: result slices are always
-// freshly built, scratch only carries the intermediate streams.
+// per unit; a single query borrows worker 0's. Nothing here escapes into
+// results: result slices are always freshly built, scratch only carries
+// the intermediate streams — including the NN and count kernels' output
+// (parts, pairs), which the caller must finish before the scratch runs
+// its next unit.
 type batchScratch struct {
-	items      []rtree.Item   // union-descent / NN-candidate item stream
-	subItems   []rtree.Item   // per-member descent output over a group subtree
-	resolved   []PublicObject // resolve-once cache for the union stream
-	order      []int          // X-order permutation over resolved
-	idxs       []int          // per-member match positions awaiting index sort
-	movingObjs []PublicObject // per-member moving matches awaiting merge
-	keptObjs   []PublicObject // per-member NN candidates handed to the prune
-	ids        []uint64       // region-index probe output
-	regions    []geo.Rect     // resolve-once cloaked regions, Min.X-sorted
-	probs      []float64      // per-member overlap probabilities
-	clamped    []float64      // RangeCountScratch clamp buffer
-	comb       combineScratch // dominance-prune working set
+	items      []rtree.Item    // union-descent / NN-candidate item stream
+	subItems   []rtree.Item    // per-member descent output over a group subtree
+	resolved   []PublicObject  // resolve-once cache for the union stream
+	order      []int           // X-order permutation over resolved
+	idxs       []int           // per-member match positions awaiting index sort
+	movingObjs []PublicObject  // per-member moving matches awaiting merge
+	keptObjs   []PublicObject  // arena behind the members' NN candidate lists
+	parts      []NNParts       // NN kernel output, one per member
+	ids        []uint64        // region-index probe output
+	regions    []PrivateRecord // resolve-once cloaked regions of the probe
+	pairs      []UserProb      // count kernel output, member after member
+	ends       []int           // member k's pairs are pairs[ends[k-1]:ends[k]]
+	probs      []float64       // one member's probabilities awaiting the fold
+	clamped    []float64       // RangeCountScratch clamp buffer
+	comb       combineScratch  // dominance-prune working set
 }
 
-// batchCoord is the per-call coordination scratch of one BatchQuery:
-// the admission index lists, the grouping arena, the unit list and the
-// per-worker buffer sets. Calls borrow one from the server's pool, so a
-// steady stream of batches reuses the same backing arrays instead of
-// rebuilding them per frame — nothing in here escapes into results.
+// batchCoord is the per-call coordination scratch: the admission index
+// lists, the grouping arena, the unit list and the per-worker buffer
+// sets. Calls — batches and single queries alike — borrow one from the
+// server's pool, so a steady stream of requests reuses the same backing
+// arrays instead of rebuilding them per call; nothing in here escapes
+// into results.
 type batchCoord struct {
 	rangeIdx, nnIdx, countIdx []int
-	filters                   []geo.Rect
 	units                     []batchUnit
 	gs                        groupScratch
 	scratches                 []batchScratch
+}
+
+// borrowCoord takes a coordinator with at least the given number of
+// worker scratches from the pool; the caller hands it back with
+// s.batchPool.Put once every scratch-backed value has been consumed.
+func (s *Server) borrowCoord(workers int) *batchCoord {
+	c, _ := s.batchPool.Get().(*batchCoord)
+	if c == nil {
+		c = &batchCoord{}
+	}
+	if cap(c.scratches) < workers {
+		c.scratches = make([]batchScratch, workers)
+	}
+	c.scratches = c.scratches[:workers]
+	return c
+}
+
+// singleQuery is one single-query adapter call in flight: the borrowed
+// coordinator whose first scratch receives the kernel's output, and the
+// span, start time and class histogram the call is recorded under.
+type singleQuery struct {
+	c   *batchCoord
+	sc  *batchScratch
+	sp  trace.Span
+	t0  time.Time
+	lat *obs.Histogram
+}
+
+// beginSingle opens a single query under its class span: every public
+// per-query method is validate → beginSingle → RLock → the kind's kernel
+// on a groupOfOne → RUnlock → finish from the scratch → endSingle. The read lock is held
+// across the kernel only — never across the prune or the PDF fold, which
+// run on scratch copies: a multi-millisecond fold under RLock stalls
+// every UpdatePrivate and, through writer preference, every reader
+// queued behind it.
+func (s *Server) beginSingle(sp trace.Span, lat *obs.Histogram) singleQuery {
+	q := singleQuery{sp: sp, t0: time.Now(), lat: lat, c: s.borrowCoord(1)}
+	q.sc = &q.c.scratches[0]
+	return q
+}
+
+// endSingle closes a single query: span, class latency (linked to the
+// trace by exemplar) and the scratch's return to the pool.
+func (s *Server) endSingle(ctx context.Context, q singleQuery) {
+	s.batchPool.Put(q.c)
+	q.sp.End()
+	q.lat.ObserveExemplar(time.Since(q.t0).Seconds(), ctxTraceID(ctx))
 }
 
 // BatchQuery evaluates a mixed batch of queries in one shared pass and
 // returns per-entry results in input order. Invalid entries fail alone
 // with a *BatchEntryError; valid entries are grouped, fanned out to the
 // configured worker pool (Config.QueryWorkers), and answered from one
-// frozen snapshot of the indices, bit-identically to the sequential path.
+// frozen snapshot of the indices, bit-identically to the per-query
+// methods.
 func (s *Server) BatchQuery(entries []BatchEntry) BatchResult {
 	return s.BatchQueryCtx(context.Background(), entries)
 }
@@ -175,7 +248,7 @@ func (s *Server) BatchQuery(entries []BatchEntry) BatchResult {
 // spans → gather) is recorded under the caller's trace, with group sizes
 // and index node-visit counts as span attributes.
 //
-//lint:hotpath allocs=8
+//lint:hotpath allocs=5
 func (s *Server) BatchQueryCtx(ctx context.Context, entries []BatchEntry) BatchResult {
 	res := BatchResult{Items: make([]BatchItemResult, len(entries))}
 	if len(entries) == 0 {
@@ -184,29 +257,23 @@ func (s *Server) BatchQueryCtx(ctx context.Context, entries []BatchEntry) BatchR
 	t0 := time.Now()
 	bsp, ctx := trace.Start(ctx, s.tracer, "lbs_batch")
 
-	c, _ := s.batchPool.Get().(*batchCoord)
-	if c == nil {
-		c = &batchCoord{}
+	workers := s.queryWorkers
+	if workers > len(entries) {
+		workers = len(entries)
 	}
+	c := s.borrowCoord(workers)
 	defer s.batchPool.Put(c)
 
 	// Phase 1 — admission: validate every entry with exactly the checks
-	// the sequential methods apply. Failures are recorded per entry and
+	// the per-query methods apply. Failures are recorded per entry and
 	// excluded from grouping, so a bad entry cannot poison a descent.
 	vsp, _ := trace.Start(ctx, s.tracer, "lbs_batch_validate")
 	rangeIdx, nnIdx, countIdx := c.rangeIdx[:0], c.nnIdx[:0], c.countIdx[:0]
-	// Expanded MBR per range entry. Stale values from the previous borrow
-	// are harmless: filters[i] is only read after being set for entry i.
-	if cap(c.filters) < len(entries) {
-		c.filters = make([]geo.Rect, len(entries))
-	}
-	filters := c.filters[:len(entries)]
 	for i, e := range entries {
 		var err error
 		switch e.Kind {
 		case BatchPrivateRange:
 			if err = e.Range.validate(); err == nil {
-				filters[i] = e.Range.Region.Expand(e.Range.Radius)
 				rangeIdx = append(rangeIdx, i)
 			}
 		case BatchPrivateNN:
@@ -224,7 +291,7 @@ func (s *Server) BatchQueryCtx(ctx context.Context, entries []BatchEntry) BatchR
 			res.Items[i].Err = &BatchEntryError{Index: i, Kind: e.Kind, Err: err}
 		}
 	}
-	c.rangeIdx, c.nnIdx, c.countIdx, c.filters = rangeIdx, nnIdx, countIdx, filters
+	c.rangeIdx, c.nnIdx, c.countIdx = rangeIdx, nnIdx, countIdx
 	if vsp.Recording() {
 		vsp.SetAttrs(trace.Int("entries", int64(len(entries))),
 			trace.Int("admitted", int64(len(rangeIdx)+len(nnIdx)+len(countIdx))))
@@ -238,44 +305,23 @@ func (s *Server) BatchQueryCtx(ctx context.Context, entries []BatchEntry) BatchR
 	msp, _ := trace.Start(ctx, s.tracer, "lbs_batch_merge")
 	c.gs.reset()
 	units := c.units[:0]
-	for _, g := range c.gs.groupShared(rangeIdx, func(i int) geo.Rect { return filters[i] }) {
-		units = append(units, batchUnit{kind: BatchPrivateRange, members: g.members, union: g.union})
+	group := func(kind BatchKind, idx []int, rect func(i int) geo.Rect) {
+		for _, g := range c.gs.groupShared(idx, rect) {
+			units = append(units, batchUnit{kind: kind, members: g.members, union: g.union})
+		}
 	}
-	for _, g := range c.gs.groupShared(countIdx, func(i int) geo.Rect { return entries[i].Count.Query }) {
-		units = append(units, batchUnit{kind: BatchPublicCount, members: g.members, union: g.union})
-	}
+	group(BatchPrivateRange, rangeIdx, func(i int) geo.Rect { return entries[i].Range.filter() })
+	group(BatchPublicCount, countIdx, func(i int) geo.Rect { return entries[i].Count.Query })
 	// NN entries share a descent only within one class: the class filter is
 	// part of the min–max descent, so members of a group must agree on it.
-	// Classes are visited in first-appearance order to keep grouping
-	// deterministic. One class per batch is the overwhelmingly common
-	// shape, and then nnIdx already IS the class list — the map partition
-	// only runs on genuinely mixed batches.
-	sameClass := true
-	for _, i := range nnIdx {
-		if entries[i].NN.Class != entries[nnIdx[0]].NN.Class {
-			sameClass = false
-			break
+	// A stable sort by class keeps input order within each class, and every
+	// run of equal classes is grouped on its own.
+	nnClass := func(i int) string { return entries[i].NN.Class }
+	slices.SortStableFunc(nnIdx, func(a, b int) int { return strings.Compare(nnClass(a), nnClass(b)) })
+	for lo, hi := 0, 0; lo < len(nnIdx); lo = hi {
+		for hi = lo + 1; hi < len(nnIdx) && nnClass(nnIdx[hi]) == nnClass(nnIdx[lo]); hi++ {
 		}
-	}
-	if sameClass {
-		for _, g := range c.gs.groupShared(nnIdx, func(i int) geo.Rect { return entries[i].NN.Region }) {
-			units = append(units, batchUnit{kind: BatchPrivateNN, members: g.members, union: g.union})
-		}
-	} else {
-		var nnClasses []string
-		nnByClass := make(map[string][]int)
-		for _, i := range nnIdx {
-			cl := entries[i].NN.Class
-			if _, ok := nnByClass[cl]; !ok {
-				nnClasses = append(nnClasses, cl)
-			}
-			nnByClass[cl] = append(nnByClass[cl], i)
-		}
-		for _, cl := range nnClasses {
-			for _, g := range c.gs.groupShared(nnByClass[cl], func(i int) geo.Rect { return entries[i].NN.Region }) {
-				units = append(units, batchUnit{kind: BatchPrivateNN, members: g.members, union: g.union})
-			}
-		}
+		group(BatchPrivateNN, nnIdx[lo:hi], func(i int) geo.Rect { return entries[i].NN.Region })
 	}
 	c.units = units
 	res.Groups = len(units)
@@ -295,30 +341,27 @@ func (s *Server) BatchQueryCtx(ctx context.Context, entries []BatchEntry) BatchR
 	// Worker spans record into the lock-free ring, so tracing adds no
 	// synchronization to the fan-out.
 	dsp, dctx := trace.Start(ctx, s.tracer, "lbs_batch_descent")
-	workers := s.queryWorkers
-	if workers > len(units) {
-		workers = len(units)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if cap(c.scratches) < workers {
-		c.scratches = make([]batchScratch, workers)
-	}
-	scratches := c.scratches[:workers]
 	s.mu.RLock()
 	parallelForWorkers(len(units), workers, func(w, ui int) {
 		u := units[ui]
-		sc := &scratches[w]
+		sc := &c.scratches[w]
 		usp, _ := trace.Start(dctx, s.tracer, "lbs_batch_unit")
 		var visits int
 		switch u.kind {
 		case BatchPrivateRange:
-			visits = s.runRangeGroupLocked(entries, filters, u, res.Items, sc)
-		case BatchPublicCount:
-			visits = s.runCountGroupLocked(entries, u, res.Items, sc)
+			visits = s.runRangeGroupLocked(entries, u, res.Items, sc)
 		case BatchPrivateNN:
-			visits = s.runNNGroupLocked(entries, u, res.Items, sc)
+			visits = s.runNNGroupLocked(entries, u, sc)
+			for k, i := range u.members {
+				res.Items[i].NN = s.finishNN(entries[i].NN.Region, sc.parts[k], &sc.comb)
+			}
+		case BatchPublicCount:
+			visits = s.runCountGroupLocked(entries, u, sc)
+			lo := 0
+			for k, i := range u.members {
+				res.Items[i].Count = sc.foldCount(sc.pairs[lo:sc.ends[k]])
+				lo = sc.ends[k]
+			}
 		}
 		if usp.Recording() {
 			usp.SetAttrs(trace.Str("kind", u.kind.String()),
@@ -343,58 +386,67 @@ func (s *Server) BatchQueryCtx(ctx context.Context, entries []BatchEntry) BatchR
 	return res
 }
 
-// runRangeGroupLocked answers every private-range member of one group from
-// a single descent of the stationary R-tree (and, if any member admits
-// moving objects, a single scan of the moving grid) over the group's union
-// rectangle. Per member, the union's item stream is filtered down to the
-// member's own expanded MBR; the stream is canonically sorted once, so
-// gathering ascending stream positions reproduces the sequential answer
-// order without a per-member object sort. It returns the R-tree node
-// visits the shared descent cost.
-//
-//lint:hotpath allocs=1
-func (s *Server) runRangeGroupLocked(entries []BatchEntry, filters []geo.Rect, u batchUnit, out []BatchItemResult, sc *batchScratch) int {
-	items, visits := s.stationary.SearchVisits(u.union, sc.items[:0])
-	sc.items = items
-	s.met.nodeVisits.Observe(float64(visits))
-	// Canonical-sort the union stream once — on the raw item stream, by ID.
-	// Stationary IDs are unique, so ascending ID IS SortObjects order, and
-	// sorting 16-byte pointer-free items costs a fraction of shuffling
-	// resolved PublicObjects (whose string field drags write barriers into
-	// every swap). Resolving in that order makes `resolved` canonically
-	// sorted by construction; each member then gathers matches as ascending
-	// positions and the per-member object sort collapses to an int sort.
-	slices.SortFunc(items, func(a, b rtree.Item) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
+// cmpItemID orders index items by ascending ID. Stationary IDs are unique,
+// so ascending ID IS SortObjects order: sorting the raw 16-byte
+// pointer-free item stream and resolving in that order yields a
+// canonically-sorted object list at a fraction of the cost of shuffling
+// resolved PublicObjects (whose string field drags write barriers into
+// every swap).
+func cmpItemID(a, b rtree.Item) int { return cmp.Compare(a.ID, b.ID) }
+
+// resolveSortedLocked canonical-sorts a stationary item stream in place
+// and resolves it into sc.resolved, position for position.
+func (s *Server) resolveSortedLocked(items []rtree.Item, sc *batchScratch) []PublicObject {
+	slices.SortFunc(items, cmpItemID)
 	resolved := sc.resolved[:0]
 	for _, it := range items {
 		resolved = append(resolved, s.resolveObjectLocked(it.ID, it.Loc, false))
 	}
 	sc.resolved = resolved
-	// A second, X-ordered permutation narrows each member's scan to the
-	// stream positions inside its own X-extent (binary-searched ends)
-	// instead of the whole union stream.
+	return resolved
+}
+
+// runRangeGroupLocked is the private-range kernel (Figure 5a): it answers
+// every member of one group from a single descent of the stationary R-tree
+// (and, if any member admits moving objects, a single scan of the moving
+// grid) over the group's union rectangle. Per member, the union's item
+// stream is filtered down to the member's own expanded MBR; the stream is
+// canonically sorted once, so gathering ascending stream positions yields
+// the canonical answer order without a per-member object sort. The
+// candidate set is complete by construction (invariant I5): an object
+// within Radius of any point p of a member's region satisfies
+// MinDist(obj, region) ≤ Radius and lies inside the expanded MBR, which the
+// union covers. It returns the R-tree node visits the descent cost.
+//
+//lint:hotpath allocs=1
+func (s *Server) runRangeGroupLocked(entries []BatchEntry, u batchUnit, out []BatchItemResult, sc *batchScratch) int {
+	items, visits := s.stationary.SearchVisits(u.union, sc.items[:0])
+	sc.items = items
+	s.met.nodeVisits.Observe(float64(visits))
+	s.met.privateRangeQs.Add(uint64(len(u.members)))
+	resolved := s.resolveSortedLocked(items, sc)
+	// In a shared group a second, X-ordered permutation narrows each
+	// member's scan to the stream positions inside its own X-extent
+	// (binary-searched ends) instead of the whole union stream. A group of
+	// one scans everything — the union is its own MBR — so the identity
+	// permutation does.
+	shared := len(u.members) > 1
 	xorder := sc.order[:0]
 	for k := range items {
 		xorder = append(xorder, k)
 	}
 	sc.order = xorder
-	slices.SortFunc(xorder, func(a, b int) int {
-		switch {
-		case items[a].Loc.X < items[b].Loc.X:
-			return -1
-		case items[a].Loc.X > items[b].Loc.X:
-			return 1
-		}
-		return 0
-	})
+	if shared {
+		slices.SortFunc(xorder, func(a, b int) int {
+			switch {
+			case items[a].Loc.X < items[b].Loc.X:
+				return -1
+			case items[a].Loc.X > items[b].Loc.X:
+				return 1
+			}
+			return 0
+		})
+	}
 	var movingItems []grid.Object
 	for _, i := range u.members {
 		if entries[i].Range.Class == "" {
@@ -404,14 +456,16 @@ func (s *Server) runRangeGroupLocked(entries []BatchEntry, filters []geo.Rect, u
 	}
 	for _, i := range u.members {
 		q := entries[i].Range
-		f := filters[i]
+		f := q.filter()
 		// Contains is inclusive on both ends, so the window is
 		// [first X ≥ f.Min.X, first X > f.Max.X). Geometric checks read
 		// the tree item's location — exactly what the member's own index
-		// search would have tested — while class comes off the resolved
-		// record, mirroring the sequential keep() closure.
-		lo := sort.Search(len(xorder), func(k int) bool { return items[xorder[k]].Loc.X >= f.Min.X })
-		hi := sort.Search(len(xorder), func(k int) bool { return items[xorder[k]].Loc.X > f.Max.X })
+		// search would test — while class comes off the resolved record.
+		lo, hi := 0, len(xorder)
+		if shared {
+			lo = sort.Search(len(xorder), func(k int) bool { return items[xorder[k]].Loc.X >= f.Min.X })
+			hi = sort.Search(len(xorder), func(k int) bool { return items[xorder[k]].Loc.X > f.Max.X })
+		}
 		idxs := sc.idxs[:0]
 		for _, k := range xorder[lo:hi] {
 			it := items[k]
@@ -429,7 +483,7 @@ func (s *Server) runRangeGroupLocked(entries []BatchEntry, filters []geo.Rect, u
 		sc.idxs = idxs
 		sort.Ints(idxs)
 		// Exact-size the answer (it escapes into the result); an empty
-		// answer stays nil, like the sequential path's.
+		// answer stays nil.
 		var objs []PublicObject
 		if len(idxs) > 0 {
 			objs = make([]PublicObject, 0, len(idxs))
@@ -458,21 +512,21 @@ func (s *Server) runRangeGroupLocked(entries []BatchEntry, filters []geo.Rect, u
 				objs = mergeSorted(objs, moving)
 			}
 		}
-		// Same canonical order as PrivateRange, produced by construction
-		// rather than a per-member sort.
+		// Canonical order: the answer is a set, and emitting it sorted makes
+		// the single-server result bit-identical to a scatter/gather union
+		// of per-shard results.
 		out[i].Range = objs
-		s.met.privateRangeQs.Inc()
 	}
 	return visits
 }
 
 // mergeSorted merges two canonically-ordered runs into a fresh slice in
-// lessObjects order.
+// SortObjects order.
 func mergeSorted(a, b []PublicObject) []PublicObject {
 	out := make([]PublicObject, 0, len(a)+len(b))
 	ai, bi := 0, 0
 	for ai < len(a) && bi < len(b) {
-		if lessObjects(b[bi], a[ai]) {
+		if cmpObjects(b[bi], a[ai]) < 0 {
 			out = append(out, b[bi])
 			bi++
 		} else {
@@ -484,10 +538,12 @@ func mergeSorted(a, b []PublicObject) []PublicObject {
 	return append(out, b[bi:]...)
 }
 
-// runNNGroupLocked answers every private-NN member of one group (same
-// class, overlapping regions) from a single min–max descent over the
-// group's union region. The union's min–max superset S contains every
-// member's candidate set and bound minimizer: for a member region r ⊆ U,
+// runNNGroupLocked is the min–max half of the private-NN kernel (step 1 of
+// Figure 5b): it yields every member's NNParts — bound and unpruned
+// candidates in canonical order — into sc.parts, from a single min–max
+// descent over the group's union region (members share one class). The
+// union's min–max superset S contains every member's candidate set and
+// bound minimizer: for a member region r ⊆ U,
 // B(r) = min MaxDist²(o, r) ≤ MaxDist²(o*ᵤ, r) ≤ MaxDist²(o*ᵤ, U) = B(U),
 // and any object with MinDist²(o, r) ≤ B(r) has
 // MinDist²(o, U) ≤ MinDist²(o, r) ≤ B(U), so it sits in S. In particular
@@ -497,17 +553,12 @@ func mergeSorted(a, b []PublicObject) []PublicObject {
 // loads a position-keyed subtree over it, and answers each member with a
 // bounded min–max descent of that subtree — class filtering and metadata
 // resolution are already paid, and ascending positions are canonical
-// order. A singleton group degenerates to the sequential evaluation.
+// order. A group of one is its own union: S and B(U) are its parts as
+// they stand. The parts are scratch-backed; finishNN (or a copy) must
+// consume them before the scratch runs its next unit.
 //
-//lint:hotpath allocs=4
-func (s *Server) runNNGroupLocked(entries []BatchEntry, u batchUnit, out []BatchItemResult, sc *batchScratch) int {
-	if len(u.members) == 1 {
-		i := u.members[0]
-		s.met.privateNNQs.Inc()
-		var visits int
-		out[i].NN, visits = s.privateNNScratchLocked(entries[i].NN, sc)
-		return visits
-	}
+//lint:hotpath allocs=0
+func (s *Server) runNNGroupLocked(entries []BatchEntry, u batchUnit, sc *batchScratch) int {
 	class := entries[u.members[0]].NN.Class
 	var match func(rtree.Item) bool
 	if class != "" {
@@ -516,26 +567,16 @@ func (s *Server) runNNGroupLocked(entries []BatchEntry, u batchUnit, out []Batch
 			return ok && o.Class == class
 		}
 	}
-	items, _, visits := s.stationary.MinMaxCandidates(u.union, match, sc.items[:0])
+	items, bound, visits := s.stationary.MinMaxCandidates(u.union, match, sc.items[:0])
 	sc.items = items
 	s.met.nodeVisits.Observe(float64(visits))
-	// Unique stationary IDs make ascending ID the canonical SortObjects
-	// order, so sorting the raw item stream and resolving in that order
-	// yields a canonically-sorted resolve-once cache.
-	slices.SortFunc(items, func(a, b rtree.Item) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
-	resolved := sc.resolved[:0]
-	for _, it := range items {
-		resolved = append(resolved, s.resolveObjectLocked(it.ID, it.Loc, false))
+	s.met.privateNNQs.Add(uint64(len(u.members)))
+	resolved := s.resolveSortedLocked(items, sc)
+	parts := sc.parts[:0]
+	if len(u.members) == 1 {
+		sc.parts = append(parts, NNParts{Bound: bound, Candidates: resolved})
+		return visits
 	}
-	sc.resolved = resolved
 	// Rekey the item stream by position in the canonically-sorted stream
 	// and bulk-load a group-local subtree over it. Member descents against
 	// the subtree then cost a bounded DFS over |S| pre-filtered candidates
@@ -543,15 +584,14 @@ func (s *Server) runNNGroupLocked(entries []BatchEntry, u batchUnit, out []Batch
 	// positions, sorting them ascending yields the member's candidate set
 	// already in canonical order, with no metadata lookups at all. The
 	// subtree keeps the tree-side locations, so per-member bounds are
-	// computed from exactly the points the sequential descent measures.
+	// computed from exactly the points the member's own descent measures.
 	for k := range items {
 		items[k] = rtree.Item{ID: uint64(k), Loc: items[k].Loc}
 	}
 	sub := rtree.BulkLoad(items)
+	kept := sc.keptObjs[:0]
 	for _, i := range u.members {
-		q := entries[i].NN
-		s.met.privateNNQs.Inc()
-		cand, bound, _ := sub.MinMaxCandidates(q.Region, nil, sc.subItems[:0])
+		cand, bound, _ := sub.MinMaxCandidates(entries[i].NN.Region, nil, sc.subItems[:0])
 		sc.subItems = cand
 		idxs := sc.idxs[:0]
 		for _, it := range cand {
@@ -559,135 +599,104 @@ func (s *Server) runNNGroupLocked(entries []BatchEntry, u batchUnit, out []Batch
 		}
 		sc.idxs = idxs
 		sort.Ints(idxs)
-		// The candidate list is scratch: the prune copies what it keeps,
-		// so nothing from here escapes into the result.
-		kept := sc.keptObjs[:0]
+		// Each member's candidates are a view into one arena; growth keeps
+		// old backing arrays alive, so earlier members' views stay valid.
+		start := len(kept)
 		for _, k := range idxs {
 			kept = append(kept, resolved[k])
 		}
-		sc.keptObjs = kept
-		res := combineNNPartsScratch(q.Region, &sc.comb, NNParts{Bound: bound, Candidates: kept})
-		s.met.observeNNAnswer(len(res.Candidates))
-		out[i].NN = res
+		parts = append(parts, NNParts{Bound: bound, Candidates: kept[start:len(kept):len(kept)]})
 	}
+	sc.keptObjs, sc.parts = kept, parts
 	return visits
 }
 
-// runCountGroupLocked answers every public-count member of one group from
-// a single probe of the region index over the union rectangle. The union's
-// candidate set is a superset of each member's own; per-member overlap
-// probabilities filter it back down, and the sort-before-accumulate rule
-// makes the resulting PDF bit-identical to the sequential answer. It
-// returns the candidate-set size as the unit's "node visits" — the probe
-// cost the region index charges.
+// finishNN is the prune half of the private-NN kernel (step 2 of Figure
+// 5b) for one member's parts; the answer is freshly allocated.
+func (s *Server) finishNN(region geo.Rect, parts NNParts, sc *combineScratch) PrivateNNResult {
+	res := sc.combine(region, parts)
+	s.met.observeNNAnswer(len(res.Candidates))
+	return res
+}
+
+// runCountGroupLocked is the public-count kernel (Figure 6a): it gathers,
+// for every member of one group, the (user, overlap probability) pairs
+// with positive overlap into sc.pairs/sc.ends, from a single probe of the
+// region index over the union rectangle. The union's candidate set is a
+// superset of each member's own, and per-member overlap tests filter it
+// back down. Pair order is a probe artifact and carries no meaning: every
+// consumer sorts before it accumulates (foldCount) or emits
+// (PublicCountProbs). It returns the candidate-set size as the unit's
+// "node visits" — the probe cost the region index charges.
 //
 //lint:hotpath allocs=0
-func (s *Server) runCountGroupLocked(entries []BatchEntry, u batchUnit, out []BatchItemResult, sc *batchScratch) int {
+func (s *Server) runCountGroupLocked(entries []BatchEntry, u batchUnit, sc *batchScratch) int {
 	ids := s.privIdx.Query(u.union, sc.ids[:0])
 	sc.ids = ids
+	s.met.publicCountQs.Add(uint64(len(u.members)))
 	// Resolve every candidate's cloaked region once; a group of k members
-	// then costs len(ids) map lookups instead of k×len(ids). The regions
-	// are sorted by their left edge so each member scans only the X-window
-	// that can overlap its query: a positive overlap needs
-	// r.Min.X < q.Max.X and r.Max.X > q.Min.X, and with maxW the widest
-	// cloak in the group the latter implies r.Min.X > q.Min.X − maxW.
-	// The probability list is sorted before accumulation, so candidate
-	// order is free to change.
+	// then costs len(ids) map lookups instead of k×len(ids). In a shared
+	// group the regions are sorted by their left edge so each member scans
+	// only the X-window that can overlap its query: a positive overlap
+	// needs r.Min.X < q.Max.X and r.Max.X > q.Min.X, and with maxW the
+	// widest cloak in the group the latter implies r.Min.X > q.Min.X − maxW.
+	// A group of one probed with its own rectangle, so every candidate is
+	// in its window already.
+	shared := len(u.members) > 1
 	regions := sc.regions[:0]
 	maxW := 0.0
 	for _, id := range ids {
 		r := s.private[id]
-		regions = append(regions, r)
+		regions = append(regions, PrivateRecord{ID: id, Region: r})
 		if w := r.Max.X - r.Min.X; w > maxW {
 			maxW = w
 		}
 	}
 	sc.regions = regions
-	slices.SortFunc(regions, func(a, b geo.Rect) int {
-		switch {
-		case a.Min.X < b.Min.X:
-			return -1
-		case a.Min.X > b.Min.X:
-			return 1
-		}
-		return 0
-	})
+	if shared {
+		slices.SortFunc(regions, func(a, b PrivateRecord) int {
+			switch {
+			case a.Region.Min.X < b.Region.Min.X:
+				return -1
+			case a.Region.Min.X > b.Region.Min.X:
+				return 1
+			}
+			return 0
+		})
+	}
+	pairs, ends := sc.pairs[:0], sc.ends[:0]
 	for _, i := range u.members {
 		q := entries[i].Count.Query
-		lo := sort.Search(len(regions), func(k int) bool { return regions[k].Min.X >= q.Min.X-maxW })
-		hi := sort.Search(len(regions), func(k int) bool { return regions[k].Min.X > q.Max.X })
-		probs := sc.probs[:0]
-		naive := 0
+		lo, hi := 0, len(regions)
+		if shared {
+			lo = sort.Search(len(regions), func(k int) bool { return regions[k].Region.Min.X >= q.Min.X-maxW })
+			hi = sort.Search(len(regions), func(k int) bool { return regions[k].Region.Min.X > q.Max.X })
+		}
 		for _, r := range regions[lo:hi] {
-			if p := prob.Overlap(r, q); p > 0 {
-				probs = append(probs, p)
-				naive++
+			if p := prob.Overlap(r.Region, q); p > 0 {
+				pairs = append(pairs, UserProb{ID: r.ID, P: p})
 			}
 		}
-		sort.Float64s(probs)
-		var ans prob.CountAnswer
-		ans, sc.clamped = prob.RangeCountScratch(probs, sc.clamped)
-		out[i].Count = PublicRangeCountResult{Answer: ans, NaiveCount: naive}
-		s.met.publicCountQs.Inc()
-		sc.probs = probs
+		ends = append(ends, len(pairs))
 	}
+	sc.pairs, sc.ends = pairs, ends
 	return len(ids)
 }
 
-// groupOverlapping partitions the entries (by index) into the connected
-// components of their rectangle-intersection graph, via union–find over
-// the pairwise tests. Components are emitted ordered by their smallest
-// member, members ascending, so grouping is deterministic and independent
-// of the worker count.
-func groupOverlapping(idx []int, rect func(i int) geo.Rect) [][]int {
-	if len(idx) == 0 {
-		return nil
+// foldCount folds one query's (user, probability) pairs — unique per user
+// — into the count answer. The probabilities are sorted before
+// accumulation, so neither probe order nor the partition of the data
+// (shards, shared groups) can influence the PDF's floating-point sums.
+func (sc *batchScratch) foldCount(pairs []UserProb) PublicRangeCountResult {
+	probs := sc.probs[:0]
+	for _, up := range pairs {
+		probs = append(probs, up.P)
 	}
-	parent := make([]int, len(idx))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			if ra > rb { // root at the smallest position
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
-		}
-	}
-	for a := 0; a < len(idx); a++ {
-		for b := a + 1; b < len(idx); b++ {
-			if rect(idx[a]).Intersects(rect(idx[b])) {
-				union(a, b)
-			}
-		}
-	}
-	byRoot := make(map[int][]int)
-	var roots []int
-	for i, e := range idx {
-		r := find(i)
-		if _, seen := byRoot[r]; !seen {
-			roots = append(roots, r)
-		}
-		byRoot[r] = append(byRoot[r], e)
-	}
-	groups := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		g := byRoot[r]
-		sort.Ints(g)
-		groups = append(groups, g)
-	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a][0] < groups[b][0] })
-	return groups
+	sc.probs = probs
+	sort.Float64s(probs)
+	var ans prob.CountAnswer
+	ans, sc.clamped = prob.RangeCountScratch(probs, sc.clamped)
+	return PublicRangeCountResult{Answer: ans, NaiveCount: len(pairs)}
 }
 
 // sharedGroup is one shared-descent group: member entry indices plus the
@@ -809,26 +818,12 @@ func (gs *groupScratch) groupShared(idx []int, rect func(i int) geo.Rect) []shar
 	return groups
 }
 
-// unionRect returns the union of the members' rectangles.
-func unionRect(members []int, rect func(i int) geo.Rect) geo.Rect {
-	u := rect(members[0])
-	for _, i := range members[1:] {
-		u = u.Union(rect(i))
-	}
-	return u
-}
-
-// parallelFor runs fn(0..n-1) on up to workers goroutines; iterations are
-// handed out by an atomic cursor, so callers only need fn(i) and fn(j) to
-// touch disjoint state. workers ≤ 1 degenerates to a plain loop — the
-// sequential reference point of the differential suite.
-func parallelFor(n, workers int, fn func(i int)) {
-	parallelForWorkers(n, workers, func(_, i int) { fn(i) })
-}
-
-// parallelForWorkers is parallelFor with the worker id passed to fn, so a
-// caller can hand each worker exclusive scratch state: fn(w, i) and
-// fn(w, j) for the same w never run concurrently.
+// parallelForWorkers runs fn(w, 0..n-1) on up to workers goroutines;
+// iterations are handed out by an atomic cursor, so callers only need
+// fn(·, i) and fn(·, j) to touch disjoint state. The worker id lets a
+// caller hand each worker exclusive scratch state: fn(w, i) and fn(w, j)
+// for the same w never run concurrently. workers ≤ 1 degenerates to a
+// plain loop.
 func parallelForWorkers(n, workers int, fn func(worker, i int)) {
 	if workers > n {
 		workers = n

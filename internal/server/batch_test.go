@@ -219,41 +219,10 @@ func TestBatchQueryMetrics(t *testing.T) {
 	}
 }
 
-// TestGroupOverlappingTransitive: overlap is grouped by connected
-// component — A∩B and B∩C put A, B, C in one group even when A and C are
-// disjoint — and the emitted order is deterministic.
-func TestGroupOverlappingTransitive(t *testing.T) {
-	rects := []geo.Rect{
-		geo.R(0.0, 0.0, 0.2, 0.2),   // A: overlaps B only
-		geo.R(0.15, 0.0, 0.35, 0.2), // B: bridges A and C
-		geo.R(0.3, 0.0, 0.5, 0.2),   // C: overlaps B only
-		geo.R(0.8, 0.8, 0.9, 0.9),   // D: isolated
-	}
-	at := func(i int) geo.Rect { return rects[i] }
-	got := groupOverlapping([]int{0, 1, 2, 3}, at)
-	want := [][]int{{0, 1, 2}, {3}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("groups = %v, want %v", got, want)
-	}
-	// Permuted input indices still produce ascending members and groups
-	// ordered by smallest member.
-	got = groupOverlapping([]int{3, 2, 0, 1}, at)
-	for _, g := range got {
-		for k := 1; k < len(g); k++ {
-			if g[k-1] >= g[k] {
-				t.Errorf("group %v not ascending", g)
-			}
-		}
-	}
-	if groupOverlapping(nil, at) != nil {
-		t.Error("empty input should group to nil")
-	}
-}
-
 func TestParallelForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
 		hits := make([]int32, 100)
-		parallelFor(len(hits), workers, func(i int) { hits[i]++ })
+		parallelForWorkers(len(hits), workers, func(_, i int) { hits[i]++ })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d executed %d times", workers, i, h)

@@ -1,13 +1,13 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"repro/internal/geo"
-	"repro/internal/rtree"
+	"repro/internal/trace"
 )
 
 // RangeMode selects how the private range query builds its candidate set
@@ -49,9 +49,8 @@ type PrivateRangeQuery struct {
 	Mode  RangeMode
 }
 
-// validate checks the query parameters; BatchQuery relies on this being
-// exactly the check PrivateRange applies, so per-entry errors match the
-// sequential path verbatim.
+// validate checks the query parameters (shared with BatchQuery, so
+// per-entry errors match PrivateRange's verbatim).
 func (q PrivateRangeQuery) validate() error {
 	if !q.Region.Valid() {
 		return fmt.Errorf("server: invalid query region %v", q.Region)
@@ -62,49 +61,36 @@ func (q PrivateRangeQuery) validate() error {
 	return nil
 }
 
+// filter is the rectangle the indices are probed with: the region's
+// minimum bounding rectangle expanded by Radius on every side.
+func (q PrivateRangeQuery) filter() geo.Rect { return q.Region.Expand(q.Radius) }
+
 // PrivateRange executes the query and returns the candidate list: every
-// public object that could be within Radius of *some* point of the region.
-// The mobile user refines the list locally with RefineRange. The candidate
-// set is complete by construction (invariant I5): an object within Radius
-// of any point p of the region satisfies MinDist(obj, region) ≤ Radius and
-// lies inside the expanded MBR the index is probed with.
+// public object that could be within Radius of *some* point of the region,
+// in SortObjects order. The mobile user refines the list locally with
+// RefineRange.
 func (s *Server) PrivateRange(q PrivateRangeQuery) ([]PublicObject, error) {
+	return s.PrivateRangeCtx(context.Background(), q)
+}
+
+// PrivateRangeCtx is PrivateRange under a context (trace): the range
+// kernel on a group of one.
+func (s *Server) PrivateRangeCtx(ctx context.Context, q PrivateRangeQuery) ([]PublicObject, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
-	filter := q.Region.Expand(q.Radius)
-	s.met.privateRangeQs.Inc()
-	defer s.met.latPrivateRange.Since(time.Now())
-
+	sp, _ := trace.Start(ctx, s.tracer, "lbs_private_range")
+	r := s.beginSingle(sp, s.met.latPrivateRange)
+	entries := [1]BatchEntry{{Range: q}}
+	var out [1]BatchItemResult
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-
-	var out []PublicObject
-	keep := func(id uint64, loc geo.Point, moving bool) {
-		if q.Mode == RangeRounded && geo.MinDist(loc, q.Region) > q.Radius {
-			return
-		}
-		o := s.resolveObjectLocked(id, loc, moving)
-		if q.Class != "" && o.Class != q.Class {
-			return
-		}
-		out = append(out, o)
+	s.runRangeGroupLocked(entries[:], groupOfOne(q.filter()), out[:], r.sc)
+	s.mu.RUnlock()
+	if r.sp.Recording() {
+		r.sp.SetAttrs(trace.Int("results", int64(len(out[0].Range))))
 	}
-	items, visits := s.stationary.SearchVisits(filter, nil)
-	for _, it := range items {
-		keep(it.ID, it.Loc, false)
-	}
-	s.met.nodeVisits.Observe(float64(visits))
-	if q.Class == "" {
-		for _, m := range s.moving.Search(filter, nil) {
-			keep(m.ID, m.Loc, true)
-		}
-	}
-	// Canonical order: the answer is a set, and emitting it sorted makes
-	// the single-server result bit-identical to a scatter/gather union of
-	// per-shard results (and to the batch engine's shared-descent path).
-	SortObjects(out)
-	return out, nil
+	s.endSingle(ctx, r)
+	return out[0].Range, nil
 }
 
 // PrivateNNQuery is a private nearest-neighbor query over public data:
@@ -142,16 +128,39 @@ type PrivateNNResult struct {
 //     bisector is convex). This eliminates objects like target A in
 //     Figure 5b while provably never removing a true nearest neighbor.
 func (s *Server) PrivateNN(q PrivateNNQuery) (PrivateNNResult, error) {
-	if err := q.validate(); err != nil {
+	return s.PrivateNNCtx(context.Background(), q)
+}
+
+// PrivateNNCtx is PrivateNN under a context (trace): the NN kernel on a
+// group of one, pruned after the read lock is released.
+func (s *Server) PrivateNNCtx(ctx context.Context, q PrivateNNQuery) (PrivateNNResult, error) {
+	r, err := s.nnSingle(ctx, q)
+	if err != nil {
 		return PrivateNNResult{}, err
 	}
-	s.met.privateNNQs.Inc()
-	defer s.met.latPrivateNN.Since(time.Now())
-
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	res, _ := s.privateNNLocked(q)
+	res := s.finishNN(q.Region, r.sc.parts[0], &r.sc.comb)
+	if r.sp.Recording() {
+		r.sp.SetAttrs(
+			trace.Int("candidates", int64(len(res.Candidates))),
+			trace.Int("superset", int64(res.SupersetSize)))
+	}
+	s.endSingle(ctx, r)
 	return res, nil
+}
+
+// nnSingle runs the min–max half of one validated NN query; the caller
+// finishes from r.sc.parts[0] and closes with endSingle.
+func (s *Server) nnSingle(ctx context.Context, q PrivateNNQuery) (singleQuery, error) {
+	if err := q.validate(); err != nil {
+		return singleQuery{}, err
+	}
+	sp, _ := trace.Start(ctx, s.tracer, "lbs_private_nn")
+	r := s.beginSingle(sp, s.met.latPrivateNN)
+	entries := [1]BatchEntry{{NN: q}}
+	s.mu.RLock()
+	s.runNNGroupLocked(entries[:], groupOfOne(q.Region), r.sc)
+	s.mu.RUnlock()
+	return r, nil
 }
 
 // validate checks the query parameters (shared with BatchQuery).
@@ -186,79 +195,23 @@ type NNParts struct {
 // this on every shard owning a tile of the query region and combines the
 // parts with CombineNNParts.
 func (s *Server) PrivateNNParts(q PrivateNNQuery) (NNParts, error) {
-	if err := q.validate(); err != nil {
+	return s.PrivateNNPartsCtx(context.Background(), q)
+}
+
+// PrivateNNPartsCtx is PrivateNNParts under a context (trace): the NN
+// kernel on a group of one, its parts copied out of the scratch.
+func (s *Server) PrivateNNPartsCtx(ctx context.Context, q PrivateNNQuery) (NNParts, error) {
+	r, err := s.nnSingle(ctx, q)
+	if err != nil {
 		return NNParts{}, err
 	}
-	s.met.privateNNQs.Inc()
-	defer s.met.latPrivateNN.Since(time.Now())
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	parts, _ := s.nnPartsLocked(q)
+	parts := r.sc.parts[0]
+	parts.Candidates = append([]PublicObject(nil), parts.Candidates...) // nil when empty
+	if r.sp.Recording() {
+		r.sp.SetAttrs(trace.Int("superset", int64(len(parts.Candidates))))
+	}
+	s.endSingle(ctx, r)
 	return parts, nil
-}
-
-// nnPartsLocked is the min–max filter half of the NN evaluation (step 1
-// of Figure 5b); the caller holds (at least) the read lock. The second
-// return value is the R-tree node-visit count.
-func (s *Server) nnPartsLocked(q PrivateNNQuery) (NNParts, int) {
-	return s.nnPartsScratchLocked(q, nil)
-}
-
-// nnPartsScratchLocked is nnPartsLocked with an optional per-worker
-// scratch: the R-tree item buffer — and, with a scratch, the candidate
-// slice too — is borrowed from sc, so the batch engine's repeated NN
-// units reuse one allocation set. Scratch-borrowed candidates are valid
-// only until the worker's next unit: every scratch caller must consume
-// them synchronously (combineNNPartsScratch copies what it keeps).
-// Without a scratch the candidate slice allocates fresh, because the
-// NNParts escapes into results on that path (PrivateNNParts over the
-// wire). The descent is rtree.MinMaxCandidates, which produces exactly
-// the set and bound of the incremental browse + refilter construction
-// (the equivalence argument lives on that function).
-func (s *Server) nnPartsScratchLocked(q PrivateNNQuery, sc *batchScratch) (NNParts, int) {
-	var match func(rtree.Item) bool
-	if q.Class != "" {
-		match = func(it rtree.Item) bool {
-			o, ok := s.stationaryMeta[it.ID]
-			return ok && o.Class == q.Class
-		}
-	}
-	var buf []rtree.Item
-	if sc != nil {
-		buf = sc.items[:0]
-	}
-	items, bound, visits := s.stationary.MinMaxCandidates(q.Region, match, buf)
-	if sc != nil {
-		sc.items = items
-	}
-	// Emit candidates by ascending ID — canonical SortObjects order for
-	// unique stationary IDs — so CombineNNParts's sort runs over an
-	// already-ordered slice instead of re-shuffling DFS emission order.
-	slices.SortFunc(items, func(a, b rtree.Item) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
-	var kept []PublicObject
-	if len(items) > 0 {
-		if sc != nil {
-			kept = sc.keptObjs[:0]
-		} else {
-			kept = make([]PublicObject, 0, len(items))
-		}
-		for _, it := range items {
-			kept = append(kept, s.resolveObjectLocked(it.ID, it.Loc, false))
-		}
-		if sc != nil {
-			sc.keptObjs = kept
-		}
-	}
-	s.met.nodeVisits.Observe(float64(visits))
-	return NNParts{Bound: bound, Candidates: kept}, visits
 }
 
 // maxPruneSet bounds the O(n²) dominance prune: for pathological
@@ -275,13 +228,13 @@ const maxPruneSet = 2048
 // answer, because the global bound, the kept set, the prune decision and
 // the pruned set are all functions of the union alone.
 func CombineNNParts(region geo.Rect, parts ...NNParts) PrivateNNResult {
-	return combineNNPartsScratch(region, nil, parts...)
+	return new(combineScratch).combine(region, parts...)
 }
 
 // combineScratch carries the reusable working set of the dominance prune.
-// The batch engine hands one per worker so the prune's O(n) side arrays
-// stop churning the heap on every member; a nil scratch (the sequential
-// public API) allocates locally.
+// The kernel's callers hand one per worker so the prune's O(n) side arrays
+// stop churning the heap on every query; the answer bytes are identical
+// for any scratch contents.
 type combineScratch struct {
 	cands     []PublicObject
 	cdist     [][4]float64
@@ -291,24 +244,20 @@ type combineScratch struct {
 	dominated []bool
 }
 
-// combineNNPartsScratch is CombineNNParts with an optional reusable
-// scratch. The answer bytes are identical for any scratch value.
-func combineNNPartsScratch(region geo.Rect, sc *combineScratch, parts ...NNParts) PrivateNNResult {
+// combine is CombineNNParts over the receiver's buffers.
+func (sc *combineScratch) combine(region geo.Rect, parts ...NNParts) PrivateNNResult {
 	bound := math.Inf(1)
 	for _, p := range parts {
 		if p.Bound < bound {
 			bound = p.Bound
 		}
 	}
-	if sc == nil {
-		sc = &combineScratch{}
-	}
 	cands := sc.cands[:0]
 	if len(parts) == 1 {
 		// A single part's candidates are already its producer's min–max
-		// filter output (every NNParts constructor — the sequential
-		// descent, the batch group runner, a remote shard — refilters
-		// against its own final bound, which here IS the global bound),
+		// filter output (every NNParts constructor — the NN kernel, a
+		// remote shard running it — refilters against its own final
+		// bound, which here IS the global bound),
 		// so the distance test would keep everything.
 		cands = append(cands, parts[0].Candidates...)
 	} else {
@@ -341,9 +290,6 @@ func combineNNPartsScratch(region geo.Rect, sc *combineScratch, parts ...NNParts
 	// strictly smaller total — so testing each candidate against the
 	// running Pareto frontier alone reproduces the full pairwise scan's
 	// dominated set at a fraction of the witness tests.
-	if sc == nil {
-		sc = &combineScratch{}
-	}
 	corners := region.Corners()
 	// Every cell below is (re)written before it is read, so growing the
 	// scratch without clearing stale contents is safe.
@@ -402,49 +348,11 @@ func combineNNPartsScratch(region geo.Rect, sc *combineScratch, parts ...NNParts
 	return res
 }
 
-// privateNNLocked is the evaluation core of PrivateNN; the caller holds
-// (at least) the read lock. BatchQuery fans NN entries out to its worker
-// pool over this function (with a per-worker scratch), so the two paths
-// cannot drift apart. The second return value is the R-tree node-visit
-// count of the descent.
-func (s *Server) privateNNLocked(q PrivateNNQuery) (PrivateNNResult, int) {
-	return s.privateNNScratchLocked(q, nil)
-}
-
-// privateNNScratchLocked is privateNNLocked with an optional reusable
-// scratch (nil is valid and means "allocate locally").
-func (s *Server) privateNNScratchLocked(q PrivateNNQuery, sc *batchScratch) (PrivateNNResult, int) {
-	parts, visits := s.nnPartsScratchLocked(q, sc)
-	var comb *combineScratch
-	if sc != nil {
-		comb = &sc.comb
-	}
-	res := combineNNPartsScratch(q.Region, comb, parts)
-	s.met.observeNNAnswer(len(res.Candidates))
-	return res, visits
-}
-
-// dominates reports whether object at b is at least as close as object at a
-// to every corner (hence every point) of the region, and strictly closer to
-// at least one corner. Co-located objects never dominate each other, so a
-// true nearest neighbor always survives.
-func dominates(b, a geo.Point, corners [4]geo.Point) bool {
-	strict := false
-	for _, c := range corners {
-		db := c.Dist2(b)
-		da := c.Dist2(a)
-		if db > da {
-			return false
-		}
-		if db < da {
-			strict = true
-		}
-	}
-	return strict
-}
-
-// dominatesDist is dominates over precomputed squared corner distances —
-// the same comparisons, fed from CombineNNParts's per-candidate cache.
+// dominatesDist reports, over precomputed squared corner distances,
+// whether object b is at least as close as object a to every corner (hence
+// every point) of the region, and strictly closer to at least one corner.
+// Co-located objects never dominate each other, so a true nearest neighbor
+// always survives.
 func dominatesDist(db, da [4]float64) bool {
 	strict := false
 	for k := range db {

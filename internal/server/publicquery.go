@@ -1,13 +1,17 @@
 package server
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/prob"
+	"repro/internal/trace"
 )
 
 // PublicRangeCountQuery is a public query over private data (Figure 6a):
@@ -38,30 +42,43 @@ func (q PublicRangeCountQuery) validate() error {
 
 // PublicRangeCount evaluates the query. The region index prunes users whose
 // cloaked regions cannot intersect the query, so the cost scales with the
-// overlapping population rather than with everyone (the full-scan variant
-// is kept as publicRangeCountScan for the equivalence test and ablation).
+// overlapping population rather than with everyone (PublicRangeCountScan is
+// the full-scan baseline).
 func (s *Server) PublicRangeCount(q PublicRangeCountQuery) (PublicRangeCountResult, error) {
+	return s.PublicRangeCountCtx(context.Background(), q)
+}
+
+// PublicRangeCountCtx is PublicRangeCount under a context (trace): the
+// count kernel on a group of one, its PDF folded after the read lock is
+// released.
+func (s *Server) PublicRangeCountCtx(ctx context.Context, q PublicRangeCountQuery) (PublicRangeCountResult, error) {
 	if err := q.validate(); err != nil {
 		return PublicRangeCountResult{}, err
 	}
-	s.met.publicCountQs.Inc()
-	defer s.met.latPublicCount.Since(time.Now())
+	r := s.countSingle(ctx, q.Query)
+	res := r.sc.foldCount(r.sc.pairs)
+	s.endCount(ctx, r, res.NaiveCount)
+	return res, nil
+}
+
+// countSingle gathers the (user, probability) pairs of one validated count
+// rectangle; the caller finishes from r.sc.pairs and closes with endCount.
+func (s *Server) countSingle(ctx context.Context, query geo.Rect) singleQuery {
+	sp, _ := trace.Start(ctx, s.tracer, "lbs_public_count")
+	r := s.beginSingle(sp, s.met.latPublicCount)
+	entries := [1]BatchEntry{{Count: PublicRangeCountQuery{Query: query}}}
 	s.mu.RLock()
-	ids := s.privIdx.Query(q.Query, nil)
-	probs := make([]float64, 0, len(ids))
-	naive := 0
-	for _, id := range ids {
-		p := prob.Overlap(s.private[id], q.Query)
-		if p > 0 {
-			probs = append(probs, p)
-			naive++
-		}
-	}
+	s.runCountGroupLocked(entries[:], groupOfOne(query), r.sc)
 	s.mu.RUnlock()
-	// Sort for determinism: map/bucket order must not influence the PDF's
-	// floating-point accumulation.
-	sort.Float64s(probs)
-	return PublicRangeCountResult{Answer: prob.RangeCount(probs), NaiveCount: naive}, nil
+	return r
+}
+
+// endCount closes a single count query that saw naive overlapping users.
+func (s *Server) endCount(ctx context.Context, r singleQuery, naive int) {
+	if r.sp.Recording() {
+		r.sp.SetAttrs(trace.Int("naive_count", int64(naive)))
+	}
+	s.endSingle(ctx, r)
 }
 
 // UserProb pairs a user id with her region's overlap probability for one
@@ -79,61 +96,48 @@ type UserProb struct {
 // and folds the probabilities through the same sort-then-accumulate rule
 // PublicRangeCount applies — producing a bit-identical PDF.
 func (s *Server) PublicCountProbs(q PublicRangeCountQuery) ([]UserProb, error) {
+	return s.PublicCountProbsCtx(context.Background(), q)
+}
+
+// PublicCountProbsCtx is PublicCountProbs under a context (trace): the
+// count kernel on a group of one, its pairs copied out of the scratch.
+func (s *Server) PublicCountProbsCtx(ctx context.Context, q PublicRangeCountQuery) ([]UserProb, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
-	s.met.publicCountQs.Inc()
-	defer s.met.latPublicCount.Since(time.Now())
-	s.mu.RLock()
-	ids := s.privIdx.Query(q.Query, nil)
-	pairs := make([]UserProb, 0, len(ids))
-	for _, id := range ids {
-		if p := prob.Overlap(s.private[id], q.Query); p > 0 {
-			pairs = append(pairs, UserProb{ID: id, P: p})
-		}
-	}
-	s.mu.RUnlock()
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].ID < pairs[j].ID })
+	r := s.countSingle(ctx, q.Query)
+	pairs := make([]UserProb, len(r.sc.pairs))
+	copy(pairs, r.sc.pairs)
+	slices.SortFunc(pairs, func(a, b UserProb) int { return cmp.Compare(a.ID, b.ID) })
+	s.endCount(ctx, r, len(pairs))
 	return pairs, nil
 }
 
 // CombineCountProbs folds deduplicated per-user probabilities into the
-// final count answer, exactly as PublicRangeCount would: probabilities
+// final count answer, exactly as PublicRangeCount does: probabilities
 // are sorted before accumulation so partition order cannot influence the
 // floating-point result. The pairs must already be unique per user.
 func CombineCountProbs(pairs []UserProb) PublicRangeCountResult {
-	probs := make([]float64, len(pairs))
-	for i, up := range pairs {
-		probs[i] = up.P
-	}
-	sort.Float64s(probs)
-	return PublicRangeCountResult{Answer: prob.RangeCount(probs), NaiveCount: len(pairs)}
+	return new(batchScratch).foldCount(pairs)
 }
 
-// PublicRangeCountScanForBench exposes the unindexed baseline for the
-// region-index ablation (experiment E15). Production callers use
-// PublicRangeCount.
-func (s *Server) PublicRangeCountScanForBench(q PublicRangeCountQuery) (PublicRangeCountResult, error) {
-	return s.publicRangeCountScan(q)
-}
-
-// publicRangeCountScan is the unindexed baseline.
-func (s *Server) publicRangeCountScan(q PublicRangeCountQuery) (PublicRangeCountResult, error) {
-	if !q.Query.Valid() {
-		return PublicRangeCountResult{}, fmt.Errorf("server: invalid query %v", q.Query)
+// PublicRangeCountScan is the unindexed baseline: the same answer from a
+// full scan of the private store, kept as the reference of the
+// region-index equivalence tests and the ablation (experiment E15).
+// Production callers use PublicRangeCount.
+func (s *Server) PublicRangeCountScan(q PublicRangeCountQuery) (PublicRangeCountResult, error) {
+	if err := q.validate(); err != nil {
+		return PublicRangeCountResult{}, err
 	}
 	records := s.privateSnapshot()
 	probs := make([]float64, 0, len(records))
-	naive := 0
 	for _, rec := range records {
-		p := prob.Overlap(rec.Region, q.Query)
-		if p > 0 {
+		if p := prob.Overlap(rec.Region, q.Query); p > 0 {
 			probs = append(probs, p)
-			naive++
 		}
 	}
 	sort.Float64s(probs)
-	return PublicRangeCountResult{Answer: prob.RangeCount(probs), NaiveCount: naive}, nil
+	return PublicRangeCountResult{Answer: prob.RangeCount(probs), NaiveCount: len(probs)}, nil
 }
 
 // PublicNNQuery is a public nearest-neighbor query over private data
@@ -259,9 +263,10 @@ type PrivateCountQuery struct {
 	ExcludeID uint64
 }
 
-// PrivateCount evaluates the reduced query: a probabilistic count over the
-// expanded region. The interval semantics are conservative: Hi counts every
-// user who could possibly be in range of any position of the querier.
+// PrivateCount evaluates the reduced query: a public count over the
+// expanded region (and recorded as one), minus the querier herself. The
+// interval semantics are conservative: Hi counts every user who could
+// possibly be in range of any position of the querier.
 func (s *Server) PrivateCount(q PrivateCountQuery) (prob.CountAnswer, error) {
 	if !q.Region.Valid() {
 		return prob.CountAnswer{}, fmt.Errorf("server: invalid region %v", q.Region)
@@ -270,18 +275,10 @@ func (s *Server) PrivateCount(q PrivateCountQuery) (prob.CountAnswer, error) {
 		return prob.CountAnswer{}, fmt.Errorf("server: invalid radius %g", q.Radius)
 	}
 	expanded := q.Region.Expand(q.Radius)
-	s.mu.RLock()
-	ids := s.privIdx.Query(expanded, nil)
-	probs := make([]float64, 0, len(ids))
-	for _, id := range ids {
-		if id == q.ExcludeID {
-			continue
-		}
-		if p := prob.Overlap(s.private[id], expanded); p > 0 {
-			probs = append(probs, p)
-		}
-	}
-	s.mu.RUnlock()
-	sort.Float64s(probs)
-	return prob.RangeCount(probs), nil
+	ctx := context.Background()
+	r := s.countSingle(ctx, expanded)
+	pairs := slices.DeleteFunc(r.sc.pairs, func(up UserProb) bool { return up.ID == q.ExcludeID })
+	ans := r.sc.foldCount(pairs).Answer
+	s.endCount(ctx, r, len(pairs))
+	return ans, nil
 }

@@ -308,7 +308,7 @@ func TestPublicRangeCountIndexEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := s.publicRangeCountScan(q)
+		b, err := s.PublicRangeCountScan(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func TestPublicRangeCountIndexEquivalence(t *testing.T) {
 	}
 	q := PublicRangeCountQuery{Query: geo.R(0.3, 0.3, 0.7, 0.7)}
 	a, _ := s.PublicRangeCount(q)
-	b, _ := s.publicRangeCountScan(q)
+	b, _ := s.PublicRangeCountScan(q)
 	if a.NaiveCount != b.NaiveCount || math.Abs(a.Answer.Expected-b.Answer.Expected) > 1e-9 {
 		t.Fatalf("post-churn: indexed %+v != scan %+v", a, b)
 	}
@@ -344,7 +344,7 @@ func BenchmarkPublicRangeCountScan(b *testing.B) {
 	q := PublicRangeCountQuery{Query: geo.R(0.45, 0.45, 0.55, 0.55)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.publicRangeCountScan(q); err != nil {
+		if _, err := s.PublicRangeCountScan(q); err != nil {
 			b.Fatal(err)
 		}
 	}

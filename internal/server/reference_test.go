@@ -1,0 +1,348 @@
+package server
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/geo"
+	"repro/internal/obs"
+	"repro/internal/prob"
+	"repro/internal/rng"
+)
+
+// The reference model answers every query kind from the definitions in
+// Section 6 with linear scans over the server's raw stores — no R-tree,
+// no grid probe, no region index, no scratch, no grouping. The per-query
+// methods and BatchQuery share one kernel per kind, so agreeing with each
+// other proves only that shared-union filtering equals an own descent;
+// agreeing with this model proves the kernel computes the right answer.
+// Float operations are the same geo/prob primitives applied to the same
+// operands, so equality is bit for bit.
+
+// refLess is the canonical result order, written out independently of
+// cmpObjects: ascending (ID, Class, Loc.X, Loc.Y).
+func refLess(a, b PublicObject) bool {
+	if a.ID != b.ID {
+		return a.ID < b.ID
+	}
+	if a.Class != b.Class {
+		return a.Class < b.Class
+	}
+	if a.Loc.X != b.Loc.X {
+		return a.Loc.X < b.Loc.X
+	}
+	return a.Loc.Y < b.Loc.Y
+}
+
+func refSort(objs []PublicObject) {
+	sort.Slice(objs, func(i, j int) bool { return refLess(objs[i], objs[j]) })
+}
+
+// refRange is Figure 5a by definition: every stationary object of the
+// class — and, without a class, every moving object — inside the expanded
+// MBR and, in rounded mode, within Radius of the region.
+func refRange(s *Server, q PrivateRangeQuery) ([]PublicObject, error) {
+	if !q.Region.Valid() {
+		return nil, fmt.Errorf("server: invalid query region %v", q.Region)
+	}
+	if q.Radius < 0 || math.IsNaN(q.Radius) {
+		return nil, fmt.Errorf("server: invalid radius %g", q.Radius)
+	}
+	mbr := q.Region.Expand(q.Radius)
+	near := func(p geo.Point) bool {
+		return mbr.Contains(p) && (q.Mode == RangeMBR || geo.MinDist(p, q.Region) <= q.Radius)
+	}
+	var out []PublicObject
+	for _, o := range s.stationaryMeta {
+		if near(o.Loc) && (q.Class == "" || o.Class == q.Class) {
+			out = append(out, o)
+		}
+	}
+	if q.Class == "" {
+		for _, m := range s.moving.All(nil) {
+			if near(m.Loc) {
+				out = append(out, PublicObject{ID: m.ID, Loc: m.Loc})
+			}
+		}
+	}
+	refSort(out)
+	return out, nil
+}
+
+// refNNParts is the min–max filter by definition: the bound is the least
+// MaxDist² of any class-matching object, the candidates everything whose
+// MinDist² does not exceed it.
+func refNNParts(s *Server, q PrivateNNQuery) (NNParts, error) {
+	if !q.Region.Valid() {
+		return NNParts{}, fmt.Errorf("server: invalid query region %v", q.Region)
+	}
+	parts := NNParts{Bound: math.Inf(1)}
+	for _, o := range s.stationaryMeta {
+		if q.Class != "" && o.Class != q.Class {
+			continue
+		}
+		if d := geo.MaxDist2(o.Loc, q.Region); d < parts.Bound {
+			parts.Bound = d
+		}
+	}
+	for _, o := range s.stationaryMeta {
+		if (q.Class == "" || o.Class == q.Class) && geo.MinDist2(o.Loc, q.Region) <= parts.Bound {
+			parts.Candidates = append(parts.Candidates, o)
+		}
+	}
+	refSort(parts.Candidates)
+	return parts, nil
+}
+
+// dominates reports whether object at b is at least as close as object at a
+// to every corner (hence every point) of the region, and strictly closer to
+// at least one corner. Co-located objects never dominate each other, so a
+// true nearest neighbor always survives.
+func dominates(b, a geo.Point, corners [4]geo.Point) bool {
+	strict := false
+	for _, c := range corners {
+		db := c.Dist2(b)
+		da := c.Dist2(a)
+		if db > da {
+			return false
+		}
+		if db < da {
+			strict = true
+		}
+	}
+	return strict
+}
+
+// refNN is Figure 5b by definition: the min–max superset, minus every
+// candidate some other candidate dominates — the full O(n²) pairwise scan.
+func refNN(s *Server, q PrivateNNQuery) (PrivateNNResult, error) {
+	parts, err := refNNParts(s, q)
+	if err != nil {
+		return PrivateNNResult{}, err
+	}
+	res := PrivateNNResult{SupersetSize: len(parts.Candidates)}
+	if res.SupersetSize > maxPruneSet {
+		res.Candidates = parts.Candidates
+		return res, nil
+	}
+	corners := q.Region.Corners()
+	for _, a := range parts.Candidates {
+		dominated := false
+		for _, b := range parts.Candidates {
+			if dominates(b.Loc, a.Loc, corners) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			res.Candidates = append(res.Candidates, a)
+		}
+	}
+	return res, nil
+}
+
+// refCountProbs is Figure 6a's first half by definition: every stored
+// region with positive overlap probability, by ascending user id.
+func refCountProbs(s *Server, query geo.Rect) []UserProb {
+	pairs := []UserProb{}
+	for id, region := range s.private {
+		if p := prob.Overlap(region, query); p > 0 {
+			pairs = append(pairs, UserProb{ID: id, P: p})
+		}
+	}
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].ID < pairs[j].ID })
+	return pairs
+}
+
+// refCount folds the pairs by the determinism rule: ascending probability.
+func refCount(pairs []UserProb) PublicRangeCountResult {
+	probs := make([]float64, len(pairs))
+	for i, up := range pairs {
+		probs[i] = up.P
+	}
+	sort.Float64s(probs)
+	return PublicRangeCountResult{Answer: prob.RangeCount(probs), NaiveCount: len(pairs)}
+}
+
+// refEntry answers one batch entry from the model.
+func refEntry(s *Server, i int, e BatchEntry) BatchItemResult {
+	var item BatchItemResult
+	var err error
+	switch e.Kind {
+	case BatchPrivateRange:
+		item.Range, err = refRange(s, e.Range)
+	case BatchPrivateNN:
+		item.NN, err = refNN(s, e.NN)
+	case BatchPublicCount:
+		if !e.Count.Query.Valid() {
+			err = fmt.Errorf("server: invalid query %v", e.Count.Query)
+		} else {
+			item.Count = refCount(refCountProbs(s, e.Count.Query))
+		}
+	}
+	if err != nil {
+		return BatchItemResult{Err: &BatchEntryError{Index: i, Kind: e.Kind, Err: err}}
+	}
+	return item
+}
+
+// TestReferenceModel runs the committed seed mixes — all three kinds, both
+// range modes, class filters, invalid entries — through the per-query
+// methods, the shard-partial forms and BatchQuery, against the model.
+func TestReferenceModel(t *testing.T) {
+	for _, seed := range diffSeeds(t) {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			s := buildDiffServer(t, seed)
+			src := rng.New(seed ^ 0x4EF)
+			for round := 0; round < 3; round++ {
+				entries := buildDiffBatch(src, 40)
+				want := make([]BatchItemResult, len(entries))
+				for i, e := range entries {
+					want[i] = refEntry(s, i, e)
+				}
+				assertItemsEqual(t, sequentialBatch(s, entries), want)
+				assertItemsEqual(t, s.BatchQuery(entries).Items, want)
+				for i, e := range entries {
+					checkPartialForms(t, s, i, e, want[i])
+				}
+			}
+		})
+	}
+}
+
+// checkPartialForms compares the shard-partial methods, their combiners
+// and the private-count reduction of one entry against the model.
+func checkPartialForms(t *testing.T, s *Server, i int, e BatchEntry, want BatchItemResult) {
+	t.Helper()
+	sameErr := func(got error) bool {
+		if want.Err == nil || got == nil {
+			if want.Err != nil || got != nil {
+				t.Errorf("entry %d: partial error = %v, model error = %v", i, got, want.Err)
+			}
+			return false
+		}
+		if cause := want.Err.(*BatchEntryError).Err.Error(); got.Error() != cause {
+			t.Errorf("entry %d: partial error %q, model error %q", i, got, cause)
+		}
+		return true
+	}
+	switch e.Kind {
+	case BatchPrivateNN:
+		parts, err := s.PrivateNNParts(e.NN)
+		if sameErr(err) {
+			return
+		}
+		wantParts, _ := refNNParts(s, e.NN)
+		if !reflect.DeepEqual(parts, wantParts) {
+			t.Errorf("entry %d: NN parts diverge from the model\n got %+v\nwant %+v", i, parts, wantParts)
+		}
+		if got := CombineNNParts(e.NN.Region, parts); !reflect.DeepEqual(got, want.NN) {
+			t.Errorf("entry %d: combined NN parts diverge from the model", i)
+		}
+	case BatchPublicCount:
+		pairs, err := s.PublicCountProbs(e.Count)
+		if sameErr(err) {
+			return
+		}
+		wantPairs := refCountProbs(s, e.Count.Query)
+		if !reflect.DeepEqual(pairs, wantPairs) {
+			t.Errorf("entry %d: count pairs diverge from the model\n got %+v\nwant %+v", i, pairs, wantPairs)
+		}
+		if got := CombineCountProbs(pairs); !reflect.DeepEqual(got, want.Count) {
+			t.Errorf("entry %d: combined count pairs diverge from the model", i)
+		}
+		scan, err := s.PublicRangeCountScan(e.Count)
+		if err != nil || !reflect.DeepEqual(scan, want.Count) {
+			t.Errorf("entry %d: full-scan baseline diverges from the model (err %v)", i, err)
+		}
+		// The private-count reduction: the same rectangle reached by
+		// expanding its center, minus one of the users it overlaps.
+		if len(wantPairs) == 0 {
+			return
+		}
+		exclude := wantPairs[len(wantPairs)/2].ID
+		q := PrivateCountQuery{Region: e.Count.Query, ExcludeID: exclude}
+		var others []UserProb
+		for _, up := range wantPairs {
+			if up.ID != exclude {
+				others = append(others, up)
+			}
+		}
+		got, err := s.PrivateCount(q)
+		if err != nil || !reflect.DeepEqual(got, refCount(others).Answer) {
+			t.Errorf("entry %d: private count diverges from the model (err %v)", i, err)
+		}
+	}
+}
+
+// TestQueryAccounting pins the one-recording-site contract: every public
+// per-query method and every batch entry moves its class's
+// lbs_*_queries_total by exactly one, and every single query observes
+// lbs_query_seconds{class} exactly once (batch entries are timed as a
+// batch, under lbs_batch_seconds).
+func TestQueryAccounting(t *testing.T) {
+	s := batchFixture(t)
+	rq := PrivateRangeQuery{Region: geo.R(0.1, 0.1, 0.3, 0.3), Radius: 0.05}
+	nq := PrivateNNQuery{Region: geo.R(0.6, 0.6, 0.7, 0.7)}
+	cq := PublicRangeCountQuery{Query: geo.R(0.2, 0.2, 0.5, 0.5)}
+	observed := func(class string) uint64 {
+		h := map[string]*obs.Histogram{
+			"range": s.met.latPrivateRange, "nn": s.met.latPrivateNN, "count": s.met.latPublicCount,
+		}[class]
+		var n uint64
+		for _, c := range h.Snapshot().Counts {
+			n += c
+		}
+		return n
+	}
+	served := func(class string) uint64 {
+		m := s.Metrics()
+		return map[string]uint64{"range": m.PrivateRangeQs, "nn": m.PrivateNNQs, "count": m.PublicCountQs}[class]
+	}
+	cases := []struct {
+		name, class string
+		timed       uint64 // lbs_query_seconds observations expected
+		run         func()
+	}{
+		{"PrivateRange", "range", 1, func() { s.PrivateRange(rq) }},
+		{"PrivateNN", "nn", 1, func() { s.PrivateNN(nq) }},
+		{"PrivateNNParts", "nn", 1, func() { s.PrivateNNParts(nq) }},
+		{"PublicRangeCount", "count", 1, func() { s.PublicRangeCount(cq) }},
+		{"PublicCountProbs", "count", 1, func() { s.PublicCountProbs(cq) }},
+		{"PrivateCount", "count", 1, func() { s.PrivateCount(PrivateCountQuery{Region: cq.Query}) }},
+		{"batch range entry", "range", 0, func() { s.BatchQuery([]BatchEntry{{Kind: BatchPrivateRange, Range: rq}}) }},
+		{"batch NN entry", "nn", 0, func() { s.BatchQuery([]BatchEntry{{Kind: BatchPrivateNN, NN: nq}}) }},
+		{"batch count entry", "count", 0, func() { s.BatchQuery([]BatchEntry{{Kind: BatchPublicCount, Count: cq}}) }},
+	}
+	for _, tc := range cases {
+		before := [3][2]uint64{}
+		for k, class := range []string{"range", "nn", "count"} {
+			before[k] = [2]uint64{served(class), observed(class)}
+		}
+		tc.run()
+		for k, class := range []string{"range", "nn", "count"} {
+			wantServed, wantTimed := uint64(0), uint64(0)
+			if class == tc.class {
+				wantServed, wantTimed = 1, tc.timed
+			}
+			if d := served(class) - before[k][0]; d != wantServed {
+				t.Errorf("%s: %s queries_total moved by %d, want %d", tc.name, class, d, wantServed)
+			}
+			if d := observed(class) - before[k][1]; d != wantTimed {
+				t.Errorf("%s: lbs_query_seconds{%s} observed %d times, want %d", tc.name, class, d, wantTimed)
+			}
+		}
+	}
+	// An invalid query is neither served nor timed.
+	before := [2]uint64{served("range"), observed("range")}
+	if _, err := s.PrivateRange(PrivateRangeQuery{Region: rq.Region, Radius: -1}); err == nil {
+		t.Fatal("invalid radius accepted")
+	}
+	if served("range") != before[0] || observed("range") != before[1] {
+		t.Error("invalid query moved the range series")
+	}
+}

@@ -51,10 +51,12 @@ func SortObjects(objs []PublicObject) {
 	slices.SortFunc(objs, cmpObjects)
 }
 
-// cmpObjects is the three-way form of lessObjects for slices.SortFunc
-// (which avoids the reflect-based swapping of sort.Slice on this hot
-// comparator). Ties across every key mean the structs are identical, so
-// the unstable sort cannot produce an observable reordering.
+// cmpObjects is the canonical result-order comparator behind SortObjects,
+// in the three-way form slices.SortFunc takes (which avoids the
+// reflect-based swapping of sort.Slice on this hot comparator); the range
+// kernel merges per-member runs with it too. Ties across every key mean
+// the structs are identical, so the unstable sort cannot produce an
+// observable reordering.
 func cmpObjects(a, b PublicObject) int {
 	if a.ID != b.ID {
 		if a.ID < b.ID {
@@ -83,23 +85,6 @@ func cmpObjects(a, b PublicObject) int {
 	return 0
 }
 
-// lessObjects is the canonical result-order comparator behind SortObjects.
-// The batch engine sorts shared streams and merges per-member subsequences
-// with the same comparator, which keeps batch answers byte-identical to
-// the sequential sort.
-func lessObjects(a, b PublicObject) bool {
-	if a.ID != b.ID {
-		return a.ID < b.ID
-	}
-	if a.Class != b.Class {
-		return a.Class < b.Class
-	}
-	if a.Loc.X != b.Loc.X {
-		return a.Loc.X < b.Loc.X
-	}
-	return a.Loc.Y < b.Loc.Y
-}
-
 // Server is the privacy-aware location-based database server. All methods
 // are safe for concurrent use.
 type Server struct {
@@ -123,7 +108,8 @@ type Server struct {
 
 	// queryWorkers is the BatchQuery worker-pool width (batch.go), and
 	// batchPool recycles each call's coordination scratch (*batchCoord)
-	// so a steady stream of batch frames stops allocating per call.
+	// so a steady stream of queries, batched or single, stops allocating
+	// its intermediates per call.
 	queryWorkers int
 	batchPool    sync.Pool
 
@@ -151,7 +137,7 @@ type Config struct {
 	// is always live and Registry() always works.
 	Metrics *obs.Registry
 	// QueryWorkers is the worker-pool width BatchQuery fans independent
-	// query groups out to (default GOMAXPROCS; 1 = sequential).
+	// query groups out to (default GOMAXPROCS; 1 = a plain loop).
 	QueryWorkers int
 	// Tracer records pipeline-stage spans for traced requests (the *Ctx
 	// entry points). Optional; nil disables span recording.

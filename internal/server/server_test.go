@@ -268,7 +268,7 @@ func TestUpdatePrivateFailureLeavesStateConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanned, err := s.publicRangeCountScan(q)
+	scanned, err := s.PublicRangeCountScan(q)
 	if err != nil {
 		t.Fatal(err)
 	}

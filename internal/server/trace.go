@@ -2,17 +2,15 @@ package server
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/geo"
 	"repro/internal/trace"
 )
 
-// This file holds the context-taking entry points the wire handler calls
-// for traced requests: thin wrappers that record one lbs_* span per
-// query class around the sequential implementations, and link the
-// per-class latency histograms to the trace via bucket exemplars. With
-// no sampled trace in ctx every wrapper is a plain passthrough.
+// The context-taking entry points the wire handler calls record one lbs_*
+// span per request under the caller's trace and link the latency
+// histograms to it via bucket exemplars. The query forms live next to
+// their plain forms (privatequery.go, publicquery.go, batch.go).
 
 // ctxTraceID returns the sampled trace id carried by ctx, 0 when none.
 func ctxTraceID(ctx context.Context) uint64 {
@@ -28,45 +26,4 @@ func (s *Server) UpdatePrivateCtx(ctx context.Context, id uint64, region geo.Rec
 	err := s.UpdatePrivate(id, region)
 	sp.End()
 	return err
-}
-
-// PrivateRangeCtx is PrivateRange under a context (trace).
-func (s *Server) PrivateRangeCtx(ctx context.Context, q PrivateRangeQuery) ([]PublicObject, error) {
-	sp, _ := trace.Start(ctx, s.tracer, "lbs_private_range")
-	t0 := time.Now()
-	objs, err := s.PrivateRange(q)
-	if sp.Recording() {
-		sp.SetAttrs(trace.Int("results", int64(len(objs))))
-		sp.End()
-		s.met.latPrivateRange.SetExemplar(time.Since(t0).Seconds(), ctxTraceID(ctx))
-	}
-	return objs, err
-}
-
-// PrivateNNCtx is PrivateNN under a context (trace).
-func (s *Server) PrivateNNCtx(ctx context.Context, q PrivateNNQuery) (PrivateNNResult, error) {
-	sp, _ := trace.Start(ctx, s.tracer, "lbs_private_nn")
-	t0 := time.Now()
-	res, err := s.PrivateNN(q)
-	if sp.Recording() {
-		sp.SetAttrs(
-			trace.Int("candidates", int64(len(res.Candidates))),
-			trace.Int("superset", int64(res.SupersetSize)))
-		sp.End()
-		s.met.latPrivateNN.SetExemplar(time.Since(t0).Seconds(), ctxTraceID(ctx))
-	}
-	return res, err
-}
-
-// PublicRangeCountCtx is PublicRangeCount under a context (trace).
-func (s *Server) PublicRangeCountCtx(ctx context.Context, q PublicRangeCountQuery) (PublicRangeCountResult, error) {
-	sp, _ := trace.Start(ctx, s.tracer, "lbs_public_count")
-	t0 := time.Now()
-	res, err := s.PublicRangeCount(q)
-	if sp.Recording() {
-		sp.SetAttrs(trace.Int("naive_count", int64(res.NaiveCount)))
-		sp.End()
-		s.met.latPublicCount.SetExemplar(time.Since(t0).Seconds(), ctxTraceID(ctx))
-	}
-	return res, err
 }
