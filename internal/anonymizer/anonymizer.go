@@ -121,7 +121,9 @@ type Config struct {
 	// pipeline). Results are bit-identical across worker counts.
 	BatchWorkers int
 	// Forward receives every cloaked region. Optional; when nil regions are
-	// only returned to the caller.
+	// only returned to the caller. It must be safe for concurrent use, and
+	// so must ForwardCtx: concurrent updates forward concurrently, and a
+	// batch issues its users' forwards together.
 	Forward Forwarder
 	// ForwardCtx, when set, replaces Forward on the direct (non-replay)
 	// path and receives the request's context, so a traced update's

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -498,9 +499,9 @@ func TestBatchUpdateSkipsBadEntries(t *testing.T) {
 }
 
 func TestBatchUpdateDedupsForwarding(t *testing.T) {
-	forwarded := 0
+	var forwarded atomic.Int64 // a batch's forwards run concurrently
 	a := newAnon(t, Config{
-		Forward: func(uint64, geo.Rect) error { forwarded++; return nil },
+		Forward: func(uint64, geo.Rect) error { forwarded.Add(1); return nil },
 	})
 	pts, _ := mobility.GeneratePoints(mobility.PopulationSpec{
 		N: 500, World: world, Dist: mobility.Gaussian, Seed: 77,
@@ -512,12 +513,43 @@ func TestBatchUpdateDedupsForwarding(t *testing.T) {
 		reqs[i] = cloak.Request{ID: uint64(i + 1), Loc: p}
 	}
 	a.BatchUpdate(reqs)
-	forwarded = 0
-	// Feed the identical batch again: every (id, region) pair repeats, but
-	// within one batch each pair is forwarded at most once.
+	forwarded.Store(0)
+	// Feed the identical batch again, doubled: every user appears twice,
+	// but within one batch each user is forwarded once.
 	a.BatchUpdate(append(reqs, reqs...))
-	if forwarded != len(reqs) {
-		t.Errorf("forwarded %d messages for a doubled batch, want %d", forwarded, len(reqs))
+	if got := forwarded.Load(); got != int64(len(reqs)) {
+		t.Errorf("forwarded %d messages for a doubled batch, want %d", got, len(reqs))
+	}
+}
+
+// A batch carrying the same user twice with two regions forwards her once,
+// with the region of her last entry — what two single updates would have
+// left downstream.
+func TestBatchUpdateForwardsLastRegionPerUser(t *testing.T) {
+	fwd := newFlakyForwarder()
+	var calls atomic.Int64
+	a := newAnon(t, Config{Forward: func(id uint64, region geo.Rect) error {
+		calls.Add(1)
+		return fwd.forward(id, region)
+	}})
+	seedUsers(t, a, 2000, 5, 4)
+	calls.Store(0)
+	const u = 1
+	p0, p1 := geo.Pt(0.1, 0.1), geo.Pt(0.9, 0.9)
+	res := a.BatchUpdate([]cloak.Request{{ID: u, Loc: p0}, {ID: 2, Loc: geo.Pt(0.5, 0.5)}, {ID: u, Loc: p1}})
+	for i, r := range res {
+		if r == nil {
+			t.Fatalf("entry %d failed", i)
+		}
+	}
+	if res[0].Region == res[2].Region {
+		t.Fatalf("test needs two distinct regions for user %d, both are %v", u, res[0].Region)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Errorf("forwarded %d messages for two distinct users, want 2", got)
+	}
+	if got, _ := fwd.regionOf(u); got != res[2].Region {
+		t.Errorf("forwarder holds %v for user %d, want her last region %v", got, u, res[2].Region)
 	}
 }
 
@@ -529,11 +561,8 @@ func TestBatchUpdateDedupsForwarding(t *testing.T) {
 // acknowledged location.
 func TestBatchUpdateInvalidatesIncrementalCache(t *testing.T) {
 	const u = 1
-	forwarded := map[uint64]geo.Rect{}
-	a := newAnon(t, Config{Incremental: true, Forward: func(id uint64, region geo.Rect) error {
-		forwarded[id] = region
-		return nil
-	}})
+	fwd := newFlakyForwarder()
+	a := newAnon(t, Config{Incremental: true, Forward: fwd.forward})
 	seedUsers(t, a, 2000, 5, 4)
 	p0, p1 := geo.Pt(0.1, 0.1), geo.Pt(0.9, 0.9)
 	if _, err := a.Update(u, p0); err != nil {
@@ -549,7 +578,7 @@ func TestBatchUpdateInvalidatesIncrementalCache(t *testing.T) {
 	if !res.Region.Contains(p0) {
 		t.Fatalf("acknowledged region %v misses the location %v", res.Region, p0)
 	}
-	if got := forwarded[u]; !got.Eq(res.Region) {
+	if got, _ := fwd.regionOf(u); !got.Eq(res.Region) {
 		t.Errorf("database holds %v for the user, anonymizer acknowledged %v (reused=%v)",
 			got, res.Region, res.Reused)
 	}

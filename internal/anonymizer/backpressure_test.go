@@ -147,6 +147,43 @@ func TestBatchUpdateShedsUnderBackpressure(t *testing.T) {
 	}
 }
 
+// The queue can also fill after admission, between a batch's own forwards:
+// the forwards that find it full are refused, and exactly their users'
+// entries — every entry of such a user, no one else's — come back nil.
+func TestBatchUpdateNullsForwardRefusals(t *testing.T) {
+	fwd := newFlakyForwarder()
+	a := newBackpressureAnon(t, fwd.forward, 2)
+	registerN(t, a, 8, 2)
+
+	fwd.setDown(true) // the queue is empty: admission lets the whole batch in
+	batch := []cloak.Request{
+		{ID: 1, Loc: geo.Pt(0.15, 0.5)},
+		{ID: 2, Loc: geo.Pt(0.25, 0.5)},
+		{ID: 3, Loc: geo.Pt(0.35, 0.5)},
+		{ID: 1, Loc: geo.Pt(0.85, 0.5)}, // user 1 again, elsewhere
+		{ID: 4, Loc: geo.Pt(0.45, 0.5)},
+	}
+	results := a.BatchUpdate(batch)
+
+	a.fq.mu.Lock()
+	queued := make(map[uint64]bool, len(a.fq.regions))
+	for id := range a.fq.regions {
+		queued[id] = true
+	}
+	a.fq.mu.Unlock()
+	if len(queued) != 2 {
+		t.Fatalf("queue holds %d users, want its bound of 2", len(queued))
+	}
+	for i, u := range batch {
+		if got := results[i] != nil; got != queued[u.ID] {
+			t.Errorf("entry %d (user %d): result present = %v, region queued = %v", i, u.ID, got, queued[u.ID])
+		}
+	}
+	if st := a.Stats(); st.Dropped != 0 {
+		t.Fatalf("Dropped = %d, want 0 — refusals must not evict", st.Dropped)
+	}
+}
+
 // Without the flag the historical evict-oldest policy is untouched:
 // updates never fail, the oldest entry pays.
 func TestEvictModeUnchangedWithoutFlag(t *testing.T) {

@@ -150,9 +150,21 @@ func (t *tracker) feed(p []byte) {
 	}
 }
 
+// rest returns how many of the next stream bytes the tracker can place
+// without seeing them: the remainder of the current frame's body, else
+// the remainder of a 4-byte length prefix (all of it at a frame start).
+func (t *tracker) rest() int {
+	if t.remaining > 0 {
+		return t.remaining
+	}
+	return 4 - t.hdrN
+}
+
 // Conn wraps a net.Conn and applies fault rules at frame boundaries. All
 // methods are safe for concurrent use; reads and writes are tracked
-// independently.
+// independently. An operation that spans frames — a coalesced write of
+// several frames, a buffered read — is cut at the frame boundaries, so
+// every frame start consults the rules however the peer batches its I/O.
 type Conn struct {
 	net.Conn
 
@@ -256,8 +268,16 @@ func throttle(n, rate int) {
 	}
 }
 
-// Read implements net.Conn.
+// Read implements net.Conn. A read stops at the end of what is known of
+// the current frame — its length prefix, then its body — so the next
+// frame's first byte always arrives in a Read of its own.
 func (c *Conn) Read(p []byte) (int, error) {
+	c.mu.Lock()
+	limit := c.rd.rest()
+	c.mu.Unlock()
+	if limit < len(p) {
+		p = p[:limit]
+	}
 	v, err := c.apply(Read, len(p))
 	if err != nil {
 		return 0, err
@@ -296,8 +316,30 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Write implements net.Conn.
+// Write implements net.Conn. The buffer is written frame by frame.
 func (c *Conn) Write(p []byte) (int, error) {
+	var done int
+	for done < len(p) {
+		c.mu.Lock()
+		t := c.wr // a copy, fed ahead to find where the current frame ends
+		c.mu.Unlock()
+		seg := p[done:]
+		k := min(t.rest(), len(seg))
+		if t.remaining == 0 { // in the length prefix: the body follows it
+			t.feed(seg[:k])
+			k = min(k+t.remaining, len(seg))
+		}
+		n, err := c.writeFrame(seg[:k])
+		done += n
+		if err != nil {
+			return done, err
+		}
+	}
+	return done, nil
+}
+
+// writeFrame writes bytes of a single frame under the rule table.
+func (c *Conn) writeFrame(p []byte) (int, error) {
 	v, err := c.apply(Write, len(p))
 	if err != nil {
 		return 0, err

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -139,6 +140,42 @@ func TestReadDrop(t *testing.T) {
 	if _, err := io.ReadFull(fc, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("frame 2 read err = %v, want ErrInjected", err)
 	}
+}
+
+// Rules fire on frames that begin inside a multi-frame operation: a
+// coalesced write of several frames, a buffered read that would span them.
+func TestRulesFireInsideMultiFrameIO(t *testing.T) {
+	f1, f2, f3 := frame([]byte("one")), frame([]byte("second")), frame([]byte("three"))
+	stream := append(append(append([]byte(nil), f1...), f2...), f3...)
+
+	t.Run("write", func(t *testing.T) {
+		client, server := pipe(t)
+		fc := Wrap(client, Rule{Op: Write, Nth: 2, Action: Reset})
+		n, err := fc.Write(stream)
+		if n != len(f1) || !errors.Is(err, ErrInjected) {
+			t.Fatalf("write of three frames = %d, %v; want %d (frame 1 only), ErrInjected", n, err, len(f1))
+		}
+		server.SetReadDeadline(time.Now().Add(2 * time.Second))
+		got, err := io.ReadAll(server)
+		if string(got) != string(f1) || err == nil {
+			t.Fatalf("peer received %q, %v; want frame 1 then a reset", got, err)
+		}
+	})
+
+	t.Run("read", func(t *testing.T) {
+		client, server := pipe(t)
+		fc := Wrap(client, Rule{Op: Read, Nth: 3, Action: Truncate, KeepBytes: 2})
+		if _, err := server.Write(stream); err != nil {
+			t.Fatal(err)
+		}
+		fc.SetReadDeadline(time.Now().Add(2 * time.Second))
+		br := bufio.NewReader(fc) // asks for 4 KiB at a time
+		got := make([]byte, len(stream))
+		n, err := io.ReadFull(br, got)
+		if want := len(f1) + len(f2) + 2; n != want || !errors.Is(err, ErrInjected) {
+			t.Fatalf("buffered read of three frames = %d, %v; want %d (two frames and a torn third), ErrInjected", n, err, want)
+		}
+	})
 }
 
 func TestScheduleDeterministic(t *testing.T) {

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -161,25 +162,92 @@ func newClientMetrics(reg *obs.Registry) *clientMetrics {
 	}
 }
 
-// Client is a synchronous framed request/response TCP client. It is safe
-// for concurrent use; requests are serialized over one connection. On
-// transport failures it reconnects with exponential backoff and jitter,
-// retries idempotent calls a bounded number of times, and sheds load
-// through a circuit breaker while the peer stays down.
+// Client is a framed request/response TCP client, safe for concurrent
+// use. Concurrent calls are pipelined over one connection: the peer
+// answers a connection's frames strictly in request order (see
+// Service), so the client keeps a FIFO of the calls in flight and matches
+// replies to them by position — the wire carries no request id. A call
+// appends its frame to the connection's write buffer; one caller at a
+// time flushes whatever has accumulated in a single Write, and one caller
+// at a time reads replies through a buffered reader, handing each frame
+// to the call at the head of the FIFO. A call alone on the connection
+// therefore costs one write and one read.
+//
+// A transport failure or an expired deadline fails the connection, and
+// with it every call in flight on it, exactly once: idempotent calls
+// reconnect with exponential backoff and jitter and retry a bounded
+// number of times, each on its own schedule and never under the client's
+// lock; non-idempotent calls return the error and are never re-sent. The
+// circuit breaker counts one failure per dead connection or failed dial
+// and sheds load while the peer stays down.
 type Client struct {
 	addr string
 	cfg  dialConfig
 	met  *clientMetrics
 
+	// mu guards everything below and every clientConn's queue state. It
+	// is held across a dial — callers without a connection have nothing
+	// else to do — but never across a call's I/O or a backoff sleep.
 	mu        sync.Mutex
-	conn      net.Conn
+	cn        *clientConn // nil while disconnected
 	src       *rng.Source
 	connected bool // a connection existed before (distinguishes reconnects)
-	traceOK   bool // current connection's peer negotiated tracing
 	fails     int  // consecutive transport failures
 	state     int
 	openUntil time.Time
 }
+
+// clientConn is one connection and the calls in flight on it. conn and br
+// are used outside Client.mu, by the caller holding the matching role
+// flag: at most one goroutine is inside conn.Write (flushing) and one
+// inside a read of br (reading) at any time, and successive holders are
+// ordered by the lock the flags change under.
+type clientConn struct {
+	conn    net.Conn
+	br      *bufio.Reader
+	traceOK bool // the peer negotiated tracing
+
+	head, tail *call     // calls awaiting replies, oldest first
+	wbuf       []byte    // frames enqueued and not yet taken by a flusher
+	wspare     []byte    // the flusher's previous buffer, for reuse
+	flushing   bool      // a caller holds the write role
+	reading    bool      // a caller holds the read role
+	deadline   time.Time // deadline currently set on conn (zero = none)
+	err        error     // why the connection was dropped; set once
+}
+
+// call is one request's slot in its connection's FIFO. Records are pooled
+// together with their wake channel, so a call in flight allocates nothing.
+type call struct {
+	next     *call
+	deadline time.Time // zero = none
+	// wake (capacity 1) tells a parked caller to look again: its reply
+	// arrived, its connection was dropped, or the read role is free. The
+	// state under Client.mu is the truth; a spare token is harmless.
+	wake   chan struct{}
+	parked bool // the caller is waiting on wake
+	done   bool
+	rtyp   byte
+	resp   []byte
+	err    error
+}
+
+var callPool = sync.Pool{New: func() interface{} { return &call{wake: make(chan struct{}, 1)} }}
+
+func (cl *call) wakeUp() {
+	select {
+	case cl.wake <- struct{}{}:
+	default:
+	}
+}
+
+// Errors a retry cannot cure. errClientClosed fails the calls in flight
+// when Close is called, so a closed client does not dial again on their
+// behalf.
+var (
+	errClientClosed  = errors.New("protocol: client closed")
+	errFrameTooLarge = errors.New("protocol: frame too large")
+)
 
 // Dial connects to a Service with default fault tolerance (2 retries for
 // idempotent calls, breaker at 8 consecutive failures). It fails fast when
@@ -200,7 +268,7 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 	}
 	if !cfg.lazy {
 		c.mu.Lock()
-		err := c.connectLocked()
+		_, err := c.connectLocked()
 		c.mu.Unlock()
 		if err != nil {
 			return nil, err
@@ -209,8 +277,9 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 	return c, nil
 }
 
-// connectLocked (re)establishes the connection; c.mu must be held.
-func (c *Client) connectLocked() error {
+// connectLocked establishes and publishes a fresh connection; c.mu must
+// be held and c.cn nil.
+func (c *Client) connectLocked() (*clientConn, error) {
 	dial := c.cfg.dial
 	if dial == nil {
 		timeout := c.cfg.callTimeout
@@ -221,53 +290,73 @@ func (c *Client) connectLocked() error {
 	}
 	conn, err := dial(c.addr)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.conn = conn
-	c.traceOK = false
+	cn := &clientConn{conn: conn, br: bufio.NewReaderSize(conn, connBufSize)}
 	if c.connected {
 		c.met.reconnects.Inc()
 	}
 	c.connected = true
 	if c.cfg.tracer != nil {
-		if err := c.negotiateTraceLocked(); err != nil {
-			c.dropConnLocked()
-			return err
+		if err := c.negotiateTrace(cn); err != nil {
+			conn.Close()
+			return nil, err
 		}
 	}
-	return nil
+	c.cn = cn
+	return cn, nil
 }
 
-// negotiateTraceLocked probes the fresh connection with MsgTraceNeg. A
+// negotiateTrace probes the fresh connection with MsgTraceNeg. A
 // trace-aware peer answers OK and subsequent requests are wrapped in the
 // MsgTraced envelope; a legacy peer answers its usual unknown-type error
 // frame — a clean, stream-synchronized "no" — and the connection keeps
 // speaking the plain protocol. Only a transport failure is an error.
-func (c *Client) negotiateTraceLocked() error {
+func (c *Client) negotiateTrace(cn *clientConn) error {
 	timeout := c.cfg.callTimeout
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	c.conn.SetDeadline(time.Now().Add(timeout))
-	defer c.conn.SetDeadline(time.Time{})
-	if err := WriteFrame(c.conn, MsgTraceNeg, nil); err != nil {
+	cn.conn.SetDeadline(time.Now().Add(timeout))
+	defer cn.conn.SetDeadline(time.Time{})
+	if err := WriteFrame(cn.conn, MsgTraceNeg, nil); err != nil {
 		return c.classify(err)
 	}
-	rtyp, _, err := ReadFrame(c.conn)
+	rtyp, _, err := ReadFrame(cn.br)
 	if err != nil {
 		return c.classify(err)
 	}
-	c.traceOK = rtyp == msgOK
+	cn.traceOK = rtyp == msgOK
 	return nil
 }
 
-// dropConnLocked discards a connection whose stream state is unknown.
-func (c *Client) dropConnLocked() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
+// dropLocked takes cn out of service — its stream state is unknown or
+// its owner is done with it — and completes every call in flight on it
+// with err. It returns the connection's Close error.
+func (c *Client) dropLocked(cn *clientConn, err error) error {
+	cn.err = err
+	if c.cn == cn {
+		c.cn = nil
 	}
-	c.traceOK = false
+	for h := cn.head; h != nil; {
+		next := h.next
+		h.next, h.err, h.done = nil, err, true
+		h.wakeUp()
+		h = next
+	}
+	cn.head, cn.tail = nil, nil
+	return cn.conn.Close()
+}
+
+// failLocked records a transport failure on cn: the first report drops
+// the connection and counts once against the breaker, however many calls
+// were in flight; later reports of the same dead connection are no-ops.
+func (c *Client) failLocked(cn *clientConn, err error) {
+	if cn.err != nil {
+		return
+	}
+	c.dropLocked(cn, c.classify(err))
+	c.breakerFailLocked()
 }
 
 func (c *Client) setStateLocked(state int) {
@@ -281,7 +370,9 @@ func (c *Client) setStateLocked(state int) {
 	}
 }
 
-// breakerAdmitLocked gates a call on the breaker state.
+// breakerAdmitLocked gates a dial on the breaker state. The breaker only
+// opens on a failure, and a failure leaves the client disconnected, so
+// gating dials gates every call made while it is open.
 func (c *Client) breakerAdmitLocked() error {
 	if c.cfg.breakerThreshold <= 0 {
 		return nil
@@ -291,24 +382,21 @@ func (c *Client) breakerAdmitLocked() error {
 			c.met.shed.Inc()
 			return ErrBreakerOpen
 		}
-		c.setStateLocked(breakerHalfOpen) // cooldown over: admit one probe
+		c.setStateLocked(breakerHalfOpen) // cooldown over: admit a probe
 	}
 	return nil
 }
 
-// breakerFailLocked records a transport failure; true means the breaker
-// just opened and remaining retries should be abandoned.
-func (c *Client) breakerFailLocked() bool {
+// breakerFailLocked records a transport failure.
+func (c *Client) breakerFailLocked() {
 	if c.cfg.breakerThreshold <= 0 {
-		return false
+		return
 	}
 	c.fails++
 	if c.state == breakerHalfOpen || c.fails >= c.cfg.breakerThreshold {
 		c.setStateLocked(breakerOpen)
 		c.openUntil = time.Now().Add(c.cfg.breakerCooldown)
-		return true
 	}
-	return false
 }
 
 func (c *Client) breakerSuccessLocked() {
@@ -317,15 +405,18 @@ func (c *Client) breakerSuccessLocked() {
 }
 
 // sleepBackoff waits base·2ⁿ⁻¹ (capped) with ±50% jitter before retry n,
-// respecting context cancellation. Called with c.mu held — calls are
-// serialized by design, so the wait blocks only this client.
+// respecting context cancellation. Only the jitter draw takes the lock:
+// other callers of a shared client dial and proceed while this one waits.
 func (c *Client) sleepBackoff(ctx context.Context, n int) error {
 	d := c.cfg.backoffBase << (n - 1)
 	if d > c.cfg.backoffMax || d <= 0 {
 		d = c.cfg.backoffMax
 	}
 	// Jitter in [d/2, 3d/2): desynchronizes retry storms across clients.
-	d = d/2 + time.Duration(c.src.Float64()*float64(d))
+	c.mu.Lock()
+	jitter := c.src.Float64()
+	c.mu.Unlock()
+	d = d/2 + time.Duration(jitter*float64(d))
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
@@ -346,15 +437,16 @@ func (c *Client) Call(typ byte, payload []byte) ([]byte, error) {
 
 // CallCtx sends one request under a context. The effective deadline is the
 // tighter of the context's and the configured per-call timeout. Transport
-// failures on idempotent message types are retried (reconnecting as
-// needed) up to the configured budget; remote handler errors are returned
-// as-is and never retried.
+// failures on idempotent message types — this call's own, or another
+// call's that took the shared connection down while this one was in
+// flight — are retried (reconnecting as needed) up to the configured
+// budget; remote handler errors are returned as-is and never retried.
+//
+// The three escape sites are the traced path's context values; an
+// untraced call allocates nothing here.
+//
+//lint:hotpath allocs=3
 func (c *Client) CallCtx(ctx context.Context, typ byte, payload []byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.breakerAdmitLocked(); err != nil {
-		return nil, err
-	}
 	// Tracing: adopt the caller's trace from ctx, or — this being the edge
 	// — mint a fresh root here, subject to the tracer's sampling rate. The
 	// tracing control messages themselves are never traced.
@@ -387,82 +479,207 @@ func (c *Client) CallCtx(ctx context.Context, typ byte, payload []byte) ([]byte,
 				return nil, err
 			}
 		}
-		resp, err := c.callOnceLocked(ctx, typ, payload, attempt)
+		resp, err := c.callOnce(ctx, typ, payload, attempt)
 		if err == nil || errors.Is(err, ErrRemote) || errors.Is(err, ErrOverloaded) {
 			// The wire worked end to end; whatever the handler said is the
 			// answer. An overload rejection is the peer protecting itself,
 			// not a transport failure — retrying immediately would feed the
 			// very overload that shed us, so it surfaces to the caller.
-			c.breakerSuccessLocked()
 			return resp, err
 		}
 		lastErr = err
-		c.dropConnLocked()
-		if c.breakerFailLocked() {
-			break // peer is down: shed instead of burning the retry budget
+		if errors.Is(err, errClientClosed) || errors.Is(err, errFrameTooLarge) || c.BreakerState() == breakerOpen {
+			break // a retry cannot help, or the peer is down: shed instead of burning the budget
 		}
 	}
 	return nil, lastErr
 }
 
-// callOnceLocked performs one request/response exchange on the current
+// callOnce performs one request/response exchange on the current
 // connection, establishing it first if needed. When the call is traced
 // and the peer negotiated tracing, the frame goes out wrapped in the
 // MsgTraced envelope with this attempt's span as the remote parent.
-func (c *Client) callOnceLocked(ctx context.Context, typ byte, payload []byte, attempt int) ([]byte, error) {
-	if c.conn == nil {
-		if err := c.connectLocked(); err != nil {
-			return nil, err
-		}
-	}
-	wireTyp, wirePayload := typ, payload
+//
+// The one escape site is the protocol-violation error format; the call
+// record is pooled, so the reply payload (ReadFrame) is a call's only
+// allocation.
+//
+//lint:hotpath allocs=1
+func (c *Client) callOnce(ctx context.Context, typ byte, payload []byte, attempt int) ([]byte, error) {
 	sp, _ := trace.Start(ctx, c.cfg.tracer, "proto_call")
 	if sp.Recording() {
 		sp.SetAttrs(trace.Str("type", MessageName(typ)), trace.Int("attempt", int64(attempt)))
 		defer sp.End()
-		if c.traceOK && typ != MsgTraces && typ != MsgTraceNeg {
-			wireTyp = MsgTraced
-			wirePayload = encodeTraced(sp.Context(), typ, payload)
-		}
 	}
-	deadline, hasDeadline := ctx.Deadline()
+	deadline, _ := ctx.Deadline() // zero = none
 	if c.cfg.callTimeout > 0 {
-		if d := time.Now().Add(c.cfg.callTimeout); !hasDeadline || d.Before(deadline) {
+		if d := time.Now().Add(c.cfg.callTimeout); deadline.IsZero() || d.Before(deadline) {
 			deadline = d
 		}
-		hasDeadline = true
 	}
-	if hasDeadline {
-		c.conn.SetDeadline(deadline)
-		defer func() {
-			if c.conn != nil {
-				c.conn.SetDeadline(time.Time{})
+
+	c.mu.Lock()
+	cn := c.cn
+	if cn == nil {
+		err := c.breakerAdmitLocked()
+		if err == nil {
+			if cn, err = c.connectLocked(); err != nil {
+				c.breakerFailLocked()
 			}
-		}()
+		}
+		if err != nil {
+			c.mu.Unlock()
+			return nil, err
+		}
 	}
-	if err := WriteFrame(c.conn, wireTyp, wirePayload); err != nil {
-		return nil, c.classify(err)
+	wireTyp, wirePayload := typ, payload
+	if sp.Recording() && cn.traceOK && typ != MsgTraces && typ != MsgTraceNeg {
+		wireTyp, wirePayload = MsgTraced, encodeTraced(sp.Context(), typ, payload)
 	}
-	rtyp, resp, err := ReadFrame(c.conn)
+	if len(wirePayload)+1 > maxFrame {
+		c.mu.Unlock()
+		return nil, errFrameTooLarge
+	}
+	// Enqueue: the frame joins the write buffer and the call the FIFO in
+	// one critical section, so replies match requests by position.
+	me := callPool.Get().(*call)
+	me.deadline = deadline
+	cn.wbuf = appendFrame(cn.wbuf, wireTyp, wirePayload)
+	if cn.head == nil {
+		cn.head = me
+		c.armLocked(cn, me.deadline)
+	} else {
+		cn.tail.next = me
+		if !me.deadline.IsZero() && (cn.deadline.IsZero() || me.deadline.Before(cn.deadline)) {
+			c.armLocked(cn, me.deadline)
+		}
+	}
+	cn.tail = me
+	// Flush, unless a caller already inside Write will pick the frame up
+	// when its Write returns. The lock is held again when the loop ends.
+	if !cn.flushing {
+		cn.flushing = true
+		for len(cn.wbuf) > 0 && cn.err == nil {
+			buf := cn.wbuf
+			cn.wbuf, cn.wspare = cn.wspare[:0], nil
+			c.mu.Unlock()
+			_, err := cn.conn.Write(buf)
+			c.mu.Lock()
+			if cap(buf) <= maxPooledBuf {
+				cn.wspare = buf
+			}
+			if err != nil {
+				c.failLocked(cn, err)
+			}
+		}
+		cn.flushing = false
+	}
+	// Wait for the reply, taking the read role whenever it is free.
+	for !me.done {
+		if cn.reading {
+			me.parked = true
+			c.mu.Unlock()
+			<-me.wake
+			c.mu.Lock()
+			me.parked = false
+			continue
+		}
+		cn.reading = true
+		c.readLocked(cn, me)
+		cn.reading = false
+		// Pass the read role on, to a caller that is free to take it: the
+		// head of the FIFO may be the flusher, inside a Write that cannot
+		// finish until somebody reads.
+		for h := cn.head; h != nil; h = h.next {
+			if h.parked {
+				h.wakeUp()
+				break
+			}
+		}
+	}
+	rtyp, resp, err := me.rtyp, me.resp, me.err
+	*me = call{wake: me.wake}
+	callPool.Put(me)
+	if err == nil {
+		switch rtyp {
+		case msgOK:
+		case msgErr, MsgOverloaded:
+			err = remoteError(rtyp, resp)
+			if rtyp == MsgOverloaded {
+				c.met.overloaded.Inc()
+			}
+		default:
+			// Protocol violation: the stream is desynchronized, treat as a
+			// transport failure so the connection is torn down and retried.
+			err = fmt.Errorf("protocol: unexpected response type %d", rtyp)
+			c.failLocked(cn, err)
+		}
+	}
+	c.mu.Unlock()
 	if err != nil {
-		return nil, c.classify(err)
+		return nil, err
 	}
-	switch rtyp {
-	case msgOK:
-		return resp, nil
-	case msgErr:
-		d := NewDecoder(resp)
-		msg := d.Str()
-		return nil, fmt.Errorf("%w: %s", ErrRemote, msg)
-	case MsgOverloaded:
-		d := NewDecoder(resp)
-		msg := d.Str()
-		c.met.overloaded.Inc()
-		return nil, fmt.Errorf("%w: %s", ErrOverloaded, msg)
-	default:
-		// Protocol violation: the stream is desynchronized, treat as a
-		// transport failure so the connection is torn down and retried.
-		return nil, fmt.Errorf("protocol: unexpected response type %d", rtyp)
+	return resp, nil
+}
+
+// remoteError decodes the message of an error or overload reply.
+func remoteError(rtyp byte, resp []byte) error {
+	msg := NewDecoder(resp).Str()
+	if rtyp == MsgOverloaded {
+		return fmt.Errorf("%w: %s", ErrOverloaded, msg)
+	}
+	return fmt.Errorf("%w: %s", ErrRemote, msg)
+}
+
+// armLocked sets conn's deadline, skipping the call when it is unchanged.
+func (c *Client) armLocked(cn *clientConn, d time.Time) {
+	if !d.Equal(cn.deadline) {
+		cn.deadline = d
+		cn.conn.SetDeadline(d)
+	}
+}
+
+// readLocked reads replies on behalf of every call in flight, until me is
+// done and no whole frame is left in the buffer. Each frame belongs to the
+// call at the head of the FIFO. The caller holds c.mu and the read role;
+// the lock is released around each read. Before a read that can block,
+// the connection's deadline is brought to the earliest deadline among the
+// calls in flight, which is what lets parked callers wait without timers
+// of their own.
+func (c *Client) readLocked(cn *clientConn, me *call) {
+	for cn.err == nil && cn.head != nil {
+		buffered := frameBuffered(cn.br)
+		if me.done && !buffered {
+			return
+		}
+		if !buffered {
+			var earliest time.Time
+			for h := cn.head; h != nil; h = h.next {
+				if !h.deadline.IsZero() && (earliest.IsZero() || h.deadline.Before(earliest)) {
+					earliest = h.deadline
+				}
+			}
+			c.armLocked(cn, earliest)
+		}
+		c.mu.Unlock()
+		rtyp, resp, err := ReadFrame(cn.br)
+		c.mu.Lock()
+		if err != nil {
+			c.failLocked(cn, err)
+			return
+		}
+		h := cn.head
+		if h == nil { // dropped while we read
+			return
+		}
+		if cn.head = h.next; cn.head == nil {
+			cn.tail = nil
+		}
+		h.next, h.rtyp, h.resp, h.done = nil, rtyp, resp, true
+		c.breakerSuccessLocked()
+		if h != me {
+			h.wakeUp()
+		}
 	}
 }
 
@@ -483,14 +700,13 @@ func (c *Client) BreakerState() int {
 	return c.state
 }
 
-// Close closes the connection.
+// Close closes the connection; calls in flight on it fail and are not
+// retried.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.conn == nil {
+	if c.cn == nil {
 		return nil
 	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
+	return c.dropLocked(c.cn, errClientClosed)
 }

@@ -7,6 +7,7 @@
 package protocol
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -238,15 +239,36 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 		return fmt.Errorf("protocol: frame too large (%d bytes)", len(payload))
 	}
 	bp := framePool.Get().(*[]byte)
-	buf := append((*bp)[:0], 0, 0, 0, 0, typ)
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)+1))
-	buf = append(buf, payload...)
+	buf := appendFrame((*bp)[:0], typ, payload)
 	_, err := w.Write(buf)
 	if cap(buf) <= maxPooledBuf {
 		*bp = buf[:0]
 		framePool.Put(bp)
 	}
 	return err
+}
+
+// appendFrame appends the frame [u32 length][type][payload] to buf. The
+// caller has checked the payload against maxFrame.
+func appendFrame(buf []byte, typ byte, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)+1))
+	buf = append(buf, typ)
+	return append(buf, payload...)
+}
+
+// connBufSize sizes the buffers a connection's frames are read and written
+// through on either side: room for a burst of pipelined small frames per
+// system call; larger frames bypass them.
+const connBufSize = 4096
+
+// frameBuffered reports whether br already holds the next frame whole, so
+// that reading it cannot block on the connection.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return br.Buffered()-4 >= int(binary.LittleEndian.Uint32(hdr))
 }
 
 // ReadFrame reads one frame into a fresh buffer. The payload is owned by
