@@ -66,7 +66,12 @@ soak-short: build
 	$(GO) run ./cmd/lbssoak -scenarios flash_crowd,db_outage,shard_kill,query_flood \
 		-users 8000 -objs 2000 -workers 8 -scale 0.4 -seed 7
 
+# Every fuzz target of the wire package for a short window each. The list
+# comes from the test binary, so a new target is smoked without being named
+# anywhere else; CI's fuzz step runs this target.
 fuzz-smoke:
-	@for target in FuzzReadFrame FuzzDecodeProfile FuzzDecodeResult FuzzDecodeMetrics FuzzDecodeTraced FuzzDecodeSpans FuzzDecodeShardMap FuzzDecodeSubQueries FuzzDecodeSubResults FuzzDecodeObjects FuzzDecodeCountResult FuzzDecodeUserProbs FuzzDecodeBatchQuery FuzzDecodeBatchResult FuzzDecodeBatchUpdate; do \
+	@targets=$$($(GO) test -list '^Fuzz' ./internal/protocol/ | grep '^Fuzz'); \
+	[ -n "$$targets" ] || { echo "fuzz-smoke: no fuzz targets listed"; exit 1; }; \
+	for target in $$targets; do \
 		$(GO) test ./internal/protocol/ -run='^$$' -fuzz="^$$target\$$" -fuzztime=10s || exit 1; \
 	done

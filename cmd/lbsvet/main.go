@@ -1,10 +1,9 @@
 // Command lbsvet runs the repo's static-analysis suite: the passes that
 // prove the privacy trust boundary (privleak), the lock hierarchy
 // (lockorder), the metric namespace (obsname), deadline discipline
-// (ctxcall), wire-surface symmetry with guarded decodes and fuzz
-// coverage (wiresym), the hot-path escape budgets (hotalloc), atomic vs
-// plain access mixing (atomicmix), and the health of the //lint:
-// directives themselves (dirverify).
+// (ctxcall), the hot-path escape budgets (hotalloc), atomic vs plain
+// access mixing (atomicmix), and the health of the //lint: directives
+// themselves (dirverify).
 //
 // Standalone (the CI gate — all passes, whole-program):
 //
@@ -43,7 +42,6 @@ import (
 	"repro/internal/lint/passes/lockorder"
 	"repro/internal/lint/passes/obsname"
 	"repro/internal/lint/passes/privleak"
-	"repro/internal/lint/passes/wiresym"
 )
 
 var all = []*analysis.Analyzer{
@@ -51,7 +49,6 @@ var all = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	obsname.Analyzer,
 	ctxcall.Analyzer,
-	wiresym.Analyzer,
 	hotalloc.Analyzer,
 	atomicmix.Analyzer,
 	dirverify.Analyzer,

@@ -16,25 +16,6 @@
 //	//lint:lock <class>@<rank>     — on a mutex struct field: classifies it
 //	                                 for the lockorder pass; lower ranks
 //	                                 must be acquired first.
-//	//lint:client-only <why>       — on a Msg* wire constant: the type is a
-//	                                 response or sub-frame decoded on the
-//	                                 client side only; wiresym does not
-//	                                 require a server-side dispatch case.
-//	//lint:wire-asym <why>         — on a Msg* wire constant: the encode and
-//	                                 decode shapes are not statically
-//	                                 separable (raw envelopes, negotiation
-//	                                 probes threaded through the shared call
-//	                                 path); wiresym skips the symmetry proof
-//	                                 but the justification is mandatory.
-//	//lint:fuzzed-by <Fuzz…> <why> — on a Msg* wire constant: the type's
-//	                                 variable-length decode path is covered
-//	                                 by the named fuzz target rather than
-//	                                 the default FuzzDecode<Name>.
-//	//lint:wire-handler            — on a function: its type switches and
-//	                                 comparisons dispatch wire frames even
-//	                                 though its signature is not the
-//	                                 canonical Handler shape (the Service-
-//	                                 layer dispatch).
 //	//lint:hotpath allocs=<n>      — on a function: hotalloc budgets its
 //	                                 heap-escape sites at n; the build
 //	                                 breaks when the compiler reports more.
@@ -64,10 +45,6 @@ var Known = map[string]bool{
 	"sanitized":       true,
 	"trusted-ingress": true,
 	"lock":            true,
-	"client-only":     true,
-	"wire-asym":       true,
-	"fuzzed-by":       true,
-	"wire-handler":    true,
 	"hotpath":         true,
 	"atomic-guarded":  true,
 }

@@ -11,9 +11,7 @@
 //     the parser and never reach this pass);
 //   - symbol references that no longer resolve: //lint:source params=a,b
 //     naming parameters absent from the annotated function's signature.
-//     (fuzzed-by target existence is checked by wiresym, which owns the
-//     fuzz-coverage model; lock/hotpath argument shapes are checked by
-//     lockorder/hotalloc.)
+//     (lock/hotpath argument shapes are checked by lockorder/hotalloc.)
 package dirverify
 
 import (

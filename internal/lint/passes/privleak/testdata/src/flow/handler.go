@@ -1,0 +1,59 @@
+package fixture
+
+import (
+	"repro/internal/geo"
+	"repro/internal/protocol"
+)
+
+// This file is shaped like the anonymizer's wire handler: one body codec
+// per message, shared by the single and the batch request, whose decode
+// reads the location through the //lint:source ingress, and a handler
+// that calls the codecs statically. The pass must follow the taint from
+// the ingress through both codecs into the handler's cases. If the
+// handler is ever rebuilt over func-valued or generic codecs — through
+// which the pass loses taint — this fixture is the shape to re-prove.
+
+// request mirrors cloak.Request.
+type request struct {
+	ID  uint64
+	Loc geo.Point
+}
+
+// exactPoint models protocol.exactPoint.
+//
+//lint:source fixture wire ingress off a Decoder
+func exactPoint(d *protocol.Decoder) geo.Point { return d.Point() }
+
+func decodeRequest(d *protocol.Decoder) request {
+	return request{ID: d.U64(), Loc: exactPoint(d)}
+}
+
+func decodeBatch(d *protocol.Decoder) []request {
+	n := d.Count(int(d.U32()), 24)
+	reqs := make([]request, 0, n)
+	for i := 0; i < n; i++ {
+		reqs = append(reqs, decodeRequest(d))
+	}
+	return reqs
+}
+
+func cloakRequest(r request) geo.Rect {
+	return geo.R(r.Loc.X-1, r.Loc.Y-1, r.Loc.X+1, r.Loc.Y+1)
+}
+
+func handle(typ byte, payload []byte) []byte {
+	d := protocol.NewDecoder(payload)
+	var e protocol.Encoder
+	switch typ {
+	case protocol.MsgUpdate:
+		req := decodeRequest(d)
+		region := cloakRequest(req) //lint:sanitized fixture cloaking boundary
+		e.Rect(region)
+		e.Point(req.Loc) // want "exact location reaches wire sink Encoder.Point"
+	case protocol.MsgBatchUpdate:
+		for _, r := range decodeBatch(d) {
+			e.F64(r.Loc.X) // want "exact location reaches wire sink Encoder.F64"
+		}
+	}
+	return e.Bytes()
+}

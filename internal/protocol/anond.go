@@ -9,10 +9,7 @@ import (
 	"repro/internal/cloak"
 	"repro/internal/geo"
 	"repro/internal/privacy"
-	"repro/internal/prob"
 )
-
-func probNN(id uint64, p float64) prob.NNProb { return prob.NNProb{ID: id, Prob: p} }
 
 // ServeAnonymizer exposes an anonymizer.Anonymizer over TCP — the endpoint
 // mobile users send their exact locations and privacy profiles to. Pass
@@ -28,32 +25,34 @@ type anonHandler struct {
 
 func (h *anonHandler) handle(ctx context.Context, typ byte, payload []byte) ([]byte, error) {
 	d := NewDecoder(payload)
+	var e Encoder
 	switch typ {
-	case MsgRegister:
-		id := d.U64()
-		profile, err := decodeProfile(d)
+	case MsgRegister, MsgUpdateProfile:
+		id, profile, err := decodeUserProfile(d)
 		if err != nil {
 			return nil, err
 		}
-		return nil, h.anon.Register(id, profile)
+		if typ == MsgRegister {
+			return nil, h.anon.Register(id, profile)
+		}
+		return nil, h.anon.UpdateProfile(id, profile)
 
 	case MsgUpdate, MsgCloakQuery:
-		id := d.U64()
-		loc := exactPoint(d)
+		req := decodeLocRequest(d)
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
 		var res cloak.Result
 		var err error
 		if typ == MsgUpdate {
-			res, err = h.anon.UpdateCtx(ctx, id, loc)
+			res, err = h.anon.UpdateCtx(ctx, req.ID, req.Loc)
 		} else {
-			res, err = h.anon.CloakQueryCtx(ctx, id, loc)
+			res, err = h.anon.CloakQueryCtx(ctx, req.ID, req.Loc)
 		}
 		if err != nil {
 			return nil, mapOverload(err)
 		}
-		return encodeResult(res), nil
+		encodeResult(&e, res)
 
 	case MsgBatchUpdate:
 		// Coarse whole-batch backpressure gate: when the forward queue is
@@ -67,8 +66,7 @@ func (h *anonHandler) handle(ctx context.Context, typ byte, payload []byte) ([]b
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		results := h.anon.BatchUpdateCtx(ctx, reqs)
-		return encodeBatchResults(results), nil
+		encodeBatchResults(&e, h.anon.BatchUpdateCtx(ctx, reqs))
 
 	case MsgDeregister:
 		id := d.U64()
@@ -76,38 +74,21 @@ func (h *anonHandler) handle(ctx context.Context, typ byte, payload []byte) ([]b
 			return nil, d.Err()
 		}
 		h.anon.Deregister(id)
-		return nil, nil
 
 	case MsgAnonStats:
-		st := h.anon.Stats()
-		var e Encoder
-		e.U32(uint32(st.Registered))
-		e.U64(st.Updates).U64(st.Queries).U64(st.Reused)
-		e.U64(st.BestEffort).U64(st.Forwarded).U64(st.ForwardErrs)
-		e.U64(st.Spilled).U64(st.Replayed).U64(st.Dropped)
-		e.U32(uint32(st.QueueDepth))
-		e.U64(st.Batches).U64(st.SharedHits)
-		return e.Bytes(), nil
+		encodeAnonStats(&e, h.anon.Stats())
 
 	case MsgSetMode:
-		id := d.U64()
-		mode := privacy.Mode(d.U8())
+		id, mode := decodeSetMode(d)
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
 		return nil, h.anon.SetMode(id, mode)
 
-	case MsgUpdateProfile:
-		id := d.U64()
-		profile, err := decodeProfile(d)
-		if err != nil {
-			return nil, err
-		}
-		return nil, h.anon.UpdateProfile(id, profile)
-
 	default:
 		return nil, fmt.Errorf("protocol: anonymizer service: unknown message type %d", typ)
 	}
+	return e.Bytes(), nil
 }
 
 // mapOverload translates the anonymizer engine's backpressure rejection
@@ -129,8 +110,23 @@ func mapOverload(err error) error {
 //lint:source wire ingress of a user's exact location into the trusted tier
 func exactPoint(d *Decoder) geo.Point { return d.Point() }
 
-// encodeProfile flattens a profile into entries.
-func encodeProfile(e *Encoder, p *privacy.Profile) {
+// encodeLocRequest appends the body of MsgUpdate and MsgCloakQuery, and
+// one entry of MsgBatchUpdate: a user's id and own exact location, on the
+// one wire hop exact locations are allowed on.
+//
+//lint:trusted-ingress user-side client encoding its own location to the trusted tier
+func encodeLocRequest(e *Encoder, r cloak.Request) { e.U64(r.ID).Point(r.Loc) }
+
+// decodeLocRequest is the inverse of encodeLocRequest. Trusted-tier only:
+// the point passes through the exactPoint taint source.
+func decodeLocRequest(d *Decoder) cloak.Request {
+	return cloak.Request{ID: d.U64(), Loc: exactPoint(d)}
+}
+
+// encodeUserProfile appends the body of MsgRegister and MsgUpdateProfile:
+// the user's id, then the profile flattened into entries.
+func encodeUserProfile(e *Encoder, id uint64, p *privacy.Profile) {
+	e.U64(id)
 	entries := p.Entries()
 	e.U16(uint16(len(entries)))
 	for _, en := range entries {
@@ -143,10 +139,12 @@ func encodeProfile(e *Encoder, p *privacy.Profile) {
 	}
 }
 
-func decodeProfile(d *Decoder) (*privacy.Profile, error) {
-	n := int(d.U16())
-	entries := make([]privacy.Entry, 0, capHint(n, 24, d))
-	for i := 0; i < n && d.Err() == nil; i++ {
+// decodeUserProfile is the inverse of encodeUserProfile.
+func decodeUserProfile(d *Decoder) (uint64, *privacy.Profile, error) {
+	id := d.U64()
+	n := d.Count(int(d.U16()), 24)
+	entries := make([]privacy.Entry, 0, n)
+	for i := 0; i < n; i++ {
 		entries = append(entries, privacy.Entry{
 			From: int(d.U16()),
 			To:   int(d.U16()),
@@ -158,10 +156,15 @@ func decodeProfile(d *Decoder) (*privacy.Profile, error) {
 		})
 	}
 	if d.Err() != nil {
-		return nil, d.Err()
+		return 0, nil, d.Err()
 	}
-	return privacy.NewProfile(entries...)
+	profile, err := privacy.NewProfile(entries...)
+	return id, profile, err
 }
+
+// encodeSetMode appends the body of MsgSetMode.
+func encodeSetMode(e *Encoder, id uint64, m privacy.Mode) { e.U64(id).U8(byte(m)) }
+func decodeSetMode(d *Decoder) (uint64, privacy.Mode)     { return d.U64(), privacy.Mode(d.U8()) }
 
 // Result flags on the wire.
 const (
@@ -171,8 +174,9 @@ const (
 	flagReused  = 1 << 3
 )
 
-func encodeResult(res cloak.Result) []byte {
-	var e Encoder
+// encodeResult appends a cloak result: the MsgUpdate and MsgCloakQuery
+// reply, and one accepted entry of the MsgBatchUpdate reply.
+func encodeResult(e *Encoder, res cloak.Result) {
 	e.Rect(res.Region)
 	e.U32(uint32(res.K))
 	var flags byte
@@ -189,9 +193,9 @@ func encodeResult(res cloak.Result) []byte {
 		flags |= flagReused
 	}
 	e.U8(flags)
-	return e.Bytes()
 }
 
+// decodeResult is the inverse of encodeResult.
 func decodeResult(d *Decoder) cloak.Result {
 	res := cloak.Result{
 		Region: d.Rect(),
@@ -205,41 +209,45 @@ func decodeResult(d *Decoder) cloak.Result {
 	return res
 }
 
-// decodeBatchRequests reads a MsgBatchUpdate request body: a
-// length-prefixed run of (user id, exact location) pairs. Trusted-tier
-// only — the points pass through the exactPoint taint source.
+// encodeBatchRequests appends a MsgBatchUpdate request body: a
+// length-prefixed run of location requests.
+func encodeBatchRequests(e *Encoder, reqs []cloak.Request) {
+	e.U32(uint32(len(reqs)))
+	for _, r := range reqs {
+		encodeLocRequest(e, r)
+	}
+}
+
+// decodeBatchRequests is the inverse of encodeBatchRequests.
 func decodeBatchRequests(d *Decoder) []cloak.Request {
-	n := int(d.U32())
-	reqs := make([]cloak.Request, 0, capHint(n, 24, d))
-	for i := 0; i < n && d.Err() == nil; i++ {
-		reqs = append(reqs, cloak.Request{ID: d.U64(), Loc: exactPoint(d)})
+	n := d.Count(int(d.U32()), 24)
+	reqs := make([]cloak.Request, 0, n)
+	for i := 0; i < n; i++ {
+		reqs = append(reqs, decodeLocRequest(d))
 	}
 	return reqs
 }
 
-// encodeBatchResults writes a MsgBatchUpdate OK response: per request a
+// encodeBatchResults appends a MsgBatchUpdate OK response: per request a
 // presence byte, then the cloak result for accepted updates. The nil
 // entries keep the response parallel to the request slice.
-func encodeBatchResults(results []*cloak.Result) []byte {
-	var e Encoder
+func encodeBatchResults(e *Encoder, results []*cloak.Result) {
+	e.Grow(4 + 38*len(results))
 	e.U32(uint32(len(results)))
 	for _, res := range results {
-		if res == nil {
-			e.U8(0)
-			continue
+		e.Bool(res != nil)
+		if res != nil {
+			encodeResult(e, *res)
 		}
-		e.U8(1)
-		e.buf = append(e.buf, encodeResult(*res)...)
 	}
-	return e.Bytes()
 }
 
 // decodeBatchResults is the inverse of encodeBatchResults.
 func decodeBatchResults(d *Decoder) []*cloak.Result {
-	n := int(d.U32())
-	out := make([]*cloak.Result, 0, capHint(n, 1, d))
+	n := d.Count(int(d.U32()), 1)
+	out := make([]*cloak.Result, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		if d.U8() == 0 {
+		if !d.Bool() {
 			out = append(out, nil)
 			continue
 		}
@@ -247,6 +255,35 @@ func decodeBatchResults(d *Decoder) []*cloak.Result {
 		out = append(out, &res)
 	}
 	return out
+}
+
+// encodeAnonStats appends the MsgAnonStats reply.
+func encodeAnonStats(e *Encoder, st anonymizer.Stats) {
+	e.U32(uint32(st.Registered))
+	e.U64(st.Updates).U64(st.Queries).U64(st.Reused)
+	e.U64(st.BestEffort).U64(st.Forwarded).U64(st.ForwardErrs)
+	e.U64(st.Spilled).U64(st.Replayed).U64(st.Dropped)
+	e.U32(uint32(st.QueueDepth))
+	e.U64(st.Batches).U64(st.SharedHits)
+}
+
+// decodeAnonStats is the inverse of encodeAnonStats.
+func decodeAnonStats(d *Decoder) anonymizer.Stats {
+	return anonymizer.Stats{
+		Registered:  int(d.U32()),
+		Updates:     d.U64(),
+		Queries:     d.U64(),
+		Reused:      d.U64(),
+		BestEffort:  d.U64(),
+		Forwarded:   d.U64(),
+		ForwardErrs: d.U64(),
+		Spilled:     d.U64(),
+		Replayed:    d.U64(),
+		Dropped:     d.U64(),
+		QueueDepth:  int(d.U32()),
+		Batches:     d.U64(),
+		SharedHits:  d.U64(),
+	}
 }
 
 // AnonymizerClient is the mobile user's connection to the trusted third
@@ -271,8 +308,7 @@ func (ac *AnonymizerClient) Close() error { return ac.c.Close() }
 // Register sends the privacy profile.
 func (ac *AnonymizerClient) Register(id uint64, profile *privacy.Profile) error {
 	var e Encoder
-	e.U64(id)
-	encodeProfile(&e, profile)
+	encodeUserProfile(&e, id, profile)
 	_, err := ac.c.Call(MsgRegister, e.Bytes())
 	return err
 }
@@ -297,19 +333,13 @@ func (ac *AnonymizerClient) CloakQueryCtx(ctx context.Context, id uint64, loc ge
 	return ac.locCall(ctx, MsgCloakQuery, id, loc)
 }
 
-// locCall encodes the user's own exact location toward the trusted
-// anonymizer tier — the one wire hop exact locations are allowed on.
-//
-//lint:trusted-ingress user-side client encoding its own location to the trusted tier
+// locCall sends the user's own exact location toward the trusted
+// anonymizer tier and reads back the cloak result.
 func (ac *AnonymizerClient) locCall(ctx context.Context, typ byte, id uint64, loc geo.Point) (cloak.Result, error) {
 	var e Encoder
-	e.U64(id).Point(loc)
-	resp, err := ac.c.CallCtx(ctx, typ, e.Bytes())
-	if err != nil {
-		return cloak.Result{}, err
-	}
-	d := NewDecoder(resp)
-	res := decodeResult(d)
+	encodeLocRequest(&e, cloak.Request{ID: id, Loc: loc})
+	d := ac.c.exchange(ctx, typ, e.Bytes())
+	res := decodeResult(&d)
 	return res, d.Err()
 }
 
@@ -327,16 +357,9 @@ func (ac *AnonymizerClient) BatchUpdate(reqs []cloak.Request) ([]*cloak.Result, 
 //lint:trusted-ingress user-side client encoding its own locations to the trusted tier
 func (ac *AnonymizerClient) BatchUpdateCtx(ctx context.Context, reqs []cloak.Request) ([]*cloak.Result, error) {
 	var e Encoder
-	e.U32(uint32(len(reqs)))
-	for _, r := range reqs {
-		e.U64(r.ID).Point(r.Loc)
-	}
-	resp, err := ac.c.CallCtx(ctx, MsgBatchUpdate, e.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	d := NewDecoder(resp)
-	out := decodeBatchResults(d)
+	encodeBatchRequests(&e, reqs)
+	d := ac.c.exchange(ctx, MsgBatchUpdate, e.Bytes())
+	out := decodeBatchResults(&d)
 	return out, d.Err()
 }
 
@@ -350,33 +373,15 @@ func (ac *AnonymizerClient) Deregister(id uint64) error {
 
 // Stats reads the anonymizer's activity counters.
 func (ac *AnonymizerClient) Stats() (anonymizer.Stats, error) {
-	resp, err := ac.c.Call(MsgAnonStats, nil)
-	if err != nil {
-		return anonymizer.Stats{}, err
-	}
-	d := NewDecoder(resp)
-	st := anonymizer.Stats{
-		Registered:  int(d.U32()),
-		Updates:     d.U64(),
-		Queries:     d.U64(),
-		Reused:      d.U64(),
-		BestEffort:  d.U64(),
-		Forwarded:   d.U64(),
-		ForwardErrs: d.U64(),
-		Spilled:     d.U64(),
-		Replayed:    d.U64(),
-		Dropped:     d.U64(),
-		QueueDepth:  int(d.U32()),
-		Batches:     d.U64(),
-		SharedHits:  d.U64(),
-	}
+	d := ac.c.exchange(context.Background(), MsgAnonStats, nil)
+	st := decodeAnonStats(&d)
 	return st, d.Err()
 }
 
 // SetMode switches the user's participation mode.
 func (ac *AnonymizerClient) SetMode(id uint64, m privacy.Mode) error {
 	var e Encoder
-	e.U64(id).U8(byte(m))
+	encodeSetMode(&e, id, m)
 	_, err := ac.c.Call(MsgSetMode, e.Bytes())
 	return err
 }
@@ -385,8 +390,7 @@ func (ac *AnonymizerClient) SetMode(id uint64, m privacy.Mode) error {
 // my k" flip — keeping the user in the anonymity population throughout.
 func (ac *AnonymizerClient) UpdateProfile(id uint64, profile *privacy.Profile) error {
 	var e Encoder
-	e.U64(id)
-	encodeProfile(&e, profile)
+	encodeUserProfile(&e, id, profile)
 	_, err := ac.c.Call(MsgUpdateProfile, e.Bytes())
 	return err
 }

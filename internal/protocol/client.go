@@ -14,24 +14,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Idempotent reports whether a message type may be safely retried after a
-// transport failure. Location updates and region forwards are upserts,
-// mode/deregister changes converge to the same state, and reads have no
-// side effects — all safe to replay. Registration (duplicate-user error),
-// continuous-query registration (allocates a fresh id per call) and
-// stationary bulk loads (append semantics) are not.
-func Idempotent(typ byte) bool {
-	switch typ {
-	case MsgUpdate, MsgCloakQuery, MsgBatchUpdate, MsgDeregister, MsgSetMode, MsgAnonStats,
-		MsgUpdateProfile, MsgUpdatePrivate, MsgRemovePrivate, MsgUpdateMoving, MsgStats,
-		MsgPrivateRange, MsgPrivateNN, MsgPublicCount, MsgPublicNN, MsgContCount,
-		MsgBatchQuery, MsgMetrics, MsgTraces, MsgTraceNeg,
-		MsgRemoveMoving, MsgNNParts, MsgCountProbs, MsgShardMap, MsgShardBatch:
-		return true
-	}
-	return false
-}
-
 // Circuit-breaker states, also the values of the proto_breaker_state gauge.
 const (
 	breakerClosed = iota
@@ -433,6 +415,15 @@ var ErrRemote = errors.New("protocol: remote error")
 // Call sends one request and waits for its response payload.
 func (c *Client) Call(typ byte, payload []byte) ([]byte, error) {
 	return c.CallCtx(context.Background(), typ, payload)
+}
+
+// exchange performs one call and returns a Decoder over the reply. A
+// failed call comes back as a Decoder whose sticky error is the failure,
+// so a typed stub decodes unconditionally and reports Err once: every
+// read of a failed reply yields zero values.
+func (c *Client) exchange(ctx context.Context, typ byte, payload []byte) Decoder {
+	resp, err := c.CallCtx(ctx, typ, payload)
+	return Decoder{buf: resp, err: err}
 }
 
 // CallCtx sends one request under a context. The effective deadline is the

@@ -26,7 +26,7 @@ func shardMapSeed() router.Topology {
 }
 
 func FuzzDecodeShardMap(f *testing.F) {
-	f.Add(encodeShardMap(shardMapSeed()))
+	f.Add(body(func(e *Encoder) { encodeShardMap(e, shardMapSeed()) }))
 	f.Add([]byte{})
 	f.Add(make([]byte, 44)) // zero grid
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -48,7 +48,7 @@ func FuzzDecodeShardMap(f *testing.F) {
 			}
 		}
 		// Round trip.
-		again, err := decodeShardMap(NewDecoder(encodeShardMap(topo)))
+		again, err := decodeShardMap(NewDecoder(body(func(e *Encoder) { encodeShardMap(e, topo) })))
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded shard map failed: %v", err)
 		}
@@ -98,15 +98,17 @@ func FuzzDecodeSubQueries(f *testing.F) {
 }
 
 func subResultSeed() []byte {
-	return encodeSubResults([]router.SubResult{
-		{Index: 0, Kind: server.BatchPrivateRange, Range: []server.PublicObject{
-			{ID: 9, Class: "gas", Loc: geo.Pt(0.2, 0.2)},
-		}},
-		{Index: 1, Err: "server: invalid radius -1"},
-		{Index: 2, Kind: server.BatchPrivateNN, NN: server.NNParts{Bound: 0.25, Candidates: []server.PublicObject{
-			{ID: 4, Class: "bank", Loc: geo.Pt(0.41, 0.44)},
-		}}},
-		{Index: 3, Kind: server.BatchPublicCount, Count: []server.UserProb{{ID: 7, P: 0.5}}},
+	return body(func(e *Encoder) {
+		encodeSubResults(e, []router.SubResult{
+			{Index: 0, Kind: server.BatchPrivateRange, Range: []server.PublicObject{
+				{ID: 9, Class: "gas", Loc: geo.Pt(0.2, 0.2)},
+			}},
+			{Index: 1, Err: "server: invalid radius -1"},
+			{Index: 2, Kind: server.BatchPrivateNN, NN: server.NNParts{Bound: 0.25, Candidates: []server.PublicObject{
+				{ID: 4, Class: "bank", Loc: geo.Pt(0.41, 0.44)},
+			}}},
+			{Index: 3, Kind: server.BatchPublicCount, Count: []server.UserProb{{ID: 7, P: 0.5}}},
+		})
 	})
 }
 
@@ -134,7 +136,7 @@ func FuzzDecodeSubResults(f *testing.F) {
 			}
 		}
 		// Round trip.
-		if _, err := decodeSubResults(NewDecoder(encodeSubResults(results))); err != nil {
+		if _, err := decodeSubResults(NewDecoder(body(func(e *Encoder) { encodeSubResults(e, results) }))); err != nil {
 			t.Fatalf("re-decode of re-encoded sub-results failed: %v", err)
 		}
 	})

@@ -9,10 +9,9 @@ import (
 	"repro/internal/server"
 )
 
-// Fuzz targets for the shared sub-codecs the wiresym census requires:
-// every Msg* type with a variable-length decode path must name a fuzz
-// target covering that path, and these are the shared surfaces —
-// object lists, count PDFs, (id, probability) pairs, batch frames.
+// Fuzz targets for the shared list codecs — object lists, count PDFs,
+// (id, probability) pairs, public-NN candidates, batch frames — which
+// every variable-length message body is built from.
 // Contract as elsewhere: malformed input errors out via Decoder.Err,
 // never panics or over-allocates, and well-formed input round-trips.
 
@@ -24,7 +23,7 @@ func objectsSeed() []server.PublicObject {
 }
 
 func FuzzDecodeObjects(f *testing.F) {
-	f.Add(encodeObjects(objectsSeed()))
+	f.Add(body(func(e *Encoder) { encodeObjects(e, objectsSeed()) }))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // forged count, no objects
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -39,7 +38,7 @@ func FuzzDecodeObjects(f *testing.F) {
 			t.Fatalf("%d objects from %d input bytes", len(objs), len(data))
 		}
 		// Round trip.
-		d2 := NewDecoder(encodeObjects(objs))
+		d2 := NewDecoder(body(func(e *Encoder) { encodeObjects(e, objs) }))
 		again := decodeObjects(d2)
 		if d2.Err() != nil {
 			t.Fatalf("re-decode of re-encoded objects failed: %v", d2.Err())
@@ -148,15 +147,17 @@ func FuzzDecodeBatchQuery(f *testing.F) {
 
 func FuzzDecodeBatchResult(f *testing.F) {
 	entries := batchEntriesSeed()
-	f.Add(encodeBatchResult(entries, server.BatchResult{
-		Groups: 2, SharedHits: 1,
-		Items: []server.BatchItemResult{
-			{Range: objectsSeed()},
-			{NN: server.PrivateNNResult{SupersetSize: 2, Candidates: objectsSeed()[:1]}},
-			{Count: server.PublicRangeCountResult{
-				Answer: prob.CountAnswer{Expected: 1, Lo: 1, Hi: 1, PDF: []float64{0, 1}},
-			}},
-		},
+	f.Add(body(func(e *Encoder) {
+		encodeBatchResult(e, entries, server.BatchResult{
+			Groups: 2, SharedHits: 1,
+			Items: []server.BatchItemResult{
+				{Range: objectsSeed()},
+				{NN: server.PrivateNNResult{SupersetSize: 2, Candidates: objectsSeed()[:1]}},
+				{Count: server.PublicRangeCountResult{
+					Answer: prob.CountAnswer{Expected: 1, Lo: 1, Hi: 1, PDF: []float64{0, 1}},
+				}},
+			},
+		})
 	}))
 	f.Add([]byte{})
 	f.Add([]byte{MsgBatchResult})
@@ -183,7 +184,7 @@ func FuzzDecodeBatchUpdate(f *testing.F) {
 	req.U64(2).Point(geo.Pt(0.4, 0.5))
 	f.Add(req.Bytes())
 	res := cloakResultSeed()
-	f.Add(encodeBatchResults([]*cloak.Result{nil, &res}))
+	f.Add(body(func(e *Encoder) { encodeBatchResults(e, []*cloak.Result{nil, &res}) }))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // forged count, no entries
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -203,13 +204,45 @@ func FuzzDecodeBatchUpdate(f *testing.F) {
 			t.Fatalf("%d results from %d input bytes", len(results), len(data))
 		}
 		// Round trip.
-		d2 := NewDecoder(encodeBatchResults(results))
+		d2 := NewDecoder(body(func(e *Encoder) { encodeBatchResults(e, results) }))
 		again := decodeBatchResults(d2)
 		if d2.Err() != nil {
 			t.Fatalf("re-decode of re-encoded results failed: %v", d2.Err())
 		}
 		if len(again) != len(results) {
 			t.Fatalf("round trip changed result count: %d vs %d", len(again), len(results))
+		}
+	})
+}
+
+func FuzzDecodePublicNN(f *testing.F) {
+	f.Add(body(func(e *Encoder) {
+		encodePublicNNResult(e, server.PublicNNResult{
+			PrunedCount:      3,
+			Candidates:       []prob.NNProb{{ID: 7, Prob: 0.75}, {ID: 9, Prob: 0.25}},
+			CandidateRegions: map[uint64]geo.Rect{7: geo.R(0.1, 0.1, 0.2, 0.2), 9: geo.R(0.4, 0.4, 0.5, 0.5)},
+		})
+	}))
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0x40, 0}) // forged count (1<<22), no candidates
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := NewDecoder(data)
+		res := decodePublicNNResult(d)
+		if d.Err() != nil {
+			// A short payload yields no candidates, not a list of zero values.
+			if len(res.Candidates) != 0 {
+				t.Fatalf("%d candidates beside %v", len(res.Candidates), d.Err())
+			}
+			return
+		}
+		// No over-allocation: 48 wire bytes per candidate.
+		if len(res.Candidates)*48 > len(data) {
+			t.Fatalf("%d candidates from %d input bytes", len(res.Candidates), len(data))
+		}
+		// Round trip.
+		d2 := NewDecoder(body(func(e *Encoder) { encodePublicNNResult(e, res) }))
+		if again := decodePublicNNResult(d2); d2.Err() != nil || len(again.Candidates) != len(res.Candidates) {
+			t.Fatalf("round trip: %d candidates vs %d, %v", len(again.Candidates), len(res.Candidates), d2.Err())
 		}
 	})
 }

@@ -72,16 +72,13 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 func FuzzDecodeProfile(f *testing.F) {
-	// Seed with a real encoded profile.
+	// Seed with a real encoded registration: user id, then the profile.
 	prof := privacy.Constant(privacy.Requirement{K: 10, MinArea: 0.01})
-	var e Encoder
-	encodeProfile(&e, prof)
-	f.Add(e.Bytes())
+	f.Add(body(func(e *Encoder) { encodeUserProfile(e, 7, prof) }))
 	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff}) // forged count, no entries
+	f.Add([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}) // forged count, no entries
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := NewDecoder(data)
-		p, err := decodeProfile(d)
+		id, p, err := decodeUserProfile(NewDecoder(data))
 		if err != nil {
 			return
 		}
@@ -89,16 +86,15 @@ func FuzzDecodeProfile(f *testing.F) {
 			t.Fatal("nil profile with nil error")
 		}
 		// A decoded profile survives an encode/decode round trip.
-		var e Encoder
-		encodeProfile(&e, p)
-		if _, err := decodeProfile(NewDecoder(e.Bytes())); err != nil {
-			t.Fatalf("re-decode of re-encoded profile failed: %v", err)
+		again := body(func(e *Encoder) { encodeUserProfile(e, id, p) })
+		if id2, _, err := decodeUserProfile(NewDecoder(again)); err != nil || id2 != id {
+			t.Fatalf("re-decode of re-encoded profile: id %d vs %d, err %v", id2, id, err)
 		}
 	})
 }
 
 func FuzzDecodeResult(f *testing.F) {
-	f.Add(encodeResult(cloakResultSeed()))
+	f.Add(body(func(e *Encoder) { encodeResult(e, cloakResultSeed()) }))
 	f.Add([]byte{})
 	f.Add(make([]byte, 36))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -111,7 +107,7 @@ func FuzzDecodeResult(f *testing.F) {
 		// equality does not hold in general (the decoder ignores unknown
 		// flag bits, which re-encoding canonicalizes away), but field
 		// equality must — except for non-canonical NaN floats (NaN != NaN).
-		out := encodeResult(res)
+		out := body(func(e *Encoder) { encodeResult(e, res) })
 		if len(out) > len(data) {
 			t.Fatalf("encoded result longer than input: %d > %d", len(out), len(data))
 		}

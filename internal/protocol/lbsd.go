@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/geo"
+	"repro/internal/prob"
 	"repro/internal/server"
 )
 
@@ -13,96 +14,175 @@ import (
 // region-typed private updates — exactly the paper's trust boundary. Pass
 // WithMetrics to instrument the wire layer and answer MsgMetrics.
 func ServeDatabase(addr string, srv *server.Server, logf func(string, ...interface{}), opts ...Option) (*Service, error) {
-	h := &dbHandler{srv: srv}
+	h := &dbHandler{dbService: dbService{name: "database", be: localDB{srv}}, srv: srv}
 	return Serve(addr, h.handle, logf, opts...)
 }
 
-type dbHandler struct {
-	srv *server.Server
+// dbBackend is the tier behind the database wire protocol: what a single
+// server and a router over many shards both do. *router.Router satisfies
+// it as is; a *server.Server does through localDB.
+type dbBackend interface {
+	UpdatePrivateCtx(ctx context.Context, id uint64, region geo.Rect) error
+	RemovePrivateCtx(ctx context.Context, id uint64) error
+	UpdateMovingCtx(ctx context.Context, id uint64, loc geo.Point) error
+	RemoveMovingCtx(ctx context.Context, id uint64) (bool, error)
+	LoadStationaryCtx(ctx context.Context, objs []server.PublicObject) error
+	PrivateRangeCtx(ctx context.Context, q server.PrivateRangeQuery) ([]server.PublicObject, error)
+	PrivateNNCtx(ctx context.Context, q server.PrivateNNQuery) (server.PrivateNNResult, error)
+	PublicCountCtx(ctx context.Context, q server.PublicRangeCountQuery) (server.PublicRangeCountResult, error)
+	BatchQueryCtx(ctx context.Context, entries []server.BatchEntry) (server.BatchResult, error)
+	StatsCtx(ctx context.Context) (stationary, private int, err error)
 }
 
-func (h *dbHandler) handle(ctx context.Context, typ byte, payload []byte) ([]byte, error) {
+// localDB adapts a server.Server to dbBackend: the calls that cannot fail
+// or take no context locally gain the signature the routed tier needs.
+type localDB struct{ *server.Server }
+
+func (l localDB) RemovePrivateCtx(_ context.Context, id uint64) error {
+	l.RemovePrivate(id)
+	return nil
+}
+func (l localDB) UpdateMovingCtx(_ context.Context, id uint64, loc geo.Point) error {
+	return l.UpdateMoving(id, loc)
+}
+func (l localDB) RemoveMovingCtx(_ context.Context, id uint64) (bool, error) {
+	return l.RemoveMoving(id), nil
+}
+func (l localDB) LoadStationaryCtx(_ context.Context, objs []server.PublicObject) error {
+	return l.LoadStationary(objs)
+}
+func (l localDB) PublicCountCtx(ctx context.Context, q server.PublicRangeCountQuery) (server.PublicRangeCountResult, error) {
+	return l.PublicRangeCountCtx(ctx, q)
+}
+func (l localDB) BatchQueryCtx(ctx context.Context, entries []server.BatchEntry) (server.BatchResult, error) {
+	return l.Server.BatchQueryCtx(ctx, entries), nil
+}
+func (l localDB) StatsCtx(context.Context) (stationary, private int, err error) {
+	return l.StationaryCount(), l.PrivateUserCount(), nil
+}
+
+// dbService answers the message types lbsd and lbsrouter both answer,
+// over the backend that makes them differ. Each service's own handler
+// takes its own types first and falls through to this one.
+type dbService struct {
+	name string // the tier, as the unknown-type error names it
+	be   dbBackend
+}
+
+func (s *dbService) handle(ctx context.Context, typ byte, payload []byte) ([]byte, error) {
 	d := NewDecoder(payload)
+	var e Encoder
 	switch typ {
 	case MsgUpdatePrivate:
-		id := d.U64()
-		region := d.Rect()
+		id, region := decodeUpdatePrivate(d)
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		return nil, h.srv.UpdatePrivateCtx(ctx, id, region)
+		return nil, s.be.UpdatePrivateCtx(ctx, id, region)
 
 	case MsgRemovePrivate:
 		id := d.U64()
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		h.srv.RemovePrivate(id)
-		return nil, nil
+		return nil, s.be.RemovePrivateCtx(ctx, id)
 
 	case MsgLoadStationary:
 		objs := decodeObjects(d)
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		return nil, h.srv.LoadStationary(objs)
+		return nil, s.be.LoadStationaryCtx(ctx, objs)
 
 	case MsgPrivateRange:
-		q := server.PrivateRangeQuery{
-			Region: d.Rect(),
-			Radius: d.F64(),
-			Class:  d.Str(),
-			Mode:   server.RangeMode(d.U8()),
-		}
+		q := decodeRangeQuery(d)
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		objs, err := h.srv.PrivateRangeCtx(ctx, q)
+		objs, err := s.be.PrivateRangeCtx(ctx, q)
 		if err != nil {
 			return nil, err
 		}
-		return encodeObjects(objs), nil
+		encodeObjects(&e, objs)
 
 	case MsgPrivateNN:
-		q := server.PrivateNNQuery{Region: d.Rect(), Class: d.Str()}
+		q := decodeNNQuery(d)
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		res, err := h.srv.PrivateNNCtx(ctx, q)
+		res, err := s.be.PrivateNNCtx(ctx, q)
 		if err != nil {
 			return nil, err
 		}
-		var e Encoder
-		e.U32(uint32(res.SupersetSize))
-		encodeObjectsTo(&e, res.Candidates)
-		return e.Bytes(), nil
+		encodeNNResult(&e, res)
 
 	case MsgPublicCount:
 		q := server.PublicRangeCountQuery{Query: d.Rect()}
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		res, err := h.srv.PublicRangeCountCtx(ctx, q)
+		res, err := s.be.PublicCountCtx(ctx, q)
 		if err != nil {
 			return nil, err
 		}
-		var e Encoder
 		encodeCountResult(&e, res)
-		return e.Bytes(), nil
 
 	case MsgBatchQuery:
 		entries, err := decodeBatchEntries(d)
 		if err != nil {
 			return nil, err
 		}
-		return encodeBatchResult(entries, h.srv.BatchQueryCtx(ctx, entries)), nil
-
-	case MsgPublicNN:
-		q := server.PublicNNQuery{
-			From:    d.Point(),
-			Samples: int(d.U32()),
-			Seed:    d.U64(),
+		res, err := s.be.BatchQueryCtx(ctx, entries)
+		if err != nil {
+			return nil, err
 		}
+		encodeBatchResult(&e, entries, res)
+
+	case MsgUpdateMoving:
+		id, loc := decodeUpdateMoving(d)
+		if d.Err() != nil {
+			return nil, d.Err()
+		}
+		return nil, s.be.UpdateMovingCtx(ctx, id, loc)
+
+	case MsgRemoveMoving:
+		id := d.U64()
+		if d.Err() != nil {
+			return nil, d.Err()
+		}
+		existed, err := s.be.RemoveMovingCtx(ctx, id)
+		if err != nil {
+			return nil, err
+		}
+		e.Bool(existed)
+
+	case MsgStats:
+		stationary, private, err := s.be.StatsCtx(ctx)
+		if err != nil {
+			return nil, err
+		}
+		encodeStats(&e, stationary, private)
+
+	default:
+		return nil, fmt.Errorf("protocol: %s service: unknown message type %d", s.name, typ)
+	}
+	return e.Bytes(), nil
+}
+
+// dbHandler is lbsd's handler: the single-node message types (public NN,
+// continuous counts) and the shard-local partial types a router forwards,
+// then everything a router answers too.
+type dbHandler struct {
+	dbService
+	srv *server.Server
+}
+
+func (h *dbHandler) handle(ctx context.Context, typ byte, payload []byte) ([]byte, error) {
+	d := NewDecoder(payload)
+	var e Encoder
+	switch typ {
+	case MsgPublicNN:
+		q := decodePublicNNQuery(d)
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
@@ -115,19 +195,7 @@ func (h *dbHandler) handle(ctx context.Context, typ byte, payload []byte) ([]byt
 		if err != nil {
 			return nil, err
 		}
-		var e Encoder
-		e.U32(uint32(res.PrunedCount))
-		e.U32(uint32(len(res.Candidates)))
-		for _, c := range res.Candidates {
-			e.U64(c.ID).F64(c.Prob).Rect(res.CandidateRegions[c.ID])
-		}
-		return e.Bytes(), nil
-
-	case MsgStats:
-		var e Encoder
-		e.U32(uint32(h.srv.StationaryCount()))
-		e.U32(uint32(h.srv.PrivateUserCount()))
-		return e.Bytes(), nil
+		encodePublicNNResult(&e, res)
 
 	case MsgRegContCount:
 		query := d.Rect()
@@ -138,9 +206,7 @@ func (h *dbHandler) handle(ctx context.Context, typ byte, payload []byte) ([]byt
 		if err != nil {
 			return nil, err
 		}
-		var e Encoder
 		e.U64(id)
-		return e.Bytes(), nil
 
 	case MsgContCount:
 		id := d.U64()
@@ -151,9 +217,7 @@ func (h *dbHandler) handle(ctx context.Context, typ byte, payload []byte) ([]byt
 		if !ok {
 			return nil, fmt.Errorf("protocol: unknown continuous query %d", id)
 		}
-		var e Encoder
-		e.F64(ans.Expected).U32(uint32(ans.Lo)).U32(uint32(ans.Hi))
-		return e.Bytes(), nil
+		encodeContAnswer(&e, ans)
 
 	case MsgUnregContCount:
 		id := d.U64()
@@ -163,27 +227,9 @@ func (h *dbHandler) handle(ctx context.Context, typ byte, payload []byte) ([]byt
 		if !h.srv.UnregisterContinuousCount(id) {
 			return nil, fmt.Errorf("protocol: unknown continuous query %d", id)
 		}
-		return nil, nil
-
-	case MsgUpdateMoving:
-		id := d.U64()
-		loc := d.Point()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		return nil, h.srv.UpdateMoving(id, loc)
-
-	case MsgRemoveMoving:
-		id := d.U64()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		var e Encoder
-		e.U8(boolByte(h.srv.RemoveMoving(id)))
-		return e.Bytes(), nil
 
 	case MsgNNParts:
-		q := server.PrivateNNQuery{Region: d.Rect(), Class: d.Str()}
+		q := decodeNNQuery(d)
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
@@ -191,10 +237,7 @@ func (h *dbHandler) handle(ctx context.Context, typ byte, payload []byte) ([]byt
 		if err != nil {
 			return nil, err
 		}
-		var e Encoder
-		e.F64(parts.Bound)
-		encodeObjectsTo(&e, parts.Candidates)
-		return e.Bytes(), nil
+		encodeNNParts(&e, parts)
 
 	case MsgCountProbs:
 		q := server.PublicRangeCountQuery{Query: d.Rect()}
@@ -205,33 +248,42 @@ func (h *dbHandler) handle(ctx context.Context, typ byte, payload []byte) ([]byt
 		if err != nil {
 			return nil, err
 		}
-		var e Encoder
 		encodeUserProbs(&e, pairs)
-		return e.Bytes(), nil
 
 	case MsgShardBatch:
 		subs, err := decodeSubQueries(d)
 		if err != nil {
 			return nil, err
 		}
-		return encodeSubResults(evalSubQueries(ctx, h.srv, subs)), nil
+		encodeSubResults(&e, evalSubQueries(ctx, h.srv, subs))
 
 	default:
-		return nil, fmt.Errorf("protocol: database service: unknown message type %d", typ)
+		return h.dbService.handle(ctx, typ, payload)
 	}
+	return e.Bytes(), nil
 }
 
-func encodeObjects(objs []server.PublicObject) []byte {
-	var e Encoder
-	encodeObjectsTo(&e, objs)
-	return e.Bytes()
+// encodeUpdatePrivate appends the MsgUpdatePrivate body: a user id and
+// the cloaked region that is all the database tier ever learns of them.
+func encodeUpdatePrivate(e *Encoder, id uint64, region geo.Rect) { e.U64(id).Rect(region) }
+func decodeUpdatePrivate(d *Decoder) (uint64, geo.Rect)          { return d.U64(), d.Rect() }
+
+// encodeUpdateMoving appends the MsgUpdateMoving body: a moving public
+// object's id and location (public data, not a user's).
+func encodeUpdateMoving(e *Encoder, id uint64, loc geo.Point) { e.U64(id).Point(loc) }
+func decodeUpdateMoving(d *Decoder) (uint64, geo.Point)       { return d.U64(), d.Point() }
+
+// encodeStats appends the MsgStats reply.
+func encodeStats(e *Encoder, stationary, private int) {
+	e.U32(uint32(stationary)).U32(uint32(private))
 }
 
-// encodeObjectsTo appends an object list in place — the batch result
-// encoder emits one list per range/NN item, so building each list in a
-// throwaway Encoder and copying it over would double the allocation
-// count of the whole response.
-func encodeObjectsTo(e *Encoder, objs []server.PublicObject) {
+// decodeStats is the inverse of encodeStats.
+func decodeStats(d *Decoder) (stationary, private int) { return int(d.U32()), int(d.U32()) }
+
+// encodeObjects appends an object list: the MsgLoadStationary body, the
+// MsgPrivateRange reply, and the list inside every NN and batch result.
+func encodeObjects(e *Encoder, objs []server.PublicObject) {
 	e.Grow(objectsSize(objs))
 	e.U32(uint32(len(objs)))
 	for _, o := range objs {
@@ -248,23 +300,58 @@ func objectsSize(objs []server.PublicObject) int {
 	return n
 }
 
+// decodeObjects is the inverse of encodeObjects.
 func decodeObjects(d *Decoder) []server.PublicObject {
-	n := int(d.U32())
-	objs := make([]server.PublicObject, 0, capHint(n, 26, d))
-	// Intern the class column: result lists repeat a few class names, so
-	// decoding costs one string per run of equal values, not one per object.
-	var class string
-	for i := 0; i < n; i++ {
-		objs = append(objs, server.PublicObject{ID: d.U64(), Class: d.StrCache(&class), Loc: d.Point()})
-		if d.Err() != nil {
-			return nil
-		}
+	n := d.Count(int(d.U32()), 26)
+	objs := make([]server.PublicObject, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		objs = append(objs, server.PublicObject{ID: d.U64(), Class: d.Str(), Loc: d.Point()})
+	}
+	if d.Err() != nil {
+		return nil
 	}
 	return objs
 }
 
-// encodeCountResult appends a PublicRangeCountResult (shared by the
-// MsgPublicCount response and per-entry batch results).
+// encodeRangeQuery appends a private range query: the MsgPrivateRange
+// body and the range arm of a batch entry.
+func encodeRangeQuery(e *Encoder, q server.PrivateRangeQuery) {
+	e.Rect(q.Region).F64(q.Radius).Str(q.Class).U8(byte(q.Mode))
+}
+
+// decodeRangeQuery is the inverse of encodeRangeQuery.
+func decodeRangeQuery(d *Decoder) server.PrivateRangeQuery {
+	return server.PrivateRangeQuery{
+		Region: d.Rect(),
+		Radius: d.F64(),
+		Class:  d.Str(),
+		Mode:   server.RangeMode(d.U8()),
+	}
+}
+
+// encodeNNQuery appends a private NN query: the MsgPrivateNN and
+// MsgNNParts body and the NN arm of a batch entry.
+func encodeNNQuery(e *Encoder, q server.PrivateNNQuery) { e.Rect(q.Region).Str(q.Class) }
+
+// decodeNNQuery is the inverse of encodeNNQuery.
+func decodeNNQuery(d *Decoder) server.PrivateNNQuery {
+	return server.PrivateNNQuery{Region: d.Rect(), Class: d.Str()}
+}
+
+// encodeNNResult appends a private NN answer: the MsgPrivateNN reply and
+// the NN arm of a batch result.
+func encodeNNResult(e *Encoder, res server.PrivateNNResult) {
+	e.U32(uint32(res.SupersetSize))
+	encodeObjects(e, res.Candidates)
+}
+
+// decodeNNResult is the inverse of encodeNNResult.
+func decodeNNResult(d *Decoder) server.PrivateNNResult {
+	return server.PrivateNNResult{SupersetSize: int(d.U32()), Candidates: decodeObjects(d)}
+}
+
+// encodeCountResult appends a PublicRangeCountResult: the MsgPublicCount
+// reply and the count arm of a batch result.
 func encodeCountResult(e *Encoder, res server.PublicRangeCountResult) {
 	e.F64(res.Answer.Expected)
 	e.U32(uint32(res.Answer.Lo)).U32(uint32(res.Answer.Hi))
@@ -282,12 +369,59 @@ func decodeCountResult(d *Decoder) server.PublicRangeCountResult {
 	res.Answer.Lo = int(d.U32())
 	res.Answer.Hi = int(d.U32())
 	res.NaiveCount = int(d.U32())
-	n := int(d.U32())
-	res.Answer.PDF = make([]float64, 0, capHint(n, 8, d))
-	for i := 0; i < n && d.Err() == nil; i++ {
+	n := d.Count(int(d.U32()), 8)
+	res.Answer.PDF = make([]float64, 0, n)
+	for i := 0; i < n; i++ {
 		res.Answer.PDF = append(res.Answer.PDF, d.F64())
 	}
 	return res
+}
+
+// encodePublicNNQuery appends the MsgPublicNN body.
+func encodePublicNNQuery(e *Encoder, q server.PublicNNQuery) {
+	e.Point(q.From).U32(uint32(q.Samples)).U64(q.Seed)
+}
+
+// decodePublicNNQuery is the inverse of encodePublicNNQuery.
+func decodePublicNNQuery(d *Decoder) server.PublicNNQuery {
+	return server.PublicNNQuery{From: d.Point(), Samples: int(d.U32()), Seed: d.U64()}
+}
+
+// encodePublicNNResult appends the MsgPublicNN reply: the pruned count,
+// then each candidate with its probability and cloaked region.
+func encodePublicNNResult(e *Encoder, res server.PublicNNResult) {
+	e.U32(uint32(res.PrunedCount))
+	e.U32(uint32(len(res.Candidates)))
+	for _, c := range res.Candidates {
+		e.U64(c.ID).F64(c.Prob).Rect(res.CandidateRegions[c.ID])
+	}
+}
+
+// decodePublicNNResult is the inverse of encodePublicNNResult. A short
+// payload yields no candidates at all.
+func decodePublicNNResult(d *Decoder) server.PublicNNResult {
+	res := server.PublicNNResult{PrunedCount: int(d.U32())}
+	n := d.Count(int(d.U32()), 48)
+	res.CandidateRegions = make(map[uint64]geo.Rect, n)
+	for i := 0; i < n; i++ {
+		c := prob.NNProb{ID: d.U64(), Prob: d.F64()}
+		res.Candidates = append(res.Candidates, c)
+		res.CandidateRegions[c.ID] = d.Rect()
+	}
+	if len(res.Candidates) > 0 {
+		res.Best = res.Candidates[0]
+	}
+	return res
+}
+
+// encodeContAnswer appends the MsgContCount reply.
+func encodeContAnswer(e *Encoder, ans server.ContinuousCountAnswer) {
+	e.F64(ans.Expected).U32(uint32(ans.Lo)).U32(uint32(ans.Hi))
+}
+
+// decodeContAnswer is the inverse of encodeContAnswer.
+func decodeContAnswer(d *Decoder) server.ContinuousCountAnswer {
+	return server.ContinuousCountAnswer{Expected: d.F64(), Lo: int(d.U32()), Hi: int(d.U32())}
 }
 
 // maxBatchEntries bounds a MsgBatchQuery frame: large enough for any
@@ -295,54 +429,62 @@ func decodeCountResult(d *Decoder) server.PublicRangeCountResult {
 // cannot turn one frame into an unbounded amount of work.
 const maxBatchEntries = 4096
 
-// encodeBatchEntries appends a batch-query request body.
+// encodeBatchEntry appends one batch query: its kind, then that kind's
+// single-query body. Shared by MsgBatchQuery and MsgShardBatch.
+func encodeBatchEntry(e *Encoder, be server.BatchEntry) {
+	e.U8(byte(be.Kind))
+	switch be.Kind {
+	case server.BatchPrivateRange:
+		encodeRangeQuery(e, be.Range)
+	case server.BatchPrivateNN:
+		encodeNNQuery(e, be.NN)
+	case server.BatchPublicCount:
+		e.Rect(be.Count.Query)
+	}
+}
+
+// decodeBatchEntry is the inverse of encodeBatchEntry. An unknown kind
+// byte makes the remaining layout unparseable and reads as !ok: the caller
+// fails the whole frame — per-entry failure semantics apply to well-formed
+// frames whose query *parameters* are invalid, which the server reports
+// per entry.
+func decodeBatchEntry(d *Decoder) (be server.BatchEntry, ok bool) {
+	be.Kind = server.BatchKind(d.U8())
+	switch be.Kind {
+	case server.BatchPrivateRange:
+		be.Range = decodeRangeQuery(d)
+	case server.BatchPrivateNN:
+		be.NN = decodeNNQuery(d)
+	case server.BatchPublicCount:
+		be.Count.Query = d.Rect()
+	default:
+		return be, false
+	}
+	return be, true
+}
+
+// encodeBatchEntries appends the MsgBatchQuery body.
 func encodeBatchEntries(e *Encoder, entries []server.BatchEntry) {
 	e.Grow(4 + 48*len(entries))
 	e.U32(uint32(len(entries)))
 	for _, be := range entries {
-		e.U8(byte(be.Kind))
-		switch be.Kind {
-		case server.BatchPrivateRange:
-			e.Rect(be.Range.Region).F64(be.Range.Radius).Str(be.Range.Class).U8(byte(be.Range.Mode))
-		case server.BatchPrivateNN:
-			e.Rect(be.NN.Region).Str(be.NN.Class)
-		case server.BatchPublicCount:
-			e.Rect(be.Count.Query)
-		}
+		encodeBatchEntry(e, be)
 	}
 }
 
-// decodeBatchEntries parses a batch-query request body. An unknown kind
-// byte makes the remaining layout unparseable, so it fails the whole call
-// — per-entry failure semantics apply to well-formed frames whose query
-// *parameters* are invalid, which the server reports per entry.
+// decodeBatchEntries is the inverse of encodeBatchEntries.
 func decodeBatchEntries(d *Decoder) ([]server.BatchEntry, error) {
 	n := int(d.U32())
 	if n > maxBatchEntries {
 		return nil, fmt.Errorf("protocol: batch of %d entries exceeds the %d-entry cap", n, maxBatchEntries)
 	}
 	// Every entry needs ≥ 33 bytes (kind + rectangle).
-	entries := make([]server.BatchEntry, 0, capHint(n, 33, d))
-	// Intern the class column: batches repeat a few class names, so
-	// decoding costs one string per run of equal values, not one per entry.
-	var class string
+	n = d.Count(n, 33)
+	entries := make([]server.BatchEntry, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		kind := server.BatchKind(d.U8())
-		be := server.BatchEntry{Kind: kind}
-		switch kind {
-		case server.BatchPrivateRange:
-			be.Range = server.PrivateRangeQuery{
-				Region: d.Rect(),
-				Radius: d.F64(),
-				Class:  d.StrCache(&class),
-				Mode:   server.RangeMode(d.U8()),
-			}
-		case server.BatchPrivateNN:
-			be.NN = server.PrivateNNQuery{Region: d.Rect(), Class: d.StrCache(&class)}
-		case server.BatchPublicCount:
-			be.Count = server.PublicRangeCountQuery{Query: d.Rect()}
-		default:
-			return nil, fmt.Errorf("protocol: unknown batch query kind %d at entry %d", byte(kind), i)
+		be, ok := decodeBatchEntry(d)
+		if !ok {
+			return nil, fmt.Errorf("protocol: unknown batch query kind %d at entry %d", byte(be.Kind), i)
 		}
 		entries = append(entries, be)
 	}
@@ -352,11 +494,11 @@ func decodeBatchEntries(d *Decoder) ([]server.BatchEntry, error) {
 	return entries, nil
 }
 
-// encodeBatchResult builds the OK payload for a batch query: a typed
+// encodeBatchResult appends the MsgBatchQuery reply: a typed
 // MsgBatchResult sub-frame so the response is self-describing on the
 // wire. Each entry carries a status byte and its kind tag, then the same
 // per-kind encoding the single-query responses use.
-func encodeBatchResult(entries []server.BatchEntry, res server.BatchResult) []byte {
+func encodeBatchResult(e *Encoder, entries []server.BatchEntry, res server.BatchResult) {
 	// Pre-scan the exact response size so the whole frame is built in one
 	// allocation. Failed entries are skipped (error strings are rare and
 	// cheap to absorb through Grow's geometric fallback).
@@ -375,14 +517,13 @@ func encodeBatchResult(entries []server.BatchEntry, res server.BatchResult) []by
 			size += 24 + 8*len(it.Count.Answer.PDF)
 		}
 	}
-	var e Encoder
 	e.Grow(size)
 	e.U8(MsgBatchResult)
 	e.U32(uint32(res.Groups)).U32(uint32(res.SharedHits))
 	e.U32(uint32(len(res.Items)))
 	for i, it := range res.Items {
+		e.Bool(it.Err != nil)
 		if it.Err != nil {
-			e.U8(1)
 			// Send the underlying cause; the client re-wraps it with the
 			// entry's index and kind, so both sides print the same error.
 			var bee *server.BatchEntryError
@@ -393,24 +534,20 @@ func encodeBatchResult(entries []server.BatchEntry, res server.BatchResult) []by
 			}
 			continue
 		}
-		e.U8(0)
 		kind := entries[i].Kind
 		e.U8(byte(kind))
 		switch kind {
 		case server.BatchPrivateRange:
-			encodeObjectsTo(&e, it.Range)
+			encodeObjects(e, it.Range)
 		case server.BatchPrivateNN:
-			e.U32(uint32(it.NN.SupersetSize))
-			encodeObjectsTo(&e, it.NN.Candidates)
+			encodeNNResult(e, it.NN)
 		case server.BatchPublicCount:
-			encodeCountResult(&e, it.Count)
+			encodeCountResult(e, it.Count)
 		}
 	}
-	return e.Bytes()
 }
 
-// decodeBatchResult parses a MsgBatchResult sub-frame back into a
-// server.BatchResult.
+// decodeBatchResult is the inverse of encodeBatchResult.
 func decodeBatchResult(d *Decoder) (server.BatchResult, error) {
 	if tag := d.U8(); d.Err() == nil && tag != MsgBatchResult {
 		return server.BatchResult{}, fmt.Errorf("protocol: batch response tagged %d, want %d", tag, MsgBatchResult)
@@ -418,11 +555,11 @@ func decodeBatchResult(d *Decoder) (server.BatchResult, error) {
 	var res server.BatchResult
 	res.Groups = int(d.U32())
 	res.SharedHits = int(d.U32())
-	n := int(d.U32())
-	res.Items = make([]server.BatchItemResult, 0, capHint(n, 2, d))
+	n := d.Count(int(d.U32()), 2)
+	res.Items = make([]server.BatchItemResult, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		var it server.BatchItemResult
-		if d.U8() != 0 {
+		if d.Bool() {
 			msg := d.Str()
 			if d.Err() == nil {
 				it.Err = &server.BatchEntryError{Index: i, Kind: 0, Err: errors.New(msg)}
@@ -435,8 +572,7 @@ func decodeBatchResult(d *Decoder) (server.BatchResult, error) {
 		case server.BatchPrivateRange:
 			it.Range = decodeObjects(d)
 		case server.BatchPrivateNN:
-			it.NN.SupersetSize = int(d.U32())
-			it.NN.Candidates = decodeObjects(d)
+			it.NN = decodeNNResult(d)
 		case server.BatchPublicCount:
 			it.Count = decodeCountResult(d)
 		default:
@@ -447,20 +583,6 @@ func decodeBatchResult(d *Decoder) (server.BatchResult, error) {
 		res.Items = append(res.Items, it)
 	}
 	return res, d.Err()
-}
-
-// capHint bounds a length prefix by what the remaining payload could
-// possibly hold, given a minimum per-element encoding size. It protects
-// every decode loop from forged counts.
-func capHint(n, minBytes int, d *Decoder) int {
-	if n < 0 {
-		return 0
-	}
-	max := d.Remaining() / minBytes
-	if n > max {
-		return max
-	}
-	return n
 }
 
 // DatabaseClient is the typed client for the database service, used by
@@ -492,22 +614,34 @@ func (dc *DatabaseClient) UpdatePrivate(id uint64, region geo.Rect) error {
 // forward hop shows up in the request's timeline.
 func (dc *DatabaseClient) UpdatePrivateCtx(ctx context.Context, id uint64, region geo.Rect) error {
 	var e Encoder
-	e.U64(id).Rect(region)
+	encodeUpdatePrivate(&e, id, region)
 	_, err := dc.c.CallCtx(ctx, MsgUpdatePrivate, e.Bytes())
 	return err
 }
 
 // RemovePrivate removes a user's region.
 func (dc *DatabaseClient) RemovePrivate(id uint64) error {
+	return dc.RemovePrivateCtx(context.Background(), id)
+}
+
+// RemovePrivateCtx is RemovePrivate under a context (deadline, trace).
+func (dc *DatabaseClient) RemovePrivateCtx(ctx context.Context, id uint64) error {
 	var e Encoder
 	e.U64(id)
-	_, err := dc.c.Call(MsgRemovePrivate, e.Bytes())
+	_, err := dc.c.CallCtx(ctx, MsgRemovePrivate, e.Bytes())
 	return err
 }
 
 // LoadStationary bulk-loads public objects.
 func (dc *DatabaseClient) LoadStationary(objs []server.PublicObject) error {
-	_, err := dc.c.Call(MsgLoadStationary, encodeObjects(objs))
+	return dc.LoadStationaryCtx(context.Background(), objs)
+}
+
+// LoadStationaryCtx is LoadStationary under a context (deadline, trace).
+func (dc *DatabaseClient) LoadStationaryCtx(ctx context.Context, objs []server.PublicObject) error {
+	var e Encoder
+	encodeObjects(&e, objs)
+	_, err := dc.c.CallCtx(ctx, MsgLoadStationary, e.Bytes())
 	return err
 }
 
@@ -519,13 +653,9 @@ func (dc *DatabaseClient) PrivateRange(q server.PrivateRangeQuery) ([]server.Pub
 // PrivateRangeCtx is PrivateRange under a context (deadline, trace).
 func (dc *DatabaseClient) PrivateRangeCtx(ctx context.Context, q server.PrivateRangeQuery) ([]server.PublicObject, error) {
 	var e Encoder
-	e.Rect(q.Region).F64(q.Radius).Str(q.Class).U8(byte(q.Mode))
-	resp, err := dc.c.CallCtx(ctx, MsgPrivateRange, e.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	d := NewDecoder(resp)
-	objs := decodeObjects(d)
+	encodeRangeQuery(&e, q)
+	d := dc.c.exchange(ctx, MsgPrivateRange, e.Bytes())
+	objs := decodeObjects(&d)
 	return objs, d.Err()
 }
 
@@ -537,14 +667,9 @@ func (dc *DatabaseClient) PrivateNN(q server.PrivateNNQuery) (server.PrivateNNRe
 // PrivateNNCtx is PrivateNN under a context (deadline, trace).
 func (dc *DatabaseClient) PrivateNNCtx(ctx context.Context, q server.PrivateNNQuery) (server.PrivateNNResult, error) {
 	var e Encoder
-	e.Rect(q.Region).Str(q.Class)
-	resp, err := dc.c.CallCtx(ctx, MsgPrivateNN, e.Bytes())
-	if err != nil {
-		return server.PrivateNNResult{}, err
-	}
-	d := NewDecoder(resp)
-	res := server.PrivateNNResult{SupersetSize: int(d.U32())}
-	res.Candidates = decodeObjects(d)
+	encodeNNQuery(&e, q)
+	d := dc.c.exchange(ctx, MsgPrivateNN, e.Bytes())
+	res := decodeNNResult(&d)
 	return res, d.Err()
 }
 
@@ -557,12 +682,8 @@ func (dc *DatabaseClient) PublicCount(query geo.Rect) (server.PublicRangeCountRe
 func (dc *DatabaseClient) PublicCountCtx(ctx context.Context, query geo.Rect) (server.PublicRangeCountResult, error) {
 	var e Encoder
 	e.Rect(query)
-	resp, err := dc.c.CallCtx(ctx, MsgPublicCount, e.Bytes())
-	if err != nil {
-		return server.PublicRangeCountResult{}, err
-	}
-	d := NewDecoder(resp)
-	res := decodeCountResult(d)
+	d := dc.c.exchange(ctx, MsgPublicCount, e.Bytes())
+	res := decodeCountResult(&d)
 	return res, d.Err()
 }
 
@@ -578,11 +699,8 @@ func (dc *DatabaseClient) BatchQuery(entries []server.BatchEntry) (server.BatchR
 func (dc *DatabaseClient) BatchQueryCtx(ctx context.Context, entries []server.BatchEntry) (server.BatchResult, error) {
 	var e Encoder
 	encodeBatchEntries(&e, entries)
-	resp, err := dc.c.CallCtx(ctx, MsgBatchQuery, e.Bytes())
-	if err != nil {
-		return server.BatchResult{}, err
-	}
-	res, err := decodeBatchResult(NewDecoder(resp))
+	d := dc.c.exchange(ctx, MsgBatchQuery, e.Bytes())
+	res, err := decodeBatchResult(&d)
 	if err != nil {
 		return server.BatchResult{}, err
 	}
@@ -605,25 +723,9 @@ func (dc *DatabaseClient) BatchQueryCtx(ctx context.Context, entries []server.Ba
 // PublicNN runs a public nearest-neighbor query over private data.
 func (dc *DatabaseClient) PublicNN(q server.PublicNNQuery) (server.PublicNNResult, error) {
 	var e Encoder
-	e.Point(q.From).U32(uint32(q.Samples)).U64(q.Seed)
-	resp, err := dc.c.Call(MsgPublicNN, e.Bytes())
-	if err != nil {
-		return server.PublicNNResult{}, err
-	}
-	d := NewDecoder(resp)
-	res := server.PublicNNResult{CandidateRegions: make(map[uint64]geo.Rect)}
-	res.PrunedCount = int(d.U32())
-	n := int(d.U32())
-	for i := 0; i < n; i++ {
-		id := d.U64()
-		p := d.F64()
-		r := d.Rect()
-		res.Candidates = append(res.Candidates, probNN(id, p))
-		res.CandidateRegions[id] = r
-	}
-	if len(res.Candidates) > 0 {
-		res.Best = res.Candidates[0]
-	}
+	encodePublicNNQuery(&e, q)
+	d := dc.c.exchange(context.Background(), MsgPublicNN, e.Bytes())
+	res := decodePublicNNResult(&d)
 	return res, d.Err()
 }
 
@@ -631,11 +733,7 @@ func (dc *DatabaseClient) PublicNN(q server.PublicNNQuery) (server.PublicNNResul
 func (dc *DatabaseClient) RegisterContinuousCount(query geo.Rect) (uint64, error) {
 	var e Encoder
 	e.Rect(query)
-	resp, err := dc.c.Call(MsgRegContCount, e.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	d := NewDecoder(resp)
+	d := dc.c.exchange(context.Background(), MsgRegContCount, e.Bytes())
 	id := d.U64()
 	return id, d.Err()
 }
@@ -644,16 +742,8 @@ func (dc *DatabaseClient) RegisterContinuousCount(query geo.Rect) (uint64, error
 func (dc *DatabaseClient) ContinuousCount(id uint64) (server.ContinuousCountAnswer, error) {
 	var e Encoder
 	e.U64(id)
-	resp, err := dc.c.Call(MsgContCount, e.Bytes())
-	if err != nil {
-		return server.ContinuousCountAnswer{}, err
-	}
-	d := NewDecoder(resp)
-	ans := server.ContinuousCountAnswer{
-		Expected: d.F64(),
-		Lo:       int(d.U32()),
-		Hi:       int(d.U32()),
-	}
+	d := dc.c.exchange(context.Background(), MsgContCount, e.Bytes())
+	ans := decodeContAnswer(&d)
 	return ans, d.Err()
 }
 
@@ -667,18 +757,40 @@ func (dc *DatabaseClient) UnregisterContinuousCount(id uint64) error {
 
 // UpdateMoving upserts a moving public object (exact location: public data).
 func (dc *DatabaseClient) UpdateMoving(id uint64, loc geo.Point) error {
+	return dc.UpdateMovingCtx(context.Background(), id, loc)
+}
+
+// UpdateMovingCtx is UpdateMoving under a context (deadline, trace).
+func (dc *DatabaseClient) UpdateMovingCtx(ctx context.Context, id uint64, loc geo.Point) error {
 	var e Encoder
-	e.U64(id).Point(loc)
-	_, err := dc.c.Call(MsgUpdateMoving, e.Bytes())
+	encodeUpdateMoving(&e, id, loc)
+	_, err := dc.c.CallCtx(ctx, MsgUpdateMoving, e.Bytes())
 	return err
+}
+
+// RemoveMoving deletes a moving object; the result reports whether it
+// existed.
+func (dc *DatabaseClient) RemoveMoving(id uint64) (bool, error) {
+	return dc.RemoveMovingCtx(context.Background(), id)
+}
+
+// RemoveMovingCtx is RemoveMoving under a context (deadline, trace).
+func (dc *DatabaseClient) RemoveMovingCtx(ctx context.Context, id uint64) (bool, error) {
+	var e Encoder
+	e.U64(id)
+	d := dc.c.exchange(ctx, MsgRemoveMoving, e.Bytes())
+	existed := d.Bool()
+	return existed, d.Err()
 }
 
 // Stats returns (stationary objects, private users).
 func (dc *DatabaseClient) Stats() (stationary, private int, err error) {
-	resp, err := dc.c.Call(MsgStats, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	d := NewDecoder(resp)
-	return int(d.U32()), int(d.U32()), d.Err()
+	return dc.StatsCtx(context.Background())
+}
+
+// StatsCtx is Stats under a context (deadline, trace).
+func (dc *DatabaseClient) StatsCtx(ctx context.Context) (stationary, private int, err error) {
+	d := dc.c.exchange(ctx, MsgStats, nil)
+	stationary, private = decodeStats(&d)
+	return stationary, private, d.Err()
 }

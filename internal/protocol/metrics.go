@@ -54,19 +54,18 @@ func encodeMetrics(series []obs.MetricSnapshot) []byte {
 // DecodeMetrics parses a MsgMetrics response payload.
 func DecodeMetrics(payload []byte) ([]obs.MetricSnapshot, error) {
 	d := NewDecoder(payload)
-	n := int(d.U32())
 	// Each series needs ≥ 8 bytes on the wire (two empty strings, kind,
 	// label count and a value byte short of that, but 8 is a safe floor).
-	out := make([]obs.MetricSnapshot, 0, capHint(n, 8, d))
+	n := d.Count(int(d.U32()), 8)
+	out := make([]obs.MetricSnapshot, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		s := obs.MetricSnapshot{
 			Name: d.Str(),
 			Help: d.Str(),
 			Kind: obs.Kind(d.U8()),
 		}
-		nl := int(d.U16())
-		if nl > 0 {
-			s.Labels = make([]obs.Label, 0, capHint(nl, 4, d))
+		if nl := d.Count(int(d.U16()), 4); nl > 0 {
+			s.Labels = make([]obs.Label, 0, nl)
 			for j := 0; j < nl && d.Err() == nil; j++ {
 				s.Labels = append(s.Labels, obs.Label{Key: d.Str(), Value: d.Str()})
 			}
@@ -75,20 +74,21 @@ func DecodeMetrics(payload []byte) ([]obs.MetricSnapshot, error) {
 		case obs.KindCounter, obs.KindGauge:
 			s.Value = d.F64()
 		case obs.KindHistogram:
-			nb := int(d.U32())
-			s.Hist.Bounds = make([]float64, 0, capHint(nb, 8, d))
-			for j := 0; j < nb && d.Err() == nil; j++ {
+			nb := d.Count(int(d.U32()), 8)
+			s.Hist.Bounds = make([]float64, 0, nb)
+			for j := 0; j < nb; j++ {
 				s.Hist.Bounds = append(s.Hist.Bounds, d.F64())
 			}
-			nc := len(s.Hist.Bounds) + 1
-			s.Hist.Counts = make([]uint64, 0, capHint(nc, 8, d))
-			for j := 0; j < nc && d.Err() == nil; j++ {
+			nc := d.Count(nb+1, 8)
+			s.Hist.Counts = make([]uint64, 0, nc)
+			for j := 0; j < nc; j++ {
 				s.Hist.Counts = append(s.Hist.Counts, d.U64())
 			}
 			s.Hist.Sum = d.F64()
 			if d.U8() == 1 {
-				s.Hist.Exemplars = make([]uint64, 0, capHint(nc, 8, d))
-				for j := 0; j < nc && d.Err() == nil; j++ {
+				nc = d.Count(nc, 8)
+				s.Hist.Exemplars = make([]uint64, 0, nc)
+				for j := 0; j < nc; j++ {
 					s.Hist.Exemplars = append(s.Hist.Exemplars, d.U64())
 				}
 			}

@@ -95,10 +95,10 @@ func TestReadFrameRejectsBadLength(t *testing.T) {
 func TestProfileRoundTrip(t *testing.T) {
 	prof := privacy.PaperExample()
 	var e Encoder
-	encodeProfile(&e, prof)
-	got, err := decodeProfile(NewDecoder(e.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	encodeUserProfile(&e, 42, prof)
+	id, got, err := decodeUserProfile(NewDecoder(e.Bytes()))
+	if err != nil || id != 42 {
+		t.Fatalf("id %d, err %v", id, err)
 	}
 	a, b := prof.Entries(), got.Entries()
 	if len(a) != len(b) {
@@ -126,7 +126,7 @@ func TestResultRoundTrip(t *testing.T) {
 			SatisfiedMaxArea: flags&4 != 0,
 			Reused:           flags&8 != 0,
 		}
-		got := decodeResult(NewDecoder(encodeResult(res)))
+		got := decodeResult(NewDecoder(body(func(e *Encoder) { encodeResult(e, res) })))
 		return got == res
 	}
 	if err := quick.Check(f, nil); err != nil {

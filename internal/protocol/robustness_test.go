@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/anonymizer"
+	"repro/internal/geo"
 	"repro/internal/rng"
 	"repro/internal/server"
 )
@@ -122,7 +123,7 @@ func TestPropDecoderNeverPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &dbHandler{srv: srv}
+	h := &dbHandler{dbService{"database", localDB{srv}}, srv}
 	f := func(typ byte, payload []byte) bool {
 		defer func() {
 			if r := recover(); r != nil {
@@ -198,5 +199,32 @@ func TestOversizedFrameDisconnects(t *testing.T) {
 	buf := make([]byte, 16)
 	if _, err := conn.Read(buf); err == nil {
 		t.Error("expected disconnect after oversized frame, got data")
+	}
+}
+
+// A MsgPublicNN reply whose candidate count the payload cannot hold is a
+// short payload, and the stub returns no candidates beside the error: an
+// 8-byte reply must not cost the client a 64 MiB list of zero values.
+func TestPublicNNForgedCandidateCount(t *testing.T) {
+	svc, err := Serve("127.0.0.1:0", func(context.Context, byte, []byte) ([]byte, error) {
+		var e Encoder
+		e.U32(0).U32(1 << 22)
+		return e.Bytes(), nil
+	}, quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	dc, err := DialDatabase(svc.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	res, err := dc.PublicNN(server.PublicNNQuery{From: geo.Pt(0.5, 0.5)})
+	if !errors.Is(err, ErrShortPayload) {
+		t.Fatalf("forged count accepted: %v", err)
+	}
+	if len(res.Candidates) != 0 {
+		t.Fatalf("%d candidates returned beside %v", len(res.Candidates), err)
 	}
 }

@@ -47,10 +47,12 @@ type svcMetrics struct {
 	byType        [256]atomic.Pointer[typeSeries]
 }
 
-// typeSeries is one message type's request counter and latency histogram.
+// typeSeries is one message type's request counter, latency histogram and
+// admission-rejection counter.
 type typeSeries struct {
 	requests *obs.Counter
 	seconds  *obs.Histogram
+	shed     *obs.Counter
 }
 
 func newSvcMetrics(reg *obs.Registry) *svcMetrics {
@@ -70,17 +72,8 @@ func newSvcMetrics(reg *obs.Registry) *svcMetrics {
 	}
 }
 
-// shed records one admission-control rejection, labelled by the message
-// type that was refused, so dashboards can attribute every shed.
-func (m *svcMetrics) shed(typ byte) {
-	m.reg.Counter("proto_overload_rejections_total",
-		"Requests rejected with MsgOverloaded by admission control, by message type.",
-		obs.L("type", MessageName(typ))).Inc()
-}
-
-// observe records one served request. A nonzero traceID becomes the
-// latency bucket's exemplar, linking the histogram to a captured trace.
-func (m *svcMetrics) observe(typ byte, d time.Duration, traceID uint64) {
+// series returns typ's handles, creating them on the type's first request.
+func (m *svcMetrics) series(typ byte) *typeSeries {
 	ts := m.byType[typ].Load()
 	if ts == nil {
 		// The registry is get-or-create, so racing first requests of a type
@@ -91,9 +84,23 @@ func (m *svcMetrics) observe(typ byte, d time.Duration, traceID uint64) {
 				obs.L("type", name)),
 			seconds: m.reg.Histogram("proto_request_seconds", "Request service latency by message type.",
 				obs.DefaultLatencyBuckets, obs.L("type", name)),
+			shed: m.reg.Counter("proto_overload_rejections_total",
+				"Requests rejected with MsgOverloaded by admission control, by message type.",
+				obs.L("type", name)),
 		}
 		m.byType[typ].Store(ts)
 	}
+	return ts
+}
+
+// shed records one admission-control rejection, labelled by the message
+// type that was refused, so dashboards can attribute every shed.
+func (m *svcMetrics) shed(typ byte) { m.series(typ).shed.Inc() }
+
+// observe records one served request. A nonzero traceID becomes the
+// latency bucket's exemplar, linking the histogram to a captured trace.
+func (m *svcMetrics) observe(typ byte, d time.Duration, traceID uint64) {
+	ts := m.series(typ)
 	ts.requests.Inc()
 	ts.seconds.ObserveExemplar(d.Seconds(), traceID)
 }
@@ -185,28 +192,6 @@ func WithAdmission(maxInFlight int) Option {
 				s.admQuery = 1
 			}
 		}
-	}
-}
-
-// Admission priority classes, sheddability-ordered: queries go first,
-// updates only at the hard cap, control traffic never.
-const (
-	admitAlways = iota // observability + negotiation: must survive overload
-	admitUpdate        // writes that keep privacy state fresh
-	admitQuery         // reads: shed first, callers can retry
-)
-
-// admissionClass buckets a message type for admission control.
-func admissionClass(typ byte) int {
-	switch typ {
-	case MsgMetrics, MsgTraces, MsgTraceNeg, MsgAnonStats, MsgStats, MsgShardMap:
-		return admitAlways
-	case MsgCloakQuery, MsgPrivateRange, MsgPrivateNN, MsgPublicCount,
-		MsgPublicNN, MsgContCount, MsgBatchQuery,
-		MsgNNParts, MsgCountProbs, MsgShardBatch:
-		return admitQuery
-	default:
-		return admitUpdate
 	}
 }
 
@@ -409,8 +394,6 @@ func (s *Service) serveFrame(bw *bufio.Writer, typ byte, payload []byte) error {
 // the request context and a proto_serve span around the exchange — and
 // obsTyp names the frame the per-type metrics should attribute the work
 // to (the inner type for envelopes).
-//
-//lint:wire-handler
 func (s *Service) dispatch(typ byte, payload []byte) (resp []byte, obsTyp byte, traceID uint64, err error) {
 	ctx := context.Background()
 	obsTyp = typ

@@ -74,9 +74,9 @@ func encodeSpans(spans []trace.SpanRecord) []byte {
 // DecodeSpans parses a MsgTraces response payload.
 func DecodeSpans(payload []byte) ([]trace.SpanRecord, error) {
 	d := NewDecoder(payload)
-	n := int(d.U32())
 	// 8·5 fixed bytes + two empty strings + attr count per span.
-	out := make([]trace.SpanRecord, 0, capHint(n, 45, d))
+	n := d.Count(int(d.U32()), 45)
+	out := make([]trace.SpanRecord, 0, n)
 	for i := 0; i < n; i++ {
 		var rec trace.SpanRecord
 		rec.TraceID = d.U64()
@@ -86,9 +86,8 @@ func DecodeSpans(payload []byte) ([]trace.SpanRecord, error) {
 		rec.Dur = int64(d.U64())
 		rec.Name = d.Str()
 		rec.Proc = d.Str()
-		na := int(d.U8())
-		if na > 0 {
-			rec.Attrs = make([]trace.Attr, 0, capHint(na, 4, d))
+		if na := d.Count(int(d.U8()), 4); na > 0 {
+			rec.Attrs = make([]trace.Attr, 0, na)
 			for j := 0; j < na; j++ {
 				kind := d.U8()
 				key := d.Str()

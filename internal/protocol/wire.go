@@ -4,6 +4,11 @@
 // service (which only ever receives cloaked regions), and the matching
 // clients. The separation mirrors the paper's trust model — the only
 // message type carrying an exact location terminates at the anonymizer.
+//
+// The package is the single owner of the wire format: the messages table
+// states each type's label, retry safety and admission class once, and
+// every body has exactly one encodeX(*Encoder, T) / decodeX(*Decoder) T
+// pair, called statically by stub, handler and the codecs that embed it.
 package protocol
 
 import (
@@ -25,35 +30,26 @@ const (
 	msgErr byte = 1
 
 	// Anonymizer service.
-	//
-	//lint:fuzzed-by FuzzDecodeProfile the registration payload's variable-length tail is the privacy profile, whose shared codec decodeProfile is the fuzzed surface
-	MsgRegister   byte = 2
-	MsgUpdate     byte = 3
-	MsgCloakQuery byte = 4
-	MsgDeregister byte = 5
-	MsgSetMode    byte = 6
-	//lint:fuzzed-by FuzzDecodeBatchUpdate request and response batch codecs (decodeBatchRequests/decodeBatchResults) are fuzzed together
+	MsgRegister    byte = 2
+	MsgUpdate      byte = 3
+	MsgCloakQuery  byte = 4
+	MsgDeregister  byte = 5
+	MsgSetMode     byte = 6
 	MsgBatchUpdate byte = 7
 	MsgAnonStats   byte = 8
 	// MsgUpdateProfile replaces a registered user's privacy profile in
 	// place — the wire form of a "raise my k" flip, without the
 	// deregister/register round trip that would drop the user from the
 	// population mid-run.
-	//
-	//lint:fuzzed-by FuzzDecodeProfile the payload after the id is exactly one profile, decoded by the fuzzed decodeProfile
 	MsgUpdateProfile byte = 9
 
 	// Database service.
-	MsgUpdatePrivate byte = 10
-	MsgRemovePrivate byte = 11
-	//lint:fuzzed-by FuzzDecodeObjects the variable-length response is an object list, whose shared codec decodeObjects is the fuzzed surface
-	MsgPrivateRange byte = 12
-	//lint:fuzzed-by FuzzDecodeObjects the variable-length response is an object list, whose shared codec decodeObjects is the fuzzed surface
-	MsgPrivateNN byte = 13
-	//lint:fuzzed-by FuzzDecodeCountResult the variable-length response is a count PDF, whose shared codec decodeCountResult is the fuzzed surface
-	MsgPublicCount byte = 14
-	MsgPublicNN    byte = 15
-	//lint:fuzzed-by FuzzDecodeObjects the bulk-load request body is the same object-list codec fuzzed as decodeObjects
+	MsgUpdatePrivate  byte = 10
+	MsgRemovePrivate  byte = 11
+	MsgPrivateRange   byte = 12
+	MsgPrivateNN      byte = 13
+	MsgPublicCount    byte = 14
+	MsgPublicNN       byte = 15
 	MsgLoadStationary byte = 16
 	MsgStats          byte = 17
 	MsgRegContCount   byte = 18
@@ -63,8 +59,7 @@ const (
 	// MsgBatchQuery carries a mixed batch of range/NN/count queries into
 	// the shared-execution engine; the OK response payload is a typed
 	// MsgBatchResult sub-frame with one status-tagged result per entry.
-	MsgBatchQuery byte = 22
-	//lint:client-only response sub-frame built by the batch engine and decoded by the batch client; never a request type a handler switches on
+	MsgBatchQuery  byte = 22
 	MsgBatchResult byte = 23
 
 	// MsgMetrics is served by the Service layer itself on any instrumented
@@ -82,9 +77,6 @@ const (
 	MsgTraced byte = 31
 	// MsgTraces pulls the service's span ring buffer (served by the
 	// Service layer when tracing is configured, like MsgMetrics).
-	//
-	//lint:wire-asym the response is encodeSpans output, but the client decode threads through the shared call path whose error arm reads a Str; the span codec itself is proven by FuzzDecodeSpans round-trips
-	//lint:fuzzed-by FuzzDecodeSpans the span-ring payload's codec pair encodeSpans/DecodeSpans is the fuzzed surface
 	MsgTraces byte = 32
 	// MsgTraceNeg is the tracing negotiation probe: a traced peer answers
 	// OK with a version byte, everything else answers with the usual
@@ -96,8 +88,6 @@ const (
 	// (or the anonymizer's forward queue, under backpressure) is
 	// exhausted. Distinct from msgErr so clients can tell a deliberate
 	// shed — retry later, peer healthy — from a handler failure.
-	//
-	//lint:client-only response-only status type written by serveConn's error path; no handler dispatches on it
 	MsgOverloaded byte = 34
 
 	// MsgRemoveMoving deletes a moving public object by id; the response
@@ -109,14 +99,10 @@ const (
 	// response carries the partition's min–max bound and its unpruned
 	// candidate set (server.NNParts), which the router combines across
 	// shards into the exact single-server answer.
-	//
-	//lint:fuzzed-by FuzzDecodeObjects the response's variable-length tail is the candidate object list, fuzzed as decodeObjects
 	MsgNNParts byte = 36
 	// MsgCountProbs is the shard-local half of a public count: the
 	// response carries (user id, overlap probability) pairs sorted by id,
 	// which the router deduplicates and folds into the exact PDF.
-	//
-	//lint:fuzzed-by FuzzDecodeUserProbs the response body is the (id, probability) pair list, whose shared codec decodeUserProbs is the fuzzed surface
 	MsgCountProbs byte = 37
 	// MsgShardMap is served by the routing tier: the response describes
 	// its tile grid and the tile→shard ownership table, for operators and
@@ -126,87 +112,93 @@ const (
 	// shard: index-tagged batch entries in, index-tagged partial results
 	// (objects, NN parts, count probs) out, preserving per-entry error
 	// semantics across the extra hop.
-	//
-	//lint:fuzzed-by FuzzDecodeSubQueries the request codec decodeSubQueries and the response codec decodeSubResults (FuzzDecodeSubResults) are both under fuzz
 	MsgShardBatch byte = 39
 )
+
+// Admission classes. The zero value is the update class, so a type byte
+// with no row in the messages table is budgeted like a write.
+const (
+	admitUpdate = iota // writes that keep privacy state fresh: shed only at the hard cap
+	admitQuery         // reads: shed first, callers can retry
+	admitAlways        // observability + negotiation: must survive overload
+)
+
+// message is one row of the messages table: what the transport needs to
+// know about a type byte other than its body layout.
+type message struct {
+	// label is the stable "type" value of metric series and trace attributes.
+	label string
+	// idempotent marks a request that may be re-sent after a transport
+	// failure. Location updates and region forwards are upserts,
+	// mode/deregister changes converge to the same state, and reads have
+	// no side effects — all safe to replay. Registration (duplicate-user
+	// error), continuous-query registration (allocates a fresh id per
+	// call) and stationary bulk loads (append semantics) are not.
+	idempotent bool
+	// class is the type's admission class.
+	class int
+	// response marks a reply or sub-frame type: no service dispatches on it.
+	response bool
+}
+
+// messages has one row per message type, indexed by type byte, so two
+// rows cannot share a byte.
+var messages = [256]message{
+	msgOK:  {label: "ok", response: true},
+	msgErr: {label: "err", response: true},
+
+	MsgRegister:      {label: "register"},
+	MsgUpdate:        {label: "update", idempotent: true},
+	MsgCloakQuery:    {label: "cloak_query", idempotent: true, class: admitQuery},
+	MsgDeregister:    {label: "deregister", idempotent: true},
+	MsgSetMode:       {label: "set_mode", idempotent: true},
+	MsgBatchUpdate:   {label: "batch_update", idempotent: true},
+	MsgAnonStats:     {label: "anon_stats", idempotent: true, class: admitAlways},
+	MsgUpdateProfile: {label: "update_profile", idempotent: true},
+
+	MsgUpdatePrivate:  {label: "update_private", idempotent: true},
+	MsgRemovePrivate:  {label: "remove_private", idempotent: true},
+	MsgPrivateRange:   {label: "private_range", idempotent: true, class: admitQuery},
+	MsgPrivateNN:      {label: "private_nn", idempotent: true, class: admitQuery},
+	MsgPublicCount:    {label: "public_count", idempotent: true, class: admitQuery},
+	MsgPublicNN:       {label: "public_nn", idempotent: true, class: admitQuery},
+	MsgLoadStationary: {label: "load_stationary"},
+	MsgStats:          {label: "stats", idempotent: true, class: admitAlways},
+	MsgRegContCount:   {label: "reg_cont_count"},
+	MsgContCount:      {label: "cont_count", idempotent: true, class: admitQuery},
+	MsgUnregContCount: {label: "unreg_cont_count"},
+	MsgUpdateMoving:   {label: "update_moving", idempotent: true},
+	MsgBatchQuery:     {label: "batch_query", idempotent: true, class: admitQuery},
+	MsgBatchResult:    {label: "batch_result", response: true},
+
+	MsgMetrics:    {label: "metrics", idempotent: true, class: admitAlways},
+	MsgTraced:     {label: "traced"},
+	MsgTraces:     {label: "traces", idempotent: true, class: admitAlways},
+	MsgTraceNeg:   {label: "trace_neg", idempotent: true, class: admitAlways},
+	MsgOverloaded: {label: "overloaded", response: true},
+
+	MsgRemoveMoving: {label: "remove_moving", idempotent: true},
+	MsgNNParts:      {label: "nn_parts", idempotent: true, class: admitQuery},
+	MsgCountProbs:   {label: "count_probs", idempotent: true, class: admitQuery},
+	MsgShardMap:     {label: "shard_map", idempotent: true, class: admitAlways},
+	MsgShardBatch:   {label: "shard_batch", idempotent: true, class: admitQuery},
+}
 
 // MessageName returns the stable label value used for per-message-type
 // metric series.
 func MessageName(typ byte) string {
-	switch typ {
-	case msgOK:
-		return "ok"
-	case msgErr:
-		return "err"
-	case MsgRegister:
-		return "register"
-	case MsgUpdate:
-		return "update"
-	case MsgCloakQuery:
-		return "cloak_query"
-	case MsgDeregister:
-		return "deregister"
-	case MsgSetMode:
-		return "set_mode"
-	case MsgBatchUpdate:
-		return "batch_update"
-	case MsgAnonStats:
-		return "anon_stats"
-	case MsgUpdateProfile:
-		return "update_profile"
-	case MsgUpdatePrivate:
-		return "update_private"
-	case MsgRemovePrivate:
-		return "remove_private"
-	case MsgPrivateRange:
-		return "private_range"
-	case MsgPrivateNN:
-		return "private_nn"
-	case MsgPublicCount:
-		return "public_count"
-	case MsgPublicNN:
-		return "public_nn"
-	case MsgLoadStationary:
-		return "load_stationary"
-	case MsgStats:
-		return "stats"
-	case MsgRegContCount:
-		return "reg_cont_count"
-	case MsgContCount:
-		return "cont_count"
-	case MsgUnregContCount:
-		return "unreg_cont_count"
-	case MsgUpdateMoving:
-		return "update_moving"
-	case MsgBatchQuery:
-		return "batch_query"
-	case MsgBatchResult:
-		return "batch_result"
-	case MsgMetrics:
-		return "metrics"
-	case MsgTraced:
-		return "traced"
-	case MsgTraces:
-		return "traces"
-	case MsgTraceNeg:
-		return "trace_neg"
-	case MsgOverloaded:
-		return "overloaded"
-	case MsgRemoveMoving:
-		return "remove_moving"
-	case MsgNNParts:
-		return "nn_parts"
-	case MsgCountProbs:
-		return "count_probs"
-	case MsgShardMap:
-		return "shard_map"
-	case MsgShardBatch:
-		return "shard_batch"
-	default:
-		return fmt.Sprintf("type_%d", typ)
+	if m := &messages[typ]; m.label != "" {
+		return m.label
 	}
+	return fmt.Sprintf("type_%d", typ)
 }
+
+// Idempotent reports whether a message type may be safely retried after a
+// transport failure.
+func Idempotent(typ byte) bool { return messages[typ].idempotent }
+
+// admissionClass buckets a message type for admission control.
+func admissionClass(typ byte) int { return messages[typ].class }
 
 // maxFrame bounds a frame to keep a misbehaving peer from ballooning
 // memory: 16 MiB fits any realistic candidate list.
@@ -356,6 +348,14 @@ func (e *Encoder) Grow(n int) {
 // U8 appends one byte.
 func (e *Encoder) U8(v byte) *Encoder { e.buf = append(e.buf, v); return e }
 
+// Bool appends a flag byte.
+func (e *Encoder) Bool(v bool) *Encoder {
+	if v {
+		return e.U8(1)
+	}
+	return e.U8(0)
+}
+
 // U16 appends a little-endian uint16.
 func (e *Encoder) U16(v uint16) *Encoder {
 	e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
@@ -399,9 +399,10 @@ var ErrShortPayload = errors.New("protocol: short or malformed payload")
 // Decoder consumes a payload; the first decoding error sticks and every
 // subsequent read returns zero values, so call Err once at the end.
 type Decoder struct {
-	buf []byte
-	off int
-	err error
+	buf  []byte
+	off  int
+	err  error
+	last string // the string Str read last
 }
 
 // NewDecoder wraps a payload.
@@ -434,6 +435,23 @@ func (d *Decoder) U8() byte {
 	return b[0]
 }
 
+// Bool reads a flag byte.
+func (d *Decoder) Bool() bool { return d.U8() != 0 }
+
+// Count bounds a length prefix n just read off the wire by what the rest
+// of the payload can hold at minBytes per element. A forged or truncated
+// count sets the sticky error and reads as zero, so no decode loop runs
+// and no list is sized from it.
+func (d *Decoder) Count(n, minBytes int) int {
+	if d.err == nil && n > d.Remaining()/minBytes {
+		d.err = ErrShortPayload
+	}
+	if d.err != nil {
+		return 0
+	}
+	return n
+}
+
 // U16 reads a uint16.
 func (d *Decoder) U16() uint16 {
 	b := d.take(2)
@@ -464,35 +482,21 @@ func (d *Decoder) U64() uint64 {
 // F64 reads a float64.
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
-// Str reads a length-prefixed string.
+// Str reads a length-prefixed string. A string equal to the one read
+// before it is returned as that same string instead of a fresh copy:
+// object lists and query batches repeat a handful of class names, so the
+// per-element allocation collapses into one per run of equal values. The
+// comparison does not allocate (the compiler recognizes string(b) == s),
+// so a miss costs what the copy alone would.
 func (d *Decoder) Str() string {
-	n := int(d.U16())
-	b := d.take(n)
+	b := d.take(int(d.U16()))
 	if b == nil {
 		return ""
 	}
-	return string(b)
-}
-
-// StrCache reads a length-prefixed string, returning *last instead of a
-// fresh string when the bytes match it, and updating *last otherwise.
-// Decode loops over object lists use it to intern the class column —
-// a 10k-object response names a handful of classes, so the per-object
-// string allocation collapses into one per run of equal values. The
-// comparison itself does not allocate (the compiler recognizes
-// string(b) == s), so the miss path costs the same as Str.
-func (d *Decoder) StrCache(last *string) string {
-	n := int(d.U16())
-	b := d.take(n)
-	if b == nil {
-		return ""
+	if string(b) != d.last {
+		d.last = string(b)
 	}
-	if string(b) == *last {
-		return *last
-	}
-	s := string(b)
-	*last = s
-	return s
+	return d.last
 }
 
 // Point reads a point.
