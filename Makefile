@@ -66,12 +66,14 @@ soak-short: build
 	$(GO) run ./cmd/lbssoak -scenarios flash_crowd,db_outage,shard_kill,query_flood \
 		-users 8000 -objs 2000 -workers 8 -scale 0.4 -seed 7
 
-# Every fuzz target of the wire package for a short window each. The list
-# comes from the test binary, so a new target is smoked without being named
-# anywhere else; CI's fuzz step runs this target.
+# Every fuzz target of every package for a short window each. The list
+# comes from the test binaries (`go test -list` prints a package's targets,
+# then its "ok <package>" line), so a new target in any package is smoked
+# without being named anywhere else; CI's fuzz step runs this target.
 fuzz-smoke:
-	@targets=$$($(GO) test -list '^Fuzz' ./internal/protocol/ | grep '^Fuzz'); \
-	[ -n "$$targets" ] || { echo "fuzz-smoke: no fuzz targets listed"; exit 1; }; \
-	for target in $$targets; do \
-		$(GO) test ./internal/protocol/ -run='^$$' -fuzz="^$$target\$$" -fuzztime=10s || exit 1; \
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	pairs=$$(echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1; next } /^ok/ { for (i = 0; i < n; i++) print $$2 "=" t[i]; n = 0 }'); \
+	[ -n "$$pairs" ] || { echo "fuzz-smoke: no fuzz targets listed"; exit 1; }; \
+	for pair in $$pairs; do \
+		$(GO) test "$${pair%%=*}" -run='^$$' -fuzz="^$${pair#*=}\$$" -fuzztime=10s || exit 1; \
 	done

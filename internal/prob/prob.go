@@ -5,7 +5,8 @@
 // uniformly distributed inside its cloaked region.
 //
 // The range-count PDF is the Poisson–binomial distribution of the per-user
-// overlap probabilities, computed exactly by dynamic programming. The
+// overlap probabilities, computed by the exact dynamic-programming
+// recurrence with subnormal intermediates flushed to zero. The
 // nearest-neighbor probabilities over regions have no convenient closed
 // form, so they are estimated by seeded Monte-Carlo sampling (the ablation
 // bench quantifies the cost/accuracy trade-off against the DP's exactness).
@@ -114,20 +115,103 @@ func RangeCountScratch(probs, buf []float64) (CountAnswer, []float64) {
 	return ans, clamped
 }
 
-// PoissonBinomial returns the exact distribution of the number of
-// successes among independent Bernoulli trials with the given success
-// probabilities: out[i] = P(i successes). The DP is O(n²) time, O(n) space.
+// minNormal is the smallest positive normal float64. The count kernel
+// stores +0 for anything below it.
+const minNormal = 0x1p-1022
+
+// flush returns v, or +0 when v is below minNormal.
+func flush(v float64) float64 {
+	if v < minNormal {
+		return 0
+	}
+	return v
+}
+
+// PoissonBinomial returns the distribution of the number of successes
+// among independent Bernoulli trials with the given success probabilities,
+// each in [0, 1]: out[i] = P(i successes), len(out) = len(probs)+1.
+//
+// The answer is the recurrence pdf[j] = pdf[j]·(1−p) + pdf[j−1]·p over the
+// users in order, with every stored entry below 2⁻¹⁰²² (the subnormal
+// band) flushed to +0. The flush moves no entry by more than n²·2⁻¹⁰²² and
+// keeps the arithmetic out of the subnormal band, where the CPU takes a
+// microcode assist per operation (EXPERIMENTS E24). Everything else here
+// is a bit-exact rewrite of that flushed recurrence, O(n²) time at worst:
+//   - only the live support pdf[lo..hi] (every nonzero entry) is swept,
+//     trimmed of zeros at both ends after each sweep;
+//   - a user with p == 0 is the identity and is skipped; a user with
+//     p == 1 moves the PDF one place right exactly, and the recurrence
+//     commutes with that move, so such users are counted and applied as
+//     one shift at the end;
+//   - two users share one sweep: the first user's new entry j−1, computed
+//     for the second user's update of j, stays in a register for its
+//     update of j−1, so every product, sum and flush is the one the
+//     user-at-a-time loop performs.
+//
+// The explicit float64 conversions round each product on its own, so no
+// platform fuses a multiply-add and every tier computes the same bits.
 func PoissonBinomial(probs []float64) []float64 {
-	pdf := make([]float64, 1, len(probs)+1)
+	pdf := make([]float64, len(probs)+1)
 	pdf[0] = 1
+	lo, hi := 0, 0
+	certain := 0
+	pending, p1 := false, 0.0
 	for _, p := range probs {
-		pdf = append(pdf, 0)
-		for j := len(pdf) - 1; j >= 1; j-- {
-			pdf[j] = pdf[j]*(1-p) + pdf[j-1]*p
+		switch {
+		case p == 1:
+			certain++
+			continue
+		case p == 0:
+			continue
+		case !pending:
+			pending, p1 = true, p
+			continue
 		}
-		pdf[0] *= 1 - p
+		// Users p1 then p2 over w, the live support plus the two entries
+		// they extend it by: up is the first user's entry j, down its
+		// entry j−1, and w[j] takes the second user's entry j.
+		pending = false
+		q1, p2, q2 := 1-p1, p, 1-p
+		w := pdf[lo : hi+3]
+		up := flush(w[len(w)-3] * p1)
+		w[len(w)-1] = flush(up * p2)
+		for j := len(w) - 2; j >= 2; j-- {
+			down := flush(float64(w[j-1]*q1) + float64(w[j-2]*p1))
+			w[j] = flush(float64(up*q2) + float64(down*p2))
+			up = down
+		}
+		down := flush(w[0] * q1)
+		w[1] = flush(float64(up*q2) + float64(down*p2))
+		w[0] = flush(down * q2)
+		lo, hi = liveSupport(pdf, lo, hi+2)
+	}
+	if pending {
+		q1 := 1 - p1
+		w := pdf[lo : hi+2]
+		w[len(w)-1] = flush(w[len(w)-2] * p1)
+		for j := len(w) - 2; j >= 1; j-- {
+			w[j] = flush(float64(w[j]*q1) + float64(w[j-1]*p1))
+		}
+		w[0] = flush(w[0] * q1)
+		lo, hi = liveSupport(pdf, lo, hi+1)
+	}
+	if certain > 0 {
+		copy(pdf[lo+certain:], pdf[lo:hi+1])
+		clear(pdf[lo : lo+certain])
 	}
 	return pdf
+}
+
+// liveSupport narrows [lo, hi] past zero entries at both ends, never
+// below one entry.
+func liveSupport(pdf []float64, lo, hi int) (int, int) {
+	for lo < hi && pdf[lo] == 0 {
+		lo++
+	}
+	for hi > lo && pdf[hi] == 0 {
+		hi--
+	}
+	return lo, hi
 }
 
 // Candidate is a region-cloaked user entering a probabilistic NN query.

@@ -1,11 +1,16 @@
 package prob
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/geo"
+	"repro/internal/rng"
 )
 
 func TestOverlap(t *testing.T) {
@@ -119,16 +124,138 @@ func TestCountAnswerProbAtLeastNegative(t *testing.T) {
 	}
 }
 
-// Property: for random probability vectors the PDF sums to 1, its mean
-// equals the expected value, and [Lo,Hi] brackets the support.
-func TestPropRangeCountConsistency(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) > 60 {
-			raw = raw[:60]
+// naivePoissonBinomial is the user-at-a-time recurrence PoissonBinomial
+// rewrites. With flushed set it stores +0 for every entry below 2⁻¹⁰²²,
+// which is PoissonBinomial's contract; without, it is the plain
+// recurrence the flush is bounded against.
+func naivePoissonBinomial(probs []float64, flushed bool) []float64 {
+	store := func(v float64) float64 {
+		if flushed && v < 0x1p-1022 {
+			return 0
 		}
-		probs := make([]float64, len(raw))
-		for i, r := range raw {
-			probs[i] = float64(r) / 255
+		return v
+	}
+	pdf := make([]float64, 1, len(probs)+1)
+	pdf[0] = 1
+	for _, p := range probs {
+		pdf = append(pdf, 0)
+		for j := len(pdf) - 1; j >= 1; j-- {
+			pdf[j] = store(float64(pdf[j]*(1-p)) + float64(pdf[j-1]*p))
+		}
+		pdf[0] = store(pdf[0] * (1 - p))
+	}
+	return pdf
+}
+
+// checkPoissonBinomial holds PoissonBinomial(probs) to its contract: the
+// flushed reference's bits, no subnormal entry, and every entry within
+// n²·2⁻¹⁰²² of the unflushed recurrence.
+func checkPoissonBinomial(probs []float64) error {
+	got := PoissonBinomial(probs)
+	want := naivePoissonBinomial(probs, true)
+	exact := naivePoissonBinomial(probs, false)
+	if len(got) != len(want) {
+		return fmt.Errorf("len = %d, want %d", len(got), len(want))
+	}
+	n := float64(len(probs))
+	bound := n * n * 0x1p-1022
+	for i, v := range got {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			return fmt.Errorf("pdf[%d] = %v, flushed reference %v", i, v, want[i])
+		}
+		if v > 0 && v < 0x1p-1022 {
+			return fmt.Errorf("pdf[%d] = %v is subnormal", i, v)
+		}
+		if d := math.Abs(v - exact[i]); d > bound {
+			return fmt.Errorf("pdf[%d] = %v, unflushed %v: |Δ| = %v > n²·2⁻¹⁰²² = %v", i, v, exact[i], d, bound)
+		}
+	}
+	return nil
+}
+
+// TestPoissonBinomialMatchesFlushedReference runs the kernel against the
+// user-at-a-time reference on seeded vectors of every shape its rewrites
+// special-case: certain and impossible users anywhere in the order,
+// probabilities whose products underflow at once, users that barely move
+// the PDF, and the sorted, 18 %-certain shape of a large-k count.
+func TestPoissonBinomialMatchesFlushedReference(t *testing.T) {
+	kinds := []struct {
+		name string
+		draw func(src *rng.Source) float64
+	}{
+		{"zero", func(*rng.Source) float64 { return 0 }},
+		{"one", func(*rng.Source) float64 { return 1 }},
+		{"tiny", func(*rng.Source) float64 { return 1e-300 }},
+		{"near-one", func(*rng.Source) float64 { return 1 - 1e-12 }},
+		{"uniform", func(src *rng.Source) float64 { return src.Float64() }},
+		{"mixed", func(src *rng.Source) float64 {
+			return [...]float64{0, 1, 1e-300, 1 - 1e-12, src.Float64()}[src.Intn(5)]
+		}},
+		{"cloak", func(src *rng.Source) float64 {
+			if src.Float64() < 0.18 {
+				return 1
+			}
+			return src.Float64()
+		}},
+	}
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 64, 65, 255, 1000, 1001, 3000}
+	for k, kind := range kinds {
+		src := rng.New(uint64(k + 1))
+		for _, n := range lengths {
+			probs := make([]float64, n)
+			for i := range probs {
+				probs[i] = kind.draw(src)
+			}
+			sorted := slices.Clone(probs)
+			sort.Float64s(sorted)
+			for _, v := range [][]float64{probs, sorted} {
+				if err := checkPoissonBinomial(v); err != nil {
+					t.Errorf("%s/n=%d/sorted=%v: %v", kind.name, n, slices.IsSorted(v), err)
+				}
+			}
+		}
+	}
+}
+
+// FuzzPoissonBinomial reads each byte as one user's probability — 0 and
+// 255 are the impossible and the certain user, 1 and 254 the extremes
+// 1e-300 and 1 − 1e-12, anything else b/255 — and holds the kernel to the
+// flushed reference.
+func FuzzPoissonBinomial(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 255, 128, 1, 254, 255, 0})
+	f.Add(bytes.Repeat([]byte{1, 200, 255, 37}, 64))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 2048 {
+			data = data[:2048]
+		}
+		probs := make([]float64, len(data))
+		for i, b := range data {
+			switch b {
+			case 1:
+				probs[i] = 1e-300
+			case 254:
+				probs[i] = 1 - 1e-12
+			default:
+				probs[i] = float64(b) / 255
+			}
+		}
+		if err := checkPoissonBinomial(probs); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// Property: for random probability vectors the PDF sums to 1, its mean
+// equals the expected value, and [Lo,Hi] brackets the support (invariant
+// I7). Vectors run to 3,000 users, long enough for the PDF's tails to
+// reach the subnormal band the kernel flushes.
+func TestPropRangeCountConsistency(t *testing.T) {
+	f := func(seed uint64, size uint16) bool {
+		src := rng.New(seed)
+		probs := make([]float64, int(size)%3001)
+		for i := range probs {
+			probs[i] = float64(src.Intn(256)) / 255
 		}
 		ans := RangeCount(probs)
 		sum := 0.0
@@ -245,6 +372,30 @@ func BenchmarkPoissonBinomial100(b *testing.B) {
 		PoissonBinomial(probs)
 	}
 }
+
+// BenchmarkPoissonBinomialCloaked1500 folds a count shaped like the
+// large-k analyst workload's: 1,500 users, sorted as the server folds
+// them, 18 % wholly inside the query (p = 1) and the rest spread over
+// (0, 1) by the golden-ratio sequence. Unlike the 100-user benchmark, its
+// PDF tails reach the subnormal band.
+func BenchmarkPoissonBinomialCloaked1500(b *testing.B) {
+	probs := make([]float64, 1500)
+	for i := range probs {
+		if i%50 < 9 {
+			probs[i] = 1
+			continue
+		}
+		probs[i] = math.Mod(float64(i+1)*0.6180339887498949, 1)
+	}
+	sort.Float64s(probs)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pdfSink = PoissonBinomial(probs)
+	}
+}
+
+// pdfSink keeps the benchmarked call from being optimised away.
+var pdfSink []float64
 
 func BenchmarkNNProbabilities(b *testing.B) {
 	q := geo.Pt(0.5, 0.5)

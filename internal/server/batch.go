@@ -626,8 +626,10 @@ func (s *Server) finishNN(region geo.Rect, parts NNParts, sc *combineScratch) Pr
 // superset of each member's own, and per-member overlap tests filter it
 // back down. Pair order is a probe artifact and carries no meaning: every
 // consumer sorts before it accumulates (foldCount) or emits
-// (PublicCountProbs). It returns the candidate-set size as the unit's
-// "node visits" — the probe cost the region index charges.
+// (PublicCountProbs). Each member's pair count — the n its PDF fold costs
+// O(n²) in — is observed in lbs_public_count_users. It returns the
+// candidate-set size as the unit's "node visits" — the probe cost the
+// region index charges.
 //
 //lint:hotpath allocs=0
 func (s *Server) runCountGroupLocked(entries []BatchEntry, u batchUnit, sc *batchScratch) int {
@@ -672,11 +674,13 @@ func (s *Server) runCountGroupLocked(entries []BatchEntry, u batchUnit, sc *batc
 			lo = sort.Search(len(regions), func(k int) bool { return regions[k].Region.Min.X >= q.Min.X-maxW })
 			hi = sort.Search(len(regions), func(k int) bool { return regions[k].Region.Min.X > q.Max.X })
 		}
+		start := len(pairs)
 		for _, r := range regions[lo:hi] {
 			if p := prob.Overlap(r.Region, q); p > 0 {
 				pairs = append(pairs, UserProb{ID: r.ID, P: p})
 			}
 		}
+		s.met.countUsers.Observe(float64(len(pairs) - start))
 		ends = append(ends, len(pairs))
 	}
 	sc.pairs, sc.ends = pairs, ends

@@ -60,6 +60,7 @@ type metrics struct {
 	// Query-shape distributions.
 	candidates   *obs.Histogram // private-NN candidate set size
 	falsePosFrac *obs.Histogram // fraction of NN candidates refinement discards
+	countUsers   *obs.Histogram // users with positive overlap per count answer
 	nodeVisits   *obs.Histogram // index nodes visited per query
 	batchSize    *obs.Histogram // entries per BatchQuery call
 	batchGroups  *obs.Histogram // independent work units per batch
@@ -110,6 +111,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 		falsePosFrac: reg.Histogram("lbs_private_nn_false_positive_ratio",
 			"Fraction of returned NN candidates client refinement will discard.",
 			obs.RatioBuckets),
+		countUsers: reg.Histogram("lbs_public_count_users",
+			"Users with positive overlap folded per public count answer (the n of its O(n²) PDF).",
+			obs.CountBuckets),
 		nodeVisits: reg.Histogram("lbs_index_node_visits",
 			"Spatial-index nodes visited per query.",
 			obs.CountBuckets),

@@ -281,9 +281,10 @@ func checkPartialForms(t *testing.T, s *Server, i int, e BatchEntry, want BatchI
 
 // TestQueryAccounting pins the one-recording-site contract: every public
 // per-query method and every batch entry moves its class's
-// lbs_*_queries_total by exactly one, and every single query observes
+// lbs_*_queries_total by exactly one, every single query observes
 // lbs_query_seconds{class} exactly once (batch entries are timed as a
-// batch, under lbs_batch_seconds).
+// batch, under lbs_batch_seconds), and every count, single or batch,
+// observes lbs_public_count_users exactly once.
 func TestQueryAccounting(t *testing.T) {
 	s := batchFixture(t)
 	rq := PrivateRangeQuery{Region: geo.R(0.1, 0.1, 0.3, 0.3), Radius: 0.05}
@@ -303,6 +304,7 @@ func TestQueryAccounting(t *testing.T) {
 		m := s.Metrics()
 		return map[string]uint64{"range": m.PrivateRangeQs, "nn": m.PrivateNNQs, "count": m.PublicCountQs}[class]
 	}
+	countUsers := func() uint64 { return s.met.countUsers.Snapshot().Count() }
 	cases := []struct {
 		name, class string
 		timed       uint64 // lbs_query_seconds observations expected
@@ -323,7 +325,17 @@ func TestQueryAccounting(t *testing.T) {
 		for k, class := range []string{"range", "nn", "count"} {
 			before[k] = [2]uint64{served(class), observed(class)}
 		}
+		usersBefore := countUsers()
 		tc.run()
+		// The count kernel observes its users once per count, whatever
+		// the entry point.
+		wantUsers := uint64(0)
+		if tc.class == "count" {
+			wantUsers = 1
+		}
+		if d := countUsers() - usersBefore; d != wantUsers {
+			t.Errorf("%s: lbs_public_count_users observed %d times, want %d", tc.name, d, wantUsers)
+		}
 		for k, class := range []string{"range", "nn", "count"} {
 			wantServed, wantTimed := uint64(0), uint64(0)
 			if class == tc.class {
