@@ -15,6 +15,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/prob"
+	"repro/internal/regidx"
 	"repro/internal/rtree"
 	"repro/internal/trace"
 )
@@ -156,21 +157,20 @@ var oneMember = []int{0} // read-only
 // (parts, pairs), which the caller must finish before the scratch runs
 // its next unit.
 type batchScratch struct {
-	items      []rtree.Item    // union-descent / NN-candidate item stream
-	subItems   []rtree.Item    // per-member descent output over a group subtree
-	resolved   []PublicObject  // resolve-once cache for the union stream
-	order      []int           // X-order permutation over resolved
-	idxs       []int           // per-member match positions awaiting index sort
-	movingObjs []PublicObject  // per-member moving matches awaiting merge
-	keptObjs   []PublicObject  // arena behind the members' NN candidate lists
-	parts      []NNParts       // NN kernel output, one per member
-	ids        []uint64        // region-index probe output
-	regions    []PrivateRecord // resolve-once cloaked regions of the probe
-	pairs      []UserProb      // count kernel output, member after member
-	ends       []int           // member k's pairs are pairs[ends[k-1]:ends[k]]
-	probs      []float64       // one member's probabilities awaiting the fold
-	clamped    []float64       // RangeCountScratch clamp buffer
-	comb       combineScratch  // dominance-prune working set
+	items      []rtree.Item   // union-descent / NN-candidate item stream
+	subItems   []rtree.Item   // per-member descent output over a group subtree
+	resolved   []PublicObject // resolve-once cache for the union stream
+	order      []int          // X-order permutation over resolved
+	idxs       []int          // per-member match positions awaiting index sort
+	movingObjs []PublicObject // per-member moving matches awaiting merge
+	keptObjs   []PublicObject // arena behind the members' NN candidate lists
+	parts      []NNParts      // NN kernel output, one per member
+	hits       []regidx.Hit   // region-index probe output: ids with their regions
+	pairs      []UserProb     // count kernel output, member after member
+	ends       []int          // member k's pairs are pairs[ends[k-1]:ends[k]]
+	probs      []float64      // one member's probabilities awaiting the fold
+	clamped    []float64      // RangeCountScratch clamp buffer
+	comb       combineScratch // dominance-prune working set
 }
 
 // batchCoord is the per-call coordination scratch: the admission index
@@ -622,69 +622,53 @@ func (s *Server) finishNN(region geo.Rect, parts NNParts, sc *combineScratch) Pr
 // runCountGroupLocked is the public-count kernel (Figure 6a): it gathers,
 // for every member of one group, the (user, overlap probability) pairs
 // with positive overlap into sc.pairs/sc.ends, from a single probe of the
-// region index over the union rectangle. The union's candidate set is a
-// superset of each member's own, and per-member overlap tests filter it
-// back down. Pair order is a probe artifact and carries no meaning: every
-// consumer sorts before it accumulates (foldCount) or emits
-// (PublicCountProbs). Each member's pair count — the n its PDF fold costs
-// O(n²) in — is observed in lbs_public_count_users. It returns the
-// candidate-set size as the unit's "node visits" — the probe cost the
-// region index charges.
+// region index over the union rectangle, whose hits carry each region read
+// in place from its slot. The union's hit set is a superset of each
+// member's own, and per-member overlap tests filter it back down. Pair
+// order is a probe artifact and carries no meaning: every consumer sorts
+// before it accumulates (foldCount) or emits (PublicCountProbs). Each
+// member's pair count — the n its PDF fold costs O(n²) in — is observed in
+// lbs_public_count_users. It returns the hit count as the unit's "node
+// visits" — the probe cost the region index charges.
 //
 //lint:hotpath allocs=0
 func (s *Server) runCountGroupLocked(entries []BatchEntry, u batchUnit, sc *batchScratch) int {
-	ids := s.privIdx.Query(u.union, sc.ids[:0])
-	sc.ids = ids
+	hits := s.privIdx.QueryHits(u.union, sc.hits[:0])
+	sc.hits = hits
 	s.met.publicCountQs.Add(uint64(len(u.members)))
-	// Resolve every candidate's cloaked region once; a group of k members
-	// then costs len(ids) map lookups instead of k×len(ids). In a shared
-	// group the regions are sorted by their left edge so each member scans
-	// only the X-window that can overlap its query: a positive overlap
-	// needs r.Min.X < q.Max.X and r.Max.X > q.Min.X, and with maxW the
-	// widest cloak in the group the latter implies r.Min.X > q.Min.X − maxW.
-	// A group of one probed with its own rectangle, so every candidate is
-	// in its window already.
+	// In a shared group the hits are sorted by their left edge so each
+	// member scans only the X-window that can overlap its query: a positive
+	// overlap needs r.Min.X < q.Max.X and r.Max.X > q.Min.X, and with maxW
+	// the widest cloak in the group the latter implies
+	// r.Min.X > q.Min.X − maxW. A group of one probed with its own
+	// rectangle, so every hit is in its window already.
 	shared := len(u.members) > 1
-	regions := sc.regions[:0]
 	maxW := 0.0
-	for _, id := range ids {
-		r := s.private[id]
-		regions = append(regions, PrivateRecord{ID: id, Region: r})
-		if w := r.Max.X - r.Min.X; w > maxW {
-			maxW = w
-		}
-	}
-	sc.regions = regions
 	if shared {
-		slices.SortFunc(regions, func(a, b PrivateRecord) int {
-			switch {
-			case a.Region.Min.X < b.Region.Min.X:
-				return -1
-			case a.Region.Min.X > b.Region.Min.X:
-				return 1
-			}
-			return 0
-		})
+		for _, h := range hits {
+			maxW = max(maxW, h.Region.Max.X-h.Region.Min.X)
+		}
+		slices.SortFunc(hits, func(a, b regidx.Hit) int { return cmp.Compare(a.Region.Min.X, b.Region.Min.X) })
 	}
 	pairs, ends := sc.pairs[:0], sc.ends[:0]
 	for _, i := range u.members {
 		q := entries[i].Count.Query
-		lo, hi := 0, len(regions)
+		lo, hi := 0, len(hits)
 		if shared {
-			lo = sort.Search(len(regions), func(k int) bool { return regions[k].Region.Min.X >= q.Min.X-maxW })
-			hi = sort.Search(len(regions), func(k int) bool { return regions[k].Region.Min.X > q.Max.X })
+			lo = sort.Search(len(hits), func(k int) bool { return hits[k].Region.Min.X >= q.Min.X-maxW })
+			hi = sort.Search(len(hits), func(k int) bool { return hits[k].Region.Min.X > q.Max.X })
 		}
 		start := len(pairs)
-		for _, r := range regions[lo:hi] {
-			if p := prob.Overlap(r.Region, q); p > 0 {
-				pairs = append(pairs, UserProb{ID: r.ID, P: p})
+		for _, h := range hits[lo:hi] {
+			if p := prob.Overlap(h.Region, q); p > 0 {
+				pairs = append(pairs, UserProb{ID: h.ID, P: p})
 			}
 		}
 		s.met.countUsers.Observe(float64(len(pairs) - start))
 		ends = append(ends, len(pairs))
 	}
 	sc.pairs, sc.ends = pairs, ends
-	return len(ids)
+	return len(hits)
 }
 
 // foldCount folds one query's (user, probability) pairs — unique per user

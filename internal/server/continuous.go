@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/prob"
+	"repro/internal/regidx"
 )
 
 // ContinuousCountAnswer is the incrementally maintained state of one
@@ -54,19 +55,23 @@ func (s *Server) RegisterContinuousCount(query geo.Rect) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.cont.nextID++
-	cq := &contQuery{
-		id:    s.cont.nextID,
-		query: query,
-		probs: make(map[uint64]float64),
-	}
-	for uid, region := range s.private {
-		if p := prob.Overlap(region, query); p > 0 {
-			cq.apply(uid, 0, p)
-		}
-	}
+	cq := newContQuery(s.cont.nextID, query, s.privIdx.QueryHits(query, nil))
 	s.cont.queries[cq.id] = cq
 	s.met.contQueries.Set(float64(len(s.cont.queries)))
 	return cq.id, nil
+}
+
+// newContQuery builds a continuous query seeded from hits, the region
+// index's probe of its rectangle (a superset of the users with positive
+// overlap).
+func newContQuery(id uint64, query geo.Rect, hits []regidx.Hit) *contQuery {
+	cq := &contQuery{id: id, query: query, probs: make(map[uint64]float64)}
+	for _, h := range hits {
+		if p := prob.Overlap(h.Region, query); p > 0 {
+			cq.apply(h.ID, 0, p)
+		}
+	}
+	return cq
 }
 
 // UnregisterContinuousCount removes a continuous query.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -170,48 +171,71 @@ func BenchmarkContinuousUpdates(b *testing.B) {
 	}
 }
 
-// TestContinuousCountPDFMatchesOneShot pins the determinism fix in
+// TestContinuousCountPDFMatchesOneShot pins the determinism of
 // ContinuousCountPDF: the PDF materialized from the continuous engine's
 // per-user probability map must be bit-identical to the one-shot
-// PublicRangeCount PDF over the same rectangle. Before the fix the
-// continuous path accumulated probabilities in map-iteration order, so the
-// floating-point convolution drifted from the sorted one-shot path.
+// PublicRangeCount PDF over the same rectangle, both for a query that
+// followed every update incrementally and for one seeded from the region
+// index after thousands of users had arrived (and again after a restore,
+// whose rebuild seeds from the index too).
 func TestContinuousCountPDFMatchesOneShot(t *testing.T) {
 	s := newServer(t)
 	query := geo.R(0.25, 0.25, 0.75, 0.75)
-	id, err := s.RegisterContinuousCount(query)
+	early, err := s.RegisterContinuousCount(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 40 users with distinct partial-overlap fractions so each contributes
-	// a different probability and accumulation order matters.
+	// Users with distinct partial-overlap fractions so each contributes a
+	// different probability and accumulation order matters; many regions
+	// straddle cells of the region index.
 	r := rng.New(11)
-	for i := 0; i < 40; i++ {
-		c := geo.Pt(0.2+0.6*r.Float64(), 0.2+0.6*r.Float64())
-		reg := geo.RectAround(c, 0.02+0.1*r.Float64()).Clip(world)
+	for i := 0; i < 3000; i++ {
+		c := geo.Pt(r.Float64(), r.Float64())
+		reg := geo.RectAround(c, 0.005+0.05*r.Float64()).Clip(world)
 		if err := s.UpdatePrivate(uint64(i+1), reg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cont, ok := s.ContinuousCountPDF(id)
-	if !ok {
-		t.Fatal("continuous query vanished")
+	late, err := s.RegisterContinuousCount(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored := newServer(t)
+	if err := restored.Restore(&buf); err != nil {
+		t.Fatal(err)
 	}
 	shot, err := s.PublicRangeCount(PublicRangeCountQuery{Query: query})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cont.PDF) != len(shot.Answer.PDF) {
-		t.Fatalf("PDF lengths differ: continuous %d vs one-shot %d",
-			len(cont.PDF), len(shot.Answer.PDF))
+	if shot.Answer.Hi < 100 {
+		t.Fatalf("only %d users overlap the query", shot.Answer.Hi)
 	}
-	for k := range cont.PDF {
-		if cont.PDF[k] != shot.Answer.PDF[k] {
-			t.Fatalf("PDF[%d] differs: continuous %v vs one-shot %v",
-				k, cont.PDF[k], shot.Answer.PDF[k])
+	for _, c := range []struct {
+		name string
+		s    *Server
+		id   uint64
+	}{{"incremental", s, early}, {"seeded", s, late}, {"restored", restored, late}} {
+		cont, ok := c.s.ContinuousCountPDF(c.id)
+		if !ok {
+			t.Fatalf("%s: continuous query vanished", c.name)
 		}
-	}
-	if cont.Expected != shot.Answer.Expected || cont.Lo != shot.Answer.Lo || cont.Hi != shot.Answer.Hi {
-		t.Errorf("summary differs: continuous %+v vs one-shot %+v", cont, shot.Answer)
+		if len(cont.PDF) != len(shot.Answer.PDF) {
+			t.Fatalf("%s: PDF lengths differ: continuous %d vs one-shot %d",
+				c.name, len(cont.PDF), len(shot.Answer.PDF))
+		}
+		for k := range cont.PDF {
+			if cont.PDF[k] != shot.Answer.PDF[k] {
+				t.Fatalf("%s: PDF[%d] differs: continuous %v vs one-shot %v",
+					c.name, k, cont.PDF[k], shot.Answer.PDF[k])
+			}
+		}
+		if cont.Expected != shot.Answer.Expected || cont.Lo != shot.Answer.Lo || cont.Hi != shot.Answer.Hi {
+			t.Errorf("%s: summary differs: continuous %+v vs one-shot %+v", c.name, cont, shot.Answer)
+		}
 	}
 }

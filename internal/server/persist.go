@@ -2,16 +2,17 @@ package server
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/grid"
-	"repro/internal/prob"
 	"repro/internal/regidx"
 	"repro/internal/rtree"
 )
@@ -83,7 +84,9 @@ func (sw *snapWriter) rect(r geo.Rect) {
 	sw.f64(r.Max.Y)
 }
 
-// Snapshot writes the server's state to w.
+// Snapshot writes the server's state to w. Every section is written in
+// ascending id order, so equal states produce byte-equal snapshots
+// whatever the history of maps and buckets behind them.
 func (s *Server) Snapshot(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -94,9 +97,8 @@ func (s *Server) Snapshot(w io.Writer) error {
 
 	// Stationary objects (from metadata, which carries classes).
 	sw.u32(uint32(len(s.stationaryMeta)))
-	// Iterate the R-tree for deterministic order independence is not
-	// required; the map order varies but Restore is order-insensitive.
-	for _, o := range s.stationaryMeta {
+	for _, id := range sortedIDs(s.stationaryMeta) {
+		o := s.stationaryMeta[id]
 		sw.u64(o.ID)
 		sw.str(o.Class)
 		sw.f64(o.Loc.X)
@@ -104,6 +106,7 @@ func (s *Server) Snapshot(w io.Writer) error {
 	}
 
 	moving := s.moving.All(nil)
+	slices.SortFunc(moving, func(a, b grid.Object) int { return cmp.Compare(a.ID, b.ID) })
 	sw.u32(uint32(len(moving)))
 	for _, o := range moving {
 		sw.u64(o.ID)
@@ -111,20 +114,23 @@ func (s *Server) Snapshot(w io.Writer) error {
 		sw.f64(o.Loc.Y)
 	}
 
-	sw.u32(uint32(len(s.private)))
-	for id, r := range s.private {
-		sw.u64(id)
-		sw.rect(r)
+	private := s.privateRecordsLocked()
+	slices.SortFunc(private, cmpRecordID)
+	sw.u32(uint32(len(private)))
+	for _, rec := range private {
+		sw.u64(rec.ID)
+		sw.rect(rec.Region)
 	}
 
 	sw.u32(uint32(len(s.cont.queries)))
-	for id, q := range s.cont.queries {
+	for _, id := range sortedIDs(s.cont.queries) {
 		sw.u64(id)
-		sw.rect(q.query)
+		sw.rect(s.cont.queries[id].query)
 	}
 
 	sw.u32(uint32(len(s.contPriv.queries)))
-	for id, q := range s.contPriv.queries {
+	for _, id := range sortedIDs(s.contPriv.queries) {
+		q := s.contPriv.queries[id]
 		sw.u64(id)
 		sw.rect(q.region)
 		sw.f64(q.radius)
@@ -135,6 +141,16 @@ func (s *Server) Snapshot(w io.Writer) error {
 	}
 	s.met.snapshotsTaken.Inc()
 	return sw.w.Flush()
+}
+
+// sortedIDs returns a map's keys in ascending order.
+func sortedIDs[V any](m map[uint64]V) []uint64 {
+	ids := make([]uint64, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // SaveSnapshot writes the server's state to path crash-safely: the
@@ -281,10 +297,9 @@ func (s *Server) Restore(r io.Reader) error {
 		moving = append(moving, movObj{id: sr.u64(), loc: geo.Point{X: sr.f64(), Y: sr.f64()}})
 	}
 	nPriv := int(sr.u32())
-	private := make(map[uint64]geo.Rect, nPriv)
+	private := make([]PrivateRecord, 0, nPriv)
 	for i := 0; i < nPriv && sr.err == nil; i++ {
-		id := sr.u64()
-		private[id] = sr.rect()
+		private = append(private, PrivateRecord{ID: sr.u64(), Region: sr.rect()})
 	}
 	nCont := int(sr.u32())
 	type contQ struct {
@@ -320,9 +335,18 @@ func (s *Server) Restore(r io.Reader) error {
 			return fmt.Errorf("server: restore: moving %d outside world", m.id)
 		}
 	}
-	for id, r := range private {
-		if !r.Valid() || !s.world.Intersects(r) {
-			return fmt.Errorf("server: restore: private region %d invalid", id)
+	for _, rec := range private {
+		if !rec.Region.Valid() || !s.world.Intersects(rec.Region) {
+			return fmt.Errorf("server: restore: private region %d invalid", rec.ID)
+		}
+	}
+	privIdx, err := regidx.New(s.world, 32, 32)
+	if err != nil {
+		return err
+	}
+	for _, rec := range private {
+		if err := privIdx.Upsert(rec.ID, rec.Region); err != nil {
+			return err
 		}
 	}
 
@@ -348,28 +372,14 @@ func (s *Server) Restore(r io.Reader) error {
 		s.moving.Upsert(m.id, m.loc)
 	}
 
-	s.private = private
-	freshIdx, err := regidx.New(s.world, 32, 32)
-	if err != nil {
-		return err
-	}
-	s.privIdx = freshIdx
-	for id, r := range private {
-		if err := s.privIdx.Upsert(id, r); err != nil {
-			return err
-		}
-	}
+	s.privIdx = privIdx
 
 	// Rebuild continuous engines deterministically from data.
 	s.cont = newContinuousEngine(s)
+	var hits []regidx.Hit
 	for _, cq := range contQueries {
-		q := &contQuery{id: cq.id, query: cq.q, probs: make(map[uint64]float64)}
-		for uid, region := range s.private {
-			if p := prob.Overlap(region, cq.q); p > 0 {
-				q.apply(uid, 0, p)
-			}
-		}
-		s.cont.queries[cq.id] = q
+		hits = s.privIdx.QueryHits(cq.q, hits[:0])
+		s.cont.queries[cq.id] = newContQuery(cq.id, cq.q, hits)
 		if cq.id > s.cont.nextID {
 			s.cont.nextID = cq.id
 		}
@@ -394,7 +404,7 @@ func (s *Server) Restore(r io.Reader) error {
 	}
 	s.met.restoresApplied.Inc()
 	// Re-point the size gauges at the restored data set.
-	s.met.privateUsers.Set(float64(len(s.private)))
+	s.met.privateUsers.Set(float64(s.privIdx.Len()))
 	s.met.stationary.Set(float64(s.stationary.Len()))
 	s.met.moving.Set(float64(s.moving.Len()))
 	s.met.contQueries.Set(float64(len(s.cont.queries)))

@@ -122,26 +122,47 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotDeterministicState(t *testing.T) {
-	// Two servers built identically produce snapshots that restore to the
-	// same query answers (byte equality is not required — map iteration
-	// varies — but semantic equality is).
+	// Snapshots write every section in ascending id order, so equal states
+	// reached by different histories — and a snapshot → restore → snapshot
+	// round trip — produce the same bytes, whatever order the maps and
+	// region-index slots hold them in.
+	region := geo.R(0.4, 0.4, 0.45, 0.45)
 	a := buildLoadedServer(t)
-	var bufA bytes.Buffer
-	if err := a.Snapshot(&bufA); err != nil {
-		t.Fatal(err)
+	// Freed slots go to later, larger ids, so a's slots leave id order.
+	for _, id := range []uint64{5, 17, 42} {
+		a.RemovePrivate(id)
+	}
+	for _, id := range []uint64{1000, 999, 42} {
+		if err := a.UpdatePrivate(id, region); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := buildLoadedServer(t)
+	b.RemovePrivate(5)
+	b.RemovePrivate(17)
+	for _, id := range []uint64{42, 999, 1000} {
+		if err := b.UpdatePrivate(id, region); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := func(s *Server) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := s.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	bytesA := snap(a)
+	if bytesB := snap(b); !bytes.Equal(bytesA, bytesB) {
+		t.Errorf("equal states snapshot differently: %d vs %d bytes", len(bytesA), len(bytesB))
 	}
 	restored := newServer(t)
-	if err := restored.Restore(bytes.NewReader(bufA.Bytes())); err != nil {
+	if err := restored.Restore(bytes.NewReader(bytesA)); err != nil {
 		t.Fatal(err)
 	}
-	var bufB bytes.Buffer
-	if err := restored.Snapshot(&bufB); err != nil {
-		t.Fatal(err)
-	}
-	// Snapshot of the restored server has the same length (same content up
-	// to map ordering).
-	if bufA.Len() != bufB.Len() {
-		t.Errorf("second-generation snapshot size %d != %d", bufB.Len(), bufA.Len())
+	if bytesR := snap(restored); !bytes.Equal(bytesA, bytesR) {
+		t.Errorf("second-generation snapshot differs: %d vs %d bytes", len(bytesR), len(bytesA))
 	}
 }
 

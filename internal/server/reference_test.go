@@ -148,12 +148,11 @@ func refNN(s *Server, q PrivateNNQuery) (PrivateNNResult, error) {
 // region with positive overlap probability, by ascending user id.
 func refCountProbs(s *Server, query geo.Rect) []UserProb {
 	pairs := []UserProb{}
-	for id, region := range s.private {
-		if p := prob.Overlap(region, query); p > 0 {
-			pairs = append(pairs, UserProb{ID: id, P: p})
+	for _, rec := range s.privateSnapshot() {
+		if p := prob.Overlap(rec.Region, query); p > 0 {
+			pairs = append(pairs, UserProb{ID: rec.ID, P: p})
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].ID < pairs[j].ID })
 	return pairs
 }
 

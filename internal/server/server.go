@@ -12,10 +12,10 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/geo"
@@ -96,10 +96,9 @@ type Server struct {
 	stationaryMeta map[uint64]PublicObject
 	moving         *grid.Index
 
-	// Private data: user id -> cloaked region, plus a coarse rectangle
-	// index that lets range-shaped public queries skip non-intersecting
-	// users entirely.
-	private map[uint64]geo.Rect
+	// Private data: each user's cloaked region, stored once in a slot of
+	// the coarse rectangle index, which lets range-shaped public queries
+	// skip non-intersecting users entirely and read the rest in place.
 	privIdx *regidx.Index
 
 	// Continuous queries (continuous.go, contprivate.go).
@@ -112,12 +111,6 @@ type Server struct {
 	// its intermediates per call.
 	queryWorkers int
 	batchPool    sync.Pool
-
-	// privUpsertHook, when non-nil, replaces privIdx.Upsert inside
-	// UpdatePrivate. Tests use it to force the region-index write to fail
-	// and prove the map and index never diverge; production code never
-	// sets it.
-	privUpsertHook func(id uint64, region geo.Rect) error
 
 	// Observability series (metrics.go) and span recording (trace.go;
 	// tracer is nil-safe, so an un-traced server pays only nil checks).
@@ -173,7 +166,6 @@ func New(cfg Config) (*Server, error) {
 		stationary:     rtree.New(),
 		stationaryMeta: make(map[uint64]PublicObject),
 		moving:         mov,
-		private:        make(map[uint64]geo.Rect),
 		privIdx:        pidx,
 		queryWorkers:   workers,
 		met:            newMetrics(cfg.Metrics),
@@ -322,27 +314,16 @@ func (s *Server) UpdatePrivate(id uint64, region geo.Rect) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The region index is the write that can fail, so it goes first: a
-	// failed upsert leaves the map, the index, and the continuous engines
-	// exactly as they were. Mutating s.private before the index write would
-	// leave the user counted by full scans but invisible to indexed
-	// queries.
-	upsert := s.privIdx.Upsert
-	if s.privUpsertHook != nil {
-		upsert = s.privUpsertHook
-	}
-	old, had := s.private[id]
-	if err := upsert(id, region); err != nil {
+	// The region index is the only store, and the checks above are the
+	// ones its Upsert applies, so the write cannot fail once it is reached:
+	// a rejected region never touches the index or the continuous engines.
+	old, had := s.privIdx.Region(id)
+	if err := s.privIdx.Upsert(id, region); err != nil {
 		return err
 	}
 	s.met.privateUpdates.Inc()
-	s.private[id] = region
-	s.met.privateUsers.Set(float64(len(s.private)))
-	if had {
-		s.cont.onPrivateUpdate(id, old, region, true)
-	} else {
-		s.cont.onPrivateUpdate(id, geo.Rect{}, region, false)
-	}
+	s.met.privateUsers.Set(float64(s.privIdx.Len()))
+	s.cont.onPrivateUpdate(id, old, region, had)
 	return nil
 }
 
@@ -350,14 +331,13 @@ func (s *Server) UpdatePrivate(id uint64, region geo.Rect) error {
 func (s *Server) RemovePrivate(id uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old, ok := s.private[id]
+	old, ok := s.privIdx.Region(id)
 	if !ok {
 		return false
 	}
 	s.met.privateRemovals.Inc()
-	delete(s.private, id)
 	s.privIdx.Delete(id)
-	s.met.privateUsers.Set(float64(len(s.private)))
+	s.met.privateUsers.Set(float64(s.privIdx.Len()))
 	s.cont.onPrivateRemove(id, old)
 	return true
 }
@@ -366,29 +346,38 @@ func (s *Server) RemovePrivate(id uint64) bool {
 func (s *Server) PrivateUserCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.private)
+	return s.privIdx.Len()
 }
 
 // PrivateRegion returns the stored region of one user.
 func (s *Server) PrivateRegion(id uint64) (geo.Rect, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	r, ok := s.private[id]
-	return r, ok
+	return s.privIdx.Region(id)
 }
 
 // privateSnapshot returns the private records sorted by id; callers hold no
 // lock. Sorting keeps downstream computations deterministic.
 func (s *Server) privateSnapshot() []PrivateRecord {
 	s.mu.RLock()
-	out := make([]PrivateRecord, 0, len(s.private))
-	for id, r := range s.private {
-		out = append(out, PrivateRecord{ID: id, Region: r})
-	}
+	out := s.privateRecordsLocked()
 	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, cmpRecordID)
 	return out
 }
+
+// privateRecordsLocked lists the stored regions in the index's slot order.
+func (s *Server) privateRecordsLocked() []PrivateRecord {
+	ids := s.privIdx.All(make([]uint64, 0, s.privIdx.Len()))
+	out := make([]PrivateRecord, len(ids))
+	for i, id := range ids {
+		r, _ := s.privIdx.Region(id)
+		out[i] = PrivateRecord{ID: id, Region: r}
+	}
+	return out
+}
+
+func cmpRecordID(a, b PrivateRecord) int { return cmp.Compare(a.ID, b.ID) }
 
 // resolveObjectLocked resolves item metadata. Stationary and moving ids
 // are independent namespaces: a stationary lookup consults the metadata

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/geo"
@@ -223,46 +223,49 @@ func TestMetricsCount(t *testing.T) {
 	}
 }
 
-// TestUpdatePrivateFailureLeavesStateConsistent pins the partial-failure
-// contract: when the region-index upsert fails, the private map, the
-// index, and the continuous engine must all stay at their pre-call state.
-// The old code mutated s.private before the index write, leaving the user
-// counted by full scans but invisible to indexed queries, and skipped the
-// continuous-engine notification entirely.
+// TestUpdatePrivateFailureLeavesStateConsistent pins the rejection
+// contract: a region UpdatePrivate refuses — malformed, or outside the
+// world — leaves the region index and the continuous engine exactly as
+// they were, for a new user and for a re-update of an existing one.
 func TestUpdatePrivateFailureLeavesStateConsistent(t *testing.T) {
 	s := newServer(t)
-	if err := s.UpdatePrivate(1, geo.R(0.1, 0.1, 0.3, 0.3)); err != nil {
+	home := geo.R(0.1, 0.1, 0.3, 0.3)
+	if err := s.UpdatePrivate(1, home); err != nil {
 		t.Fatal(err)
 	}
 	contID, err := s.RegisterContinuousCount(geo.R(0, 0, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	before, _ := s.ContinuousCount(contID)
 
-	// Force the index write to fail for user 2 only; everything else
-	// passes through to the real index.
-	injected := fmt.Errorf("injected index failure")
-	s.privUpsertHook = func(id uint64, region geo.Rect) error {
-		if id == 2 {
-			return injected
-		}
-		return s.privIdx.Upsert(id, region)
+	rejected := []geo.Rect{
+		{Min: geo.Pt(0.7, 0.7), Max: geo.Pt(0.5, 0.5)}, // inverted
+		{Min: geo.Pt(math.NaN(), 0.5), Max: geo.Pt(0.7, 0.7)},
+		geo.R(2, 2, 3, 3), // outside the world
 	}
-	if err := s.UpdatePrivate(2, geo.R(0.5, 0.5, 0.7, 0.7)); err != injected {
-		t.Fatalf("UpdatePrivate error = %v, want the injected failure", err)
+	for _, id := range []uint64{2, 1} {
+		for _, r := range rejected {
+			if err := s.UpdatePrivate(id, r); err == nil {
+				t.Fatalf("UpdatePrivate(%d, %v) accepted", id, r)
+			}
+		}
 	}
 
 	if n := s.PrivateUserCount(); n != 1 {
-		t.Errorf("PrivateUserCount = %d after failed update, want 1", n)
+		t.Errorf("PrivateUserCount = %d after rejected updates, want 1", n)
 	}
 	if _, ok := s.PrivateRegion(2); ok {
-		t.Error("failed update left user 2 in the private map")
+		t.Error("a rejected update stored user 2")
+	}
+	if r, ok := s.PrivateRegion(1); !ok || !r.Eq(home) {
+		t.Errorf("rejected re-updates changed user 1's region to %v", r)
 	}
 	if m := s.Metrics(); m.PrivateUpdates != 1 {
-		t.Errorf("PrivateUpdates = %d, want 1 (failed update must not count)", m.PrivateUpdates)
+		t.Errorf("PrivateUpdates = %d, want 1 (rejected updates must not count)", m.PrivateUpdates)
 	}
-	// Indexed and full-scan answers must agree: the whole-world count sees
-	// exactly the one user both ways.
+	// The indexed probe, the full scan and the continuous engine all see
+	// user 1 alone, at its old region.
 	q := PublicRangeCountQuery{Query: geo.R(0, 0, 1, 1)}
 	indexed, err := s.PublicRangeCount(q)
 	if err != nil {
@@ -272,21 +275,13 @@ func TestUpdatePrivateFailureLeavesStateConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if indexed.NaiveCount != scanned.NaiveCount || indexed.NaiveCount != 1 {
-		t.Errorf("indexed count %d vs scan count %d, want both 1",
-			indexed.NaiveCount, scanned.NaiveCount)
+	if indexed.NaiveCount != 1 || scanned.NaiveCount != 1 {
+		t.Errorf("indexed count %d, scan count %d, want both 1", indexed.NaiveCount, scanned.NaiveCount)
 	}
-	// The continuous query saw user 1 only.
-	if ans, ok := s.ContinuousCount(contID); !ok || ans.Hi != 1 {
-		t.Errorf("continuous answer = %+v, want Hi=1", ans)
+	if got := s.privIdx.Query(geo.R(0.4, 0.4, 1, 1), nil); len(got) != 0 {
+		t.Errorf("region index holds %v where only rejected regions pointed", got)
 	}
-
-	// A failed *re*-update of an existing user keeps the old region.
-	s.privUpsertHook = func(id uint64, region geo.Rect) error { return injected }
-	if err := s.UpdatePrivate(1, geo.R(0.8, 0.8, 0.9, 0.9)); err != injected {
-		t.Fatalf("UpdatePrivate error = %v, want the injected failure", err)
-	}
-	if r, ok := s.PrivateRegion(1); !ok || !r.Eq(geo.R(0.1, 0.1, 0.3, 0.3)) {
-		t.Errorf("failed re-update changed user 1's region to %v", r)
+	if after, _ := s.ContinuousCount(contID); after != before {
+		t.Errorf("continuous answer moved from %+v to %+v", before, after)
 	}
 }
