@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test lint benchmark benchmark-compare bench bench-micro soak soak-short fuzz-smoke
+.PHONY: build test lint benchmark benchmark-compare bench-micro soak soak-short fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -37,19 +37,6 @@ benchmark:
 
 benchmark-compare:
 	$(GO) run ./benchmark -compare $(A) $(B)
-
-# bench regenerates the committed baseline matrix: both v2 harnesses
-# measure the full GOMAXPROCS grid {1, 4, 8, 16} in-process, then the
-# fresh baselines are immediately re-compared (which also re-proves the
-# ≥2× shared-execution gate — a baseline that cannot prove the claim is
-# rejected before it is ever committed). Baselines are machine-specific:
-# NumCPU is recorded and a mismatch hard-fails the comparison, so run
-# this on the same runner class CI gates on.
-bench: build
-	$(GO) run ./cmd/lbsbench -exp E16 -n 4000 -bench-out BENCH_anonymizer.json
-	$(GO) run ./cmd/lbsbench -exp E17 -n 4000 -objs 4000 -bench-out BENCH_server.json
-	$(GO) run ./cmd/lbsbench -exp E16 -n 4000 -bench-compare BENCH_anonymizer.json
-	$(GO) run ./cmd/lbsbench -exp E17 -n 4000 -objs 4000 -bench-compare BENCH_server.json
 
 bench-micro:
 	$(GO) test -bench=. -benchmem ./...

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
-	"os"
 	"runtime"
 	"time"
 
@@ -16,210 +14,84 @@ import (
 	"repro/internal/rng"
 )
 
-// The anonymizer benchmark harness behind E16. Schema v2 runs the whole
-// GOMAXPROCS matrix in-process — one entry set per GOMAXPROCS value — so
-// a single run produces the full per-proc scaling report; comparisons
-// gate the pinned procs {1, 4} within tolerance and report the rest
-// informationally. With -bench-out the experiment writes a
-// machine-readable BENCH_anonymizer.json; with -bench-compare it loads a
-// committed baseline and flags any pinned series whose updates/sec
-// dropped more than -bench-tolerance below it (process exits 1 — the CI
-// regression gate). Absolute numbers are machine-specific, so the
-// tolerance is deliberately wide; the within-run scaling ratios are the
-// portable signal.
-type benchReport struct {
-	Schema    string      `json:"schema"`
-	NumCPU    int         `json:"numcpu"`
-	GoVersion string      `json:"go"`
-	Users     int         `json:"users"`
-	Procs     []benchProc `json:"procs"`
-}
-
-type benchProc struct {
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Entries    []benchEntry `json:"entries"`
-}
-
-type benchEntry struct {
-	Mode          string  `json:"mode"` // "batch" or "single"
-	Shards        int     `json:"shards"`
-	Workers       int     `json:"workers"`
-	UpdatesPerSec float64 `json:"updates_per_sec"`
-	SharedHitPct  float64 `json:"shared_hit_pct,omitempty"`
-}
-
-// benchRegressions is set by the harness experiments when a baseline
-// comparison (or the speedup gate) fails; main exits non-zero after the
-// run so CI turns red.
-var benchRegressions []string
-
-// expParallel measures the sharded batch pipeline: updates/sec for the
-// batch and single-call paths at shard counts 1, 4 and 8 (workers =
-// shards), over a gaussian-clustered waypoint population, across the
-// GOMAXPROCS matrix.
+// expParallel (E16) measures the sharded batch pipeline: updates/sec for
+// the batch and single-call paths at shard counts 1, 4 and 8 (workers =
+// shards), over a gaussian-clustered waypoint population, at the
+// process's GOMAXPROCS.
 func expParallel(cfg benchConfig) {
 	const rounds, passes = 10, 5
 	n := cfg.n
-	fmt.Printf("%d users (gaussian clusters), %d rounds per series, GOMAXPROCS ∈ %v\n\n",
-		n, rounds, benchProcs)
+	fmt.Printf("%d users (gaussian clusters), %d rounds per series, GOMAXPROCS=%d\n\n",
+		n, rounds, runtime.GOMAXPROCS(0))
 
-	report := benchReport{
-		Schema:    "anonymizer-bench/v2",
-		NumCPU:    runtime.NumCPU(),
-		GoVersion: runtime.Version(),
-		Users:     n,
-	}
-	prevProcs := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prevProcs)
-	t := newTable("gomaxprocs", "mode", "shards", "workers", "updates/sec", "shared hits %")
-	for _, procs := range benchProcs {
-		runtime.GOMAXPROCS(procs)
-		proc := benchProc{GoMaxProcs: procs}
-		for _, mode := range []string{"batch", "single"} {
-			for _, shards := range []int{1, 4, 8} {
-				pts, err := mobility.GeneratePoints(mobility.PopulationSpec{
-					N: n, World: world, Dist: mobility.Gaussian, Seed: cfg.seed,
-				})
-				if err != nil {
-					log.Fatalf("lbsbench: %v", err)
+	t := newTable("mode", "shards", "workers", "updates/sec", "shared hits %")
+	for _, mode := range []string{"batch", "single"} {
+		for _, shards := range []int{1, 4, 8} {
+			pts, err := mobility.GeneratePoints(mobility.PopulationSpec{
+				N: n, World: world, Dist: mobility.Gaussian, Seed: cfg.seed,
+			})
+			if err != nil {
+				log.Fatalf("lbsbench: %v", err)
+			}
+			anon, err := anonymizer.New(anonymizer.Config{
+				World: world, Shards: shards, BatchWorkers: shards,
+			})
+			if err != nil {
+				log.Fatalf("lbsbench: %v", err)
+			}
+			prof := privacy.Constant(reqK(25))
+			reqs := make([]cloak.Request, n)
+			for i, p := range pts {
+				anon.Register(uint64(i+1), prof)
+				reqs[i] = cloak.Request{ID: uint64(i + 1), Loc: p}
+			}
+			anon.BatchUpdate(reqs) // warm the indices
+			src := rng.New(cfg.seed + 99)
+			drift := func() {
+				for i := range reqs {
+					reqs[i].Loc = world.ClampPoint(geo.Pt(
+						reqs[i].Loc.X+src.Range(-0.002, 0.002),
+						reqs[i].Loc.Y+src.Range(-0.002, 0.002)))
 				}
-				anon, err := anonymizer.New(anonymizer.Config{
-					World: world, Shards: shards, BatchWorkers: shards,
-				})
-				if err != nil {
-					log.Fatalf("lbsbench: %v", err)
-				}
-				prof := privacy.Constant(reqK(25))
-				reqs := make([]cloak.Request, n)
-				for i, p := range pts {
-					anon.Register(uint64(i+1), prof)
-					reqs[i] = cloak.Request{ID: uint64(i + 1), Loc: p}
-				}
-				anon.BatchUpdate(reqs) // warm the indices
-				src := rng.New(cfg.seed + 99)
-				drift := func() {
-					for i := range reqs {
-						reqs[i].Loc = world.ClampPoint(geo.Pt(
-							reqs[i].Loc.X+src.Range(-0.002, 0.002),
-							reqs[i].Loc.Y+src.Range(-0.002, 0.002)))
-					}
-				}
-				runPass := func() time.Duration {
-					t0 := time.Now()
-					for r := 0; r < rounds; r++ {
-						drift()
-						if mode == "batch" {
-							anon.BatchUpdate(reqs)
-						} else {
-							for _, rq := range reqs {
-								if _, err := anon.Update(rq.ID, rq.Loc); err != nil {
-									log.Fatalf("lbsbench: %v", err)
-								}
+			}
+			runPass := func() time.Duration {
+				t0 := time.Now()
+				for r := 0; r < rounds; r++ {
+					drift()
+					if mode == "batch" {
+						anon.BatchUpdate(reqs)
+					} else {
+						for _, rq := range reqs {
+							if _, err := anon.Update(rq.ID, rq.Loc); err != nil {
+								log.Fatalf("lbsbench: %v", err)
 							}
 						}
 					}
-					return time.Since(t0)
 				}
-				// Best of several passes: on a shared box a single pass is
-				// at the mercy of scheduler noise; the fastest pass is the
-				// closest estimate of the machine's true capability.
-				elapsed := runPass()
-				for p := 1; p < passes; p++ {
-					if d := runPass(); d < elapsed {
-						elapsed = d
-					}
-				}
-				st := anon.Stats()
-				ups := float64(n*rounds) / elapsed.Seconds()
-				sharedPct := 0.0
-				if mode == "batch" && st.Updates > 0 {
-					sharedPct = 100 * float64(st.SharedHits) / float64(st.Updates)
-				}
-				t.row(procs, mode, shards, anon.BatchWorkers(), ups, sharedPct)
-				proc.Entries = append(proc.Entries, benchEntry{
-					Mode: mode, Shards: shards, Workers: anon.BatchWorkers(),
-					UpdatesPerSec: ups, SharedHitPct: sharedPct,
-				})
+				return time.Since(t0)
 			}
+			// Best of several passes: on a shared box a single pass is at
+			// the mercy of scheduler noise; the fastest pass is the closest
+			// estimate of the machine's true capability.
+			elapsed := runPass()
+			for p := 1; p < passes; p++ {
+				if d := runPass(); d < elapsed {
+					elapsed = d
+				}
+			}
+			st := anon.Stats()
+			sharedPct := 0.0
+			if mode == "batch" && st.Updates > 0 {
+				sharedPct = 100 * float64(st.SharedHits) / float64(st.Updates)
+			}
+			t.row(mode, shards, anon.BatchWorkers(), float64(n*rounds)/elapsed.Seconds(), sharedPct)
 		}
-		report.Procs = append(report.Procs, proc)
 	}
 	t.flush()
-	runtime.GOMAXPROCS(prevProcs)
 
 	fmt.Println("\nreading: the batch pipeline amortizes admission into one locked pass")
 	fmt.Println("per shard and fans the cloaking descents out over the worker pool; on")
 	fmt.Println("a multicore host throughput scales with the shard count until the")
 	fmt.Println("index write lock saturates. Results are bit-identical at every point")
 	fmt.Println("of the grid (differential suite).")
-
-	if benchOut != "" {
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
-		if err := os.WriteFile(benchOut, append(buf, '\n'), 0o644); err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
-		fmt.Printf("\nwrote %s\n", benchOut)
-	}
-	if benchCompare != "" {
-		raw, err := os.ReadFile(benchCompare)
-		if err != nil {
-			log.Fatalf("lbsbench: baseline: %v", err)
-		}
-		var base benchReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			log.Fatalf("lbsbench: baseline %s: %v", benchCompare, err)
-		}
-		fmt.Printf("\nbaseline %s (numcpu=%d, %s), tolerance %.0f%%:\n",
-			benchCompare, base.NumCPU, base.GoVersion, 100*benchTolerance)
-		benchRegressions = append(benchRegressions, compareBench(report, base, benchTolerance)...)
-	}
-}
-
-// compareBench checks the current report against the committed baseline:
-// environment and workload must match exactly, pinned procs {1, 4} are
-// tolerance-gated per series, other procs are informational.
-func compareBench(cur, base benchReport, tolerance float64) []string {
-	var regs []string
-	regs = append(regs, checkBenchEnv(base.NumCPU, cur.NumCPU)...)
-	if base.Users != cur.Users {
-		regs = append(regs, fmt.Sprintf(
-			"workload mismatch: %d users vs baseline %d — rerun with -n %d or regenerate the baseline",
-			cur.Users, base.Users, base.Users))
-	}
-	lookup := map[string]float64{}
-	for _, proc := range cur.Procs {
-		for _, e := range proc.Entries {
-			lookup[fmt.Sprintf("procs=%d/%s/shards=%d", proc.GoMaxProcs, e.Mode, e.Shards)] = e.UpdatesPerSec
-		}
-	}
-	for _, proc := range base.Procs {
-		pinned := benchPinnedProcs[proc.GoMaxProcs]
-		for _, e := range proc.Entries {
-			key := fmt.Sprintf("procs=%d/%s/shards=%d", proc.GoMaxProcs, e.Mode, e.Shards)
-			got, ok := lookup[key]
-			if !ok {
-				if pinned {
-					regs = append(regs, key+": missing from current run")
-				}
-				continue
-			}
-			if !pinned {
-				fmt.Printf("  %-32s baseline %10.0f  current %10.0f  info\n", key, e.UpdatesPerSec, got)
-				continue
-			}
-			floor := e.UpdatesPerSec * (1 - tolerance)
-			verdict := "ok"
-			if got < floor {
-				verdict = "REGRESSION"
-				regs = append(regs, fmt.Sprintf(
-					"%s: %.0f updates/sec < %.0f (baseline %.0f − %.0f%%)",
-					key, got, floor, e.UpdatesPerSec, 100*tolerance))
-			}
-			fmt.Printf("  %-32s baseline %10.0f  current %10.0f  %s\n", key, e.UpdatesPerSec, got, verdict)
-		}
-	}
-	return regs
 }

@@ -18,11 +18,12 @@ import (
 // expRouterScale (E20) measures the spatially-partitioned routing tier
 // against a single database over real loopback TCP: identical seeded
 // data, identical mixed query workload, one lbsd dialed directly vs a
-// router fanned out over 1, 2 and 4 shards. The 1-shard router isolates
-// the tier's own overhead (one extra hop plus scatter/gather accounting);
-// the multi-shard rows show how throughput scales as tiles spread across
-// servers. Answers are bit-identical in every topology (the router
-// differential suite), so this table is purely about cost.
+// router fanned out over 1, 2 and 4 shards, at the process's GOMAXPROCS.
+// The 1-shard router isolates the tier's own overhead (one extra hop plus
+// scatter/gather accounting); the multi-shard rows show what spreading
+// tiles across servers costs or buys on those cores. Answers are
+// bit-identical in every topology (the router differential suite), so
+// this table is purely about cost.
 func expRouterScale(cfg benchConfig) {
 	const queries = 2000
 	workers := runtime.GOMAXPROCS(0)
@@ -56,11 +57,11 @@ func expRouterScale(cfg benchConfig) {
 		t.row(tp.name, tp.shards, qps, rel)
 	}
 	t.flush()
-	fmt.Println("\nreading: the 1-shard router pays the extra hop and the gather")
-	fmt.Println("bookkeeping; with more shards each query touches only the servers")
-	fmt.Println("whose tiles it intersects, so small-region traffic spreads and")
-	fmt.Println("aggregate throughput recovers and then passes the direct baseline")
-	fmt.Println("once GOMAXPROCS leaves the shards real parallelism to use.")
+	fmt.Println("\nreading: every row answers the same queries over the same data on")
+	fmt.Println("the same cores. The 1-shard router pays the extra hop and the gather")
+	fmt.Println("bookkeeping; each further shard adds scatter work and another server")
+	fmt.Println("sharing those cores. No recorded run has the routed tier passing the")
+	fmt.Println("direct baseline; whether it can is open (EXPERIMENTS.md E20).")
 }
 
 // bootRouterTier starts the database tier on loopback and returns the

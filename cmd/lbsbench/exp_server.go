@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
-	"os"
 	"runtime"
 	"time"
 
@@ -15,57 +13,14 @@ import (
 	"repro/internal/server"
 )
 
-// The database-server benchmark harness behind E17 — the query-side twin
-// of E16's anonymizer harness. Schema v2 measures the CLIENT-VISIBLE
-// path: every query travels through a real TCP DatabaseClient to a live
-// database service, per-query mode paying one wire round trip per query
-// and batch mode one MsgBatchQuery frame per 64 entries. That is the
-// deployment the paper's shared-execution argument is about — the
-// anonymizer forwards whole batches, so the framing, syscall and
-// dispatch overhead of a query is exactly what batching amortizes — and
-// it is where the committed baseline proves the headline claim: batch
-// with workers beats per-query by ≥ -bench-min-speedup at
-// GOMAXPROCS ≥ 4 (the CI gate).
-//
-// The harness runs the whole GOMAXPROCS matrix in-process (schema v2
-// stores one entry set per GOMAXPROCS value), so a single run produces
-// the full per-proc report; comparisons gate the pinned procs {1, 4}
-// within tolerance and report the rest informationally. With -bench-out
-// the experiment writes BENCH_server.json; with -bench-compare it loads
-// a committed baseline and exits 1 on any regression.
-type serverBenchReport struct {
-	Schema    string            `json:"schema"`
-	NumCPU    int               `json:"numcpu"`
-	GoVersion string            `json:"go"`
-	Users     int               `json:"users"`
-	Objects   int               `json:"objects"`
-	Procs     []serverBenchProc `json:"procs"`
-}
-
-type serverBenchProc struct {
-	GoMaxProcs int                `json:"gomaxprocs"`
-	Entries    []serverBenchEntry `json:"entries"`
-	// SpeedupBatch4 is batch/workers=4 queries/sec over perquery
-	// queries/sec at this GOMAXPROCS — the portable headline ratio the
-	// ≥2× gate reads.
-	SpeedupBatch4 float64 `json:"speedup_batch4"`
-}
-
-type serverBenchEntry struct {
-	Mode          string  `json:"mode"` // "perquery" or "batch"
-	Workers       int     `json:"workers"`
-	QueriesPerSec float64 `json:"queries_per_sec"`
-	SharedHitPct  float64 `json:"shared_hit_pct,omitempty"`
-}
-
-// benchProcs is the GOMAXPROCS matrix every v2 harness measures, and
-// benchPinnedProcs the subset whose baseline comparison is a hard gate —
-// the rest are informational (their numbers mean little until the runner
-// actually has that many cores).
-var (
-	benchProcs       = []int{1, 4, 8, 16}
-	benchPinnedProcs = map[int]bool{1: true, 4: true}
-)
+// The database-server experiment E17 — the query-side twin of E16. It
+// measures the CLIENT-VISIBLE path: every query travels through a real
+// TCP DatabaseClient to a live database service, per-query mode paying
+// one wire round trip per query and batch mode one MsgBatchQuery frame
+// per 64 entries. That is the deployment the paper's shared-execution
+// argument is about — the anonymizer forwards whole batches, so the
+// framing, syscall and dispatch overhead of a query is exactly what
+// batching amortizes.
 
 // serverBenchMix generates one clustered mixed batch so overlap groups —
 // and therefore shared descents — actually form, mirroring many users
@@ -138,7 +93,7 @@ func buildBenchServer(cfg benchConfig, workers int) *server.Server {
 
 // expServerBatch measures the shared-execution batch engine through the
 // wire: queries/sec for the per-query client baseline and for BatchQuery
-// at worker counts 1, 4, 8, across the GOMAXPROCS matrix, over identical
+// at worker counts 1, 4, 8, at the process's GOMAXPROCS, over identical
 // clustered query mixes on identical data.
 func expServerBatch(cfg benchConfig) {
 	const (
@@ -147,16 +102,8 @@ func expServerBatch(cfg benchConfig) {
 		warmRounds = 100 // untimed pass that warms caches, pools and the TCP path
 		passes     = 3   // measured passes; the best one is recorded
 	)
-	fmt.Printf("%d private users, %d public objects, best of %d × %d rounds of %d-entry batches over TCP, GOMAXPROCS ∈ %v\n\n",
-		cfg.n, cfg.objs, passes, rounds, batchSize, benchProcs)
-
-	report := serverBenchReport{
-		Schema:    "server-batch-bench/v2",
-		NumCPU:    runtime.NumCPU(),
-		GoVersion: runtime.Version(),
-		Users:     cfg.n,
-		Objects:   cfg.objs,
-	}
+	fmt.Printf("%d private users, %d public objects, best of %d × %d rounds of %d-entry batches over TCP, GOMAXPROCS=%d\n\n",
+		cfg.n, cfg.objs, passes, rounds, batchSize, runtime.GOMAXPROCS(0))
 
 	type series struct {
 		mode    string
@@ -168,99 +115,73 @@ func expServerBatch(cfg benchConfig) {
 		{"batch", 4},
 		{"batch", 8},
 	}
-	prevProcs := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prevProcs)
-	t := newTable("gomaxprocs", "mode", "workers", "queries/sec", "shared hits %", "vs perquery")
-	for _, procs := range benchProcs {
-		runtime.GOMAXPROCS(procs)
-		proc := serverBenchProc{GoMaxProcs: procs}
-		var base float64 // this proc's perquery reference
-		for _, sr := range grid {
-			s := buildBenchServer(cfg, sr.workers)
-			svc, err := protocol.ServeDatabase("127.0.0.1:0", s, nil)
-			if err != nil {
-				log.Fatalf("lbsbench: %v", err)
-			}
-			dc, err := protocol.DialDatabase(svc.Addr(), protocol.WithCallTimeout(30*time.Second))
-			if err != nil {
-				log.Fatalf("lbsbench: %v", err)
-			}
-			src := rng.New(cfg.seed + 99)
-			batches := make([][]server.BatchEntry, rounds)
-			for r := range batches {
-				batches[r] = serverBenchMix(src, batchSize)
-			}
-			runPass := func(bs [][]server.BatchEntry) (time.Duration, int) {
-				shared := 0
-				t0 := time.Now()
-				for _, entries := range bs {
-					if sr.mode == "perquery" {
-						for _, e := range entries {
-							var err error
-							switch e.Kind {
-							case server.BatchPrivateRange:
-								_, err = dc.PrivateRange(e.Range)
-							case server.BatchPrivateNN:
-								_, err = dc.PrivateNN(e.NN)
-							case server.BatchPublicCount:
-								_, err = dc.PublicCount(e.Count.Query)
-							}
-							if err != nil {
-								log.Fatalf("lbsbench: %v", err)
-							}
+	t := newTable("mode", "workers", "queries/sec", "shared hits %", "vs perquery")
+	var base float64 // the perquery reference, measured first
+	for _, sr := range grid {
+		s := buildBenchServer(cfg, sr.workers)
+		svc, err := protocol.ServeDatabase("127.0.0.1:0", s, nil)
+		if err != nil {
+			log.Fatalf("lbsbench: %v", err)
+		}
+		dc, err := protocol.DialDatabase(svc.Addr(), protocol.WithCallTimeout(30*time.Second))
+		if err != nil {
+			log.Fatalf("lbsbench: %v", err)
+		}
+		src := rng.New(cfg.seed + 99)
+		batches := make([][]server.BatchEntry, rounds)
+		for r := range batches {
+			batches[r] = serverBenchMix(src, batchSize)
+		}
+		runPass := func(bs [][]server.BatchEntry) (time.Duration, int) {
+			shared := 0
+			t0 := time.Now()
+			for _, entries := range bs {
+				if sr.mode == "perquery" {
+					for _, e := range entries {
+						var err error
+						switch e.Kind {
+						case server.BatchPrivateRange:
+							_, err = dc.PrivateRange(e.Range)
+						case server.BatchPrivateNN:
+							_, err = dc.PrivateNN(e.NN)
+						case server.BatchPublicCount:
+							_, err = dc.PublicCount(e.Count.Query)
 						}
-					} else {
-						res, err := dc.BatchQuery(entries)
 						if err != nil {
 							log.Fatalf("lbsbench: %v", err)
 						}
-						shared += res.SharedHits
 					}
-				}
-				return time.Since(t0), shared
-			}
-			runPass(batches[:warmRounds])
-			best, sharedHits := runPass(batches)
-			for p := 1; p < passes; p++ {
-				if d, _ := runPass(batches); d < best {
-					best = d
+				} else {
+					res, err := dc.BatchQuery(entries)
+					if err != nil {
+						log.Fatalf("lbsbench: %v", err)
+					}
+					shared += res.SharedHits
 				}
 			}
-			dc.Close()
-			svc.Close()
-			entriesRun := rounds * batchSize
-			qps := float64(entriesRun) / best.Seconds()
-			sharedPct := 100 * float64(sharedHits) / float64(entriesRun)
-			speedup := 0.0
-			if sr.mode == "perquery" {
-				base = qps
-			} else if base > 0 {
-				speedup = qps / base
-			}
-			if speedup > 0 {
-				t.row(procs, sr.mode, sr.workers, qps, sharedPct, fmt.Sprintf("%.2fx", speedup))
-			} else {
-				t.row(procs, sr.mode, sr.workers, qps, sharedPct, "1.00x")
-			}
-			proc.Entries = append(proc.Entries, serverBenchEntry{
-				Mode: sr.mode, Workers: sr.workers,
-				QueriesPerSec: qps, SharedHitPct: sharedPct,
-			})
-			if sr.mode == "batch" && sr.workers == 4 && base > 0 {
-				proc.SpeedupBatch4 = qps / base
+			return time.Since(t0), shared
+		}
+		runPass(batches[:warmRounds])
+		best, sharedHits := runPass(batches)
+		for p := 1; p < passes; p++ {
+			if d, _ := runPass(batches); d < best {
+				best = d
 			}
 		}
-		report.Procs = append(report.Procs, proc)
+		dc.Close()
+		svc.Close()
+		entriesRun := rounds * batchSize
+		qps := float64(entriesRun) / best.Seconds()
+		rel := "1.00x"
+		if sr.mode == "perquery" {
+			base = qps
+		} else {
+			rel = fmt.Sprintf("%.2fx", qps/base)
+		}
+		t.row(sr.mode, sr.workers, qps, 100*float64(sharedHits)/float64(entriesRun), rel)
 	}
 	t.flush()
-	runtime.GOMAXPROCS(prevProcs)
 
-	for _, proc := range report.Procs {
-		if proc.GoMaxProcs == 4 {
-			fmt.Printf("\nbatch/workers=4 over per-query at GOMAXPROCS=4: %.2fx (gate: ≥ %.2fx)\n",
-				proc.SpeedupBatch4, benchMinSpeedup)
-		}
-	}
 	fmt.Println("\nreading: per-query mode pays one wire round trip — frame encode, two")
 	fmt.Println("syscalls per side, dispatch — per query; a batch frame pays it once per")
 	fmt.Println("64 queries, and inside the server overlapping rectangles collapse into")
@@ -268,127 +189,4 @@ func expServerBatch(cfg benchConfig) {
 	fmt.Println("over the worker pool under a single frozen snapshot. Answers are")
 	fmt.Println("bit-identical to the sequential path at every worker count and every")
 	fmt.Println("GOMAXPROCS (differential suites).")
-
-	benchRegressions = append(benchRegressions, checkServerSpeedupGate(report, benchMinSpeedup)...)
-	if benchOut != "" {
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
-		if err := os.WriteFile(benchOut, append(buf, '\n'), 0o644); err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
-		fmt.Printf("\nwrote %s\n", benchOut)
-	}
-	if benchCompare != "" {
-		raw, err := os.ReadFile(benchCompare)
-		if err != nil {
-			log.Fatalf("lbsbench: baseline: %v", err)
-		}
-		var base serverBenchReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			log.Fatalf("lbsbench: baseline %s: %v", benchCompare, err)
-		}
-		fmt.Printf("\nbaseline %s (numcpu=%d, %s), tolerance %.0f%%, min speedup %.2fx:\n",
-			benchCompare, base.NumCPU, base.GoVersion, 100*benchTolerance, benchMinSpeedup)
-		benchRegressions = append(benchRegressions,
-			compareServerBench(cur(report), base, benchTolerance, benchMinSpeedup)...)
-	}
-}
-
-// cur is the identity on reports; it only names the argument at the call
-// site so the current-vs-baseline order is impossible to misread.
-func cur(r serverBenchReport) serverBenchReport { return r }
-
-// checkServerSpeedupGate enforces the headline claim on a report: at
-// every pinned GOMAXPROCS ≥ 4, batch/workers=4 must beat per-query by at
-// least minSpeedup. It runs on the current report whether writing a
-// baseline or comparing against one — a baseline that cannot prove the
-// claim must never be committed.
-func checkServerSpeedupGate(r serverBenchReport, minSpeedup float64) []string {
-	var regs []string
-	for _, proc := range r.Procs {
-		if proc.GoMaxProcs < 4 || !benchPinnedProcs[proc.GoMaxProcs] {
-			continue
-		}
-		if proc.SpeedupBatch4 < minSpeedup {
-			regs = append(regs, fmt.Sprintf(
-				"gomaxprocs=%d: batch/workers=4 is %.2fx per-query, below the %.2fx shared-execution gate",
-				proc.GoMaxProcs, proc.SpeedupBatch4, minSpeedup))
-		}
-	}
-	return regs
-}
-
-// checkBenchEnv guards a baseline comparison's validity: throughput from
-// a different physical core count is not comparable — the per-proc
-// series measure scaling against exactly that hardware — so a NumCPU
-// mismatch is a hard failure for every harness, never a warning. (The
-// GOMAXPROCS dimension no longer needs an environment check: the v2
-// harnesses set it per series themselves.)
-func checkBenchEnv(baseCPU, curCPU int) []string {
-	if baseCPU != 0 && baseCPU != curCPU {
-		return []string{fmt.Sprintf(
-			"environment mismatch: %d CPUs vs baseline's %d — per-proc scaling numbers from different machines are not comparable; regenerate the baseline with -bench-out",
-			curCPU, baseCPU)}
-	}
-	return nil
-}
-
-// compareServerBench checks the current report against the committed
-// baseline: environment and workload must match exactly, pinned procs
-// {1, 4} are tolerance-gated per series, other procs are informational,
-// and both reports must clear the shared-execution speedup gate.
-func compareServerBench(cur, base serverBenchReport, tolerance, minSpeedup float64) []string {
-	var regs []string
-	regs = append(regs, checkBenchEnv(base.NumCPU, cur.NumCPU)...)
-	if base.Users != cur.Users || base.Objects != cur.Objects {
-		regs = append(regs, fmt.Sprintf(
-			"workload mismatch: %d users / %d objects vs baseline %d / %d — rerun with -n %d -objs %d or regenerate the baseline",
-			cur.Users, cur.Objects, base.Users, base.Objects, base.Users, base.Objects))
-	}
-	lookup := map[string]float64{}
-	for _, proc := range cur.Procs {
-		for _, e := range proc.Entries {
-			lookup[fmt.Sprintf("procs=%d/%s/workers=%d", proc.GoMaxProcs, e.Mode, e.Workers)] = e.QueriesPerSec
-		}
-	}
-	// The committed baseline itself must prove the headline claim.
-	regs = append(regs, prefixAll("baseline ", checkServerSpeedupGate(base, minSpeedup))...)
-	for _, proc := range base.Procs {
-		pinned := benchPinnedProcs[proc.GoMaxProcs]
-		for _, e := range proc.Entries {
-			key := fmt.Sprintf("procs=%d/%s/workers=%d", proc.GoMaxProcs, e.Mode, e.Workers)
-			got, ok := lookup[key]
-			if !ok {
-				if pinned {
-					regs = append(regs, key+": missing from current run")
-				}
-				continue
-			}
-			if !pinned {
-				fmt.Printf("  %-32s baseline %10.0f  current %10.0f  info\n", key, e.QueriesPerSec, got)
-				continue
-			}
-			floor := e.QueriesPerSec * (1 - tolerance)
-			verdict := "ok"
-			if got < floor {
-				verdict = "REGRESSION"
-				regs = append(regs, fmt.Sprintf(
-					"%s: %.0f queries/sec < %.0f (baseline %.0f − %.0f%%)",
-					key, got, floor, e.QueriesPerSec, 100*tolerance))
-			}
-			fmt.Printf("  %-32s baseline %10.0f  current %10.0f  %s\n", key, e.QueriesPerSec, got, verdict)
-		}
-	}
-	return regs
-}
-
-// prefixAll prepends p to every string in the slice.
-func prefixAll(p string, in []string) []string {
-	out := make([]string, len(in))
-	for i, s := range in {
-		out[i] = p + s
-	}
-	return out
 }

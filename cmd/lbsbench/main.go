@@ -8,6 +8,9 @@
 //	lbsbench -exp E2,E3      # selected experiments
 //	lbsbench -n 50000        # larger population
 //	lbsbench -seed 7         # different reproducible seed
+//
+// The throughput experiments (E16, E17, E20) measure at the process's
+// GOMAXPROCS; set the environment variable to measure another width.
 package main
 
 import (
@@ -51,18 +54,42 @@ var experiments = []experiment{
 	{"E13", "Section 2.1 — trajectory-linking adversary", expTracking},
 	{"E14", "Section 2.1 — spatio-temporal cloaking (latency vs area)", expTemporal},
 	{"E15", "ablation — region index vs full scan", expRegionIndex},
-	{"E16", "sharded parallel anonymizer pipeline (regression harness)", expParallel},
-	{"E17", "shared-execution batch query engine (regression harness)", expServerBatch},
+	{"E16", "sharded parallel anonymizer pipeline", expParallel},
+	{"E17", "shared-execution batch query engine (TCP)", expServerBatch},
 	{"E20", "spatially-partitioned routing tier — 1 shard vs N shards (TCP)", expRouterScale},
 }
 
-// Bench-harness knobs shared with exp_parallel.go.
-var (
-	benchOut        string
-	benchCompare    string
-	benchTolerance  float64
-	benchMinSpeedup float64
-)
+// selectExperiments parses the -exp flag: comma-separated ids, trimmed
+// and case-insensitive, empty ids skipped. It returns the chosen
+// experiments in registry order — all of them when no id is named — or
+// an error naming every unknown id, sorted.
+func selectExperiments(spec string) ([]experiment, error) {
+	want := map[string]bool{}
+	for _, id := range strings.Split(spec, ",") {
+		if id = strings.ToUpper(strings.TrimSpace(id)); id != "" {
+			want[id] = true
+		}
+	}
+	if len(want) == 0 {
+		return experiments, nil
+	}
+	var sel []experiment
+	for _, e := range experiments {
+		if want[e.id] {
+			sel = append(sel, e)
+			delete(want, e.id)
+		}
+	}
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for id := range want {
+			unknown = append(unknown, id)
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown experiments: %s", strings.Join(unknown, ", "))
+	}
+	return sel, nil
+}
 
 func main() {
 	expFlag := flag.String("exp", "", "comma-separated experiment ids (default: all)")
@@ -70,10 +97,6 @@ func main() {
 	objs := flag.Int("objs", 10000, "public-object count")
 	seed := flag.Uint64("seed", 1, "base RNG seed")
 	list := flag.Bool("list", false, "list experiments and exit")
-	flag.StringVar(&benchOut, "bench-out", "", "write the E16/E17 report to this JSON file (run one harness experiment at a time)")
-	flag.StringVar(&benchCompare, "bench-compare", "", "compare E16/E17 against this baseline JSON; regressions fail the run")
-	flag.Float64Var(&benchTolerance, "bench-tolerance", 0.30, "allowed throughput drop vs the baseline (fraction)")
-	flag.Float64Var(&benchMinSpeedup, "bench-min-speedup", 2.0, "E17 gate: minimum batch/workers=4 speedup over per-query at GOMAXPROCS ≥ 4")
 	flag.Parse()
 
 	if *list {
@@ -82,54 +105,21 @@ func main() {
 		}
 		return
 	}
-
-	want := map[string]bool{}
-	if *expFlag != "" {
-		for _, id := range strings.Split(*expFlag, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
-		known := map[string]bool{}
-		for _, e := range experiments {
-			known[e.id] = true
-		}
-		var unknown []string
-		for id := range want {
-			if !known[id] {
-				unknown = append(unknown, id)
-			}
-		}
-		if len(unknown) > 0 {
-			sort.Strings(unknown)
-			log.Fatalf("lbsbench: unknown experiments: %s", strings.Join(unknown, ", "))
-		}
+	sel, err := selectExperiments(*expFlag)
+	if err != nil {
+		log.Fatalf("lbsbench: %v", err)
 	}
 
 	cfg := benchConfig{n: *n, objs: *objs, seed: *seed}
 	start := time.Now()
-	ran := 0
-	for _, e := range experiments {
-		if len(want) > 0 && !want[e.id] {
-			continue
-		}
+	for _, e := range sel {
 		fmt.Printf("\n=== %s: %s ===\n", e.id, e.title)
 		t0 := time.Now()
 		e.run(cfg)
 		fmt.Printf("--- %s done in %v ---\n", e.id, time.Since(t0).Round(time.Millisecond))
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintln(os.Stderr, "lbsbench: nothing to run")
-		os.Exit(1)
 	}
 	fmt.Printf("\n%d experiment(s) in %v (n=%d, objs=%d, seed=%d)\n",
-		ran, time.Since(start).Round(time.Millisecond), cfg.n, cfg.objs, cfg.seed)
-	if len(benchRegressions) > 0 {
-		fmt.Fprintln(os.Stderr, "\nlbsbench: benchmark regressions:")
-		for _, r := range benchRegressions {
-			fmt.Fprintln(os.Stderr, "  "+r)
-		}
-		os.Exit(1)
-	}
+		len(sel), time.Since(start).Round(time.Millisecond), cfg.n, cfg.objs, cfg.seed)
 }
 
 // table is a minimal column formatter over tabwriter.
