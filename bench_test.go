@@ -19,6 +19,7 @@ import (
 	"repro/internal/pyramid"
 	"repro/internal/rng"
 	"repro/internal/server"
+	"repro/internal/stack"
 )
 
 var world = geo.R(0, 0, 1, 1)
@@ -313,31 +314,12 @@ func BenchmarkE9ContinuousQueries(b *testing.B) {
 // --- E11: networked three-tier deployment ---
 
 func BenchmarkE11EndToEndUpdate(b *testing.B) {
-	srv, err := server.New(server.Config{World: world})
+	st, err := stack.Boot(stack.Topology{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	quiet := func(string, ...interface{}) {}
-	dbSvc, err := protocol.ServeDatabase("127.0.0.1:0", srv, quiet)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer dbSvc.Close()
-	fwd, err := protocol.DialDatabase(dbSvc.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer fwd.Close()
-	anon, err := anonymizer.New(anonymizer.Config{World: world, Forward: fwd.UpdatePrivate})
-	if err != nil {
-		b.Fatal(err)
-	}
-	anonSvc, err := protocol.ServeAnonymizer("127.0.0.1:0", anon, quiet)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer anonSvc.Close()
-	user, err := protocol.DialAnonymizer(anonSvc.Addr())
+	defer st.Close()
+	user, err := protocol.DialAnonymizer(st.AnonAddr())
 	if err != nil {
 		b.Fatal(err)
 	}

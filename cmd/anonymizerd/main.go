@@ -18,20 +18,15 @@ package main
 import (
 	"flag"
 	"log"
-	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
-	"time"
 
 	"repro/internal/anonymizer"
 	"repro/internal/geo"
-	"repro/internal/obs"
-	"repro/internal/protocol"
-	"repro/internal/trace"
+	"repro/internal/stack"
 )
 
 func main() {
+	d := stack.NewDaemon("anonymizerd", "anonymizer")
 	addr := flag.String("addr", ":7071", "listen address")
 	dbAddr := flag.String("db", "localhost:7070", "database server address (empty = do not forward)")
 	worldSize := flag.Float64("world", 1.0, "world is the square [0,size]²")
@@ -41,46 +36,24 @@ func main() {
 	incremental := flag.Bool("incremental", false, "enable incremental cloak maintenance")
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "per-user state lock stripes (1 = fully serialized)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool for the batch cloaking phase")
-	metricsAddr := flag.String("metrics-addr", "", "HTTP address for /metrics, /healthz and /debug/pprof (empty = disabled)")
-	callTimeout := flag.Duration("call-timeout", 5*time.Second, "deadline for each call to the database server")
-	forwardQueue := flag.Int("forward-queue", 1024, "spill queue capacity for cloaked regions while the database is down (0 = fail updates instead)")
+	callTimeout := flag.Duration("call-timeout", stack.ForwardCallTimeout, "deadline for each call to the database server")
+	forwardQueue := flag.Int("forward-queue", stack.ForwardQueue, "spill queue capacity for cloaked regions while the database is down (0 = fail updates instead)")
 	backpressure := flag.Bool("backpressure", true, "reject updates typed when the spill queue is full instead of evicting older ones")
-	maxConns := flag.Int("max-conns", 0, "max concurrent client connections (0 = unlimited)")
-	maxInflight := flag.Int("max-inflight", 0, "admission budget: max in-flight requests before typed overload rejection, queries capped at half (0 = unlimited)")
-	readTimeout := flag.Duration("read-timeout", 0, "drop connections idle for this long (0 = never)")
-	drainTimeout := flag.Duration("drain-timeout", 2*time.Second, "grace for in-flight requests on shutdown")
-	traceSample := flag.Float64("trace-sample", 0, "fraction of traced requests to record spans for (0 = tracing off, 1 = all)")
-	traceSlow := flag.Duration("trace-slow", 0, "pin spans at least this slow in the slow-trace ring regardless of ring wraparound (0 = off)")
 	flag.Parse()
 
-	var alg anonymizer.Algorithm
-	switch *algName {
-	case "quadtree":
-		alg = anonymizer.AlgQuadtree
-	case "grid":
-		alg = anonymizer.AlgGrid
-	case "grid-ml":
-		alg = anonymizer.AlgGridML
-	case "naive":
-		alg = anonymizer.AlgNaive
-	case "mbr":
-		alg = anonymizer.AlgMBR
-	default:
+	algs := map[string]anonymizer.Algorithm{"quadtree": anonymizer.AlgQuadtree, "grid": anonymizer.AlgGrid,
+		"grid-ml": anonymizer.AlgGridML, "naive": anonymizer.AlgNaive, "mbr": anonymizer.AlgMBR}
+	alg, ok := algs[*algName]
+	if !ok {
 		log.Fatalf("anonymizerd: unknown algorithm %q", *algName)
 	}
 
-	reg := obs.NewRegistry()
-	obs.EnableRuntimeMetrics(reg)
-	var tracer *trace.Tracer
-	if *traceSample > 0 {
-		tracer = trace.New(trace.Config{
-			Process:       "anonymizer",
-			Sample:        *traceSample,
-			SlowThreshold: *traceSlow,
-		})
-		log.Printf("anonymizerd: tracing %.3g of traced requests (slow threshold %v)", *traceSample, *traceSlow)
+	ops := d.Start()
+	if *dbAddr != "" {
+		log.Printf("anonymizerd: forwarding cloaked regions to %s (spill queue %d, backpressure %v)",
+			*dbAddr, *forwardQueue, *backpressure)
 	}
-	cfg := anonymizer.Config{
+	anon, err := stack.ServeAnonymizer(*addr, anonymizer.Config{
 		World:         geo.R(0, 0, *worldSize, *worldSize),
 		Algorithm:     alg,
 		GridLevel:     *gridLevel,
@@ -88,73 +61,15 @@ func main() {
 		Incremental:   *incremental,
 		Shards:        *shards,
 		BatchWorkers:  *workers,
-		Metrics:       reg,
-		Tracer:        tracer,
-	}
-	var db *protocol.DatabaseClient
-	if *dbAddr != "" {
-		var err error
-		// Lazy dial + spill queue: a database that is down at startup or
-		// goes away mid-run costs availability of forwards, never of the
-		// anonymizer itself. Client-side proto_* series land in the same
-		// registry as the cloaking metrics.
-		db, err = protocol.DialDatabase(*dbAddr,
-			protocol.WithLazyDial(),
-			protocol.WithCallTimeout(*callTimeout),
-			protocol.WithClientMetrics(reg),
-			protocol.WithClientTracing(tracer))
-		if err != nil {
-			log.Fatalf("anonymizerd: database client for %s: %v", *dbAddr, err)
-		}
-		cfg.Forward = db.UpdatePrivate
-		cfg.ForwardCtx = db.UpdatePrivateCtx
-		cfg.ForwardQueue = *forwardQueue
-		cfg.ForwardBackpressure = *backpressure
-		log.Printf("anonymizerd: forwarding cloaked regions to %s (spill queue %d, backpressure %v)",
-			*dbAddr, *forwardQueue, *backpressure)
-	}
-
-	anon, err := anonymizer.New(cfg)
-	if err != nil {
-		log.Fatalf("anonymizerd: %v", err)
-	}
-	svcOpts := []protocol.Option{protocol.WithMetrics(reg),
-		protocol.WithTracing(tracer),
-		protocol.WithMaxConns(*maxConns),
-		protocol.WithReadTimeout(*readTimeout),
-		protocol.WithDrainTimeout(*drainTimeout)}
-	if *maxInflight > 0 {
-		svcOpts = append(svcOpts, protocol.WithAdmission(*maxInflight))
-		log.Printf("anonymizerd: admission control on (budget %d in-flight, queries capped at %d)",
-			*maxInflight, max(1, *maxInflight/2))
-	}
-	svc, err := protocol.ServeAnonymizer(*addr, anon, log.Printf, svcOpts...)
+	}, stack.Forward{Addr: *dbAddr, CallTimeout: *callTimeout, Queue: *forwardQueue, Backpressure: *backpressure}, ops)
 	if err != nil {
 		log.Fatalf("anonymizerd: %v", err)
 	}
 	log.Printf("anonymizerd: location anonymizer (%v%s, %d shards, %d batch workers) listening on %s",
 		alg, map[bool]string{true: "+incremental", false: ""}[*incremental],
-		anon.Shards(), anon.BatchWorkers(), svc.Addr())
-	var metricsSrv *obs.MetricsServer
-	if *metricsAddr != "" {
-		metricsSrv, err = obs.ServeMetrics(*metricsAddr, reg,
-			obs.Route{Pattern: "/traces", Handler: tracer.Handler()})
-		if err != nil {
-			log.Fatalf("anonymizerd: metrics endpoint: %v", err)
-		}
-		log.Printf("anonymizerd: metrics on http://%s/metrics (traces on /traces, pprof under /debug/pprof/)", metricsSrv.Addr())
-	}
+		anon.Shards(), anon.BatchWorkers(), anon.Svc.Addr())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	log.Printf("anonymizerd: shutting down (stats: %+v)", anon.Stats())
-	if metricsSrv != nil {
-		metricsSrv.Close()
-	}
-	svc.Close()
+	d.Wait()
+	log.Printf("anonymizerd: stats: %+v", anon.Stats())
 	anon.Close()
-	if db != nil {
-		db.Close()
-	}
 }

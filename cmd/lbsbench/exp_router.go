@@ -8,11 +8,10 @@ import (
 	"time"
 
 	"repro/internal/geo"
-	"repro/internal/mobility"
 	"repro/internal/protocol"
 	"repro/internal/rng"
-	"repro/internal/router"
 	"repro/internal/server"
+	"repro/internal/stack"
 )
 
 // expRouterScale (E20) measures the spatially-partitioned routing tier
@@ -44,10 +43,13 @@ func expRouterScale(cfg benchConfig) {
 	t := newTable("topology", "shards", "queries/sec", "vs direct")
 	var base float64
 	for _, tp := range grid {
-		addr, cleanup := bootRouterTier(tp.shards)
-		seedRouterTier(addr, cfg)
-		qps := driveRouterTier(addr, cfg.seed, queries, workers)
-		cleanup()
+		st, err := stack.Boot(stack.Topology{Shards: tp.shards})
+		if err != nil {
+			log.Fatalf("lbsbench: %v", err)
+		}
+		seedRouterTier(st.DBAddr(), cfg)
+		qps := driveRouterTier(st.DBAddr(), cfg.seed, queries, workers)
+		st.Close()
 		rel := "1.00x"
 		if base == 0 {
 			base = qps
@@ -64,64 +66,6 @@ func expRouterScale(cfg benchConfig) {
 	fmt.Println("direct baseline; whether it can is open (EXPERIMENTS.md E20).")
 }
 
-// bootRouterTier starts the database tier on loopback and returns the
-// address clients dial: a single lbsd service (shards == 0) or a routing
-// service over that many shard services.
-func bootRouterTier(shards int) (addr string, cleanup func()) {
-	quiet := func(string, ...interface{}) {}
-	newSrv := func() *server.Server {
-		s, err := server.New(server.Config{World: world})
-		if err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
-		return s
-	}
-	if shards == 0 {
-		svc, err := protocol.ServeDatabase("127.0.0.1:0", newSrv(), quiet)
-		if err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
-		return svc.Addr(), func() { svc.Close() }
-	}
-	var (
-		svcs  []*protocol.Service
-		links []router.Shard
-		addrs []string
-		conns []*protocol.DatabaseClient
-	)
-	for i := 0; i < shards; i++ {
-		svc, err := protocol.ServeDatabase("127.0.0.1:0", newSrv(), quiet)
-		if err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
-		svcs = append(svcs, svc)
-		addrs = append(addrs, svc.Addr())
-		link, err := protocol.DialDatabase(svc.Addr(), protocol.WithCallTimeout(10*time.Second))
-		if err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
-		conns = append(conns, link)
-		links = append(links, link)
-	}
-	rt, err := router.New(router.Config{World: world, Shards: links, Addrs: addrs})
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
-	rtSvc, err := protocol.ServeRouter("127.0.0.1:0", rt, quiet)
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
-	return rtSvc.Addr(), func() {
-		rtSvc.Close()
-		for _, c := range conns {
-			c.Close()
-		}
-		for _, s := range svcs {
-			s.Close()
-		}
-	}
-}
-
 // seedRouterTier loads the identical data set into whatever tier addr
 // fronts: public objects in one frame, then every user's cloaked region.
 func seedRouterTier(addr string, cfg benchConfig) {
@@ -130,32 +74,7 @@ func seedRouterTier(addr string, cfg benchConfig) {
 		log.Fatalf("lbsbench: %v", err)
 	}
 	defer cli.Close()
-	objPts, err := mobility.GeneratePoints(mobility.PopulationSpec{
-		N: cfg.objs, World: world, Dist: mobility.Uniform, Seed: cfg.seed + 1,
-	})
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
-	objs := make([]server.PublicObject, len(objPts))
-	for i, p := range objPts {
-		objs[i] = server.PublicObject{ID: uint64(i + 1), Class: "poi", Loc: p}
-	}
-	if err := cli.LoadStationary(objs); err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
-	userPts, err := mobility.GeneratePoints(mobility.PopulationSpec{
-		N: cfg.n, World: world, Dist: mobility.Gaussian, Seed: cfg.seed,
-	})
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
-	src := rng.New(cfg.seed + 7)
-	for i, p := range userPts {
-		reg := geo.RectAround(p, 0.005+0.03*src.Float64()).Clip(world)
-		if err := cli.UpdatePrivate(uint64(i+1), reg); err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
-	}
+	loadBenchData(cli, cfg)
 }
 
 // driveRouterTier fans the mixed query workload over worker connections

@@ -14,6 +14,7 @@ import (
 	"repro/internal/privacy"
 	"repro/internal/protocol"
 	"repro/internal/server"
+	"repro/internal/stack"
 )
 
 // expIncremental regenerates the Section 5.3 incremental-evaluation study:
@@ -180,38 +181,17 @@ func expShared(cfg benchConfig) {
 // daemons for their own request histograms (MsgMetrics) so the client and
 // server views of the same latencies sit side by side.
 func expEndToEnd(cfg benchConfig) {
-	dbReg := obs.NewRegistry()
-	srv, err := server.New(server.Config{World: world, Metrics: dbReg})
+	st, err := stack.Boot(stack.Topology{})
 	if err != nil {
 		log.Fatalf("lbsbench: %v", err)
 	}
-	quiet := func(string, ...interface{}) {}
-	dbSvc, err := protocol.ServeDatabase("127.0.0.1:0", srv, quiet, protocol.WithMetrics(dbReg))
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
-	defer dbSvc.Close()
-	fwd, err := protocol.DialDatabase(dbSvc.Addr(), protocol.WithCallTimeout(30*time.Second))
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
-	defer fwd.Close()
-	anonReg := obs.NewRegistry()
-	anon, err := anonymizer.New(anonymizer.Config{World: world, Forward: fwd.UpdatePrivate, Metrics: anonReg})
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
-	anonSvc, err := protocol.ServeAnonymizer("127.0.0.1:0", anon, quiet, protocol.WithMetrics(anonReg))
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
-	defer anonSvc.Close()
-	user, err := protocol.DialAnonymizer(anonSvc.Addr(), protocol.WithCallTimeout(30*time.Second))
+	defer st.Close()
+	user, err := protocol.DialAnonymizer(st.AnonAddr(), protocol.WithCallTimeout(30*time.Second))
 	if err != nil {
 		log.Fatalf("lbsbench: %v", err)
 	}
 	defer user.Close()
-	admin, err := protocol.DialDatabase(dbSvc.Addr(), protocol.WithCallTimeout(30*time.Second))
+	admin, err := protocol.DialDatabase(st.DBAddr(), protocol.WithCallTimeout(30*time.Second))
 	if err != nil {
 		log.Fatalf("lbsbench: %v", err)
 	}
@@ -285,7 +265,7 @@ func expEndToEnd(cfg benchConfig) {
 	})...)
 	t.flush()
 	fmt.Printf("\nthree-tier deployment on loopback TCP: anonymizer %s, database %s\n",
-		anonSvc.Addr(), dbSvc.Addr())
+		st.AnonAddr(), st.DBAddr())
 
 	// The daemons' own per-message-type request histograms, fetched over the
 	// wire — the server-side complement of the client-side table above.

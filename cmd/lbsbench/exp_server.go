@@ -11,6 +11,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/server"
+	"repro/internal/stack"
 )
 
 // The database-server experiment E17 — the query-side twin of E16. It
@@ -62,6 +63,17 @@ func buildBenchServer(cfg benchConfig, workers int) *server.Server {
 	if err != nil {
 		log.Fatalf("lbsbench: %v", err)
 	}
+	loadBenchData(s, cfg)
+	return s
+}
+
+// loadBenchData loads the seeded data set E17 and E20 share into db, a
+// server in-process or a database tier over the wire: uniform public
+// objects, then one cloak-sized region per Gaussian-placed user.
+func loadBenchData(db interface {
+	LoadStationary([]server.PublicObject) error
+	UpdatePrivate(uint64, geo.Rect) error
+}, cfg benchConfig) {
 	objPts, err := mobility.GeneratePoints(mobility.PopulationSpec{
 		N: cfg.objs, World: world, Dist: mobility.Uniform, Seed: cfg.seed + 1,
 	})
@@ -72,7 +84,7 @@ func buildBenchServer(cfg benchConfig, workers int) *server.Server {
 	for i, p := range objPts {
 		objs[i] = server.PublicObject{ID: uint64(i + 1), Class: "poi", Loc: p}
 	}
-	if err := s.LoadStationary(objs); err != nil {
+	if err := db.LoadStationary(objs); err != nil {
 		log.Fatalf("lbsbench: %v", err)
 	}
 	userPts, err := mobility.GeneratePoints(mobility.PopulationSpec{
@@ -83,12 +95,10 @@ func buildBenchServer(cfg benchConfig, workers int) *server.Server {
 	}
 	src := rng.New(cfg.seed + 7)
 	for i, p := range userPts {
-		reg := geo.RectAround(p, 0.005+0.03*src.Float64()).Clip(world)
-		if err := s.UpdatePrivate(uint64(i+1), reg); err != nil {
+		if err := db.UpdatePrivate(uint64(i+1), geo.RectAround(p, 0.005+0.03*src.Float64()).Clip(world)); err != nil {
 			log.Fatalf("lbsbench: %v", err)
 		}
 	}
-	return s
 }
 
 // expServerBatch measures the shared-execution batch engine through the
@@ -119,7 +129,7 @@ func expServerBatch(cfg benchConfig) {
 	var base float64 // the perquery reference, measured first
 	for _, sr := range grid {
 		s := buildBenchServer(cfg, sr.workers)
-		svc, err := protocol.ServeDatabase("127.0.0.1:0", s, nil)
+		svc, err := stack.ServeDatabase("127.0.0.1:0", s, stack.Ops{})
 		if err != nil {
 			log.Fatalf("lbsbench: %v", err)
 		}

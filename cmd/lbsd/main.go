@@ -18,47 +18,26 @@ import (
 	"flag"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"repro/internal/geo"
-	"repro/internal/obs"
-	"repro/internal/protocol"
 	"repro/internal/server"
-	"repro/internal/trace"
+	"repro/internal/stack"
 )
 
 func main() {
+	d := stack.NewDaemon("lbsd", "lbsd")
 	addr := flag.String("addr", ":7070", "listen address")
 	worldSize := flag.Float64("world", 1.0, "world is the square [0,size]²")
 	snapshot := flag.String("snapshot", "", "snapshot file: restored at startup if present, written at shutdown")
-	metricsAddr := flag.String("metrics-addr", "", "HTTP address for /metrics, /healthz and /debug/pprof (empty = disabled)")
 	queryWorkers := flag.Int("query-workers", 0, "worker goroutines per batch query (0 = GOMAXPROCS, 1 = sequential)")
-	maxConns := flag.Int("max-conns", 0, "max concurrent client connections (0 = unlimited)")
-	maxInflight := flag.Int("max-inflight", 0, "admission budget: max in-flight requests before typed overload rejection, queries capped at half (0 = unlimited)")
-	readTimeout := flag.Duration("read-timeout", 0, "drop connections idle for this long (0 = never)")
-	drainTimeout := flag.Duration("drain-timeout", 2*time.Second, "grace for in-flight requests on shutdown")
-	traceSample := flag.Float64("trace-sample", 0, "fraction of traced requests to record spans for (0 = tracing off, 1 = all)")
-	traceSlow := flag.Duration("trace-slow", 0, "pin spans at least this slow in the slow-trace ring regardless of ring wraparound (0 = off)")
 	flag.Parse()
 
-	reg := obs.NewRegistry()
-	obs.EnableRuntimeMetrics(reg)
-	var tracer *trace.Tracer
-	if *traceSample > 0 {
-		tracer = trace.New(trace.Config{
-			Process:       "lbsd",
-			Sample:        *traceSample,
-			SlowThreshold: *traceSlow,
-		})
-		log.Printf("lbsd: tracing %.3g of traced requests (slow threshold %v)", *traceSample, *traceSlow)
-	}
+	ops := d.Start()
 	srv, err := server.New(server.Config{
 		World:        geo.R(0, 0, *worldSize, *worldSize),
-		Metrics:      reg,
+		Metrics:      ops.Metrics,
 		QueryWorkers: *queryWorkers,
-		Tracer:       tracer,
+		Tracer:       ops.Tracer,
 	})
 	if err != nil {
 		log.Fatalf("lbsd: %v", err)
@@ -71,38 +50,13 @@ func main() {
 			log.Fatalf("lbsd: restore %s: %v", *snapshot, err)
 		}
 	}
-	svcOpts := []protocol.Option{protocol.WithMetrics(reg),
-		protocol.WithTracing(tracer),
-		protocol.WithMaxConns(*maxConns),
-		protocol.WithReadTimeout(*readTimeout),
-		protocol.WithDrainTimeout(*drainTimeout)}
-	if *maxInflight > 0 {
-		svcOpts = append(svcOpts, protocol.WithAdmission(*maxInflight))
-		log.Printf("lbsd: admission control on (budget %d in-flight, queries capped at %d)",
-			*maxInflight, max(1, *maxInflight/2))
-	}
-	svc, err := protocol.ServeDatabase(*addr, srv, log.Printf, svcOpts...)
+	svc, err := stack.ServeDatabase(*addr, srv, ops)
 	if err != nil {
 		log.Fatalf("lbsd: %v", err)
 	}
 	log.Printf("lbsd: privacy-aware database server listening on %s (world %.3g²)", svc.Addr(), *worldSize)
-	var metricsSrv *obs.MetricsServer
-	if *metricsAddr != "" {
-		metricsSrv, err = obs.ServeMetrics(*metricsAddr, reg,
-			obs.Route{Pattern: "/traces", Handler: tracer.Handler()})
-		if err != nil {
-			log.Fatalf("lbsd: metrics endpoint: %v", err)
-		}
-		log.Printf("lbsd: metrics on http://%s/metrics (traces on /traces, pprof under /debug/pprof/)", metricsSrv.Addr())
-	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	log.Printf("lbsd: shutting down")
-	if metricsSrv != nil {
-		metricsSrv.Close()
-	}
+	d.Wait()
 	if err := svc.Close(); err != nil {
 		log.Printf("lbsd: close: %v", err)
 	}

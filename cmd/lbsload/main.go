@@ -21,14 +21,12 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/anonymizer"
 	"repro/internal/cloak"
 	"repro/internal/faults"
 	"repro/internal/geo"
@@ -37,8 +35,8 @@ import (
 	"repro/internal/privacy"
 	"repro/internal/protocol"
 	"repro/internal/rng"
-	"repro/internal/router"
 	"repro/internal/server"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -136,10 +134,7 @@ func main() {
 	queryPct := flag.Int("query-pct", 20, "percent of user operations that are NN queries (rest are updates)")
 	batch := flag.Int("batch", 1, "locations per update message (BatchUpdate when > 1)")
 	queryBatch := flag.Int("query-batch", 1, "admin queries per database message (shared-execution BatchQuery when > 1)")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "selfhost: anonymizer state shards")
 	routerShards := flag.Int("router", 0, "selfhost: boot this many lbsd shards behind a routing tier and load that as the database (0 = single lbsd)")
-	anonWorkers := flag.Int("anon-workers", runtime.GOMAXPROCS(0), "selfhost: anonymizer batch worker pool")
-	queryWorkers := flag.Int("query-workers", 0, "selfhost: database batch-query worker pool (0 = GOMAXPROCS)")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	callTimeout := flag.Duration("call-timeout", 5*time.Second, "per-call deadline on every client connection")
 	faultPlan := flag.String("fault-plan", "", `inject faults on the load generator's connections, e.g. "1=r2:drop;*=w1:delay:5ms" (see faults.ParsePlan)`)
@@ -149,8 +144,7 @@ func main() {
 	check := flag.Bool("check", true, "gate the run on safety invariants (zero lost updates, zero post-seed k violations) and exit 1 on violation")
 	flag.Parse()
 
-	world := geo.R(0, 0, 1, 1)
-	quiet := func(string, ...interface{}) {}
+	world := stack.World
 
 	// All load-generator connections share one metrics registry, so the
 	// run's retries/timeouts/breaker trips are visible in the summary.
@@ -179,61 +173,18 @@ func main() {
 		// With -trace the self-hosted daemons each get a tracer of their
 		// own, exactly as the real binaries would with -trace-sample; the
 		// rings are still pulled over the wire, so the merge path below is
-		// identical in both modes. Propagated traces obey their sampled
-		// flag, so the daemons' own Sample can stay 0.
-		var dbTracer, anonTracer *trace.Tracer
-		if *traceOn {
-			dbTracer = trace.New(trace.Config{Process: "lbsd"})
-			anonTracer = trace.New(trace.Config{Process: "anonymizer"})
-		}
-		dbReg := obs.NewRegistry()
-		var dbTierAddr string
-		if *routerShards > 1 {
-			addr, cleanup := selfhostRouter(world, *routerShards, *queryWorkers, dbReg, dbTracer, quiet)
-			defer cleanup()
-			dbTierAddr = addr
-		} else {
-			srv, err := server.New(server.Config{World: world, Metrics: dbReg, QueryWorkers: *queryWorkers, Tracer: dbTracer})
-			if err != nil {
-				log.Fatalf("lbsload: %v", err)
-			}
-			dbSvc, err := protocol.ServeDatabase("127.0.0.1:0", srv, quiet, protocol.WithMetrics(dbReg),
-				protocol.WithTracing(dbTracer))
-			if err != nil {
-				log.Fatalf("lbsload: %v", err)
-			}
-			defer dbSvc.Close()
-			dbTierAddr = dbSvc.Addr()
-		}
-		fwd, err := protocol.DialDatabase(dbTierAddr, protocol.WithCallTimeout(*callTimeout),
-			protocol.WithClientTracing(anonTracer))
+		// identical in both modes.
+		st, err := stack.Boot(stack.Topology{Shards: *routerShards, Trace: *traceOn})
 		if err != nil {
 			log.Fatalf("lbsload: %v", err)
 		}
-		defer fwd.Close()
-		anonReg := obs.NewRegistry()
-		anon, err := anonymizer.New(anonymizer.Config{
-			World: world, Incremental: true, Forward: fwd.UpdatePrivate, Metrics: anonReg,
-			Shards: *shards, BatchWorkers: *anonWorkers,
-			Tracer: anonTracer, ForwardCtx: fwd.UpdatePrivateCtx,
-		})
-		if err != nil {
-			log.Fatalf("lbsload: %v", err)
-		}
-		anonSvc, err := protocol.ServeAnonymizer("127.0.0.1:0", anon, quiet, protocol.WithMetrics(anonReg),
-			protocol.WithTracing(anonTracer))
-		if err != nil {
-			log.Fatalf("lbsload: %v", err)
-		}
-		defer anonSvc.Close()
-		*anonAddr = anonSvc.Addr()
-		*dbAddr = dbTierAddr
+		defer st.Close()
+		*anonAddr, *dbAddr = st.AnonAddr(), st.DBAddr()
 		tier := "single lbsd"
-		if *routerShards > 1 {
+		if *routerShards > 0 {
 			tier = fmt.Sprintf("router over %d lbsd shards", *routerShards)
 		}
-		log.Printf("lbsload: self-hosted stack at anon=%s db=%s (%s, %d anon shards, %d batch workers)",
-			*anonAddr, *dbAddr, tier, anon.Shards(), anon.BatchWorkers())
+		log.Printf("lbsload: self-hosted stack at anon=%s db=%s (%s, the daemons' defaults)", *anonAddr, *dbAddr, tier)
 	}
 
 	// Seed the deployment: public objects + registered users.
@@ -505,62 +456,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("\ncheck ok: zero lost updates, zero post-seed k violations\n")
-	}
-}
-
-// selfhostRouter boots the routed database tier for -selfhost -router N:
-// N lbsd shards on loopback (each with a private registry, so per-service
-// series don't collide) behind a routing service that carries the shared
-// registry and tracer — the address it returns answers MsgMetrics and
-// MsgSpans exactly as a single lbsd would, so every table and trace merge
-// below works unchanged.
-func selfhostRouter(world geo.Rect, shards, queryWorkers int, reg *obs.Registry, tracer *trace.Tracer,
-	quiet func(string, ...interface{})) (string, func()) {
-	var (
-		svcs  []*protocol.Service
-		conns []*protocol.DatabaseClient
-		links []router.Shard
-		addrs []string
-	)
-	for i := 0; i < shards; i++ {
-		srv, err := server.New(server.Config{World: world, Metrics: obs.NewRegistry(), QueryWorkers: queryWorkers})
-		if err != nil {
-			log.Fatalf("lbsload: %v", err)
-		}
-		svc, err := protocol.ServeDatabase("127.0.0.1:0", srv, quiet)
-		if err != nil {
-			log.Fatalf("lbsload: %v", err)
-		}
-		svcs = append(svcs, svc)
-		addrs = append(addrs, svc.Addr())
-		link, err := protocol.DialDatabase(svc.Addr(),
-			protocol.WithLazyDial(),
-			protocol.WithCallTimeout(10*time.Second),
-			protocol.WithClientMetrics(reg),
-			protocol.WithClientTracing(tracer))
-		if err != nil {
-			log.Fatalf("lbsload: %v", err)
-		}
-		conns = append(conns, link)
-		links = append(links, link)
-	}
-	rt, err := router.New(router.Config{World: world, Shards: links, Addrs: addrs, Metrics: reg, Tracer: tracer})
-	if err != nil {
-		log.Fatalf("lbsload: %v", err)
-	}
-	rtSvc, err := protocol.ServeRouter("127.0.0.1:0", rt, quiet,
-		protocol.WithMetrics(reg), protocol.WithTracing(tracer))
-	if err != nil {
-		log.Fatalf("lbsload: %v", err)
-	}
-	return rtSvc.Addr(), func() {
-		rtSvc.Close()
-		for _, c := range conns {
-			c.Close()
-		}
-		for _, s := range svcs {
-			s.Close()
-		}
 	}
 }
 

@@ -21,36 +21,24 @@ package main
 import (
 	"flag"
 	"log"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"repro/internal/geo"
-	"repro/internal/obs"
-	"repro/internal/protocol"
 	"repro/internal/router"
-	"repro/internal/trace"
+	"repro/internal/stack"
 )
 
 func main() {
+	d := stack.NewDaemon("lbsrouter", "lbsrouter")
 	addr := flag.String("addr", ":7080", "listen address")
 	shardList := flag.String("shards", "", "comma-separated lbsd shard addresses (required)")
 	worldSize := flag.Float64("world", 1.0, "world is the square [0,size]², identical to every shard's")
 	tiles := flag.Int("tiles", 0, "grid resolution per axis (0 = default 16)")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the hash ring (0 = default 64)")
-	callTimeout := flag.Duration("call-timeout", 2*time.Second, "per-call deadline on shard links")
-	retries := flag.Int("retries", 2, "transport retries per idempotent shard call")
-	breakAfter := flag.Int("break-after", 5, "consecutive shard-link failures before the breaker opens (0 = no breaker)")
-	breakCooldown := flag.Duration("break-cooldown", 500*time.Millisecond, "breaker open duration before a probe")
-	metricsAddr := flag.String("metrics-addr", "", "HTTP address for /metrics, /healthz and /debug/pprof (empty = disabled)")
-	maxConns := flag.Int("max-conns", 0, "max concurrent client connections (0 = unlimited)")
-	maxInflight := flag.Int("max-inflight", 0, "admission budget: max in-flight requests before typed overload rejection, queries capped at half (0 = unlimited)")
-	readTimeout := flag.Duration("read-timeout", 0, "drop connections idle for this long (0 = never)")
-	drainTimeout := flag.Duration("drain-timeout", 2*time.Second, "grace for in-flight requests on shutdown")
-	traceSample := flag.Float64("trace-sample", 0, "fraction of traced requests to record spans for (0 = tracing off, 1 = all)")
-	traceSlow := flag.Duration("trace-slow", 0, "pin spans at least this slow in the slow-trace ring regardless of ring wraparound (0 = off)")
+	callTimeout := flag.Duration("call-timeout", stack.ShardCallTimeout, "per-call deadline on shard links")
+	retries := flag.Int("retries", stack.ShardRetries, "transport retries per idempotent shard call")
+	breakAfter := flag.Int("break-after", stack.ShardBreakAfter, "consecutive shard-link failures before the breaker opens (0 = no breaker)")
+	breakCooldown := flag.Duration("break-cooldown", stack.ShardBreakCooldown, "breaker open duration before a probe")
 	flag.Parse()
 
 	if *shardList == "" {
@@ -66,85 +54,16 @@ func main() {
 		log.Fatalf("lbsrouter: need between 1 and %d shard addresses, got %d", router.MaxShards, len(addrs))
 	}
 
-	reg := obs.NewRegistry()
-	obs.EnableRuntimeMetrics(reg)
-	var tracer *trace.Tracer
-	if *traceSample > 0 {
-		tracer = trace.New(trace.Config{
-			Process:       "lbsrouter",
-			Sample:        *traceSample,
-			SlowThreshold: *traceSlow,
-		})
-		log.Printf("lbsrouter: tracing %.3g of traced requests (slow threshold %v)", *traceSample, *traceSlow)
-	}
-
-	dialOpts := []protocol.DialOption{
-		protocol.WithLazyDial(),
-		protocol.WithCallTimeout(*callTimeout),
-		protocol.WithRetries(*retries),
-		protocol.WithClientMetrics(reg),
-		protocol.WithClientTracing(tracer),
-	}
-	if *breakAfter > 0 {
-		dialOpts = append(dialOpts, protocol.WithBreaker(*breakAfter, *breakCooldown))
-	}
-	links := make([]router.Shard, len(addrs))
-	for i, a := range addrs {
-		link, err := protocol.DialDatabase(a, dialOpts...)
-		if err != nil {
-			log.Fatalf("lbsrouter: shard %d (%s): %v", i, a, err)
-		}
-		defer link.Close()
-		links[i] = link
-	}
-
-	rt, err := router.New(router.Config{
-		World:   geo.R(0, 0, *worldSize, *worldSize),
-		Shards:  links,
-		Addrs:   addrs,
-		Tiles:   *tiles,
-		VNodes:  *vnodes,
-		Metrics: reg,
-		Tracer:  tracer,
-	})
-	if err != nil {
-		log.Fatalf("lbsrouter: %v", err)
-	}
-
-	svcOpts := []protocol.Option{protocol.WithMetrics(reg),
-		protocol.WithTracing(tracer),
-		protocol.WithMaxConns(*maxConns),
-		protocol.WithReadTimeout(*readTimeout),
-		protocol.WithDrainTimeout(*drainTimeout)}
-	if *maxInflight > 0 {
-		svcOpts = append(svcOpts, protocol.WithAdmission(*maxInflight))
-		log.Printf("lbsrouter: admission control on (budget %d in-flight)", *maxInflight)
-	}
-	svc, err := protocol.ServeRouter(*addr, rt, log.Printf, svcOpts...)
+	ops := d.Start()
+	links := stack.Links{CallTimeout: *callTimeout, Retries: *retries, BreakAfter: *breakAfter, BreakCooldown: *breakCooldown}
+	rt, err := stack.ServeRouter(*addr, addrs, links,
+		router.Config{World: geo.R(0, 0, *worldSize, *worldSize), Tiles: *tiles, VNodes: *vnodes}, ops)
 	if err != nil {
 		log.Fatalf("lbsrouter: %v", err)
 	}
 	log.Printf("lbsrouter: routing tier listening on %s over %d shards (world %.3g², %d tiles)",
-		svc.Addr(), len(addrs), *worldSize, len(rt.Topology().Owners))
+		rt.Svc.Addr(), len(addrs), *worldSize, len(rt.Topology().Owners))
 
-	var metricsSrv *obs.MetricsServer
-	if *metricsAddr != "" {
-		metricsSrv, err = obs.ServeMetrics(*metricsAddr, reg,
-			obs.Route{Pattern: "/traces", Handler: tracer.Handler()})
-		if err != nil {
-			log.Fatalf("lbsrouter: metrics endpoint: %v", err)
-		}
-		log.Printf("lbsrouter: metrics on http://%s/metrics (traces on /traces, pprof under /debug/pprof/)", metricsSrv.Addr())
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	log.Printf("lbsrouter: shutting down")
-	if metricsSrv != nil {
-		metricsSrv.Close()
-	}
-	if err := svc.Close(); err != nil {
-		log.Printf("lbsrouter: close: %v", err)
-	}
+	d.Wait()
+	rt.Close()
 }

@@ -11,60 +11,37 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/anonymizer"
 	"repro/internal/geo"
 	"repro/internal/mobility"
 	"repro/internal/privacy"
 	"repro/internal/protocol"
 	"repro/internal/server"
+	"repro/internal/stack"
 )
 
 func main() {
-	world := geo.R(0, 0, 1, 1)
-	quiet := func(string, ...interface{}) {}
+	world := stack.World
 
-	// Tier 3: the privacy-aware database server.
-	srv, err := server.New(server.Config{World: world})
+	// Tiers 2 and 3: the Location Anonymizer forwarding cloaked regions
+	// over TCP to the privacy-aware database server, with the daemons'
+	// defaults.
+	st, err := stack.Boot(stack.Topology{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	dbSvc, err := protocol.ServeDatabase("127.0.0.1:0", srv, quiet)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer dbSvc.Close()
-	fmt.Printf("database server   : %s\n", dbSvc.Addr())
-
-	// Tier 2: the anonymizer, forwarding cloaked regions over TCP.
-	fwd, err := protocol.DialDatabase(dbSvc.Addr(), protocol.WithCallTimeout(10*time.Second))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer fwd.Close()
-	anon, err := anonymizer.New(anonymizer.Config{
-		World:       world,
-		Incremental: true,
-		Forward:     fwd.UpdatePrivate,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	anonSvc, err := protocol.ServeAnonymizer("127.0.0.1:0", anon, quiet)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer anonSvc.Close()
-	fmt.Printf("location anonymizer: %s (quadtree, incremental)\n\n", anonSvc.Addr())
+	defer st.Close()
+	fmt.Printf("database server    : %s\n", st.DBAddr())
+	fmt.Printf("location anonymizer: %s\n\n", st.AnonAddr())
 
 	// Tier 1a: mobile users connect to the anonymizer only.
-	user, err := protocol.DialAnonymizer(anonSvc.Addr(), protocol.WithCallTimeout(10*time.Second))
+	user, err := protocol.DialAnonymizer(st.AnonAddr(), protocol.WithCallTimeout(10*time.Second))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer user.Close()
 
 	// Tier 1b: an untrusted third party connects to the database only.
-	admin, err := protocol.DialDatabase(dbSvc.Addr(), protocol.WithCallTimeout(10*time.Second))
+	admin, err := protocol.DialDatabase(st.DBAddr(), protocol.WithCallTimeout(10*time.Second))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,8 +33,8 @@ func benchAnon(b *testing.B, shards, n int) (*Anonymizer, []geo.Point) {
 }
 
 // BenchmarkAnonBatchUpdate drives the full three-phase batch pipeline at
-// shard counts 1/4/8 — the series the regression harness (lbsbench E16)
-// tracks as updates/sec.
+// shard counts 1/4/8 — the same series lbsbench E16 prints as a table
+// of updates/sec.
 func BenchmarkAnonBatchUpdate(b *testing.B) {
 	const n = 5000
 	for _, shards := range []int{1, 4, 8} {

@@ -1,10 +1,11 @@
 // Package ctxcall implements the lbsvet pass that keeps daemons and load
-// tools deadline-clean: code in a main package must never issue a bare
-// (*protocol.Client).Call — which blocks until the transport gives up —
-// and every protocol.Dial / DialAnonymizer / DialDatabase must carry a
-// WithCallTimeout option, either inline or through the options slice it
-// spreads. Library packages are exempt: they receive deadlines from
-// their callers via CallCtx.
+// tools deadline-clean: code in a main package, or in the stack package
+// whose tier constructors dial the daemons' links, must never issue a
+// bare (*protocol.Client).Call — which blocks until the transport gives
+// up — and every protocol.Dial / DialAnonymizer / DialDatabase must carry
+// a WithCallTimeout option, either inline or through the options slice it
+// spreads. Other library packages are exempt: they receive deadlines
+// from their callers via CallCtx.
 package ctxcall
 
 import (
@@ -17,7 +18,7 @@ import (
 // Analyzer is the ctxcall pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxcall",
-	Doc: "require CallCtx and WithCallTimeout in main packages\n\n" +
+	Doc: "require CallCtx and WithCallTimeout in main packages and the stack package\n\n" +
 		"Bare Client.Call has no deadline; a daemon or load tool wedged on a\n" +
 		"dead peer is an outage, not a retry.",
 	Run: run,
@@ -26,7 +27,7 @@ var Analyzer = &analysis.Analyzer{
 const protocolPath = "repro/internal/protocol"
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	if pass.Pkg.Name() != "main" {
+	if name := pass.Pkg.Name(); name != "main" && name != "stack" {
 		return nil, nil
 	}
 	// Option-slice variables defined from composite literals, for resolving

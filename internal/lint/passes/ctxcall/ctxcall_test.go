@@ -13,3 +13,10 @@ func TestDeadlines(t *testing.T) {
 	}
 	linttest.Run(t, "testdata/src/deadlines", ctxcall.Analyzer)
 }
+
+func TestStackPackage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the module for fixture type-checking")
+	}
+	linttest.Run(t, "testdata/src/stack", ctxcall.Analyzer)
+}

@@ -9,12 +9,14 @@ import (
 	"time"
 
 	"repro/internal/cloak"
+	"repro/internal/faults"
 	"repro/internal/mobility"
 	"repro/internal/obs"
 	"repro/internal/privacy"
 	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/server"
+	"repro/internal/stack"
 	"repro/internal/stats"
 )
 
@@ -24,7 +26,7 @@ import (
 type Env struct {
 	cfg Config
 	sc  Scenario
-	st  *stack
+	st  *stack.Stack
 	gen *mobility.Stream
 
 	ctrl *protocol.AnonymizerClient // control plane: metrics/stats reads
@@ -62,6 +64,9 @@ type driver struct {
 	src  *rng.Source
 }
 
+// callTimeout is the deadline on every harness client call.
+const callTimeout = 2 * time.Second
+
 // tickInterval is how often the streamed city advances one tick — wall
 // time, deliberately unscaled so movement speed per second is constant
 // across -scale settings.
@@ -86,14 +91,28 @@ func Run(sc Scenario, cfg Config) (Result, error) {
 	res := Result{Scenario: sc.Name}
 	t0 := time.Now()
 
-	st, err := newStack(cfg, sc.Link)
+	topo := stack.Topology{
+		ForwardQueue:   cfg.ForwardQueue,
+		NoBackpressure: !cfg.Admission,
+		Logf:           cfg.Logf,
+	}
+	if cfg.Shards > 1 {
+		topo.Shards = cfg.Shards
+	}
+	if cfg.Admission {
+		topo.MaxInflight = cfg.MaxInflight
+	}
+	if sc.Link != nil {
+		topo.Dialer = faults.Dialer(sc.Link)
+	}
+	st, err := stack.Boot(topo)
 	if err != nil {
 		return res, fmt.Errorf("scenario %s: stack: %w", sc.Name, err)
 	}
 	defer st.Close()
 
 	gen, err := mobility.NewStream(mobility.StreamSpec{
-		World: st.world, Seed: scenarioSeed(cfg.Seed, sc.Name), NumClusters: 24,
+		World: stack.World, Seed: scenarioSeed(cfg.Seed, sc.Name), NumClusters: 24,
 	})
 	if err != nil {
 		return res, err
@@ -106,22 +125,21 @@ func Run(sc Scenario, cfg Config) (Result, error) {
 	e.profileK.Store(int64(cfg.K))
 	defer e.teardown()
 
-	e.ctrl, err = protocol.DialAnonymizer(st.anonSvc.Addr(),
-		protocol.WithCallTimeout(stackCallTimeout))
+	e.ctrl, err = protocol.DialAnonymizer(st.AnonAddr(), protocol.WithCallTimeout(callTimeout))
 	if err != nil {
 		return res, err
 	}
 	dialOpts := []protocol.DialOption{
-		protocol.WithCallTimeout(stackCallTimeout),
+		protocol.WithCallTimeout(callTimeout),
 		protocol.WithRetries(1),
 		protocol.WithRetryBackoff(5*time.Millisecond, 100*time.Millisecond),
 	}
 	for w := 0; w < cfg.Workers; w++ {
-		ac, err := protocol.DialAnonymizer(st.anonSvc.Addr(), dialOpts...)
+		ac, err := protocol.DialAnonymizer(st.AnonAddr(), dialOpts...)
 		if err != nil {
 			return res, err
 		}
-		dc, err := protocol.DialDatabase(st.dbAddr, dialOpts...)
+		dc, err := protocol.DialDatabase(st.DBAddr(), dialOpts...)
 		if err != nil {
 			ac.Close()
 			return res, err
@@ -192,7 +210,7 @@ func (e *Env) scaled(d time.Duration) time.Duration {
 // holds the whole population before any adversity starts.
 func (e *Env) seed() error {
 	objPts, err := mobility.GeneratePoints(mobility.PopulationSpec{
-		N: e.cfg.Objects, World: e.st.world, Dist: mobility.Uniform,
+		N: e.cfg.Objects, World: stack.World, Dist: mobility.Uniform,
 		Seed: scenarioSeed(e.cfg.Seed, e.sc.Name) + 1,
 	})
 	if err != nil {
@@ -202,7 +220,7 @@ func (e *Env) seed() error {
 	for i, p := range objPts {
 		objs[i] = server.PublicObject{ID: uint64(i + 1), Class: "poi", Loc: p}
 	}
-	setup, err := protocol.DialDatabase(e.st.dbAddr, protocol.WithCallTimeout(stackCallTimeout))
+	setup, err := protocol.DialDatabase(e.st.DBAddr(), protocol.WithCallTimeout(callTimeout))
 	if err != nil {
 		return err
 	}
@@ -259,7 +277,7 @@ func (e *Env) seed() error {
 	if err := e.waitDrain(60 * time.Second); err != nil {
 		return err
 	}
-	if got := e.st.privateUserCount(); got != e.cfg.Users {
+	if got := e.st.PrivateUserCount(); got != e.cfg.Users {
 		return fmt.Errorf("database holds %d users after seeding, want %d", got, e.cfg.Users)
 	}
 	e.Log("seeded %d users + %d objects in %v", e.cfg.Users, e.cfg.Objects,
@@ -406,8 +424,8 @@ func (e *Env) account(err error, ph Phase, d time.Duration, lat *stats.Latencies
 // KillDB takes the database tier down, leaving its address free for a
 // restart. Updates must keep flowing into the spill queue.
 func (e *Env) KillDB() {
-	e.Log("killing database at %s", e.st.dbAddr)
-	e.st.killDB()
+	e.Log("killing database at %s", e.st.DBAddr())
+	e.st.KillDB()
 }
 
 // RestartDB brings the database back on the same address. fromSnapshot
@@ -416,29 +434,29 @@ func (e *Env) KillDB() {
 // network-only outage).
 func (e *Env) RestartDB(fromSnapshot bool) error {
 	e.Log("restarting database (snapshot=%v)", fromSnapshot)
-	return e.st.restartDB(fromSnapshot)
+	return e.st.RestartDB(fromSnapshot)
 }
 
 // SaveSnapshot persists the database state for a later snapshot restart.
-func (e *Env) SaveSnapshot() error { return e.st.saveSnapshot() }
+func (e *Env) SaveSnapshot() error { return e.st.SaveSnapshot() }
 
 // KillShard takes down one shard of the routed tier; the router and the
 // other shards keep serving, and the shard's tiles fail behind the
 // router's breaker until it comes back.
 func (e *Env) KillShard(i int) {
-	e.Log("killing shard %d at %s", i, e.st.shardAddrs[i])
-	e.st.killShard(i)
+	e.Log("killing shard %d", i)
+	e.st.KillShard(i)
 }
 
 // RestartShard rebinds a killed shard on its original address with its
 // in-memory state intact.
 func (e *Env) RestartShard(i int) error {
 	e.Log("restarting shard %d", i)
-	return e.st.restartShard(i)
+	return e.st.RestartShard(i)
 }
 
 // Shards reports the shard count of the routed tier (0 in single mode).
-func (e *Env) Shards() int { return len(e.st.shardSrvs) }
+func (e *Env) Shards() int { return e.st.Shards() }
 
 // FlipProfiles raises (or lowers) every user's k at once — the mass
 // privacy-dial flip. The flip is capped at 50k users per call so a
@@ -571,7 +589,7 @@ func (e *Env) evaluate(res *Result) {
 			ackedUsers++
 		}
 	}
-	if resident := e.st.privateUserCount(); resident < ackedUsers {
+	if resident := e.st.PrivateUserCount(); resident < ackedUsers {
 		violate("consistency", "database resident count %d < %d acked users", resident, ackedUsers)
 	}
 
