@@ -8,16 +8,19 @@
 //
 // The implementation lives under internal/:
 //
-//   - core — the assembled three-tier system (start here);
 //   - anonymizer, cloak, privacy, attack — the trusted third party, the
 //     four cloaking algorithms of Figures 3–4, profiles, and the
 //     reverse-engineering adversaries;
 //   - server, prob — the privacy-aware query processors of Figures 5–6;
 //   - rtree, grid, pyramid, geo, rng, mobility — the substrates;
-//   - protocol — the wire protocol and TCP services of Figure 1.
+//   - protocol — the wire protocol and TCP services of Figure 1;
+//   - stack — the one definition of the deployment the daemons, soak and
+//     load tool boot.
 //
-// Runnable entry points: examples/* (five scenarios), cmd/lbsbench (the
-// experiment harness behind EXPERIMENTS.md), cmd/anonymizerd and cmd/lbsd
-// (the networked deployment), and cmd/lbsgen (workload traces). The
-// benchmarks in bench_test.go mirror the experiment suite one-to-one.
+// Runnable entry points: examples/* (six examples; quickstart is the place
+// to start), cmd/lbsbench (the experiment harness behind EXPERIMENTS.md),
+// cmd/anonymizerd, cmd/lbsd and cmd/lbsrouter (the networked deployment),
+// cmd/lbsload (a closed-loop load generator), cmd/lbssoak (the adversarial
+// soak) and cmd/lbsgen (workload traces). The benchmarks in bench_test.go
+// mirror the experiment suite one-to-one.
 package repro

@@ -10,15 +10,20 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/anonymizer"
 	"repro/internal/geo"
 	"repro/internal/mobility"
 	"repro/internal/privacy"
+	"repro/internal/server"
 )
 
 func main() {
 	world := geo.R(0, 0, 1, 1)
-	sys, err := core.NewSystem(core.Config{World: world})
+	srv, err := server.New(server.Config{World: world})
+	if err != nil {
+		log.Fatal(err)
+	}
+	anon, err := anonymizer.New(anonymizer.Config{World: world, Forward: srv.UpdatePrivate})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,10 +38,10 @@ func main() {
 	prof := privacy.Constant(privacy.Requirement{K: 40})
 	for i, p := range pts {
 		id := uint64(i + 1)
-		if err := sys.RegisterUser(id, prof); err != nil {
+		if err := anon.Register(id, prof); err != nil {
 			log.Fatal(err)
 		}
-		if _, err := sys.UpdateLocation(id, p); err != nil {
+		if _, err := anon.Update(id, p); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -44,7 +49,7 @@ func main() {
 	station := geo.Pt(0.47, 0.53)
 	fmt.Printf("gas station at %v asks: who is my nearest customer?\n\n", station)
 
-	res, err := sys.NearestUser(station)
+	res, err := srv.PublicNN(server.PublicNNQuery{From: station})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,7 +107,7 @@ func main() {
 	hits := 0
 	for i := 0; i < 40; i++ {
 		q := geo.Pt(float64(i%8)/8+0.05, float64(i/8)/5+0.07)
-		r, err := sys.NearestUser(q)
+		r, err := srv.PublicNN(server.PublicNNQuery{From: q})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,29 +1,29 @@
-// Fleetops: a delivery-fleet operations scenario exercising the
-// continuous and historical extensions together. Couriers are anonymized
-// mobile users (their employer must not track them precisely); delivery
-// trucks are public movers. A courier keeps a standing "trucks near me"
-// monitor, dispatch watches live district occupancy, and at the end of the
-// shift analytics answers "how busy was the depot zone?" from the cloaked
-// history — all without anyone's exact trajectory ever being stored.
+// Fleetops: a delivery-fleet operations scenario exercising the continuous
+// queries. Couriers are anonymized mobile users (their employer must not
+// track them precisely); delivery trucks are public movers. A courier keeps
+// a standing "trucks near me" monitor anchored at her cloaked region, and
+// dispatch watches the depot zone's live occupancy — without the server
+// ever seeing a courier's exact location.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/anonymizer"
 	"repro/internal/geo"
 	"repro/internal/mobility"
 	"repro/internal/privacy"
+	"repro/internal/server"
 )
 
 func main() {
 	world := geo.R(0, 0, 1, 1)
-	sys, err := core.NewSystem(core.Config{
-		World:         world,
-		Incremental:   true,
-		RecordHistory: true,
-	})
+	srv, err := server.New(server.Config{World: world})
+	if err != nil {
+		log.Fatal(err)
+	}
+	anon, err := anonymizer.New(anonymizer.Config{World: world, Incremental: true, Forward: srv.UpdatePrivate})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,83 +51,63 @@ func main() {
 
 	prof := privacy.Constant(privacy.Requirement{K: 20})
 	for _, u := range courierSim.Users() {
-		if err := sys.RegisterUser(u.ID, prof); err != nil {
+		if err := anon.Register(u.ID, prof); err != nil {
 			log.Fatal(err)
 		}
-		sys.AdvanceTime()
-		if _, err := sys.UpdateLocation(u.ID, u.Loc); err != nil {
+		if _, err := anon.Update(u.ID, u.Loc); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	// Courier 7 monitors trucks within 0.15 of her (region-anchored).
+	// Courier 7 monitors trucks within 0.15 of her: the server anchors
+	// the standing query at her cloaked region, never at her location.
 	courier := uint64(7)
 	loc := courierSim.User(int(courier) - 1).Loc
-	watch, err := sys.WatchNearby(courier, loc, 0.15)
+	cloaked, err := anon.CloakQuery(courier, loc)
+	if err != nil {
+		log.Fatal(err)
+	}
+	watch, err := srv.RegisterContinuousPrivateRange(cloaked.Region, 0.15)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Dispatch monitors the depot zone live.
 	depot := geo.R(0.35, 0.35, 0.65, 0.65)
-	depotQ, err := sys.Server.RegisterContinuousCount(depot)
+	depotQ, err := srv.RegisterContinuousCount(depot)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("shift simulation (60 ticks):")
-	shiftStart := sys.Now()
 	for tick := 0; tick < 60; tick++ {
-		sys.AdvanceTime()
 		courierSim.Tick()
 		truckSim.Tick()
 		for _, u := range courierSim.Users() {
-			if _, err := sys.UpdateLocation(u.ID, u.Loc); err != nil {
+			if _, err := anon.Update(u.ID, u.Loc); err != nil {
 				log.Fatal(err)
 			}
 		}
 		for _, tr := range truckSim.Users() {
-			if err := sys.UpdateMover(tr.ID, tr.Loc); err != nil {
+			if err := srv.UpdateMoving(tr.ID, tr.Loc); err != nil {
 				log.Fatal(err)
 			}
 		}
-		// The courier's device refines her standing monitor locally.
+		// The courier re-anchors her monitor at a fresh cloak, and her
+		// device refines its candidates locally.
 		loc = courierSim.User(int(courier) - 1).Loc
 		if tick%12 == 0 {
-			if err := sys.MoveWatch(watch, courier, loc); err != nil {
+			if cloaked, err = anon.CloakQuery(courier, loc); err != nil {
 				log.Fatal(err)
 			}
-			trucks, err := sys.NearbyNow(watch, loc, 0.15)
-			if err != nil {
+			if err := srv.MoveContinuousPrivateRange(watch, cloaked.Region); err != nil {
 				log.Fatal(err)
 			}
-			ans, _ := sys.Server.ContinuousCount(depotQ)
+			cands, _ := srv.ContinuousPrivateRange(watch)
+			trucks := server.RefineRange(loc, 0.15, cands)
+			ans, _ := srv.ContinuousCount(depotQ)
 			fmt.Printf("  tick %2d: courier %d sees %d trucks nearby; depot live count E=%.1f [%d,%d]\n",
 				tick, courier, len(trucks), ans.Expected, ans.Lo, ans.Hi)
 		}
 	}
-	shiftEnd := sys.Now()
-
-	// End-of-shift analytics from the cloaked history.
-	fmt.Println("\nend-of-shift analytics (from cloaked timelines only):")
-	occ, err := sys.HistoricalOccupancy(depot, shiftStart, shiftEnd)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  depot zone: average %.1f couriers present (certainly within [%d,%d])\n",
-		occ.Expected, occ.Lo, occ.Hi)
-
-	firstHalf, _ := sys.HistoricalOccupancy(depot, shiftStart, shiftStart+(shiftEnd-shiftStart)/2)
-	secondHalf, _ := sys.HistoricalOccupancy(depot, shiftStart+(shiftEnd-shiftStart)/2, shiftEnd)
-	fmt.Printf("  first half: %.1f, second half: %.1f\n", firstHalf.Expected, secondHalf.Expected)
-
-	// Per-courier audit: can analytics prove courier 7 visited the depot?
-	lower, possible := sys.History.VisitProbability(courier, depot, shiftStart, shiftEnd)
-	fmt.Printf("  courier %d depot visit: possible=%v, probability ≥ %.2f\n", courier, possible, lower)
-	fmt.Printf("  history holds %d spans for %d couriers — regions only, no points\n",
-		sys.History.SpanCount(), sys.History.Users())
-
-	// Retention: prune everything older than the last 20 ticks.
-	removed := sys.History.Prune(shiftEnd - 20)
-	fmt.Printf("  retention pass removed %d expired spans\n", removed)
 }

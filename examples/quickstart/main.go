@@ -1,6 +1,8 @@
-// Quickstart: assemble the privacy-aware LBS stack in process, register a
-// mobile user with the paper's example privacy profile, stream a location
-// update, and run one private nearest-neighbor query end to end.
+// Quickstart: assemble the privacy-aware LBS stack in process — the
+// database server, and the Location Anonymizer forwarding cloaked regions
+// to it — register a mobile user with the paper's example privacy profile,
+// stream a location update, and run one private nearest-neighbor query end
+// to end.
 package main
 
 import (
@@ -9,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/anonymizer"
-	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/privacy"
 	"repro/internal/server"
@@ -21,17 +22,22 @@ func main() {
 	// Pin the clock to the evening so the profile's k=100 entry applies.
 	evening := func() time.Time { return time.Date(2026, 7, 4, 19, 0, 0, 0, time.UTC) }
 
-	sys, err := core.NewSystem(core.Config{
+	srv, err := server.New(server.Config{World: world})
+	if err != nil {
+		log.Fatal(err)
+	}
+	anon, err := anonymizer.New(anonymizer.Config{
 		World:     world,
 		Algorithm: anonymizer.AlgQuadtree,
 		Clock:     evening,
+		Forward:   srv.UpdatePrivate, // only cloaked regions cross to the server
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// A small city: 2000 anonymous residents and 300 gas stations.
-	if err := loadDemoData(sys); err != nil {
+	if err := loadDemoData(anon, srv); err != nil {
 		log.Fatal(err)
 	}
 
@@ -40,32 +46,43 @@ func main() {
 	// 1×1, so scale them down).
 	alice := uint64(9001)
 	profile := privacy.PaperExample().ScaleAreas(1.0 / 400)
-	if err := sys.RegisterUser(alice, profile); err != nil {
+	if err := anon.Register(alice, profile); err != nil {
 		log.Fatal(err)
 	}
 
 	// Alice reports her location; only a cloaked region reaches the server.
 	here := geo.Pt(0.42, 0.58)
-	area, err := sys.UpdateLocation(alice, here)
+	upd, err := anon.Update(alice, here)
 	if err != nil {
 		log.Fatal(err)
 	}
-	region, _ := sys.Server.PrivateRegion(alice)
-	fmt.Printf("Alice is at %v; the server only sees %v (area %.4f)\n", here, region, area)
+	region, _ := srv.PrivateRegion(alice)
+	fmt.Printf("Alice is at %v; the server only sees %v (area %.4f)\n", here, region, upd.Region.Area())
 
-	// Private query: "where is my nearest gas station?"
-	station, stats, err := sys.FindNearest(alice, here, "gas")
+	// Private query "where is my nearest gas station?" in three steps: the
+	// anonymizer cloaks Alice, the server answers for the whole region, and
+	// her device picks the answer from the candidates.
+	cloaked, err := anon.CloakQuery(alice, here)
 	if err != nil {
 		log.Fatal(err)
+	}
+	nn, err := srv.PrivateNN(server.PrivateNNQuery{Region: cloaked.Region, Class: "gas"})
+	if err != nil {
+		log.Fatal(err)
+	}
+	station, ok := server.RefineNN(here, nn.Candidates)
+	if !ok {
+		log.Fatal("no gas stations")
 	}
 	fmt.Printf("nearest gas station: #%d at %v (%.4f away)\n",
 		station.ID, station.Loc, here.Dist(station.Loc))
 	fmt.Printf("privacy cost: the server shipped %d candidates (%d bytes) for a region of area %.4f\n",
-		stats.Candidates, stats.Bytes, stats.RegionArea)
+		len(nn.Candidates), server.TransmissionCost(nn.Candidates), cloaked.Region.Area())
 
-	// Admin query: "how many users downtown right now?" — probabilistic.
+	// Admin query: "how many users downtown right now?" — probabilistic,
+	// asked of the server directly.
 	downtown := geo.R(0.3, 0.3, 0.7, 0.7)
-	count, err := sys.CountUsersIn(downtown)
+	count, err := srv.PublicRangeCount(server.PublicRangeCountQuery{Query: downtown})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +92,7 @@ func main() {
 
 // loadDemoData registers 2000 background users on a jittered grid and 300
 // gas stations.
-func loadDemoData(sys *core.System) error {
+func loadDemoData(anon *anonymizer.Anonymizer, srv *server.Server) error {
 	prof := privacy.Constant(privacy.Requirement{K: 20})
 	id := uint64(1)
 	for i := 0; i < 2000; i++ {
@@ -87,10 +104,10 @@ func loadDemoData(sys *core.System) error {
 		if y >= 1 {
 			y = 0.999
 		}
-		if err := sys.RegisterUser(id, prof); err != nil {
+		if err := anon.Register(id, prof); err != nil {
 			return err
 		}
-		if _, err := sys.UpdateLocation(id, geo.Pt(x, y)); err != nil {
+		if _, err := anon.Update(id, geo.Pt(x, y)); err != nil {
 			return err
 		}
 		id++
@@ -103,5 +120,5 @@ func loadDemoData(sys *core.System) error {
 			ID: uint64(i + 1), Class: "gas", Loc: geo.Pt(x, y),
 		})
 	}
-	return sys.LoadPublicObjects(objs)
+	return srv.LoadStationary(objs)
 }

@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/anonymizer"
 	"repro/internal/geo"
 	"repro/internal/mobility"
 	"repro/internal/privacy"
@@ -18,7 +18,11 @@ import (
 
 func main() {
 	world := geo.R(0, 0, 1, 1)
-	sys, err := core.NewSystem(core.Config{World: world})
+	srv, err := server.New(server.Config{World: world})
+	if err != nil {
+		log.Fatal(err)
+	}
+	anon, err := anonymizer.New(anonymizer.Config{World: world, Forward: srv.UpdatePrivate})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +39,7 @@ func main() {
 	for i, o := range objs {
 		pois[i] = server.PublicObject{ID: o.ID, Class: o.Class, Loc: o.Loc}
 	}
-	if err := sys.LoadPublicObjects(pois); err != nil {
+	if err := srv.LoadStationary(pois); err != nil {
 		log.Fatal(err)
 	}
 
@@ -49,10 +53,10 @@ func main() {
 	bg := privacy.Constant(privacy.Requirement{K: 10})
 	for i, p := range crowd {
 		id := uint64(i + 100)
-		if err := sys.RegisterUser(id, bg); err != nil {
+		if err := anon.Register(id, bg); err != nil {
 			log.Fatal(err)
 		}
-		if _, err := sys.UpdateLocation(id, p); err != nil {
+		if _, err := anon.Update(id, p); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -63,29 +67,41 @@ func main() {
 	fmt.Printf("%-6s %-12s %-14s %-12s %-10s\n", "k", "stop", "nearest", "candidates", "bytes")
 	for _, k := range []int{1, 10, 100, 500} {
 		uid := uint64(1000000 + k) // a fresh identity per privacy level
-		if err := sys.RegisterUser(uid, privacy.Constant(privacy.Requirement{K: k})); err != nil {
+		if err := anon.Register(uid, privacy.Constant(privacy.Requirement{K: k})); err != nil {
 			log.Fatal(err)
 		}
 		for si, stop := range route {
-			if _, err := sys.UpdateLocation(uid, stop); err != nil {
+			if _, err := anon.Update(uid, stop); err != nil {
 				log.Fatal(err)
 			}
-			best, stats, err := sys.FindNearest(uid, stop, "restaurant")
+			// Cloak at the anonymizer, candidates from the server, the
+			// answer picked on the device.
+			cloaked, err := anon.CloakQuery(uid, stop)
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("%-6d stop %-7d #%-5d %.4f   %-12d %-10d\n",
-				k, si+1, best.ID, stop.Dist(best.Loc), stats.Candidates, stats.Bytes)
+			nn, err := srv.PrivateNN(server.PrivateNNQuery{Region: cloaked.Region, Class: "restaurant"})
+			if err != nil {
+				log.Fatal(err)
+			}
+			best, _ := server.RefineNN(stop, nn.Candidates)
+			fmt.Printf("%-6d stop %-7d #%-5d %.4f   %-12d %-10d\n", k, si+1, best.ID,
+				stop.Dist(best.Loc), len(nn.Candidates), server.TransmissionCost(nn.Candidates))
 		}
 	}
 
 	// Range query flavor: everything within walking distance.
 	fmt.Println("\ngas stations within 0.08 of the second stop (k=100):")
 	uid := uint64(1000100)
-	within, stats, err := sys.FindWithin(uid, route[1], 0.08, "gas")
+	cloaked, err := anon.CloakQuery(uid, route[1])
 	if err != nil {
 		log.Fatal(err)
 	}
+	cands, err := srv.PrivateRange(server.PrivateRangeQuery{Region: cloaked.Region, Radius: 0.08, Class: "gas"})
+	if err != nil {
+		log.Fatal(err)
+	}
+	within := server.RefineRange(route[1], 0.08, cands)
 	for i, o := range within {
 		if i >= 5 {
 			fmt.Printf("  ... and %d more\n", len(within)-5)
@@ -94,7 +110,7 @@ func main() {
 		fmt.Printf("  #%d at %v (%.4f away)\n", o.ID, o.Loc, route[1].Dist(o.Loc))
 	}
 	fmt.Printf("answer: %d stations from %d candidates (%d bytes shipped)\n",
-		len(within), stats.Candidates, stats.Bytes)
+		len(within), len(cands), server.TransmissionCost(cands))
 	fmt.Println("\nnote how k=1 gets pinpoint answers with minimal transfer while")
 	fmt.Println("k=500 pays in candidates — the trade-off each profile entry tunes.")
 }

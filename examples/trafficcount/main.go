@@ -11,15 +11,20 @@ import (
 	"log"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/anonymizer"
 	"repro/internal/geo"
 	"repro/internal/mobility"
 	"repro/internal/privacy"
+	"repro/internal/server"
 )
 
 func main() {
 	world := geo.R(0, 0, 1, 1)
-	sys, err := core.NewSystem(core.Config{World: world})
+	srv, err := server.New(server.Config{World: world})
+	if err != nil {
+		log.Fatal(err)
+	}
+	anon, err := anonymizer.New(anonymizer.Config{World: world, Forward: srv.UpdatePrivate})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,33 +42,37 @@ func main() {
 	}
 	prof := privacy.Constant(privacy.Requirement{K: 30})
 	for _, u := range sim.Users() {
-		if err := sys.RegisterUser(u.ID, prof); err != nil {
+		if err := anon.Register(u.ID, prof); err != nil {
 			log.Fatal(err)
 		}
-		if _, err := sys.UpdateLocation(u.ID, u.Loc); err != nil {
+		if _, err := anon.Update(u.ID, u.Loc); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	districts := map[string]geo.Rect{
-		"downtown":  geo.R(0.35, 0.35, 0.65, 0.65),
-		"northside": geo.R(0.0, 0.7, 1.0, 1.0),
-		"west end":  geo.R(0.0, 0.0, 0.25, 0.7),
+	downtown := geo.R(0.35, 0.35, 0.65, 0.65)
+	districts := []struct {
+		name string
+		rect geo.Rect
+	}{
+		{"downtown", downtown},
+		{"northside", geo.R(0.0, 0.7, 1.0, 1.0)},
+		{"west end", geo.R(0.0, 0.0, 0.25, 0.7)},
 	}
 
 	fmt.Println("district occupancy (all three answer formats of Figure 6a):")
-	for name, rect := range districts {
-		res, err := sys.CountUsersIn(rect)
+	for _, d := range districts {
+		res, err := srv.PublicRangeCount(server.PublicRangeCountQuery{Query: d.rect})
 		if err != nil {
 			log.Fatal(err)
 		}
 		truth := 0
 		for _, u := range sim.Users() {
-			if rect.Contains(u.Loc) {
+			if d.rect.Contains(u.Loc) {
 				truth++
 			}
 		}
-		fmt.Printf("\n%s (true count, unknown to the server: %d)\n", name, truth)
+		fmt.Printf("\n%s (true count, unknown to the server: %d)\n", d.name, truth)
 		fmt.Printf("  expected value : %.1f users\n", res.Answer.Expected)
 		fmt.Printf("  interval       : [%d, %d]\n", res.Answer.Lo, res.Answer.Hi)
 		fmt.Printf("  naive baseline : %d (counts every overlapping region)\n", res.NaiveCount)
@@ -78,21 +87,21 @@ func main() {
 	// Continuous monitoring: register a standing query and watch it track
 	// the population as cars move.
 	fmt.Println("\ncontinuous downtown monitor over 10 simulation ticks:")
-	qid, err := sys.Server.RegisterContinuousCount(districts["downtown"])
+	qid, err := srv.RegisterContinuousCount(downtown)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for tick := 1; tick <= 10; tick++ {
 		sim.Tick()
 		for _, u := range sim.Users() {
-			if _, err := sys.UpdateLocation(u.ID, u.Loc); err != nil {
+			if _, err := anon.Update(u.ID, u.Loc); err != nil {
 				log.Fatal(err)
 			}
 		}
-		ans, _ := sys.Server.ContinuousCount(qid)
+		ans, _ := srv.ContinuousCount(qid)
 		truth := 0
 		for _, u := range sim.Users() {
-			if districts["downtown"].Contains(u.Loc) {
+			if downtown.Contains(u.Loc) {
 				truth++
 			}
 		}

@@ -25,7 +25,7 @@ func TestExamplesRun(t *testing.T) {
 		{"trafficcount", "district occupancy"},
 		{"ecoupon", "min–max pruning eliminated"},
 		{"networked", "never received a single exact"},
-		{"fleetops", "end-of-shift analytics"},
+		{"fleetops", "depot live count"},
 	}
 	for _, ex := range examples {
 		ex := ex

@@ -120,47 +120,57 @@ func TestEndToEndThreeTier(t *testing.T) {
 		t.Fatalf("Stats = %d, %d, %v", stationary, private, err)
 	}
 
-	// Private NN query end to end: cloak, query, refine, verify vs brute.
-	uid := uint64(42)
-	loc := userPts[uid-1]
-	cres, err := user.CloakQuery(uid, loc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nn, err := admin.PrivateNN(server.PrivateNNQuery{Region: cres.Region, Class: "gas"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, ok := server.RefineNN(loc, nn.Candidates)
-	if !ok {
-		t.Fatal("no NN candidates")
-	}
-	bestD := math.Inf(1)
-	for _, p := range pois {
-		if d := loc.Dist2(p); d < bestD {
-			bestD = d
+	// Private queries end to end (Figure 5): cloak, query, refine, and the
+	// refined answer equals brute force — NN for 30 users, range r = 0.1
+	// for the first 20 of them.
+	for trial := 0; trial < 30; trial++ {
+		uid := uint64(trial*10 + 2)
+		loc := userPts[uid-1]
+		cres, err := user.CloakQuery(uid, loc)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if loc.Dist2(ans.Loc) != bestD {
-		t.Fatal("refined networked NN is not the true NN")
-	}
-
-	// Private range query end to end.
-	cands, err := admin.PrivateRange(server.PrivateRangeQuery{
-		Region: cres.Region, Radius: 0.1, Class: "gas",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refined := server.RefineRange(loc, 0.1, cands)
-	want := 0
-	for _, p := range pois {
-		if loc.Dist(p) <= 0.1 {
-			want++
+		nn, err := admin.PrivateNN(server.PrivateNNQuery{Region: cres.Region, Class: "gas"})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(refined) != want {
-		t.Fatalf("networked range: %d, brute %d", len(refined), want)
+		ans, ok := server.RefineNN(loc, nn.Candidates)
+		if !ok {
+			t.Fatal("no NN candidates")
+		}
+		bestD := math.Inf(1)
+		for _, p := range pois {
+			if d := loc.Dist2(p); d < bestD {
+				bestD = d
+			}
+		}
+		if loc.Dist2(ans.Loc) != bestD {
+			t.Fatalf("user %d: refined networked NN is not the true NN", uid)
+		}
+		if trial >= 20 {
+			continue
+		}
+		cands, err := admin.PrivateRange(server.PrivateRangeQuery{
+			Region: cres.Region, Radius: 0.1, Class: "gas",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refined := server.RefineRange(loc, 0.1, cands)
+		want := 0
+		for _, p := range pois {
+			if loc.Dist(p) <= 0.1 {
+				want++
+			}
+		}
+		if len(refined) != want {
+			t.Fatalf("user %d: networked range %d, brute %d", uid, len(refined), want)
+		}
+		for i := 1; i < len(refined); i++ {
+			if loc.Dist2(refined[i].Loc) < loc.Dist2(refined[i-1].Loc) {
+				t.Fatalf("user %d: refined range not sorted by distance", uid)
+			}
+		}
 	}
 
 	// Public probabilistic count.
@@ -202,6 +212,8 @@ func TestEndToEndThreeTier(t *testing.T) {
 	}
 
 	// Mode switching and deregistration over the wire.
+	uid := uint64(42)
+	loc := userPts[uid-1]
 	if err := user.SetMode(uid, privacy.Passive); err != nil {
 		t.Fatal(err)
 	}

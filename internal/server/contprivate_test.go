@@ -120,7 +120,9 @@ func TestContinuousPrivateMatchesFreshUnderChurn(t *testing.T) {
 	src := rng.New(41)
 	type standing struct {
 		id     uint64
-		filter geo.Rect
+		at     geo.Point // the user's exact location, inside region
+		region geo.Rect
+		radius float64
 	}
 	var queries []standing
 	for i := 0; i < 10; i++ {
@@ -131,7 +133,7 @@ func TestContinuousPrivateMatchesFreshUnderChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		queries = append(queries, standing{id: id, filter: region.Expand(radius)})
+		queries = append(queries, standing{id: id, at: c, region: region, radius: radius})
 	}
 	for step := 0; step < 3000; step++ {
 		oid := uint64(src.Intn(100)) + 1
@@ -151,7 +153,7 @@ func TestContinuousPrivateMatchesFreshUnderChurn(t *testing.T) {
 			// Fresh evaluation over the moving index.
 			want := map[uint64]bool{}
 			s.mu.RLock()
-			for _, o := range s.moving.Search(q.filter, nil) {
+			for _, o := range s.moving.Search(q.region.Expand(q.radius), nil) {
 				want[o.ID] = true
 			}
 			s.mu.RUnlock()
@@ -162,6 +164,22 @@ func TestContinuousPrivateMatchesFreshUnderChurn(t *testing.T) {
 			for _, o := range got {
 				if !want[o.ID] {
 					t.Fatalf("step %d: stale member %d", step, o.ID)
+				}
+			}
+			// Refined on the device, the standing answer equals a one-shot
+			// private range query (class "" includes the movers).
+			oneShot, err := s.PrivateRange(PrivateRangeQuery{Region: q.region, Radius: q.radius})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cont, fresh := RefineRange(q.at, q.radius, got), RefineRange(q.at, q.radius, oneShot)
+			if len(cont) != len(fresh) {
+				t.Fatalf("step %d query %d: refined continuous %d, one-shot %d",
+					step, q.id, len(cont), len(fresh))
+			}
+			for i := range cont {
+				if cont[i].ID != fresh[i].ID {
+					t.Fatalf("step %d query %d: refined answers differ at %d", step, q.id, i)
 				}
 			}
 		}

@@ -24,7 +24,7 @@ var World = geo.R(0, 0, 1, 1)
 // that two callers set differently.
 type Topology struct {
 	// Shards is the database tier: 0 = one lbsd, n ≥ 1 = a router over n
-	// lbsd shards.
+	// lbsd shards; Boot rejects a negative count.
 	Shards int
 	// MaxInflight is every service's admission budget (0 = admission off).
 	MaxInflight int
@@ -68,6 +68,9 @@ type Stack struct {
 // anonymizer forwarding to whichever of the two fronts the database tier.
 // Services close without a drain, so KillDB is a crash, not a shutdown.
 func Boot(t Topology) (_ *Stack, err error) {
+	if t.Shards < 0 {
+		return nil, fmt.Errorf("stack: negative shard count %d", t.Shards)
+	}
 	if t.Logf == nil {
 		t.Logf = func(string, ...interface{}) {}
 	}

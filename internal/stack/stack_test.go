@@ -293,13 +293,16 @@ func TestTracedBootJoinsBothHops(t *testing.T) {
 	}
 }
 
-// TestBootFailureReleasesEverything: a topology the router rejects fails
-// Boot after the shards are already listening; Boot closes them again.
+// TestBootFailureReleasesEverything: a negative shard count fails Boot
+// before anything starts, and a topology the router rejects fails it after
+// the shards are already listening; Boot closes them again.
 func TestBootFailureReleasesEverything(t *testing.T) {
 	before := runtime.NumGoroutine()
-	if st, err := Boot(Topology{Shards: router.MaxShards + 1}); err == nil {
-		st.Close()
-		t.Fatalf("Boot accepted %d shards", router.MaxShards+1)
+	for _, shards := range []int{-1, router.MaxShards + 1} {
+		if st, err := Boot(Topology{Shards: shards}); err == nil {
+			st.Close()
+			t.Fatalf("Boot accepted %d shards", shards)
+		}
 	}
 	settles(t, before)
 }
