@@ -1,9 +1,7 @@
 // Command lbsvet runs the repo's static-analysis suite: the passes that
-// prove the privacy trust boundary (privleak), the lock hierarchy
-// (lockorder), the metric namespace (obsname), deadline discipline
-// (ctxcall), the hot-path escape budgets (hotalloc), atomic vs plain
-// access mixing (atomicmix), and the health of the //lint: directives
-// themselves (dirverify).
+// prove the privacy trust boundary and the health of the //lint:
+// directives declaring it (privleak), the lock hierarchy (lockorder), the
+// metric namespace (obsname) and deadline discipline (ctxcall).
 //
 // Standalone (the CI gate — all passes, whole-program):
 //
@@ -35,10 +33,7 @@ import (
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/loader"
-	"repro/internal/lint/passes/atomicmix"
 	"repro/internal/lint/passes/ctxcall"
-	"repro/internal/lint/passes/dirverify"
-	"repro/internal/lint/passes/hotalloc"
 	"repro/internal/lint/passes/lockorder"
 	"repro/internal/lint/passes/obsname"
 	"repro/internal/lint/passes/privleak"
@@ -49,9 +44,6 @@ var all = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	obsname.Analyzer,
 	ctxcall.Analyzer,
-	hotalloc.Analyzer,
-	atomicmix.Analyzer,
-	dirverify.Analyzer,
 }
 
 func main() {
@@ -139,21 +131,28 @@ func standalone() int {
 	return 0
 }
 
+// selectPasses resolves a -passes list; empty elements are skipped, and
+// an empty list selects every pass.
 func selectPasses(csv string) ([]*analysis.Analyzer, error) {
-	if csv == "" {
-		return all, nil
-	}
 	byName := make(map[string]*analysis.Analyzer)
-	for _, a := range all {
+	names := make([]string, len(all))
+	for i, a := range all {
 		byName[a.Name] = a
+		names[i] = a.Name
 	}
 	var out []*analysis.Analyzer
 	for _, name := range strings.Split(csv, ",") {
-		a, ok := byName[strings.TrimSpace(name)]
+		if name = strings.TrimSpace(name); name == "" {
+			continue
+		}
+		a, ok := byName[name]
 		if !ok {
-			return nil, fmt.Errorf("unknown pass %q", name)
+			return nil, fmt.Errorf("unknown pass %q (passes: %s)", name, strings.Join(names, ", "))
 		}
 		out = append(out, a)
+	}
+	if len(out) == 0 {
+		return all, nil
 	}
 	return out, nil
 }

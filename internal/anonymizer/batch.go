@@ -55,8 +55,6 @@ func (a *Anonymizer) BatchUpdate(updates []cloak.Request) []*cloak.Result {
 // BatchUpdateCtx is BatchUpdate under a context: traced batches record the
 // three pipeline phases (per-shard admission, pooled cloaking, forwarding)
 // as spans with batch-size and shared-descent attributes.
-//
-//lint:hotpath allocs=14
 func (a *Anonymizer) BatchUpdateCtx(ctx context.Context, updates []cloak.Request) []*cloak.Result {
 	results := make([]*cloak.Result, len(updates))
 	if len(updates) == 0 {
@@ -219,8 +217,6 @@ func (a *Anonymizer) BatchUpdateCtx(ctx context.Context, updates []cloak.Request
 // distinct user of creqs, carrying the region of her last entry, all in
 // flight together. Entry j of creqs and cloaked answers results[valid[j]];
 // the entries of a user whose forward is refused are set to nil there.
-//
-//lint:hotpath allocs=2
 func (a *Anonymizer) forwardBatch(ctx context.Context, creqs []cloak.Request, cloaked []cloak.Result, valid []int, results []*cloak.Result) {
 	fsp, fctx := trace.Start(ctx, a.tracer, "anon_batch_forward")
 	last := make(map[uint64]int, len(creqs)) // user → her last admitted entry

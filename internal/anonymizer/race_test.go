@@ -1,0 +1,7 @@
+//go:build race
+
+package anonymizer
+
+// raceEnabled reports a -race build. Its sync.Pool drops items at random,
+// so the allocation budgets of TestHotPathAllocs are not read there.
+const raceEnabled = true

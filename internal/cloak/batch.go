@@ -35,8 +35,6 @@ type batchKey struct {
 // same bottom cell with the same requirement. Results are returned in
 // request order. SharedHits reports how many requests were served from a
 // previously computed descent in this batch.
-//
-//lint:hotpath allocs=1
 func (b *BatchQuadtree) CloakAll(reqs []Request) (results []Result, sharedHits int) {
 	results = make([]Result, len(reqs))
 	memo := make(map[batchKey]Result, len(reqs)/2+1)
@@ -65,8 +63,6 @@ func (b *BatchQuadtree) CloakAll(reqs []Request) (results []Result, sharedHits i
 // results — and the shared-hit count, len(reqs) − distinct keys — are
 // bit-identical to the sequential CloakAll. The pyramid must not be
 // mutated while the call runs (the anonymizer holds its index read lock).
-//
-//lint:hotpath allocs=7
 func (b *BatchQuadtree) CloakAllParallel(reqs []Request, workers int) (results []Result, sharedHits int) {
 	if workers <= 1 {
 		return b.CloakAll(reqs)

@@ -26,7 +26,6 @@ func (q *Quadtree) Name() string { return "quadtree" }
 // pyramid (her own count contributes to every cell on her root path).
 func (q *Quadtree) Cloak(id uint64, loc geo.Point, req privacy.Requirement) Result {
 	best := pyramid.Cell{} // root
-	maxArea := req.EffectiveMaxArea()
 	for level := 1; level < q.Pyr.Height(); level++ {
 		child := q.Pyr.CellAt(level, loc)
 		if q.Pyr.Count(child) < req.K {
@@ -37,26 +36,6 @@ func (q *Quadtree) Cloak(id uint64, loc geo.Point, req privacy.Requirement) Resu
 		}
 		best = child
 	}
-	// Amax preference: if the chosen cell is too large but a deeper cell
-	// within Amax exists that still satisfies k, the loop above would have
-	// taken it already (it always descends as deep as k and Amin allow), so
-	// at this point a too-large cell is a genuine k/Amax conflict and k wins.
-	_ = maxArea
 	region := q.Pyr.Rect(best)
 	return finish(region, q.Pyr.Count(best), req)
-}
-
-// CellFor exposes the chosen pyramid cell for a location and requirement
-// without materializing a Result; the batch cloaker uses it to share work
-// between users in the same cell.
-func (q *Quadtree) CellFor(loc geo.Point, req privacy.Requirement) pyramid.Cell {
-	best := pyramid.Cell{}
-	for level := 1; level < q.Pyr.Height(); level++ {
-		child := q.Pyr.CellAt(level, loc)
-		if q.Pyr.Count(child) < req.K || q.Pyr.CellArea(level) < req.MinArea {
-			break
-		}
-		best = child
-	}
-	return best
 }

@@ -2,9 +2,7 @@
 // repo's machine-checked invariants in the source itself:
 //
 //	//lint:source <why>            — declared on a function: every call's
-//	                                 results are exact-location tainted;
-//	                                 with params=a,b the named parameters
-//	                                 are tainted inside the body instead.
+//	                                 results are exact-location tainted.
 //	//lint:sanitized <why>         — on a call line: the call is a declared
 //	                                 privacy boundary; taint does not flow
 //	                                 through it. The justification text is
@@ -16,14 +14,6 @@
 //	//lint:lock <class>@<rank>     — on a mutex struct field: classifies it
 //	                                 for the lockorder pass; lower ranks
 //	                                 must be acquired first.
-//	//lint:hotpath allocs=<n>      — on a function: hotalloc budgets its
-//	                                 heap-escape sites at n; the build
-//	                                 breaks when the compiler reports more.
-//	                                 Budgets only ratchet down.
-//	//lint:atomic-guarded <why>    — on an access line: the plain load or
-//	                                 store of an atomically-updated field is
-//	                                 safe here (init before publish, or an
-//	                                 externally serialized path).
 //
 // The verbs are deliberately in the //lint: namespace (shared with
 // staticcheck's ignore directives, which use the distinct verbs ignore and
@@ -36,18 +26,11 @@ import (
 	"strings"
 )
 
-// Known is the set of directive verbs the lbsvet passes consume. The
-// dirverify pass reports any //lint: comment with a verb outside this
-// set, so a typo ("//lint:santized") breaks the build instead of
+// Verbs lists, sorted, the directive verbs the lbsvet passes consume. The
+// privleak pass reports any //lint: comment with a verb outside this
+// list, so a typo ("//lint:santized") breaks the build instead of
 // silently disabling the invariant it meant to declare.
-var Known = map[string]bool{
-	"source":          true,
-	"sanitized":       true,
-	"trusted-ingress": true,
-	"lock":            true,
-	"hotpath":         true,
-	"atomic-guarded":  true,
-}
+var Verbs = []string{"lock", "sanitized", "source", "trusted-ingress"}
 
 // Directive is one parsed //lint: comment.
 type Directive struct {

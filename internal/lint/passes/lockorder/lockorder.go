@@ -1,13 +1,14 @@
 // Package lockorder implements the lbsvet pass that enforces the repo's
-// documented lock hierarchy: a shard stripe mutex is always acquired
-// before the spatial index mutex, never after.
-//
-// Mutex struct fields are classified with a //lint:lock directive on the
-// field:
+// documented lock hierarchy. The tree ranks four classes: the
+// anonymizer's shard stripes, then its spatial index, then the router's
+// residency map, then the scenario engine's stack:
 //
 //	mu sync.Mutex //lint:lock stripe@0
 //	idxMu sync.RWMutex //lint:lock index@1
+//	mu sync.Mutex //lint:lock ring@2
+//	mu sync.Mutex //lint:lock stack@3
 //
+// Each mutex struct field is classified by the //lint:lock directive on it.
 // Lower ranks must be acquired first. The pass walks every function in
 // source order tracking the set of held classes; acquiring a class of
 // lower rank while holding one of higher rank is reported, as is calling
@@ -34,7 +35,7 @@ import (
 // Analyzer is the lockorder pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: "enforce the stripe-before-index lock acquisition order\n\n" +
+	Doc: "enforce the //lint:lock rank order of mutex acquisitions\n\n" +
 		"Mutex fields are classified with //lint:lock <class>@<rank>; lower\n" +
 		"ranks must be acquired first.",
 	Run: run,

@@ -7,12 +7,12 @@
 // The trust-boundary specification lives in the source tree itself as
 // //lint: directives (see package repro/internal/lint/directive):
 //
-//   - //lint:source marks the functions whose results (or, with params=,
-//     whose parameters) carry exact locations — the wire-ingress decode
-//     chokepoint and the anonymizer's per-user state accessors.
+//   - //lint:source marks the functions whose results carry exact
+//     locations — on this tree, the wire-ingress decode chokepoint.
 //   - //lint:sanitized on a call line declares that call a cloaking
 //     boundary: taint does not flow through it. The justification text is
-//     mandatory and is itself checked.
+//     mandatory and is itself checked, as is every //lint: verb: a typo'd
+//     one would silently disable the invariant it meant to declare.
 //   - //lint:trusted-ingress on a function permits wire-encode sinks
 //     inside it — the user-side client encoding the user's own location
 //     toward the trusted anonymizer tier.
@@ -32,6 +32,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -92,9 +93,6 @@ type funcInfo struct {
 
 	// source: calls to this function return tainted values.
 	source bool
-	// sourceParams: parameter indices (receiver counts as 0 when present)
-	// tainted inside the body, from //lint:source params=a,b.
-	sourceParams []int
 	// trustedIngress permits Encoder sinks inside this function.
 	trustedIngress bool
 	// sinkInternal marks functions that ARE the sink machinery (obs
@@ -189,20 +187,9 @@ func (g *global) index() {
 				fi.paramToRet = make([]uint64, fi.nparams)
 				fi.paramTaint = make([]bool, fi.nparams)
 
-				if d, ok := directive.FromDoc(fd.Doc, "source"); ok {
+				if _, ok := directive.FromDoc(fd.Doc, "source"); ok {
 					g.srcs++
-					if names, rest, found := cutParams(d.Args); found {
-						_ = rest
-						for _, name := range names {
-							for i, p := range fi.params {
-								if p.Name() == name {
-									fi.sourceParams = append(fi.sourceParams, i)
-								}
-							}
-						}
-					} else {
-						fi.source = true
-					}
+					fi.source = true
 				}
 				if _, ok := directive.FromDoc(fd.Doc, "trusted-ingress"); ok {
 					fi.trustedIngress = true
@@ -228,23 +215,9 @@ func (g *global) index() {
 	}
 }
 
-// cutParams parses an optional leading "params=a,b" token from a source
-// directive's arguments.
-func cutParams(args string) (names []string, rest string, ok bool) {
-	first, rest, _ := strings.Cut(args, " ")
-	if !strings.HasPrefix(first, "params=") {
-		return nil, args, false
-	}
-	for _, n := range strings.Split(strings.TrimPrefix(first, "params="), ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			names = append(names, n)
-		}
-	}
-	return names, rest, true
-}
-
-// checkDirectives validates the directives themselves: a sanitized
-// boundary without a justification is an error, not a free pass.
+// checkDirectives validates the directives themselves: an unknown verb
+// is a typo that checks nothing, and a sanitized boundary without a
+// justification is an error, not a free pass.
 func (g *global) checkDirectives() {
 	for _, pkg := range g.prog.Packages {
 		for _, file := range pkg.Files {
@@ -253,6 +226,10 @@ func (g *global) checkDirectives() {
 					d, ok := directive.Parse(c.Text)
 					if !ok {
 						continue
+					}
+					if !slices.Contains(directive.Verbs, d.Verb) {
+						g.report(pkg, c.Pos(), "unknown //lint: verb %q (known: %s); a typo here silently disables the invariant",
+							d.Verb, strings.Join(directive.Verbs, ", "))
 					}
 					if d.Verb == "sanitized" && d.Args == "" {
 						g.report(pkg, c.Pos(), "//lint:sanitized requires a justification explaining why the boundary is safe")
@@ -359,12 +336,8 @@ func (c *evalCtx) taint(obj types.Object) {
 	}
 }
 
-// seedParams taints the parameters declared tainted by //lint:source
-// params= and those tainted by callers in phase B.
+// seedParams taints the parameters tainted by callers in phase B.
 func (c *evalCtx) seedParams() {
-	for _, i := range c.fi.sourceParams {
-		c.taint(c.fi.params[i])
-	}
 	for i, t := range c.fi.paramTaint {
 		if t {
 			c.taint(c.fi.params[i])

@@ -20,3 +20,10 @@ func TestClean(t *testing.T) {
 	}
 	linttest.Run(t, "testdata/src/clean", privleak.Analyzer)
 }
+
+func TestDirectives(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-program analysis")
+	}
+	linttest.Run(t, "testdata/src/directives", privleak.Analyzer)
+}

@@ -54,13 +54,6 @@ func callEncodeAt(e *protocol.Encoder) {
 	encodeAt(e, exact())
 }
 
-// record models per-user anonymizer state via a params= source.
-//
-//lint:source params=loc fixture per-user state
-func record(id uint64, loc geo.Point) {
-	log.Printf("id %d at %v", id, loc) // want "reaches log sink"
-}
-
 func leakGoroutine() {
 	loc := exact()
 	go func() {

@@ -433,10 +433,8 @@ func (c *Client) exchange(ctx context.Context, typ byte, payload []byte) Decoder
 // flight — are retried (reconnecting as needed) up to the configured
 // budget; remote handler errors are returned as-is and never retried.
 //
-// The three escape sites are the traced path's context values; an
-// untraced call allocates nothing here.
-//
-//lint:hotpath allocs=3
+// Only the traced path allocates here, for its context values; an
+// untraced call allocates nothing.
 func (c *Client) CallCtx(ctx context.Context, typ byte, payload []byte) ([]byte, error) {
 	// Tracing: adopt the caller's trace from ctx, or — this being the edge
 	// — mint a fresh root here, subject to the tracer's sampling rate. The
@@ -491,11 +489,8 @@ func (c *Client) CallCtx(ctx context.Context, typ byte, payload []byte) ([]byte,
 // and the peer negotiated tracing, the frame goes out wrapped in the
 // MsgTraced envelope with this attempt's span as the remote parent.
 //
-// The one escape site is the protocol-violation error format; the call
-// record is pooled, so the reply payload (ReadFrame) is a call's only
-// allocation.
-//
-//lint:hotpath allocs=1
+// The call record is pooled, so on the success path the reply payload
+// (ReadFrame) is a call's only allocation.
 func (c *Client) callOnce(ctx context.Context, typ byte, payload []byte, attempt int) ([]byte, error) {
 	sp, _ := trace.Start(ctx, c.cfg.tracer, "proto_call")
 	if sp.Recording() {

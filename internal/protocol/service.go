@@ -351,8 +351,6 @@ func (s *Service) serveConn(conn net.Conn) {
 // serveFrame answers one request frame into bw: dispatch, per-type
 // metrics, and the OK, error or overload reply. An error means the
 // connection is unwritable.
-//
-//lint:hotpath allocs=0
 func (s *Service) serveFrame(bw *bufio.Writer, typ byte, payload []byte) error {
 	var t0 time.Time
 	if s.met != nil {

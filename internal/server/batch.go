@@ -247,8 +247,6 @@ func (s *Server) BatchQuery(entries []BatchEntry) BatchResult {
 // engine phase (validate → merge → shared descent with per-unit worker
 // spans → gather) is recorded under the caller's trace, with group sizes
 // and index node-visit counts as span attributes.
-//
-//lint:hotpath allocs=5
 func (s *Server) BatchQueryCtx(ctx context.Context, entries []BatchEntry) BatchResult {
 	res := BatchResult{Items: make([]BatchItemResult, len(entries))}
 	if len(entries) == 0 {
@@ -417,8 +415,6 @@ func (s *Server) resolveSortedLocked(items []rtree.Item, sc *batchScratch) []Pub
 // within Radius of any point p of a member's region satisfies
 // MinDist(obj, region) ≤ Radius and lies inside the expanded MBR, which the
 // union covers. It returns the R-tree node visits the descent cost.
-//
-//lint:hotpath allocs=1
 func (s *Server) runRangeGroupLocked(entries []BatchEntry, u batchUnit, out []BatchItemResult, sc *batchScratch) int {
 	items, visits := s.stationary.SearchVisits(u.union, sc.items[:0])
 	sc.items = items
@@ -556,8 +552,6 @@ func mergeSorted(a, b []PublicObject) []PublicObject {
 // order. A group of one is its own union: S and B(U) are its parts as
 // they stand. The parts are scratch-backed; finishNN (or a copy) must
 // consume them before the scratch runs its next unit.
-//
-//lint:hotpath allocs=0
 func (s *Server) runNNGroupLocked(entries []BatchEntry, u batchUnit, sc *batchScratch) int {
 	class := entries[u.members[0]].NN.Class
 	var match func(rtree.Item) bool
@@ -630,8 +624,6 @@ func (s *Server) finishNN(region geo.Rect, parts NNParts, sc *combineScratch) Pr
 // member's pair count — the n its PDF fold costs O(n²) in — is observed in
 // lbs_public_count_users. It returns the hit count as the unit's "node
 // visits" — the probe cost the region index charges.
-//
-//lint:hotpath allocs=0
 func (s *Server) runCountGroupLocked(entries []BatchEntry, u batchUnit, sc *batchScratch) int {
 	hits := s.privIdx.QueryHits(u.union, sc.hits[:0])
 	sc.hits = hits
@@ -734,8 +726,6 @@ func (gs *groupScratch) reset() { gs.arena = gs.arena[:0] }
 // group and fills the arena by cursor, which reproduces exactly the
 // member order the append-per-group formulation built — input order
 // within each group. The returned slice is valid until the next call.
-//
-//lint:hotpath allocs=1
 func (gs *groupScratch) groupShared(idx []int, rect func(i int) geo.Rect) []sharedGroup {
 	groups := gs.groups[:0]
 	maxAreas := gs.maxAreas[:0]
