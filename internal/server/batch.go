@@ -45,15 +45,15 @@ import (
 //     superset that contains the member's own candidate set produces a
 //     bit-identical PDF.
 //   - Private NN: the min–max superset of a union region contains every
-//     member's own candidate set and bound minimizer (the argument lives on
-//     runNNGroupLocked), and candidates are emitted in canonical order.
+//     member's own candidate set (argued on runNNGroupLocked), the exact
+//     decision reads that set alone, and answers are in canonical order.
 //
 // The three group runners below are the only code that probes the indices
-// for a query. The single-query methods (privatequery.go, publicquery.go)
-// run them on a group of one whose union is the query's own probe rectangle,
-// so "sequential" and "batch" cannot drift apart; what the differential
-// suite pins down is that filtering a shared union descent equals a member's
-// own descent.
+// for a query (PrivateNN and PrivateNNParts run the NN runner's steps under
+// their own lock sections). The single-query methods run them on a group of
+// one whose union is the query's own probe rectangle, so "sequential" and
+// "batch" cannot drift apart; what the differential suite pins down is that
+// filtering a shared union descent equals a member's own descent.
 //
 // Lock order: BatchQuery takes s.mu (read) once in the coordinating
 // goroutine and holds it across the fan-out, so workers read a frozen
@@ -153,9 +153,8 @@ var oneMember = []int{0} // read-only
 // the same worker reuse the same backing arrays instead of reallocating
 // per unit; a single query borrows worker 0's. Nothing here escapes into
 // results: result slices are always freshly built, scratch only carries
-// the intermediate streams — including the NN and count kernels' output
-// (parts, pairs), which the caller must finish before the scratch runs
-// its next unit.
+// the intermediate streams — including the count kernel's output (pairs),
+// which the caller must fold before the scratch runs its next unit.
 type batchScratch struct {
 	items      []rtree.Item   // union-descent / NN-candidate item stream
 	subItems   []rtree.Item   // per-member descent output over a group subtree
@@ -163,14 +162,12 @@ type batchScratch struct {
 	order      []int          // X-order permutation over resolved
 	idxs       []int          // per-member match positions awaiting index sort
 	movingObjs []PublicObject // per-member moving matches awaiting merge
-	keptObjs   []PublicObject // arena behind the members' NN candidate lists
-	parts      []NNParts      // NN kernel output, one per member
 	hits       []regidx.Hit   // region-index probe output: ids with their regions
 	pairs      []UserProb     // count kernel output, member after member
 	ends       []int          // member k's pairs are pairs[ends[k-1]:ends[k]]
 	probs      []float64      // one member's probabilities awaiting the fold
 	clamped    []float64      // RangeCountScratch clamp buffer
-	comb       combineScratch // dominance-prune working set
+	comb       combineScratch // exact private-NN decision working set
 }
 
 // batchCoord is the per-call coordination scratch: the admission index
@@ -214,11 +211,11 @@ type singleQuery struct {
 
 // beginSingle opens a single query under its class span: every public
 // per-query method is validate → beginSingle → RLock → the kind's kernel
-// on a groupOfOne → RUnlock → finish from the scratch → endSingle. The read lock is held
-// across the kernel only — never across the prune or the PDF fold, which
-// run on scratch copies: a multi-millisecond fold under RLock stalls
-// every UpdatePrivate and, through writer preference, every reader
-// queued behind it.
+// → RUnlock → finish from the scratch → endSingle. The read lock is held
+// across index work only — never across the PDF fold or the NN decision,
+// which run on scratch copies: milliseconds under RLock stall every
+// UpdatePrivate and, through writer preference, every reader queued
+// behind it.
 func (s *Server) beginSingle(sp trace.Span, lat *obs.Histogram) singleQuery {
 	q := singleQuery{sp: sp, t0: time.Now(), lat: lat, c: s.borrowCoord(1)}
 	q.sc = &q.c.scratches[0]
@@ -349,10 +346,7 @@ func (s *Server) BatchQueryCtx(ctx context.Context, entries []BatchEntry) BatchR
 		case BatchPrivateRange:
 			visits = s.runRangeGroupLocked(entries, u, res.Items, sc)
 		case BatchPrivateNN:
-			visits = s.runNNGroupLocked(entries, u, sc)
-			for k, i := range u.members {
-				res.Items[i].NN = s.finishNN(entries[i].NN.Region, sc.parts[k], &sc.comb)
-			}
+			visits = s.runNNGroupLocked(entries, u, res.Items, sc)
 		case BatchPublicCount:
 			visits = s.runCountGroupLocked(entries, u, sc)
 			lo := 0
@@ -534,26 +528,10 @@ func mergeSorted(a, b []PublicObject) []PublicObject {
 	return append(out, b[bi:]...)
 }
 
-// runNNGroupLocked is the min–max half of the private-NN kernel (step 1 of
-// Figure 5b): it yields every member's NNParts — bound and unpruned
-// candidates in canonical order — into sc.parts, from a single min–max
-// descent over the group's union region (members share one class). The
-// union's min–max superset S contains every member's candidate set and
-// bound minimizer: for a member region r ⊆ U,
-// B(r) = min MaxDist²(o, r) ≤ MaxDist²(o*ᵤ, r) ≤ MaxDist²(o*ᵤ, U) = B(U),
-// and any object with MinDist²(o, r) ≤ B(r) has
-// MinDist²(o, U) ≤ MinDist²(o, r) ≤ B(U), so it sits in S. In particular
-// r's own bound minimizer sits in S, so min MaxDist² over S equals the
-// exact B(r), and the min–max filter of S under it is the exact candidate
-// set. The runner therefore resolves and canonically sorts S once, bulk-
-// loads a position-keyed subtree over it, and answers each member with a
-// bounded min–max descent of that subtree — class filtering and metadata
-// resolution are already paid, and ascending positions are canonical
-// order. A group of one is its own union: S and B(U) are its parts as
-// they stand. The parts are scratch-backed; finishNN (or a copy) must
-// consume them before the scratch runs its next unit.
-func (s *Server) runNNGroupLocked(entries []BatchEntry, u batchUnit, sc *batchScratch) int {
-	class := entries[u.members[0]].NN.Class
+// nnDescentLocked is the min–max descent of the private-NN kernel (step 1
+// of Figure 5b) over one probe region and class: the candidate item stream
+// in traversal order, its bound, and the node visits it cost.
+func (s *Server) nnDescentLocked(region geo.Rect, class string, sc *batchScratch) ([]rtree.Item, float64, int) {
 	var match func(rtree.Item) bool
 	if class != "" {
 		match = func(it rtree.Item) bool {
@@ -561,55 +539,71 @@ func (s *Server) runNNGroupLocked(entries []BatchEntry, u batchUnit, sc *batchSc
 			return ok && o.Class == class
 		}
 	}
-	items, bound, visits := s.stationary.MinMaxCandidates(u.union, match, sc.items[:0])
+	items, bound, visits := s.stationary.MinMaxCandidates(region, match, sc.items[:0])
 	sc.items = items
 	s.met.nodeVisits.Observe(float64(visits))
+	return items, bound, visits
+}
+
+// runNNGroupLocked is the private-NN kernel (Figure 5b): it answers every
+// member of one group from a single min–max descent over the group's union
+// region (members share one class), and returns the node visits it cost.
+// A group of one is its own union: the exact decision runs on the item
+// stream, and only the survivors are sorted and resolved. A larger group
+// relies on the union's min–max superset S containing every member's
+// candidate set and bound minimizer: for a member region r ⊆ U,
+// B(r) = min MaxDist²(o, r) ≤ MaxDist²(o*ᵤ, r) ≤ MaxDist²(o*ᵤ, U) = B(U),
+// and any object with MinDist²(o, r) ≤ B(r) has
+// MinDist²(o, U) ≤ MinDist²(o, r) ≤ B(U), so it sits in S — r's bound
+// minimizer too, so the min–max filter of S is r's exact candidate set. S
+// is resolved once, and each member decides on a min–max descent of a
+// subtree bulk-loaded over it.
+func (s *Server) runNNGroupLocked(entries []BatchEntry, u batchUnit, out []BatchItemResult, sc *batchScratch) int {
+	items, _, visits := s.nnDescentLocked(u.union, entries[u.members[0]].NN.Class, sc)
 	s.met.privateNNQs.Add(uint64(len(u.members)))
-	resolved := s.resolveSortedLocked(items, sc)
-	parts := sc.parts[:0]
 	if len(u.members) == 1 {
-		sc.parts = append(parts, NNParts{Bound: bound, Candidates: resolved})
+		region := entries[u.members[0]].NN.Region
+		out[u.members[0]].NN = s.finishNNLocked(len(items), compact(items, sc.comb.exactNN(region, items)), nil)
 		return visits
 	}
-	// Rekey the item stream by position in the canonically-sorted stream
-	// and bulk-load a group-local subtree over it. Member descents against
-	// the subtree then cost a bounded DFS over |S| pre-filtered candidates
-	// instead of an O(|S|) linear scan — and because the returned IDs are
-	// positions, sorting them ascending yields the member's candidate set
-	// already in canonical order, with no metadata lookups at all. The
-	// subtree keeps the tree-side locations, so per-member bounds are
-	// computed from exactly the points the member's own descent measures.
+	resolved := s.resolveSortedLocked(items, sc)
+	// The subtree is keyed by position in the canonically-sorted stream, so
+	// its items resolve without metadata lookups; stationary IDs are unique,
+	// so ascending position is ascending ID, and the decision's tie-breaks
+	// and the answer order are the member's own. It keeps the tree-side
+	// locations, so per-member bounds measure exactly the member's points.
 	for k := range items {
 		items[k] = rtree.Item{ID: uint64(k), Loc: items[k].Loc}
 	}
 	sub := rtree.BulkLoad(items)
-	kept := sc.keptObjs[:0]
 	for _, i := range u.members {
-		cand, bound, _ := sub.MinMaxCandidates(entries[i].NN.Region, nil, sc.subItems[:0])
+		cand, _, _ := sub.MinMaxCandidates(entries[i].NN.Region, nil, sc.subItems[:0])
 		sc.subItems = cand
-		idxs := sc.idxs[:0]
-		for _, it := range cand {
-			idxs = append(idxs, int(it.ID))
-		}
-		sc.idxs = idxs
-		sort.Ints(idxs)
-		// Each member's candidates are a view into one arena; growth keeps
-		// old backing arrays alive, so earlier members' views stay valid.
-		start := len(kept)
-		for _, k := range idxs {
-			kept = append(kept, resolved[k])
-		}
-		parts = append(parts, NNParts{Bound: bound, Candidates: kept[start:len(kept):len(kept)]})
+		region := entries[i].NN.Region
+		out[i].NN = s.finishNNLocked(len(cand), compact(cand, sc.comb.exactNN(region, cand)), resolved)
 	}
-	sc.keptObjs, sc.parts = kept, parts
 	return visits
 }
 
-// finishNN is the prune half of the private-NN kernel (step 2 of Figure
-// 5b) for one member's parts; the answer is freshly allocated.
-func (s *Server) finishNN(region geo.Rect, parts NNParts, sc *combineScratch) PrivateNNResult {
-	res := sc.combine(region, parts)
-	s.met.observeNNAnswer(len(res.Candidates))
+// finishNNLocked answers one member from the survivors of its exact
+// decision, keyed so that ascending key is canonical order: they are sorted
+// and resolved, by ID or by position into resolved, into a freshly
+// allocated answer.
+func (s *Server) finishNNLocked(superset int, items []rtree.Item, resolved []PublicObject) PrivateNNResult {
+	res := PrivateNNResult{SupersetSize: superset}
+	s.met.observeNNAnswer(len(items))
+	if len(items) == 0 {
+		return res
+	}
+	slices.SortFunc(items, cmpItemID)
+	res.Candidates = make([]PublicObject, len(items))
+	for k, it := range items {
+		if resolved != nil {
+			res.Candidates[k] = resolved[it.ID]
+		} else {
+			res.Candidates[k] = s.resolveObjectLocked(it.ID, it.Loc, false)
+		}
+	}
 	return res
 }
 

@@ -11,7 +11,9 @@ import (
 // allocations per call on a warm, fixed fixture, which may only go down.
 // The mixed batch runs BatchQueryCtx through every group kernel
 // (runRangeGroupLocked, runNNGroupLocked, runCountGroupLocked) and the
-// overlap grouping of groupShared.
+// overlap grouping of groupShared. The wide PrivateNN's min–max superset
+// holds thousands of candidates, so its exact decision probes through the
+// candidate grid instead of the plain scan.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -19,6 +21,12 @@ func TestHotPathAllocs(t *testing.T) {
 	s := batchFixture(t)
 	s.queryWorkers = 1
 	nn := PrivateNNQuery{Region: geo.R(0.6, 0.6, 0.7, 0.7)}
+	dense := newServer(t)
+	loadObjects(t, dense, 20000, "gas", 11)
+	wide := PrivateNNQuery{Region: geo.R(0.3, 0.3, 0.55, 0.55)}
+	if res, err := dense.PrivateNN(wide); err != nil || res.SupersetSize <= 2048 {
+		t.Fatalf("wide PrivateNN: superset %d (err %v), want above 2048", res.SupersetSize, err)
+	}
 	count := PublicRangeCountQuery{Query: geo.R(0.2, 0.2, 0.5, 0.5)}
 	regions := [2]geo.Rect{geo.R(0.1, 0.1, 0.2, 0.2), geo.R(0.15, 0.1, 0.25, 0.2)}
 	updates := 0
@@ -42,6 +50,7 @@ func TestHotPathAllocs(t *testing.T) {
 			return s.UpdatePrivate(1, regions[updates%2])
 		}},
 		{"PrivateNN", 1, func() error { _, err := s.PrivateNN(nn); return err }},
+		{"PrivateNN wide region", 1, func() error { _, err := dense.PrivateNN(wide); return err }},
 		{"PublicRangeCount", 1, func() error { _, err := s.PublicRangeCount(count); return err }},
 		{"BatchQueryCtx mixed batch", 16, func() error {
 			for _, it := range s.BatchQueryCtx(context.Background(), batch).Items {

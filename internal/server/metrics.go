@@ -106,7 +106,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		latPublicNN:     lat("public_nn"),
 
 		candidates: reg.Histogram("lbs_private_nn_candidates",
-			"Private-NN candidate set size after dominance pruning.",
+			"Private-NN candidate set size after the exact Voronoi decision.",
 			obs.CountBuckets),
 		falsePosFrac: reg.Histogram("lbs_private_nn_false_positive_ratio",
 			"Fraction of returned NN candidates client refinement will discard.",

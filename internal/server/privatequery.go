@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/geo"
+	"repro/internal/rtree"
 	"repro/internal/trace"
 )
 
@@ -106,12 +107,14 @@ type PrivateNNQuery struct {
 // PrivateNNResult carries the candidate set and the filter statistics the
 // experiments report.
 type PrivateNNResult struct {
-	// Candidates is guaranteed to contain the exact nearest neighbor of
-	// every point of the query region (invariant I6).
+	// Candidates is exactly the set of objects that are a nearest neighbor
+	// of some point of the query region (Figure 5b), so it contains the
+	// exact nearest neighbor of every point of the region (invariant I6).
+	// Ties count: co-located and equidistant objects are all kept.
 	Candidates []PublicObject
-	// SupersetSize is the candidate count before dominance pruning; the
-	// difference to len(Candidates) measures what pruning buys (experiment
-	// E5's ablation).
+	// SupersetSize is the min–max candidate count the exact decision
+	// started from; the difference to len(Candidates) measures what the
+	// decision buys (experiment E5's ablation).
 	SupersetSize int
 }
 
@@ -122,45 +125,47 @@ type PrivateNNResult struct {
 //     objects of MaxDist(object, region) can never be the nearest neighbor
 //     of any point of the region (that minimizing object is closer
 //     everywhere), so browsing stops there.
-//  2. Pairwise bisector dominance pruning: object a is removed if some
-//     object b is at least as close to *every* point of the region
-//     (equivalently: to all four corners, since the half-plane of b's
-//     bisector is convex). This eliminates objects like target A in
-//     Figure 5b while provably never removing a true nearest neighbor.
+//  2. The exact decision (exactNN): an object survives iff its Voronoi
+//     cell meets the region, which drops objects like target A that B and
+//     C beat *together* everywhere. It runs on the item stream before
+//     metadata resolution, so only survivors are resolved.
 func (s *Server) PrivateNN(q PrivateNNQuery) (PrivateNNResult, error) {
 	return s.PrivateNNCtx(context.Background(), q)
 }
 
-// PrivateNNCtx is PrivateNN under a context (trace): the NN kernel on a
-// group of one, pruned after the read lock is released.
+// PrivateNNCtx is PrivateNN under a context (trace): the NN kernel's steps,
+// with the decision (which reads no server state) between two read
+// sections; a stationary write in between restarts the query.
 func (s *Server) PrivateNNCtx(ctx context.Context, q PrivateNNQuery) (PrivateNNResult, error) {
-	r, err := s.nnSingle(ctx, q)
-	if err != nil {
+	if err := q.validate(); err != nil {
 		return PrivateNNResult{}, err
 	}
-	res := s.finishNN(q.Region, r.sc.parts[0], &r.sc.comb)
+	r := s.beginNN(ctx)
+	s.met.privateNNQs.Inc()
+	var res PrivateNNResult
+	for done := false; !done; {
+		s.mu.RLock()
+		items, _, _ := s.nnDescentLocked(q.Region, q.Class, r.sc)
+		gen := s.stationaryGen
+		s.mu.RUnlock()
+		superset, items := len(items), compact(items, r.sc.comb.exactNN(q.Region, items))
+		s.mu.RLock()
+		if done = gen == s.stationaryGen; done {
+			res = s.finishNNLocked(superset, items, nil)
+		}
+		s.mu.RUnlock()
+	}
 	if r.sp.Recording() {
-		r.sp.SetAttrs(
-			trace.Int("candidates", int64(len(res.Candidates))),
-			trace.Int("superset", int64(res.SupersetSize)))
+		r.sp.SetAttrs(trace.Int("candidates", int64(len(res.Candidates))), trace.Int("superset", int64(res.SupersetSize)))
 	}
 	s.endSingle(ctx, r)
 	return res, nil
 }
 
-// nnSingle runs the min–max half of one validated NN query; the caller
-// finishes from r.sc.parts[0] and closes with endSingle.
-func (s *Server) nnSingle(ctx context.Context, q PrivateNNQuery) (singleQuery, error) {
-	if err := q.validate(); err != nil {
-		return singleQuery{}, err
-	}
+// beginNN opens one NN query under its class span.
+func (s *Server) beginNN(ctx context.Context) singleQuery {
 	sp, _ := trace.Start(ctx, s.tracer, "lbs_private_nn")
-	r := s.beginSingle(sp, s.met.latPrivateNN)
-	entries := [1]BatchEntry{{NN: q}}
-	s.mu.RLock()
-	s.runNNGroupLocked(entries[:], groupOfOne(q.Region), r.sc)
-	s.mu.RUnlock()
-	return r, nil
+	return s.beginSingle(sp, s.met.latPrivateNN)
 }
 
 // validate checks the query parameters (shared with BatchQuery).
@@ -172,21 +177,19 @@ func (q PrivateNNQuery) validate() error {
 }
 
 // NNParts is the partial private-NN evaluation one data partition
-// contributes: the objects that pass the local min–max filter, *unpruned*,
-// plus the local bound they were filtered against. A single server is the
-// degenerate case of one part over the whole dataset; the routing tier
-// gathers one part per shard and finishes both through the same
-// CombineNNParts, so the two paths cannot diverge. Candidates stay
-// unpruned because the prune-or-not decision (maxPruneSet) depends on the
-// *global* superset size, which no single partition knows.
+// contributes: the objects that pass the local min–max filter, *undecided*,
+// plus the local bound they were filtered against. The routing tier
+// gathers one part per shard and finishes them with CombineNNParts: whether
+// an object's Voronoi cell meets the region depends on objects other
+// partitions hold, so only the union can be decided.
 type NNParts struct {
 	// Bound is min MaxDist²(object, region) over every class-matching
 	// object of the partition (+Inf when there is none).
 	Bound float64
 	// Candidates are the class-matching objects with
 	// MinDist²(object, region) ≤ Bound. Their order is an index-traversal
-	// artifact and carries no meaning: CombineNNParts sorts the union
-	// canonically before anything downstream sees it.
+	// artifact and carries no meaning: CombineNNParts decides on the set
+	// and sorts the survivors canonically.
 	Candidates []PublicObject
 }
 
@@ -198,15 +201,19 @@ func (s *Server) PrivateNNParts(q PrivateNNQuery) (NNParts, error) {
 	return s.PrivateNNPartsCtx(context.Background(), q)
 }
 
-// PrivateNNPartsCtx is PrivateNNParts under a context (trace): the NN
-// kernel on a group of one, its parts copied out of the scratch.
+// PrivateNNPartsCtx is PrivateNNParts under a context (trace): the min–max
+// descent and resolution of its whole stream, copied out of the scratch.
 func (s *Server) PrivateNNPartsCtx(ctx context.Context, q PrivateNNQuery) (NNParts, error) {
-	r, err := s.nnSingle(ctx, q)
-	if err != nil {
+	if err := q.validate(); err != nil {
 		return NNParts{}, err
 	}
-	parts := r.sc.parts[0]
-	parts.Candidates = append([]PublicObject(nil), parts.Candidates...) // nil when empty
+	r := s.beginNN(ctx)
+	s.mu.RLock()
+	items, bound, _ := s.nnDescentLocked(q.Region, q.Class, r.sc)
+	s.met.privateNNQs.Inc()
+	resolved := s.resolveSortedLocked(items, r.sc)
+	s.mu.RUnlock()
+	parts := NNParts{Bound: bound, Candidates: append([]PublicObject(nil), resolved...)} // nil when empty
 	if r.sp.Recording() {
 		r.sp.SetAttrs(trace.Int("superset", int64(len(parts.Candidates))))
 	}
@@ -214,154 +221,266 @@ func (s *Server) PrivateNNPartsCtx(ctx context.Context, q PrivateNNQuery) (NNPar
 	return parts, nil
 }
 
-// maxPruneSet bounds the O(n²) dominance prune: for pathological
-// supersets (a near-world-sized cloak admits most of the dataset) pruning
-// could not shrink the answer meaningfully anyway, so past this size the
-// sound superset is returned directly.
-const maxPruneSet = 2048
-
 // CombineNNParts finishes a private NN query from partial evaluations
 // (step 2 of Figure 5b): the global bound is the minimum of the parts'
-// bounds, candidates are re-filtered against it, sorted canonically, and
-// dominance-pruned. Called with one part it is exactly the sequential
-// finalize; called with one part per shard it produces a bit-identical
-// answer, because the global bound, the kept set, the prune decision and
-// the pruned set are all functions of the union alone.
+// bounds, candidates are re-filtered against it, the exact decision runs
+// on the filtered union, and the survivors are sorted canonically. Called
+// with one part it is exactly the single-server answer; called with one
+// part per shard it produces a bit-identical answer, because the global
+// bound, the filtered set and the decision are all functions of the union
+// alone.
 func CombineNNParts(region geo.Rect, parts ...NNParts) PrivateNNResult {
-	return new(combineScratch).combine(region, parts...)
-}
-
-// combineScratch carries the reusable working set of the dominance prune.
-// The kernel's callers hand one per worker so the prune's O(n) side arrays
-// stop churning the heap on every query; the answer bytes are identical
-// for any scratch contents.
-type combineScratch struct {
-	cands     []PublicObject
-	cdist     [][4]float64
-	totals    []float64
-	order     []int
-	frontier  []int
-	dominated []bool
-}
-
-// combine is CombineNNParts over the receiver's buffers.
-func (sc *combineScratch) combine(region geo.Rect, parts ...NNParts) PrivateNNResult {
 	bound := math.Inf(1)
 	for _, p := range parts {
-		if p.Bound < bound {
-			bound = p.Bound
-		}
+		bound = min(bound, p.Bound)
 	}
-	cands := sc.cands[:0]
-	if len(parts) == 1 {
-		// A single part's candidates are already its producer's min–max
-		// filter output (every NNParts constructor — the NN kernel, a
-		// remote shard running it — refilters against its own final
-		// bound, which here IS the global bound),
-		// so the distance test would keep everything.
-		cands = append(cands, parts[0].Candidates...)
-	} else {
-		for _, p := range parts {
-			for _, o := range p.Candidates {
-				if geo.MinDist2(o.Loc, region) <= bound {
-					cands = append(cands, o)
-				}
+	var cands []PublicObject
+	var pts []rtree.Item
+	for _, p := range parts {
+		for _, o := range p.Candidates {
+			// A single part is already filtered against its own bound,
+			// which here IS the global one.
+			if len(parts) == 1 || geo.MinDist2(o.Loc, region) <= bound {
+				cands = append(cands, o)
+				pts = append(pts, rtree.Item{ID: o.ID, Loc: o.Loc})
 			}
 		}
 	}
-	sc.cands = cands
-	SortObjects(cands)
-	superset := len(cands)
-
-	if superset > maxPruneSet {
-		out := make([]PublicObject, len(cands))
-		copy(out, cands)
-		return PrivateNNResult{Candidates: out, SupersetSize: superset}
-	}
-
-	// The pairwise prune compares only corner distances, so compute each
-	// candidate's four squared corner distances once instead of eight
-	// Dist² evaluations per pair. Dominance b→a needs every corner of b at
-	// most as close and one strictly closer, which forces
-	// Σ corners(b) < Σ corners(a): a witness for a candidate can only sit
-	// strictly before it in ascending total order. And because dominance
-	// is transitive (coordinate-wise ≤ composes; strictness survives), a
-	// dominated candidate always has an *undominated* dominator with a
-	// strictly smaller total — so testing each candidate against the
-	// running Pareto frontier alone reproduces the full pairwise scan's
-	// dominated set at a fraction of the witness tests.
-	corners := region.Corners()
-	// Every cell below is (re)written before it is read, so growing the
-	// scratch without clearing stale contents is safe.
-	cdist := slices.Grow(sc.cdist[:0], len(cands))[:len(cands)]
-	totals := slices.Grow(sc.totals[:0], len(cands))[:len(cands)]
-	order := slices.Grow(sc.order[:0], len(cands))[:len(cands)]
-	dominated := slices.Grow(sc.dominated[:0], len(cands))[:len(cands)]
-	sc.cdist, sc.totals, sc.order, sc.dominated = cdist, totals, order, dominated
-	for i, o := range cands {
-		for k := range corners {
-			cdist[i][k] = corners[k].Dist2(o.Loc)
-		}
-		totals[i] = cdist[i][0] + cdist[i][1] + cdist[i][2] + cdist[i][3]
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		switch {
-		case totals[a] < totals[b]:
-			return -1
-		case totals[a] > totals[b]:
-			return 1
-		}
-		return 0
-	})
-	frontier := sc.frontier[:0]
-	for _, i := range order {
-		dom := false
-		for _, j := range frontier {
-			// The frontier is in ascending-total order too; equal totals
-			// cannot dominate (strictness), so stop at the candidate's own.
-			if totals[j] >= totals[i] {
-				break
-			}
-			if dominatesDist(cdist[j], cdist[i]) {
-				dom = true
-				break
-			}
-		}
-		dominated[i] = dom
-		if !dom {
-			frontier = append(frontier, i)
-		}
-	}
-	sc.frontier = frontier
-	res := PrivateNNResult{SupersetSize: superset}
-	if len(frontier) > 0 {
-		// The frontier holds exactly the undominated candidates, so the
-		// answer (which escapes) is sized exactly instead of grown.
-		res.Candidates = make([]PublicObject, 0, len(frontier))
-		for i, o := range cands {
-			if !dominated[i] {
-				res.Candidates = append(res.Candidates, o)
-			}
-		}
+	res := PrivateNNResult{SupersetSize: len(cands)}
+	if kept := compact(cands, new(combineScratch).exactNN(region, pts)); len(kept) > 0 {
+		res.Candidates = kept
+		SortObjects(res.Candidates)
 	}
 	return res
 }
 
-// dominatesDist reports, over precomputed squared corner distances,
-// whether object b is at least as close as object a to every corner (hence
-// every point) of the region, and strictly closer to at least one corner.
-// Co-located objects never dominate each other, so a true nearest neighbor
-// always survives.
-func dominatesDist(db, da [4]float64) bool {
-	strict := false
-	for k := range db {
-		if db[k] > da[k] {
-			return false
-		}
-		if db[k] < da[k] {
-			strict = true
+// compact filters s in place down to the elements keep marks.
+func compact[T any](s []T, keep []bool) []T {
+	n := 0
+	for i, v := range s {
+		if keep[i] {
+			s[n] = v
+			n++
 		}
 	}
-	return strict
+	return s[:n]
+}
+
+// The exact private-NN decision. Object o is a nearest neighbor of some
+// point of the closed region R iff o lies in R or is nearest at some point
+// of R's boundary: o's Voronoi cell is convex and contains o, so if it
+// meets R while o lies outside, it meets the boundary on the way to o.
+// Each boundary edge [a, b] is settled by bisection through the cells it
+// crosses. Probe the nearest objects A at a and B at b. If A is nearest at
+// b too (or B at a), every object nearest anywhere on the edge is tied at
+// a or b — d²(C)−d²(A) is affine along the edge, so if it is ≤ 0 somewhere
+// it is ≤ 0 at an end. Otherwise probe q, where the edge crosses the
+// bisector of A and B, and settle [a, q] and [q, b] the same way.
+//
+// "Nearest at p" means within the relative slack nnEps of the least
+// squared distance at p, and a probe keeps every object inside it, so
+// exact ties and co-located objects all survive; the "nearest at both
+// ends" test uses half the slack, which keeps the argument sound under
+// rounding (~1e-16 relative). The walk's one choice — which object A names
+// at a probe — breaks ties by ID, so the decision reads the candidate set,
+// never slice positions.
+const (
+	nnEps     = 1e-9
+	nnScanMax = 64 // larger sets are probed through a grid, not a scan
+	// nnMaxDepth caps the bisection of one edge; an edge unsettled there,
+	// or whose bisection point rounds onto an end or overflows (degenerate
+	// input), keeps every candidate instead, which is sound.
+	nnMaxDepth = 64
+)
+
+// combineScratch is the exact decision's reusable working set, its grid
+// included: one per worker scratch, so the decision stops churning the
+// heap; the answer bytes are identical for any scratch contents.
+type combineScratch struct {
+	set  []rtree.Item // the candidate set under decision (borrowed)
+	keep []bool       // the decision, position for position with set
+	near []nnHit      // one probe's provisional ties
+
+	// The grid over set: square cells of side cell from origin, nx × ny of
+	// them; cell c holds set[idx[start[c]:start[c+1]]].
+	origin geo.Point
+	cell   float64
+	nx, ny int
+	start  []int32
+	idx    []int32
+}
+
+// nnHit is one candidate a probe met within the running slack.
+type nnHit struct {
+	i  int
+	d2 float64
+}
+
+// nnProbe is a boundary point with its nearest candidate (ties by ID) and
+// that candidate's squared distance.
+type nnProbe struct {
+	p   geo.Point
+	arg int
+	d2  float64
+}
+
+// exactNN returns the scratch-backed decision over set, position for
+// position: true for every candidate nearest to some point of region. set
+// must hold every object nearest to some point of it, as a min–max set does.
+func (sc *combineScratch) exactNN(region geo.Rect, set []rtree.Item) []bool {
+	keep := slices.Grow(sc.keep[:0], len(set))[:len(set)]
+	sc.keep, sc.set = keep, set
+	for i, it := range set {
+		keep[i] = region.Contains(it.Loc)
+	}
+	if len(set) == 0 {
+		return keep
+	}
+	if len(set) > nnScanMax {
+		sc.buildGrid()
+	}
+	var corner [4]nnProbe
+	for k, p := range region.Corners() {
+		corner[k] = sc.probe(p)
+	}
+	for k := range corner {
+		sc.walk(corner[k], corner[(k+1)%4], 0)
+	}
+	return keep
+}
+
+// walk settles the edge [a, b], whose end probes have already kept their
+// ties: it keeps every candidate nearest at some point of the edge.
+func (sc *combineScratch) walk(a, b nnProbe, depth int) {
+	A, B := sc.set[a.arg].Loc, sc.set[b.arg].Loc
+	fa, fb := a.p.Dist2(B)-a.d2, b.d2-b.p.Dist2(A)
+	if -fb <= b.d2*(nnEps/2) || fa <= a.d2*(nnEps/2) {
+		return // one object is nearest at both ends
+	}
+	// d²(B)−d²(A) is affine along the edge, > 0 at a and < 0 at b; q is its
+	// zero, clamped onto the edge (NaN if a huge region overflowed d²).
+	seg := geo.R(a.p.X, a.p.Y, b.p.X, b.p.Y)
+	q := seg.ClampPoint(a.p.Lerp(b.p, fa/(fa-fb)))
+	if depth == nnMaxDepth || q == a.p || q == b.p || !q.Valid() {
+		for i := range sc.keep {
+			sc.keep[i] = true // sound, and only degenerate input gets here
+		}
+		return
+	}
+	mid := sc.probe(q)
+	sc.walk(a, mid, depth+1)
+	sc.walk(mid, b, depth+1)
+}
+
+// probe finds the nearest candidate at p and keeps every candidate within
+// the slack of it.
+func (sc *combineScratch) probe(p geo.Point) nnProbe {
+	pr := nnProbe{p: p, arg: -1, d2: math.Inf(1)}
+	sc.near = sc.near[:0]
+	if len(sc.set) <= nnScanMax {
+		for i := range sc.set {
+			sc.consider(&pr, i)
+		}
+	} else {
+		sc.gridProbe(&pr)
+	}
+	lim := pr.d2 * (1 + nnEps)
+	for _, h := range sc.near {
+		if h.d2 <= lim {
+			sc.keep[h.i] = true
+		}
+	}
+	return pr
+}
+
+// consider measures candidate i against the probe: it may become the
+// nearest (ties by ID), and it is noted while within the running slack.
+func (sc *combineScratch) consider(pr *nnProbe, i int) {
+	it := sc.set[i]
+	d := pr.p.Dist2(it.Loc)
+	if pr.arg < 0 || d < pr.d2 || (d == pr.d2 && it.ID < sc.set[pr.arg].ID) {
+		pr.d2, pr.arg = d, i
+	}
+	if d <= pr.d2*(1+nnEps) {
+		sc.near = append(sc.near, nnHit{i, d})
+	}
+}
+
+// buildGrid buckets the set into about two candidates per square cell by
+// a counting sort.
+func (sc *combineScratch) buildGrid() {
+	lo, hi := sc.set[0].Loc, sc.set[0].Loc
+	for _, it := range sc.set[1:] {
+		lo = geo.Point{X: min(lo.X, it.Loc.X), Y: min(lo.Y, it.Loc.Y)}
+		hi = geo.Point{X: max(hi.X, it.Loc.X), Y: max(hi.Y, it.Loc.Y)}
+	}
+	w, h := hi.X-lo.X, hi.Y-lo.Y
+	cells := float64(len(sc.set)) / 2
+	// A thin box gets at most ~3× cells; co-located candidates get one.
+	cell := max(math.Sqrt(w*h/cells), max(w, h)/cells, math.SmallestNonzeroFloat64)
+	sc.origin, sc.cell = lo, cell
+	sc.nx, sc.ny = int(w/cell)+1, int(h/cell)+1
+	n := sc.nx * sc.ny
+	start := slices.Grow(sc.start[:0], n+1)[:n+1]
+	clear(start)
+	for _, it := range sc.set {
+		start[sc.cellOf(it.Loc)]++
+	}
+	for c := 1; c <= n; c++ {
+		start[c] += start[c-1] // the end of cell c
+	}
+	idx := slices.Grow(sc.idx[:0], len(sc.set))[:len(sc.set)]
+	for i, it := range sc.set {
+		c := sc.cellOf(it.Loc)
+		start[c]-- // filled back to front, so it ends at cell c's start
+		idx[start[c]] = int32(i)
+	}
+	sc.start, sc.idx = start, idx
+}
+
+// cellCoord is the grid column (or row) of coordinate v, clamped into
+// [0, n): a point outside the grid maps to the nearest border cell.
+func (sc *combineScratch) cellCoord(v, origin float64, n int) int {
+	f := (v - origin) / sc.cell
+	switch {
+	case f < 0:
+		return 0
+	case f >= float64(n-1):
+		return n - 1
+	}
+	return int(f)
+}
+
+func (sc *combineScratch) cellOf(p geo.Point) int {
+	return sc.cellCoord(p.Y, sc.origin.Y, sc.ny)*sc.nx + sc.cellCoord(p.X, sc.origin.X, sc.nx)
+}
+
+// gridProbe visits rings of cells around p's (clamped) cell until the
+// ring's distance bound passes the running slack or the rings have left
+// the grid. Every cell of ring r ≥ 1 lies at least (r−1)·cell from p; the
+// bound shaves a millionth of a cell off that for rounding in cellCoord.
+func (sc *combineScratch) gridProbe(pr *nnProbe) {
+	cx, cy := sc.cellCoord(pr.p.X, sc.origin.X, sc.nx), sc.cellCoord(pr.p.Y, sc.origin.Y, sc.ny)
+	for r := 0; ; r++ {
+		if lb := (float64(r-1) - 1e-6) * sc.cell; r > 1 && lb*lb > pr.d2*(1+nnEps) {
+			return
+		}
+		x0, x1, y0, y1 := cx-r, cx+r, cy-r, cy+r
+		if x0 < 0 && y0 < 0 && x1 >= sc.nx && y1 >= sc.ny {
+			return
+		}
+		for y := max(y0, 0); y <= min(y1, sc.ny-1); y++ {
+			xs, step := max(x0, 0), 1 // the ring's top and bottom rows, whole
+			if y != y0 && y != y1 {
+				xs, step = x0, x1-x0 // between them, its two side columns
+			}
+			for x := xs; x <= min(x1, sc.nx-1); x += step {
+				if c := y*sc.nx + x; x >= 0 {
+					for _, i := range sc.idx[sc.start[c]:sc.start[c+1]] {
+						sc.consider(pr, int(i))
+					}
+				}
+			}
+		}
+	}
 }

@@ -97,51 +97,144 @@ func refNNParts(s *Server, q PrivateNNQuery) (NNParts, error) {
 	return parts, nil
 }
 
-// dominates reports whether object at b is at least as close as object at a
-// to every corner (hence every point) of the region, and strictly closer to
-// at least one corner. Co-located objects never dominate each other, so a
-// true nearest neighbor always survives.
-func dominates(b, a geo.Point, corners [4]geo.Point) bool {
-	strict := false
-	for _, c := range corners {
-		db := c.Dist2(b)
-		da := c.Dist2(a)
-		if db > da {
-			return false
+// refClipTol is the absolute slack of the reference clip's half-plane
+// tests, in squared world units: far below any gap random data produces,
+// far above the rounding of the arithmetic.
+const refClipTol = 1e-12
+
+// refCell is the part of the region where o is nearest among objs — the
+// region, as a polygon, clipped by the bisector half-plane
+// {p : |p−o|² ≤ |p−c|² + refClipTol} of every other object c. An empty
+// polygon means o is nearest nowhere in the region.
+func refCell(o PublicObject, objs []PublicObject, region geo.Rect) []geo.Point {
+	c := region.Corners()
+	poly := c[:]
+	var next []geo.Point
+	for _, other := range objs {
+		if other.ID == o.ID {
+			continue
 		}
-		if db < da {
-			strict = true
+		// |p−o|² − |p−c|² = 2p·(c−o) − (|c|² − |o|²), affine in p.
+		dx, dy := other.Loc.X-o.Loc.X, other.Loc.Y-o.Loc.Y
+		k := other.Loc.X*other.Loc.X + other.Loc.Y*other.Loc.Y - o.Loc.X*o.Loc.X - o.Loc.Y*o.Loc.Y
+		g := func(p geo.Point) float64 { return 2*(p.X*dx+p.Y*dy) - k - refClipTol }
+		next = next[:0]
+		for i, p := range poly {
+			q := poly[(i+1)%len(poly)]
+			gp, gq := g(p), g(q)
+			if gp <= 0 {
+				next = append(next, p)
+			}
+			if (gp < 0 && gq > 0) || (gp > 0 && gq < 0) {
+				next = append(next, p.Lerp(q, gp/(gp-gq)))
+			}
 		}
+		if len(next) == 0 {
+			return nil
+		}
+		poly, next = append([]geo.Point(nil), next...), poly
 	}
-	return strict
+	return poly
 }
 
-// refNN is Figure 5b by definition: the min–max superset, minus every
-// candidate some other candidate dominates — the full O(n²) pairwise scan.
+// refNNObjects is Figure 5b by definition over a plain object list: every
+// object whose Voronoi cell meets the region, in canonical order. No index,
+// no min–max bound and no boundary walk: each object's cell is clipped
+// against all the others.
+func refNNObjects(objs []PublicObject, region geo.Rect) []PublicObject {
+	var out []PublicObject
+	for _, o := range objs {
+		if refCell(o, objs, region) != nil {
+			out = append(out, o)
+		}
+	}
+	refSort(out)
+	return out
+}
+
+// refClassObjects lists the stationary objects a private NN query of the
+// class ranges over.
+func refClassObjects(s *Server, class string) []PublicObject {
+	var objs []PublicObject
+	for _, o := range s.stationaryMeta {
+		if class == "" || o.Class == class {
+			objs = append(objs, o)
+		}
+	}
+	return objs
+}
+
+// refNN is Figure 5b by definition: the exact answer over every
+// class-matching object, with the min–max superset size it starts from.
 func refNN(s *Server, q PrivateNNQuery) (PrivateNNResult, error) {
 	parts, err := refNNParts(s, q)
 	if err != nil {
 		return PrivateNNResult{}, err
 	}
-	res := PrivateNNResult{SupersetSize: len(parts.Candidates)}
-	if res.SupersetSize > maxPruneSet {
-		res.Candidates = parts.Candidates
-		return res, nil
-	}
-	corners := q.Region.Corners()
-	for _, a := range parts.Candidates {
-		dominated := false
-		for _, b := range parts.Candidates {
-			if dominates(b.Loc, a.Loc, corners) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			res.Candidates = append(res.Candidates, a)
+	return PrivateNNResult{
+		Candidates:   refNNObjects(refClassObjects(s, q.Class), q.Region),
+		SupersetSize: len(parts.Candidates),
+	}, nil
+}
+
+// refBruteNN is the client's answer at p by brute force: the nearest of
+// objs, ties to the lower ID as RefineNN breaks them.
+func refBruteNN(p geo.Point, objs []PublicObject) PublicObject {
+	best := objs[0]
+	for _, o := range objs[1:] {
+		if d, bd := p.Dist2(o.Loc), p.Dist2(best.Loc); d < bd || (d == bd && o.ID < best.ID) {
+			best = o
 		}
 	}
-	return res, nil
+	return best
+}
+
+// checkNNSound asserts sampled soundness: at every point of an n×n lattice
+// over the region (corners and edges included) and at every object inside
+// it, the brute-force nearest neighbor of objs is in the answer.
+func checkNNSound(t testing.TB, region geo.Rect, answer, objs []PublicObject, n int) {
+	t.Helper()
+	if len(objs) == 0 {
+		return
+	}
+	in := map[uint64]bool{}
+	for _, o := range answer {
+		in[o.ID] = true
+	}
+	var pts []geo.Point
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			fx, fy := float64(i)/float64(n-1), float64(j)/float64(n-1)
+			pts = append(pts, geo.Pt(region.Min.X+region.Width()*fx, region.Min.Y+region.Height()*fy))
+		}
+	}
+	for _, o := range objs {
+		if region.Contains(o.Loc) {
+			pts = append(pts, o.Loc)
+		}
+	}
+	for _, p := range pts {
+		if nn := refBruteNN(p, objs); !in[nn.ID] {
+			t.Fatalf("region %v: the nearest neighbor %d of %v is missing from the answer %v", region, nn.ID, p, answer)
+		}
+	}
+}
+
+// checkNNMinimal asserts minimality: every answered object has a witness
+// point of the region — a vertex of its clipped cell — where it is nearest
+// among objs up to the clip's slack.
+func checkNNMinimal(t testing.TB, region geo.Rect, answer, objs []PublicObject) {
+	t.Helper()
+	for _, o := range answer {
+		cell := refCell(o, objs, region)
+		if cell == nil {
+			t.Fatalf("region %v: answered object %d (%v) is nearest nowhere in it", region, o.ID, o.Loc)
+		}
+		w := region.ClampPoint(cell[0])
+		if d, best := w.Dist2(o.Loc), w.Dist2(refBruteNN(w, objs).Loc); d > best+4*refClipTol {
+			t.Fatalf("region %v: answered object %d is %g from its witness %v, the nearest is %g", region, o.ID, d, w, best)
+		}
+	}
 }
 
 // refCountProbs is Figure 6a's first half by definition: every stored

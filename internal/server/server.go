@@ -94,6 +94,7 @@ type Server struct {
 	// Public data.
 	stationary     *rtree.Tree
 	stationaryMeta map[uint64]PublicObject
+	stationaryGen  uint64 // bumped by every stationary write
 	moving         *grid.Index
 
 	// Private data: each user's cloaked region, stored once in a slot of
@@ -217,6 +218,7 @@ func (s *Server) LoadStationary(objs []PublicObject) error {
 	s.mu.Lock()
 	s.stationary = tree
 	s.stationaryMeta = meta
+	s.stationaryGen++
 	s.met.stationary.Set(float64(tree.Len()))
 	s.mu.Unlock()
 	return nil
@@ -234,6 +236,7 @@ func (s *Server) AddStationary(o PublicObject) error {
 	}
 	s.stationary.Insert(rtree.Item{ID: o.ID, Loc: o.Loc})
 	s.stationaryMeta[o.ID] = o
+	s.stationaryGen++
 	s.met.stationary.Set(float64(s.stationary.Len()))
 	return nil
 }
@@ -249,6 +252,7 @@ func (s *Server) RemoveStationary(id uint64) bool {
 	}
 	s.stationary.Delete(id, o.Loc)
 	delete(s.stationaryMeta, id)
+	s.stationaryGen++
 	s.met.stationary.Set(float64(s.stationary.Len()))
 	return true
 }
