@@ -8,7 +8,7 @@
 // latency, cloaked-area and achieved-k distributions, reuse rate — and the
 // proto_* wire series), /healthz, and the net/http/pprof profiling
 // endpoints under /debug/pprof/. The same series are answered over TCP to
-// MsgMetrics requests, which is how lbsload prints live percentile tables.
+// MsgMetrics requests, which is how lbssoak prints live percentile tables.
 //
 // Usage:
 //

@@ -7,7 +7,7 @@
 // (Prometheus text format: the lbs_* server series and proto_* wire
 // series), /healthz, and the net/http/pprof profiling endpoints under
 // /debug/pprof/. The same series are answered over TCP to MsgMetrics
-// requests, which is how lbsload prints live percentile tables.
+// requests, which is how lbssoak prints live percentile tables.
 //
 // Usage:
 //

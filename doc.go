@@ -14,13 +14,13 @@
 //   - server, prob — the privacy-aware query processors of Figures 5–6;
 //   - rtree, grid, pyramid, geo, rng, mobility — the substrates;
 //   - protocol — the wire protocol and TCP services of Figure 1;
-//   - stack — the one definition of the deployment the daemons, soak and
-//     load tool boot.
+//   - stack — the one definition of the deployment the daemons, the soak
+//     and lbsbench boot.
 //
 // Runnable entry points: examples/* (six examples; quickstart is the place
 // to start), cmd/lbsbench (the experiment harness behind EXPERIMENTS.md),
 // cmd/anonymizerd, cmd/lbsd and cmd/lbsrouter (the networked deployment),
-// cmd/lbsload (a closed-loop load generator), cmd/lbssoak (the adversarial
-// soak) and cmd/lbsgen (workload traces). The benchmarks in bench_test.go
+// cmd/lbssoak (the traffic driver: scenario catalog and SLO gates, against
+// a booted stack or running daemons) and cmd/lbsgen (workload traces). The benchmarks in bench_test.go
 // mirror the experiment suite one-to-one.
 package repro

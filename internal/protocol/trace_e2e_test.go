@@ -28,7 +28,7 @@ type tracedStack struct {
 // tracedThreeTier brings up the Figure 1 deployment with a tracer in every
 // process: the client tracer samples everything (it mints roots), while
 // the daemon tracers run in propagation-only mode (Sample 0) exactly as
-// lbsload -selfhost wires them — they record only spans that arrive with
+// stack.Boot wires them — they record only spans that arrive with
 // the sampled flag set.
 func tracedThreeTier(t *testing.T) tracedStack {
 	t.Helper()
@@ -129,7 +129,7 @@ func TestTracedQueryAcrossThreeTiers(t *testing.T) {
 	traceID := root.Context().TraceID
 
 	// Pull all three rings — the daemons' over the wire, exactly as
-	// `lbsload -trace` does — and merge.
+	// `lbssoak -trace` does — and merge.
 	anonSpans, err := user.Traces()
 	if err != nil {
 		t.Fatal(err)

@@ -574,15 +574,6 @@ func (r *Router) StatsCtx(ctx context.Context) (stationary, private int, err err
 	return stationary, private, nil
 }
 
-// PrivateUserCount reports how many users the router currently tracks a
-// residency mask for — the tier-level analogue of the single server's
-// resident-user count, available without touching any shard.
-func (r *Router) PrivateUserCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.userOwners)
-}
-
 // totalLen sums slice lengths.
 func totalLen[T any](parts [][]T) int {
 	n := 0

@@ -15,6 +15,7 @@ import (
 // durations are pre-scale.
 func Catalog() []Scenario {
 	return []Scenario{
+		steady(),
 		flashCrowd(),
 		commuterRush(),
 		profileFlip(),
@@ -43,6 +44,21 @@ const (
 	queryBudget  = 500 * time.Millisecond
 )
 
+// steady: the baseline city under a fixed mix of updates, private NN
+// queries and public counts — the load a running deployment can take,
+// since it needs nothing but the two addresses.
+func steady() Scenario {
+	return Scenario{
+		Name: "steady",
+		Desc: "baseline city: updates, private NN and public counts at a fixed mix",
+		SLO:  SLO{UpdateP99: updateBudget, QueryP99: queryBudget, MaxErrorRate: 0.001},
+		Run: func(e *Env) error {
+			e.Drive(Phase{Name: "steady", Dur: 10 * time.Second, QueryPct: 20, CountPct: 10})
+			return nil
+		},
+	}
+}
+
 // flashCrowd: a stadium empties — most of the population converges on one
 // point, then the hotspot migrates across town. Cloaked regions shrink in
 // the crowd and balloon in the emptied tail; k must hold through both.
@@ -54,13 +70,10 @@ func flashCrowd() Scenario {
 		Run: func(e *Env) error {
 			stadium := &mobility.Hotspot{Center: geo.Pt(0.25, 0.25), Frac: 0.6, Pull: 0.85}
 			moved := &mobility.Hotspot{Center: geo.Pt(0.8, 0.7), Frac: 0.6, Pull: 0.85}
-			if err := e.Drive(Phase{Name: "baseline", Dur: 4 * time.Second, QueryPct: 15}); err != nil {
-				return err
-			}
-			if err := e.Drive(Phase{Name: "flash", Dur: 6 * time.Second, Hot: stadium, QueryPct: 15}); err != nil {
-				return err
-			}
-			return e.Drive(Phase{Name: "migrate", Dur: 6 * time.Second, Hot: moved, QueryPct: 15})
+			e.Drive(Phase{Name: "baseline", Dur: 4 * time.Second, QueryPct: 15},
+				Phase{Name: "flash", Dur: 6 * time.Second, Hot: stadium, QueryPct: 15},
+				Phase{Name: "migrate", Dur: 6 * time.Second, Hot: moved, QueryPct: 15})
+			return nil
 		},
 	}
 }
@@ -77,11 +90,10 @@ func commuterRush() Scenario {
 			downtown := geo.Pt(0.5, 0.5)
 			for i, frac := range []float64{0.2, 0.5, 0.8} {
 				hot := &mobility.Hotspot{Center: downtown, Frac: frac, Pull: 0.7}
-				if err := e.Drive(Phase{Name: fmt.Sprintf("wave-%d", i+1), Dur: 4 * time.Second, Hot: hot, QueryPct: 20}); err != nil {
-					return err
-				}
+				e.Drive(Phase{Name: fmt.Sprintf("wave-%d", i+1), Dur: 4 * time.Second, Hot: hot, QueryPct: 20})
 			}
-			return e.Drive(Phase{Name: "disperse", Dur: 4 * time.Second, QueryPct: 20})
+			e.Drive(Phase{Name: "disperse", Dur: 4 * time.Second, QueryPct: 20})
+			return nil
 		},
 	}
 }
@@ -95,19 +107,16 @@ func profileFlip() Scenario {
 		Desc: "whole population raises k mid-run via MsgUpdateProfile",
 		SLO:  SLO{UpdateP99: updateBudget, MaxErrorRate: 0.001},
 		Run: func(e *Env) error {
-			if err := e.Drive(Phase{Name: "baseline", Dur: 4 * time.Second, QueryPct: 10}); err != nil {
-				return err
-			}
+			e.Drive(Phase{Name: "baseline", Dur: 4 * time.Second, QueryPct: 10})
 			if err := e.FlipProfiles(e.cfg.K * 3); err != nil {
 				return err
 			}
-			if err := e.Drive(Phase{Name: "raised-k", Dur: 5 * time.Second, QueryPct: 10}); err != nil {
-				return err
-			}
+			e.Drive(Phase{Name: "raised-k", Dur: 5 * time.Second, QueryPct: 10})
 			if err := e.FlipProfiles(e.cfg.K); err != nil {
 				return err
 			}
-			return e.Drive(Phase{Name: "restored-k", Dur: 3 * time.Second, QueryPct: 10})
+			e.Drive(Phase{Name: "restored-k", Dur: 3 * time.Second, QueryPct: 10})
+			return nil
 		},
 	}
 }
@@ -119,29 +128,27 @@ func profileFlip() Scenario {
 // -admission=false.
 func dbOutage() Scenario {
 	return Scenario{
-		Name: "db_outage",
-		Desc: "database killed mid-rush; spill, shed typed, recover",
-		SLO:  SLO{MaxErrorRate: 0.001, RecoverWithin: 20 * time.Second},
+		Name:   "db_outage",
+		Desc:   "database killed mid-rush; spill, shed typed, recover",
+		SLO:    SLO{MaxErrorRate: 0.001, RecoverWithin: 20 * time.Second},
+		Levers: true,
 		Tune: func(cfg *Config) {
 			// A queue far smaller than the per-outage update volume: the
 			// full-queue policy (reject vs evict) decides the verdict.
 			cfg.ForwardQueue = 256
 		},
 		Run: func(e *Env) error {
-			if err := e.Drive(Phase{Name: "baseline", Dur: 3 * time.Second, QueryPct: 10}); err != nil {
-				return err
-			}
+			e.Drive(Phase{Name: "baseline", Dur: 3 * time.Second, QueryPct: 10})
 			e.KillDB()
-			if err := e.Drive(Phase{Name: "outage", Dur: 5 * time.Second, QueryPct: 0}); err != nil {
-				return err
-			}
+			e.Drive(Phase{Name: "outage", Dur: 5 * time.Second, QueryPct: 0})
 			if err := e.RestartDB(false); err != nil {
 				return err
 			}
 			if err := e.AwaitRecovery(); err != nil {
 				return err
 			}
-			return e.Drive(Phase{Name: "aftermath", Dur: 3 * time.Second, QueryPct: 10})
+			e.Drive(Phase{Name: "aftermath", Dur: 3 * time.Second, QueryPct: 10})
+			return nil
 		},
 	}
 }
@@ -155,9 +162,10 @@ func dbOutage() Scenario {
 // fails — the routed-tier twin of db_outage's load-bearing proof.
 func shardKill() Scenario {
 	return Scenario{
-		Name: "shard_kill",
-		Desc: "one shard of the routed tier killed mid-rush; breaker isolates it",
-		SLO:  SLO{UpdateP99: updateBudget, QueryP99: queryBudget, MaxErrorRate: 0.001, RecoverWithin: 20 * time.Second},
+		Name:   "shard_kill",
+		Desc:   "one shard of the routed tier killed mid-rush; breaker isolates it",
+		SLO:    SLO{UpdateP99: updateBudget, QueryP99: queryBudget, MaxErrorRate: 0.001, RecoverWithin: 20 * time.Second},
+		Levers: true,
 		Tune: func(cfg *Config) {
 			if cfg.Shards < 2 {
 				cfg.Shards = 4
@@ -168,22 +176,19 @@ func shardKill() Scenario {
 			cfg.ForwardQueue = 256
 		},
 		Run: func(e *Env) error {
-			if err := e.Drive(Phase{Name: "baseline", Dur: 3 * time.Second, QueryPct: 10}); err != nil {
-				return err
-			}
+			e.Drive(Phase{Name: "baseline", Dur: 3 * time.Second, QueryPct: 10})
 			e.KillShard(1)
 			// Queries keep flowing: most tiles survive, and the ones that
 			// don't fail fast behind the open breaker (waived here).
-			if err := e.Drive(Phase{Name: "degraded", Dur: 5 * time.Second, QueryPct: 10, AllowErrors: true}); err != nil {
-				return err
-			}
+			e.Drive(Phase{Name: "degraded", Dur: 5 * time.Second, QueryPct: 10, AllowErrors: true})
 			if err := e.RestartShard(1); err != nil {
 				return err
 			}
 			if err := e.AwaitRecovery(); err != nil {
 				return err
 			}
-			return e.Drive(Phase{Name: "aftermath", Dur: 3 * time.Second, QueryPct: 10})
+			e.Drive(Phase{Name: "aftermath", Dur: 3 * time.Second, QueryPct: 10})
+			return nil
 		},
 	}
 }
@@ -208,9 +213,7 @@ func slowLink() Scenario {
 			}
 		},
 		Run: func(e *Env) error {
-			if err := e.Drive(Phase{Name: "degraded", Dur: 8 * time.Second, QueryPct: 10}); err != nil {
-				return err
-			}
+			e.Drive(Phase{Name: "degraded", Dur: 8 * time.Second, QueryPct: 10})
 			return e.waitDrain(30 * time.Second)
 		},
 	}
@@ -221,21 +224,18 @@ func slowLink() Scenario {
 // back from disk, the movers from the replay queue; nobody is lost.
 func rollingRestart() Scenario {
 	return Scenario{
-		Name: "rolling_restart",
-		Desc: "two snapshot-restore restarts of the database under load",
-		SLO:  SLO{MaxErrorRate: 0.001, RecoverWithin: 20 * time.Second},
+		Name:   "rolling_restart",
+		Desc:   "two snapshot-restore restarts of the database under load",
+		SLO:    SLO{MaxErrorRate: 0.001, RecoverWithin: 20 * time.Second},
+		Levers: true,
 		Run: func(e *Env) error {
 			for round := 1; round <= 2; round++ {
-				if err := e.Drive(Phase{Name: fmt.Sprintf("steady-%d", round), Dur: 3 * time.Second, QueryPct: 10}); err != nil {
-					return err
-				}
+				e.Drive(Phase{Name: fmt.Sprintf("steady-%d", round), Dur: 3 * time.Second, QueryPct: 10})
 				if err := e.SaveSnapshot(); err != nil {
 					return err
 				}
 				e.KillDB()
-				if err := e.Drive(Phase{Name: fmt.Sprintf("gap-%d", round), Dur: 2 * time.Second, QueryPct: 0}); err != nil {
-					return err
-				}
+				e.Drive(Phase{Name: fmt.Sprintf("gap-%d", round), Dur: 2 * time.Second, QueryPct: 0})
 				if err := e.RestartDB(true); err != nil {
 					return err
 				}
@@ -243,7 +243,8 @@ func rollingRestart() Scenario {
 					return err
 				}
 			}
-			return e.Drive(Phase{Name: "aftermath", Dur: 3 * time.Second, QueryPct: 10})
+			e.Drive(Phase{Name: "aftermath", Dur: 3 * time.Second, QueryPct: 10})
+			return nil
 		},
 	}
 }
@@ -263,13 +264,10 @@ func queryFlood() Scenario {
 			cfg.MaxInflight = cfg.Workers
 		},
 		Run: func(e *Env) error {
-			if err := e.Drive(Phase{Name: "baseline", Dur: 3 * time.Second, QueryPct: 10}); err != nil {
-				return err
-			}
-			if err := e.Drive(Phase{Name: "flood", Dur: 6 * time.Second, QueryPct: 90}); err != nil {
-				return err
-			}
-			return e.Drive(Phase{Name: "calm", Dur: 3 * time.Second, QueryPct: 10})
+			e.Drive(Phase{Name: "baseline", Dur: 3 * time.Second, QueryPct: 10},
+				Phase{Name: "flood", Dur: 6 * time.Second, QueryPct: 90},
+				Phase{Name: "calm", Dur: 3 * time.Second, QueryPct: 10})
+			return nil
 		},
 	}
 }

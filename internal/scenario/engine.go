@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/cloak"
 	"repro/internal/faults"
+	"repro/internal/geo"
 	"repro/internal/mobility"
 	"repro/internal/obs"
 	"repro/internal/privacy"
@@ -17,19 +19,22 @@ import (
 	"repro/internal/rng"
 	"repro/internal/server"
 	"repro/internal/stack"
-	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
-// Env is the live harness a Scenario drives: the booted stack, the
+// Env is the live harness a Scenario drives: the target deployment, the
 // streaming city, the persistent worker connections, and the accounting
 // that feeds SLO evaluation.
 type Env struct {
-	cfg Config
-	sc  Scenario
-	st  *stack.Stack
-	gen *mobility.Stream
+	cfg    Config
+	sc     Scenario
+	st     *stack.Stack // nil against a running deployment
+	gen    *mobility.Stream
+	tracer *trace.Tracer // the client's, with Config.Trace
 
-	ctrl *protocol.AnonymizerClient // control plane: metrics/stats reads
+	// Control plane: metric, residency and span-ring reads.
+	ctrl   *protocol.AnonymizerClient
+	ctrlDB *protocol.DatabaseClient
 
 	tick     atomic.Uint64
 	stopTick chan struct{}
@@ -39,19 +44,12 @@ type Env struct {
 	// acked marks users whose update was acknowledged at least once — the
 	// bitmap side of the acked-vs-resident consistency check. One flag per
 	// user is the harness's only O(users) state.
-	acked      []atomic.Bool
-	ops        atomic.Uint64
-	errs       atomic.Uint64
-	sheds      atomic.Uint64
-	profileK   atomic.Int64 // current population-wide k (after flips)
-	flipCursor uint64       // users flipped so far, for logging
+	acked            []atomic.Bool
+	ops, errs, sheds atomic.Uint64
 
-	// Harness-side latency aggregation. Outermost rank: the scenario
-	// stack calls into every other tier and must never be acquired from
-	// inside one of them.
+	// Outermost rank: the scenario stack calls into every other tier and
+	// must never be acquired from inside one of them.
 	mu       sync.Mutex //lint:lock stack@3
-	updLat   stats.Latencies
-	qryLat   stats.Latencies
 	recovery time.Duration
 
 	baseDrops, baseKMissed float64
@@ -80,36 +78,47 @@ func scenarioSeed(seed uint64, name string) uint64 {
 	return seed ^ h.Sum64()
 }
 
-// Run executes one scenario end to end: boot, seed, drive, drain,
-// evaluate. The error return covers harness failures (cannot bind, cannot
-// seed); SLO violations land in the Result instead.
+// Run executes one scenario end to end: boot (unless cfg addresses a
+// running deployment), seed, drive, drain, evaluate. The error return
+// covers harness failures (cannot bind, cannot seed, a scenario the
+// target cannot host); SLO violations land in the Result instead.
 func Run(sc Scenario, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	if sc.Tune != nil {
-		sc.Tune(&cfg)
-	}
 	res := Result{Scenario: sc.Name}
 	t0 := time.Now()
 
-	topo := stack.Topology{
-		ForwardQueue:   cfg.ForwardQueue,
-		NoBackpressure: !cfg.Admission,
-		Logf:           cfg.Logf,
+	var st *stack.Stack
+	switch {
+	case (cfg.Anon == "") != (cfg.DB == ""):
+		return res, fmt.Errorf("scenario %s: a running deployment needs both its anonymizer and database addresses", sc.Name)
+	case cfg.Anon != "" && (sc.Levers || sc.Tune != nil || sc.Link != nil || cfg.Shards > 1):
+		return res, fmt.Errorf("scenario %s needs the booted stack (levers, a tuned topology, a faulty link or shards): run it without a target", sc.Name)
+	case cfg.Anon == "":
+		if sc.Tune != nil {
+			sc.Tune(&cfg)
+		}
+		topo := stack.Topology{
+			ForwardQueue:   cfg.ForwardQueue,
+			NoBackpressure: !cfg.Admission,
+			Trace:          cfg.Trace,
+			Logf:           cfg.Logf,
+		}
+		if cfg.Shards > 1 {
+			topo.Shards = cfg.Shards
+		}
+		if cfg.Admission {
+			topo.MaxInflight = cfg.MaxInflight
+		}
+		if sc.Link != nil {
+			topo.Dialer = faults.Dialer(sc.Link)
+		}
+		var err error
+		if st, err = stack.Boot(topo); err != nil {
+			return res, fmt.Errorf("scenario %s: stack: %w", sc.Name, err)
+		}
+		defer st.Close()
+		cfg.Anon, cfg.DB = st.AnonAddr(), st.DBAddr()
 	}
-	if cfg.Shards > 1 {
-		topo.Shards = cfg.Shards
-	}
-	if cfg.Admission {
-		topo.MaxInflight = cfg.MaxInflight
-	}
-	if sc.Link != nil {
-		topo.Dialer = faults.Dialer(sc.Link)
-	}
-	st, err := stack.Boot(topo)
-	if err != nil {
-		return res, fmt.Errorf("scenario %s: stack: %w", sc.Name, err)
-	}
-	defer st.Close()
 
 	gen, err := mobility.NewStream(mobility.StreamSpec{
 		World: stack.World, Seed: scenarioSeed(cfg.Seed, sc.Name), NumClusters: 24,
@@ -122,24 +131,29 @@ func Run(sc Scenario, cfg Config) (Result, error) {
 		stopTick: make(chan struct{}),
 		acked:    make([]atomic.Bool, cfg.Users+1),
 	}
-	e.profileK.Store(int64(cfg.K))
+	if cfg.Trace {
+		e.tracer = trace.New(trace.Config{Process: "client", Sample: 1})
+	}
 	defer e.teardown()
 
-	e.ctrl, err = protocol.DialAnonymizer(st.AnonAddr(), protocol.WithCallTimeout(callTimeout))
-	if err != nil {
+	if e.ctrl, err = protocol.DialAnonymizer(cfg.Anon, protocol.WithCallTimeout(callTimeout)); err != nil {
+		return res, err
+	}
+	if e.ctrlDB, err = protocol.DialDatabase(cfg.DB, protocol.WithCallTimeout(callTimeout)); err != nil {
 		return res, err
 	}
 	dialOpts := []protocol.DialOption{
 		protocol.WithCallTimeout(callTimeout),
 		protocol.WithRetries(1),
 		protocol.WithRetryBackoff(5*time.Millisecond, 100*time.Millisecond),
+		protocol.WithClientTracing(e.tracer),
 	}
 	for w := 0; w < cfg.Workers; w++ {
-		ac, err := protocol.DialAnonymizer(st.AnonAddr(), dialOpts...)
+		ac, err := protocol.DialAnonymizer(cfg.Anon, dialOpts...)
 		if err != nil {
 			return res, err
 		}
-		dc, err := protocol.DialDatabase(st.DBAddr(), dialOpts...)
+		dc, err := protocol.DialDatabase(cfg.DB, dialOpts...)
 		if err != nil {
 			ac.Close()
 			return res, err
@@ -156,12 +170,12 @@ func Run(sc Scenario, cfg Config) (Result, error) {
 
 	// Baselines after seeding: the first k-1 users of a fresh city cannot
 	// have k neighbors, so seed-phase k misses are warmup, not violations.
-	series, err := e.anonSeries()
+	series, err := e.ctrl.Metrics()
 	if err != nil {
 		return res, err
 	}
-	e.baseDrops = counterVal(series, "anon_forward_queue_drops_total")
-	e.baseKMissed = counterVal(series, "anon_cloak_k_missed_total")
+	e.baseDrops = metricVal(series, "anon_forward_queue_drops_total")
+	e.baseKMissed = metricVal(series, "anon_cloak_k_missed_total")
 
 	go e.runTicker()
 	if err := sc.Run(e); err != nil {
@@ -170,6 +184,14 @@ func Run(sc Scenario, cfg Config) (Result, error) {
 	close(e.stopTick)
 
 	e.evaluate(&res)
+	if e.tracer != nil {
+		anon, aerr := e.ctrl.Traces()
+		db, derr := e.ctrlDB.Traces()
+		if err := errors.Join(aerr, derr); err != nil {
+			e.Log("daemon span rings unavailable (started without -trace-sample?): %v", err)
+		}
+		res.Traces = [][]trace.SpanRecord{e.tracer.Snapshot(), anon, db}
+	}
 	res.Wall = time.Since(t0)
 	return res, nil
 }
@@ -177,6 +199,9 @@ func Run(sc Scenario, cfg Config) (Result, error) {
 func (e *Env) teardown() {
 	if e.ctrl != nil {
 		e.ctrl.Close()
+	}
+	if e.ctrlDB != nil {
+		e.ctrlDB.Close()
 	}
 	for _, d := range e.drivers {
 		d.anon.Close()
@@ -220,12 +245,7 @@ func (e *Env) seed() error {
 	for i, p := range objPts {
 		objs[i] = server.PublicObject{ID: uint64(i + 1), Class: "poi", Loc: p}
 	}
-	setup, err := protocol.DialDatabase(e.st.DBAddr(), protocol.WithCallTimeout(callTimeout))
-	if err != nil {
-		return err
-	}
-	defer setup.Close()
-	if err := setup.LoadStationary(objs); err != nil {
+	if err := e.ctrlDB.LoadStationary(objs); err != nil {
 		return err
 	}
 
@@ -233,8 +253,13 @@ func (e *Env) seed() error {
 	prof := privacy.Constant(privacy.Requirement{K: e.cfg.K})
 	if err := e.eachUserShard(func(d *driver, from, to uint64) error {
 		for id := from; id <= to; id++ {
-			id := id
-			if err := e.overloadRetry(func() error { return d.anon.Register(id, prof) }); err != nil {
+			if err := e.overloadRetry(func() error {
+				err := d.anon.Register(id, prof)
+				if err != nil && !errors.Is(err, protocol.ErrOverloaded) && d.anon.UpdateProfile(id, prof) == nil {
+					return nil // registered by an earlier run against the same deployment
+				}
+				return err
+			}); err != nil {
 				return fmt.Errorf("register %d: %w", id, err)
 			}
 		}
@@ -248,10 +273,7 @@ func (e *Env) seed() error {
 		// phase 3 of the batch pipeline drains through.
 		const chunk = 256
 		for lo := from; lo <= to; lo += chunk {
-			hi := lo + chunk - 1
-			if hi > to {
-				hi = to
-			}
+			hi := min(lo+chunk-1, to)
 			reqs := make([]cloak.Request, 0, hi-lo+1)
 			for id := lo; id <= hi; id++ {
 				reqs = append(reqs, cloak.Request{ID: id, Loc: e.gen.Pos(id, 0, nil)})
@@ -277,7 +299,10 @@ func (e *Env) seed() error {
 	if err := e.waitDrain(60 * time.Second); err != nil {
 		return err
 	}
-	if got := e.st.PrivateUserCount(); got != e.cfg.Users {
+	// At least: a deployment an earlier run seeded may hold more users.
+	if _, got, err := e.ctrlDB.Stats(); err != nil {
+		return err
+	} else if got < e.cfg.Users {
 		return fmt.Errorf("database holds %d users after seeding, want %d", got, e.cfg.Users)
 	}
 	e.Log("seeded %d users + %d objects in %v", e.cfg.Users, e.cfg.Objects,
@@ -335,89 +360,101 @@ func (e *Env) eachUserShard(fn func(d *driver, from, to uint64) error) error {
 	}
 }
 
-// Drive runs one closed-loop phase across all workers.
-func (e *Env) Drive(ph Phase) error {
-	dur := e.scaled(ph.Dur)
-	e.Log("phase %-14s %v (query%%=%d hotspot=%v)", ph.Name, dur.Round(time.Millisecond), ph.QueryPct, ph.Hot != nil)
-	deadline := time.Now().Add(dur)
-	var wg sync.WaitGroup
-	for _, d := range e.drivers {
-		wg.Add(1)
-		go func(d *driver) {
-			defer wg.Done()
-			e.driveWorker(d, ph, deadline)
-		}(d)
+// Drive runs closed-loop phases one after another across all workers.
+func (e *Env) Drive(phases ...Phase) {
+	for _, ph := range phases {
+		dur := e.scaled(ph.Dur)
+		e.Log("phase %-14s %v (query%%=%d count%%=%d hotspot=%v)", ph.Name, dur.Round(time.Millisecond), ph.QueryPct, ph.CountPct, ph.Hot != nil)
+		deadline := time.Now().Add(dur)
+		var wg sync.WaitGroup
+		for _, d := range e.drivers {
+			wg.Add(1)
+			go func(d *driver) {
+				defer wg.Done()
+				e.driveWorker(d, ph, deadline)
+			}(d)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	return nil
 }
 
 func (e *Env) driveWorker(d *driver, ph Phase, deadline time.Time) {
-	var upd, qry stats.Latencies
 	for time.Now().Before(deadline) {
 		tick := e.tick.Load()
-		if d.src.Intn(100) < ph.QueryPct {
-			id := uint64(d.src.Intn(e.cfg.Users)) + 1
-			loc := e.gen.Pos(id, tick, ph.Hot)
-			t := time.Now()
-			res, err := d.anon.CloakQuery(id, loc)
+		r := d.src.Intn(100)
+		id := uint64(d.src.Intn(e.cfg.Users)) + 1
+		loc := e.gen.Pos(id, tick, ph.Hot)
+		switch {
+		case r < ph.QueryPct:
+			ctx, root := spanCtx(e.tracer.StartRoot("soak_private_query"))
+			res, err := d.anon.CloakQueryCtx(ctx, id, loc)
 			if err == nil {
 				var nn server.PrivateNNResult
-				nn, err = d.db.PrivateNN(server.PrivateNNQuery{Region: res.Region, Class: "poi"})
-				if err == nil {
+				if nn, err = d.db.PrivateNNCtx(ctx, server.PrivateNNQuery{Region: res.Region, Class: "poi"}); err == nil {
 					server.RefineNN(loc, nn.Candidates)
 				}
 			}
-			e.ops.Add(1)
-			e.account(err, ph, time.Since(t), &qry)
-			continue
-		}
-		reqs := make([]cloak.Request, e.cfg.Batch)
-		for i := range reqs {
-			id := uint64(d.src.Intn(e.cfg.Users)) + 1
-			reqs[i] = cloak.Request{ID: id, Loc: e.gen.Pos(id, tick, ph.Hot)}
-		}
-		t := time.Now()
-		results, err := d.anon.BatchUpdate(reqs)
-		e.ops.Add(uint64(len(reqs)))
-		if err != nil {
-			e.account(err, ph, 0, nil)
-			continue
-		}
-		upd.Add(time.Since(t))
-		for i, r := range results {
-			if r == nil {
-				// Under backpressure a nil entry is a typed per-entry shed;
-				// the inputs are valid by construction, so nothing else
-				// produces one here.
-				e.sheds.Add(1)
-			} else {
-				e.acked[reqs[i].ID].Store(true)
+			root.End()
+			e.account(err, ph, 1)
+		case r < ph.QueryPct+ph.CountPct:
+			ctx, root := spanCtx(e.tracer.StartRoot("soak_public_count"))
+			c := geo.Pt(d.src.Range(0.1, 0.9), d.src.Range(0.1, 0.9))
+			_, err := d.db.PublicCountCtx(ctx, geo.RectAround(c, 0.1).Clip(stack.World))
+			root.End()
+			e.account(err, ph, 1)
+		case e.cfg.Batch == 1:
+			ctx, root := spanCtx(e.tracer.StartRoot("soak_update"))
+			_, err := d.anon.UpdateCtx(ctx, id, loc)
+			root.End()
+			if err == nil {
+				e.acked[id].Store(true)
+			}
+			e.account(err, ph, 1)
+		default:
+			reqs := make([]cloak.Request, e.cfg.Batch)
+			reqs[0] = cloak.Request{ID: id, Loc: loc}
+			for i := 1; i < len(reqs); i++ {
+				id := uint64(d.src.Intn(e.cfg.Users)) + 1
+				reqs[i] = cloak.Request{ID: id, Loc: e.gen.Pos(id, tick, ph.Hot)}
+			}
+			ctx, root := spanCtx(e.tracer.StartRoot("soak_batch_update"))
+			results, err := d.anon.BatchUpdateCtx(ctx, reqs)
+			root.End()
+			e.account(err, ph, len(reqs))
+			for i, r := range results {
+				if r == nil {
+					// Under backpressure a nil entry is a typed per-entry shed;
+					// the inputs are valid by construction, so nothing else
+					// produces one here.
+					e.sheds.Add(1)
+				} else {
+					e.acked[reqs[i].ID].Store(true)
+				}
 			}
 		}
 	}
-	e.mu.Lock()
-	e.updLat.Merge(&upd)
-	e.qryLat.Merge(&qry)
-	e.mu.Unlock()
 }
 
-// account books one operation outcome: typed sheds are backoff signals,
-// hard errors count toward the error-rate SLO unless the phase declared
-// them expected (e.g. querying a killed database).
-func (e *Env) account(err error, ph Phase, d time.Duration, lat *stats.Latencies) {
+// spanCtx pairs one operation's root span with the context that carries
+// it to every call the operation makes; both are inert unless the run
+// traces.
+func spanCtx(root trace.Span) (context.Context, trace.Span) {
+	return trace.NewContext(context.Background(), root.Context()), root
+}
+
+// account books the outcome of n operations sent in one frame: typed
+// sheds are backoff signals, hard errors count toward the error-rate SLO
+// unless the phase declared them expected (e.g. querying a killed
+// database). A failed frame fails every operation it carried.
+func (e *Env) account(err error, ph Phase, n int) {
+	e.ops.Add(uint64(n))
 	switch {
 	case err == nil:
-		if lat != nil {
-			lat.Add(d)
-		}
 	case errors.Is(err, protocol.ErrOverloaded):
-		e.sheds.Add(1)
+		e.sheds.Add(uint64(n))
 		time.Sleep(2 * time.Millisecond) // honor the backoff the shed asks for
-	default:
-		if !ph.AllowErrors {
-			e.errs.Add(1)
-		}
+	case !ph.AllowErrors:
+		e.errs.Add(uint64(n))
 	}
 }
 
@@ -463,39 +500,20 @@ func (e *Env) Shards() int { return e.st.Shards() }
 // million-user run doesn't serialize forever; the cap is logged, never
 // silent.
 func (e *Env) FlipProfiles(newK int) error {
-	n := e.cfg.Users
-	const flipCap = 50000
-	if n > flipCap {
-		e.Log("profile flip capped at %d of %d users", flipCap, n)
-		n = flipCap
+	n := uint64(min(e.cfg.Users, 50000))
+	if n < uint64(e.cfg.Users) {
+		e.Log("profile flip capped at %d of %d users", n, e.cfg.Users)
 	}
 	e.Log("flipping %d profiles to k=%d", n, newK)
 	prof := privacy.Constant(privacy.Requirement{K: newK})
-	err := e.eachUserShard(func(d *driver, from, to uint64) error {
-		if from > uint64(n) {
-			return nil
-		}
-		if to > uint64(n) {
-			to = uint64(n)
-		}
-		for id := from; id <= to; id++ {
-			if err := d.anon.UpdateProfile(id, prof); err != nil {
-				if errors.Is(err, protocol.ErrOverloaded) {
-					e.sheds.Add(1)
-					id-- // retry after the backoff the shed asks for
-					time.Sleep(5 * time.Millisecond)
-					continue
-				}
+	return e.eachUserShard(func(d *driver, from, to uint64) error {
+		for id := from; id <= min(to, n); id++ {
+			if err := e.overloadRetry(func() error { return d.anon.UpdateProfile(id, prof) }); err != nil {
 				return fmt.Errorf("flip %d: %w", id, err)
 			}
 		}
 		return nil
 	})
-	if err == nil {
-		e.profileK.Store(int64(newK))
-		e.flipCursor += uint64(n)
-	}
-	return err
 }
 
 // AwaitRecovery blocks until the pipeline reports healthy — spill queue
@@ -506,10 +524,10 @@ func (e *Env) AwaitRecovery() error {
 	t0 := time.Now()
 	hardCap := 60 * time.Second
 	for time.Since(t0) < hardCap {
-		series, err := e.anonSeries()
+		series, err := e.ctrl.Metrics()
 		if err == nil {
-			depth := gaugeVal(series, "anon_forward_queue_depth")
-			breaker := gaugeVal(series, "proto_breaker_state")
+			depth := metricVal(series, "anon_forward_queue_depth")
+			breaker := metricVal(series, "proto_breaker_state")
 			if depth == 0 && breaker == 0 {
 				e.mu.Lock()
 				e.recovery = time.Since(t0)
@@ -531,20 +549,14 @@ func (e *Env) AwaitRecovery() error {
 func (e *Env) waitDrain(within time.Duration) error {
 	t0 := time.Now()
 	for time.Since(t0) < within {
-		series, err := e.anonSeries()
-		if err == nil && gaugeVal(series, "anon_forward_queue_depth") == 0 {
+		series, err := e.ctrl.Metrics()
+		if err == nil && metricVal(series, "anon_forward_queue_depth") == 0 {
 			return nil
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
 	return fmt.Errorf("spill queue not drained within %v", within)
 }
-
-// anonSeries pulls the anonymizer daemon's full metric snapshot over the
-// wire. MsgMetrics is in the always-admitted class, so this keeps working
-// while the daemon sheds load — the property that makes overload
-// observable at all.
-func (e *Env) anonSeries() ([]obs.MetricSnapshot, error) { return e.ctrl.Metrics() }
 
 // evaluate reads the final daemon-side metrics and scores every SLO.
 func (e *Env) evaluate(res *Result) {
@@ -562,35 +574,43 @@ func (e *Env) evaluate(res *Result) {
 	if err := e.waitDrain(30 * time.Second); err != nil {
 		violate("drain", "%v", err)
 	}
-	series, err := e.anonSeries()
+	var err error
+	if res.DBMetrics, err = e.ctrlDB.Metrics(); err != nil {
+		e.Log("database metrics unavailable: %v", err)
+	}
+	series, err := e.ctrl.Metrics()
 	if err != nil {
 		violate("observability", "metrics endpoint unreadable at teardown: %v", err)
 		return
 	}
+	res.AnonMetrics = series
 
 	// Zero lost updates: an eviction is an acknowledged update that
 	// silently died — the failure mode backpressure exists to prevent.
-	res.LostUpdates = uint64(counterVal(series, "anon_forward_queue_drops_total") - e.baseDrops)
+	res.LostUpdates = uint64(metricVal(series, "anon_forward_queue_drops_total") - e.baseDrops)
 	if res.LostUpdates > 0 {
 		violate("zero-lost-updates", "%d acked updates evicted from the spill queue (anon_forward_queue_drops_total)", res.LostUpdates)
 	}
 
 	// k never violated after warmup.
-	res.KViolations = uint64(counterVal(series, "anon_cloak_k_missed_total") - e.baseKMissed)
+	res.KViolations = uint64(metricVal(series, "anon_cloak_k_missed_total") - e.baseKMissed)
 	if res.KViolations > 0 {
 		violate("k-anonymity", "%d post-seed cloaks missed k (anon_cloak_k_missed_total)", res.KViolations)
 	}
 
 	// Acked-vs-resident consistency: every user whose update was ever
 	// acknowledged must be resident in the database after the drain.
-	ackedUsers := 0
 	for i := 1; i <= e.cfg.Users; i++ {
 		if e.acked[i].Load() {
-			ackedUsers++
+			res.Acked++
 		}
 	}
-	if resident := e.st.PrivateUserCount(); resident < ackedUsers {
-		violate("consistency", "database resident count %d < %d acked users", resident, ackedUsers)
+	_, res.Resident, err = e.ctrlDB.Stats()
+	switch {
+	case err != nil:
+		violate("consistency", "database resident count unreadable over MsgStats: %v", err)
+	case res.Resident < res.Acked:
+		violate("consistency", "database resident count %d < %d acked users", res.Resident, res.Acked)
 	}
 
 	// Latency budgets from the daemon's own request histograms.
@@ -614,20 +634,11 @@ func (e *Env) evaluate(res *Result) {
 	}
 }
 
-// counterVal reads one counter from a wire snapshot (0 when absent).
-func counterVal(series []obs.MetricSnapshot, name string) float64 {
+// metricVal reads one counter or gauge from a wire snapshot (0 when
+// absent).
+func metricVal(series []obs.MetricSnapshot, name string) float64 {
 	for _, s := range series {
-		if s.Name == name && s.Kind == obs.KindCounter {
-			return s.Value
-		}
-	}
-	return 0
-}
-
-// gaugeVal reads one gauge from a wire snapshot (0 when absent).
-func gaugeVal(series []obs.MetricSnapshot, name string) float64 {
-	for _, s := range series {
-		if s.Name == name && s.Kind == obs.KindGauge {
+		if s.Name == name && (s.Kind == obs.KindCounter || s.Kind == obs.KindGauge) {
 			return s.Value
 		}
 	}

@@ -1,9 +1,10 @@
-// Package scenario is the adversarial soak engine: it streams a synthetic
-// city through the real three-tier pipeline (anonymizer and database
-// daemons over TCP, not stubs), drives it through scripted stress
-// scenarios — flash crowds, mass profile flips, database outages, slow
-// links, rolling restarts, query floods — and checks service-level
-// objectives read back from the daemons' own live metrics endpoints.
+// Package scenario is the traffic driver of the three-tier pipeline: it
+// streams a synthetic city through the real anonymizer and database
+// daemons over TCP (a stack it boots, or a running deployment), drives it
+// through scripted scenarios — steady load, flash crowds, mass profile
+// flips, database outages, slow links, rolling restarts, query floods —
+// and checks service-level objectives read back from the daemons' own
+// live metrics endpoints.
 //
 // The population comes from mobility.Stream, so user count scales to
 // millions without the harness holding per-user generator state; the only
@@ -21,6 +22,8 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/mobility"
+	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // Config sizes and seeds one soak run. The same Config and scenario name
@@ -30,7 +33,7 @@ type Config struct {
 	Objects int // stationary public objects
 	K       int // baseline anonymity requirement
 	Workers int // concurrent closed-loop drivers
-	Batch   int // locations per BatchUpdate frame (1 = single updates)
+	Batch   int // locations per BatchUpdate frame (1 = single MsgUpdate)
 
 	Seed  uint64
 	Scale float64 // multiplier on phase durations (CI uses < 1)
@@ -51,6 +54,15 @@ type Config struct {
 	// behind a routing service; the anonymizer and the query drivers dial
 	// the router. Shards <= 1 is the classic single-database stack.
 	Shards int
+
+	// Anon and DB address a running deployment: its anonymizer and its
+	// database tier's front (an lbsd or an lbsrouter). With both set Run
+	// boots nothing, and the topology fields above are the deployment's
+	// business; scenarios that need the booted stack are refused.
+	Anon, DB string
+	// Trace gives every operation a root span and returns the client's
+	// and both daemons' span rings in Result.Traces.
+	Trace bool
 
 	Logf func(format string, args ...interface{})
 }
@@ -127,8 +139,16 @@ type Result struct {
 
 	LostUpdates uint64 // spill-queue evictions: acked updates that died
 	KViolations uint64 // post-seed cloaks that missed k
+	Acked       int    // users with at least one acknowledged update
+	Resident    int    // users the database tier holds after the drain (MsgStats)
 
 	Violations []Violation
+
+	// The anonymizer's and the database front's final metric snapshots,
+	// and with Config.Trace the client's, the anonymizer's and the
+	// database front's span rings.
+	AnonMetrics, DBMetrics []obs.MetricSnapshot
+	Traces                 [][]trace.SpanRecord
 }
 
 // Passed reports whether every objective held.
@@ -140,20 +160,26 @@ func (r Result) Summary() string {
 	if !r.Passed() {
 		verdict = fmt.Sprintf("FAIL (%d violations)", len(r.Violations))
 	}
-	return fmt.Sprintf("%-16s %s  ops=%d errs=%d sheds=%d lost=%d kviol=%d p99(upd)=%v p99(qry)=%v recovery=%v wall=%v",
-		r.Scenario, verdict, r.Ops, r.Errors, r.Sheds, r.LostUpdates, r.KViolations,
+	return fmt.Sprintf("%-16s %s  ops=%d errs=%d sheds=%d lost=%d kviol=%d acked=%d resident=%d p99(upd)=%v p99(qry)=%v recovery=%v wall=%v",
+		r.Scenario, verdict, r.Ops, r.Errors, r.Sheds, r.LostUpdates, r.KViolations, r.Acked, r.Resident,
 		r.UpdateP99.Round(time.Microsecond), r.QueryP99.Round(time.Microsecond),
 		r.Recovery.Round(time.Millisecond), r.Wall.Round(time.Millisecond))
 }
 
 // Scenario is one scripted stress story. Run drives the phases through
 // the Env helpers; the engine owns seeding, teardown and SLO evaluation.
+// Levers, Tune and Link need the booted stack, so a scenario that sets
+// any of them is refused against a running deployment.
 type Scenario struct {
 	Name string
 	Desc string
 	SLO  SLO
-	// Tune adjusts the run config before the stack boots (db_outage
-	// shrinks the forward queue to force pressure).
+	// Levers marks a scenario that kills, restarts or snapshots the
+	// database tier (the Env's KillDB, RestartDB, SaveSnapshot, KillShard
+	// and RestartShard).
+	Levers bool
+	// Tune adjusts the booted topology (db_outage shrinks the forward
+	// queue to force pressure).
 	Tune func(cfg *Config)
 	// Link, when set, is a fault plan installed on every
 	// anonymizer→database forward connection — the slow-link dial.
@@ -169,8 +195,10 @@ type Phase struct {
 	// crowd dial (nil = baseline city).
 	Hot *mobility.Hotspot
 	// QueryPct is the share of operations that are private NN queries
-	// (cloak at the anonymizer, refine against the database).
-	QueryPct int
+	// (cloak at the anonymizer, refine against the database); CountPct
+	// the share that are public counts over a 0.1-half-width rectangle.
+	// The rest are location updates.
+	QueryPct, CountPct int
 	// AllowErrors suppresses the per-phase error accounting toward
 	// MaxErrorRate — for phases that deliberately break a tier (queries
 	// against a killed database).

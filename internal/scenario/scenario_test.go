@@ -2,11 +2,17 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/mobility"
+	"repro/internal/obs"
+	"repro/internal/protocol"
+	"repro/internal/rng"
+	"repro/internal/stack"
 )
 
 // tinyCfg keeps engine smoke tests inside test-suite budgets: a small
@@ -37,36 +43,111 @@ func TestCatalogFindRoundTrip(t *testing.T) {
 	if _, ok := Find("no_such_scenario"); ok {
 		t.Fatal("Find accepted an unknown scenario name")
 	}
+
+	// Against a running deployment a scenario that needs the booted stack
+	// is refused before anything is dialed or driven.
+	remote := Config{Anon: "127.0.0.1:1", DB: "127.0.0.1:1"}
+	for _, name := range []string{"db_outage", "shard_kill", "slow_link", "rolling_restart", "query_flood"} {
+		sc, _ := Find(name)
+		if _, err := Run(sc, remote); err == nil || !strings.Contains(err.Error(), "needs the booted stack") {
+			t.Fatalf("%s against a running deployment: err = %v, want the booted-stack refusal", name, err)
+		}
+	}
 }
 
-// TestEngineSmokePasses runs a short hotspot scenario through the full
-// stack and expects a clean verdict: operations flowed, nothing was lost,
-// k held after warmup.
+// TestEngineSmokePasses drives the full stack twice and expects a clean
+// verdict each time: a short hotspot scenario on a stack the engine
+// boots, and the catalog's steady scenario with single updates against a
+// stack booted here and given as a running deployment. Operations flowed,
+// nothing was lost, k held after warmup, the residency read over MsgStats
+// covered every acked user, and the daemons served public counts.
 func TestEngineSmokePasses(t *testing.T) {
-	sc := Scenario{
+	smoke := Scenario{
 		Name: "smoke",
 		Desc: "short hotspot drive",
 		SLO:  SLO{MaxErrorRate: 0.001},
 		Run: func(e *Env) error {
 			hot := &mobility.Hotspot{Center: geo.Pt(0.3, 0.3), Frac: 0.5, Pull: 0.8}
-			if err := e.Drive(Phase{Name: "base", Dur: 4 * time.Second, QueryPct: 20}); err != nil {
-				return err
-			}
-			return e.Drive(Phase{Name: "hot", Dur: 4 * time.Second, Hot: hot, QueryPct: 20})
+			e.Drive(Phase{Name: "base", Dur: 4 * time.Second, QueryPct: 20, CountPct: 10},
+				Phase{Name: "hot", Dur: 4 * time.Second, Hot: hot, QueryPct: 20})
+			return nil
 		},
 	}
-	res, err := Run(sc, tinyCfg())
+	st, err := stack.Boot(stack.Topology{MaxInflight: 64})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatal(err)
 	}
-	if !res.Passed() {
-		t.Fatalf("smoke scenario failed: %v", res.Violations)
+	defer st.Close()
+	steady, _ := Find("steady")
+	remote := tinyCfg()
+	remote.Batch, remote.Anon, remote.DB = 1, st.AnonAddr(), st.DBAddr()
+	for _, c := range []struct {
+		sc     Scenario
+		cfg    Config
+		update string // the update message the drivers send
+	}{
+		{smoke, tinyCfg(), "batch_update"},
+		{steady, remote, "update"},
+	} {
+		t.Run(c.sc.Name, func(t *testing.T) {
+			res, err := Run(c.sc, c.cfg)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if !res.Passed() {
+				t.Fatalf("%s failed: %v", c.sc.Name, res.Violations)
+			}
+			if res.Ops == 0 {
+				t.Fatal("no operations driven")
+			}
+			if res.LostUpdates != 0 || res.KViolations != 0 {
+				t.Fatalf("lost=%d kviol=%d, want 0/0", res.LostUpdates, res.KViolations)
+			}
+			if res.Acked < c.cfg.Users || res.Resident < res.Acked {
+				t.Fatalf("consistency read: acked=%d resident=%d, want both ≥ %d", res.Acked, res.Resident, c.cfg.Users)
+			}
+			if n := served(res.DBMetrics, "public_count"); n == 0 {
+				t.Fatal("the database front served no public counts")
+			}
+			if n := served(res.AnonMetrics, c.update); n == 0 {
+				t.Fatalf("the anonymizer served no %s frames", c.update)
+			}
+		})
 	}
-	if res.Ops == 0 {
-		t.Fatal("no operations driven")
+}
+
+// served counts the requests of one message type in a daemon's
+// proto_request_seconds histograms.
+func served(series []obs.MetricSnapshot, typ string) uint64 {
+	var n uint64
+	for _, s := range series {
+		for _, l := range s.Labels {
+			if s.Name == "proto_request_seconds" && s.Kind == obs.KindHistogram && l.Key == "type" && l.Value == typ {
+				n += s.Hist.Count()
+			}
+		}
 	}
-	if res.LostUpdates != 0 || res.KViolations != 0 {
-		t.Fatalf("lost=%d kviol=%d, want 0/0", res.LostUpdates, res.KViolations)
+	return n
+}
+
+// TestFailedFrameFailsEveryEntry: a BatchUpdate frame that fails books
+// every location it carried as a failed operation, so the error rate is
+// not understated by the batch size.
+func TestFailedFrameFailsEveryEntry(t *testing.T) {
+	ac, err := protocol.DialAnonymizer("127.0.0.1:1", protocol.WithLazyDial(),
+		protocol.WithCallTimeout(100*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ac.Close()
+	gen, err := mobility.NewStream(mobility.StreamSpec{World: stack.World, Seed: 1, NumClusters: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &Env{cfg: Config{Users: 10, Batch: 8}, gen: gen, acked: make([]atomic.Bool, 11)}
+	e.driveWorker(&driver{anon: ac, src: rng.New(1)}, Phase{Name: "dead"}, time.Now().Add(50*time.Millisecond))
+	if ops, errs := e.ops.Load(), e.errs.Load(); ops == 0 || errs != ops {
+		t.Fatalf("%d of %d operations booked as failed, want all of them", errs, ops)
 	}
 }
 
@@ -81,13 +162,9 @@ func TestOutageWithoutAdmissionLosesUpdates(t *testing.T) {
 		SLO:  SLO{MaxErrorRate: 0.001, RecoverWithin: 30 * time.Second},
 		Tune: func(cfg *Config) { cfg.ForwardQueue = 64 },
 		Run: func(e *Env) error {
-			if err := e.Drive(Phase{Name: "base", Dur: 2 * time.Second, QueryPct: 0}); err != nil {
-				return err
-			}
+			e.Drive(Phase{Name: "base", Dur: 2 * time.Second, QueryPct: 0})
 			e.KillDB()
-			if err := e.Drive(Phase{Name: "outage", Dur: 4 * time.Second, QueryPct: 0}); err != nil {
-				return err
-			}
+			e.Drive(Phase{Name: "outage", Dur: 4 * time.Second, QueryPct: 0})
 			if err := e.RestartDB(false); err != nil {
 				return err
 			}
@@ -132,13 +209,9 @@ func TestShardKillRoutedTier(t *testing.T) {
 			if e.Shards() != 3 {
 				return fmt.Errorf("routed stack has %d shards, want 3", e.Shards())
 			}
-			if err := e.Drive(Phase{Name: "base", Dur: 2 * time.Second, QueryPct: 10}); err != nil {
-				return err
-			}
+			e.Drive(Phase{Name: "base", Dur: 2 * time.Second, QueryPct: 10})
 			e.KillShard(2)
-			if err := e.Drive(Phase{Name: "degraded", Dur: 3 * time.Second, QueryPct: 10, AllowErrors: true}); err != nil {
-				return err
-			}
+			e.Drive(Phase{Name: "degraded", Dur: 3 * time.Second, QueryPct: 10, AllowErrors: true})
 			if err := e.RestartShard(2); err != nil {
 				return err
 			}
@@ -190,13 +263,9 @@ func TestOutageWithAdmissionHoldsTheLine(t *testing.T) {
 		SLO:  SLO{MaxErrorRate: 0.001, RecoverWithin: 30 * time.Second},
 		Tune: func(cfg *Config) { cfg.ForwardQueue = 64 },
 		Run: func(e *Env) error {
-			if err := e.Drive(Phase{Name: "base", Dur: 2 * time.Second, QueryPct: 0}); err != nil {
-				return err
-			}
+			e.Drive(Phase{Name: "base", Dur: 2 * time.Second, QueryPct: 0})
 			e.KillDB()
-			if err := e.Drive(Phase{Name: "outage", Dur: 4 * time.Second, QueryPct: 0}); err != nil {
-				return err
-			}
+			e.Drive(Phase{Name: "outage", Dur: 4 * time.Second, QueryPct: 0})
 			if err := e.RestartDB(false); err != nil {
 				return err
 			}

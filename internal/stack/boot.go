@@ -143,16 +143,6 @@ func (s *Stack) DBAddr() string {
 // Shards is the topology's shard count (0 when the lbsd is direct).
 func (s *Stack) Shards() int { return s.topo.Shards }
 
-// PrivateUserCount is the database tier's resident-user count: the lbsd's,
-// or the router's residency count (regions are replicated across shards,
-// so summing the shards would overcount).
-func (s *Stack) PrivateUserCount() int {
-	if s.rtr != nil {
-		return s.rtr.PrivateUserCount()
-	}
-	return s.srvs[0].PrivateUserCount()
-}
-
 // KillDB stops every database server's service, keeping its address and
 // its in-memory state; when routed, the router stays up.
 func (s *Stack) KillDB() {

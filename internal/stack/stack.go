@@ -6,8 +6,8 @@
 // and owns the outage levers (kill, restart, snapshot) the soak pulls.
 //
 // The daemons (lbsd, lbsrouter, anonymizerd) are flag parsing, one tier
-// constructor and the shared Daemon ops tail; the soak engine, lbsload
-// -selfhost, lbsbench and the networked example boot through Boot.
+// constructor and the shared Daemon ops tail; the soak engine, lbsbench
+// and the networked example boot through Boot.
 package stack
 
 import (

@@ -76,6 +76,17 @@ func populate(t *testing.T, c clients) {
 	}
 }
 
+// resident reads the database tier's resident-user count over MsgStats,
+// which the lbsd and the router both answer.
+func resident(t *testing.T, c clients) int {
+	t.Helper()
+	_, n, err := c.db.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // query runs the read path: cloak query at the anonymizer, private NN and
 // public count at the database tier.
 func query(c clients) (answers, error) {
@@ -142,8 +153,8 @@ func TestBootMatrix(t *testing.T) {
 func exerciseStack(t *testing.T, st *Stack) {
 	c := dial(t, st)
 	populate(t, c)
-	if got := st.PrivateUserCount(); got != testUsers {
-		t.Fatalf("PrivateUserCount = %d, want %d", got, testUsers)
+	if got := resident(t, c); got != testUsers {
+		t.Fatalf("resident users = %d, want %d", got, testUsers)
 	}
 	want, err := query(c)
 	if err != nil {
@@ -172,8 +183,8 @@ func exerciseStack(t *testing.T, st *Stack) {
 		}
 		return err
 	})
-	if got := st.PrivateUserCount(); got != testUsers {
-		t.Fatalf("PrivateUserCount after restore = %d, want %d", got, testUsers)
+	if got := resident(t, c); got != testUsers {
+		t.Fatalf("resident users after restore = %d, want %d", got, testUsers)
 	}
 
 	// The last shard (the lbsd itself when direct) goes down and comes back.
@@ -219,10 +230,11 @@ func TestKilledDatabaseSpillsUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	eventually(t, "spilled update delivered", func() error {
-		if got := st.PrivateUserCount(); got != late {
-			return fmt.Errorf("database holds %d users, want %d", got, late)
+		_, got, err := c.db.Stats()
+		if err == nil && got != late {
+			err = fmt.Errorf("database holds %d users, want %d", got, late)
 		}
-		return nil
+		return err
 	})
 	if drops := anonValue(t, c, "anon_forward_queue_drops_total"); drops != 0 {
 		t.Fatalf("%v spilled updates dropped", drops)
@@ -246,7 +258,7 @@ func anonValue(t *testing.T, c clients, name string) float64 {
 
 // TestTracedBootJoinsBothHops: a traced client's update leaves
 // spans under its trace id in both daemons' rings — the anonymizer and
-// the database tier's front — which is what lbsload -trace merges.
+// the database tier's front — which is what lbssoak -trace merges.
 func TestTracedBootJoinsBothHops(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
