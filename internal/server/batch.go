@@ -34,12 +34,10 @@ import (
 // to the per-query methods for every worker count and every grouping (the
 // differential suite pins this down). The argument, per query class:
 //
-//   - Private range: the R-tree and grid traversals emit items in a fixed
-//     structural order that does not depend on the probe rectangle — a
-//     larger probe only widens which nodes/cells are visited, never
-//     reorders them. Filtering the union descent's output down to a
-//     member's expanded MBR therefore yields exactly the item sequence the
-//     member's own search would have produced.
+//   - Private range: the union descent's output contains every item the
+//     member's own search would have produced, the member's filters read
+//     only the item, and the answer is sorted canonically, so whatever the
+//     stream order, the answer is the member's own.
 //   - Public count: per-user probabilities are sorted before accumulation
 //     (the determinism rule foldCount documents), so any candidate
 //     superset that contains the member's own candidate set produces a
@@ -157,10 +155,8 @@ var oneMember = []int{0} // read-only
 // which the caller must fold before the scratch runs its next unit.
 type batchScratch struct {
 	items      []rtree.Item   // union-descent / NN-candidate item stream
-	subItems   []rtree.Item   // per-member descent output over a group subtree
-	resolved   []PublicObject // resolve-once cache for the union stream
-	order      []int          // X-order permutation over resolved
-	idxs       []int          // per-member match positions awaiting index sort
+	subItems   []rtree.Item   // one member's items: subtree descent or range matches
+	slots      []uint64       // one answer's store slots awaiting sort and resolve
 	movingObjs []PublicObject // per-member moving matches awaiting merge
 	hits       []regidx.Hit   // region-index probe output: ids with their regions
 	pairs      []UserProb     // count kernel output, member after member
@@ -378,64 +374,52 @@ func (s *Server) BatchQueryCtx(ctx context.Context, entries []BatchEntry) BatchR
 	return res
 }
 
-// cmpItemID orders index items by ascending ID. Stationary IDs are unique,
-// so ascending ID IS SortObjects order: sorting the raw 16-byte
-// pointer-free item stream and resolving in that order yields a
-// canonically-sorted object list at a fraction of the cost of shuffling
-// resolved PublicObjects (whose string field drags write barriers into
-// every swap).
-func cmpItemID(a, b rtree.Item) int { return cmp.Compare(a.ID, b.ID) }
-
-// resolveSortedLocked canonical-sorts a stationary item stream in place
-// and resolves it into sc.resolved, position for position.
-func (s *Server) resolveSortedLocked(items []rtree.Item, sc *batchScratch) []PublicObject {
-	slices.SortFunc(items, cmpItemID)
-	resolved := sc.resolved[:0]
+// resolveLocked resolves slot-keyed items into dst in canonical order,
+// ascending by object ID. It sorts bare slots (in sc.slots) and indexes the
+// store with them, which is far cheaper than shuffling PublicObjects, whose
+// string field drags write barriers into every swap. The sort keys on the
+// slot itself while slot order is ID order, else it reads IDs through the
+// store.
+func (s *Server) resolveLocked(items []rtree.Item, sc *batchScratch, dst []PublicObject) []PublicObject {
+	slots := sc.slots[:0]
 	for _, it := range items {
-		resolved = append(resolved, s.resolveObjectLocked(it.ID, it.Loc, false))
+		slots = append(slots, it.ID)
 	}
-	sc.resolved = resolved
-	return resolved
+	sc.slots = slots
+	objs := s.st.objs
+	if s.st.ordered {
+		slices.Sort(slots)
+	} else {
+		slices.SortFunc(slots, func(a, b uint64) int { return cmp.Compare(objs[a].ID, objs[b].ID) })
+	}
+	for _, k := range slots {
+		dst = append(dst, objs[k])
+	}
+	return dst
 }
 
 // runRangeGroupLocked is the private-range kernel (Figure 5a): it answers
 // every member of one group from a single descent of the stationary R-tree
 // (and, if any member admits moving objects, a single scan of the moving
 // grid) over the group's union rectangle. Per member, the union's item
-// stream is filtered down to the member's own expanded MBR; the stream is
-// canonically sorted once, so gathering ascending stream positions yields
-// the canonical answer order without a per-member object sort. The
-// candidate set is complete by construction (invariant I5): an object
+// stream is filtered down to the member's own expanded MBR and class, and
+// the surviving slots are sorted and resolved into the canonical answer.
+// The candidate set is complete by construction (invariant I5): an object
 // within Radius of any point p of a member's region satisfies
 // MinDist(obj, region) ≤ Radius and lies inside the expanded MBR, which the
 // union covers. It returns the R-tree node visits the descent cost.
 func (s *Server) runRangeGroupLocked(entries []BatchEntry, u batchUnit, out []BatchItemResult, sc *batchScratch) int {
-	items, visits := s.stationary.SearchVisits(u.union, sc.items[:0])
+	items, visits := s.st.tree.SearchVisits(u.union, sc.items[:0])
 	sc.items = items
 	s.met.nodeVisits.Observe(float64(visits))
 	s.met.privateRangeQs.Add(uint64(len(u.members)))
-	resolved := s.resolveSortedLocked(items, sc)
-	// In a shared group a second, X-ordered permutation narrows each
-	// member's scan to the stream positions inside its own X-extent
-	// (binary-searched ends) instead of the whole union stream. A group of
-	// one scans everything — the union is its own MBR — so the identity
-	// permutation does.
+	// In a shared group the stream is sorted by X, so each member scans
+	// only the items inside its own X-extent (binary-searched ends) instead
+	// of the whole union stream. A group of one scans everything: the union
+	// is its own MBR.
 	shared := len(u.members) > 1
-	xorder := sc.order[:0]
-	for k := range items {
-		xorder = append(xorder, k)
-	}
-	sc.order = xorder
 	if shared {
-		slices.SortFunc(xorder, func(a, b int) int {
-			switch {
-			case items[a].Loc.X < items[b].Loc.X:
-				return -1
-			case items[a].Loc.X > items[b].Loc.X:
-				return 1
-			}
-			return 0
-		})
+		slices.SortFunc(items, func(a, b rtree.Item) int { return cmp.Compare(a.Loc.X, b.Loc.X) })
 	}
 	var movingItems []grid.Object
 	for _, i := range u.members {
@@ -447,39 +431,36 @@ func (s *Server) runRangeGroupLocked(entries []BatchEntry, u batchUnit, out []Ba
 	for _, i := range u.members {
 		q := entries[i].Range
 		f := q.filter()
+		class, all := s.st.classID(q.Class)
 		// Contains is inclusive on both ends, so the window is
 		// [first X ≥ f.Min.X, first X > f.Max.X). Geometric checks read
 		// the tree item's location — exactly what the member's own index
-		// search would test — while class comes off the resolved record.
-		lo, hi := 0, len(xorder)
+		// search would test — and class reads the slot's interned class.
+		window := items
 		if shared {
-			lo = sort.Search(len(xorder), func(k int) bool { return items[xorder[k]].Loc.X >= f.Min.X })
-			hi = sort.Search(len(xorder), func(k int) bool { return items[xorder[k]].Loc.X > f.Max.X })
+			lo := sort.Search(len(items), func(k int) bool { return items[k].Loc.X >= f.Min.X })
+			hi := sort.Search(len(items), func(k int) bool { return items[k].Loc.X > f.Max.X })
+			window = items[lo:hi]
 		}
-		idxs := sc.idxs[:0]
-		for _, k := range xorder[lo:hi] {
-			it := items[k]
+		matched := sc.subItems[:0]
+		for _, it := range window {
 			if it.Loc.Y < f.Min.Y || it.Loc.Y > f.Max.Y {
 				continue
 			}
 			if q.Mode == RangeRounded && geo.MinDist(it.Loc, q.Region) > q.Radius {
 				continue
 			}
-			if q.Class != "" && resolved[k].Class != q.Class {
+			if !all && s.st.cls[it.ID] != class {
 				continue
 			}
-			idxs = append(idxs, k)
+			matched = append(matched, it)
 		}
-		sc.idxs = idxs
-		sort.Ints(idxs)
+		sc.subItems = matched
 		// Exact-size the answer (it escapes into the result); an empty
 		// answer stays nil.
 		var objs []PublicObject
-		if len(idxs) > 0 {
-			objs = make([]PublicObject, 0, len(idxs))
-		}
-		for _, k := range idxs {
-			objs = append(objs, resolved[k])
+		if len(matched) > 0 {
+			objs = s.resolveLocked(matched, sc, make([]PublicObject, 0, len(matched)))
 		}
 		if q.Class == "" && len(movingItems) > 0 {
 			// Moving matches are the member's own; sort just those and
@@ -494,7 +475,9 @@ func (s *Server) runRangeGroupLocked(entries []BatchEntry, u batchUnit, out []Ba
 				if q.Mode == RangeRounded && geo.MinDist(m.Loc, q.Region) > q.Radius {
 					continue
 				}
-				moving = append(moving, s.resolveObjectLocked(m.ID, m.Loc, true))
+				// A moving object has no class. Its ID space is its own, so
+				// its record comes off the grid entry, never the store.
+				moving = append(moving, PublicObject{ID: m.ID, Loc: m.Loc})
 			}
 			sc.movingObjs = moving
 			if len(moving) > 0 {
@@ -533,13 +516,11 @@ func mergeSorted(a, b []PublicObject) []PublicObject {
 // in traversal order, its bound, and the node visits it cost.
 func (s *Server) nnDescentLocked(region geo.Rect, class string, sc *batchScratch) ([]rtree.Item, float64, int) {
 	var match func(rtree.Item) bool
-	if class != "" {
-		match = func(it rtree.Item) bool {
-			o, ok := s.stationaryMeta[it.ID]
-			return ok && o.Class == class
-		}
+	if c, all := s.st.classID(class); !all {
+		cls := s.st.cls
+		match = func(it rtree.Item) bool { return cls[it.ID] == c }
 	}
-	items, bound, visits := s.stationary.MinMaxCandidates(region, match, sc.items[:0])
+	items, bound, visits := s.st.tree.MinMaxCandidates(region, match, sc.items[:0])
 	sc.items = items
 	s.met.nodeVisits.Observe(float64(visits))
 	return items, bound, visits
@@ -555,54 +536,35 @@ func (s *Server) nnDescentLocked(region geo.Rect, class string, sc *batchScratch
 // B(r) = min MaxDist²(o, r) ≤ MaxDist²(o*ᵤ, r) ≤ MaxDist²(o*ᵤ, U) = B(U),
 // and any object with MinDist²(o, r) ≤ B(r) has
 // MinDist²(o, U) ≤ MinDist²(o, r) ≤ B(U), so it sits in S — r's bound
-// minimizer too, so the min–max filter of S is r's exact candidate set. S
-// is resolved once, and each member decides on a min–max descent of a
-// subtree bulk-loaded over it.
+// minimizer too, so the min–max filter of S is r's exact candidate set.
+// Each member decides on a min–max descent of a subtree bulk-loaded over S.
 func (s *Server) runNNGroupLocked(entries []BatchEntry, u batchUnit, out []BatchItemResult, sc *batchScratch) int {
 	items, _, visits := s.nnDescentLocked(u.union, entries[u.members[0]].NN.Class, sc)
 	s.met.privateNNQs.Add(uint64(len(u.members)))
 	if len(u.members) == 1 {
 		region := entries[u.members[0]].NN.Region
-		out[u.members[0]].NN = s.finishNNLocked(len(items), compact(items, sc.comb.exactNN(region, items)), nil)
+		out[u.members[0]].NN = s.finishNNLocked(len(items), compact(items, sc.comb.exactNN(region, items)), sc)
 		return visits
 	}
-	resolved := s.resolveSortedLocked(items, sc)
-	// The subtree is keyed by position in the canonically-sorted stream, so
-	// its items resolve without metadata lookups; stationary IDs are unique,
-	// so ascending position is ascending ID, and the decision's tie-breaks
-	// and the answer order are the member's own. It keeps the tree-side
-	// locations, so per-member bounds measure exactly the member's points.
-	for k := range items {
-		items[k] = rtree.Item{ID: uint64(k), Loc: items[k].Loc}
-	}
+	// The subtree keeps the stream's slots and tree-side locations, so
+	// per-member bounds measure exactly the member's points.
 	sub := rtree.BulkLoad(items)
 	for _, i := range u.members {
 		cand, _, _ := sub.MinMaxCandidates(entries[i].NN.Region, nil, sc.subItems[:0])
 		sc.subItems = cand
 		region := entries[i].NN.Region
-		out[i].NN = s.finishNNLocked(len(cand), compact(cand, sc.comb.exactNN(region, cand)), resolved)
+		out[i].NN = s.finishNNLocked(len(cand), compact(cand, sc.comb.exactNN(region, cand)), sc)
 	}
 	return visits
 }
 
-// finishNNLocked answers one member from the survivors of its exact
-// decision, keyed so that ascending key is canonical order: they are sorted
-// and resolved, by ID or by position into resolved, into a freshly
-// allocated answer.
-func (s *Server) finishNNLocked(superset int, items []rtree.Item, resolved []PublicObject) PrivateNNResult {
+// finishNNLocked answers one member from the slot-keyed survivors of its
+// exact decision, resolved in canonical order into a fresh answer.
+func (s *Server) finishNNLocked(superset int, items []rtree.Item, sc *batchScratch) PrivateNNResult {
 	res := PrivateNNResult{SupersetSize: superset}
 	s.met.observeNNAnswer(len(items))
-	if len(items) == 0 {
-		return res
-	}
-	slices.SortFunc(items, cmpItemID)
-	res.Candidates = make([]PublicObject, len(items))
-	for k, it := range items {
-		if resolved != nil {
-			res.Candidates[k] = resolved[it.ID]
-		} else {
-			res.Candidates[k] = s.resolveObjectLocked(it.ID, it.Loc, false)
-		}
+	if len(items) > 0 {
+		res.Candidates = s.resolveLocked(items, sc, make([]PublicObject, 0, len(items)))
 	}
 	return res
 }

@@ -66,23 +66,79 @@ func diffSeeds(t testing.TB) []uint64 {
 
 var diffClasses = []string{"", "gas", "bank"}
 
-// buildDiffServer loads one deterministic data set for a seed: stationary
-// objects of several classes, moving objects, and private users.
-func buildDiffServer(t testing.TB, seed uint64) *Server {
+// diffServer is a server plus the stationary objects it should hold, kept
+// by the test: every load, add and remove goes to both, so the reference
+// model reads this list and never the server's own store.
+type diffServer struct {
+	*Server
+	stationary map[uint64]PublicObject
+}
+
+func (d *diffServer) load(t testing.TB, objs []PublicObject) {
 	t.Helper()
-	s := newServer(t)
-	src := rng.New(seed)
-	objs := make([]PublicObject, 0, 600)
-	for i := 0; i < 600; i++ {
-		objs = append(objs, PublicObject{
-			ID:    uint64(i + 1),
-			Class: diffClasses[1+src.Intn(len(diffClasses)-1)],
-			Loc:   geo.Pt(src.Float64(), src.Float64()),
-		})
-	}
-	if err := s.LoadStationary(objs); err != nil {
+	if err := d.LoadStationary(objs); err != nil {
 		t.Fatal(err)
 	}
+	clear(d.stationary)
+	for _, o := range objs {
+		d.stationary[o.ID] = o
+	}
+}
+
+func (d *diffServer) add(t testing.TB, o PublicObject) {
+	t.Helper()
+	if err := d.AddStationary(o); err != nil {
+		t.Fatal(err)
+	}
+	d.stationary[o.ID] = o
+}
+
+func (d *diffServer) remove(t testing.TB, id uint64) {
+	t.Helper()
+	_, want := d.stationary[id]
+	if got := d.RemoveStationary(id); got != want {
+		t.Fatalf("RemoveStationary(%d) = %v, want %v", id, got, want)
+	}
+	delete(d.stationary, id)
+}
+
+// buildDiffServer loads one deterministic data set for a seed: stationary
+// objects of several classes, moving objects, and private users. The
+// stationary set is churned on the way: a bulk load in shuffled ID order,
+// adds out of ID order, and removals from the middle, some re-added
+// elsewhere, so store slots get relocated and leave ID order.
+func buildDiffServer(t testing.TB, seed uint64) *diffServer {
+	t.Helper()
+	d := &diffServer{Server: newServer(t), stationary: map[uint64]PublicObject{}}
+	src := rng.New(seed)
+	obj := func(id uint64) PublicObject {
+		return PublicObject{
+			ID:    id,
+			Class: diffClasses[1+src.Intn(len(diffClasses)-1)],
+			Loc:   geo.Pt(src.Float64(), src.Float64()),
+		}
+	}
+	objs := make([]PublicObject, 0, 600)
+	for i := 0; i < 600; i++ {
+		objs = append(objs, obj(uint64(i+1)))
+	}
+	perm := make([]int, len(objs))
+	src.Perm(perm)
+	shuffled := make([]PublicObject, len(objs))
+	for i, j := range perm {
+		shuffled[i] = objs[j]
+	}
+	d.load(t, shuffled[:500])
+	for _, o := range shuffled[500:] {
+		d.add(t, o)
+	}
+	for id := uint64(50); id < 560; id += 7 {
+		d.remove(t, id)
+		if id%2 == 0 {
+			d.add(t, obj(id))
+		}
+	}
+	s := d.Server
 	for i := 0; i < 80; i++ {
 		if err := s.UpdateMoving(uint64(5000+i), geo.Pt(src.Float64(), src.Float64())); err != nil {
 			t.Fatal(err)
@@ -95,7 +151,7 @@ func buildDiffServer(t testing.TB, seed uint64) *Server {
 			t.Fatal(err)
 		}
 	}
-	return s
+	return d
 }
 
 // buildDiffBatch generates one deterministic mixed query batch: clustered
@@ -161,7 +217,7 @@ func TestDifferentialBatchEqualsSequential(t *testing.T) {
 			src := rng.New(seed ^ 0xBA7C4)
 			for round := 0; round < 3; round++ {
 				entries := buildDiffBatch(src, 40)
-				want := sequentialBatch(s, entries)
+				want := sequentialBatch(s.Server, entries)
 				var groups0, shared0 int
 				for wi, w := range workerCounts {
 					s.queryWorkers = w
@@ -198,7 +254,7 @@ func TestDifferentialAcrossGoMaxProcs(t *testing.T) {
 			src := rng.New(0xD1FF)
 			for round := 0; round < 3; round++ {
 				entries := buildDiffBatch(src, 40)
-				want := sequentialBatch(s, entries)
+				want := sequentialBatch(s.Server, entries)
 				res := s.BatchQuery(entries)
 				assertItemsEqual(t, res.Items, want)
 			}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/grid"
 	"repro/internal/regidx"
-	"repro/internal/rtree"
 )
 
 // Snapshot / Restore persist the server's full state — stationary objects,
@@ -95,10 +94,11 @@ func (s *Server) Snapshot(w io.Writer) error {
 	sw.bytes(snapshotMagic[:])
 	sw.u16(snapshotVersion)
 
-	// Stationary objects (from metadata, which carries classes).
-	sw.u32(uint32(len(s.stationaryMeta)))
-	for _, id := range sortedIDs(s.stationaryMeta) {
-		o := s.stationaryMeta[id]
+	// Stationary objects, in ID order whatever their slots.
+	stationary := slices.Clone(s.st.objs)
+	SortObjects(stationary)
+	sw.u32(uint32(len(stationary)))
+	for _, o := range stationary {
 		sw.u64(o.ID)
 		sw.str(o.Class)
 		sw.f64(o.Loc.X)
@@ -353,14 +353,8 @@ func (s *Server) Restore(r io.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	items := make([]rtree.Item, len(stationary))
-	meta := make(map[uint64]PublicObject, len(stationary))
-	for i, o := range stationary {
-		items[i] = rtree.Item{ID: o.ID, Loc: o.Loc}
-		meta[o.ID] = o
-	}
-	s.stationary = rtree.BulkLoad(items)
-	s.stationaryMeta = meta
+	s.st = newStationaryStore(stationary)
+	s.stationaryGen++
 
 	cols, rows := s.moving.Dims()
 	fresh, err := grid.New(s.world, cols, rows)
@@ -405,7 +399,7 @@ func (s *Server) Restore(r io.Reader) error {
 	s.met.restoresApplied.Inc()
 	// Re-point the size gauges at the restored data set.
 	s.met.privateUsers.Set(float64(s.privIdx.Len()))
-	s.met.stationary.Set(float64(s.stationary.Len()))
+	s.met.stationary.Set(float64(s.st.tree.Len()))
 	s.met.moving.Set(float64(s.moving.Len()))
 	s.met.contQueries.Set(float64(len(s.cont.queries)))
 	return nil

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -124,9 +125,28 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 func TestSnapshotDeterministicState(t *testing.T) {
 	// Snapshots write every section in ascending id order, so equal states
 	// reached by different histories — and a snapshot → restore → snapshot
-	// round trip — produce the same bytes, whatever order the maps and
-	// region-index slots hold them in.
+	// round trip — produce the same bytes, whatever order the maps,
+	// region-index slots and stationary store slots hold them in.
 	region := geo.R(0.4, 0.4, 0.45, 0.45)
+	moved := PublicObject{ID: 250, Class: "bank", Loc: geo.Pt(0.7, 0.2)}
+	added := []PublicObject{{ID: 1001, Class: "cafe", Loc: geo.Pt(0.1, 0.9)}, {ID: 1000, Class: "gas", Loc: geo.Pt(0.5, 0.5)}}
+	history := func(s *Server, steps ...func(*Server) error) {
+		t.Helper()
+		for _, step := range steps {
+			if err := step(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	remove := func(id uint64) func(*Server) error {
+		return func(s *Server) error {
+			if !s.RemoveStationary(id) {
+				return fmt.Errorf("stationary %d missing", id)
+			}
+			return nil
+		}
+	}
+	add := func(o PublicObject) func(*Server) error { return func(s *Server) error { return s.AddStationary(o) } }
 	a := buildLoadedServer(t)
 	// Freed slots go to later, larger ids, so a's slots leave id order.
 	for _, id := range []uint64{5, 17, 42} {
@@ -137,6 +157,8 @@ func TestSnapshotDeterministicState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Removals from the middle relocate store slots; adds append them.
+	history(a, remove(7), remove(250), add(added[0]), remove(499), add(moved), add(added[1]))
 	b := buildLoadedServer(t)
 	b.RemovePrivate(5)
 	b.RemovePrivate(17)
@@ -145,6 +167,7 @@ func TestSnapshotDeterministicState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	history(b, remove(499), add(added[1]), remove(250), add(moved), add(added[0]), remove(7))
 	snap := func(s *Server) []byte {
 		t.Helper()
 		var buf bytes.Buffer

@@ -128,7 +128,7 @@ type PrivateNNResult struct {
 //  2. The exact decision (exactNN): an object survives iff its Voronoi
 //     cell meets the region, which drops objects like target A that B and
 //     C beat *together* everywhere. It runs on the item stream before
-//     metadata resolution, so only survivors are resolved.
+//     resolution, so only survivors are resolved.
 func (s *Server) PrivateNN(q PrivateNNQuery) (PrivateNNResult, error) {
 	return s.PrivateNNCtx(context.Background(), q)
 }
@@ -151,7 +151,7 @@ func (s *Server) PrivateNNCtx(ctx context.Context, q PrivateNNQuery) (PrivateNNR
 		superset, items := len(items), compact(items, r.sc.comb.exactNN(q.Region, items))
 		s.mu.RLock()
 		if done = gen == s.stationaryGen; done {
-			res = s.finishNNLocked(superset, items, nil)
+			res = s.finishNNLocked(superset, items, r.sc)
 		}
 		s.mu.RUnlock()
 	}
@@ -202,7 +202,7 @@ func (s *Server) PrivateNNParts(q PrivateNNQuery) (NNParts, error) {
 }
 
 // PrivateNNPartsCtx is PrivateNNParts under a context (trace): the min–max
-// descent and resolution of its whole stream, copied out of the scratch.
+// descent and the canonical resolution of its whole stream.
 func (s *Server) PrivateNNPartsCtx(ctx context.Context, q PrivateNNQuery) (NNParts, error) {
 	if err := q.validate(); err != nil {
 		return NNParts{}, err
@@ -211,9 +211,11 @@ func (s *Server) PrivateNNPartsCtx(ctx context.Context, q PrivateNNQuery) (NNPar
 	s.mu.RLock()
 	items, bound, _ := s.nnDescentLocked(q.Region, q.Class, r.sc)
 	s.met.privateNNQs.Inc()
-	resolved := s.resolveSortedLocked(items, r.sc)
+	parts := NNParts{Bound: bound}
+	if len(items) > 0 {
+		parts.Candidates = s.resolveLocked(items, r.sc, make([]PublicObject, 0, len(items)))
+	}
 	s.mu.RUnlock()
-	parts := NNParts{Bound: bound, Candidates: append([]PublicObject(nil), resolved...)} // nil when empty
 	if r.sp.Recording() {
 		r.sp.SetAttrs(trace.Int("superset", int64(len(parts.Candidates))))
 	}
@@ -242,7 +244,7 @@ func CombineNNParts(region geo.Rect, parts ...NNParts) PrivateNNResult {
 			// which here IS the global one.
 			if len(parts) == 1 || geo.MinDist2(o.Loc, region) <= bound {
 				cands = append(cands, o)
-				pts = append(pts, rtree.Item{ID: o.ID, Loc: o.Loc})
+				pts = append(pts, rtree.Item{Loc: o.Loc})
 			}
 		}
 	}
@@ -282,8 +284,9 @@ func compact[T any](s []T, keep []bool) []T {
 // exact ties and co-located objects all survive; the "nearest at both
 // ends" test uses half the slack, which keeps the argument sound under
 // rounding (~1e-16 relative). The walk's one choice — which object A names
-// at a probe — breaks ties by ID, so the decision reads the candidate set,
-// never slice positions.
+// at a probe — breaks ties by location, and the walk reads nothing of A but
+// its location, so the decision reads the candidates' locations, never
+// their keys or slice positions.
 const (
 	nnEps     = 1e-9
 	nnScanMax = 64 // larger sets are probed through a grid, not a scan
@@ -316,8 +319,8 @@ type nnHit struct {
 	d2 float64
 }
 
-// nnProbe is a boundary point with its nearest candidate (ties by ID) and
-// that candidate's squared distance.
+// nnProbe is a boundary point with its nearest candidate (ties by X, then
+// Y) and that candidate's squared distance.
 type nnProbe struct {
 	p   geo.Point
 	arg int
@@ -394,11 +397,12 @@ func (sc *combineScratch) probe(p geo.Point) nnProbe {
 }
 
 // consider measures candidate i against the probe: it may become the
-// nearest (ties by ID), and it is noted while within the running slack.
+// nearest (ties by X, then Y), and it is noted while within the running
+// slack.
 func (sc *combineScratch) consider(pr *nnProbe, i int) {
 	it := sc.set[i]
 	d := pr.p.Dist2(it.Loc)
-	if pr.arg < 0 || d < pr.d2 || (d == pr.d2 && it.ID < sc.set[pr.arg].ID) {
+	if pr.arg < 0 || d < pr.d2 || (d == pr.d2 && cmpLoc(it.Loc, sc.set[pr.arg].Loc) < 0) {
 		pr.d2, pr.arg = d, i
 	}
 	if d <= pr.d2*(1+nnEps) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -231,12 +232,16 @@ func TestPrivateNNHugeRegion(t *testing.T) {
 }
 
 // TestPrivateNNOneSnapshot runs private NN queries while another goroutine
-// swaps the stationary set between two snapshots that share IDs but not
-// locations or classes. PrivateNN decides between two read sections, so
-// every answer must still be one snapshot's answer, never one snapshot's
-// survivors resolved against the other's records.
+// rewrites the stationary set. PrivateNN decides between two read sections,
+// so every answer must still be the answer of one state the writer passed
+// through, never survivors read in one state and resolved in another.
+//   - reload swaps between two bulk loads that share IDs but not locations
+//     or classes;
+//   - relocate removes an object and adds it back, cycling through the
+//     answer's objects: each removal moves the last store slot into the
+//     hole and each add appends a slot, so between the read sections the
+//     survivors' slots can come to hold other objects.
 func TestPrivateNNOneSnapshot(t *testing.T) {
-	s := newServer(t)
 	src := rng.New(31)
 	var snaps [2][]PublicObject
 	for k, class := range []string{"a", "b"} {
@@ -245,38 +250,65 @@ func TestPrivateNNOneSnapshot(t *testing.T) {
 		}
 	}
 	q := PrivateNNQuery{Region: geo.R(0.3, 0.3, 0.6, 0.6)}
-	var want [2]PrivateNNResult
-	for k, objs := range snaps {
-		if err := s.LoadStationary(objs); err != nil {
+	answer := func(objs []PublicObject) PrivateNNResult {
+		res, err := loadedServer(t, objs).PrivateNN(q)
+		if err != nil {
 			t.Fatal(err)
 		}
-		want[k], _ = s.PrivateNN(q)
+		return res
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for k := 0; ; k++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := s.LoadStationary(snaps[k%2]); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < 500; i++ {
-		got, err := s.PrivateNN(q)
-		if err != nil || (!reflect.DeepEqual(got, want[0]) && !reflect.DeepEqual(got, want[1])) {
-			t.Errorf("query %d: answer belongs to neither snapshot (err %v)", i, err)
-			break
-		}
+	base := answer(snaps[0])
+	relocated := []PrivateNNResult{base}
+	for _, o := range base.Candidates {
+		rest := slices.DeleteFunc(slices.Clone(snaps[0]), func(p PublicObject) bool { return p.ID == o.ID })
+		relocated = append(relocated, answer(rest))
 	}
-	close(stop)
-	<-done
+	cases := []struct {
+		name  string
+		want  []PrivateNNResult // the answers of the states the writer passes through
+		write func(s *Server, k int) error
+	}{
+		{"reload", []PrivateNNResult{base, answer(snaps[1])}, func(s *Server, k int) error {
+			return s.LoadStationary(snaps[k%2])
+		}},
+		{"relocate", relocated, func(s *Server, k int) error {
+			o := base.Candidates[k%len(base.Candidates)]
+			if !s.RemoveStationary(o.ID) {
+				return fmt.Errorf("object %d missing", o.ID)
+			}
+			return s.AddStationary(o)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := loadedServer(t, snaps[0])
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for k := 0; ; k++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := tc.write(s, k); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			for i := 0; i < 500; i++ {
+				got, err := s.PrivateNN(q)
+				if err != nil || !slices.ContainsFunc(tc.want, func(w PrivateNNResult) bool { return reflect.DeepEqual(got, w) }) {
+					t.Errorf("query %d: answer belongs to no state the writer passed through (err %v)", i, err)
+					break
+				}
+			}
+			close(stop)
+			<-done
+		})
+	}
 }
 
 func TestPrivateNNClassFilter(t *testing.T) {
@@ -395,48 +427,76 @@ func TestPropPrivateNNContainsKeyPoints(t *testing.T) {
 	}
 }
 
-func BenchmarkPrivateRange(b *testing.B) {
+// benchClasses are the classes the private-query benchmarks store, one per
+// object in turn. Every query asks for "gas", as the benchmark workloads'
+// private queries ask for their one class: at classes=1 the class filter
+// passes every object, at classes=4 it rejects three in four.
+var benchClasses = []string{"gas", "bank", "cafe", "atm"}
+
+// loadBenchClasses is a server holding n uniform objects of the first
+// classes benchClasses.
+func loadBenchClasses(b *testing.B, n, classes int, seed uint64) *Server {
 	s := newServer(b)
-	loadObjects(b, s, 10000, "gas", 1)
-	q := PrivateRangeQuery{Region: geo.R(0.45, 0.45, 0.55, 0.55), Radius: 0.05}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.PrivateRange(q); err != nil {
-			b.Fatal(err)
-		}
+	objs := loadObjects(b, s, n, "", seed)
+	for i := range objs {
+		objs[i].Class = benchClasses[i%classes]
 	}
+	if err := s.LoadStationary(objs); err != nil {
+		b.Fatal(err)
+	}
+	return s
 }
 
-// BenchmarkPrivateNN times class-filtered private NN queries over 50,000
-// uniform objects (analyst_largek's density) by square region width, from
-// cloak-sized regions whose supersets are probed by a plain scan to
-// 1/4-world regions with supersets of ~15,000; "cands" is the mean answer
-// size.
-func BenchmarkPrivateNN(b *testing.B) {
-	s := newServer(b)
-	loadObjects(b, s, 50000, "gas", 2)
-	for _, w := range []int{128, 32, 16, 8, 4} {
-		b.Run(fmt.Sprintf("width=1/%d", w), func(b *testing.B) {
-			side, cands := 1/float64(w), 0
+// BenchmarkPrivateRange times class-filtered private range queries over
+// 10,000 uniform objects; "cands" is the mean answer size.
+func BenchmarkPrivateRange(b *testing.B) {
+	for _, classes := range []int{1, 4} {
+		s := loadBenchClasses(b, 10000, classes, 1)
+		b.Run(fmt.Sprintf("classes=%d", classes), func(b *testing.B) {
+			q := PrivateRangeQuery{Region: geo.R(0.45, 0.45, 0.55, 0.55), Radius: 0.05, Class: "gas"}
+			cands := 0
 			for i := 0; i < b.N; i++ {
-				x, y := 0.1+0.5*float64(i%97)/97, 0.1+0.5*float64(i%89)/89
-				res, err := s.PrivateNN(PrivateNNQuery{Region: geo.R(x, y, x+side, y+side), Class: "gas"})
+				res, err := s.PrivateRange(q)
 				if err != nil {
 					b.Fatal(err)
 				}
-				cands += len(res.Candidates)
+				cands += len(res)
 			}
 			b.ReportMetric(float64(cands)/float64(b.N), "cands")
 		})
 	}
 }
 
-// TestPrivateRangeMovingStationaryIDCollision pins the namespace fix in
-// resolveObjectLocked: stationary and moving objects have independent id
+// BenchmarkPrivateNN times class-filtered private NN queries over 50,000
+// uniform objects (analyst_largek's density) by stored classes and square
+// region width, from cloak-sized regions whose supersets are probed by a
+// plain scan to 1/4-world regions with supersets of ~15,000; "cands" is the
+// mean answer size.
+func BenchmarkPrivateNN(b *testing.B) {
+	for _, classes := range []int{1, 4} {
+		s := loadBenchClasses(b, 50000, classes, 2)
+		for _, w := range []int{128, 32, 16, 8, 4} {
+			b.Run(fmt.Sprintf("classes=%d/width=1/%d", classes, w), func(b *testing.B) {
+				side, cands := 1/float64(w), 0
+				for i := 0; i < b.N; i++ {
+					x, y := 0.1+0.5*float64(i%97)/97, 0.1+0.5*float64(i%89)/89
+					res, err := s.PrivateNN(PrivateNNQuery{Region: geo.R(x, y, x+side, y+side), Class: "gas"})
+					if err != nil {
+						b.Fatal(err)
+					}
+					cands += len(res.Candidates)
+				}
+				b.ReportMetric(float64(cands)/float64(b.N), "cands")
+			})
+		}
+	}
+}
+
+// TestPrivateRangeMovingStationaryIDCollision pins the namespace rule of
+// the range kernel: stationary and moving objects have independent id
 // spaces, so a moving object whose id collides with a stationary one must
 // come back with its own location and no class — not the stationary
-// object's metadata. The old lookup consulted the stationary metadata map
-// for every hit, so the moving object inherited the stationary record.
+// object's record.
 func TestPrivateRangeMovingStationaryIDCollision(t *testing.T) {
 	s := newServer(t)
 	stationaryLoc := geo.Pt(0.2, 0.2)

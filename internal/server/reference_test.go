@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -14,7 +15,9 @@ import (
 )
 
 // The reference model answers every query kind from the definitions in
-// Section 6 with linear scans over the server's raw stores — no R-tree,
+// Section 6 with linear scans — over the stationary objects the test holds
+// beside the server (diffServer) and the server's raw moving and private
+// stores — no R-tree,
 // no grid probe, no region index, no scratch, no grouping. The per-query
 // methods and BatchQuery share one kernel per kind, so agreeing with each
 // other proves only that shared-union filtering equals an own descent;
@@ -44,7 +47,7 @@ func refSort(objs []PublicObject) {
 // refRange is Figure 5a by definition: every stationary object of the
 // class — and, without a class, every moving object — inside the expanded
 // MBR and, in rounded mode, within Radius of the region.
-func refRange(s *Server, q PrivateRangeQuery) ([]PublicObject, error) {
+func refRange(s *diffServer, q PrivateRangeQuery) ([]PublicObject, error) {
 	if !q.Region.Valid() {
 		return nil, fmt.Errorf("server: invalid query region %v", q.Region)
 	}
@@ -56,7 +59,7 @@ func refRange(s *Server, q PrivateRangeQuery) ([]PublicObject, error) {
 		return mbr.Contains(p) && (q.Mode == RangeMBR || geo.MinDist(p, q.Region) <= q.Radius)
 	}
 	var out []PublicObject
-	for _, o := range s.stationaryMeta {
+	for _, o := range s.stationary {
 		if near(o.Loc) && (q.Class == "" || o.Class == q.Class) {
 			out = append(out, o)
 		}
@@ -75,12 +78,12 @@ func refRange(s *Server, q PrivateRangeQuery) ([]PublicObject, error) {
 // refNNParts is the min–max filter by definition: the bound is the least
 // MaxDist² of any class-matching object, the candidates everything whose
 // MinDist² does not exceed it.
-func refNNParts(s *Server, q PrivateNNQuery) (NNParts, error) {
+func refNNParts(s *diffServer, q PrivateNNQuery) (NNParts, error) {
 	if !q.Region.Valid() {
 		return NNParts{}, fmt.Errorf("server: invalid query region %v", q.Region)
 	}
 	parts := NNParts{Bound: math.Inf(1)}
-	for _, o := range s.stationaryMeta {
+	for _, o := range s.stationary {
 		if q.Class != "" && o.Class != q.Class {
 			continue
 		}
@@ -88,7 +91,7 @@ func refNNParts(s *Server, q PrivateNNQuery) (NNParts, error) {
 			parts.Bound = d
 		}
 	}
-	for _, o := range s.stationaryMeta {
+	for _, o := range s.stationary {
 		if (q.Class == "" || o.Class == q.Class) && geo.MinDist2(o.Loc, q.Region) <= parts.Bound {
 			parts.Candidates = append(parts.Candidates, o)
 		}
@@ -154,9 +157,9 @@ func refNNObjects(objs []PublicObject, region geo.Rect) []PublicObject {
 
 // refClassObjects lists the stationary objects a private NN query of the
 // class ranges over.
-func refClassObjects(s *Server, class string) []PublicObject {
+func refClassObjects(s *diffServer, class string) []PublicObject {
 	var objs []PublicObject
-	for _, o := range s.stationaryMeta {
+	for _, o := range s.stationary {
 		if class == "" || o.Class == class {
 			objs = append(objs, o)
 		}
@@ -166,7 +169,7 @@ func refClassObjects(s *Server, class string) []PublicObject {
 
 // refNN is Figure 5b by definition: the exact answer over every
 // class-matching object, with the min–max superset size it starts from.
-func refNN(s *Server, q PrivateNNQuery) (PrivateNNResult, error) {
+func refNN(s *diffServer, q PrivateNNQuery) (PrivateNNResult, error) {
 	parts, err := refNNParts(s, q)
 	if err != nil {
 		return PrivateNNResult{}, err
@@ -260,7 +263,7 @@ func refCount(pairs []UserProb) PublicRangeCountResult {
 }
 
 // refEntry answers one batch entry from the model.
-func refEntry(s *Server, i int, e BatchEntry) BatchItemResult {
+func refEntry(s *diffServer, i int, e BatchEntry) BatchItemResult {
 	var item BatchItemResult
 	var err error
 	switch e.Kind {
@@ -272,7 +275,7 @@ func refEntry(s *Server, i int, e BatchEntry) BatchItemResult {
 		if !e.Count.Query.Valid() {
 			err = fmt.Errorf("server: invalid query %v", e.Count.Query)
 		} else {
-			item.Count = refCount(refCountProbs(s, e.Count.Query))
+			item.Count = refCount(refCountProbs(s.Server, e.Count.Query))
 		}
 	}
 	if err != nil {
@@ -288,18 +291,30 @@ func TestReferenceModel(t *testing.T) {
 	for _, seed := range diffSeeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			s := buildDiffServer(t, seed)
+			churned := buildDiffServer(t, seed)
+			// A snapshot round trip rebuilds the store with its slots back
+			// in ID order, so the model checks both slot orders.
+			var buf bytes.Buffer
+			restored := &diffServer{Server: newServer(t), stationary: churned.stationary}
+			if err := churned.Snapshot(&buf); err != nil || restored.Restore(&buf) != nil {
+				t.Fatalf("snapshot round trip failed: %v", err)
+			}
+			if churned.st.ordered || !restored.st.ordered {
+				t.Fatalf("slot order: churned ordered=%v, restored ordered=%v", churned.st.ordered, restored.st.ordered)
+			}
 			src := rng.New(seed ^ 0x4EF)
 			for round := 0; round < 3; round++ {
 				entries := buildDiffBatch(src, 40)
-				want := make([]BatchItemResult, len(entries))
-				for i, e := range entries {
-					want[i] = refEntry(s, i, e)
-				}
-				assertItemsEqual(t, sequentialBatch(s, entries), want)
-				assertItemsEqual(t, s.BatchQuery(entries).Items, want)
-				for i, e := range entries {
-					checkPartialForms(t, s, i, e, want[i])
+				for _, s := range []*diffServer{churned, restored} {
+					want := make([]BatchItemResult, len(entries))
+					for i, e := range entries {
+						want[i] = refEntry(s, i, e)
+					}
+					assertItemsEqual(t, sequentialBatch(s.Server, entries), want)
+					assertItemsEqual(t, s.BatchQuery(entries).Items, want)
+					for i, e := range entries {
+						checkPartialForms(t, s, i, e, want[i])
+					}
 				}
 			}
 		})
@@ -308,7 +323,7 @@ func TestReferenceModel(t *testing.T) {
 
 // checkPartialForms compares the shard-partial methods, their combiners
 // and the private-count reduction of one entry against the model.
-func checkPartialForms(t *testing.T, s *Server, i int, e BatchEntry, want BatchItemResult) {
+func checkPartialForms(t *testing.T, s *diffServer, i int, e BatchEntry, want BatchItemResult) {
 	t.Helper()
 	sameErr := func(got error) bool {
 		if want.Err == nil || got == nil {
@@ -340,7 +355,7 @@ func checkPartialForms(t *testing.T, s *Server, i int, e BatchEntry, want BatchI
 		if sameErr(err) {
 			return
 		}
-		wantPairs := refCountProbs(s, e.Count.Query)
+		wantPairs := refCountProbs(s.Server, e.Count.Query)
 		if !reflect.DeepEqual(pairs, wantPairs) {
 			t.Errorf("entry %d: count pairs diverge from the model\n got %+v\nwant %+v", i, pairs, wantPairs)
 		}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/geo"
@@ -58,31 +59,22 @@ func SortObjects(objs []PublicObject) {
 // the structs are identical, so the unstable sort cannot produce an
 // observable reordering.
 func cmpObjects(a, b PublicObject) int {
-	if a.ID != b.ID {
-		if a.ID < b.ID {
-			return -1
-		}
-		return 1
+	if c := cmp.Compare(a.ID, b.ID); c != 0 {
+		return c
 	}
-	if a.Class != b.Class {
-		if a.Class < b.Class {
-			return -1
-		}
-		return 1
+	if c := strings.Compare(a.Class, b.Class); c != 0 {
+		return c
 	}
-	if a.Loc.X != b.Loc.X {
-		if a.Loc.X < b.Loc.X {
-			return -1
-		}
-		return 1
+	return cmpLoc(a.Loc, b.Loc)
+}
+
+// cmpLoc orders locations by X, then Y (locations are never NaN: every
+// write path checks them against the world).
+func cmpLoc(a, b geo.Point) int {
+	if c := cmp.Compare(a.X, b.X); c != 0 {
+		return c
 	}
-	switch {
-	case a.Loc.Y < b.Loc.Y:
-		return -1
-	case a.Loc.Y > b.Loc.Y:
-		return 1
-	}
-	return 0
+	return cmp.Compare(a.Y, b.Y)
 }
 
 // Server is the privacy-aware location-based database server. All methods
@@ -91,11 +83,11 @@ type Server struct {
 	mu    sync.RWMutex
 	world geo.Rect
 
-	// Public data.
-	stationary     *rtree.Tree
-	stationaryMeta map[uint64]PublicObject
-	stationaryGen  uint64 // bumped by every stationary write
-	moving         *grid.Index
+	// Public data: the stationary store (R-tree leaves carry slots into
+	// it) and the moving grid.
+	st            *stationaryStore
+	stationaryGen uint64 // bumped by every stationary write
+	moving        *grid.Index
 
 	// Private data: each user's cloaked region, stored once in a slot of
 	// the coarse rectangle index, which lets range-shaped public queries
@@ -163,14 +155,13 @@ func New(cfg Config) (*Server, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	s := &Server{
-		world:          cfg.World,
-		stationary:     rtree.New(),
-		stationaryMeta: make(map[uint64]PublicObject),
-		moving:         mov,
-		privIdx:        pidx,
-		queryWorkers:   workers,
-		met:            newMetrics(cfg.Metrics),
-		tracer:         cfg.Tracer,
+		world:        cfg.World,
+		st:           newStationaryStore(nil),
+		moving:       mov,
+		privIdx:      pidx,
+		queryWorkers: workers,
+		met:          newMetrics(cfg.Metrics),
+		tracer:       cfg.Tracer,
 	}
 	s.cont = newContinuousEngine(s)
 	s.contPriv = newContPrivEngine(s)
@@ -208,18 +199,11 @@ func (s *Server) LoadStationary(objs []PublicObject) error {
 	if err := ValidateStationary(s.world, objs); err != nil {
 		return err
 	}
-	items := make([]rtree.Item, len(objs))
-	meta := make(map[uint64]PublicObject, len(objs))
-	for i, o := range objs {
-		items[i] = rtree.Item{ID: o.ID, Loc: o.Loc}
-		meta[o.ID] = o
-	}
-	tree := rtree.BulkLoad(items)
+	st := newStationaryStore(slices.Clone(objs))
 	s.mu.Lock()
-	s.stationary = tree
-	s.stationaryMeta = meta
+	s.st = st
 	s.stationaryGen++
-	s.met.stationary.Set(float64(tree.Len()))
+	s.met.stationary.Set(float64(st.tree.Len()))
 	s.mu.Unlock()
 	return nil
 }
@@ -231,13 +215,11 @@ func (s *Server) AddStationary(o PublicObject) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.stationaryMeta[o.ID]; dup {
+	if !s.st.add(o) {
 		return fmt.Errorf("server: duplicate stationary object id %d", o.ID)
 	}
-	s.stationary.Insert(rtree.Item{ID: o.ID, Loc: o.Loc})
-	s.stationaryMeta[o.ID] = o
 	s.stationaryGen++
-	s.met.stationary.Set(float64(s.stationary.Len()))
+	s.met.stationary.Set(float64(s.st.tree.Len()))
 	return nil
 }
 
@@ -246,14 +228,11 @@ func (s *Server) AddStationary(o PublicObject) error {
 func (s *Server) RemoveStationary(id uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o, ok := s.stationaryMeta[id]
-	if !ok {
+	if !s.st.remove(id) {
 		return false
 	}
-	s.stationary.Delete(id, o.Loc)
-	delete(s.stationaryMeta, id)
 	s.stationaryGen++
-	s.met.stationary.Set(float64(s.stationary.Len()))
+	s.met.stationary.Set(float64(s.st.tree.Len()))
 	return true
 }
 
@@ -261,7 +240,97 @@ func (s *Server) RemoveStationary(id uint64) bool {
 func (s *Server) StationaryCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.stationary.Len()
+	return s.st.tree.Len()
+}
+
+// stationaryStore is the only store of stationary public objects. The
+// R-tree's leaf items carry a slot into objs instead of an object ID, and
+// cls holds each slot's interned class, so a query's class filter is one
+// slice read and resolving a leaf is one index. slot maps IDs to slots for
+// AddStationary's duplicate check and for RemoveStationary; no query
+// reads it.
+type stationaryStore struct {
+	tree    *rtree.Tree
+	objs    []PublicObject
+	cls     []uint32
+	classes map[string]uint32 // class → interned id
+	slot    map[uint64]int
+	// ordered reports that slot order is ascending ID order, as every
+	// build leaves it, until an add arrives out of ID order or a removal
+	// relocates a slot. While it holds, canonical sorts key on the slot.
+	ordered bool
+}
+
+// newStationaryStore builds the store over objs, which it takes over and
+// sorts by ID so that slot order starts out as ID order. LoadStationary
+// and Restore both build through it.
+func newStationaryStore(objs []PublicObject) *stationaryStore {
+	SortObjects(objs)
+	st := &stationaryStore{objs: objs, cls: make([]uint32, len(objs)), classes: map[string]uint32{},
+		slot: make(map[uint64]int, len(objs)), ordered: true}
+	items := make([]rtree.Item, len(objs))
+	for i, o := range objs {
+		items[i] = rtree.Item{ID: uint64(i), Loc: o.Loc}
+		st.cls[i] = st.intern(o.Class)
+		st.slot[o.ID] = i
+	}
+	st.tree = rtree.BulkLoad(items)
+	return st
+}
+
+// intern returns the class's id, assigning the next one to a new class.
+func (st *stationaryStore) intern(class string) uint32 {
+	c, ok := st.classes[class]
+	if !ok {
+		c = uint32(len(st.classes))
+		st.classes[class] = c
+	}
+	return c
+}
+
+// classID returns the interned id a query class filters on, and whether
+// every stored object passes ("" or the only class ever stored). A class
+// never stored gets an id no slot holds.
+func (st *stationaryStore) classID(class string) (uint32, bool) {
+	c, ok := st.classes[class]
+	if !ok {
+		c = ^uint32(0)
+	}
+	return c, class == "" || (ok && len(st.classes) == 1)
+}
+
+// add stores o in a new last slot; it reports false for a duplicate ID.
+func (st *stationaryStore) add(o PublicObject) bool {
+	if _, dup := st.slot[o.ID]; dup {
+		return false
+	}
+	n := len(st.objs)
+	st.ordered = st.ordered && (n == 0 || st.objs[n-1].ID < o.ID)
+	st.objs, st.cls = append(st.objs, o), append(st.cls, st.intern(o.Class))
+	st.slot[o.ID] = n
+	st.tree.Insert(rtree.Item{ID: uint64(n), Loc: o.Loc})
+	return true
+}
+
+// remove deletes the object with the given ID and moves the last slot into
+// the hole, leaf item included; it reports whether the ID was stored.
+func (st *stationaryStore) remove(id uint64) bool {
+	i, ok := st.slot[id]
+	if !ok {
+		return false
+	}
+	last := len(st.objs) - 1
+	st.tree.Delete(uint64(i), st.objs[i].Loc)
+	if i != last {
+		m := st.objs[last]
+		st.tree.Delete(uint64(last), m.Loc)
+		st.tree.Insert(rtree.Item{ID: uint64(i), Loc: m.Loc})
+		st.objs[i], st.cls[i], st.slot[m.ID] = m, st.cls[last], i
+		st.ordered = false
+	}
+	delete(st.slot, id)
+	st.objs, st.cls = st.objs[:last], st.cls[:last]
+	return true
 }
 
 // UpdateMoving upserts a moving public object (e.g. a police car): public
@@ -382,18 +451,3 @@ func (s *Server) privateRecordsLocked() []PrivateRecord {
 }
 
 func cmpRecordID(a, b PrivateRecord) int { return cmp.Compare(a.ID, b.ID) }
-
-// resolveObjectLocked resolves item metadata. Stationary and moving ids
-// are independent namespaces: a stationary lookup consults the metadata
-// map, while a moving object always synthesizes its record from the grid
-// entry (moving objects have no class). Resolving a moving item through
-// the stationary map would return the wrong class *and* the wrong
-// location whenever the two namespaces reuse an id.
-func (s *Server) resolveObjectLocked(id uint64, loc geo.Point, moving bool) PublicObject {
-	if !moving {
-		if o, ok := s.stationaryMeta[id]; ok {
-			return o
-		}
-	}
-	return PublicObject{ID: id, Loc: loc}
-}

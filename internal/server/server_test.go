@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/geo"
@@ -89,6 +90,66 @@ func TestAddRemoveStationary(t *testing.T) {
 	}
 	if s.StationaryCount() != 0 {
 		t.Error("count after removal")
+	}
+}
+
+// TestStationaryStoreHistory walks the stationary store through the writes
+// that keep or break its slot order — bulk loads in shuffled ID order, an
+// add above every ID, removal of the last slot, removal from the middle
+// (which relocates the last slot), an add below every ID — and checks after
+// each that a whole-world private range answers exactly the objects held,
+// in ascending ID order.
+func TestStationaryStoreHistory(t *testing.T) {
+	s := newServer(t)
+	held := map[uint64]PublicObject{}
+	obj := func(id uint64) PublicObject {
+		return PublicObject{ID: id, Class: "gas", Loc: geo.Pt(float64(id%7)/7, float64(id%11)/11)}
+	}
+	load := func(ids ...uint64) {
+		clear(held)
+		var objs []PublicObject
+		for _, id := range ids {
+			objs = append(objs, obj(id))
+			held[id] = obj(id)
+		}
+		if err := s.LoadStationary(objs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add := func(id uint64) {
+		held[id] = obj(id)
+		if err := s.AddStationary(obj(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remove := func(id uint64) {
+		delete(held, id)
+		if !s.RemoveStationary(id) {
+			t.Fatalf("stationary %d missing", id)
+		}
+	}
+	steps := []struct {
+		name string
+		do   func()
+	}{
+		{"load", func() { load(40, 10, 50, 30, 20) }},
+		{"add above", func() { add(60) }},
+		{"remove last", func() { remove(60) }},
+		{"remove middle", func() { remove(20) }},
+		{"reload", func() { load(30, 10, 20) }},
+		{"add below", func() { add(5) }},
+	}
+	for _, step := range steps {
+		step.do()
+		var want []PublicObject
+		for _, o := range held {
+			want = append(want, o)
+		}
+		SortObjects(want)
+		got, err := s.PrivateRange(PrivateRangeQuery{Region: world, Class: "gas"})
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %s: range answer %v (err %v), want %v", step.name, got, err, want)
+		}
 	}
 }
 
