@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test lint benchmark benchmark-compare bench-micro soak soak-short fuzz-smoke
+.PHONY: build test lint benchmark benchmark-compare bench-micro soak soak-short soak-shard-kill-twin fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,20 @@ soak: build
 soak-short: build
 	$(GO) run ./cmd/lbssoak -scenarios flash_crowd,db_outage,shard_kill,query_flood \
 		-users 8000 -objs 2000 -workers 8 -scale 0.4 -seed 7
+
+# shard_kill's negative twin at soak-short's scale: without admission
+# control the routed tier must lose acked updates, so lbssoak must exit
+# exactly 1 (an SLO violation, not a harness error). Passing here would
+# mean the scenario no longer proves that admission control is
+# load-bearing.
+# The binary runs directly: `go run` reports every failure as exit 1.
+soak-shard-kill-twin:
+	$(GO) build -o $(LBSSOAK) ./cmd/lbssoak
+	@code=0; $(LBSSOAK) -admission=false -scenarios shard_kill \
+		-users 8000 -objs 2000 -workers 8 -scale 0.4 -seed 7 || code=$$?; \
+	if [ "$$code" -ne 1 ]; then echo "soak-shard-kill-twin: expected exit 1 (SLO violation), got $$code"; exit 1; fi
+
+LBSSOAK ?= /tmp/lbssoak
 
 # Every fuzz target of every package for a short window each. The list
 # comes from the test binaries (`go test -list` prints a package's targets,

@@ -1,11 +1,11 @@
 // Command lbsrouter runs the spatially-partitioned routing tier: a thin
 // server that spreads one logical privacy-aware database over N lbsd
-// shards. Space is cut into a grid of tiles, tiles are assigned to
-// shards by consistent hashing, and every request is scattered to
-// exactly the shards whose tiles its rectangle intersects, then gathered
-// back through the same combination rules the single server uses — so
-// clients dial a router exactly as they dial one lbsd and read
-// bit-identical answers.
+// shards. Space is cut into a grid of tiles, each shard owns one
+// contiguous Hilbert-curve range of them, and a request one shard owns is
+// relayed to it whole; any other is scattered to exactly the shards whose
+// tiles its rectangle intersects, then gathered back through the same
+// combination rules the single server uses — so clients dial a router
+// exactly as they dial one lbsd and read bit-identical answers.
 //
 // Shard links carry per-call deadlines, bounded retries with jittered
 // backoff, and a failure breaker, so one dead shard degrades only the
@@ -34,7 +34,6 @@ func main() {
 	shardList := flag.String("shards", "", "comma-separated lbsd shard addresses (required)")
 	worldSize := flag.Float64("world", 1.0, "world is the square [0,size]², identical to every shard's")
 	tiles := flag.Int("tiles", 0, "grid resolution per axis (0 = default 16)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the hash ring (0 = default 64)")
 	callTimeout := flag.Duration("call-timeout", stack.ShardCallTimeout, "per-call deadline on shard links")
 	retries := flag.Int("retries", stack.ShardRetries, "transport retries per idempotent shard call")
 	breakAfter := flag.Int("break-after", stack.ShardBreakAfter, "consecutive shard-link failures before the breaker opens (0 = no breaker)")
@@ -57,7 +56,7 @@ func main() {
 	ops := d.Start()
 	links := stack.Links{CallTimeout: *callTimeout, Retries: *retries, BreakAfter: *breakAfter, BreakCooldown: *breakCooldown}
 	rt, err := stack.ServeRouter(*addr, addrs, links,
-		router.Config{World: geo.R(0, 0, *worldSize, *worldSize), Tiles: *tiles, VNodes: *vnodes}, ops)
+		router.Config{World: geo.R(0, 0, *worldSize, *worldSize), Tiles: *tiles}, ops)
 	if err != nil {
 		log.Fatalf("lbsrouter: %v", err)
 	}

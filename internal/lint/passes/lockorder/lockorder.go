@@ -5,7 +5,7 @@
 //
 //	mu sync.Mutex //lint:lock stripe@0
 //	idxMu sync.RWMutex //lint:lock index@1
-//	mu sync.Mutex //lint:lock ring@2
+//	mu sync.Mutex //lint:lock router@2
 //	mu sync.Mutex //lint:lock stack@3
 //
 // Each mutex struct field is classified by the //lint:lock directive on it.

@@ -4,24 +4,31 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
+	"repro/internal/geo"
 	"repro/internal/router"
 	"repro/internal/server"
 )
 
 // DatabaseClient implements the router's shard surface, so a router can
-// be wired straight onto dialed lbsd links.
-var _ router.Shard = (*DatabaseClient)(nil)
+// be wired straight onto dialed lbsd links, and carries raw frames, so
+// the router relays through it.
+var (
+	_ router.Shard   = (*DatabaseClient)(nil)
+	_ router.Relayer = (*DatabaseClient)(nil)
+)
 
 // ServeRouter exposes a router.Router over TCP speaking the database
 // service's wire protocol: clients (the anonymizer's forwarder, admin
 // tools, the load generators) dial a routed tier exactly as they dial a
-// single lbsd. Query, update and stats messages scatter through the
-// router behind the handler lbsd shares (dbService); messages whose
-// semantics are inherently single-node (public NN, continuous queries)
-// answer with a typed unsupported error. MsgShardMap reports the
-// tile→shard topology.
+// single lbsd. A private range, public count or private NN request that
+// one shard owns is relayed to it whole (router.Relay); every other
+// query, update and stats message scatters through the router behind the
+// handler lbsd shares (dbService). Messages whose semantics are
+// inherently single-node (public NN, continuous queries) answer with a
+// typed unsupported error. MsgShardMap reports the tile→shard topology.
 func ServeRouter(addr string, rt *router.Router, logf func(string, ...interface{}), opts ...Option) (*Service, error) {
 	h := &routerHandler{dbService: dbService{name: "router", be: rt}, rt: rt}
 	return Serve(addr, h.handle, logf, opts...)
@@ -43,7 +50,10 @@ func (h *routerHandler) handle(ctx context.Context, typ byte, payload []byte) ([
 		MsgNNParts, MsgCountProbs, MsgShardBatch:
 		return nil, fmt.Errorf("protocol: router service: %s not supported by the router tier", MessageName(typ))
 	}
-	resp, err := h.dbService.handle(ctx, typ, payload)
+	resp, relayed, err := h.relay(ctx, typ, payload)
+	if !relayed {
+		resp, err = h.dbService.handle(ctx, typ, payload)
+	}
 	if err != nil && errors.Is(err, ErrRemote) {
 		// The failure came back over a shard link, already wrapped once as
 		// "protocol: remote error: <message>". Re-raise just the message:
@@ -52,6 +62,53 @@ func (h *routerHandler) handle(ctx context.Context, typ byte, payload []byte) ([
 		err = errors.New(strings.TrimPrefix(err.Error(), ErrRemote.Error()+": "))
 	}
 	return resp, err
+}
+
+// relay hands a private range, public count or private NN request to
+// router.Relay, decoding only the rectangle that routes it: region ⊕
+// radius, the count query, or the NN region. relayed is false when the
+// request must scatter instead.
+func (h *routerHandler) relay(ctx context.Context, typ byte, payload []byte) (resp []byte, relayed bool, err error) {
+	d := Decoder{buf: payload}
+	rect := d.Rect()
+	var nnBound func([]byte, geo.Rect) float64
+	switch typ {
+	case MsgPrivateRange:
+		rect = rect.Expand(d.F64())
+	case MsgPrivateNN:
+		nnBound = nnReplyBound
+	case MsgPublicCount:
+	default:
+		return nil, false, nil
+	}
+	if d.Err() != nil {
+		return nil, false, nil
+	}
+	return h.rt.Relay(ctx, rect, typ, payload, nnBound)
+}
+
+// nnReplyBound reads a MsgPrivateNN reply only as far as its candidates'
+// locations and returns min MaxDist²(candidate, region): +Inf for an
+// empty or unreadable reply.
+func nnReplyBound(reply []byte, region geo.Rect) float64 {
+	d := Decoder{buf: reply}
+	d.U32() // superset size
+	bound := math.Inf(1)
+	for n := d.Count(int(d.U32()), 26); n > 0; n-- {
+		d.U64()
+		d.take(int(d.U16())) // class
+		bound = min(bound, geo.MaxDist2(d.Point(), region))
+	}
+	if d.Err() != nil {
+		return math.Inf(1)
+	}
+	return bound
+}
+
+// RelayCtx forwards one request frame to the peer and returns its reply
+// payload undecoded — the router's single-owner relay.
+func (dc *DatabaseClient) RelayCtx(ctx context.Context, typ byte, payload []byte) ([]byte, error) {
+	return dc.c.CallCtx(ctx, typ, payload)
 }
 
 // encodeShardMap appends the MsgShardMap reply: world, grid dimensions,

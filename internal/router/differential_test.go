@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/anonymizer"
 	"repro/internal/geo"
+	"repro/internal/obs"
 	"repro/internal/privacy"
 	"repro/internal/protocol"
 	"repro/internal/rng"
@@ -93,10 +94,18 @@ func diffSeeds(t testing.TB) []uint64 {
 func noLog(string, ...interface{}) {}
 
 // tier is one side of the comparison: a dialed client plus everything to
-// tear down behind it.
+// tear down behind it. A routed tier keeps its router and the registry
+// holding the route_* series.
 type tier struct {
 	cli    *protocol.DatabaseClient
+	rt     *router.Router
+	reg    *obs.Registry
 	closes []func()
+}
+
+// counter reads one route_* counter of a routed tier.
+func (tr *tier) counter(name string, labels ...obs.Label) uint64 {
+	return tr.reg.Counter(name, "", labels...).Value()
 }
 
 func (tr *tier) Close() {
@@ -133,7 +142,7 @@ func startSingle(t *testing.T) *tier {
 // the router service, then dials the router — the tier under test.
 func startRouted(t *testing.T, shards int) *tier {
 	t.Helper()
-	tr := &tier{}
+	tr := &tier{reg: obs.NewRegistry()}
 	links := make([]router.Shard, shards)
 	addrs := make([]string, shards)
 	for i := 0; i < shards; i++ {
@@ -152,12 +161,13 @@ func startRouted(t *testing.T, shards int) *tier {
 		links[i] = link
 		addrs[i] = svc.Addr()
 	}
-	rt, err := router.New(router.Config{World: diffWorld, Shards: links, Addrs: addrs})
+	var err error
+	tr.rt, err = router.New(router.Config{World: diffWorld, Shards: links, Addrs: addrs, Metrics: tr.reg})
 	if err != nil {
 		tr.Close()
 		t.Fatal(err)
 	}
-	rsvc, err := protocol.ServeRouter("127.0.0.1:0", rt, noLog)
+	rsvc, err := protocol.ServeRouter("127.0.0.1:0", tr.rt, noLog)
 	if err != nil {
 		tr.Close()
 		t.Fatal(err)
@@ -526,6 +536,17 @@ func TestDifferentialRoutedEqualsSingle(t *testing.T) {
 					defer routed.Close()
 					d := &duo{t: t, single: single.cli, routed: routed.cli}
 					runDifferential(t, d, data, resident, queries, seed)
+					if n == 1 {
+						return
+					}
+					// Both routed paths answered part of the script: whole
+					// requests relayed to their one owner, and scatters
+					// across an ownership boundary.
+					relayed := routed.counter("route_relays_total", obs.L("outcome", "relayed"))
+					straddles := routed.counter("route_straddles_total")
+					if relayed == 0 || straddles == 0 {
+						t.Fatalf("relayed %d requests and straddled %d: both paths must run", relayed, straddles)
+					}
 				})
 			}
 		})
@@ -554,5 +575,71 @@ func TestShardMapReportsTopology(t *testing.T) {
 	defer single.Close()
 	if _, err := single.cli.ShardMap(); err == nil {
 		t.Fatal("single lbsd accepted MsgShardMap")
+	}
+}
+
+// TestRelayedNNFallsBack pins the relay's NN check at every routed shard
+// count, whatever ROUTER_TEST_SHARDS narrows the sweep to. Two queries
+// share one region inside a tile of shard 0, next to a tile of another
+// shard. The "bank" query's only candidate sits beside the region, so
+// the relayed reply stays on shard 0 and is kept. The "atm" query's only
+// candidate, also on shard 0, lies across the tile from the region: the
+// reply's bound reaches the other shard's tile, so the router must drop
+// it and run the two-wave path.
+func TestRelayedNNFallsBack(t *testing.T) {
+	for _, n := range diffShardCounts(t) {
+		if n == 1 {
+			continue
+		}
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			single := startSingle(t)
+			defer single.Close()
+			routed := startRouted(t, n)
+			defer routed.Close()
+			d := &duo{t: t, single: single.cli, routed: routed.cli}
+
+			// A tile of shard 0 whose right or upper neighbour another
+			// shard owns; u points from the tile across that edge.
+			topo := routed.rt.Topology()
+			w := diffWorld.Width() / float64(topo.Cols)
+			var corner, u, v geo.Point
+			found := false
+			for tl := 0; tl < len(topo.Owners) && !found; tl++ {
+				c, r := tl%topo.Cols, tl/topo.Cols
+				corner = geo.Pt(float64(c)*w, float64(r)*w)
+				switch {
+				case topo.Owners[tl] != 0:
+				case c+1 < topo.Cols && topo.Owners[tl+1] != 0:
+					u, v, found = geo.Pt(1, 0), geo.Pt(0, 1), true
+				case r+1 < topo.Rows && topo.Owners[tl+topo.Cols] != 0:
+					u, v, found = geo.Pt(0, 1), geo.Pt(1, 0), true
+				}
+			}
+			if !found {
+				t.Fatal("shard 0 borders no other shard")
+			}
+			at := func(a, b float64) geo.Point { // a across the tile along u, b along v
+				return geo.Pt(corner.X+w*(a*u.X+b*v.X), corner.Y+w*(a*u.Y+b*v.Y))
+			}
+			objs := []server.PublicObject{
+				{ID: 1, Class: "atm", Loc: at(0.1, 0.5)},
+				{ID: 2, Class: "bank", Loc: at(0.8, 0.5)},
+			}
+			for i := 0; i < 50; i++ { // gas stations along a diagonal of the world
+				objs = append(objs, server.PublicObject{ID: uint64(10 + i), Class: "gas", Loc: geo.Pt(0.01+0.0196*float64(i), 0.99-0.0196*float64(i))})
+			}
+			d.loadStationary(objs)
+			region := geo.RectAround(at(0.85, 0.5), 0.01*w)
+
+			d.privateNN(server.PrivateNNQuery{Region: region, Class: "bank"})
+			relayed := routed.counter("route_relays_total", obs.L("outcome", "relayed"))
+			if fallback := routed.counter("route_relays_total", obs.L("outcome", "fallback")); relayed != 1 || fallback != 0 {
+				t.Fatalf("nearby candidate: %d relayed, %d fallbacks, want 1 and 0", relayed, fallback)
+			}
+			d.privateNN(server.PrivateNNQuery{Region: region, Class: "atm"})
+			if fallback := routed.counter("route_relays_total", obs.L("outcome", "fallback")); fallback != 1 {
+				t.Fatalf("candidate across the tile: %d fallbacks, want 1", fallback)
+			}
+		})
 	}
 }

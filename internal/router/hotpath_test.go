@@ -67,7 +67,7 @@ func TestHotPathAllocs(t *testing.T) {
 		budget float64
 		run    func() error
 	}{
-		{"BatchQueryCtx mixed batch", 123, func() error {
+		{"BatchQueryCtx mixed batch", 95, func() error {
 			res, err := r.BatchQueryCtx(context.Background(), batch)
 			if err == nil && res.Groups <= 4 {
 				t.Errorf("Groups = %d: no second wave", res.Groups)

@@ -13,6 +13,8 @@ import (
 type metrics struct {
 	fanout     *obs.Histogram
 	straddles  *obs.Counter
+	relays     *obs.Counter
+	fallbacks  *obs.Counter
 	handoffs   *obs.Counter
 	users      *obs.Gauge
 	gatherSecs *obs.Histogram
@@ -29,7 +31,7 @@ func newMetrics(reg *obs.Registry, nshards int) *metrics {
 			"Shards contacted per scattered request.",
 			obs.ExpBuckets(1, 2, 7)),
 		straddles: reg.Counter("route_straddles_total",
-			"Scatters whose rectangle straddled a tile-ownership boundary (fanout > 1)."),
+			"Scatters whose rectangle straddled a shard-ownership boundary (fanout > 1)."),
 		handoffs: reg.Counter("route_handoffs_total",
 			"Moving-object tile handoffs (upsert on the new owner, removal from the old)."),
 		users: reg.Gauge("route_users",
@@ -38,6 +40,12 @@ func newMetrics(reg *obs.Registry, nshards int) *metrics {
 			"Time spent merging per-shard partial results into the final answer.",
 			obs.ExpBuckets(1e-6, 4, 10)),
 	}
+	relays := func(outcome string) *obs.Counter {
+		return reg.Counter("route_relays_total",
+			"Single-owner requests relayed whole to their shard: kept (relayed), or a private NN whose bound left the shard (fallback).",
+			obs.L("outcome", outcome))
+	}
+	m.relays, m.fallbacks = relays("relayed"), relays("fallback")
 	for i := 0; i < nshards; i++ {
 		l := obs.L("shard", strconv.Itoa(i))
 		m.shardCalls = append(m.shardCalls, reg.Counter("route_shard_calls_total",

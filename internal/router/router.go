@@ -1,15 +1,16 @@
 // Package router implements the spatially-partitioned routing tier: a
 // thin stateless-data layer that spreads one logical database server
 // across N lbsd shards. Space is cut into a grid of tiles (tiles.go),
-// tiles are assigned to shards by consistent hashing (ring.go), and every
-// request is scattered to exactly the shards whose tiles its rectangle
-// intersects. Point data (stationary and moving objects) lives on one
-// shard; cloaked user regions are replicated to every shard their
-// rectangle touches, so each shard can answer count queries over its own
-// residents.
+// each shard owns one contiguous Hilbert-curve range of them, and a
+// request goes to exactly the shards whose tiles its rectangle
+// intersects: relayed whole when one shard owns them all (Relay),
+// scattered and gathered otherwise. Point data (stationary and moving
+// objects) lives on one shard; cloaked user regions are replicated to
+// every shard their rectangle touches, so each shard can answer count
+// queries over its own residents.
 //
 // The tier is answer-preserving by construction, not by best effort: each
-// query kind scatters a sound superset of the relevant shards and gathers
+// query kind reaches a sound superset of the relevant shards and gathers
 // through the same pure combination rules the single server uses
 // (server.SortObjects, server.CombineNNParts, server.CombineCountProbs),
 // so a router over any shard count returns bit-identical bytes to one
@@ -17,12 +18,13 @@
 package router
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -102,9 +104,6 @@ type Config struct {
 	// Tiles is the grid resolution per axis (default 16 → 256 tiles,
 	// max 256 per axis so a tile owner fits the wire's uint16).
 	Tiles int
-	// VNodes is the virtual-node count per shard on the hash ring
-	// (default 64).
-	VNodes int
 	// Metrics receives the route_* series (optional).
 	Metrics *obs.Registry
 	// Tracer records route_scatter / route_gather spans (optional; nil is
@@ -119,7 +118,7 @@ type Config struct {
 type Router struct {
 	world  geo.Rect
 	grid   tileGrid
-	owner  []int // tile id → shard, precomputed from the ring
+	owner  []int // tile id → shard: hilbertOwners(tiles, len(shards))
 	shards []Shard
 	addrs  []string
 	tracer *trace.Tracer
@@ -128,7 +127,7 @@ type Router struct {
 	// Residency-map mutex. Ranked after the anonymizer tier's locks: a
 	// routed deployment may re-enter the router from a forward while a
 	// stripe or index lock is held upstream, never the reverse.
-	mu          sync.Mutex        //lint:lock ring@2
+	mu          sync.Mutex        //lint:lock router@2
 	userOwners  map[uint64]uint64 // user id → bitmask of shards holding her region
 	movingOwner map[uint64]int    // moving object id → owning shard
 }
@@ -152,20 +151,10 @@ func New(cfg Config) (*Router, error) {
 	if tiles > 256 {
 		return nil, fmt.Errorf("router: %d tiles per axis exceeds the 256 cap", tiles)
 	}
-	vnodes := cfg.VNodes
-	if vnodes <= 0 {
-		vnodes = 64
-	}
-	grid := tileGrid{world: cfg.World, cols: tiles, rows: tiles}
-	rg := newRing(n, vnodes)
-	owner := make([]int, grid.tiles())
-	for t := range owner {
-		owner[t] = rg.owner(t)
-	}
 	return &Router{
 		world:       cfg.World,
-		grid:        grid,
-		owner:       owner,
+		grid:        tileGrid{world: cfg.World, cols: tiles, rows: tiles},
+		owner:       hilbertOwners(tiles, n),
 		shards:      cfg.Shards,
 		addrs:       cfg.Addrs,
 		tracer:      cfg.Tracer,
@@ -192,16 +181,26 @@ func (r *Router) Topology() Topology {
 // of bounds, or geometrically invalid — routes to shard 0, which
 // reproduces the exact validation error (or exact empty answer) a single
 // server would give.
-func (r *Router) ownersOf(rect geo.Rect) []int {
+func (r *Router) ownersOf(rect geo.Rect) []int { return maskShards(r.ownerMask(rect)) }
+
+// ownerMask is ownersOf as a shard bitmask.
+func (r *Router) ownerMask(rect geo.Rect) uint64 {
 	tiles := r.grid.cover(rect)
 	if len(tiles) == 0 {
-		return []int{0}
+		return 1
 	}
 	var mask uint64
 	for _, t := range tiles {
 		mask |= 1 << uint(r.owner[t])
 	}
-	return maskShards(mask)
+	return mask
+}
+
+// nnMask returns the shards owning tiles within √bound of region (plus
+// float slack): every object a min–max bound of bound admits as a
+// candidate lives there.
+func (r *Router) nnMask(region geo.Rect, bound float64) uint64 {
+	return r.ownerMask(region.Expand(math.Sqrt(bound) * (1 + nnBoundSlack)))
 }
 
 // allShards returns every shard index.
@@ -236,7 +235,8 @@ func maskShards(mask uint64) []int {
 // scatterCall fans call out to the listed shards concurrently and returns
 // the per-target results and errors, index-aligned with targets. This is
 // the package's single scatter point: the route_scatter span, the fanout
-// histogram and the per-shard call/error counters all hang off it.
+// histogram and the per-shard call/error counters all hang off it. A
+// single target runs on the caller's goroutine.
 func scatterCall[T any](r *Router, ctx context.Context, targets []int, call func(ctx context.Context, shard int) (T, error)) ([]T, []error) {
 	sp, ctx := trace.Start(ctx, r.tracer, "route_scatter")
 	sp.SetAttrs(trace.Int("fanout", int64(len(targets))))
@@ -247,23 +247,80 @@ func scatterCall[T any](r *Router, ctx context.Context, targets []int, call func
 	}
 	res := make([]T, len(targets))
 	errs := make([]error, len(targets))
+	one := func(k, s int) {
+		r.met.shardCalls[s].Inc()
+		v, err := call(ctx, s)
+		if err != nil {
+			r.met.shardErrs[s].Inc()
+			errs[k] = err
+		} else {
+			res[k] = v
+		}
+	}
+	if len(targets) == 1 {
+		one(0, targets[0])
+		return res, errs
+	}
 	var wg sync.WaitGroup
 	for k, s := range targets {
 		wg.Add(1)
-		go func(k, s int) {
+		go func() {
 			defer wg.Done()
-			r.met.shardCalls[s].Inc()
-			v, err := call(ctx, s)
-			if err != nil {
-				r.met.shardErrs[s].Inc()
-				errs[k] = err
-			} else {
-				res[k] = v
-			}
-		}(k, s)
+			one(k, s)
+		}()
 	}
 	wg.Wait()
 	return res, errs
+}
+
+// Relayer is a shard link that forwards a request frame unchanged and
+// hands back the reply frame undecoded: *protocol.DatabaseClient. Links
+// that do not implement it (test fakes, tracing wrappers) are scattered
+// to and gathered from, never relayed through.
+type Relayer interface {
+	RelayCtx(ctx context.Context, typ byte, payload []byte) ([]byte, error)
+}
+
+// Relay answers a private range, public count or private NN request from
+// the one shard owning every tile its routing rectangle rect covers
+// (region ⊕ radius, the count query, the NN region). The payload goes to
+// that shard unchanged, through scatterCall's accounting; the shard runs
+// the final kernel and its reply comes back undecoded. ok is false, and
+// no shard was called, when rect straddles shards or the owner's link is
+// not a Relayer: the caller scatters. Each relayed reply is the single
+// server's answer:
+//
+//   - Range. Every object inside the filter rectangle lies in a covered
+//     tile, so on its one owner, whose sorted answer is the whole answer.
+//   - Count. Every user with positive overlap shares a covered tile with
+//     the query, and residency replicates their region to that tile's
+//     owner. The owner holds every contributing user; its fold is
+//     bit-identical.
+//   - NN (nnBound set; rect is the region). nnBound reads T′, the least
+//     MaxDist²(o, rect) over the reply's candidates, so T′ ≥ the shard's
+//     min–max bound T ≥ the global bound T*. The reply is kept only if
+//     the same shard alone owns rect ⊕ √T′·(1+nnBoundSlack), which holds
+//     every object with MinDist² ≤ T′. The object attaining T* is one, so T = T*, and
+//     so is every global candidate (MinDist² ≤ T*): the shard's superset
+//     is the global one, and so is its decision. Otherwise the relay is a
+//     fallback: ok is false after the call, and the caller runs the
+//     two-wave path.
+func (r *Router) Relay(ctx context.Context, rect geo.Rect, typ byte, payload []byte, nnBound func(reply []byte, region geo.Rect) float64) (reply []byte, ok bool, err error) {
+	mask := r.ownerMask(rect)
+	s := bits.TrailingZeros64(mask)
+	link, can := r.shards[s].(Relayer)
+	if mask&(mask-1) != 0 || !can {
+		return nil, false, nil
+	}
+	res, errs := scatterCall(r, ctx, []int{s}, func(ctx context.Context, _ int) ([]byte, error) {
+		return link.RelayCtx(ctx, typ, payload)
+	})
+	if errs[0] == nil && nnBound != nil && r.nnMask(rect, nnBound(res[0], rect)) != mask {
+		r.met.fallbacks.Inc()
+		return nil, false, nil
+	}
+	r.met.relays.Inc()
+	return res[0], true, errs[0]
 }
 
 // firstErr returns the first non-nil error. Targets are always scattered
@@ -517,12 +574,9 @@ func (r *Router) PrivateNNCtx(ctx context.Context, q server.PrivateNNQuery) (ser
 	}
 	bound := math.Inf(1)
 	for _, p := range parts {
-		if p.Bound < bound {
-			bound = p.Bound
-		}
+		bound = min(bound, p.Bound)
 	}
-	want := r.ownersOf(q.Region.Expand(math.Sqrt(bound) * (1 + nnBoundSlack)))
-	if extra := subtractSorted(want, phase1); len(extra) > 0 {
+	if extra := maskShards(r.nnMask(q.Region, bound) &^ maskOf(phase1)); len(extra) > 0 {
 		more, errs2 := scatterCall(r, ctx, extra, func(ctx context.Context, s int) (server.NNParts, error) {
 			return r.shards[s].NNPartsCtx(ctx, q)
 		})
@@ -583,22 +637,6 @@ func totalLen[T any](parts [][]T) int {
 	return n
 }
 
-// subtractSorted returns the elements of a not in b; both ascending.
-func subtractSorted(a, b []int) []int {
-	var out []int
-	j := 0
-	for _, v := range a {
-		for j < len(b) && b[j] < v {
-			j++
-		}
-		if j < len(b) && b[j] == v {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
 // mergeUserProbs concatenates per-shard (id, probability) pair lists,
 // sorts by id and drops replicated users. Replicas of one user carry
 // bit-identical probabilities (the overlap is a pure function of region
@@ -608,7 +646,7 @@ func mergeUserProbs(parts [][]server.UserProb) []server.UserProb {
 	for _, p := range parts {
 		out = append(out, p...)
 	}
-	sortUserProbs(out)
+	slices.SortFunc(out, func(a, b server.UserProb) int { return cmp.Compare(a.ID, b.ID) })
 	uniq := out[:0]
 	for i, up := range out {
 		if i == 0 || up.ID != out[i-1].ID {
@@ -616,11 +654,6 @@ func mergeUserProbs(parts [][]server.UserProb) []server.UserProb {
 		}
 	}
 	return uniq
-}
-
-// sortUserProbs orders pairs by user id.
-func sortUserProbs(ps []server.UserProb) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].ID < ps[j].ID })
 }
 
 // errUnknownKind mirrors the server's per-entry unknown-kind failure.
@@ -674,17 +707,14 @@ func (r *Router) BatchQueryCtx(ctx context.Context, entries []server.BatchEntry)
 	// Second wave for NN entries whose bound opens a wider neighborhood.
 	wave2 := make([][]SubQuery, len(r.shards))
 	for i, be := range entries {
-		if be.Kind != server.BatchPrivateNN || res.Items[i].Err != nil || hasSubErr(byEntry[i]) {
+		if be.Kind != server.BatchPrivateNN || res.Items[i].Err != nil || firstSubErr(byEntry[i]) != "" {
 			continue
 		}
 		bound := math.Inf(1)
 		for _, sr := range byEntry[i] {
-			if sr.NN.Bound < bound {
-				bound = sr.NN.Bound
-			}
+			bound = min(bound, sr.NN.Bound)
 		}
-		want := r.ownersOf(be.NN.Region.Expand(math.Sqrt(bound) * (1 + nnBoundSlack)))
-		for _, s := range subtractSorted(want, ownersByEntry[i]) {
+		for _, s := range maskShards(r.nnMask(be.NN.Region, bound) &^ maskOf(ownersByEntry[i])) {
 			wave2[s] = append(wave2[s], SubQuery{Index: i, Entry: be})
 		}
 	}
@@ -763,9 +793,6 @@ func (r *Router) scatterSubBatches(ctx context.Context, perShard [][]SubQuery, b
 	}
 	return len(targets), nil
 }
-
-// hasSubErr reports whether any sub-result failed.
-func hasSubErr(parts []SubResult) bool { return firstSubErr(parts) != "" }
 
 // firstSubErr returns the first failure cause among a gathered entry's
 // sub-results ("" when none). Parts are appended in shard-ascending

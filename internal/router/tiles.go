@@ -3,9 +3,10 @@ package router
 import "repro/internal/geo"
 
 // tileGrid partitions the world into a cols×rows grid of closed tiles.
-// Tiles are the unit of ownership: consistent hashing maps tile ids to
-// shards (ring.go), and every routing decision reduces to either "which
-// tile holds this point" or "which tiles does this rectangle intersect".
+// Tiles are the unit of ownership: each shard owns one Hilbert-curve
+// range of them (hilbertOwners), and every routing decision reduces to
+// either "which tile holds this point" or "which tiles does this
+// rectangle intersect".
 //
 // Two deliberate asymmetries keep the routing exact:
 //
@@ -103,6 +104,50 @@ func (g tileGrid) cover(rect geo.Rect) []int {
 		}
 	}
 	return out
+}
+
+// hilbertOwners maps each tile of a tiles×tiles grid (row-major id) to
+// one of n shards. Tiles are ordered along the Hilbert curve of the
+// smallest power-of-two grid covering theirs, skipping the curve's cells
+// outside it, and with T tiles shard s owns curve positions
+// [s·T/n, (s+1)·T/n). Consecutive curve cells share an edge, so on a
+// power-of-two grid each shard owns one 4-connected block — for 4 shards
+// on 16×16, the four quadrants — and a cloak-sized rectangle mostly falls
+// inside one block. The map is a pure function of (tiles, n).
+func hilbertOwners(tiles, n int) []int {
+	side := 1
+	for side < tiles {
+		side *= 2
+	}
+	order := make([]int, 0, tiles*tiles) // tile ids in curve order
+	for d := 0; d < side*side; d++ {
+		if x, y := hilbertXY(side, d); x < tiles && y < tiles {
+			order = append(order, y*tiles+x)
+		}
+	}
+	owners := make([]int, len(order))
+	for pos, t := range order {
+		owners[t] = pos * n / len(order)
+	}
+	return owners
+}
+
+// hilbertXY returns the cell at distance d along the Hilbert curve that
+// fills a side×side grid (side a power of two).
+func hilbertXY(side, d int) (x, y int) {
+	for s := 1; s < side; s *= 2 {
+		rx := 1 & (d / 2)
+		ry := 1 & (d ^ rx)
+		if ry == 0 {
+			if rx == 1 {
+				x, y = s-1-x, s-1-y
+			}
+			x, y = y, x
+		}
+		x, y = x+s*rx, y+s*ry
+		d /= 4
+	}
+	return x, y
 }
 
 // clampIdx clamps i into [0, n).

@@ -2,6 +2,7 @@ package router
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -196,4 +197,135 @@ func newTestRouter(t *testing.T, shards int) *Router {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// TestHilbertCurveVisitsEveryCellByEdgeSteps: the curve hilbertXY walks
+// is a bijection onto the side×side grid whose every step moves to an
+// edge neighbour — the property that makes curve ranges compact.
+func TestHilbertCurveVisitsEveryCellByEdgeSteps(t *testing.T) {
+	for _, side := range []int{1, 2, 4, 16, 64} {
+		seen := make([]bool, side*side)
+		px, py := 0, 0
+		for d := 0; d < side*side; d++ {
+			x, y := hilbertXY(side, d)
+			if x < 0 || y < 0 || x >= side || y >= side || seen[y*side+x] {
+				t.Fatalf("side %d: step %d lands on (%d, %d), outside the grid or visited", side, d, x, y)
+			}
+			seen[y*side+x] = true
+			if d > 0 && abs(x-px)+abs(y-py) != 1 {
+				t.Fatalf("side %d: step %d jumps from (%d, %d) to (%d, %d)", side, d, px, py, x, y)
+			}
+			px, py = x, y
+		}
+	}
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
+// TestHilbertOwnership: for every grid size and shard count, each shard
+// owns one contiguous run of the curve and the shards' tile counts differ
+// by at most one; on power-of-two grids each shard's tiles are
+// 4-connected.
+func TestHilbertOwnership(t *testing.T) {
+	for _, tiles := range []int{1, 5, 16, 64} {
+		side := 1
+		for side < tiles {
+			side *= 2
+		}
+		for n := 1; n <= 8; n++ {
+			owners := hilbertOwners(tiles, n)
+			if len(owners) != tiles*tiles {
+				t.Fatalf("tiles %d, %d shards: %d owners", tiles, n, len(owners))
+			}
+			counts := make([]int, n)
+			last := 0
+			for d := 0; d < side*side; d++ {
+				x, y := hilbertXY(side, d)
+				if x >= tiles || y >= tiles {
+					continue
+				}
+				s := owners[y*tiles+x]
+				if s < last || s >= n {
+					t.Fatalf("tiles %d, %d shards: shard %d follows shard %d along the curve", tiles, n, s, last)
+				}
+				last = s
+				counts[s]++
+			}
+			lo, hi := slices.Min(counts), slices.Max(counts)
+			if hi-lo > 1 {
+				t.Errorf("tiles %d, %d shards: tile counts %v differ by more than one", tiles, n, counts)
+			}
+			if tiles == side {
+				for s := 0; s < n; s++ {
+					if got := connectedTiles(owners, tiles, s); got != counts[s] {
+						t.Errorf("tiles %d, %d shards: shard %d owns %d tiles, %d of them 4-connected", tiles, n, s, counts[s], got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// connectedTiles counts the tiles of shard s reachable by edge steps
+// through s's tiles from the first one it owns.
+func connectedTiles(owners []int, tiles, s int) int {
+	start := slices.Index(owners, s)
+	if start < 0 {
+		return 0
+	}
+	seen := map[int]bool{start: true}
+	for stack := []int{start}; len(stack) > 0; {
+		tl := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		x, y := tl%tiles, tl/tiles
+		for _, nb := range [][2]int{{x - 1, y}, {x + 1, y}, {x, y - 1}, {x, y + 1}} {
+			if nb[0] < 0 || nb[1] < 0 || nb[0] >= tiles || nb[1] >= tiles {
+				continue
+			}
+			if n := nb[1]*tiles + nb[0]; owners[n] == s && !seen[n] {
+				seen[n] = true
+				stack = append(stack, n)
+			}
+		}
+	}
+	return len(seen)
+}
+
+// TestFourShardsOwnTheQuadrants: on the default 16×16 grid, four shards
+// own the four 8×8 quadrants, one each.
+func TestFourShardsOwnTheQuadrants(t *testing.T) {
+	owners := hilbertOwners(16, 4)
+	quadrant := map[int]int{} // shard → quadrant
+	for tl, s := range owners {
+		q := (tl/16/8)*2 + tl%16/8
+		if prev, ok := quadrant[s]; ok && prev != q {
+			t.Fatalf("shard %d owns tiles in quadrants %d and %d", s, prev, q)
+		}
+		quadrant[s] = q
+	}
+	if len(quadrant) != 4 {
+		t.Fatalf("%d shards own tiles, want 4", len(quadrant))
+	}
+}
+
+// TestOwnershipIgnoresAddrs: the tile map is a function of (tiles, shard
+// count) alone — routers over differently addressed fleets agree.
+func TestOwnershipIgnoresAddrs(t *testing.T) {
+	build := func(addrs []string) []int {
+		r, err := New(Config{World: testWorld, Shards: make([]Shard, len(addrs)), Addrs: addrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Topology().Owners
+	}
+	a := build([]string{"10.0.0.1:7070", "10.0.0.2:7070", "10.0.0.3:7070"})
+	b := build([]string{"db-c:1", "db-a:2", "db-b:3"})
+	if !slices.Equal(a, b) || !slices.Equal(a, hilbertOwners(16, 3)) {
+		t.Fatal("tile ownership depends on shard addresses")
+	}
 }
