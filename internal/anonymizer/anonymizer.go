@@ -24,7 +24,8 @@
 //     reader/writer domain: relocations are applied by one writer at a time
 //     (batched per shard in BatchUpdate), while cloaking computations — pure
 //     reads — run concurrently under the read lock.
-//   - Activity counters are atomics, off every lock.
+//   - Activity counts are the anon_* registry series, off every lock;
+//     Stats reads them.
 //
 // Lock order, where both are held: shard mutex → index lock. With
 // Shards=1 the anonymizer degenerates to the historical fully-serialized
@@ -159,7 +160,8 @@ type Config struct {
 	Tariff func(req privacy.Requirement) float64
 	// Metrics is the registry the anonymizer registers its anon_* series
 	// in. Optional; a private registry is created when nil, so
-	// instrumentation is always live and Registry() always works.
+	// instrumentation is always live and Registry() always works. Stats
+	// reads these series, so a registry serves one anonymizer.
 	Metrics *obs.Registry
 	// Tracer records pipeline-stage spans (admission → cloak → forward) for
 	// traced requests — the *Ctx entry points. Optional; nil disables span
@@ -168,7 +170,7 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// Stats aggregates anonymizer activity counters. Forwarded includes
+// Stats is a view of the anonymizer's anon_* series. Forwarded includes
 // replayed regions; ForwardErrs counts every failed forward attempt,
 // direct and replay alike.
 type Stats struct {
@@ -210,7 +212,6 @@ type Anonymizer struct {
 
 	fq *forwardQueue // nil unless Forward + ForwardQueue configured
 
-	ctr    counters
 	met    *anonMetrics
 	tracer *trace.Tracer
 }
@@ -314,6 +315,7 @@ func New(cfg Config) (*Anonymizer, error) {
 		a.fq = newForwardQueue(cfg.Forward, cfg.ForwardQueue,
 			cfg.ForwardRetryBase, cfg.ForwardRetryMax, a.met, cfg.ForwardBackpressure)
 	}
+	a.met.reg.AddExportHook(a.refreshGauges)
 	return a, nil
 }
 
@@ -344,11 +346,9 @@ func (a *Anonymizer) forward(ctx context.Context, id uint64, region geo.Rect) er
 		err = a.cfg.Forward(id, region)
 	}
 	if err == nil {
-		a.ctr.forwarded.Add(1)
 		a.met.forwarded.Inc()
 		return nil
 	}
-	a.ctr.forwardErrs.Add(1)
 	a.met.forwardErrs.Inc()
 	if a.fq != nil {
 		if a.fq.add(id, region) {
@@ -454,7 +454,7 @@ func (a *Anonymizer) Register(id uint64, profile *privacy.Profile) error {
 	}
 	s.profiles[id] = profile
 	s.modes[id] = privacy.Active
-	a.met.registered.Set(float64(a.ctr.registered.Add(1)))
+	a.met.registered.Inc()
 	return nil
 }
 
@@ -517,7 +517,7 @@ func (a *Anonymizer) Deregister(id uint64) bool {
 	a.dropLocation(s, id)
 	delete(s.profiles, id)
 	delete(s.modes, id)
-	a.met.registered.Set(float64(a.ctr.registered.Add(-1)))
+	a.met.registered.Dec()
 	return true
 }
 
@@ -529,9 +529,7 @@ func (a *Anonymizer) dropLocation(s *shard, id uint64) {
 	if a.pop != nil {
 		a.pop.Delete(id)
 	}
-	tracked := a.pyr.Len()
 	a.idxMu.Unlock()
-	a.met.tracked.Set(float64(tracked))
 	if s.inc != nil {
 		s.inc.Invalidate(id)
 	}
@@ -559,14 +557,6 @@ func (a *Anonymizer) CloakQuery(id uint64, loc geo.Point) (cloak.Result, error) 
 // CloakQueryCtx is CloakQuery under a context (trace).
 func (a *Anonymizer) CloakQueryCtx(ctx context.Context, id uint64, loc geo.Point) (cloak.Result, error) {
 	return a.process(ctx, id, loc, true)
-}
-
-// ctxTraceID returns the sampled trace id carried by ctx, 0 when none.
-func ctxTraceID(ctx context.Context) uint64 {
-	if sc, ok := trace.FromContext(ctx); ok && sc.Sampled() {
-		return sc.TraceID
-	}
-	return 0
 }
 
 func (a *Anonymizer) process(ctx context.Context, id uint64, loc geo.Point, isQuery bool) (cloak.Result, error) {
@@ -619,12 +609,9 @@ func (a *Anonymizer) process(ctx context.Context, id uint64, loc geo.Point, isQu
 	if a.pop != nil {
 		a.pop.Upsert(id, loc)
 	}
-	tracked := a.pyr.Len()
 	a.idxMu.Unlock()
-	a.met.tracked.Set(float64(tracked))
 
-	t0 := time.Now()
-	csp, _ := trace.Start(ctx, a.tracer, "anon_cloak")
+	csp, _ := a.met.cloak.Start(ctx, a.tracer)
 	a.idxMu.RLock()
 	var res cloak.Result
 	if s.inc != nil {
@@ -642,27 +629,16 @@ func (a *Anonymizer) process(ctx context.Context, id uint64, loc geo.Point, isQu
 			trace.Str("alg", a.cfg.Algorithm.String()),
 			trace.Int("achieved_k", int64(res.K)),
 			trace.Int("reused", reused))
-		csp.End()
-		a.met.cloakLat.SetExemplar(time.Since(t0).Seconds(), ctxTraceID(ctx))
 	}
-	a.met.cloakLat.Since(t0)
+	csp.End()
 	a.met.observeResult(res)
 	a.met.shardOps[si].Inc()
 
 	if isQuery {
-		a.ctr.queries.Add(1)
 		a.met.queries.Inc()
 	} else {
-		a.ctr.updates.Add(1)
 		a.met.updates.Inc()
 	}
-	if res.Reused {
-		a.ctr.reused.Add(1)
-	}
-	if res.BestEffort() {
-		a.ctr.bestEffort.Add(1)
-	}
-	a.met.setReuseRate(&a.ctr)
 	if a.cfg.Tariff != nil {
 		s.charges[id] += a.cfg.Tariff(req)
 	}
@@ -691,31 +667,26 @@ func (a *Anonymizer) Charges(id uint64) float64 {
 	return s.charges[id]
 }
 
-// Stats returns a snapshot of the activity counters, spill queue included.
+// Stats reads the activity series, spill queue included. The read is not
+// atomic across fields.
 func (a *Anonymizer) Stats() Stats {
-	st := Stats{
-		Registered:  int(a.ctr.registered.Load()),
-		Updates:     a.ctr.updates.Load(),
-		Queries:     a.ctr.queries.Load(),
-		Reused:      a.ctr.reused.Load(),
-		BestEffort:  a.ctr.bestEffort.Load(),
-		Forwarded:   a.ctr.forwarded.Load(),
-		ForwardErrs: a.ctr.forwardErrs.Load(),
-		Batches:     a.ctr.batches.Load(),
-		SharedHits:  a.ctr.sharedHits.Load(),
+	a.refreshGauges()
+	m := a.met
+	return Stats{
+		Registered:  int(m.registered.Value()),
+		Updates:     m.updates.Value(),
+		Queries:     m.queries.Value(),
+		Reused:      m.reuseHits.Value(),
+		BestEffort:  m.relaxations.Value(),
+		Forwarded:   m.forwarded.Value(),
+		ForwardErrs: m.forwardErrs.Value(),
+		Batches:     m.batches.Value(),
+		SharedHits:  m.sharedHits.Value(),
+		Spilled:     m.spills.Value(),
+		Replayed:    m.replays.Value(),
+		Dropped:     m.queueDrops.Value(),
+		QueueDepth:  int(m.queueDepth.Value()),
 	}
-	if a.fq != nil {
-		qs := a.fq.snapshot()
-		st.Spilled = qs.spilled
-		st.Replayed = qs.replayed
-		st.Dropped = qs.dropped
-		st.QueueDepth = qs.depth
-		// Replayed regions did reach the server; replay failures are
-		// forward failures like any other.
-		st.Forwarded += qs.replayed
-		st.ForwardErrs += qs.errs
-	}
-	return st
 }
 
 // Population returns the number of users currently tracked in the spatial

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cloak"
 	"repro/internal/privacy"
@@ -137,7 +136,6 @@ func (a *Anonymizer) BatchUpdateCtx(ctx context.Context, updates []cloak.Request
 	for j, i := range valid {
 		creqs[j] = reqs[i]
 	}
-	a.met.tracked.Set(float64(a.Population()))
 	if n := shed.Load(); n > 0 {
 		a.met.sheds.Add(uint64(n))
 	}
@@ -149,8 +147,7 @@ func (a *Anonymizer) BatchUpdateCtx(ctx context.Context, updates []cloak.Request
 	}
 
 	// Phase 2 — cloak the whole batch over the frozen indices.
-	t0 := time.Now()
-	csp, _ := trace.Start(ctx, a.tracer, "anon_batch_cloak")
+	csp, _ := a.met.batch.Start(ctx, a.tracer)
 	var batchResults []cloak.Result
 	var sharedHits int
 	a.idxMu.RLock()
@@ -168,28 +165,19 @@ func (a *Anonymizer) BatchUpdateCtx(ctx context.Context, updates []cloak.Request
 	if csp.Recording() {
 		csp.SetAttrs(trace.Str("alg", a.cfg.Algorithm.String()),
 			trace.Int("shared_hits", int64(sharedHits)))
-		csp.End()
-		a.met.batchLat.SetExemplar(time.Since(t0).Seconds(), ctxTraceID(ctx))
 	}
-	a.met.batchLat.Since(t0)
+	csp.End()
 
 	// Phase 3 — accounting in input order.
 	for j := range batchResults {
 		res := batchResults[j]
 		results[valid[j]] = &res
-		a.ctr.updates.Add(1)
-		a.met.updates.Inc()
 		a.met.observeResult(res)
-		if res.BestEffort() {
-			a.ctr.bestEffort.Add(1)
-		}
 	}
-	a.ctr.batches.Add(1)
-	a.ctr.sharedHits.Add(uint64(sharedHits))
+	a.met.updates.Add(uint64(len(batchResults)))
 	a.met.batches.Inc()
 	a.met.sharedHits.Add(uint64(sharedHits))
 	a.met.batchSize.Observe(float64(len(updates)))
-	a.met.setReuseRate(&a.ctr)
 
 	if a.cfg.Tariff != nil {
 		for si, idxs := range byShard {

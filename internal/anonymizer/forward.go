@@ -30,24 +30,14 @@ type forwardQueue struct {
 	// (backpressure: the update fails typed and visibly instead).
 	reject bool
 
-	mu       sync.Mutex
-	regions  map[uint64]geo.Rect
-	order    []uint64
-	closed   bool
-	spilled  uint64
-	replayed uint64
-	dropped  uint64
-	errs     uint64
+	mu      sync.Mutex
+	regions map[uint64]geo.Rect
+	order   []uint64
+	closed  bool
 
 	wake chan struct{}
 	quit chan struct{}
 	done chan struct{}
-}
-
-// queueStats is a snapshot of the queue's counters.
-type queueStats struct {
-	spilled, replayed, dropped, errs uint64
-	depth                            int
 }
 
 func newForwardQueue(fwd Forwarder, limit int, base, max time.Duration, met *anonMetrics, reject bool) *forwardQueue {
@@ -94,7 +84,6 @@ func (q *forwardQueue) enqueueIfPending(id uint64, region geo.Rect) bool {
 		return false
 	}
 	q.regions[id] = region
-	q.spilled++
 	q.mu.Unlock()
 	q.met.spills.Inc()
 	q.kick()
@@ -112,7 +101,6 @@ func (q *forwardQueue) add(id uint64, region geo.Rect) bool {
 	}
 	if _, ok := q.regions[id]; ok {
 		q.regions[id] = region
-		q.spilled++
 		q.mu.Unlock()
 		q.met.spills.Inc()
 		q.kick()
@@ -127,19 +115,15 @@ func (q *forwardQueue) add(id uint64, region geo.Rect) bool {
 		victim := q.order[0]
 		q.order = q.order[1:]
 		delete(q.regions, victim)
-		q.dropped++
 		droppedOne = true
 	}
 	q.order = append(q.order, id)
 	q.regions[id] = region
-	q.spilled++
-	depth := len(q.order)
 	q.mu.Unlock()
 	q.met.spills.Inc()
 	if droppedOne {
 		q.met.queueDrops.Inc()
 	}
-	q.met.queueDepth.Set(float64(depth))
 	q.kick()
 	return true
 }
@@ -191,11 +175,8 @@ func (q *forwardQueue) pop(id uint64, forwarded geo.Rect) bool {
 	if removed {
 		q.order = q.order[1:]
 		delete(q.regions, id)
-		q.replayed++
 	}
-	depth := len(q.order)
 	q.mu.Unlock()
-	q.met.queueDepth.Set(float64(depth))
 	return removed
 }
 
@@ -215,9 +196,6 @@ func (q *forwardQueue) run() {
 			}
 		}
 		if err := q.fwd(id, region); err != nil {
-			q.mu.Lock()
-			q.errs++
-			q.mu.Unlock()
 			q.met.forwardErrs.Inc()
 			select {
 			case <-time.After(backoff):
@@ -234,19 +212,6 @@ func (q *forwardQueue) run() {
 			q.met.replays.Inc()
 			q.met.forwarded.Inc()
 		}
-	}
-}
-
-// snapshot returns the queue's counters.
-func (q *forwardQueue) snapshot() queueStats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return queueStats{
-		spilled:  q.spilled,
-		replayed: q.replayed,
-		dropped:  q.dropped,
-		errs:     q.errs,
-		depth:    len(q.order),
 	}
 }
 

@@ -5,17 +5,19 @@ import (
 
 	"repro/internal/cloak"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
-// anonMetrics holds the anonymizer's registered obs series. The cloaking
-// algorithm is fixed per Anonymizer, so the per-algorithm label is bound
-// once at construction and the hot path pays only atomic operations; the
-// same goes for the per-shard counters, bound once per stripe.
+// anonMetrics holds the anonymizer's registered obs series — the one
+// store of its activity counts, which Stats reads. The cloaking algorithm
+// is fixed per Anonymizer, so the per-algorithm label is bound once at
+// construction and the hot path pays only atomic operations; the same goes
+// for the per-shard counters, bound once per stripe.
 type anonMetrics struct {
 	reg *obs.Registry
 
-	cloakLat  *obs.Histogram // anon_cloak_seconds{alg}
-	batchLat  *obs.Histogram // anon_batch_seconds{alg}
+	cloak     trace.Stage    // anon_cloak span → anon_cloak_seconds{alg}
+	batch     trace.Stage    // anon_batch_cloak span → anon_batch_seconds{alg}
 	batchSize *obs.Histogram // anon_batch_size{alg}
 	area      *obs.Histogram // anon_cloak_area{alg}
 	k         *obs.Histogram // anon_cloak_k{alg}
@@ -42,11 +44,13 @@ type anonMetrics struct {
 	sheds      *obs.Counter // updates refused under forward backpressure
 
 	registered   *obs.Gauge
-	tracked      *obs.Gauge
-	reuseRate    *obs.Gauge // reused / (updates+queries), 0..1
-	queueDepth   *obs.Gauge // regions currently awaiting replay
 	shards       *obs.Gauge // configured lock-stripe count
 	batchWorkers *obs.Gauge // resolved batch worker-pool size
+
+	// Set at export from the state they report (Anonymizer.refreshGauges).
+	tracked    *obs.Gauge
+	reuseRate  *obs.Gauge // reused / (updates+queries), 0..1
+	queueDepth *obs.Gauge // regions currently awaiting replay
 }
 
 // newAnonMetrics registers the anonymizer's series in reg (a fresh private
@@ -60,10 +64,10 @@ func newAnonMetrics(reg *obs.Registry, alg Algorithm, shards int) *anonMetrics {
 	m := &anonMetrics{
 		reg: reg,
 
-		cloakLat: reg.Histogram("anon_cloak_seconds",
-			"Latency of one cloaking computation.", obs.DefaultLatencyBuckets, l),
-		batchLat: reg.Histogram("anon_batch_seconds",
-			"Latency of one shared (batch) cloaking pass.", obs.DefaultLatencyBuckets, l),
+		cloak: trace.NewStage("anon_cloak", reg.Histogram("anon_cloak_seconds",
+			"Latency of one cloaking computation.", obs.DefaultLatencyBuckets, l)),
+		batch: trace.NewStage("anon_batch_cloak", reg.Histogram("anon_batch_seconds",
+			"Latency of one shared (batch) cloaking pass.", obs.DefaultLatencyBuckets, l)),
 		batchSize: reg.Histogram("anon_batch_size",
 			"Requests per batch-update pass.", obs.CountBuckets, l),
 		area: reg.Histogram("anon_cloak_area",
@@ -116,12 +120,20 @@ func (m *anonMetrics) observeResult(res cloak.Result) {
 	}
 }
 
-// setReuseRate refreshes the hit-rate gauge from the atomic activity
-// counters.
-func (m *anonMetrics) setReuseRate(c *counters) {
-	total := c.updates.Load() + c.queries.Load()
-	if total > 0 {
-		m.reuseRate.Set(float64(c.reused.Load()) / float64(total))
+// refreshGauges sets the gauges that report state from that state, each
+// under the lock that guards it, so two refreshes cannot land out of
+// order. It runs on every export of the registry and in Stats.
+func (a *Anonymizer) refreshGauges() {
+	a.idxMu.RLock()
+	a.met.tracked.Set(float64(a.pyr.Len()))
+	a.idxMu.RUnlock()
+	if a.fq != nil {
+		a.fq.mu.Lock()
+		a.met.queueDepth.Set(float64(len(a.fq.order)))
+		a.fq.mu.Unlock()
+	}
+	if total := a.met.updates.Value() + a.met.queries.Value(); total > 0 {
+		a.met.reuseRate.Set(float64(a.met.reuseHits.Value()) / float64(total))
 	}
 }
 

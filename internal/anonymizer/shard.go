@@ -2,7 +2,6 @@ package anonymizer
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cloak"
 	"repro/internal/privacy"
@@ -43,19 +42,4 @@ func (a *Anonymizer) shardFor(id uint64) (*shard, int) {
 	h := id * 0x9E3779B97F4A7C15 // Fibonacci hashing
 	i := int((h >> 32) % uint64(len(a.shards)))
 	return a.shards[i], i
-}
-
-// counters are the anonymizer's activity counters. They are plain atomics
-// so the sharded hot paths never rendezvous on a stats mutex; Stats()
-// assembles a snapshot from them.
-type counters struct {
-	registered  atomic.Int64
-	updates     atomic.Uint64
-	queries     atomic.Uint64
-	reused      atomic.Uint64
-	bestEffort  atomic.Uint64
-	forwarded   atomic.Uint64
-	forwardErrs atomic.Uint64
-	batches     atomic.Uint64
-	sharedHits  atomic.Uint64
 }

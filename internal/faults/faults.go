@@ -4,8 +4,8 @@
 // per-connection fault plan, and a listener wrapper that synthesizes
 // transient Accept errors. Tests use it to prove the protocol tier's
 // retry, reconnect, circuit-breaker and drain behavior without real
-// network flakiness — every schedule is explicit or derived from a seed,
-// so failures reproduce exactly.
+// network flakiness — every schedule is explicit, so failures reproduce
+// exactly.
 package faults
 
 import (
@@ -14,8 +14,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"repro/internal/rng"
 )
 
 // Op selects the direction of the wrapped connection a rule applies to.
@@ -412,30 +410,6 @@ func Dialer(plan func(conn int) []Rule) func(addr string) (net.Conn, error) {
 			return conn, nil
 		}
 		return Wrap(conn, rules...), nil
-	}
-}
-
-// Schedule builds a deterministic pseudo-random fault plan from a seed:
-// each connection independently suffers one fault with probability p,
-// uniformly choosing drop/reset/truncate on one of its first maxFrame
-// frames. The same seed always yields the same plan — failing runs replay
-// exactly.
-func Schedule(seed uint64, p float64, maxFrame int) func(conn int) []Rule {
-	if maxFrame < 1 {
-		maxFrame = 1
-	}
-	return func(conn int) []Rule {
-		src := rng.New(seed + uint64(conn)*0x9e3779b97f4a7c15)
-		if src.Float64() >= p {
-			return nil
-		}
-		actions := []Action{Drop, Reset, Truncate}
-		act := actions[src.Intn(len(actions))]
-		r := Rule{Op: Op(src.Intn(2)), Nth: 1 + src.Intn(maxFrame), Action: act}
-		if act == Truncate {
-			r.KeepBytes = src.Intn(5)
-		}
-		return []Rule{r}
 	}
 }
 

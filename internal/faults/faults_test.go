@@ -178,30 +178,6 @@ func TestRulesFireInsideMultiFrameIO(t *testing.T) {
 	})
 }
 
-func TestScheduleDeterministic(t *testing.T) {
-	a := Schedule(42, 0.5, 4)
-	b := Schedule(42, 0.5, 4)
-	faulted := 0
-	for conn := 1; conn <= 64; conn++ {
-		ra, rb := a(conn), b(conn)
-		if len(ra) != len(rb) {
-			t.Fatalf("conn %d: plans diverge", conn)
-		}
-		if len(ra) == 1 {
-			faulted++
-			if ra[0] != rb[0] {
-				t.Fatalf("conn %d: rules diverge: %+v vs %+v", conn, ra[0], rb[0])
-			}
-			if ra[0].Nth < 1 || ra[0].Nth > 4 {
-				t.Fatalf("conn %d: frame index %d out of range", conn, ra[0].Nth)
-			}
-		}
-	}
-	if faulted == 0 || faulted == 64 {
-		t.Fatalf("degenerate schedule: %d/64 connections faulted", faulted)
-	}
-}
-
 func TestFlakyListener(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

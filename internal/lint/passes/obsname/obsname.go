@@ -1,13 +1,13 @@
 // Package obsname implements the lbsvet pass that keeps the
 // observability namespace coherent: every metric name registered against
-// an obs.Registry and every span name started against a trace.Tracer must
-// be a snake_case string literal, be introduced at exactly one call site
-// per package, and share its package's family prefix (the first
-// underscore-separated segment: anon_*, proto_*, lbs_*, load_*), so
-// dashboards, alerts and trace queries can rely on a stable, greppable
-// naming scheme. Metrics and spans share one namespace per package —
-// a span family diverging from the metric family is exactly the drift
-// the pass exists to catch.
+// an obs.Registry and every span name started against a trace.Tracer or
+// declared as a trace.Stage must be a snake_case string literal, be
+// introduced at exactly one call site per package, and share its
+// package's family prefix (the first underscore-separated segment:
+// anon_*, proto_*, lbs_*, load_*), so dashboards, alerts and trace
+// queries can rely on a stable, greppable naming scheme. Metrics and
+// spans share one namespace per package — a span family diverging from
+// the metric family is exactly the drift the pass exists to catch.
 package obsname
 
 import (
@@ -135,8 +135,9 @@ func family(name string) string {
 
 // spanNameArg returns the index of the span-name argument when call
 // introduces a span name — (*trace.Tracer).StartRoot(name),
-// (*trace.Tracer).StartSpan(sc, name), or the package-level
-// trace.Start(ctx, tracer, name) — and -1 otherwise. The trace package
+// (*trace.Tracer).StartSpan(sc, name), the package-level
+// trace.Start(ctx, tracer, name), or a stage declaration
+// trace.NewStage(name, hist) — and -1 otherwise. The trace package
 // itself is exempt: its internals forward caller-supplied names through
 // variables, and the naming contract binds the call sites that choose
 // names, not the API plumbing.
@@ -170,10 +171,15 @@ func spanNameArg(pass *analysis.Pass, call *ast.CallExpr) int {
 		}
 		return -1
 	}
-	// The package-level trace.Start helper.
+	// The package-level trace.Start helper and stage declarations.
 	if fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok &&
-		fn.Pkg() != nil && fn.Pkg().Path() == tracePath && fn.Name() == "Start" {
-		return 2
+		fn.Pkg() != nil && fn.Pkg().Path() == tracePath {
+		switch fn.Name() {
+		case "Start":
+			return 2
+		case "NewStage":
+			return 0
+		}
 	}
 	return -1
 }

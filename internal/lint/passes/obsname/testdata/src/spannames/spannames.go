@@ -1,7 +1,8 @@
 // Package fixture exercises the obsname pass's span-name checks across
-// all three name-introducing forms: Tracer.StartRoot, Tracer.StartSpan,
-// and the package-level trace.Start helper. Metrics and spans share one
-// namespace, so the span family must match the package's metric family.
+// all four name-introducing forms: Tracer.StartRoot, Tracer.StartSpan,
+// the package-level trace.Start helper, and a trace.NewStage declaration.
+// Metrics and spans share one namespace, so the span family must match
+// the package's metric family.
 package fixture
 
 import (
@@ -29,6 +30,14 @@ func spans(tr *trace.Tracer, reg *obs.Registry, ctx context.Context, sc trace.Sp
 
 	other, _ := trace.Start(ctx2, tr, "alien_stage") // want "outside this package"
 
+	lat := reg.Histogram("fixture_stage_seconds", "Stage latency.", nil)
+	stage := trace.NewStage("fixture_stage", lat)
+	trace.NewStage("fixture_call", lat)     // want "already introduced in this package"
+	trace.NewStage("alien_stage_twin", lat) // want "outside this package"
+	trace.NewStage("fixture_stage", lat)    // want "already introduced in this package"
+	staged, _ := stage.Start(ctx2, tr)
+
+	staged.End()
 	other.End()
 	call.End()
 	serve.End()

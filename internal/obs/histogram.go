@@ -71,17 +71,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID uint64) {
 	h.addSum(v)
 }
 
-// SetExemplar stores traceID as the exemplar of the bucket v falls into
-// without recording an observation — for call sites where the sample
-// itself is counted elsewhere (or by someone else) but the trace link is
-// known only here.
-func (h *Histogram) SetExemplar(v float64, traceID uint64) {
-	if traceID == 0 {
-		return
-	}
-	h.exemplars[h.bucketIndex(v)].Store(traceID)
-}
-
 // ObserveN records n samples of the same value in one shot — the bulk
 // path the runtime-metrics bridge uses to fold kernel histogram deltas in
 // without n individual observations.

@@ -232,7 +232,9 @@ func (r *Registry) Export() []MetricSnapshot {
 	return out
 }
 
-// Find returns the exported snapshot of one series, or false.
+// Find returns the exported snapshot of one series, or false. It runs no
+// export hooks, so a gauge set by one reads its value as of the last
+// Export.
 func (r *Registry) Find(name string, labels ...Label) (MetricSnapshot, bool) {
 	labels = sortLabels(labels)
 	key := seriesKey(name, labels)

@@ -277,7 +277,7 @@ func codecCases(g gen) []codecCase {
 
 	// Service-layer bodies.
 	series := []obs.MetricSnapshot{
-		{Name: "proto_requests_total", Help: "h", Kind: obs.KindCounter, Value: 7, Labels: []obs.Label{obs.L("type", "update")}},
+		{Name: "proto_overload_rejections_total", Help: "h", Kind: obs.KindCounter, Value: 7, Labels: []obs.Label{obs.L("type", "update")}},
 		{Name: "proto_active_connections", Kind: obs.KindGauge, Value: -2},
 		{Name: "proto_request_seconds", Kind: obs.KindHistogram, Hist: obs.HistogramSnapshot{
 			Bounds: []float64{0.001, 0.01}, Counts: []uint64{1, 2, 3}, Sum: 0.5, Exemplars: []uint64{0, 9, 0}}},
@@ -374,13 +374,20 @@ func TestForgedCountsNeverSizeAnAllocation(t *testing.T) {
 			t.Errorf("%s: forged count accepted", c.name)
 			continue
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		allocs := testing.AllocsPerRun(10, func() { c.dec(NewDecoder(c.payload)) })
-		runtime.ReadMemStats(&after)
-		// 11 runs; the only allocations left are error values and the
-		// decoders' fixed-size headers (a map, a topology's address list).
-		if perRun := (after.TotalAlloc - before.TotalAlloc) / 11; allocs > 4 || perRun > 1024 {
+		// 11 runs per measurement; the only allocations left are error
+		// values and the decoders' fixed-size headers (a map, a topology's
+		// address list). Both counters are process-wide, and background
+		// goroutines can only add to them, so the least of five
+		// measurements is the decoder's own cost.
+		allocs, perRun := math.Inf(1), uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			allocs = min(allocs, testing.AllocsPerRun(10, func() { c.dec(NewDecoder(c.payload)) }))
+			runtime.ReadMemStats(&after)
+			perRun = min(perRun, (after.TotalAlloc-before.TotalAlloc)/11)
+		}
+		if allocs > 4 || perRun > 1024 {
 			t.Errorf("%s: a forged count over a %d-byte payload cost %.0f allocations, %d bytes", c.name, len(c.payload), allocs, perRun)
 		}
 	}

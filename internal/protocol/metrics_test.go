@@ -209,8 +209,8 @@ func TestMetricsOverLoopback(t *testing.T) {
 	if s := find(anonSeries, "anon_cloak_seconds"); s == nil || s.Hist.Count() < 9 {
 		t.Errorf("anon_cloak_seconds missing or empty: %+v", s)
 	}
-	if s := find(anonSeries, "proto_requests_total"); s == nil {
-		t.Error("anonymizer proto_requests_total missing")
+	if s := find(anonSeries, "proto_request_seconds"); s == nil || s.Hist.Count() == 0 {
+		t.Errorf("anonymizer proto_request_seconds missing or empty: %+v", s)
 	}
 	if s := find(anonSeries, "proto_active_connections"); s == nil || s.Value < 1 {
 		t.Errorf("proto_active_connections = %+v, want >= 1", s)
@@ -229,11 +229,8 @@ func TestMetricsOverLoopback(t *testing.T) {
 	if s := find(dbSeries, "lbs_index_node_visits"); s == nil || s.Hist.Count() == 0 {
 		t.Errorf("lbs_index_node_visits missing or empty: %+v", s)
 	}
-	if s := find(dbSeries, "proto_bytes_read_total"); s == nil || s.Value == 0 {
-		t.Errorf("proto_bytes_read_total = %+v, want > 0", s)
-	}
-	if s := find(dbSeries, "proto_frame_bytes"); s == nil || s.Hist.Count() == 0 {
-		t.Errorf("proto_frame_bytes missing or empty: %+v", s)
+	if s := find(dbSeries, "proto_frame_bytes"); s == nil || s.Hist.Count() == 0 || s.Hist.Sum == 0 {
+		t.Errorf("proto_frame_bytes missing or empty (its _sum is the bytes read): %+v", s)
 	}
 
 	// A second fetch must see the first one's request accounted for.
@@ -244,12 +241,12 @@ func TestMetricsOverLoopback(t *testing.T) {
 	found := false
 	for i := range dbSeries2 {
 		s := dbSeries2[i]
-		if s.Name == "proto_requests_total" {
+		if s.Name == "proto_request_seconds" {
 			for _, l := range s.Labels {
 				if l.Key == "type" && l.Value == "metrics" {
 					found = true
-					if s.Value < 1 {
-						t.Errorf("proto_requests_total{type=metrics} = %g", s.Value)
+					if s.Hist.Count() < 1 {
+						t.Errorf("proto_request_seconds{type=metrics} _count = %d", s.Hist.Count())
 					}
 				}
 			}

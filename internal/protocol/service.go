@@ -36,30 +36,27 @@ var ErrOverloaded = errors.New("protocol: peer overloaded")
 type svcMetrics struct {
 	reg           *obs.Registry
 	active        *obs.Gauge
-	bytesIn       *obs.Counter
 	bytesOut      *obs.Counter
 	dropped       *obs.Counter
 	errs          *obs.Counter
 	acceptRetries *obs.Counter
 	rejected      *obs.Counter
 	idleDrops     *obs.Counter
-	frameBytes    *obs.Histogram
+	frameBytes    *obs.Histogram // its _sum is the bytes read
 	byType        [256]atomic.Pointer[typeSeries]
 }
 
-// typeSeries is one message type's request counter, latency histogram and
-// admission-rejection counter.
+// typeSeries is one message type's latency histogram (whose _count is the
+// requests served) and admission-rejection counter.
 type typeSeries struct {
-	requests *obs.Counter
-	seconds  *obs.Histogram
-	shed     *obs.Counter
+	seconds *obs.Histogram
+	shed    *obs.Counter
 }
 
 func newSvcMetrics(reg *obs.Registry) *svcMetrics {
 	return &svcMetrics{
 		reg:           reg,
 		active:        reg.Gauge("proto_active_connections", "Live TCP connections."),
-		bytesIn:       reg.Counter("proto_bytes_read_total", "Frame bytes read, headers included."),
 		bytesOut:      reg.Counter("proto_bytes_written_total", "Frame bytes written, headers included."),
 		dropped:       reg.Counter("proto_dropped_frames_total", "Connections dropped on malformed or unreadable frames."),
 		errs:          reg.Counter("proto_handler_errors_total", "Requests answered with an error frame."),
@@ -80,8 +77,6 @@ func (m *svcMetrics) series(typ byte) *typeSeries {
 		// resolve to the same series and either store wins.
 		name := MessageName(typ)
 		ts = &typeSeries{
-			requests: m.reg.Counter("proto_requests_total", "Requests served by message type.",
-				obs.L("type", name)),
 			seconds: m.reg.Histogram("proto_request_seconds", "Request service latency by message type.",
 				obs.DefaultLatencyBuckets, obs.L("type", name)),
 			shed: m.reg.Counter("proto_overload_rejections_total",
@@ -100,9 +95,7 @@ func (m *svcMetrics) shed(typ byte) { m.series(typ).shed.Inc() }
 // observe records one served request. A nonzero traceID becomes the
 // latency bucket's exemplar, linking the histogram to a captured trace.
 func (m *svcMetrics) observe(typ byte, d time.Duration, traceID uint64) {
-	ts := m.series(typ)
-	ts.requests.Inc()
-	ts.seconds.ObserveExemplar(d.Seconds(), traceID)
+	m.series(typ).seconds.ObserveExemplar(d.Seconds(), traceID)
 }
 
 // Service is a generic framed request/response TCP server shared by the
@@ -137,9 +130,9 @@ type Service struct {
 // Option configures a Service.
 type Option func(*Service)
 
-// WithMetrics instruments the service: per-message-type request counters
-// and latency histograms, bytes in/out, active connections and dropped
-// frames are registered as proto_* series in reg, and the service answers
+// WithMetrics instruments the service: per-message-type latency
+// histograms, request frame sizes, bytes out, active connections and
+// dropped frames are registered as proto_* series in reg, and the service answers
 // MsgMetrics requests with a snapshot of the whole registry.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(s *Service) {
@@ -354,7 +347,6 @@ func (s *Service) serveConn(conn net.Conn) {
 func (s *Service) serveFrame(bw *bufio.Writer, typ byte, payload []byte) error {
 	var t0 time.Time
 	if s.met != nil {
-		s.met.bytesIn.Add(uint64(5 + len(payload)))
 		s.met.frameBytes.Observe(float64(5 + len(payload)))
 		t0 = time.Now()
 	}

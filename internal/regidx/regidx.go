@@ -198,6 +198,9 @@ func (x *Index) QueryHits(q geo.Rect, dst []Hit) []Hit {
 // which is also exactly where a first-encounter scan would have seen it,
 // so emission order is unchanged.
 func probe[T any](x *Index, q geo.Rect, dst []T, view func(*entry) T) []T {
+	if len(x.slots) == 0 {
+		return dst // a wide probe would walk every empty cell
+	}
 	c0, r0, c1, r1 := x.cellRange(q)
 	if c0 == c1 && r0 == r1 {
 		for _, slot := range x.cells[r0*x.cols+c0] {

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // metrics is the router's instrument set — the route_* family. Fanout and
@@ -17,7 +18,7 @@ type metrics struct {
 	fallbacks  *obs.Counter
 	handoffs   *obs.Counter
 	users      *obs.Gauge
-	gatherSecs *obs.Histogram
+	gather     trace.Stage // route_gather span → route_gather_seconds
 	shardCalls []*obs.Counter
 	shardErrs  []*obs.Counter
 }
@@ -36,9 +37,9 @@ func newMetrics(reg *obs.Registry, nshards int) *metrics {
 			"Moving-object tile handoffs (upsert on the new owner, removal from the old)."),
 		users: reg.Gauge("route_users",
 			"Private users the router tracks as resident on at least one shard."),
-		gatherSecs: reg.Histogram("route_gather_seconds",
+		gather: trace.NewStage("route_gather", reg.Histogram("route_gather_seconds",
 			"Time spent merging per-shard partial results into the final answer.",
-			obs.ExpBuckets(1e-6, 4, 10)),
+			obs.ExpBuckets(1e-6, 4, 10))),
 	}
 	relays := func(outcome string) *obs.Counter {
 		return reg.Counter("route_relays_total",

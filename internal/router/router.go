@@ -26,7 +26,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/geo"
 	"repro/internal/obs"
@@ -334,17 +333,6 @@ func firstErr(errs []error) error {
 	return nil
 }
 
-// beginGather opens the route_gather span and times the merge phase; call
-// the returned func when the merge is done.
-func (r *Router) beginGather(ctx context.Context) func() {
-	t0 := time.Now()
-	sp, _ := trace.Start(ctx, r.tracer, "route_gather")
-	return func() {
-		r.met.gatherSecs.Since(t0)
-		sp.End()
-	}
-}
-
 // setUserMask records (or clears) a user's residency mask and keeps the
 // gauge in step.
 func (r *Router) setUserMask(id uint64, mask uint64) {
@@ -547,8 +535,8 @@ func (r *Router) PrivateRangeCtx(ctx context.Context, q server.PrivateRangeQuery
 	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
-	done := r.beginGather(ctx)
-	defer done()
+	gsp, _ := r.met.gather.Start(ctx, r.tracer)
+	defer gsp.End()
 	out := make([]server.PublicObject, 0, totalLen(res))
 	for _, part := range res {
 		out = append(out, part...)
@@ -585,8 +573,8 @@ func (r *Router) PrivateNNCtx(ctx context.Context, q server.PrivateNNQuery) (ser
 		}
 		parts = append(parts, more...)
 	}
-	done := r.beginGather(ctx)
-	defer done()
+	gsp, _ := r.met.gather.Start(ctx, r.tracer)
+	defer gsp.End()
 	return server.CombineNNParts(q.Region, parts...), nil
 }
 
@@ -602,8 +590,8 @@ func (r *Router) PublicCountCtx(ctx context.Context, q server.PublicRangeCountQu
 	if err := firstErr(errs); err != nil {
 		return server.PublicRangeCountResult{}, err
 	}
-	done := r.beginGather(ctx)
-	defer done()
+	gsp, _ := r.met.gather.Start(ctx, r.tracer)
+	defer gsp.End()
 	return server.CombineCountProbs(mergeUserProbs(res)), nil
 }
 
@@ -724,8 +712,8 @@ func (r *Router) BatchQueryCtx(ctx context.Context, entries []server.BatchEntry)
 	}
 	res.Groups += groups2
 
-	done := r.beginGather(ctx)
-	defer done()
+	gsp, _ := r.met.gather.Start(ctx, r.tracer)
+	defer gsp.End()
 	for i, be := range entries {
 		if res.Items[i].Err != nil {
 			continue

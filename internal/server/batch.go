@@ -9,11 +9,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/geo"
 	"repro/internal/grid"
-	"repro/internal/obs"
 	"repro/internal/prob"
 	"repro/internal/regidx"
 	"repro/internal/rtree"
@@ -196,13 +194,11 @@ func (s *Server) borrowCoord(workers int) *batchCoord {
 
 // singleQuery is one single-query adapter call in flight: the borrowed
 // coordinator whose first scratch receives the kernel's output, and the
-// span, start time and class histogram the call is recorded under.
+// class span the call is timed and recorded under.
 type singleQuery struct {
-	c   *batchCoord
-	sc  *batchScratch
-	sp  trace.Span
-	t0  time.Time
-	lat *obs.Histogram
+	c  *batchCoord
+	sc *batchScratch
+	sp trace.Span
 }
 
 // beginSingle opens a single query under its class span: every public
@@ -212,18 +208,18 @@ type singleQuery struct {
 // which run on scratch copies: milliseconds under RLock stall every
 // UpdatePrivate and, through writer preference, every reader queued
 // behind it.
-func (s *Server) beginSingle(sp trace.Span, lat *obs.Histogram) singleQuery {
-	q := singleQuery{sp: sp, t0: time.Now(), lat: lat, c: s.borrowCoord(1)}
+func (s *Server) beginSingle(ctx context.Context, class trace.Stage) singleQuery {
+	sp, _ := class.Start(ctx, s.tracer)
+	q := singleQuery{sp: sp, c: s.borrowCoord(1)}
 	q.sc = &q.c.scratches[0]
 	return q
 }
 
-// endSingle closes a single query: span, class latency (linked to the
-// trace by exemplar) and the scratch's return to the pool.
-func (s *Server) endSingle(ctx context.Context, q singleQuery) {
+// endSingle closes a single query: the scratch's return to the pool, then
+// the span, which observes the class latency.
+func (s *Server) endSingle(q singleQuery) {
 	s.batchPool.Put(q.c)
 	q.sp.End()
-	q.lat.ObserveExemplar(time.Since(q.t0).Seconds(), ctxTraceID(ctx))
 }
 
 // BatchQuery evaluates a mixed batch of queries in one shared pass and
@@ -245,8 +241,7 @@ func (s *Server) BatchQueryCtx(ctx context.Context, entries []BatchEntry) BatchR
 	if len(entries) == 0 {
 		return res
 	}
-	t0 := time.Now()
-	bsp, ctx := trace.Start(ctx, s.tracer, "lbs_batch")
+	bsp, ctx := s.met.batch.Start(ctx, s.tracer)
 
 	workers := s.queryWorkers
 	if workers > len(entries) {
@@ -369,7 +364,6 @@ func (s *Server) BatchQueryCtx(ctx context.Context, entries []BatchEntry) BatchR
 	s.met.batchSize.Observe(float64(len(entries)))
 	s.met.batchGroups.Observe(float64(res.Groups))
 	gsp.End()
-	s.met.latBatch.ObserveExemplar(time.Since(t0).Seconds(), ctxTraceID(ctx))
 	bsp.End()
 	return res
 }

@@ -22,14 +22,15 @@ type ContinuousCountAnswer struct {
 // Instead of re-running every query on every location update, the engine
 // keeps, per query, each contributing user's inclusion probability; an
 // update touches only the queries whose rectangles intersect the user's
-// old or new region, and each of those is adjusted by the probability
-// delta in O(1).
+// old or new region, found through a region index of the rectangles, and
+// each of those is adjusted by the probability delta in O(1).
 //
 // The engine's methods are called with the server mutex held.
 type continuousEngine struct {
-	s       *Server
 	nextID  uint64
 	queries map[uint64]*contQuery
+	idx     *regidx.Index // query id → rectangle
+	hits    []uint64      // probe scratch
 }
 
 type contQuery struct {
@@ -41,8 +42,8 @@ type contQuery struct {
 	lo, hi   int
 }
 
-func newContinuousEngine(s *Server) *continuousEngine {
-	return &continuousEngine{s: s, queries: make(map[uint64]*contQuery)}
+func newContinuousEngine(world geo.Rect) *continuousEngine {
+	return &continuousEngine{queries: make(map[uint64]*contQuery), idx: newQueryIndex(world)}
 }
 
 // RegisterContinuousCount installs a continuous count query over the given
@@ -54,31 +55,37 @@ func (s *Server) RegisterContinuousCount(query geo.Rect) (uint64, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cont.nextID++
-	cq := newContQuery(s.cont.nextID, query, s.privIdx.QueryHits(query, nil))
-	s.cont.queries[cq.id] = cq
+	id := s.cont.nextID + 1
+	if err := s.cont.add(id, query, s.privIdx.QueryHits(query, nil)); err != nil {
+		return 0, err
+	}
 	s.met.contQueries.Set(float64(len(s.cont.queries)))
-	return cq.id, nil
+	return id, nil
 }
 
-// newContQuery builds a continuous query seeded from hits, the region
-// index's probe of its rectangle (a superset of the users with positive
-// overlap).
-func newContQuery(id uint64, query geo.Rect, hits []regidx.Hit) *contQuery {
+// add installs a continuous query seeded from hits, the region index's
+// probe of its rectangle (a superset of the users with positive overlap),
+// unless the rectangle cannot be indexed.
+func (e *continuousEngine) add(id uint64, query geo.Rect, hits []regidx.Hit) error {
+	if err := e.idx.Upsert(id, query); err != nil {
+		return err
+	}
 	cq := &contQuery{id: id, query: query, probs: make(map[uint64]float64)}
 	for _, h := range hits {
 		if p := prob.Overlap(h.Region, query); p > 0 {
 			cq.apply(h.ID, 0, p)
 		}
 	}
-	return cq
+	e.queries[id] = cq
+	e.nextID = max(e.nextID, id)
+	return nil
 }
 
 // UnregisterContinuousCount removes a continuous query.
 func (s *Server) UnregisterContinuousCount(id uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.cont.queries[id]; !ok {
+	if !s.cont.idx.Delete(id) {
 		return false
 	}
 	delete(s.cont.queries, id)
@@ -154,21 +161,31 @@ func (cq *contQuery) apply(uid uint64, old, new float64) {
 	}
 }
 
-// onPrivateUpdate is called (mutex held) when a user's region changes.
+// onPrivateUpdate is called (mutex held) when a user's region changes. A
+// region has positive overlap only with queries it intersects, so queries
+// that meet neither the old nor the new region — outside their MBR — see
+// no change.
 func (e *continuousEngine) onPrivateUpdate(uid uint64, old, new geo.Rect, had bool) {
-	for _, cq := range e.queries {
+	probe := new
+	if had {
+		probe = old.Union(new)
+	}
+	e.hits = e.idx.Query(probe, e.hits[:0])
+	for _, qid := range e.hits {
+		cq := e.queries[qid]
 		var po float64
 		if had {
 			po = prob.Overlap(old, cq.query)
 		}
-		pn := prob.Overlap(new, cq.query)
-		cq.apply(uid, po, pn)
+		cq.apply(uid, po, prob.Overlap(new, cq.query))
 	}
 }
 
 // onPrivateRemove is called (mutex held) when a user deregisters.
 func (e *continuousEngine) onPrivateRemove(uid uint64, old geo.Rect) {
-	for _, cq := range e.queries {
+	e.hits = e.idx.Query(old, e.hits[:0])
+	for _, qid := range e.hits {
+		cq := e.queries[qid]
 		if po := prob.Overlap(old, cq.query); po > 0 {
 			cq.apply(uid, po, 0)
 		}

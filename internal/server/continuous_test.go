@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/prob"
 	"repro/internal/rng"
 )
 
@@ -238,4 +240,146 @@ func TestContinuousCountPDFMatchesOneShot(t *testing.T) {
 			t.Errorf("%s: summary differs: continuous %+v vs one-shot %+v", c.name, cont, shot.Answer)
 		}
 	}
+}
+
+// TestContinuousIndexesMatchRescan drives random registrations, moves and
+// removals of both kinds of standing query through user and moving-object
+// churn, and checks every maintained answer against a brute-force rescan
+// of the test's own copy of the data. Halfway it swaps in a server
+// restored from a snapshot, which must rebuild the query indexes and keep
+// maintaining the same answers.
+func TestContinuousIndexesMatchRescan(t *testing.T) {
+	s := newServer(t)
+	src := rng.New(57)
+	type privQuery struct {
+		region geo.Rect
+		radius float64
+	}
+	users := map[uint64]geo.Rect{}
+	movers := map[uint64]geo.Point{}
+	counts := map[uint64]geo.Rect{}
+	privs := map[uint64]privQuery{}
+	var lastCount, lastPriv uint64
+	rect := func() geo.Rect {
+		return geo.RectAround(geo.Pt(src.Float64(), src.Float64()), 0.01+0.15*src.Float64()).Clip(world)
+	}
+	check := func(step int) {
+		t.Helper()
+		for id, q := range counts {
+			var want ContinuousCountAnswer
+			for _, r := range users {
+				p := prob.Overlap(r, q)
+				want.Expected += p
+				if p == 1 {
+					want.Lo++
+				}
+				if p > 0 {
+					want.Hi++
+				}
+			}
+			got, ok := s.ContinuousCount(id)
+			if !ok || got.Lo != want.Lo || got.Hi != want.Hi || math.Abs(got.Expected-want.Expected) > 1e-9 {
+				t.Fatalf("step %d: count query %d = %+v (found %v), rescan %+v", step, id, got, ok, want)
+			}
+		}
+		for id, q := range privs {
+			var want []uint64
+			for oid, p := range movers {
+				if q.region.Expand(q.radius).Contains(p) {
+					want = append(want, oid)
+				}
+			}
+			slices.Sort(want)
+			objs, ok := s.ContinuousPrivateRange(id)
+			got := make([]uint64, len(objs))
+			for i, o := range objs {
+				got[i] = o.ID
+			}
+			if !ok || !slices.Equal(got, want) {
+				t.Fatalf("step %d: private query %d = %v (found %v), rescan %v", step, id, got, ok, want)
+			}
+		}
+	}
+	for step := 0; step < 4000; step++ {
+		switch x := src.Float64(); {
+		case x < 0.02:
+			r := rect()
+			id, err := s.RegisterContinuousCount(r)
+			if _, dup := counts[id]; err != nil || dup {
+				t.Fatalf("step %d: register count = %d, %v (id reused: %v)", step, id, err, dup)
+			}
+			counts[id], lastCount = r, id
+		case x < 0.03:
+			id := uint64(src.Intn(int(lastCount)+1)) + 1
+			if _, had := counts[id]; s.UnregisterContinuousCount(id) != had {
+				t.Fatalf("step %d: unregister count %d disagrees with registration %v", step, id, had)
+			}
+			delete(counts, id)
+		case x < 0.05:
+			q := privQuery{rect(), 0.1 * src.Float64()}
+			id, err := s.RegisterContinuousPrivateRange(q.region, q.radius)
+			if _, dup := privs[id]; err != nil || dup {
+				t.Fatalf("step %d: register private = %d, %v (id reused: %v)", step, id, err, dup)
+			}
+			privs[id], lastPriv = q, id
+		case x < 0.06:
+			id := uint64(src.Intn(int(lastPriv)+1)) + 1
+			if _, had := privs[id]; s.UnregisterContinuousPrivateRange(id) != had {
+				t.Fatalf("step %d: unregister private %d disagrees with registration %v", step, id, had)
+			}
+			delete(privs, id)
+		case x < 0.09:
+			id := uint64(src.Intn(int(lastPriv)+1)) + 1
+			q, had := privs[id]
+			q.region = rect()
+			if err := s.MoveContinuousPrivateRange(id, q.region); (err == nil) != had {
+				t.Fatalf("step %d: move private %d = %v, registered %v", step, id, err, had)
+			}
+			if had {
+				privs[id] = q
+			}
+		case x < 0.5:
+			uid := uint64(src.Intn(60)) + 1
+			if src.Float64() < 0.1 {
+				s.RemovePrivate(uid)
+				delete(users, uid)
+			} else {
+				r := rect()
+				if err := s.UpdatePrivate(uid, r); err != nil {
+					t.Fatal(err)
+				}
+				users[uid] = r
+			}
+		default:
+			oid := uint64(src.Intn(60)) + 1
+			if src.Float64() < 0.1 {
+				s.RemoveMoving(oid)
+				delete(movers, oid)
+			} else {
+				p := geo.Pt(src.Float64(), src.Float64())
+				if err := s.UpdateMoving(oid, p); err != nil {
+					t.Fatal(err)
+				}
+				movers[oid] = p
+			}
+		}
+		if step%200 == 0 {
+			check(step)
+		}
+		if step == 2000 {
+			var buf bytes.Buffer
+			if err := s.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			s = newServer(t)
+			if err := s.Restore(&buf); err != nil {
+				t.Fatal(err)
+			}
+			check(step)
+		}
+	}
+	if len(counts) == 0 || len(privs) == 0 {
+		t.Fatalf("degenerate run: %d count and %d private queries standing", len(counts), len(privs))
+	}
+	check(4000)
 }

@@ -5,6 +5,8 @@ import (
 	"sort"
 
 	"repro/internal/geo"
+	"repro/internal/grid"
+	"repro/internal/regidx"
 )
 
 // Continuous private range queries monitor moving public objects (police
@@ -14,7 +16,7 @@ import (
 // objects report — the continuous flavor of Figure 5a, executed with the
 // shared philosophy of Section 5.3: each moving-object update only touches
 // the queries whose filter rectangles it enters or leaves, found through a
-// coarse query index instead of a scan of all standing queries.
+// region index of the filters instead of a scan of all standing queries.
 
 // contPrivQuery is one standing private range query over moving objects.
 type contPrivQuery struct {
@@ -26,114 +28,75 @@ type contPrivQuery struct {
 	members map[uint64]geo.Point
 }
 
-// contPrivEngine indexes standing queries in a coarse grid so updates
-// touch only nearby queries. Methods run with the server mutex held.
+// contPrivEngine indexes standing queries by filter rectangle so updates
+// touch only the queries whose filters hold the object's old or new
+// position. Methods run with the server mutex held.
 type contPrivEngine struct {
-	s       *Server
 	nextID  uint64
 	queries map[uint64]*contPrivQuery
-	// cells buckets query ids by coarse cell; a query appears in every cell
-	// its filter intersects.
-	cols, rows int
-	cells      [][]uint64
+	idx     *regidx.Index // query id → filter
+	hits    []uint64      // probe scratch
 }
 
-func newContPrivEngine(s *Server) *contPrivEngine {
-	const res = 16
-	return &contPrivEngine{
-		s:       s,
-		queries: make(map[uint64]*contPrivQuery),
-		cols:    res,
-		rows:    res,
-		cells:   make([][]uint64, res*res),
+func newContPrivEngine(world geo.Rect) *contPrivEngine {
+	return &contPrivEngine{queries: make(map[uint64]*contPrivQuery), idx: newQueryIndex(world)}
+}
+
+// newQueryIndex builds the coarse index a continuous engine keeps over its
+// standing query rectangles. New has already built a region index over
+// the same world, so this one cannot fail.
+func newQueryIndex(world geo.Rect) *regidx.Index {
+	idx, err := regidx.New(world, 16, 16)
+	if err != nil {
+		panic(err)
 	}
+	return idx
 }
 
-func (e *contPrivEngine) cellRange(r geo.Rect) (c0, r0, c1, r1 int) {
-	world := e.s.world
-	fx := func(x float64) int {
-		c := int((x - world.Min.X) / world.Width() * float64(e.cols))
-		if c < 0 {
-			c = 0
-		}
-		if c >= e.cols {
-			c = e.cols - 1
-		}
-		return c
+// add installs (or re-anchors) query id with its candidate set seeded
+// from the moving objects, unless its filter cannot be indexed.
+func (e *contPrivEngine) add(id uint64, region geo.Rect, radius float64, moving *grid.Index) error {
+	q := &contPrivQuery{id: id, region: region, radius: radius, filter: region.Expand(radius),
+		members: make(map[uint64]geo.Point)}
+	if err := e.idx.Upsert(id, q.filter); err != nil {
+		return err
 	}
-	fy := func(y float64) int {
-		c := int((y - world.Min.Y) / world.Height() * float64(e.rows))
-		if c < 0 {
-			c = 0
-		}
-		if c >= e.rows {
-			c = e.rows - 1
-		}
-		return c
+	for _, o := range moving.Search(q.filter, nil) {
+		q.members[o.ID] = o.Loc
 	}
-	return fx(r.Min.X), fy(r.Min.Y), fx(r.Max.X), fy(r.Max.Y)
+	e.queries[id] = q
+	e.nextID = max(e.nextID, id)
+	return nil
 }
 
-func (e *contPrivEngine) insertIndex(q *contPrivQuery) {
-	c0, r0, c1, r1 := e.cellRange(q.filter)
-	for row := r0; row <= r1; row++ {
-		for col := c0; col <= c1; col++ {
-			i := row*e.cols + col
-			e.cells[i] = append(e.cells[i], q.id)
-		}
-	}
+// queriesAt returns the ids of the queries whose filters contain p. The
+// slice is scratch, valid until the next probe.
+func (e *contPrivEngine) queriesAt(p geo.Point) []uint64 {
+	e.hits = e.idx.Query(geo.PointRect(p), e.hits[:0])
+	return e.hits
 }
 
-func (e *contPrivEngine) removeIndex(q *contPrivQuery) {
-	c0, r0, c1, r1 := e.cellRange(q.filter)
-	for row := r0; row <= r1; row++ {
-		for col := c0; col <= c1; col++ {
-			i := row*e.cols + col
-			cell := e.cells[i]
-			for j, id := range cell {
-				if id == q.id {
-					cell[j] = cell[len(cell)-1]
-					e.cells[i] = cell[:len(cell)-1]
-					break
-				}
-			}
-		}
-	}
-}
-
-// queriesNear returns the ids of queries whose filters may cover p.
-func (e *contPrivEngine) queriesNear(p geo.Point) []uint64 {
-	c0, r0, _, _ := e.cellRange(geo.PointRect(p))
-	return e.cells[r0*e.cols+c0]
-}
-
-// onMovingUpdate reconciles query memberships for one moving object.
+// onMovingUpdate reconciles query memberships for one moving object. A
+// query holds the object iff its filter contains the object's position,
+// so only queries containing the old or the new position can change.
 func (e *contPrivEngine) onMovingUpdate(id uint64, old geo.Point, hadOld bool, new geo.Point) {
-	touch := func(p geo.Point) {
-		for _, qid := range e.queriesNear(p) {
-			q := e.queries[qid]
-			if q == nil {
-				continue
-			}
-			if q.filter.Contains(new) {
-				q.members[id] = new
-			} else {
+	if hadOld {
+		for _, qid := range e.queriesAt(old) {
+			if q := e.queries[qid]; !q.filter.Contains(new) {
 				delete(q.members, id)
 			}
 		}
 	}
-	if hadOld {
-		touch(old)
+	for _, qid := range e.queriesAt(new) {
+		e.queries[qid].members[id] = new
 	}
-	touch(new)
 }
 
-// onMovingRemove drops the object from every query near its last position.
+// onMovingRemove drops the object from every query containing its last
+// position.
 func (e *contPrivEngine) onMovingRemove(id uint64, last geo.Point) {
-	for _, qid := range e.queriesNear(last) {
-		if q := e.queries[qid]; q != nil {
-			delete(q.members, id)
-		}
+	for _, qid := range e.queriesAt(last) {
+		delete(e.queries[qid].members, id)
 	}
 }
 
@@ -149,31 +112,20 @@ func (s *Server) RegisterContinuousPrivateRange(region geo.Rect, radius float64)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.contPriv.nextID++
-	q := &contPrivQuery{
-		id:      s.contPriv.nextID,
-		region:  region,
-		radius:  radius,
-		filter:  region.Expand(radius),
-		members: make(map[uint64]geo.Point),
+	id := s.contPriv.nextID + 1
+	if err := s.contPriv.add(id, region, radius, s.moving); err != nil {
+		return 0, fmt.Errorf("server: continuous private range: %w", err)
 	}
-	for _, o := range s.moving.Search(q.filter, nil) {
-		q.members[o.ID] = o.Loc
-	}
-	s.contPriv.queries[q.id] = q
-	s.contPriv.insertIndex(q)
-	return q.id, nil
+	return id, nil
 }
 
 // UnregisterContinuousPrivateRange removes a standing private query.
 func (s *Server) UnregisterContinuousPrivateRange(id uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q, ok := s.contPriv.queries[id]
-	if !ok {
+	if !s.contPriv.idx.Delete(id) {
 		return false
 	}
-	s.contPriv.removeIndex(q)
 	delete(s.contPriv.queries, id)
 	return true
 }
@@ -208,14 +160,9 @@ func (s *Server) MoveContinuousPrivateRange(id uint64, region geo.Rect) error {
 	if !ok {
 		return fmt.Errorf("server: unknown continuous private query %d", id)
 	}
-	s.contPriv.removeIndex(q)
-	q.region = region
-	q.filter = region.Expand(q.radius)
-	q.members = make(map[uint64]geo.Point)
-	for _, o := range s.moving.Search(q.filter, nil) {
-		q.members[o.ID] = o.Loc
+	if err := s.contPriv.add(id, region, q.radius, s.moving); err != nil {
+		return fmt.Errorf("server: continuous private range: %w", err)
 	}
-	s.contPriv.insertIndex(q)
 	return nil
 }
 

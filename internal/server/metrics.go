@@ -1,6 +1,9 @@
 package server
 
-import "repro/internal/obs"
+import (
+	"repro/internal/obs"
+	"repro/internal/trace"
+)
 
 // Metrics are the server's monotonically increasing operation counters,
 // readable without taking the server mutex. They are the observability
@@ -51,11 +54,12 @@ type metrics struct {
 	moving       *obs.Gauge
 	contQueries  *obs.Gauge
 
-	// Per-query-class latency histograms (seconds).
-	latPrivateRange *obs.Histogram
-	latPrivateNN    *obs.Histogram
-	latPublicCount  *obs.Histogram
-	latPublicNN     *obs.Histogram
+	// Per-query-class latency (lbs_query_seconds{class}): the single-query
+	// adapters' spans feed their class histogram; PublicNN has no span.
+	privateRange trace.Stage
+	privateNN    trace.Stage
+	publicCount  trace.Stage
+	latPublicNN  *obs.Histogram
 
 	// Query-shape distributions.
 	candidates   *obs.Histogram // private-NN candidate set size
@@ -64,7 +68,7 @@ type metrics struct {
 	nodeVisits   *obs.Histogram // index nodes visited per query
 	batchSize    *obs.Histogram // entries per BatchQuery call
 	batchGroups  *obs.Histogram // independent work units per batch
-	latBatch     *obs.Histogram // whole-batch latency (seconds)
+	batch        trace.Stage    // lbs_batch span → lbs_batch_seconds
 }
 
 // newMetrics registers the server's series in reg (a fresh private registry
@@ -100,10 +104,10 @@ func newMetrics(reg *obs.Registry) *metrics {
 		moving:       reg.Gauge("lbs_moving_objects", "Moving public objects indexed."),
 		contQueries:  reg.Gauge("lbs_continuous_queries", "Standing continuous queries registered."),
 
-		latPrivateRange: lat("private_range"),
-		latPrivateNN:    lat("private_nn"),
-		latPublicCount:  lat("public_count"),
-		latPublicNN:     lat("public_nn"),
+		privateRange: trace.NewStage("lbs_private_range", lat("private_range")),
+		privateNN:    trace.NewStage("lbs_private_nn", lat("private_nn")),
+		publicCount:  trace.NewStage("lbs_public_count", lat("public_count")),
+		latPublicNN:  lat("public_nn"),
 
 		candidates: reg.Histogram("lbs_private_nn_candidates",
 			"Private-NN candidate set size after the exact Voronoi decision.",
@@ -123,9 +127,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 		batchGroups: reg.Histogram("lbs_batch_groups",
 			"Independent work units (shared descents + NN entries) per batch.",
 			obs.CountBuckets),
-		latBatch: reg.Histogram("lbs_batch_seconds",
+		batch: trace.NewStage("lbs_batch", reg.Histogram("lbs_batch_seconds",
 			"Whole-batch query latency.",
-			obs.DefaultLatencyBuckets),
+			obs.DefaultLatencyBuckets)),
 	}
 }
 

@@ -340,6 +340,16 @@ func (s *Server) Restore(r io.Reader) error {
 			return fmt.Errorf("server: restore: private region %d invalid", rec.ID)
 		}
 	}
+	for _, cq := range contQueries {
+		if !cq.q.Valid() {
+			return fmt.Errorf("server: restore: continuous query %d invalid", cq.id)
+		}
+	}
+	for _, cq := range cpQueries {
+		if !cq.region.Valid() || !(cq.radius >= 0) || !cq.region.Expand(cq.radius).Valid() {
+			return fmt.Errorf("server: restore: continuous private query %d invalid", cq.id)
+		}
+	}
 	privIdx, err := regidx.New(s.world, 32, 32)
 	if err != nil {
 		return err
@@ -368,33 +378,18 @@ func (s *Server) Restore(r io.Reader) error {
 
 	s.privIdx = privIdx
 
-	// Rebuild continuous engines deterministically from data.
-	s.cont = newContinuousEngine(s)
+	// Rebuild continuous engines, their query indexes included,
+	// deterministically from data. The rectangles were validated above,
+	// so add cannot refuse them.
+	s.cont = newContinuousEngine(s.world)
 	var hits []regidx.Hit
 	for _, cq := range contQueries {
 		hits = s.privIdx.QueryHits(cq.q, hits[:0])
-		s.cont.queries[cq.id] = newContQuery(cq.id, cq.q, hits)
-		if cq.id > s.cont.nextID {
-			s.cont.nextID = cq.id
-		}
+		s.cont.add(cq.id, cq.q, hits)
 	}
-	s.contPriv = newContPrivEngine(s)
+	s.contPriv = newContPrivEngine(s.world)
 	for _, cq := range cpQueries {
-		q := &contPrivQuery{
-			id:      cq.id,
-			region:  cq.region,
-			radius:  cq.radius,
-			filter:  cq.region.Expand(cq.radius),
-			members: make(map[uint64]geo.Point),
-		}
-		for _, o := range s.moving.Search(q.filter, nil) {
-			q.members[o.ID] = o.Loc
-		}
-		s.contPriv.queries[cq.id] = q
-		s.contPriv.insertIndex(q)
-		if cq.id > s.contPriv.nextID {
-			s.contPriv.nextID = cq.id
-		}
+		s.contPriv.add(cq.id, cq.region, cq.radius, s.moving)
 	}
 	s.met.restoresApplied.Inc()
 	// Re-point the size gauges at the restored data set.

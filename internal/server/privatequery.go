@@ -80,8 +80,7 @@ func (s *Server) PrivateRangeCtx(ctx context.Context, q PrivateRangeQuery) ([]Pu
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
-	sp, _ := trace.Start(ctx, s.tracer, "lbs_private_range")
-	r := s.beginSingle(sp, s.met.latPrivateRange)
+	r := s.beginSingle(ctx, s.met.privateRange)
 	entries := [1]BatchEntry{{Range: q}}
 	var out [1]BatchItemResult
 	s.mu.RLock()
@@ -90,7 +89,7 @@ func (s *Server) PrivateRangeCtx(ctx context.Context, q PrivateRangeQuery) ([]Pu
 	if r.sp.Recording() {
 		r.sp.SetAttrs(trace.Int("results", int64(len(out[0].Range))))
 	}
-	s.endSingle(ctx, r)
+	s.endSingle(r)
 	return out[0].Range, nil
 }
 
@@ -140,7 +139,7 @@ func (s *Server) PrivateNNCtx(ctx context.Context, q PrivateNNQuery) (PrivateNNR
 	if err := q.validate(); err != nil {
 		return PrivateNNResult{}, err
 	}
-	r := s.beginNN(ctx)
+	r := s.beginSingle(ctx, s.met.privateNN)
 	s.met.privateNNQs.Inc()
 	var res PrivateNNResult
 	for done := false; !done; {
@@ -158,14 +157,8 @@ func (s *Server) PrivateNNCtx(ctx context.Context, q PrivateNNQuery) (PrivateNNR
 	if r.sp.Recording() {
 		r.sp.SetAttrs(trace.Int("candidates", int64(len(res.Candidates))), trace.Int("superset", int64(res.SupersetSize)))
 	}
-	s.endSingle(ctx, r)
+	s.endSingle(r)
 	return res, nil
-}
-
-// beginNN opens one NN query under its class span.
-func (s *Server) beginNN(ctx context.Context) singleQuery {
-	sp, _ := trace.Start(ctx, s.tracer, "lbs_private_nn")
-	return s.beginSingle(sp, s.met.latPrivateNN)
 }
 
 // validate checks the query parameters (shared with BatchQuery).
@@ -207,7 +200,7 @@ func (s *Server) PrivateNNPartsCtx(ctx context.Context, q PrivateNNQuery) (NNPar
 	if err := q.validate(); err != nil {
 		return NNParts{}, err
 	}
-	r := s.beginNN(ctx)
+	r := s.beginSingle(ctx, s.met.privateNN)
 	s.mu.RLock()
 	items, bound, _ := s.nnDescentLocked(q.Region, q.Class, r.sc)
 	s.met.privateNNQs.Inc()
@@ -219,7 +212,7 @@ func (s *Server) PrivateNNPartsCtx(ctx context.Context, q PrivateNNQuery) (NNPar
 	if r.sp.Recording() {
 		r.sp.SetAttrs(trace.Int("superset", int64(len(parts.Candidates))))
 	}
-	s.endSingle(ctx, r)
+	s.endSingle(r)
 	return parts, nil
 }
 

@@ -57,15 +57,14 @@ func (s *Server) PublicRangeCountCtx(ctx context.Context, q PublicRangeCountQuer
 	}
 	r := s.countSingle(ctx, q.Query)
 	res := r.sc.foldCount(r.sc.pairs)
-	s.endCount(ctx, r, res.NaiveCount)
+	s.endCount(r, res.NaiveCount)
 	return res, nil
 }
 
 // countSingle gathers the (user, probability) pairs of one validated count
 // rectangle; the caller finishes from r.sc.pairs and closes with endCount.
 func (s *Server) countSingle(ctx context.Context, query geo.Rect) singleQuery {
-	sp, _ := trace.Start(ctx, s.tracer, "lbs_public_count")
-	r := s.beginSingle(sp, s.met.latPublicCount)
+	r := s.beginSingle(ctx, s.met.publicCount)
 	entries := [1]BatchEntry{{Count: PublicRangeCountQuery{Query: query}}}
 	s.mu.RLock()
 	s.runCountGroupLocked(entries[:], groupOfOne(query), r.sc)
@@ -74,11 +73,11 @@ func (s *Server) countSingle(ctx context.Context, query geo.Rect) singleQuery {
 }
 
 // endCount closes a single count query that saw naive overlapping users.
-func (s *Server) endCount(ctx context.Context, r singleQuery, naive int) {
+func (s *Server) endCount(r singleQuery, naive int) {
 	if r.sp.Recording() {
 		r.sp.SetAttrs(trace.Int("naive_count", int64(naive)))
 	}
-	s.endSingle(ctx, r)
+	s.endSingle(r)
 }
 
 // UserProb pairs a user id with her region's overlap probability for one
@@ -109,7 +108,7 @@ func (s *Server) PublicCountProbsCtx(ctx context.Context, q PublicRangeCountQuer
 	pairs := make([]UserProb, len(r.sc.pairs))
 	copy(pairs, r.sc.pairs)
 	slices.SortFunc(pairs, func(a, b UserProb) int { return cmp.Compare(a.ID, b.ID) })
-	s.endCount(ctx, r, len(pairs))
+	s.endCount(r, len(pairs))
 	return pairs, nil
 }
 
@@ -279,6 +278,6 @@ func (s *Server) PrivateCount(q PrivateCountQuery) (prob.CountAnswer, error) {
 	r := s.countSingle(ctx, expanded)
 	pairs := slices.DeleteFunc(r.sc.pairs, func(up UserProb) bool { return up.ID == q.ExcludeID })
 	ans := r.sc.foldCount(pairs).Answer
-	s.endCount(ctx, r, len(pairs))
+	s.endCount(r, len(pairs))
 	return ans, nil
 }

@@ -398,14 +398,9 @@ func TestQueryAccounting(t *testing.T) {
 	nq := PrivateNNQuery{Region: geo.R(0.6, 0.6, 0.7, 0.7)}
 	cq := PublicRangeCountQuery{Query: geo.R(0.2, 0.2, 0.5, 0.5)}
 	observed := func(class string) uint64 {
-		h := map[string]*obs.Histogram{
-			"range": s.met.latPrivateRange, "nn": s.met.latPrivateNN, "count": s.met.latPublicCount,
-		}[class]
-		var n uint64
-		for _, c := range h.Snapshot().Counts {
-			n += c
-		}
-		return n
+		label := map[string]string{"range": "private_range", "nn": "private_nn", "count": "public_count"}[class]
+		m, _ := s.Registry().Find("lbs_query_seconds", obs.L("class", label))
+		return m.Hist.Count()
 	}
 	served := func(class string) uint64 {
 		m := s.Metrics()

@@ -163,8 +163,8 @@ func New(cfg Config) (*Server, error) {
 		met:          newMetrics(cfg.Metrics),
 		tracer:       cfg.Tracer,
 	}
-	s.cont = newContinuousEngine(s)
-	s.contPriv = newContPrivEngine(s)
+	s.cont = newContinuousEngine(cfg.World)
+	s.contPriv = newContPrivEngine(cfg.World)
 	return s, nil
 }
 

@@ -1,6 +1,11 @@
 package trace
 
-import "context"
+import (
+	"context"
+	"time"
+
+	"repro/internal/obs"
+)
 
 type ctxKey struct{}
 
@@ -32,4 +37,33 @@ func Start(ctx context.Context, t *Tracer, name string) (Span, context.Context) 
 		return Span{}, ctx
 	}
 	return sp, NewContext(ctx, sp.Context())
+}
+
+// Stage is a pipeline stage declared once: a span name bound to the
+// latency histogram every span of that name feeds. Its spans are the
+// stage's one instrumentation site — End observes the histogram, so the
+// call site times nothing itself.
+type Stage struct {
+	name string
+	hist *obs.Histogram
+}
+
+// NewStage binds the span name to hist.
+func NewStage(name string, hist *obs.Histogram) Stage {
+	return Stage{name: name, hist: hist}
+}
+
+// Start opens the stage's span as trace.Start does. The span is timed even
+// when it is inert, so it must always be ended; an inert stage span still
+// allocates nothing.
+//
+//	sp, ctx := stage.Start(ctx, t)
+//	defer sp.End()
+func (st Stage) Start(ctx context.Context, t *Tracer) (Span, context.Context) {
+	sp, ctx := Start(ctx, t, st.name)
+	if sp.rec == nil {
+		sp.start = time.Now()
+	}
+	sp.hist = st.hist
+	return sp, ctx
 }

@@ -17,6 +17,8 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // FlagSampled marks a trace whose spans are recorded. The decision is
@@ -212,10 +214,13 @@ func (t *Tracer) Snapshot() []SpanRecord {
 
 // Span is one open span. The zero value is inert: Context() is unsampled
 // and End()/SetAttrs() are free no-ops, so instrumentation never branches.
+// A span opened by a Stage also carries the stage's histogram, which End
+// observes whether or not the span records.
 type Span struct {
 	t     *Tracer
 	rec   *SpanRecord
 	start time.Time
+	hist  *obs.Histogram
 }
 
 // Recording reports whether this span will be recorded at End.
@@ -238,14 +243,23 @@ func (s Span) SetAttrs(attrs ...Attr) {
 	s.rec.Attrs = append(s.rec.Attrs, attrs...)
 }
 
-// End closes the span and files it into the tracer's ring. End must be
-// called at most once; the record must not be touched afterwards.
+// End closes the span: a stage span observes its duration in the stage's
+// histogram (with the trace id as the bucket's exemplar when the span
+// records), and a recording span is filed into the tracer's ring. End must
+// be called at most once; the record must not be touched afterwards.
 func (s Span) End() {
 	if s.rec == nil {
+		if s.hist != nil {
+			s.hist.Since(s.start)
+		}
 		return
 	}
+	d := time.Since(s.start)
+	if s.hist != nil {
+		s.hist.ObserveExemplar(d.Seconds(), s.rec.TraceID)
+	}
 	s.rec.Start = s.start.UnixNano()
-	s.rec.Dur = int64(time.Since(s.start))
+	s.rec.Dur = int64(d)
 	s.t.record(s.rec)
 }
 

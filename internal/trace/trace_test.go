@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // A tracer with Sample=1 records every root; Sample=0 records none but
@@ -154,6 +156,51 @@ func TestContextPropagation(t *testing.T) {
 	}
 	if r.TraceID != m.TraceID || m.TraceID != l.TraceID {
 		t.Fatal("spans split across trace ids")
+	}
+}
+
+// A stage span is its histogram's one observation site: End observes
+// every span, inert or recording, and a recording span's observation
+// carries its trace id as the bucket exemplar with the same duration the
+// ring records. An inert stage span allocates nothing.
+func TestStageFeedsHistogram(t *testing.T) {
+	tr := New(Config{Process: "p", Sample: 1})
+	hist := obs.NewRegistry().Histogram("proto_stage_seconds", "h", obs.DefaultLatencyBuckets)
+	stage := NewStage("proto_stage", hist)
+
+	inert, ctx := stage.Start(context.Background(), tr)
+	if inert.Recording() || ctx != context.Background() {
+		t.Fatal("untraced stage span recorded or derived a context")
+	}
+	inert.End()
+	if s := hist.Snapshot(); s.Count() != 1 || s.Exemplars != nil {
+		t.Fatalf("inert stage span: count %d exemplars %v, want 1 and none", s.Count(), s.Exemplars)
+	}
+
+	root := tr.StartRoot("proto_request")
+	sp, _ := stage.Start(NewContext(context.Background(), root.Context()), tr)
+	time.Sleep(time.Millisecond)
+	sp.End()
+	root.End()
+	var rec SpanRecord
+	for _, r := range tr.Snapshot() {
+		if r.Name == "proto_stage" {
+			rec = r
+		}
+	}
+	s := hist.Snapshot()
+	if s.Count() != 2 || s.Sum < time.Duration(rec.Dur).Seconds() {
+		t.Fatalf("recording stage span: count %d sum %g, want 2 and ≥ %v", s.Count(), s.Sum, time.Duration(rec.Dur))
+	}
+	if got := s.ExemplarNear(100); got != root.Context().TraceID {
+		t.Fatalf("exemplar %x, want the trace id %x", got, root.Context().TraceID)
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() {
+		sp, _ := stage.Start(context.Background(), tr)
+		sp.End()
+	}); allocs != 0 {
+		t.Fatalf("inert stage span: %.0f allocations, want 0", allocs)
 	}
 }
 
