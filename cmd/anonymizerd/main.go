@@ -36,7 +36,7 @@ func main() {
 	incremental := flag.Bool("incremental", false, "enable incremental cloak maintenance")
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "per-user state lock stripes (1 = fully serialized)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool for the batch cloaking phase")
-	callTimeout := flag.Duration("call-timeout", stack.ForwardCallTimeout, "deadline for each call to the database server")
+	callTimeout := flag.Duration("call-timeout", stack.ForwardCallTimeout, "deadline for each call to the database server (0 = protocol.DefaultCallTimeout)")
 	forwardQueue := flag.Int("forward-queue", stack.ForwardQueue, "spill queue capacity for cloaked regions while the database is down (0 = fail updates instead)")
 	backpressure := flag.Bool("backpressure", true, "reject updates typed when the spill queue is full instead of evicting older ones")
 	flag.Parse()

@@ -69,7 +69,7 @@ func expRouterScale(cfg benchConfig) {
 // seedRouterTier loads the identical data set into whatever tier addr
 // fronts: public objects in one frame, then every user's cloaked region.
 func seedRouterTier(addr string, cfg benchConfig) {
-	cli, err := protocol.DialDatabase(addr, protocol.WithCallTimeout(30*time.Second))
+	cli, err := protocol.DialDatabase(addr)
 	if err != nil {
 		log.Fatalf("lbsbench: %v", err)
 	}

@@ -186,12 +186,12 @@ func expEndToEnd(cfg benchConfig) {
 		log.Fatalf("lbsbench: %v", err)
 	}
 	defer st.Close()
-	user, err := protocol.DialAnonymizer(st.AnonAddr(), protocol.WithCallTimeout(30*time.Second))
+	user, err := protocol.DialAnonymizer(st.AnonAddr())
 	if err != nil {
 		log.Fatalf("lbsbench: %v", err)
 	}
 	defer user.Close()
-	admin, err := protocol.DialDatabase(st.DBAddr(), protocol.WithCallTimeout(30*time.Second))
+	admin, err := protocol.DialDatabase(st.DBAddr())
 	if err != nil {
 		log.Fatalf("lbsbench: %v", err)
 	}

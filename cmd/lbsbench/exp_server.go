@@ -133,7 +133,7 @@ func expServerBatch(cfg benchConfig) {
 		if err != nil {
 			log.Fatalf("lbsbench: %v", err)
 		}
-		dc, err := protocol.DialDatabase(svc.Addr(), protocol.WithCallTimeout(30*time.Second))
+		dc, err := protocol.DialDatabase(svc.Addr())
 		if err != nil {
 			log.Fatalf("lbsbench: %v", err)
 		}

@@ -34,7 +34,7 @@ func main() {
 	shardList := flag.String("shards", "", "comma-separated lbsd shard addresses (required)")
 	worldSize := flag.Float64("world", 1.0, "world is the square [0,size]², identical to every shard's")
 	tiles := flag.Int("tiles", 0, "grid resolution per axis (0 = default 16)")
-	callTimeout := flag.Duration("call-timeout", stack.ShardCallTimeout, "per-call deadline on shard links")
+	callTimeout := flag.Duration("call-timeout", stack.ShardCallTimeout, "per-call deadline on shard links (0 = protocol.DefaultCallTimeout)")
 	retries := flag.Int("retries", stack.ShardRetries, "transport retries per idempotent shard call")
 	breakAfter := flag.Int("break-after", stack.ShardBreakAfter, "consecutive shard-link failures before the breaker opens (0 = no breaker)")
 	breakCooldown := flag.Duration("break-cooldown", stack.ShardBreakCooldown, "breaker open duration before a probe")

@@ -1,7 +1,8 @@
 // Command lbsvet runs the repo's static-analysis suite: the passes that
 // prove the privacy trust boundary and the health of the //lint:
-// directives declaring it (privleak), the lock hierarchy (lockorder), the
-// metric namespace (obsname) and deadline discipline (ctxcall).
+// directives declaring it (privleak), the lock hierarchy (lockorder) and
+// the metric namespace (obsname). Call deadlines need no pass: every
+// protocol client has one by construction (protocol.DefaultCallTimeout).
 //
 // Standalone (the CI gate — all passes, whole-program):
 //
@@ -33,7 +34,6 @@ import (
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/loader"
-	"repro/internal/lint/passes/ctxcall"
 	"repro/internal/lint/passes/lockorder"
 	"repro/internal/lint/passes/obsname"
 	"repro/internal/lint/passes/privleak"
@@ -43,7 +43,6 @@ var all = []*analysis.Analyzer{
 	privleak.Analyzer,
 	lockorder.Analyzer,
 	obsname.Analyzer,
-	ctxcall.Analyzer,
 }
 
 func main() {

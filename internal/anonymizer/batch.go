@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cloak"
+	"repro/internal/par"
 	"repro/internal/privacy"
 	"repro/internal/trace"
 )
@@ -156,7 +157,7 @@ func (a *Anonymizer) BatchUpdateCtx(ctx context.Context, updates []cloak.Request
 		batchResults, sharedHits = bq.CloakAllParallel(creqs, a.workers) //lint:sanitized cloaking boundary: k-anonymous regions replace the exact points
 	} else {
 		batchResults = make([]cloak.Result, len(creqs))
-		parallelFor(len(creqs), a.workers, func(j int) {
+		par.For(len(creqs), a.workers, func(_, j int) {
 			r := creqs[j]
 			batchResults[j] = a.cloaker.Cloak(r.ID, r.Loc, r.Req) //lint:sanitized cloaking boundary: the k-anonymous region replaces the exact point
 		})
@@ -217,7 +218,7 @@ func (a *Anonymizer) forwardBatch(ctx context.Context, creqs []cloak.Request, cl
 	// caller's result. Backpressure refusals are the exception: the
 	// region reached neither the database nor the queue, so the user's
 	// entries fail typed rather than pretending the update landed.
-	parallelFor(len(creqs), forwardFanout, func(j int) {
+	par.For(len(creqs), forwardFanout, func(_, j int) {
 		if last[creqs[j].ID] != j {
 			return
 		}
@@ -249,34 +250,3 @@ func (a *Anonymizer) forwardBatch(ctx context.Context, creqs []cloak.Request, cl
 // p50s level with a serial forward phase where 64 wide cost them 11%. A
 // constant, not a knob.
 const forwardFanout = 16
-
-// parallelFor runs fn(0..n-1) on up to workers goroutines. Iterations are
-// handed out by an atomic cursor, so callers only need fn(i) and fn(j) to
-// touch disjoint state. workers ≤ 1 degenerates to a plain loop.
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}

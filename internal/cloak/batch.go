@@ -1,10 +1,8 @@
 package cloak
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/geo"
+	"repro/internal/par"
 	"repro/internal/privacy"
 	"repro/internal/pyramid"
 )
@@ -83,27 +81,10 @@ func (b *BatchQuadtree) CloakAllParallel(reqs []Request, workers int) (results [
 		keyOf[i] = j
 	}
 	shared := make([]Result, len(firsts))
-	if workers > len(firsts) {
-		workers = len(firsts)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			q := &Quadtree{Pyr: b.Pyr}
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(shared) {
-					return
-				}
-				r := firsts[j]
-				shared[j] = q.Cloak(r.ID, r.Loc, r.Req)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(firsts), workers, func(_, j int) {
+		q, r := Quadtree{Pyr: b.Pyr}, firsts[j]
+		shared[j] = q.Cloak(r.ID, r.Loc, r.Req)
+	})
 	for i := range reqs {
 		results[i] = shared[keyOf[i]]
 	}

@@ -106,12 +106,17 @@ type Rule struct {
 }
 
 // tracker recovers frame boundaries from a byte stream carrying
-// [u32 length][length bytes] frames.
+// [u32 length][type][payload] frames. With record set it also keeps each
+// frame's type byte, in order; a Recorder sets it, a Conn does not, so a
+// long-lived faulty link keeps no history.
 type tracker struct {
 	hdr       [4]byte
 	hdrN      int
-	remaining int // body bytes left in the current frame
-	frames    int // frames whose first byte has been seen
+	remaining int  // body bytes left in the current frame
+	frames    int  // frames whose first byte has been seen
+	wantType  bool // the next body byte is the frame's type byte
+	record    bool
+	types     []byte
 }
 
 // current returns the 1-based index of the frame the next byte belongs to.
@@ -136,8 +141,13 @@ func (t *tracker) feed(p []byte) {
 				t.remaining = int(uint32(t.hdr[0]) | uint32(t.hdr[1])<<8 |
 					uint32(t.hdr[2])<<16 | uint32(t.hdr[3])<<24)
 				t.hdrN = 0
+				t.wantType = t.record
 			}
 			continue
+		}
+		if t.wantType {
+			t.types = append(t.types, p[0])
+			t.wantType = false
 		}
 		k := t.remaining
 		if k > len(p) {

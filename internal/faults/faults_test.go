@@ -44,7 +44,7 @@ func frame(payload []byte) []byte {
 }
 
 func TestTrackerCountsFrames(t *testing.T) {
-	var tr tracker
+	tr := tracker{record: true}
 	if got := tr.current(); got != 1 {
 		t.Fatalf("fresh tracker current = %d, want 1", got)
 	}
@@ -64,6 +64,9 @@ func TestTrackerCountsFrames(t *testing.T) {
 	}
 	if got := tr.current(); got != 3 {
 		t.Fatalf("after two frames current = %d, want 3", got)
+	}
+	if got := string(tr.types); got != "hx" {
+		t.Fatalf("recorded types %q, want %q", got, "hx")
 	}
 }
 

@@ -16,11 +16,13 @@ type Recorder struct {
 	net.Conn
 
 	mu     sync.Mutex
-	rd, wr typeTracker
+	rd, wr tracker
 }
 
 // Record wraps conn.
-func Record(conn net.Conn) *Recorder { return &Recorder{Conn: conn} }
+func Record(conn net.Conn) *Recorder {
+	return &Recorder{Conn: conn, rd: tracker{record: true}, wr: tracker{record: true}}
+}
 
 // Read implements net.Conn.
 func (r *Recorder) Read(p []byte) (int, error) {
@@ -52,41 +54,4 @@ func (r *Recorder) Writes() []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]byte(nil), r.wr.types...)
-}
-
-// typeTracker walks a [u32 length][type][payload] stream and collects the
-// type byte of each frame.
-type typeTracker struct {
-	hdr       [4]byte
-	hdrN      int
-	remaining int  // body bytes left in the current frame
-	wantType  bool // the next body byte is the frame's type byte
-	types     []byte
-}
-
-func (t *typeTracker) feed(p []byte) {
-	for len(p) > 0 {
-		if t.remaining == 0 {
-			k := copy(t.hdr[t.hdrN:], p)
-			t.hdrN += k
-			p = p[k:]
-			if t.hdrN == 4 {
-				t.remaining = int(uint32(t.hdr[0]) | uint32(t.hdr[1])<<8 |
-					uint32(t.hdr[2])<<16 | uint32(t.hdr[3])<<24)
-				t.hdrN = 0
-				t.wantType = true
-			}
-			continue
-		}
-		if t.wantType {
-			t.types = append(t.types, p[0])
-			t.wantType = false
-		}
-		k := t.remaining
-		if k > len(p) {
-			k = len(p)
-		}
-		t.remaining -= k
-		p = p[k:]
-	}
 }

@@ -42,8 +42,14 @@ type dialConfig struct {
 	tracer           *trace.Tracer
 }
 
+// DefaultCallTimeout bounds every call of a client dialed without
+// WithCallTimeout, and the dial itself: a wedged peer fails the call
+// instead of holding it forever.
+const DefaultCallTimeout = 30 * time.Second
+
 func defaultDialConfig() dialConfig {
 	return dialConfig{
+		callTimeout:      DefaultCallTimeout,
 		retries:          2,
 		backoffBase:      20 * time.Millisecond,
 		backoffMax:       1 * time.Second,
@@ -56,10 +62,15 @@ func defaultDialConfig() dialConfig {
 // DialOption configures a Client.
 type DialOption func(*dialConfig)
 
-// WithCallTimeout bounds every request round trip (write + read). Zero
-// means no deadline. A context deadline on CallCtx tightens it further.
+// WithCallTimeout bounds every request round trip (write + read) and
+// every dial. d ≤ 0 keeps DefaultCallTimeout: no client is without a
+// deadline. A context deadline on CallCtx tightens it further.
 func WithCallTimeout(d time.Duration) DialOption {
-	return func(c *dialConfig) { c.callTimeout = d }
+	return func(c *dialConfig) {
+		if d > 0 {
+			c.callTimeout = d
+		}
+	}
 }
 
 // WithRetries sets how many times an idempotent call is retried after a
@@ -107,10 +118,9 @@ func WithClientMetrics(reg *obs.Registry) DialOption {
 // WithClientTracing enables distributed tracing on the client: a trace is
 // adopted from the call context (or minted here, at the edge, subject to
 // the tracer's sampling rate), call/retry/backoff spans are recorded in
-// the tracer's ring, and — once the peer answers the tracing negotiation
-// probe — requests are wrapped in the MsgTraced envelope so the trace
-// continues across the wire. Peers that never negotiated are spoken to
-// in the plain protocol, unchanged.
+// the tracer's ring, and every request whose span is recording goes out
+// wrapped in the MsgTraced envelope, so the trace continues across the
+// wire. Every Service unwraps the envelope, traced or not.
 func WithClientTracing(t *trace.Tracer) DialOption {
 	return func(c *dialConfig) { c.tracer = t }
 }
@@ -185,9 +195,8 @@ type Client struct {
 // inside a read of br (reading) at any time, and successive holders are
 // ordered by the lock the flags change under.
 type clientConn struct {
-	conn    net.Conn
-	br      *bufio.Reader
-	traceOK bool // the peer negotiated tracing
+	conn net.Conn
+	br   *bufio.Reader
 
 	head, tail *call     // calls awaiting replies, oldest first
 	wbuf       []byte    // frames enqueued and not yet taken by a flusher
@@ -202,7 +211,7 @@ type clientConn struct {
 // together with their wake channel, so a call in flight allocates nothing.
 type call struct {
 	next     *call
-	deadline time.Time // zero = none
+	deadline time.Time
 	// wake (capacity 1) tells a parked caller to look again: its reply
 	// arrived, its connection was dropped, or the read role is free. The
 	// state under Client.mu is the truth; a spare token is harmless.
@@ -264,11 +273,7 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 func (c *Client) connectLocked() (*clientConn, error) {
 	dial := c.cfg.dial
 	if dial == nil {
-		timeout := c.cfg.callTimeout
-		if timeout <= 0 {
-			timeout = 5 * time.Second
-		}
-		dial = func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, timeout) }
+		dial = func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, c.cfg.callTimeout) }
 	}
 	conn, err := dial(c.addr)
 	if err != nil {
@@ -279,37 +284,8 @@ func (c *Client) connectLocked() (*clientConn, error) {
 		c.met.reconnects.Inc()
 	}
 	c.connected = true
-	if c.cfg.tracer != nil {
-		if err := c.negotiateTrace(cn); err != nil {
-			conn.Close()
-			return nil, err
-		}
-	}
 	c.cn = cn
 	return cn, nil
-}
-
-// negotiateTrace probes the fresh connection with MsgTraceNeg. A
-// trace-aware peer answers OK and subsequent requests are wrapped in the
-// MsgTraced envelope; a legacy peer answers its usual unknown-type error
-// frame — a clean, stream-synchronized "no" — and the connection keeps
-// speaking the plain protocol. Only a transport failure is an error.
-func (c *Client) negotiateTrace(cn *clientConn) error {
-	timeout := c.cfg.callTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	cn.conn.SetDeadline(time.Now().Add(timeout))
-	defer cn.conn.SetDeadline(time.Time{})
-	if err := WriteFrame(cn.conn, MsgTraceNeg, nil); err != nil {
-		return c.classify(err)
-	}
-	rtyp, _, err := ReadFrame(cn.br)
-	if err != nil {
-		return c.classify(err)
-	}
-	cn.traceOK = rtyp == msgOK
-	return nil
 }
 
 // dropLocked takes cn out of service — its stream state is unknown or
@@ -412,7 +388,8 @@ func (c *Client) sleepBackoff(ctx context.Context, n int) error {
 // ErrRemote wraps an error string returned by the peer.
 var ErrRemote = errors.New("protocol: remote error")
 
-// Call sends one request and waits for its response payload.
+// Call sends one request and waits for its response payload, at most the
+// client's call timeout.
 func (c *Client) Call(typ byte, payload []byte) ([]byte, error) {
 	return c.CallCtx(context.Background(), typ, payload)
 }
@@ -438,8 +415,8 @@ func (c *Client) exchange(ctx context.Context, typ byte, payload []byte) Decoder
 func (c *Client) CallCtx(ctx context.Context, typ byte, payload []byte) ([]byte, error) {
 	// Tracing: adopt the caller's trace from ctx, or — this being the edge
 	// — mint a fresh root here, subject to the tracer's sampling rate. The
-	// tracing control messages themselves are never traced.
-	if c.cfg.tracer != nil && typ != MsgTraces && typ != MsgTraceNeg {
+	// span-ring pull itself is never traced.
+	if c.cfg.tracer != nil && typ != MsgTraces {
 		if _, ok := trace.FromContext(ctx); !ok {
 			root := c.cfg.tracer.StartRoot("proto_request")
 			if root.Recording() {
@@ -485,9 +462,9 @@ func (c *Client) CallCtx(ctx context.Context, typ byte, payload []byte) ([]byte,
 }
 
 // callOnce performs one request/response exchange on the current
-// connection, establishing it first if needed. When the call is traced
-// and the peer negotiated tracing, the frame goes out wrapped in the
-// MsgTraced envelope with this attempt's span as the remote parent.
+// connection, establishing it first if needed. When the call is traced,
+// the frame goes out wrapped in the MsgTraced envelope with this
+// attempt's span as the remote parent.
 //
 // The call record is pooled, so on the success path the reply payload
 // (ReadFrame) is a call's only allocation.
@@ -497,11 +474,9 @@ func (c *Client) callOnce(ctx context.Context, typ byte, payload []byte, attempt
 		sp.SetAttrs(trace.Str("type", MessageName(typ)), trace.Int("attempt", int64(attempt)))
 		defer sp.End()
 	}
-	deadline, _ := ctx.Deadline() // zero = none
-	if c.cfg.callTimeout > 0 {
-		if d := time.Now().Add(c.cfg.callTimeout); deadline.IsZero() || d.Before(deadline) {
-			deadline = d
-		}
+	deadline := time.Now().Add(c.cfg.callTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
 	}
 
 	c.mu.Lock()
@@ -519,7 +494,7 @@ func (c *Client) callOnce(ctx context.Context, typ byte, payload []byte, attempt
 		}
 	}
 	wireTyp, wirePayload := typ, payload
-	if sp.Recording() && cn.traceOK && typ != MsgTraces && typ != MsgTraceNeg {
+	if sp.Recording() && typ != MsgTraces {
 		wireTyp, wirePayload = MsgTraced, encodeTraced(sp.Context(), typ, payload)
 	}
 	if len(wirePayload)+1 > maxFrame {
@@ -536,7 +511,7 @@ func (c *Client) callOnce(ctx context.Context, typ byte, payload []byte, attempt
 		c.armLocked(cn, me.deadline)
 	} else {
 		cn.tail.next = me
-		if !me.deadline.IsZero() && (cn.deadline.IsZero() || me.deadline.Before(cn.deadline)) {
+		if me.deadline.Before(cn.deadline) {
 			c.armLocked(cn, me.deadline)
 		}
 	}
@@ -639,9 +614,9 @@ func (c *Client) readLocked(cn *clientConn, me *call) {
 			return
 		}
 		if !buffered {
-			var earliest time.Time
-			for h := cn.head; h != nil; h = h.next {
-				if !h.deadline.IsZero() && (earliest.IsZero() || h.deadline.Before(earliest)) {
+			earliest := cn.head.deadline
+			for h := cn.head.next; h != nil; h = h.next {
+				if h.deadline.Before(earliest) {
 					earliest = h.deadline
 				}
 			}

@@ -260,6 +260,57 @@ func TestCallTimeoutBoundsStalledHandler(t *testing.T) {
 	}
 }
 
+// deadlineConn records every deadline set on the connection it wraps.
+type deadlineConn struct {
+	net.Conn
+	set chan time.Time
+}
+
+func (c *deadlineConn) SetDeadline(d time.Time) error {
+	select {
+	case c.set <- d:
+	default:
+	}
+	return c.Conn.SetDeadline(d)
+}
+
+// A client dialed without WithCallTimeout, or with a zero one, still
+// bounds its calls: the first call arms DefaultCallTimeout on the
+// connection.
+func TestCallDeadlineByDefault(t *testing.T) {
+	svc := startEcho(t)
+	for name, opts := range map[string][]DialOption{
+		"no option": nil,
+		"zero":      {WithCallTimeout(0)},
+		"negative":  {WithCallTimeout(-time.Second)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			set := make(chan time.Time, 1)
+			dial := func(addr string) (net.Conn, error) {
+				conn, err := net.Dial("tcp", addr)
+				return &deadlineConn{Conn: conn, set: set}, err
+			}
+			c, err := Dial(svc.Addr(), append(opts, WithDialer(dial))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			want := time.Now().Add(DefaultCallTimeout)
+			if _, err := c.Call(1, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case got := <-set:
+				if d := got.Sub(want); d < -time.Second || d > time.Second {
+					t.Fatalf("first call armed %v, want within 1s of now+%v (off by %v)", got, DefaultCallTimeout, d)
+				}
+			default:
+				t.Fatal("the first call armed no deadline")
+			}
+		})
+	}
+}
+
 // A context deadline tighter than the call timeout wins.
 func TestCallCtxRespectsContext(t *testing.T) {
 	svc, err := Serve("127.0.0.1:0", func(_ context.Context, typ byte, p []byte) ([]byte, error) {

@@ -392,3 +392,18 @@ func TestForgedCountsNeverSizeAnAllocation(t *testing.T) {
 		}
 	}
 }
+
+// FuzzCodecCases fuzzes every body codec from the commit that adds its
+// case: the seeds are the codecCases encodings, each tagged by its case
+// index, and every input runs through that case's decoder, which must not
+// panic or hang whatever the bytes.
+func FuzzCodecCases(f *testing.F) {
+	cases := codecCases(gen{rng.New(1)})
+	for i, c := range cases {
+		f.Add(uint16(i), body(c.enc))
+	}
+	f.Fuzz(func(t *testing.T, idx uint16, data []byte) {
+		c := cases[int(idx)%len(cases)]
+		c.dec(NewDecoder(data))
+	})
+}

@@ -191,7 +191,7 @@ func (h *dbHandler) handle(ctx context.Context, typ byte, payload []byte) ([]byt
 		if q.Samples > maxSamples {
 			q.Samples = maxSamples
 		}
-		res, err := h.srv.PublicNN(q)
+		res, err := h.srv.PublicNNCtx(ctx, q)
 		if err != nil {
 			return nil, err
 		}

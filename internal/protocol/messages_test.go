@@ -127,7 +127,6 @@ func TestMessageMetadataGolden(t *testing.T) {
 		30: {"metrics", true, admitAlways},
 		31: {"traced", false, admitUpdate},
 		32: {"traces", true, admitAlways},
-		33: {"trace_neg", true, admitAlways},
 		34: {"overloaded", false, admitUpdate},
 		35: {"remove_moving", true, admitUpdate},
 		36: {"nn_parts", true, admitQuery},

@@ -142,12 +142,11 @@ func WithMetrics(reg *obs.Registry) Option {
 	}
 }
 
-// WithTracing makes the service trace-aware: it answers the MsgTraceNeg
-// negotiation probe, serves MsgTraces with a snapshot of the span ring,
-// unwraps MsgTraced envelopes (dispatching the inner frame with the span
-// context installed in the request context), and records a proto_serve
-// span around every traced dispatch. A nil tracer leaves the service
-// un-traced, indistinguishable from an old binary.
+// WithTracing makes the service trace-aware: it serves MsgTraces with a
+// snapshot of the span ring, installs the span context of each MsgTraced
+// envelope in the request context, and records a proto_serve span around
+// every traced dispatch. A service without a tracer still unwraps the
+// envelope and answers the inner frame, untraced.
 func WithTracing(t *trace.Tracer) Option {
 	return func(s *Service) { s.tracer = t }
 }
@@ -378,34 +377,30 @@ func (s *Service) serveFrame(bw *bufio.Writer, typ byte, payload []byte) error {
 }
 
 // dispatch answers one request frame: the Service-layer message types
-// (metrics snapshot, trace negotiation, trace ring pull) directly, and
-// everything else through the handler. A MsgTraced envelope is unwrapped
-// here — the inner frame is dispatched with the caller's span context in
-// the request context and a proto_serve span around the exchange — and
-// obsTyp names the frame the per-type metrics should attribute the work
-// to (the inner type for envelopes).
+// (metrics snapshot, trace ring pull) directly, and everything else
+// through the handler. A MsgTraced envelope is unwrapped here — on a
+// traced service the inner frame is dispatched with the caller's span
+// context in the request context and a proto_serve span around the
+// exchange — and obsTyp names the frame the per-type metrics should
+// attribute the work to (the inner type for envelopes).
 func (s *Service) dispatch(typ byte, payload []byte) (resp []byte, obsTyp byte, traceID uint64, err error) {
 	ctx := context.Background()
 	obsTyp = typ
-	if s.tracer != nil {
-		switch typ {
-		case MsgTraceNeg:
-			return []byte{traceNegVersion}, obsTyp, 0, nil
-		case MsgTraces:
-			return encodeSpans(s.tracer.Snapshot()), obsTyp, 0, nil
-		case MsgTraced:
-			sc, innerTyp, inner, derr := decodeTraced(payload)
-			if derr != nil {
-				return nil, obsTyp, 0, derr
-			}
-			obsTyp, payload = innerTyp, inner
-			if sc.Sampled() {
-				traceID = sc.TraceID
-				sp := s.tracer.StartSpan(sc, "proto_serve")
-				sp.SetAttrs(trace.Str("type", MessageName(innerTyp)))
-				defer sp.End()
-				ctx = trace.NewContext(ctx, sp.Context())
-			}
+	switch {
+	case typ == MsgTraces && s.tracer != nil:
+		return encodeSpans(s.tracer.Snapshot()), obsTyp, 0, nil
+	case typ == MsgTraced:
+		sc, innerTyp, inner, derr := decodeTraced(payload)
+		if derr != nil {
+			return nil, obsTyp, 0, derr
+		}
+		obsTyp, payload = innerTyp, inner
+		if sc.Sampled() && s.tracer != nil {
+			traceID = sc.TraceID
+			sp := s.tracer.StartSpan(sc, "proto_serve")
+			sp.SetAttrs(trace.Str("type", MessageName(innerTyp)))
+			defer sp.End()
+			ctx = trace.NewContext(ctx, sp.Context())
 		}
 	}
 	if obsTyp == MsgMetrics && s.met != nil {

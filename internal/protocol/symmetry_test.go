@@ -452,10 +452,6 @@ var roundTrips = map[byte]func(t *testing.T, l *loop, g gen){
 			}
 		}
 	},
-	MsgTraceNeg: func(t *testing.T, l *loop, g gen) {
-		resp, err := l.raw.Call(MsgTraceNeg, nil)
-		same(t, "trace negotiation", resp, err, []byte{traceNegVersion}, nil)
-	},
 	MsgTraced: tracedRoundTrip,
 	MsgTraces: func(t *testing.T, l *loop, g gen) {
 		tracedRoundTrip(t, l, g) // something to pull

@@ -6,9 +6,6 @@ import (
 	"repro/internal/trace"
 )
 
-// traceNegVersion is the envelope version answered to MsgTraceNeg probes.
-const traceNegVersion byte = 1
-
 // tracedHeaderLen is the fixed prefix of a MsgTraced payload:
 // [u64 traceID][u64 parentSpanID][u8 flags][u8 innerType].
 const tracedHeaderLen = 8 + 8 + 1 + 1

@@ -234,58 +234,49 @@ func TestTracedQueryAcrossThreeTiers(t *testing.T) {
 	}
 }
 
-// A traced client against a service built without WithTracing: the
-// negotiation probe fails, the client falls back to plain frames, and
-// every call still works. The reverse — an un-traced client against a
-// traced service — is the common case exercised by every other test in
-// this package once the service gains WithTracing, but assert it
-// explicitly here too.
-func TestTraceNegotiationInterop(t *testing.T) {
-	// Un-traced service, traced client. A legacy handler answers unknown
-	// message types (including the negotiation probe) with an error frame,
-	// which is what tells the client to stay on plain frames.
-	plain, err := Serve("127.0.0.1:0", func(_ context.Context, typ byte, p []byte) ([]byte, error) {
-		if typ != 1 {
-			return nil, errors.New("unknown message type")
-		}
-		return p, nil
-	}, quiet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	tr := trace.New(trace.Config{Process: "client", Sample: 1})
-	c, err := Dial(plain.Addr(), WithClientTracing(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if resp, err := c.Call(1, []byte("ok")); err != nil || string(resp) != "ok" {
-		t.Fatalf("traced client against plain service: %q, %v", resp, err)
-	}
-	// The ring pull is a remote error on a peer without tracing.
-	if _, err := c.Traces(); !errors.Is(err, ErrRemote) {
-		t.Fatalf("Traces() on plain service = %v, want remote error", err)
-	}
-
-	// Traced service, un-traced client.
+// A service built without WithTracing still unwraps the MsgTraced
+// envelope: the wrapped request is answered byte-identically to the plain
+// one, so a traced client needs no negotiation with its peer.
+func TestUntracedServiceUnwrapsEnvelope(t *testing.T) {
 	srv, err := server.New(server.Config{World: world})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := ServeDatabase("127.0.0.1:0", srv, quiet,
-		WithTracing(trace.New(trace.Config{Process: "lbsd"})))
+	svc, err := ServeDatabase("127.0.0.1:0", srv, quiet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer traced.Close()
-	dc, err := DialDatabase(traced.Addr())
+	defer svc.Close()
+	c, err := Dial(svc.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dc.Close()
-	if _, _, err := dc.Stats(); err != nil {
-		t.Fatalf("plain client against traced service: %v", err)
+	defer c.Close()
+	sc := trace.SpanContext{TraceID: 7, SpanID: 5, Flags: trace.FlagSampled}
+	got, err := c.Call(MsgTraced, encodeTraced(sc, MsgStats, nil))
+	if err != nil {
+		t.Fatalf("enveloped stats on an untraced service: %v", err)
+	}
+	want, err := c.Call(MsgStats, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("enveloped stats = %x, plain = %x", got, want)
+	}
+
+	// A traced client wraps every sampled call; the same service answers.
+	tc, err := DialDatabase(svc.Addr(), WithClientTracing(trace.New(trace.Config{Process: "client", Sample: 1})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	if _, _, err := tc.Stats(); err != nil {
+		t.Fatalf("traced client against an untraced service: %v", err)
+	}
+	// The ring pull stays a remote error on a peer without tracing.
+	if _, err := tc.Traces(); !errors.Is(err, ErrRemote) {
+		t.Fatalf("Traces() on an untraced service = %v, want remote error", err)
 	}
 }
 

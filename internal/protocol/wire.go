@@ -70,18 +70,14 @@ const (
 
 	// MsgTraced is the distributed-tracing envelope: a span context
 	// (trace id, parent span id, flags) followed by the inner request
-	// frame verbatim. Clients emit it only after the peer answered the
-	// MsgTraceNeg negotiation probe, so un-traced binaries interoperate
-	// unchanged; the Service layer unwraps it and dispatches the inner
-	// frame with the span context installed in the request context.
+	// frame verbatim. A client wraps every request whose span is
+	// recording; every Service unwraps it and dispatches the inner frame,
+	// with the span context installed in the request context when the
+	// service is traced.
 	MsgTraced byte = 31
 	// MsgTraces pulls the service's span ring buffer (served by the
 	// Service layer when tracing is configured, like MsgMetrics).
 	MsgTraces byte = 32
-	// MsgTraceNeg is the tracing negotiation probe: a traced peer answers
-	// OK with a version byte, everything else answers with the usual
-	// unknown-type error, which the client reads as "do not wrap".
-	MsgTraceNeg byte = 33
 
 	// MsgOverloaded is the admission-control rejection response: the
 	// service refused to start the request because its in-flight budget
@@ -120,7 +116,7 @@ const (
 const (
 	admitUpdate = iota // writes that keep privacy state fresh: shed only at the hard cap
 	admitQuery         // reads: shed first, callers can retry
-	admitAlways        // observability + negotiation: must survive overload
+	admitAlways        // observability: must survive overload
 )
 
 // message is one row of the messages table: what the transport needs to
@@ -174,7 +170,6 @@ var messages = [256]message{
 	MsgMetrics:    {label: "metrics", idempotent: true, class: admitAlways},
 	MsgTraced:     {label: "traced"},
 	MsgTraces:     {label: "traces", idempotent: true, class: admitAlways},
-	MsgTraceNeg:   {label: "trace_neg", idempotent: true, class: admitAlways},
 	MsgOverloaded: {label: "overloaded", response: true},
 
 	MsgRemoveMoving: {label: "remove_moving", idempotent: true},

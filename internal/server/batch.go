@@ -7,11 +7,10 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/geo"
 	"repro/internal/grid"
+	"repro/internal/par"
 	"repro/internal/prob"
 	"repro/internal/regidx"
 	"repro/internal/rtree"
@@ -328,7 +327,7 @@ func (s *Server) BatchQueryCtx(ctx context.Context, entries []BatchEntry) BatchR
 	// synchronization to the fan-out.
 	dsp, dctx := trace.Start(ctx, s.tracer, "lbs_batch_descent")
 	s.mu.RLock()
-	parallelForWorkers(len(units), workers, func(w, ui int) {
+	par.For(len(units), workers, func(w, ui int) {
 		u := units[ui]
 		sc := &c.scratches[w]
 		usp, _ := trace.Start(dctx, s.tracer, "lbs_batch_unit")
@@ -744,38 +743,4 @@ func (gs *groupScratch) groupShared(idx []int, rect func(i int) geo.Rect) []shar
 	}
 	gs.groups, gs.maxAreas, gs.gid, gs.offs = groups, maxAreas, gid, offs
 	return groups
-}
-
-// parallelForWorkers runs fn(w, 0..n-1) on up to workers goroutines;
-// iterations are handed out by an atomic cursor, so callers only need
-// fn(·, i) and fn(·, j) to touch disjoint state. The worker id lets a
-// caller hand each worker exclusive scratch state: fn(w, i) and fn(w, j)
-// for the same w never run concurrently. workers ≤ 1 degenerates to a
-// plain loop.
-func parallelForWorkers(n, workers int, fn func(worker, i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -219,10 +220,11 @@ func TestBatchQueryMetrics(t *testing.T) {
 	}
 }
 
+// The pool the batch engine fans out on runs every unit exactly once.
 func TestParallelForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
 		hits := make([]int32, 100)
-		parallelForWorkers(len(hits), workers, func(_, i int) { hits[i]++ })
+		par.For(len(hits), workers, func(_, i int) { hits[i]++ })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d executed %d times", workers, i, h)

@@ -54,12 +54,12 @@ type metrics struct {
 	moving       *obs.Gauge
 	contQueries  *obs.Gauge
 
-	// Per-query-class latency (lbs_query_seconds{class}): the single-query
-	// adapters' spans feed their class histogram; PublicNN has no span.
+	// Per-query-class latency (lbs_query_seconds{class}): each single
+	// query's span feeds its class histogram.
 	privateRange trace.Stage
 	privateNN    trace.Stage
 	publicCount  trace.Stage
-	latPublicNN  *obs.Histogram
+	publicNN     trace.Stage
 
 	// Query-shape distributions.
 	candidates   *obs.Histogram // private-NN candidate set size
@@ -107,7 +107,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		privateRange: trace.NewStage("lbs_private_range", lat("private_range")),
 		privateNN:    trace.NewStage("lbs_private_nn", lat("private_nn")),
 		publicCount:  trace.NewStage("lbs_public_count", lat("public_count")),
-		latPublicNN:  lat("public_nn"),
+		publicNN:     trace.NewStage("lbs_public_nn", lat("public_nn")),
 
 		candidates: reg.Histogram("lbs_private_nn_candidates",
 			"Private-NN candidate set size after the exact Voronoi decision.",

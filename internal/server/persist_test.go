@@ -6,11 +6,45 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/geo"
 	"repro/internal/rng"
 )
+
+// A class must survive the snapshot's u16 length prefix: the longest one
+// that fits round-trips and still matches its query, and a longer one is
+// refused at admission instead of being cut on the way out.
+func TestClassLengthSurvivesSnapshot(t *testing.T) {
+	s := newServer(t)
+	long := PublicObject{ID: 1, Loc: geo.Pt(0.5, 0.5), Class: strings.Repeat("c", 70000)}
+	if err := s.LoadStationary([]PublicObject{long}); err == nil {
+		t.Fatal("LoadStationary accepted a 70000-byte class")
+	}
+	if err := s.AddStationary(long); err == nil {
+		t.Fatal("AddStationary accepted a 70000-byte class")
+	}
+	fits := PublicObject{ID: 2, Loc: geo.Pt(0.5, 0.5), Class: strings.Repeat("c", 0xffff)}
+	if err := s.AddStationary(fits); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored := newServer(t)
+	if err := restored.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	q := PrivateRangeQuery{Region: world, Class: fits.Class}
+	for name, srv := range map[string]*Server{"before": s, "after": restored} {
+		got, err := srv.PrivateRange(q)
+		if err != nil || len(got) != 1 || got[0].ID != fits.ID {
+			t.Fatalf("%s the round trip: PrivateRange = %v, %v; want object %d", name, got, err, fits.ID)
+		}
+	}
+}
 
 // buildLoadedServer populates a server with all kinds of state.
 func buildLoadedServer(t *testing.T) *Server {

@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"time"
 
 	"repro/internal/geo"
 	"repro/internal/prob"
@@ -173,6 +172,11 @@ type PublicNNResult struct {
 // for the survivors are estimated by seeded Monte Carlo under the uniform-
 // position assumption.
 func (s *Server) PublicNN(q PublicNNQuery) (PublicNNResult, error) {
+	return s.PublicNNCtx(context.Background(), q)
+}
+
+// PublicNNCtx is PublicNN under a context (trace).
+func (s *Server) PublicNNCtx(ctx context.Context, q PublicNNQuery) (PublicNNResult, error) {
 	if !q.From.Valid() {
 		return PublicNNResult{}, fmt.Errorf("server: invalid query point %v", q.From)
 	}
@@ -180,7 +184,8 @@ func (s *Server) PublicNN(q PublicNNQuery) (PublicNNResult, error) {
 		return PublicNNResult{}, fmt.Errorf("server: query point %v outside world", q.From)
 	}
 	s.met.publicNNQs.Inc()
-	defer s.met.latPublicNN.Since(time.Now())
+	sp, _ := s.met.publicNN.Start(ctx, s.tracer)
+	defer sp.End()
 	records := s.privateSnapshot()
 	if len(records) == 0 {
 		return PublicNNResult{CandidateRegions: map[uint64]geo.Rect{}}, nil

@@ -397,14 +397,16 @@ func TestQueryAccounting(t *testing.T) {
 	rq := PrivateRangeQuery{Region: geo.R(0.1, 0.1, 0.3, 0.3), Radius: 0.05}
 	nq := PrivateNNQuery{Region: geo.R(0.6, 0.6, 0.7, 0.7)}
 	cq := PublicRangeCountQuery{Query: geo.R(0.2, 0.2, 0.5, 0.5)}
+	pq := PublicNNQuery{From: geo.Pt(0.4, 0.4), Samples: 100}
+	classes := []string{"range", "nn", "count", "public_nn"}
 	observed := func(class string) uint64 {
-		label := map[string]string{"range": "private_range", "nn": "private_nn", "count": "public_count"}[class]
+		label := map[string]string{"range": "private_range", "nn": "private_nn", "count": "public_count", "public_nn": "public_nn"}[class]
 		m, _ := s.Registry().Find("lbs_query_seconds", obs.L("class", label))
 		return m.Hist.Count()
 	}
 	served := func(class string) uint64 {
 		m := s.Metrics()
-		return map[string]uint64{"range": m.PrivateRangeQs, "nn": m.PrivateNNQs, "count": m.PublicCountQs}[class]
+		return map[string]uint64{"range": m.PrivateRangeQs, "nn": m.PrivateNNQs, "count": m.PublicCountQs, "public_nn": m.PublicNNQs}[class]
 	}
 	countUsers := func() uint64 { return s.met.countUsers.Snapshot().Count() }
 	cases := []struct {
@@ -418,13 +420,14 @@ func TestQueryAccounting(t *testing.T) {
 		{"PublicRangeCount", "count", 1, func() { s.PublicRangeCount(cq) }},
 		{"PublicCountProbs", "count", 1, func() { s.PublicCountProbs(cq) }},
 		{"PrivateCount", "count", 1, func() { s.PrivateCount(PrivateCountQuery{Region: cq.Query}) }},
+		{"PublicNN", "public_nn", 1, func() { s.PublicNN(pq) }},
 		{"batch range entry", "range", 0, func() { s.BatchQuery([]BatchEntry{{Kind: BatchPrivateRange, Range: rq}}) }},
 		{"batch NN entry", "nn", 0, func() { s.BatchQuery([]BatchEntry{{Kind: BatchPrivateNN, NN: nq}}) }},
 		{"batch count entry", "count", 0, func() { s.BatchQuery([]BatchEntry{{Kind: BatchPublicCount, Count: cq}}) }},
 	}
 	for _, tc := range cases {
-		before := [3][2]uint64{}
-		for k, class := range []string{"range", "nn", "count"} {
+		before := make([][2]uint64, len(classes))
+		for k, class := range classes {
 			before[k] = [2]uint64{served(class), observed(class)}
 		}
 		usersBefore := countUsers()
@@ -438,7 +441,7 @@ func TestQueryAccounting(t *testing.T) {
 		if d := countUsers() - usersBefore; d != wantUsers {
 			t.Errorf("%s: lbs_public_count_users observed %d times, want %d", tc.name, d, wantUsers)
 		}
-		for k, class := range []string{"range", "nn", "count"} {
+		for k, class := range classes {
 			wantServed, wantTimed := uint64(0), uint64(0)
 			if class == tc.class {
 				wantServed, wantTimed = 1, tc.timed

@@ -173,9 +173,26 @@ func (s *Server) World() geo.Rect { return s.world }
 
 // --- Public data management ---
 
+// maxClassLen is the longest class a stationary object may carry: the
+// wire and the snapshot both prefix a string with a u16 length.
+const maxClassLen = 0xffff
+
+// checkStationary is the admission check of one stationary object, apart
+// from its id being new.
+func checkStationary(world geo.Rect, o PublicObject) error {
+	if !world.Contains(o.Loc) {
+		return fmt.Errorf("server: object %d at %v outside world", o.ID, o.Loc)
+	}
+	if len(o.Class) > maxClassLen {
+		return fmt.Errorf("server: object %d class of %d bytes exceeds %d", o.ID, len(o.Class), maxClassLen)
+	}
+	return nil
+}
+
 // ValidateStationary runs the admission checks LoadStationary applies, in
-// input order, without touching any state: duplicate ids and out-of-world
-// locations are rejected with the first offending object. The routing
+// input order, without touching any state: duplicate ids, out-of-world
+// locations and over-long classes are rejected with the first offending
+// object. The routing
 // tier calls this before partitioning a bulk load across shards, so a bad
 // batch fails with exactly the error a single server would report and no
 // shard receives a partial load.
@@ -185,8 +202,8 @@ func ValidateStationary(world geo.Rect, objs []PublicObject) error {
 		if _, dup := seen[o.ID]; dup {
 			return fmt.Errorf("server: duplicate stationary object id %d", o.ID)
 		}
-		if !world.Contains(o.Loc) {
-			return fmt.Errorf("server: object %d at %v outside world", o.ID, o.Loc)
+		if err := checkStationary(world, o); err != nil {
+			return err
 		}
 		seen[o.ID] = struct{}{}
 	}
@@ -210,8 +227,8 @@ func (s *Server) LoadStationary(objs []PublicObject) error {
 
 // AddStationary inserts one stationary object.
 func (s *Server) AddStationary(o PublicObject) error {
-	if !s.world.Contains(o.Loc) {
-		return fmt.Errorf("server: object %d at %v outside world", o.ID, o.Loc)
+	if err := checkStationary(s.world, o); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
