@@ -10,21 +10,16 @@ build:
 test:
 	$(GO) test ./...
 
-# Static gates: formatting, vet, the lbsvet suite (standalone and as a
-# vet tool, so both drivers stay healthy), its fixture self-tests, and —
-# when installed, as CI always has them — staticcheck and govulncheck.
-# CI's lint job runs exactly this target.
+# Static gates: formatting, vet, the lbsvet suite over the whole program,
+# its fixture self-tests, and — when installed, as CI always has them —
+# staticcheck and govulncheck. CI's lint job runs exactly this target.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/lbsvet ./...
-	$(GO) build -o $(LBSVET) ./cmd/lbsvet
-	$(GO) vet -vettool=$(LBSVET) ./...
 	$(GO) test ./internal/lint/...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "lint: staticcheck not installed, skipping (CI runs it)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; else echo "lint: govulncheck not installed, skipping (CI runs it)"; fi
-
-LBSVET ?= /tmp/lbsvet
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): every
 # workload untraced then traced against the real three-tier stack, ~4 min.
@@ -71,10 +66,12 @@ LBSSOAK ?= /tmp/lbssoak
 # comes from the test binaries (`go test -list` prints a package's targets,
 # then its "ok <package>" line), so a new target in any package is smoked
 # without being named anywhere else; CI's fuzz step runs this target.
+# Minimizing a new input is capped at 100 runs: uncapped, a target with
+# large seeds spends the whole window shrinking them instead of mutating.
 fuzz-smoke:
 	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
 	pairs=$$(echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1; next } /^ok/ { for (i = 0; i < n; i++) print $$2 "=" t[i]; n = 0 }'); \
 	[ -n "$$pairs" ] || { echo "fuzz-smoke: no fuzz targets listed"; exit 1; }; \
 	for pair in $$pairs; do \
-		$(GO) test "$${pair%%=*}" -run='^$$' -fuzz="^$${pair#*=}\$$" -fuzztime=10s || exit 1; \
+		$(GO) test "$${pair%%=*}" -run='^$$' -fuzz="^$${pair#*=}\$$" -fuzztime=10s -fuzzminimizetime=100x || exit 1; \
 	done

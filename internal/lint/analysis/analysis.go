@@ -3,7 +3,7 @@
 // golang.org/x/tools/go/analysis — Analyzer, Pass, Diagnostic — so the
 // passes read like standard vet passes and can migrate to the upstream
 // framework wholesale if the module ever takes on the dependency. The
-// build environment is hermetic (no module proxy), so the subset the four
+// build environment is hermetic (no module proxy), so the subset the
 // lbsvet passes need is implemented here on the standard library alone.
 //
 // Differences from the upstream framework, all deliberate:
@@ -11,7 +11,7 @@
 //   - No Facts. The drivers in this repo load the whole module in one
 //     process, so cross-package state travels through Pass.Prog (the loaded
 //     program) and Prog.Cache instead of serialized facts.
-//   - No Requires/ResultOf dependency graph; the four passes are
+//   - No Requires/ResultOf dependency graph; the passes are
 //     independent.
 //   - Diagnostics carry only position, category and message.
 package analysis
@@ -49,10 +49,9 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Prog is the whole loaded program when the driver runs in
-	// whole-program mode (the lbsvet standalone driver and the fixture
-	// runner), nil in modular unit mode (go vet -vettool). Interprocedural
-	// passes must degrade gracefully — or refuse to run — without it.
+	// Prog is the whole loaded program. Both drivers, lbsvet and the
+	// fixture runner, always set it, so interprocedural passes may
+	// analyze it once and report per package.
 	Prog *loader.Program
 
 	// Report emits one diagnostic.

@@ -55,7 +55,7 @@ type result struct {
 // world is the per-run whole-program state.
 type world struct {
 	fset    *token.FileSet
-	pkgs    []*pkgUnit
+	pkgs    []*loader.Package
 	classes map[types.Object]lockClass // annotated mutex field -> class
 	// acquires maps each function to every lock class it may acquire,
 	// directly or through callees (goroutine bodies excluded).
@@ -64,47 +64,24 @@ type world struct {
 	diags    map[string][]analysis.Diagnostic
 }
 
-type pkgUnit struct {
-	path  string
-	files []*ast.File
-	info  *types.Info
-}
-
 type fnUnit struct {
-	pkg  *pkgUnit
+	pkg  *loader.Package
 	body *ast.BlockStmt
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	if pass.Prog != nil {
-		res, ok := pass.Prog.Cache[cacheKey{}].(*result)
-		if !ok {
-			res = analyze(pass.Fset, programUnits(pass.Prog))
-			pass.Prog.Cache[cacheKey{}] = res
-		}
-		for _, d := range res.byPkg[pass.Pkg.Path()] {
-			pass.Report(d)
-		}
-		return nil, nil
+	res, ok := pass.Prog.Cache[cacheKey{}].(*result)
+	if !ok {
+		res = analyze(pass.Fset, pass.Prog.Packages)
+		pass.Prog.Cache[cacheKey{}] = res
 	}
-	// Modular mode: single-package view. The repo's lock hierarchy lives in
-	// one package, so this loses only cross-package transitive acquires.
-	res := analyze(pass.Fset, []*pkgUnit{{path: pass.Pkg.Path(), files: pass.Files, info: pass.TypesInfo}})
 	for _, d := range res.byPkg[pass.Pkg.Path()] {
 		pass.Report(d)
 	}
 	return nil, nil
 }
 
-func programUnits(prog *loader.Program) []*pkgUnit {
-	var units []*pkgUnit
-	for _, p := range prog.Packages {
-		units = append(units, &pkgUnit{path: p.Types.Path(), files: p.Files, info: p.Info})
-	}
-	return units
-}
-
-func analyze(fset *token.FileSet, pkgs []*pkgUnit) *result {
+func analyze(fset *token.FileSet, pkgs []*loader.Package) *result {
 	w := &world{
 		fset:     fset,
 		pkgs:     pkgs,
@@ -124,8 +101,8 @@ func analyze(fset *token.FileSet, pkgs []*pkgUnit) *result {
 	return res
 }
 
-func (w *world) report(pkg *pkgUnit, pos token.Pos, format string, args ...interface{}) {
-	w.diags[pkg.path] = append(w.diags[pkg.path], analysis.Diagnostic{
+func (w *world) report(pkg *loader.Package, pos token.Pos, format string, args ...interface{}) {
+	w.diags[pkg.Types.Path()] = append(w.diags[pkg.Types.Path()], analysis.Diagnostic{
 		Pos: pos, Category: "lockorder", Message: fmt.Sprintf(format, args...),
 	})
 }
@@ -133,7 +110,7 @@ func (w *world) report(pkg *pkgUnit, pos token.Pos, format string, args ...inter
 // collectClasses finds //lint:lock annotated struct fields.
 func (w *world) collectClasses() {
 	for _, pkg := range w.pkgs {
-		for _, file := range pkg.files {
+		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				st, ok := n.(*ast.StructType)
 				if !ok {
@@ -154,7 +131,7 @@ func (w *world) collectClasses() {
 						continue
 					}
 					for _, id := range field.Names {
-						if obj := pkg.info.Defs[id]; obj != nil {
+						if obj := pkg.Info.Defs[id]; obj != nil {
 							w.classes[obj] = lockClass{name: strings.TrimSpace(name), rank: rank}
 						}
 					}
@@ -167,13 +144,13 @@ func (w *world) collectClasses() {
 
 func (w *world) collectBodies() {
 	for _, pkg := range w.pkgs {
-		for _, file := range pkg.files {
+		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
 				}
-				if fn, ok := pkg.info.Defs[fd.Name].(*types.Func); ok {
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
 					w.bodies[fn] = &fnUnit{pkg: pkg, body: fd.Body}
 				}
 			}
@@ -183,7 +160,7 @@ func (w *world) collectBodies() {
 
 // lockOp classifies a call as Lock/RLock (acquire) or Unlock/RUnlock
 // (release) on an annotated field, returning the class.
-func (w *world) lockOp(pkg *pkgUnit, call *ast.CallExpr) (cls lockClass, acquire, ok bool) {
+func (w *world) lockOp(pkg *loader.Package, call *ast.CallExpr) (cls lockClass, acquire, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
 		return lockClass{}, false, false
@@ -201,7 +178,7 @@ func (w *world) lockOp(pkg *pkgUnit, call *ast.CallExpr) (cls lockClass, acquire
 	if !isSel {
 		return lockClass{}, false, false
 	}
-	obj := pkg.info.Uses[inner.Sel]
+	obj := pkg.Info.Uses[inner.Sel]
 	if obj == nil {
 		return lockClass{}, false, false
 	}
@@ -210,13 +187,13 @@ func (w *world) lockOp(pkg *pkgUnit, call *ast.CallExpr) (cls lockClass, acquire
 }
 
 // callee resolves a call to a declared function with a body.
-func (w *world) callee(pkg *pkgUnit, call *ast.CallExpr) *types.Func {
+func (w *world) callee(pkg *loader.Package, call *ast.CallExpr) *types.Func {
 	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		obj = pkg.info.Uses[fun]
+		obj = pkg.Info.Uses[fun]
 	case *ast.SelectorExpr:
-		obj = pkg.info.Uses[fun.Sel]
+		obj = pkg.Info.Uses[fun.Sel]
 	}
 	fn, _ := obj.(*types.Func)
 	return fn
@@ -277,7 +254,7 @@ type heldLock struct {
 
 type checker struct {
 	w    *world
-	pkg  *pkgUnit
+	pkg  *loader.Package
 	held map[string]heldLock
 }
 

@@ -46,13 +46,6 @@ type site struct {
 func run(pass *analysis.Pass) (interface{}, error) {
 	var sites []site
 	for _, file := range pass.Files {
-		// Tests register throwaway metrics on private registries; the
-		// namespace contract covers production registrations only. (The
-		// standalone loader never sees test files, but `go vet -vettool`
-		// compiles them into the package.)
-		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -51,8 +51,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 const (
-	obsPath      = "repro/internal/obs"
-	protocolPath = "repro/internal/protocol"
+	obsPath   = "repro/internal/obs"
+	codecPath = "repro/internal/codec"
 )
 
 type cacheKey struct{}
@@ -64,12 +64,6 @@ type result struct {
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	if pass.Prog == nil {
-		// Modular (go vet -vettool) mode: no whole-program view, so the
-		// interprocedural analysis cannot run. The standalone driver is the
-		// gate for this pass.
-		return nil, nil
-	}
 	res, ok := pass.Prog.Cache[cacheKey{}].(*result)
 	if !ok {
 		res = analyze(pass.Prog)
@@ -197,7 +191,7 @@ func (g *global) index() {
 				if pkg.Types.Path() == obsPath {
 					fi.sinkInternal = true
 				}
-				if pkg.Types.Path() == protocolPath && fd.Recv != nil {
+				if pkg.Types.Path() == codecPath && fd.Recv != nil {
 					if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
 						rt := recv.Type()
 						if p, ok := rt.(*types.Pointer); ok {
@@ -781,7 +775,7 @@ func (c *evalCtx) sinkKind(call *ast.CallExpr, callee types.Object) (name, kind 
 				tn := named.Obj()
 				if tn.Pkg() != nil {
 					switch {
-					case tn.Pkg().Path() == protocolPath && tn.Name() == "Encoder":
+					case tn.Pkg().Path() == codecPath && tn.Name() == "Encoder":
 						return "Encoder." + sel.Sel.Name, "wire"
 					case tn.Pkg().Path() == obsPath:
 						return tn.Name() + "." + sel.Sel.Name, "metrics"

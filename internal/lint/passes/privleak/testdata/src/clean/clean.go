@@ -5,8 +5,8 @@ package fixture
 import (
 	"log"
 
+	"repro/internal/codec"
 	"repro/internal/geo"
-	"repro/internal/protocol"
 )
 
 // exact models the wire-ingress decode of a user's exact location.
@@ -18,7 +18,7 @@ func cloak(p geo.Point) geo.Rect {
 	return geo.R(p.X-1, p.Y-1, p.X+1, p.Y+1)
 }
 
-func cloaked(e *protocol.Encoder) {
+func cloaked(e *codec.Encoder) {
 	loc := exact()
 	r := cloak(loc) //lint:sanitized fixture boundary: k-anonymous rect replaces the point
 	e.Rect(r)
@@ -28,7 +28,7 @@ func cloaked(e *protocol.Encoder) {
 // toward the trusted anonymizer tier.
 //
 //lint:trusted-ingress fixture user-side client
-func sendOwn(e *protocol.Encoder) {
+func sendOwn(e *codec.Encoder) {
 	e.Point(exact())
 }
 
@@ -36,6 +36,6 @@ func logsNothingPrivate(id uint64) {
 	log.Printf("user %d connected", id)
 }
 
-func publicPoint(e *protocol.Encoder) {
+func publicPoint(e *codec.Encoder) {
 	e.Point(geo.Point{X: 3, Y: 4})
 }

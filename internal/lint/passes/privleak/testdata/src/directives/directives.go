@@ -4,8 +4,8 @@
 package fixture
 
 import (
+	"repro/internal/codec"
 	"repro/internal/geo"
-	"repro/internal/protocol"
 )
 
 // exact models the wire-ingress decode of a user's exact location.
@@ -22,7 +22,7 @@ func cloak(p geo.Point) geo.Rect {
 	return geo.R(p.X-1, p.Y-1, p.X+1, p.Y+1)
 }
 
-func send(e *protocol.Encoder) {
+func send(e *codec.Encoder) {
 	r := cloak(exact()) //lint:santized fixture boundary // want "unknown //lint: verb .santized."
 	e.Rect(r)           // want "wire sink Encoder.Rect"
 	e.Point(cached())

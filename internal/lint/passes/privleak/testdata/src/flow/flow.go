@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/codec"
 	"repro/internal/geo"
 	"repro/internal/obs"
-	"repro/internal/protocol"
 )
 
 // exact models the wire-ingress decode of a user's exact location.
@@ -16,7 +16,7 @@ import (
 //lint:source fixture wire ingress
 func exact() geo.Point { return geo.Point{X: 1, Y: 2} }
 
-func leakDirect(e *protocol.Encoder) {
+func leakDirect(e *codec.Encoder) {
 	loc := exact()
 	e.Point(loc) // want "exact location reaches wire sink Encoder.Point"
 }
@@ -41,16 +41,16 @@ func leakGauge(g *obs.Gauge) {
 // taint from parameter to result.
 func wrap(p geo.Point) geo.Point { return p }
 
-func leakViaHelper(e *protocol.Encoder) {
+func leakViaHelper(e *codec.Encoder) {
 	e.Point(wrap(exact())) // want "wire sink Encoder.Point"
 }
 
 // encodeAt receives taint from its caller (phase B propagation).
-func encodeAt(e *protocol.Encoder, p geo.Point) {
+func encodeAt(e *codec.Encoder, p geo.Point) {
 	e.Point(p) // want "wire sink Encoder.Point"
 }
 
-func callEncodeAt(e *protocol.Encoder) {
+func callEncodeAt(e *codec.Encoder) {
 	encodeAt(e, exact())
 }
 
@@ -61,7 +61,7 @@ func leakGoroutine() {
 	}()
 }
 
-func leakStruct(e *protocol.Encoder) {
+func leakStruct(e *codec.Encoder) {
 	type update struct {
 		ID  uint64
 		Loc geo.Point
@@ -70,7 +70,7 @@ func leakStruct(e *protocol.Encoder) {
 	e.F64(u.Loc.X) // want "wire sink Encoder.F64"
 }
 
-func emptyJustification(e *protocol.Encoder) {
+func emptyJustification(e *codec.Encoder) {
 	r := cloak(exact()) //lint:sanitized
 	// want "requires a justification"
 	e.Rect(r)

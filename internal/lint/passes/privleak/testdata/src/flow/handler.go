@@ -1,6 +1,7 @@
 package fixture
 
 import (
+	"repro/internal/codec"
 	"repro/internal/geo"
 	"repro/internal/protocol"
 )
@@ -22,13 +23,13 @@ type request struct {
 // exactPoint models protocol.exactPoint.
 //
 //lint:source fixture wire ingress off a Decoder
-func exactPoint(d *protocol.Decoder) geo.Point { return d.Point() }
+func exactPoint(d *codec.Decoder) geo.Point { return d.Point() }
 
-func decodeRequest(d *protocol.Decoder) request {
+func decodeRequest(d *codec.Decoder) request {
 	return request{ID: d.U64(), Loc: exactPoint(d)}
 }
 
-func decodeBatch(d *protocol.Decoder) []request {
+func decodeBatch(d *codec.Decoder) []request {
 	n := d.Count(int(d.U32()), 24)
 	reqs := make([]request, 0, n)
 	for i := 0; i < n; i++ {
@@ -42,8 +43,8 @@ func cloakRequest(r request) geo.Rect {
 }
 
 func handle(typ byte, payload []byte) []byte {
-	d := protocol.NewDecoder(payload)
-	var e protocol.Encoder
+	d := codec.NewDecoder(payload)
+	var e codec.Encoder
 	switch typ {
 	case protocol.MsgUpdate:
 		req := decodeRequest(d)

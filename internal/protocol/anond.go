@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/anonymizer"
 	"repro/internal/cloak"
+	"repro/internal/codec"
 	"repro/internal/geo"
 	"repro/internal/privacy"
 )
@@ -24,8 +25,8 @@ type anonHandler struct {
 }
 
 func (h *anonHandler) handle(ctx context.Context, typ byte, payload []byte) ([]byte, error) {
-	d := NewDecoder(payload)
-	var e Encoder
+	d := codec.NewDecoder(payload)
+	var e codec.Encoder
 	switch typ {
 	case MsgRegister, MsgUpdateProfile:
 		id, profile, err := decodeUserProfile(d)
@@ -108,24 +109,24 @@ func mapOverload(err error) error {
 // no such value reaches a server-bound encode, a log line, or a metric.
 //
 //lint:source wire ingress of a user's exact location into the trusted tier
-func exactPoint(d *Decoder) geo.Point { return d.Point() }
+func exactPoint(d *codec.Decoder) geo.Point { return d.Point() }
 
 // encodeLocRequest appends the body of MsgUpdate and MsgCloakQuery, and
 // one entry of MsgBatchUpdate: a user's id and own exact location, on the
 // one wire hop exact locations are allowed on.
 //
 //lint:trusted-ingress user-side client encoding its own location to the trusted tier
-func encodeLocRequest(e *Encoder, r cloak.Request) { e.U64(r.ID).Point(r.Loc) }
+func encodeLocRequest(e *codec.Encoder, r cloak.Request) { e.U64(r.ID).Point(r.Loc) }
 
 // decodeLocRequest is the inverse of encodeLocRequest. Trusted-tier only:
 // the point passes through the exactPoint taint source.
-func decodeLocRequest(d *Decoder) cloak.Request {
+func decodeLocRequest(d *codec.Decoder) cloak.Request {
 	return cloak.Request{ID: d.U64(), Loc: exactPoint(d)}
 }
 
 // encodeUserProfile appends the body of MsgRegister and MsgUpdateProfile:
 // the user's id, then the profile flattened into entries.
-func encodeUserProfile(e *Encoder, id uint64, p *privacy.Profile) {
+func encodeUserProfile(e *codec.Encoder, id uint64, p *privacy.Profile) {
 	e.U64(id)
 	entries := p.Entries()
 	e.U16(uint16(len(entries)))
@@ -140,7 +141,7 @@ func encodeUserProfile(e *Encoder, id uint64, p *privacy.Profile) {
 }
 
 // decodeUserProfile is the inverse of encodeUserProfile.
-func decodeUserProfile(d *Decoder) (uint64, *privacy.Profile, error) {
+func decodeUserProfile(d *codec.Decoder) (uint64, *privacy.Profile, error) {
 	id := d.U64()
 	n := d.Count(int(d.U16()), 24)
 	entries := make([]privacy.Entry, 0, n)
@@ -163,8 +164,8 @@ func decodeUserProfile(d *Decoder) (uint64, *privacy.Profile, error) {
 }
 
 // encodeSetMode appends the body of MsgSetMode.
-func encodeSetMode(e *Encoder, id uint64, m privacy.Mode) { e.U64(id).U8(byte(m)) }
-func decodeSetMode(d *Decoder) (uint64, privacy.Mode)     { return d.U64(), privacy.Mode(d.U8()) }
+func encodeSetMode(e *codec.Encoder, id uint64, m privacy.Mode) { e.U64(id).U8(byte(m)) }
+func decodeSetMode(d *codec.Decoder) (uint64, privacy.Mode)     { return d.U64(), privacy.Mode(d.U8()) }
 
 // Result flags on the wire.
 const (
@@ -176,7 +177,7 @@ const (
 
 // encodeResult appends a cloak result: the MsgUpdate and MsgCloakQuery
 // reply, and one accepted entry of the MsgBatchUpdate reply.
-func encodeResult(e *Encoder, res cloak.Result) {
+func encodeResult(e *codec.Encoder, res cloak.Result) {
 	e.Rect(res.Region)
 	e.U32(uint32(res.K))
 	var flags byte
@@ -196,7 +197,7 @@ func encodeResult(e *Encoder, res cloak.Result) {
 }
 
 // decodeResult is the inverse of encodeResult.
-func decodeResult(d *Decoder) cloak.Result {
+func decodeResult(d *codec.Decoder) cloak.Result {
 	res := cloak.Result{
 		Region: d.Rect(),
 		K:      int(d.U32()),
@@ -211,7 +212,7 @@ func decodeResult(d *Decoder) cloak.Result {
 
 // encodeBatchRequests appends a MsgBatchUpdate request body: a
 // length-prefixed run of location requests.
-func encodeBatchRequests(e *Encoder, reqs []cloak.Request) {
+func encodeBatchRequests(e *codec.Encoder, reqs []cloak.Request) {
 	e.U32(uint32(len(reqs)))
 	for _, r := range reqs {
 		encodeLocRequest(e, r)
@@ -219,7 +220,7 @@ func encodeBatchRequests(e *Encoder, reqs []cloak.Request) {
 }
 
 // decodeBatchRequests is the inverse of encodeBatchRequests.
-func decodeBatchRequests(d *Decoder) []cloak.Request {
+func decodeBatchRequests(d *codec.Decoder) []cloak.Request {
 	n := d.Count(int(d.U32()), 24)
 	reqs := make([]cloak.Request, 0, n)
 	for i := 0; i < n; i++ {
@@ -231,7 +232,7 @@ func decodeBatchRequests(d *Decoder) []cloak.Request {
 // encodeBatchResults appends a MsgBatchUpdate OK response: per request a
 // presence byte, then the cloak result for accepted updates. The nil
 // entries keep the response parallel to the request slice.
-func encodeBatchResults(e *Encoder, results []*cloak.Result) {
+func encodeBatchResults(e *codec.Encoder, results []*cloak.Result) {
 	e.Grow(4 + 38*len(results))
 	e.U32(uint32(len(results)))
 	for _, res := range results {
@@ -243,7 +244,7 @@ func encodeBatchResults(e *Encoder, results []*cloak.Result) {
 }
 
 // decodeBatchResults is the inverse of encodeBatchResults.
-func decodeBatchResults(d *Decoder) []*cloak.Result {
+func decodeBatchResults(d *codec.Decoder) []*cloak.Result {
 	n := d.Count(int(d.U32()), 1)
 	out := make([]*cloak.Result, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
@@ -258,7 +259,7 @@ func decodeBatchResults(d *Decoder) []*cloak.Result {
 }
 
 // encodeAnonStats appends the MsgAnonStats reply.
-func encodeAnonStats(e *Encoder, st anonymizer.Stats) {
+func encodeAnonStats(e *codec.Encoder, st anonymizer.Stats) {
 	e.U32(uint32(st.Registered))
 	e.U64(st.Updates).U64(st.Queries).U64(st.Reused)
 	e.U64(st.BestEffort).U64(st.Forwarded).U64(st.ForwardErrs)
@@ -268,7 +269,7 @@ func encodeAnonStats(e *Encoder, st anonymizer.Stats) {
 }
 
 // decodeAnonStats is the inverse of encodeAnonStats.
-func decodeAnonStats(d *Decoder) anonymizer.Stats {
+func decodeAnonStats(d *codec.Decoder) anonymizer.Stats {
 	return anonymizer.Stats{
 		Registered:  int(d.U32()),
 		Updates:     d.U64(),
@@ -307,7 +308,7 @@ func (ac *AnonymizerClient) Close() error { return ac.c.Close() }
 
 // Register sends the privacy profile.
 func (ac *AnonymizerClient) Register(id uint64, profile *privacy.Profile) error {
-	var e Encoder
+	var e codec.Encoder
 	encodeUserProfile(&e, id, profile)
 	_, err := ac.c.Call(MsgRegister, e.Bytes())
 	return err
@@ -336,7 +337,7 @@ func (ac *AnonymizerClient) CloakQueryCtx(ctx context.Context, id uint64, loc ge
 // locCall sends the user's own exact location toward the trusted
 // anonymizer tier and reads back the cloak result.
 func (ac *AnonymizerClient) locCall(ctx context.Context, typ byte, id uint64, loc geo.Point) (cloak.Result, error) {
-	var e Encoder
+	var e codec.Encoder
 	encodeLocRequest(&e, cloak.Request{ID: id, Loc: loc})
 	d := ac.c.exchange(ctx, typ, e.Bytes())
 	res := decodeResult(&d)
@@ -356,7 +357,7 @@ func (ac *AnonymizerClient) BatchUpdate(reqs []cloak.Request) ([]*cloak.Result, 
 //
 //lint:trusted-ingress user-side client encoding its own locations to the trusted tier
 func (ac *AnonymizerClient) BatchUpdateCtx(ctx context.Context, reqs []cloak.Request) ([]*cloak.Result, error) {
-	var e Encoder
+	var e codec.Encoder
 	encodeBatchRequests(&e, reqs)
 	d := ac.c.exchange(ctx, MsgBatchUpdate, e.Bytes())
 	out := decodeBatchResults(&d)
@@ -365,7 +366,7 @@ func (ac *AnonymizerClient) BatchUpdateCtx(ctx context.Context, reqs []cloak.Req
 
 // Deregister removes the user.
 func (ac *AnonymizerClient) Deregister(id uint64) error {
-	var e Encoder
+	var e codec.Encoder
 	e.U64(id)
 	_, err := ac.c.Call(MsgDeregister, e.Bytes())
 	return err
@@ -380,7 +381,7 @@ func (ac *AnonymizerClient) Stats() (anonymizer.Stats, error) {
 
 // SetMode switches the user's participation mode.
 func (ac *AnonymizerClient) SetMode(id uint64, m privacy.Mode) error {
-	var e Encoder
+	var e codec.Encoder
 	encodeSetMode(&e, id, m)
 	_, err := ac.c.Call(MsgSetMode, e.Bytes())
 	return err
@@ -389,7 +390,7 @@ func (ac *AnonymizerClient) SetMode(id uint64, m privacy.Mode) error {
 // UpdateProfile replaces the user's privacy profile in place — the "raise
 // my k" flip — keeping the user in the anonymity population throughout.
 func (ac *AnonymizerClient) UpdateProfile(id uint64, profile *privacy.Profile) error {
-	var e Encoder
+	var e codec.Encoder
 	encodeUserProfile(&e, id, profile)
 	_, err := ac.c.Call(MsgUpdateProfile, e.Bytes())
 	return err

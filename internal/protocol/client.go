@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -398,9 +399,9 @@ func (c *Client) Call(typ byte, payload []byte) ([]byte, error) {
 // failed call comes back as a Decoder whose sticky error is the failure,
 // so a typed stub decodes unconditionally and reports Err once: every
 // read of a failed reply yields zero values.
-func (c *Client) exchange(ctx context.Context, typ byte, payload []byte) Decoder {
+func (c *Client) exchange(ctx context.Context, typ byte, payload []byte) codec.Decoder {
 	resp, err := c.CallCtx(ctx, typ, payload)
-	return Decoder{buf: resp, err: err}
+	return codec.MakeDecoder(resp, err)
 }
 
 // CallCtx sends one request under a context. The effective deadline is the
@@ -585,7 +586,7 @@ func (c *Client) callOnce(ctx context.Context, typ byte, payload []byte, attempt
 
 // remoteError decodes the message of an error or overload reply.
 func remoteError(rtyp byte, resp []byte) error {
-	msg := NewDecoder(resp).Str()
+	msg := codec.NewDecoder(resp).Str()
 	if rtyp == MsgOverloaded {
 		return fmt.Errorf("%w: %s", ErrOverloaded, msg)
 	}

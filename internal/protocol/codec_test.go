@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/anonymizer"
 	"repro/internal/cloak"
+	"repro/internal/codec"
 	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/privacy"
@@ -27,10 +28,20 @@ import (
 
 // body runs an in-place body encoder on a fresh Encoder and returns the
 // bytes: the test-side shorthand for what every stub and handler does.
-func body(encode func(*Encoder)) []byte {
-	var e Encoder
+func body(encode func(*codec.Encoder)) []byte {
+	var e codec.Encoder
 	encode(&e)
 	return e.Bytes()
+}
+
+// rest reads what d has left, for the bodies whose decoders take the
+// payload as a slice (metrics and spans).
+func rest(d *codec.Decoder) []byte {
+	b := make([]byte, d.Remaining())
+	for i := range b {
+		b[i] = d.U8()
+	}
+	return b
 }
 
 // show renders a value for comparison. %+v prints nil and empty lists
@@ -110,19 +121,19 @@ var longClass = strings.Repeat("k", 0xffff)
 type codecCase struct {
 	name string
 	want interface{}
-	enc  func(e *Encoder)
-	dec  func(d *Decoder) (interface{}, error)
+	enc  func(e *codec.Encoder)
+	dec  func(d *codec.Decoder) (interface{}, error)
 }
 
 // plain adapts a decoder that reports failure only through the sticky
 // error.
-func plain[T any](dec func(*Decoder) T) func(*Decoder) (interface{}, error) {
-	return func(d *Decoder) (interface{}, error) { return dec(d), nil }
+func plain[T any](dec func(*codec.Decoder) T) func(*codec.Decoder) (interface{}, error) {
+	return func(d *codec.Decoder) (interface{}, error) { return dec(d), nil }
 }
 
 func codecCases(g gen) []codecCase {
 	var cases []codecCase
-	add := func(name string, want interface{}, enc func(*Encoder), dec func(*Decoder) (interface{}, error)) {
+	add := func(name string, want interface{}, enc func(*codec.Encoder), dec func(*codec.Decoder) (interface{}, error)) {
 		cases = append(cases, codecCase{name, want, enc, dec})
 	}
 
@@ -137,8 +148,8 @@ func codecCases(g gen) []codecCase {
 	} {
 		prof, id := prof, g.r.Uint64()
 		add("userProfile", userProfile{id, prof.Entries()},
-			func(e *Encoder) { encodeUserProfile(e, id, prof) },
-			func(d *Decoder) (interface{}, error) {
+			func(e *codec.Encoder) { encodeUserProfile(e, id, prof) },
+			func(d *codec.Decoder) (interface{}, error) {
 				id, p, err := decodeUserProfile(d)
 				if err != nil {
 					return nil, err
@@ -147,16 +158,16 @@ func codecCases(g gen) []codecCase {
 			})
 	}
 	loc := cloak.Request{ID: g.r.Uint64(), Loc: g.point()}
-	add("locRequest", loc, func(e *Encoder) { encodeLocRequest(e, loc) }, plain(decodeLocRequest))
+	add("locRequest", loc, func(e *codec.Encoder) { encodeLocRequest(e, loc) }, plain(decodeLocRequest))
 	type setMode struct {
 		ID   uint64
 		Mode privacy.Mode
 	}
 	sm := setMode{g.r.Uint64(), privacy.Mode(g.r.Intn(3))}
-	add("setMode", sm, func(e *Encoder) { encodeSetMode(e, sm.ID, sm.Mode) },
-		func(d *Decoder) (interface{}, error) { id, m := decodeSetMode(d); return setMode{id, m}, nil })
+	add("setMode", sm, func(e *codec.Encoder) { encodeSetMode(e, sm.ID, sm.Mode) },
+		func(d *codec.Decoder) (interface{}, error) { id, m := decodeSetMode(d); return setMode{id, m}, nil })
 	cr := g.cloakResult()
-	add("result", cr, func(e *Encoder) { encodeResult(e, cr) }, plain(decodeResult))
+	add("result", cr, func(e *codec.Encoder) { encodeResult(e, cr) }, plain(decodeResult))
 	for _, n := range []int{0, 1, 64} {
 		reqs := make([]cloak.Request, n)
 		results := make([]cloak.Result, n) // by value: %+v of a pointer is its address
@@ -168,9 +179,9 @@ func codecCases(g gen) []codecCase {
 				ptrs[i] = &results[i]
 			}
 		}
-		add("batchRequests", reqs, func(e *Encoder) { encodeBatchRequests(e, reqs) }, plain(decodeBatchRequests))
-		add("batchResults", fmt.Sprint(n, results), func(e *Encoder) { encodeBatchResults(e, ptrs) },
-			func(d *Decoder) (interface{}, error) {
+		add("batchRequests", reqs, func(e *codec.Encoder) { encodeBatchRequests(e, reqs) }, plain(decodeBatchRequests))
+		add("batchResults", fmt.Sprint(n, results), func(e *codec.Encoder) { encodeBatchResults(e, ptrs) },
+			func(d *codec.Decoder) (interface{}, error) {
 				got := decodeBatchResults(d)
 				vals := make([]cloak.Result, len(got))
 				for i, p := range got {
@@ -186,7 +197,7 @@ func codecCases(g gen) []codecCase {
 	}
 	st := anonymizer.Stats{Registered: 1, Updates: 2, Queries: 3, Reused: 4, BestEffort: 5, Forwarded: 6,
 		ForwardErrs: 7, Batches: 8, SharedHits: 9, Spilled: 10, Replayed: 11, Dropped: 12, QueueDepth: 13}
-	add("anonStats", st, func(e *Encoder) { encodeAnonStats(e, st) }, plain(decodeAnonStats))
+	add("anonStats", st, func(e *codec.Encoder) { encodeAnonStats(e, st) }, plain(decodeAnonStats))
 
 	// Database bodies.
 	type idRect struct {
@@ -194,36 +205,42 @@ func codecCases(g gen) []codecCase {
 		Region geo.Rect
 	}
 	up := idRect{g.r.Uint64(), g.rect()}
-	add("updatePrivate", up, func(e *Encoder) { encodeUpdatePrivate(e, up.ID, up.Region) },
-		func(d *Decoder) (interface{}, error) { id, r := decodeUpdatePrivate(d); return idRect{id, r}, nil })
+	add("updatePrivate", up, func(e *codec.Encoder) { encodeUpdatePrivate(e, up.ID, up.Region) },
+		func(d *codec.Decoder) (interface{}, error) {
+			id, r := decodeUpdatePrivate(d)
+			return idRect{id, r}, nil
+		})
 	type idPoint struct {
 		ID  uint64
 		Loc geo.Point
 	}
 	um := idPoint{g.r.Uint64(), g.point()}
-	add("updateMoving", um, func(e *Encoder) { encodeUpdateMoving(e, um.ID, um.Loc) },
-		func(d *Decoder) (interface{}, error) { id, p := decodeUpdateMoving(d); return idPoint{id, p}, nil })
-	add("stats", [2]int{12345, 678}, func(e *Encoder) { encodeStats(e, 12345, 678) },
-		func(d *Decoder) (interface{}, error) { s, p := decodeStats(d); return [2]int{s, p}, nil })
+	add("updateMoving", um, func(e *codec.Encoder) { encodeUpdateMoving(e, um.ID, um.Loc) },
+		func(d *codec.Decoder) (interface{}, error) {
+			id, p := decodeUpdateMoving(d)
+			return idPoint{id, p}, nil
+		})
+	add("stats", [2]int{12345, 678}, func(e *codec.Encoder) { encodeStats(e, 12345, 678) },
+		func(d *codec.Decoder) (interface{}, error) { s, p := decodeStats(d); return [2]int{s, p}, nil })
 	for _, objs := range [][]server.PublicObject{nil, g.objects(1), g.objects(300), {{ID: 1, Class: longClass, Loc: g.point()}}} {
 		objs := objs
-		add("objects", objs, func(e *Encoder) { encodeObjects(e, objs) }, plain(decodeObjects))
+		add("objects", objs, func(e *codec.Encoder) { encodeObjects(e, objs) }, plain(decodeObjects))
 		nn := server.PrivateNNResult{Candidates: objs, SupersetSize: len(objs) + 3}
-		add("nnResult", nn, func(e *Encoder) { encodeNNResult(e, nn) }, plain(decodeNNResult))
+		add("nnResult", nn, func(e *codec.Encoder) { encodeNNResult(e, nn) }, plain(decodeNNResult))
 		parts := server.NNParts{Bound: math.Inf(1), Candidates: objs}
-		add("nnParts", parts, func(e *Encoder) { encodeNNParts(e, parts) }, plain(decodeNNParts))
+		add("nnParts", parts, func(e *codec.Encoder) { encodeNNParts(e, parts) }, plain(decodeNNParts))
 	}
 	for _, rq := range []server.PrivateRangeQuery{g.rangeQuery(), {Region: g.rect(), Class: longClass, Mode: 1}} {
 		rq := rq
-		add("rangeQuery", rq, func(e *Encoder) { encodeRangeQuery(e, rq) }, plain(decodeRangeQuery))
+		add("rangeQuery", rq, func(e *codec.Encoder) { encodeRangeQuery(e, rq) }, plain(decodeRangeQuery))
 	}
 	nq := g.nnQuery()
-	add("nnQuery", nq, func(e *Encoder) { encodeNNQuery(e, nq) }, plain(decodeNNQuery))
+	add("nnQuery", nq, func(e *codec.Encoder) { encodeNNQuery(e, nq) }, plain(decodeNNQuery))
 	for _, n := range []int{0, 1, 50} {
 		cnt := g.countResult(n)
-		add("countResult", cnt, func(e *Encoder) { encodeCountResult(e, cnt) }, plain(decodeCountResult))
+		add("countResult", cnt, func(e *codec.Encoder) { encodeCountResult(e, cnt) }, plain(decodeCountResult))
 		probs := g.userProbs(n)
-		add("userProbs", probs, func(e *Encoder) { encodeUserProbs(e, probs) }, plain(decodeUserProbs))
+		add("userProbs", probs, func(e *codec.Encoder) { encodeUserProbs(e, probs) }, plain(decodeUserProbs))
 
 		pnn := server.PublicNNResult{PrunedCount: g.r.Intn(50), CandidateRegions: map[uint64]geo.Rect{}}
 		for i := 0; i < n; i++ {
@@ -234,11 +251,11 @@ func codecCases(g gen) []codecCase {
 		if n > 0 {
 			pnn.Best = pnn.Candidates[0]
 		}
-		add("publicNNResult", pnn, func(e *Encoder) { encodePublicNNResult(e, pnn) }, plain(decodePublicNNResult))
+		add("publicNNResult", pnn, func(e *codec.Encoder) { encodePublicNNResult(e, pnn) }, plain(decodePublicNNResult))
 
 		entries := g.entries(n)
-		add("batchEntries", entries, func(e *Encoder) { encodeBatchEntries(e, entries) },
-			func(d *Decoder) (interface{}, error) { return decodeBatchEntries(d) })
+		add("batchEntries", entries, func(e *codec.Encoder) { encodeBatchEntries(e, entries) },
+			func(d *codec.Decoder) (interface{}, error) { return decodeBatchEntries(d) })
 		res := server.BatchResult{Groups: g.r.Intn(9), SharedHits: g.r.Intn(9), Items: make([]server.BatchItemResult, n)}
 		subs := make([]router.SubQuery, n)
 		subRes := make([]router.SubResult, n)
@@ -260,20 +277,20 @@ func codecCases(g gen) []codecCase {
 				subRes[i].Count = g.userProbs(g.r.Intn(4))
 			}
 		}
-		add("batchResult", res, func(e *Encoder) { encodeBatchResult(e, entries, res) },
-			func(d *Decoder) (interface{}, error) { return decodeBatchResult(d) })
-		add("subQueries", subs, func(e *Encoder) { encodeSubQueries(e, subs) },
-			func(d *Decoder) (interface{}, error) { return decodeSubQueries(d) })
-		add("subResults", subRes, func(e *Encoder) { encodeSubResults(e, subRes) },
-			func(d *Decoder) (interface{}, error) { return decodeSubResults(d) })
+		add("batchResult", res, func(e *codec.Encoder) { encodeBatchResult(e, entries, res) },
+			func(d *codec.Decoder) (interface{}, error) { return decodeBatchResult(d) })
+		add("subQueries", subs, func(e *codec.Encoder) { encodeSubQueries(e, subs) },
+			func(d *codec.Decoder) (interface{}, error) { return decodeSubQueries(d) })
+		add("subResults", subRes, func(e *codec.Encoder) { encodeSubResults(e, subRes) },
+			func(d *codec.Decoder) (interface{}, error) { return decodeSubResults(d) })
 	}
 	pq := server.PublicNNQuery{From: g.point(), Samples: g.r.Intn(5000), Seed: g.r.Uint64()}
-	add("publicNNQuery", pq, func(e *Encoder) { encodePublicNNQuery(e, pq) }, plain(decodePublicNNQuery))
+	add("publicNNQuery", pq, func(e *codec.Encoder) { encodePublicNNQuery(e, pq) }, plain(decodePublicNNQuery))
 	ca := server.ContinuousCountAnswer{Expected: g.r.Float64() * 9, Lo: 2, Hi: 11}
-	add("contAnswer", ca, func(e *Encoder) { encodeContAnswer(e, ca) }, plain(decodeContAnswer))
+	add("contAnswer", ca, func(e *codec.Encoder) { encodeContAnswer(e, ca) }, plain(decodeContAnswer))
 	topo := shardMapSeed()
-	add("shardMap", topo, func(e *Encoder) { encodeShardMap(e, topo) },
-		func(d *Decoder) (interface{}, error) { return decodeShardMap(d) })
+	add("shardMap", topo, func(e *codec.Encoder) { encodeShardMap(e, topo) },
+		func(d *codec.Decoder) (interface{}, error) { return decodeShardMap(d) })
 
 	// Service-layer bodies.
 	series := []obs.MetricSnapshot{
@@ -285,8 +302,8 @@ func codecCases(g gen) []codecCase {
 	}
 	for _, ms := range [][]obs.MetricSnapshot{nil, series} {
 		ms := ms
-		add("metrics", ms, func(e *Encoder) { e.buf = encodeMetrics(ms) },
-			func(d *Decoder) (interface{}, error) { return DecodeMetrics(d.buf) })
+		add("metrics", ms, func(e *codec.Encoder) { e.Raw(encodeMetrics(ms)) },
+			func(d *codec.Decoder) (interface{}, error) { return DecodeMetrics(rest(d)) })
 	}
 	spans := []trace.SpanRecord{
 		{TraceID: 7, SpanID: 8, ParentID: 9, Name: "proto_serve", Proc: "lbsd", Start: 1e9, Dur: 5e6,
@@ -295,8 +312,8 @@ func codecCases(g gen) []codecCase {
 	}
 	for _, sp := range [][]trace.SpanRecord{nil, spans} {
 		sp := sp
-		add("spans", sp, func(e *Encoder) { e.buf = encodeSpans(sp) },
-			func(d *Decoder) (interface{}, error) { return DecodeSpans(d.buf) })
+		add("spans", sp, func(e *codec.Encoder) { e.Raw(encodeSpans(sp)) },
+			func(d *codec.Decoder) (interface{}, error) { return DecodeSpans(rest(d)) })
 	}
 	return cases
 }
@@ -305,7 +322,7 @@ func TestEveryBodyCodecRoundTrips(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		for _, c := range codecCases(gen{rng.New(seed)}) {
 			wire := body(c.enc)
-			d := NewDecoder(wire)
+			d := codec.NewDecoder(wire)
 			got, err := c.dec(d)
 			if err == nil {
 				err = d.Err()
@@ -314,7 +331,7 @@ func TestEveryBodyCodecRoundTrips(t *testing.T) {
 				t.Errorf("seed %d %s: decode: %v", seed, c.name, err)
 				continue
 			}
-			if d.Remaining() != 0 && c.name != "metrics" && c.name != "spans" {
+			if d.Remaining() != 0 {
 				t.Errorf("seed %d %s: decoder left %d of %d bytes unread", seed, c.name, d.Remaining(), len(wire))
 			}
 			if show(got) != show(c.want) {
@@ -325,7 +342,7 @@ func TestEveryBodyCodecRoundTrips(t *testing.T) {
 }
 
 // A list codec must not size anything from a count its payload cannot
-// hold: a forged prefix reads as the sticky error through Decoder.Count
+// hold: a forged prefix reads as the sticky error through codec.Decoder.Count
 // before any loop or make runs. Every list codec is fed its own valid
 // encoding cut off right after a count that was overwritten with the
 // largest value the codec accepts, and must fail without allocating more
@@ -338,39 +355,39 @@ func TestForgedCountsNeverSizeAnAllocation(t *testing.T) {
 		out[at], out[at+1], out[at+2], out[at+3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
 		return out
 	}
-	objs := body(func(e *Encoder) { encodeObjects(e, g.objects(2)) })
+	objs := body(func(e *codec.Encoder) { encodeObjects(e, g.objects(2)) })
 	res := server.BatchResult{Items: make([]server.BatchItemResult, 2)}
 	entries := []server.BatchEntry{{Kind: server.BatchPublicCount}, {Kind: server.BatchPublicCount}}
 	topo := shardMapSeed()
 	topo.Cols, topo.Rows = 256, 256 // the largest owner table the decoder accepts
-	fullMap := body(func(e *Encoder) { encodeShardMap(e, topo) })
+	fullMap := body(func(e *codec.Encoder) { encodeShardMap(e, topo) })
 	hist := []obs.MetricSnapshot{{Name: "h", Kind: obs.KindHistogram, Hist: obs.HistogramSnapshot{Counts: []uint64{0}}}}
 	cases := []struct {
 		name    string
 		payload []byte
-		dec     func(d *Decoder) error
+		dec     func(d *codec.Decoder) error
 	}{
-		{"userProfile", append(make([]byte, 8), 0xff, 0xff), func(d *Decoder) error { _, _, err := decodeUserProfile(d); return err }},
-		{"batchRequests", forge32(make([]byte, 4), 0, 1<<22), func(d *Decoder) error { decodeBatchRequests(d); return d.Err() }},
-		{"batchResults", forge32(make([]byte, 4), 0, 1<<22), func(d *Decoder) error { decodeBatchResults(d); return d.Err() }},
-		{"objects", forge32(objs, 0, 1<<22), func(d *Decoder) error { decodeObjects(d); return d.Err() }},
-		{"nnResult", forge32(append(make([]byte, 4), objs...), 4, 1<<22), func(d *Decoder) error { decodeNNResult(d); return d.Err() }},
-		{"nnParts", forge32(append(make([]byte, 8), objs...), 8, 1<<22), func(d *Decoder) error { decodeNNParts(d); return d.Err() }},
-		{"countResult", forge32(make([]byte, 24), 20, 1<<22), func(d *Decoder) error { decodeCountResult(d); return d.Err() }},
-		{"publicNNResult", forge32(make([]byte, 8), 4, 1<<22), func(d *Decoder) error { decodePublicNNResult(d); return d.Err() }},
-		{"userProbs", forge32(make([]byte, 4), 0, 1<<22), func(d *Decoder) error { decodeUserProbs(d); return d.Err() }},
-		{"batchEntries", forge32(make([]byte, 4), 0, maxBatchEntries), func(d *Decoder) error { _, err := decodeBatchEntries(d); return err }},
-		{"batchResult", forge32(body(func(e *Encoder) { encodeBatchResult(e, entries, res) }), 9, 1<<22),
-			func(d *Decoder) error { _, err := decodeBatchResult(d); return err }},
-		{"subQueries", forge32(make([]byte, 4), 0, maxBatchEntries), func(d *Decoder) error { _, err := decodeSubQueries(d); return err }},
-		{"subResults", forge32(make([]byte, 4), 0, maxBatchEntries), func(d *Decoder) error { _, err := decodeSubResults(d); return err }},
-		{"shardMap", forge32(fullMap, len(fullMap)-12, 256*256), func(d *Decoder) error { _, err := decodeShardMap(d); return err }},
-		{"metrics series", forge32(make([]byte, 4), 0, 1<<22), func(d *Decoder) error { _, err := DecodeMetrics(d.buf); return err }},
-		{"metrics bounds", forge32(encodeMetrics(hist), 4+3+2+1+2, 1<<22), func(d *Decoder) error { _, err := DecodeMetrics(d.buf); return err }},
-		{"spans", forge32(make([]byte, 4), 0, 1<<22), func(d *Decoder) error { _, err := DecodeSpans(d.buf); return err }},
+		{"userProfile", append(make([]byte, 8), 0xff, 0xff), func(d *codec.Decoder) error { _, _, err := decodeUserProfile(d); return err }},
+		{"batchRequests", forge32(make([]byte, 4), 0, 1<<22), func(d *codec.Decoder) error { decodeBatchRequests(d); return d.Err() }},
+		{"batchResults", forge32(make([]byte, 4), 0, 1<<22), func(d *codec.Decoder) error { decodeBatchResults(d); return d.Err() }},
+		{"objects", forge32(objs, 0, 1<<22), func(d *codec.Decoder) error { decodeObjects(d); return d.Err() }},
+		{"nnResult", forge32(append(make([]byte, 4), objs...), 4, 1<<22), func(d *codec.Decoder) error { decodeNNResult(d); return d.Err() }},
+		{"nnParts", forge32(append(make([]byte, 8), objs...), 8, 1<<22), func(d *codec.Decoder) error { decodeNNParts(d); return d.Err() }},
+		{"countResult", forge32(make([]byte, 24), 20, 1<<22), func(d *codec.Decoder) error { decodeCountResult(d); return d.Err() }},
+		{"publicNNResult", forge32(make([]byte, 8), 4, 1<<22), func(d *codec.Decoder) error { decodePublicNNResult(d); return d.Err() }},
+		{"userProbs", forge32(make([]byte, 4), 0, 1<<22), func(d *codec.Decoder) error { decodeUserProbs(d); return d.Err() }},
+		{"batchEntries", forge32(make([]byte, 4), 0, maxBatchEntries), func(d *codec.Decoder) error { _, err := decodeBatchEntries(d); return err }},
+		{"batchResult", forge32(body(func(e *codec.Encoder) { encodeBatchResult(e, entries, res) }), 9, 1<<22),
+			func(d *codec.Decoder) error { _, err := decodeBatchResult(d); return err }},
+		{"subQueries", forge32(make([]byte, 4), 0, maxBatchEntries), func(d *codec.Decoder) error { _, err := decodeSubQueries(d); return err }},
+		{"subResults", forge32(make([]byte, 4), 0, maxBatchEntries), func(d *codec.Decoder) error { _, err := decodeSubResults(d); return err }},
+		{"shardMap", forge32(fullMap, len(fullMap)-12, 256*256), func(d *codec.Decoder) error { _, err := decodeShardMap(d); return err }},
+		{"metrics series", forge32(make([]byte, 4), 0, 1<<22), func(d *codec.Decoder) error { _, err := DecodeMetrics(rest(d)); return err }},
+		{"metrics bounds", forge32(encodeMetrics(hist), 4+3+2+1+2, 1<<22), func(d *codec.Decoder) error { _, err := DecodeMetrics(rest(d)); return err }},
+		{"spans", forge32(make([]byte, 4), 0, 1<<22), func(d *codec.Decoder) error { _, err := DecodeSpans(rest(d)); return err }},
 	}
 	for _, c := range cases {
-		if err := c.dec(NewDecoder(c.payload)); err == nil {
+		if err := c.dec(codec.NewDecoder(c.payload)); err == nil {
 			t.Errorf("%s: forged count accepted", c.name)
 			continue
 		}
@@ -383,7 +400,7 @@ func TestForgedCountsNeverSizeAnAllocation(t *testing.T) {
 		for range 5 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			allocs = min(allocs, testing.AllocsPerRun(10, func() { c.dec(NewDecoder(c.payload)) }))
+			allocs = min(allocs, testing.AllocsPerRun(10, func() { c.dec(codec.NewDecoder(c.payload)) }))
 			runtime.ReadMemStats(&after)
 			perRun = min(perRun, (after.TotalAlloc-before.TotalAlloc)/11)
 		}
@@ -404,6 +421,6 @@ func FuzzCodecCases(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, idx uint16, data []byte) {
 		c := cases[int(idx)%len(cases)]
-		c.dec(NewDecoder(data))
+		c.dec(codec.NewDecoder(data))
 	})
 }

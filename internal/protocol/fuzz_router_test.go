@@ -3,6 +3,7 @@ package protocol
 import (
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/geo"
 	"repro/internal/router"
 	"repro/internal/server"
@@ -26,11 +27,11 @@ func shardMapSeed() router.Topology {
 }
 
 func FuzzDecodeShardMap(f *testing.F) {
-	f.Add(body(func(e *Encoder) { encodeShardMap(e, shardMapSeed()) }))
+	f.Add(body(func(e *codec.Encoder) { encodeShardMap(e, shardMapSeed()) }))
 	f.Add([]byte{})
 	f.Add(make([]byte, 44)) // zero grid
 	f.Fuzz(func(t *testing.T, data []byte) {
-		topo, err := decodeShardMap(NewDecoder(data))
+		topo, err := decodeShardMap(codec.NewDecoder(data))
 		if err != nil {
 			return
 		}
@@ -48,7 +49,7 @@ func FuzzDecodeShardMap(f *testing.F) {
 			}
 		}
 		// Round trip.
-		again, err := decodeShardMap(NewDecoder(body(func(e *Encoder) { encodeShardMap(e, topo) })))
+		again, err := decodeShardMap(codec.NewDecoder(body(func(e *codec.Encoder) { encodeShardMap(e, topo) })))
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded shard map failed: %v", err)
 		}
@@ -59,7 +60,7 @@ func FuzzDecodeShardMap(f *testing.F) {
 }
 
 func subQuerySeed() []byte {
-	var e Encoder
+	var e codec.Encoder
 	encodeSubQueries(&e, []router.SubQuery{
 		{Index: 0, Entry: server.BatchEntry{Kind: server.BatchPrivateRange, Range: server.PrivateRangeQuery{
 			Region: geo.R(0.1, 0.1, 0.3, 0.3), Radius: 0.05, Class: "gas",
@@ -79,7 +80,7 @@ func FuzzDecodeSubQueries(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // forged count, no entries
 	f.Fuzz(func(t *testing.T, data []byte) {
-		subs, err := decodeSubQueries(NewDecoder(data))
+		subs, err := decodeSubQueries(codec.NewDecoder(data))
 		if err != nil {
 			return
 		}
@@ -89,16 +90,16 @@ func FuzzDecodeSubQueries(f *testing.F) {
 			t.Fatalf("%d sub-queries from %d input bytes", len(subs), len(data))
 		}
 		// Round trip: decoded sub-queries re-encode to the consumed prefix.
-		var e Encoder
+		var e codec.Encoder
 		encodeSubQueries(&e, subs)
-		if _, err := decodeSubQueries(NewDecoder(e.Bytes())); err != nil {
+		if _, err := decodeSubQueries(codec.NewDecoder(e.Bytes())); err != nil {
 			t.Fatalf("re-decode of re-encoded sub-queries failed: %v", err)
 		}
 	})
 }
 
 func subResultSeed() []byte {
-	return body(func(e *Encoder) {
+	return body(func(e *codec.Encoder) {
 		encodeSubResults(e, []router.SubResult{
 			{Index: 0, Kind: server.BatchPrivateRange, Range: []server.PublicObject{
 				{ID: 9, Class: "gas", Loc: geo.Pt(0.2, 0.2)},
@@ -117,7 +118,7 @@ func FuzzDecodeSubResults(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // forged count, no entries
 	f.Fuzz(func(t *testing.T, data []byte) {
-		results, err := decodeSubResults(NewDecoder(data))
+		results, err := decodeSubResults(codec.NewDecoder(data))
 		if err != nil {
 			return
 		}
@@ -136,7 +137,7 @@ func FuzzDecodeSubResults(f *testing.F) {
 			}
 		}
 		// Round trip.
-		if _, err := decodeSubResults(NewDecoder(body(func(e *Encoder) { encodeSubResults(e, results) }))); err != nil {
+		if _, err := decodeSubResults(codec.NewDecoder(body(func(e *codec.Encoder) { encodeSubResults(e, results) }))); err != nil {
 			t.Fatalf("re-decode of re-encoded sub-results failed: %v", err)
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cloak"
+	"repro/internal/codec"
 	"repro/internal/geo"
 	"repro/internal/prob"
 	"repro/internal/server"
@@ -12,7 +13,7 @@ import (
 // Fuzz targets for the shared list codecs — object lists, count PDFs,
 // (id, probability) pairs, public-NN candidates, batch frames — which
 // every variable-length message body is built from.
-// Contract as elsewhere: malformed input errors out via Decoder.Err,
+// Contract as elsewhere: malformed input errors out via codec.Decoder.Err,
 // never panics or over-allocates, and well-formed input round-trips.
 
 func objectsSeed() []server.PublicObject {
@@ -23,11 +24,11 @@ func objectsSeed() []server.PublicObject {
 }
 
 func FuzzDecodeObjects(f *testing.F) {
-	f.Add(body(func(e *Encoder) { encodeObjects(e, objectsSeed()) }))
+	f.Add(body(func(e *codec.Encoder) { encodeObjects(e, objectsSeed()) }))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // forged count, no objects
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := NewDecoder(data)
+		d := codec.NewDecoder(data)
 		objs := decodeObjects(d)
 		if d.Err() != nil {
 			return
@@ -38,7 +39,7 @@ func FuzzDecodeObjects(f *testing.F) {
 			t.Fatalf("%d objects from %d input bytes", len(objs), len(data))
 		}
 		// Round trip.
-		d2 := NewDecoder(body(func(e *Encoder) { encodeObjects(e, objs) }))
+		d2 := codec.NewDecoder(body(func(e *codec.Encoder) { encodeObjects(e, objs) }))
 		again := decodeObjects(d2)
 		if d2.Err() != nil {
 			t.Fatalf("re-decode of re-encoded objects failed: %v", d2.Err())
@@ -50,7 +51,7 @@ func FuzzDecodeObjects(f *testing.F) {
 }
 
 func FuzzDecodeCountResult(f *testing.F) {
-	var seed Encoder
+	var seed codec.Encoder
 	encodeCountResult(&seed, server.PublicRangeCountResult{
 		Answer:     prob.CountAnswer{Expected: 1.5, Lo: 1, Hi: 3, PDF: []float64{0.25, 0.5, 0.25}},
 		NaiveCount: 3,
@@ -59,7 +60,7 @@ func FuzzDecodeCountResult(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, 24)) // header only, zero-length PDF
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := NewDecoder(data)
+		d := codec.NewDecoder(data)
 		res := decodeCountResult(d)
 		if d.Err() != nil {
 			return
@@ -69,9 +70,9 @@ func FuzzDecodeCountResult(f *testing.F) {
 			t.Fatalf("%d PDF entries from %d input bytes", len(res.Answer.PDF), len(data))
 		}
 		// Round trip.
-		var e Encoder
+		var e codec.Encoder
 		encodeCountResult(&e, res)
-		d2 := NewDecoder(e.Bytes())
+		d2 := codec.NewDecoder(e.Bytes())
 		if decodeCountResult(d2); d2.Err() != nil {
 			t.Fatalf("re-decode of re-encoded count result failed: %v", d2.Err())
 		}
@@ -79,13 +80,13 @@ func FuzzDecodeCountResult(f *testing.F) {
 }
 
 func FuzzDecodeUserProbs(f *testing.F) {
-	var seed Encoder
+	var seed codec.Encoder
 	encodeUserProbs(&seed, []server.UserProb{{ID: 7, P: 0.5}, {ID: 9, P: 0.125}})
 	f.Add(seed.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // forged count, no pairs
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := NewDecoder(data)
+		d := codec.NewDecoder(data)
 		pairs := decodeUserProbs(d)
 		if d.Err() != nil {
 			return
@@ -95,9 +96,9 @@ func FuzzDecodeUserProbs(f *testing.F) {
 			t.Fatalf("%d pairs from %d input bytes", len(pairs), len(data))
 		}
 		// Round trip.
-		var e Encoder
+		var e codec.Encoder
 		encodeUserProbs(&e, pairs)
-		d2 := NewDecoder(e.Bytes())
+		d2 := codec.NewDecoder(e.Bytes())
 		again := decodeUserProbs(d2)
 		if d2.Err() != nil {
 			t.Fatalf("re-decode of re-encoded pairs failed: %v", d2.Err())
@@ -119,13 +120,13 @@ func batchEntriesSeed() []server.BatchEntry {
 }
 
 func FuzzDecodeBatchQuery(f *testing.F) {
-	var seed Encoder
+	var seed codec.Encoder
 	encodeBatchEntries(&seed, batchEntriesSeed())
 	f.Add(seed.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // count over the batch cap
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := decodeBatchEntries(NewDecoder(data))
+		entries, err := decodeBatchEntries(codec.NewDecoder(data))
 		if err != nil {
 			return
 		}
@@ -137,9 +138,9 @@ func FuzzDecodeBatchQuery(f *testing.F) {
 			t.Fatalf("%d entries from %d input bytes", len(entries), len(data))
 		}
 		// Round trip.
-		var e Encoder
+		var e codec.Encoder
 		encodeBatchEntries(&e, entries)
-		if _, err := decodeBatchEntries(NewDecoder(e.Bytes())); err != nil {
+		if _, err := decodeBatchEntries(codec.NewDecoder(e.Bytes())); err != nil {
 			t.Fatalf("re-decode of re-encoded entries failed: %v", err)
 		}
 	})
@@ -147,7 +148,7 @@ func FuzzDecodeBatchQuery(f *testing.F) {
 
 func FuzzDecodeBatchResult(f *testing.F) {
 	entries := batchEntriesSeed()
-	f.Add(body(func(e *Encoder) {
+	f.Add(body(func(e *codec.Encoder) {
 		encodeBatchResult(e, entries, server.BatchResult{
 			Groups: 2, SharedHits: 1,
 			Items: []server.BatchItemResult{
@@ -163,7 +164,7 @@ func FuzzDecodeBatchResult(f *testing.F) {
 	f.Add([]byte{MsgBatchResult})
 	f.Add([]byte{0x00}) // wrong sub-frame tag
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res, err := decodeBatchResult(NewDecoder(data))
+		res, err := decodeBatchResult(codec.NewDecoder(data))
 		if err != nil {
 			return
 		}
@@ -178,22 +179,22 @@ func FuzzDecodeBatchUpdate(f *testing.F) {
 	// Seeds cover both directions of the MsgBatchUpdate exchange: the
 	// request's (id, point) run and the response's presence-tagged cloak
 	// results.
-	var req Encoder
+	var req codec.Encoder
 	req.U32(2)
 	req.U64(1).Point(geo.Pt(0.2, 0.3))
 	req.U64(2).Point(geo.Pt(0.4, 0.5))
 	f.Add(req.Bytes())
 	res := cloakResultSeed()
-	f.Add(body(func(e *Encoder) { encodeBatchResults(e, []*cloak.Result{nil, &res}) }))
+	f.Add(body(func(e *codec.Encoder) { encodeBatchResults(e, []*cloak.Result{nil, &res}) }))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // forged count, no entries
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := NewDecoder(data)
+		d := codec.NewDecoder(data)
 		reqs := decodeBatchRequests(d)
 		if d.Err() == nil && len(reqs)*24 > len(data) {
 			t.Fatalf("%d requests from %d input bytes", len(reqs), len(data))
 		}
-		d = NewDecoder(data)
+		d = codec.NewDecoder(data)
 		results := decodeBatchResults(d)
 		if d.Err() != nil {
 			return
@@ -204,7 +205,7 @@ func FuzzDecodeBatchUpdate(f *testing.F) {
 			t.Fatalf("%d results from %d input bytes", len(results), len(data))
 		}
 		// Round trip.
-		d2 := NewDecoder(body(func(e *Encoder) { encodeBatchResults(e, results) }))
+		d2 := codec.NewDecoder(body(func(e *codec.Encoder) { encodeBatchResults(e, results) }))
 		again := decodeBatchResults(d2)
 		if d2.Err() != nil {
 			t.Fatalf("re-decode of re-encoded results failed: %v", d2.Err())
@@ -216,7 +217,7 @@ func FuzzDecodeBatchUpdate(f *testing.F) {
 }
 
 func FuzzDecodePublicNN(f *testing.F) {
-	f.Add(body(func(e *Encoder) {
+	f.Add(body(func(e *codec.Encoder) {
 		encodePublicNNResult(e, server.PublicNNResult{
 			PrunedCount:      3,
 			Candidates:       []prob.NNProb{{ID: 7, Prob: 0.75}, {ID: 9, Prob: 0.25}},
@@ -226,7 +227,7 @@ func FuzzDecodePublicNN(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0x40, 0}) // forged count (1<<22), no candidates
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := NewDecoder(data)
+		d := codec.NewDecoder(data)
 		res := decodePublicNNResult(d)
 		if d.Err() != nil {
 			// A short payload yields no candidates, not a list of zero values.
@@ -240,7 +241,7 @@ func FuzzDecodePublicNN(f *testing.F) {
 			t.Fatalf("%d candidates from %d input bytes", len(res.Candidates), len(data))
 		}
 		// Round trip.
-		d2 := NewDecoder(body(func(e *Encoder) { encodePublicNNResult(e, res) }))
+		d2 := codec.NewDecoder(body(func(e *codec.Encoder) { encodePublicNNResult(e, res) }))
 		if again := decodePublicNNResult(d2); d2.Err() != nil || len(again.Candidates) != len(res.Candidates) {
 			t.Fatalf("round trip: %d candidates vs %d, %v", len(again.Candidates), len(res.Candidates), d2.Err())
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cloak"
+	"repro/internal/codec"
 	"repro/internal/geo"
 	"repro/internal/privacy"
 	"repro/internal/trace"
@@ -74,11 +75,11 @@ func FuzzReadFrame(f *testing.F) {
 func FuzzDecodeProfile(f *testing.F) {
 	// Seed with a real encoded registration: user id, then the profile.
 	prof := privacy.Constant(privacy.Requirement{K: 10, MinArea: 0.01})
-	f.Add(body(func(e *Encoder) { encodeUserProfile(e, 7, prof) }))
+	f.Add(body(func(e *codec.Encoder) { encodeUserProfile(e, 7, prof) }))
 	f.Add([]byte{})
 	f.Add([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}) // forged count, no entries
 	f.Fuzz(func(t *testing.T, data []byte) {
-		id, p, err := decodeUserProfile(NewDecoder(data))
+		id, p, err := decodeUserProfile(codec.NewDecoder(data))
 		if err != nil {
 			return
 		}
@@ -86,19 +87,19 @@ func FuzzDecodeProfile(f *testing.F) {
 			t.Fatal("nil profile with nil error")
 		}
 		// A decoded profile survives an encode/decode round trip.
-		again := body(func(e *Encoder) { encodeUserProfile(e, id, p) })
-		if id2, _, err := decodeUserProfile(NewDecoder(again)); err != nil || id2 != id {
+		again := body(func(e *codec.Encoder) { encodeUserProfile(e, id, p) })
+		if id2, _, err := decodeUserProfile(codec.NewDecoder(again)); err != nil || id2 != id {
 			t.Fatalf("re-decode of re-encoded profile: id %d vs %d, err %v", id2, id, err)
 		}
 	})
 }
 
 func FuzzDecodeResult(f *testing.F) {
-	f.Add(body(func(e *Encoder) { encodeResult(e, cloakResultSeed()) }))
+	f.Add(body(func(e *codec.Encoder) { encodeResult(e, cloakResultSeed()) }))
 	f.Add([]byte{})
 	f.Add(make([]byte, 36))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := NewDecoder(data)
+		d := codec.NewDecoder(data)
 		res := decodeResult(d)
 		if d.Err() != nil {
 			return
@@ -107,11 +108,11 @@ func FuzzDecodeResult(f *testing.F) {
 		// equality does not hold in general (the decoder ignores unknown
 		// flag bits, which re-encoding canonicalizes away), but field
 		// equality must — except for non-canonical NaN floats (NaN != NaN).
-		out := body(func(e *Encoder) { encodeResult(e, res) })
+		out := body(func(e *codec.Encoder) { encodeResult(e, res) })
 		if len(out) > len(data) {
 			t.Fatalf("encoded result longer than input: %d > %d", len(out), len(data))
 		}
-		d2 := NewDecoder(out)
+		d2 := codec.NewDecoder(out)
 		res2 := decodeResult(d2)
 		if d2.Err() != nil {
 			t.Fatalf("re-decode of re-encoded result failed: %v", d2.Err())

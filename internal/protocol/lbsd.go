@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/geo"
 	"repro/internal/prob"
 	"repro/internal/server"
@@ -70,8 +71,8 @@ type dbService struct {
 }
 
 func (s *dbService) handle(ctx context.Context, typ byte, payload []byte) ([]byte, error) {
-	d := NewDecoder(payload)
-	var e Encoder
+	d := codec.NewDecoder(payload)
+	var e codec.Encoder
 	switch typ {
 	case MsgUpdatePrivate:
 		id, region := decodeUpdatePrivate(d)
@@ -178,8 +179,8 @@ type dbHandler struct {
 }
 
 func (h *dbHandler) handle(ctx context.Context, typ byte, payload []byte) ([]byte, error) {
-	d := NewDecoder(payload)
-	var e Encoder
+	d := codec.NewDecoder(payload)
+	var e codec.Encoder
 	switch typ {
 	case MsgPublicNN:
 		q := decodePublicNNQuery(d)
@@ -265,25 +266,25 @@ func (h *dbHandler) handle(ctx context.Context, typ byte, payload []byte) ([]byt
 
 // encodeUpdatePrivate appends the MsgUpdatePrivate body: a user id and
 // the cloaked region that is all the database tier ever learns of them.
-func encodeUpdatePrivate(e *Encoder, id uint64, region geo.Rect) { e.U64(id).Rect(region) }
-func decodeUpdatePrivate(d *Decoder) (uint64, geo.Rect)          { return d.U64(), d.Rect() }
+func encodeUpdatePrivate(e *codec.Encoder, id uint64, region geo.Rect) { e.U64(id).Rect(region) }
+func decodeUpdatePrivate(d *codec.Decoder) (uint64, geo.Rect)          { return d.U64(), d.Rect() }
 
 // encodeUpdateMoving appends the MsgUpdateMoving body: a moving public
 // object's id and location (public data, not a user's).
-func encodeUpdateMoving(e *Encoder, id uint64, loc geo.Point) { e.U64(id).Point(loc) }
-func decodeUpdateMoving(d *Decoder) (uint64, geo.Point)       { return d.U64(), d.Point() }
+func encodeUpdateMoving(e *codec.Encoder, id uint64, loc geo.Point) { e.U64(id).Point(loc) }
+func decodeUpdateMoving(d *codec.Decoder) (uint64, geo.Point)       { return d.U64(), d.Point() }
 
 // encodeStats appends the MsgStats reply.
-func encodeStats(e *Encoder, stationary, private int) {
+func encodeStats(e *codec.Encoder, stationary, private int) {
 	e.U32(uint32(stationary)).U32(uint32(private))
 }
 
 // decodeStats is the inverse of encodeStats.
-func decodeStats(d *Decoder) (stationary, private int) { return int(d.U32()), int(d.U32()) }
+func decodeStats(d *codec.Decoder) (stationary, private int) { return int(d.U32()), int(d.U32()) }
 
 // encodeObjects appends an object list: the MsgLoadStationary body, the
 // MsgPrivateRange reply, and the list inside every NN and batch result.
-func encodeObjects(e *Encoder, objs []server.PublicObject) {
+func encodeObjects(e *codec.Encoder, objs []server.PublicObject) {
 	e.Grow(objectsSize(objs))
 	e.U32(uint32(len(objs)))
 	for _, o := range objs {
@@ -301,7 +302,7 @@ func objectsSize(objs []server.PublicObject) int {
 }
 
 // decodeObjects is the inverse of encodeObjects.
-func decodeObjects(d *Decoder) []server.PublicObject {
+func decodeObjects(d *codec.Decoder) []server.PublicObject {
 	n := d.Count(int(d.U32()), 26)
 	objs := make([]server.PublicObject, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
@@ -315,12 +316,12 @@ func decodeObjects(d *Decoder) []server.PublicObject {
 
 // encodeRangeQuery appends a private range query: the MsgPrivateRange
 // body and the range arm of a batch entry.
-func encodeRangeQuery(e *Encoder, q server.PrivateRangeQuery) {
+func encodeRangeQuery(e *codec.Encoder, q server.PrivateRangeQuery) {
 	e.Rect(q.Region).F64(q.Radius).Str(q.Class).U8(byte(q.Mode))
 }
 
 // decodeRangeQuery is the inverse of encodeRangeQuery.
-func decodeRangeQuery(d *Decoder) server.PrivateRangeQuery {
+func decodeRangeQuery(d *codec.Decoder) server.PrivateRangeQuery {
 	return server.PrivateRangeQuery{
 		Region: d.Rect(),
 		Radius: d.F64(),
@@ -331,28 +332,28 @@ func decodeRangeQuery(d *Decoder) server.PrivateRangeQuery {
 
 // encodeNNQuery appends a private NN query: the MsgPrivateNN and
 // MsgNNParts body and the NN arm of a batch entry.
-func encodeNNQuery(e *Encoder, q server.PrivateNNQuery) { e.Rect(q.Region).Str(q.Class) }
+func encodeNNQuery(e *codec.Encoder, q server.PrivateNNQuery) { e.Rect(q.Region).Str(q.Class) }
 
 // decodeNNQuery is the inverse of encodeNNQuery.
-func decodeNNQuery(d *Decoder) server.PrivateNNQuery {
+func decodeNNQuery(d *codec.Decoder) server.PrivateNNQuery {
 	return server.PrivateNNQuery{Region: d.Rect(), Class: d.Str()}
 }
 
 // encodeNNResult appends a private NN answer: the MsgPrivateNN reply and
 // the NN arm of a batch result.
-func encodeNNResult(e *Encoder, res server.PrivateNNResult) {
+func encodeNNResult(e *codec.Encoder, res server.PrivateNNResult) {
 	e.U32(uint32(res.SupersetSize))
 	encodeObjects(e, res.Candidates)
 }
 
 // decodeNNResult is the inverse of encodeNNResult.
-func decodeNNResult(d *Decoder) server.PrivateNNResult {
+func decodeNNResult(d *codec.Decoder) server.PrivateNNResult {
 	return server.PrivateNNResult{SupersetSize: int(d.U32()), Candidates: decodeObjects(d)}
 }
 
 // encodeCountResult appends a PublicRangeCountResult: the MsgPublicCount
 // reply and the count arm of a batch result.
-func encodeCountResult(e *Encoder, res server.PublicRangeCountResult) {
+func encodeCountResult(e *codec.Encoder, res server.PublicRangeCountResult) {
 	e.F64(res.Answer.Expected)
 	e.U32(uint32(res.Answer.Lo)).U32(uint32(res.Answer.Hi))
 	e.U32(uint32(res.NaiveCount))
@@ -363,7 +364,7 @@ func encodeCountResult(e *Encoder, res server.PublicRangeCountResult) {
 }
 
 // decodeCountResult is the inverse of encodeCountResult.
-func decodeCountResult(d *Decoder) server.PublicRangeCountResult {
+func decodeCountResult(d *codec.Decoder) server.PublicRangeCountResult {
 	var res server.PublicRangeCountResult
 	res.Answer.Expected = d.F64()
 	res.Answer.Lo = int(d.U32())
@@ -378,18 +379,18 @@ func decodeCountResult(d *Decoder) server.PublicRangeCountResult {
 }
 
 // encodePublicNNQuery appends the MsgPublicNN body.
-func encodePublicNNQuery(e *Encoder, q server.PublicNNQuery) {
+func encodePublicNNQuery(e *codec.Encoder, q server.PublicNNQuery) {
 	e.Point(q.From).U32(uint32(q.Samples)).U64(q.Seed)
 }
 
 // decodePublicNNQuery is the inverse of encodePublicNNQuery.
-func decodePublicNNQuery(d *Decoder) server.PublicNNQuery {
+func decodePublicNNQuery(d *codec.Decoder) server.PublicNNQuery {
 	return server.PublicNNQuery{From: d.Point(), Samples: int(d.U32()), Seed: d.U64()}
 }
 
 // encodePublicNNResult appends the MsgPublicNN reply: the pruned count,
 // then each candidate with its probability and cloaked region.
-func encodePublicNNResult(e *Encoder, res server.PublicNNResult) {
+func encodePublicNNResult(e *codec.Encoder, res server.PublicNNResult) {
 	e.U32(uint32(res.PrunedCount))
 	e.U32(uint32(len(res.Candidates)))
 	for _, c := range res.Candidates {
@@ -399,7 +400,7 @@ func encodePublicNNResult(e *Encoder, res server.PublicNNResult) {
 
 // decodePublicNNResult is the inverse of encodePublicNNResult. A short
 // payload yields no candidates at all.
-func decodePublicNNResult(d *Decoder) server.PublicNNResult {
+func decodePublicNNResult(d *codec.Decoder) server.PublicNNResult {
 	res := server.PublicNNResult{PrunedCount: int(d.U32())}
 	n := d.Count(int(d.U32()), 48)
 	res.CandidateRegions = make(map[uint64]geo.Rect, n)
@@ -415,12 +416,12 @@ func decodePublicNNResult(d *Decoder) server.PublicNNResult {
 }
 
 // encodeContAnswer appends the MsgContCount reply.
-func encodeContAnswer(e *Encoder, ans server.ContinuousCountAnswer) {
+func encodeContAnswer(e *codec.Encoder, ans server.ContinuousCountAnswer) {
 	e.F64(ans.Expected).U32(uint32(ans.Lo)).U32(uint32(ans.Hi))
 }
 
 // decodeContAnswer is the inverse of encodeContAnswer.
-func decodeContAnswer(d *Decoder) server.ContinuousCountAnswer {
+func decodeContAnswer(d *codec.Decoder) server.ContinuousCountAnswer {
 	return server.ContinuousCountAnswer{Expected: d.F64(), Lo: int(d.U32()), Hi: int(d.U32())}
 }
 
@@ -431,7 +432,7 @@ const maxBatchEntries = 4096
 
 // encodeBatchEntry appends one batch query: its kind, then that kind's
 // single-query body. Shared by MsgBatchQuery and MsgShardBatch.
-func encodeBatchEntry(e *Encoder, be server.BatchEntry) {
+func encodeBatchEntry(e *codec.Encoder, be server.BatchEntry) {
 	e.U8(byte(be.Kind))
 	switch be.Kind {
 	case server.BatchPrivateRange:
@@ -448,7 +449,7 @@ func encodeBatchEntry(e *Encoder, be server.BatchEntry) {
 // fails the whole frame — per-entry failure semantics apply to well-formed
 // frames whose query *parameters* are invalid, which the server reports
 // per entry.
-func decodeBatchEntry(d *Decoder) (be server.BatchEntry, ok bool) {
+func decodeBatchEntry(d *codec.Decoder) (be server.BatchEntry, ok bool) {
 	be.Kind = server.BatchKind(d.U8())
 	switch be.Kind {
 	case server.BatchPrivateRange:
@@ -464,7 +465,7 @@ func decodeBatchEntry(d *Decoder) (be server.BatchEntry, ok bool) {
 }
 
 // encodeBatchEntries appends the MsgBatchQuery body.
-func encodeBatchEntries(e *Encoder, entries []server.BatchEntry) {
+func encodeBatchEntries(e *codec.Encoder, entries []server.BatchEntry) {
 	e.Grow(4 + 48*len(entries))
 	e.U32(uint32(len(entries)))
 	for _, be := range entries {
@@ -473,7 +474,7 @@ func encodeBatchEntries(e *Encoder, entries []server.BatchEntry) {
 }
 
 // decodeBatchEntries is the inverse of encodeBatchEntries.
-func decodeBatchEntries(d *Decoder) ([]server.BatchEntry, error) {
+func decodeBatchEntries(d *codec.Decoder) ([]server.BatchEntry, error) {
 	n := int(d.U32())
 	if n > maxBatchEntries {
 		return nil, fmt.Errorf("protocol: batch of %d entries exceeds the %d-entry cap", n, maxBatchEntries)
@@ -498,7 +499,7 @@ func decodeBatchEntries(d *Decoder) ([]server.BatchEntry, error) {
 // MsgBatchResult sub-frame so the response is self-describing on the
 // wire. Each entry carries a status byte and its kind tag, then the same
 // per-kind encoding the single-query responses use.
-func encodeBatchResult(e *Encoder, entries []server.BatchEntry, res server.BatchResult) {
+func encodeBatchResult(e *codec.Encoder, entries []server.BatchEntry, res server.BatchResult) {
 	// Pre-scan the exact response size so the whole frame is built in one
 	// allocation. Failed entries are skipped (error strings are rare and
 	// cheap to absorb through Grow's geometric fallback).
@@ -548,7 +549,7 @@ func encodeBatchResult(e *Encoder, entries []server.BatchEntry, res server.Batch
 }
 
 // decodeBatchResult is the inverse of encodeBatchResult.
-func decodeBatchResult(d *Decoder) (server.BatchResult, error) {
+func decodeBatchResult(d *codec.Decoder) (server.BatchResult, error) {
 	if tag := d.U8(); d.Err() == nil && tag != MsgBatchResult {
 		return server.BatchResult{}, fmt.Errorf("protocol: batch response tagged %d, want %d", tag, MsgBatchResult)
 	}
@@ -613,7 +614,7 @@ func (dc *DatabaseClient) UpdatePrivate(id uint64, region geo.Rect) error {
 // the forwarder threads the cloak pipeline's trace through here so the
 // forward hop shows up in the request's timeline.
 func (dc *DatabaseClient) UpdatePrivateCtx(ctx context.Context, id uint64, region geo.Rect) error {
-	var e Encoder
+	var e codec.Encoder
 	encodeUpdatePrivate(&e, id, region)
 	_, err := dc.c.CallCtx(ctx, MsgUpdatePrivate, e.Bytes())
 	return err
@@ -626,7 +627,7 @@ func (dc *DatabaseClient) RemovePrivate(id uint64) error {
 
 // RemovePrivateCtx is RemovePrivate under a context (deadline, trace).
 func (dc *DatabaseClient) RemovePrivateCtx(ctx context.Context, id uint64) error {
-	var e Encoder
+	var e codec.Encoder
 	e.U64(id)
 	_, err := dc.c.CallCtx(ctx, MsgRemovePrivate, e.Bytes())
 	return err
@@ -639,7 +640,7 @@ func (dc *DatabaseClient) LoadStationary(objs []server.PublicObject) error {
 
 // LoadStationaryCtx is LoadStationary under a context (deadline, trace).
 func (dc *DatabaseClient) LoadStationaryCtx(ctx context.Context, objs []server.PublicObject) error {
-	var e Encoder
+	var e codec.Encoder
 	encodeObjects(&e, objs)
 	_, err := dc.c.CallCtx(ctx, MsgLoadStationary, e.Bytes())
 	return err
@@ -652,7 +653,7 @@ func (dc *DatabaseClient) PrivateRange(q server.PrivateRangeQuery) ([]server.Pub
 
 // PrivateRangeCtx is PrivateRange under a context (deadline, trace).
 func (dc *DatabaseClient) PrivateRangeCtx(ctx context.Context, q server.PrivateRangeQuery) ([]server.PublicObject, error) {
-	var e Encoder
+	var e codec.Encoder
 	encodeRangeQuery(&e, q)
 	d := dc.c.exchange(ctx, MsgPrivateRange, e.Bytes())
 	objs := decodeObjects(&d)
@@ -666,7 +667,7 @@ func (dc *DatabaseClient) PrivateNN(q server.PrivateNNQuery) (server.PrivateNNRe
 
 // PrivateNNCtx is PrivateNN under a context (deadline, trace).
 func (dc *DatabaseClient) PrivateNNCtx(ctx context.Context, q server.PrivateNNQuery) (server.PrivateNNResult, error) {
-	var e Encoder
+	var e codec.Encoder
 	encodeNNQuery(&e, q)
 	d := dc.c.exchange(ctx, MsgPrivateNN, e.Bytes())
 	res := decodeNNResult(&d)
@@ -680,7 +681,7 @@ func (dc *DatabaseClient) PublicCount(query geo.Rect) (server.PublicRangeCountRe
 
 // PublicCountCtx is PublicCount under a context (deadline, trace).
 func (dc *DatabaseClient) PublicCountCtx(ctx context.Context, query geo.Rect) (server.PublicRangeCountResult, error) {
-	var e Encoder
+	var e codec.Encoder
 	e.Rect(query)
 	d := dc.c.exchange(ctx, MsgPublicCount, e.Bytes())
 	res := decodeCountResult(&d)
@@ -697,7 +698,7 @@ func (dc *DatabaseClient) BatchQuery(entries []server.BatchEntry) (server.BatchR
 
 // BatchQueryCtx is BatchQuery under a context (deadline, trace).
 func (dc *DatabaseClient) BatchQueryCtx(ctx context.Context, entries []server.BatchEntry) (server.BatchResult, error) {
-	var e Encoder
+	var e codec.Encoder
 	encodeBatchEntries(&e, entries)
 	d := dc.c.exchange(ctx, MsgBatchQuery, e.Bytes())
 	res, err := decodeBatchResult(&d)
@@ -722,7 +723,7 @@ func (dc *DatabaseClient) BatchQueryCtx(ctx context.Context, entries []server.Ba
 
 // PublicNN runs a public nearest-neighbor query over private data.
 func (dc *DatabaseClient) PublicNN(q server.PublicNNQuery) (server.PublicNNResult, error) {
-	var e Encoder
+	var e codec.Encoder
 	encodePublicNNQuery(&e, q)
 	d := dc.c.exchange(context.Background(), MsgPublicNN, e.Bytes())
 	res := decodePublicNNResult(&d)
@@ -731,7 +732,7 @@ func (dc *DatabaseClient) PublicNN(q server.PublicNNQuery) (server.PublicNNResul
 
 // RegisterContinuousCount installs a standing count query remotely.
 func (dc *DatabaseClient) RegisterContinuousCount(query geo.Rect) (uint64, error) {
-	var e Encoder
+	var e codec.Encoder
 	e.Rect(query)
 	d := dc.c.exchange(context.Background(), MsgRegContCount, e.Bytes())
 	id := d.U64()
@@ -740,7 +741,7 @@ func (dc *DatabaseClient) RegisterContinuousCount(query geo.Rect) (uint64, error
 
 // ContinuousCount reads a standing query's maintained answer.
 func (dc *DatabaseClient) ContinuousCount(id uint64) (server.ContinuousCountAnswer, error) {
-	var e Encoder
+	var e codec.Encoder
 	e.U64(id)
 	d := dc.c.exchange(context.Background(), MsgContCount, e.Bytes())
 	ans := decodeContAnswer(&d)
@@ -749,7 +750,7 @@ func (dc *DatabaseClient) ContinuousCount(id uint64) (server.ContinuousCountAnsw
 
 // UnregisterContinuousCount removes a standing query.
 func (dc *DatabaseClient) UnregisterContinuousCount(id uint64) error {
-	var e Encoder
+	var e codec.Encoder
 	e.U64(id)
 	_, err := dc.c.Call(MsgUnregContCount, e.Bytes())
 	return err
@@ -762,7 +763,7 @@ func (dc *DatabaseClient) UpdateMoving(id uint64, loc geo.Point) error {
 
 // UpdateMovingCtx is UpdateMoving under a context (deadline, trace).
 func (dc *DatabaseClient) UpdateMovingCtx(ctx context.Context, id uint64, loc geo.Point) error {
-	var e Encoder
+	var e codec.Encoder
 	encodeUpdateMoving(&e, id, loc)
 	_, err := dc.c.CallCtx(ctx, MsgUpdateMoving, e.Bytes())
 	return err
@@ -776,7 +777,7 @@ func (dc *DatabaseClient) RemoveMoving(id uint64) (bool, error) {
 
 // RemoveMovingCtx is RemoveMoving under a context (deadline, trace).
 func (dc *DatabaseClient) RemoveMovingCtx(ctx context.Context, id uint64) (bool, error) {
-	var e Encoder
+	var e codec.Encoder
 	e.U64(id)
 	d := dc.c.exchange(ctx, MsgRemoveMoving, e.Bytes())
 	existed := d.Bool()

@@ -7,6 +7,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/codec"
 	"repro/internal/geo"
 	"repro/internal/router"
 	"repro/internal/server"
@@ -42,7 +43,7 @@ type routerHandler struct {
 func (h *routerHandler) handle(ctx context.Context, typ byte, payload []byte) ([]byte, error) {
 	switch typ {
 	case MsgShardMap:
-		var e Encoder
+		var e codec.Encoder
 		encodeShardMap(&e, h.rt.Topology())
 		return e.Bytes(), nil
 
@@ -69,7 +70,7 @@ func (h *routerHandler) handle(ctx context.Context, typ byte, payload []byte) ([
 // radius, the count query, or the NN region. relayed is false when the
 // request must scatter instead.
 func (h *routerHandler) relay(ctx context.Context, typ byte, payload []byte) (resp []byte, relayed bool, err error) {
-	d := Decoder{buf: payload}
+	d := codec.MakeDecoder(payload, nil)
 	rect := d.Rect()
 	var nnBound func([]byte, geo.Rect) float64
 	switch typ {
@@ -91,12 +92,12 @@ func (h *routerHandler) relay(ctx context.Context, typ byte, payload []byte) (re
 // locations and returns min MaxDist²(candidate, region): +Inf for an
 // empty or unreadable reply.
 func nnReplyBound(reply []byte, region geo.Rect) float64 {
-	d := Decoder{buf: reply}
+	d := codec.MakeDecoder(reply, nil)
 	d.U32() // superset size
 	bound := math.Inf(1)
 	for n := d.Count(int(d.U32()), 26); n > 0; n-- {
 		d.U64()
-		d.take(int(d.U16())) // class
+		d.Skip(int(d.U16())) // class
 		bound = min(bound, geo.MaxDist2(d.Point(), region))
 	}
 	if d.Err() != nil {
@@ -113,7 +114,7 @@ func (dc *DatabaseClient) RelayCtx(ctx context.Context, typ byte, payload []byte
 
 // encodeShardMap appends the MsgShardMap reply: world, grid dimensions,
 // shard addresses, then the tile→shard ownership table as uint16s.
-func encodeShardMap(e *Encoder, t router.Topology) {
+func encodeShardMap(e *codec.Encoder, t router.Topology) {
 	e.Rect(t.World)
 	e.U32(uint32(t.Cols)).U32(uint32(t.Rows))
 	e.U32(uint32(t.Shards))
@@ -133,7 +134,7 @@ func encodeShardMap(e *Encoder, t router.Topology) {
 // decodeShardMap is the inverse of encodeShardMap, rejecting inconsistent
 // frames: the owner table must match the grid size and every owner must
 // name one of the declared shards.
-func decodeShardMap(d *Decoder) (router.Topology, error) {
+func decodeShardMap(d *codec.Decoder) (router.Topology, error) {
 	var t router.Topology
 	t.World = d.Rect()
 	t.Cols = int(d.U32())
@@ -174,7 +175,7 @@ func decodeShardMap(d *Decoder) (router.Topology, error) {
 // encodeSubQueries appends the MsgShardBatch body: each entry keeps its
 // index in the original batch, followed by the batch-entry encoding a
 // direct MsgBatchQuery uses.
-func encodeSubQueries(e *Encoder, subs []router.SubQuery) {
+func encodeSubQueries(e *codec.Encoder, subs []router.SubQuery) {
 	e.U32(uint32(len(subs)))
 	for _, sq := range subs {
 		e.U32(uint32(sq.Index))
@@ -184,7 +185,7 @@ func encodeSubQueries(e *Encoder, subs []router.SubQuery) {
 
 // decodeSubQueries is the inverse of encodeSubQueries. Like the direct
 // batch decoder, an unknown kind byte fails the whole frame.
-func decodeSubQueries(d *Decoder) ([]router.SubQuery, error) {
+func decodeSubQueries(d *codec.Decoder) ([]router.SubQuery, error) {
 	n := int(d.U32())
 	if n > maxBatchEntries {
 		return nil, fmt.Errorf("protocol: sub-batch of %d entries exceeds the %d-entry cap", n, maxBatchEntries)
@@ -208,20 +209,20 @@ func decodeSubQueries(d *Decoder) ([]router.SubQuery, error) {
 
 // encodeNNParts appends the shard-local half of a private NN answer: the
 // MsgNNParts reply and the NN arm of a sub-batch result.
-func encodeNNParts(e *Encoder, parts server.NNParts) {
+func encodeNNParts(e *codec.Encoder, parts server.NNParts) {
 	e.F64(parts.Bound)
 	encodeObjects(e, parts.Candidates)
 }
 
 // decodeNNParts is the inverse of encodeNNParts.
-func decodeNNParts(d *Decoder) server.NNParts {
+func decodeNNParts(d *codec.Decoder) server.NNParts {
 	return server.NNParts{Bound: d.F64(), Candidates: decodeObjects(d)}
 }
 
 // encodeUserProbs appends a length-prefixed (user id, probability) pair
 // list — the shard-local count payload: the MsgCountProbs reply and the
 // count arm of a sub-batch result.
-func encodeUserProbs(e *Encoder, pairs []server.UserProb) {
+func encodeUserProbs(e *codec.Encoder, pairs []server.UserProb) {
 	e.U32(uint32(len(pairs)))
 	for _, up := range pairs {
 		e.U64(up.ID).F64(up.P)
@@ -229,7 +230,7 @@ func encodeUserProbs(e *Encoder, pairs []server.UserProb) {
 }
 
 // decodeUserProbs is the inverse of encodeUserProbs.
-func decodeUserProbs(d *Decoder) []server.UserProb {
+func decodeUserProbs(d *codec.Decoder) []server.UserProb {
 	n := d.Count(int(d.U32()), 16)
 	pairs := make([]server.UserProb, 0, n)
 	for i := 0; i < n; i++ {
@@ -242,7 +243,7 @@ func decodeUserProbs(d *Decoder) []server.UserProb {
 // answers to a forwarded sub-batch: per entry a status byte, then either
 // the failure cause or the kind-tagged partial payload (objects / NN
 // parts / count probs).
-func encodeSubResults(e *Encoder, results []router.SubResult) {
+func encodeSubResults(e *codec.Encoder, results []router.SubResult) {
 	e.U32(uint32(len(results)))
 	for _, sr := range results {
 		e.U32(uint32(sr.Index))
@@ -264,7 +265,7 @@ func encodeSubResults(e *Encoder, results []router.SubResult) {
 }
 
 // decodeSubResults is the inverse of encodeSubResults.
-func decodeSubResults(d *Decoder) ([]router.SubResult, error) {
+func decodeSubResults(d *codec.Decoder) ([]router.SubResult, error) {
 	n := int(d.U32())
 	if n > maxBatchEntries {
 		return nil, fmt.Errorf("protocol: sub-batch result of %d entries exceeds the %d-entry cap", n, maxBatchEntries)
@@ -333,7 +334,7 @@ func evalSubQueries(ctx context.Context, srv *server.Server, subs []router.SubQu
 
 // NNPartsCtx fetches the shard-local half of a private NN query.
 func (dc *DatabaseClient) NNPartsCtx(ctx context.Context, q server.PrivateNNQuery) (server.NNParts, error) {
-	var e Encoder
+	var e codec.Encoder
 	encodeNNQuery(&e, q)
 	d := dc.c.exchange(ctx, MsgNNParts, e.Bytes())
 	parts := decodeNNParts(&d)
@@ -342,7 +343,7 @@ func (dc *DatabaseClient) NNPartsCtx(ctx context.Context, q server.PrivateNNQuer
 
 // CountProbsCtx fetches the shard-local half of a public count.
 func (dc *DatabaseClient) CountProbsCtx(ctx context.Context, q server.PublicRangeCountQuery) ([]server.UserProb, error) {
-	var e Encoder
+	var e codec.Encoder
 	e.Rect(q.Query)
 	d := dc.c.exchange(ctx, MsgCountProbs, e.Bytes())
 	pairs := decodeUserProbs(&d)
@@ -352,7 +353,7 @@ func (dc *DatabaseClient) CountProbsCtx(ctx context.Context, q server.PublicRang
 // ShardBatchCtx forwards a sub-batch to one shard and returns its partial
 // results.
 func (dc *DatabaseClient) ShardBatchCtx(ctx context.Context, subs []router.SubQuery) ([]router.SubResult, error) {
-	var e Encoder
+	var e codec.Encoder
 	encodeSubQueries(&e, subs)
 	d := dc.c.exchange(ctx, MsgShardBatch, e.Bytes())
 	return decodeSubResults(&d)

@@ -3,6 +3,7 @@ package protocol
 import (
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/obs"
 )
 
@@ -18,7 +19,7 @@ import (
 
 // encodeMetrics flattens exported snapshots into a payload.
 func encodeMetrics(series []obs.MetricSnapshot) []byte {
-	var e Encoder
+	var e codec.Encoder
 	e.U32(uint32(len(series)))
 	for _, s := range series {
 		e.Str(s.Name).Str(s.Help).U8(byte(s.Kind))
@@ -53,7 +54,7 @@ func encodeMetrics(series []obs.MetricSnapshot) []byte {
 
 // DecodeMetrics parses a MsgMetrics response payload.
 func DecodeMetrics(payload []byte) ([]obs.MetricSnapshot, error) {
-	d := NewDecoder(payload)
+	d := codec.NewDecoder(payload)
 	// Each series needs ≥ 8 bytes on the wire (two empty strings, kind,
 	// label count and a value byte short of that, but 8 is a safe floor).
 	n := d.Count(int(d.U32()), 8)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/anonymizer"
+	"repro/internal/codec"
 	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/privacy"
@@ -115,7 +116,7 @@ func TestDecodeMetricsRejectsGarbage(t *testing.T) {
 	if _, err := DecodeMetrics([]byte{0xff, 0xff, 0xff, 0xff}); err == nil {
 		t.Fatal("forged series count must fail, not allocate")
 	}
-	var e Encoder
+	var e codec.Encoder
 	e.U32(1)
 	e.Str("m").Str("").U8(9) // unknown kind
 	e.U16(0)

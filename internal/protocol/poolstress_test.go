@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/geo"
 	"repro/internal/rng"
 	"repro/internal/server"
@@ -28,7 +29,7 @@ import (
 // of the payload before that read stay intact.
 func TestReadFrameBufAliasContract(t *testing.T) {
 	var stream bytes.Buffer
-	var ea, eb Encoder
+	var ea, eb codec.Encoder
 	ea.U64(0x1111).Str("alpha")
 	eb.U64(0x2222).Str("bravo")
 	if err := WriteFrame(&stream, MsgStats, ea.Bytes()); err != nil {
@@ -42,7 +43,7 @@ func TestReadFrameBufAliasContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	da := NewDecoder(payloadA)
+	da := codec.NewDecoder(payloadA)
 	idA, strA := da.U64(), da.Str() // copied out: survive the next read
 	viewA := payloadA               // retained view: must NOT survive
 
@@ -53,7 +54,7 @@ func TestReadFrameBufAliasContract(t *testing.T) {
 	if idA != 0x1111 || strA != "alpha" {
 		t.Fatalf("decoded values corrupted by buffer reuse: %#x %q", idA, strA)
 	}
-	db := NewDecoder(payloadB)
+	db := codec.NewDecoder(payloadB)
 	if id := db.U64(); id != 0x2222 {
 		t.Fatalf("second frame decoded %#x, want 0x2222", id)
 	}

@@ -9,15 +9,16 @@ import (
 	"testing/quick"
 
 	"repro/internal/cloak"
+	"repro/internal/codec"
 	"repro/internal/geo"
 	"repro/internal/privacy"
 )
 
 func TestEncoderDecoderRoundTrip(t *testing.T) {
-	var e Encoder
+	var e codec.Encoder
 	e.U8(7).U16(65000).U32(4000000000).U64(1 << 60).F64(3.14159).
 		Str("hello").Point(geo.Pt(1.5, -2.5)).Rect(geo.R(0, 0, 1, 1))
-	d := NewDecoder(e.Bytes())
+	d := codec.NewDecoder(e.Bytes())
 	if d.U8() != 7 || d.U16() != 65000 || d.U32() != 4000000000 || d.U64() != 1<<60 {
 		t.Fatal("integer round trip")
 	}
@@ -39,9 +40,9 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 }
 
 func TestDecoderShortPayload(t *testing.T) {
-	d := NewDecoder([]byte{1, 2})
+	d := codec.NewDecoder([]byte{1, 2})
 	_ = d.U32()
-	if !errors.Is(d.Err(), ErrShortPayload) {
+	if !errors.Is(d.Err(), codec.ErrShortPayload) {
 		t.Fatalf("err = %v", d.Err())
 	}
 	// Sticky: further reads keep the error and return zero values.
@@ -51,9 +52,9 @@ func TestDecoderShortPayload(t *testing.T) {
 }
 
 func TestSpecialFloats(t *testing.T) {
-	var e Encoder
+	var e codec.Encoder
 	e.F64(math.Inf(1)).F64(math.Inf(-1))
-	d := NewDecoder(e.Bytes())
+	d := codec.NewDecoder(e.Bytes())
 	if !math.IsInf(d.F64(), 1) || !math.IsInf(d.F64(), -1) {
 		t.Fatal("infinities did not survive")
 	}
@@ -94,9 +95,9 @@ func TestReadFrameRejectsBadLength(t *testing.T) {
 
 func TestProfileRoundTrip(t *testing.T) {
 	prof := privacy.PaperExample()
-	var e Encoder
+	var e codec.Encoder
 	encodeUserProfile(&e, 42, prof)
-	id, got, err := decodeUserProfile(NewDecoder(e.Bytes()))
+	id, got, err := decodeUserProfile(codec.NewDecoder(e.Bytes()))
 	if err != nil || id != 42 {
 		t.Fatalf("id %d, err %v", id, err)
 	}
@@ -126,7 +127,7 @@ func TestResultRoundTrip(t *testing.T) {
 			SatisfiedMaxArea: flags&4 != 0,
 			Reused:           flags&8 != 0,
 		}
-		got := decodeResult(NewDecoder(body(func(e *Encoder) { encodeResult(e, res) })))
+		got := decodeResult(codec.NewDecoder(body(func(e *codec.Encoder) { encodeResult(e, res) })))
 		return got == res
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -218,7 +219,7 @@ func TestPropEncodeDecodeSequences(t *testing.T) {
 			}
 			items = append(items, it)
 		}
-		var e Encoder
+		var e codec.Encoder
 		for _, it := range items {
 			switch it.kind {
 			case 0:
@@ -234,7 +235,7 @@ func TestPropEncodeDecodeSequences(t *testing.T) {
 			}
 			e.Str(it.s)
 		}
-		d := NewDecoder(e.Bytes())
+		d := codec.NewDecoder(e.Bytes())
 		for _, it := range items {
 			switch it.kind {
 			case 0:

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/anonymizer"
+	"repro/internal/codec"
 	"repro/internal/geo"
 	"repro/internal/rng"
 	"repro/internal/server"
@@ -207,7 +208,7 @@ func TestOversizedFrameDisconnects(t *testing.T) {
 // 8-byte reply must not cost the client a 64 MiB list of zero values.
 func TestPublicNNForgedCandidateCount(t *testing.T) {
 	svc, err := Serve("127.0.0.1:0", func(context.Context, byte, []byte) ([]byte, error) {
-		var e Encoder
+		var e codec.Encoder
 		e.U32(0).U32(1 << 22)
 		return e.Bytes(), nil
 	}, quiet)
@@ -221,7 +222,7 @@ func TestPublicNNForgedCandidateCount(t *testing.T) {
 	}
 	defer dc.Close()
 	res, err := dc.PublicNN(server.PublicNNQuery{From: geo.Pt(0.5, 0.5)})
-	if !errors.Is(err, ErrShortPayload) {
+	if !errors.Is(err, codec.ErrShortPayload) {
 		t.Fatalf("forged count accepted: %v", err)
 	}
 	if len(res.Candidates) != 0 {

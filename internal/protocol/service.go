@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -303,7 +304,7 @@ func (s *Service) serveConn(conn net.Conn) {
 	// The read buffer is reused across frames (ReadFrameBuf): the request
 	// payload is handled fully — dispatch and the response write — before
 	// the next read, and no handler retains a payload view past its
-	// return (Decoder numeric reads and Str copy out), so the reuse is
+	// return (codec.Decoder numeric reads and Str copy out), so the reuse is
 	// invisible to handlers. The no-alias stress test and FuzzReadFrame
 	// pin this contract.
 	br := bufio.NewReaderSize(conn, connBufSize)
@@ -366,7 +367,7 @@ func (s *Service) serveFrame(bw *bufio.Writer, typ byte, payload []byte) error {
 		} else if s.met != nil {
 			s.met.errs.Inc()
 		}
-		var e Encoder
+		var e codec.Encoder
 		e.Str(herr.Error())
 		resp = e.Bytes()
 	}

@@ -3,6 +3,7 @@ package protocol
 import (
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/trace"
 )
 
@@ -12,9 +13,8 @@ const tracedHeaderLen = 8 + 8 + 1 + 1
 
 // encodeTraced wraps an inner request frame in the tracing envelope.
 func encodeTraced(sc trace.SpanContext, innerTyp byte, inner []byte) []byte {
-	var e Encoder
-	e.U64(sc.TraceID).U64(sc.SpanID).U8(sc.Flags).U8(innerTyp)
-	e.buf = append(e.buf, inner...)
+	var e codec.Encoder
+	e.U64(sc.TraceID).U64(sc.SpanID).U8(sc.Flags).U8(innerTyp).Raw(inner)
 	return e.Bytes()
 }
 
@@ -24,9 +24,9 @@ func encodeTraced(sc trace.SpanContext, innerTyp byte, inner []byte) []byte {
 // inner frame — the inner frame must be a request.
 func decodeTraced(payload []byte) (sc trace.SpanContext, innerTyp byte, inner []byte, err error) {
 	if len(payload) < tracedHeaderLen {
-		return trace.SpanContext{}, 0, nil, ErrShortPayload
+		return trace.SpanContext{}, 0, nil, codec.ErrShortPayload
 	}
-	d := NewDecoder(payload)
+	d := codec.NewDecoder(payload)
 	sc.TraceID = d.U64()
 	sc.SpanID = d.U64()
 	sc.Flags = d.U8()
@@ -45,7 +45,7 @@ func decodeTraced(payload []byte) (sc trace.SpanContext, innerTyp byte, inner []
 
 // encodeSpans serializes a span-ring snapshot for a MsgTraces response.
 func encodeSpans(spans []trace.SpanRecord) []byte {
-	var e Encoder
+	var e codec.Encoder
 	e.U32(uint32(len(spans)))
 	for i := range spans {
 		rec := &spans[i]
@@ -70,7 +70,7 @@ func encodeSpans(spans []trace.SpanRecord) []byte {
 
 // DecodeSpans parses a MsgTraces response payload.
 func DecodeSpans(payload []byte) ([]trace.SpanRecord, error) {
-	d := NewDecoder(payload)
+	d := codec.NewDecoder(payload)
 	// 8·5 fixed bytes + two empty strings + attr count per span.
 	n := d.Count(int(d.U32()), 45)
 	out := make([]trace.SpanRecord, 0, n)

@@ -7,20 +7,18 @@
 //
 // The package is the single owner of the wire format: the messages table
 // states each type's label, retry safety and admission class once, and
-// every body has exactly one encodeX(*Encoder, T) / decodeX(*Decoder) T
-// pair, called statically by stub, handler and the codecs that embed it.
+// every body has exactly one encodeX(*codec.Encoder, T) /
+// decodeX(*codec.Decoder) T pair, called statically by stub, handler and
+// the codecs that embed it. The primitives those pairs are built from
+// live in internal/codec, which the server's snapshot shares.
 package protocol
 
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
-
-	"repro/internal/geo"
 )
 
 // Message types. Requests 1–9 are served by the anonymizer; 10+ by the
@@ -268,7 +266,7 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 // large enough and returning the (possibly grown) buffer for the next
 // call. The payload ALIASES the returned buffer: it is valid only until
 // buf is passed to ReadFrameBuf again, so the caller must fully consume
-// (or copy out of) the frame before reading the next one. Decoder reads
+// (or copy out of) the frame before reading the next one. codec.Decoder reads
 // of numeric fields and Str copy out of the payload, so a decode
 // completed before the next read never retains a view. Frames larger
 // than maxPooledBuf get a fresh buffer and buf is returned unchanged, so
@@ -308,188 +306,3 @@ func ReadFrameBuf(r io.Reader, buf []byte) (typ byte, payload, bufOut []byte, er
 	}
 	return frame[0], frame[1:n], buf, nil
 }
-
-// Encoder builds a payload. The zero value is ready to use.
-type Encoder struct {
-	buf []byte
-}
-
-// Bytes returns the accumulated payload.
-func (e *Encoder) Bytes() []byte { return e.buf }
-
-// Grow reserves capacity for at least n more bytes, so a caller that
-// knows its payload size pays one allocation instead of a doubling
-// cascade. Growth is geometric: a sequence of small exact Grows (one
-// per sub-list of a response) must amortize like append, not trigger a
-// copy each.
-func (e *Encoder) Grow(n int) {
-	if free := cap(e.buf) - len(e.buf); free < n {
-		want := len(e.buf) + n
-		if min := 2 * cap(e.buf); want < min {
-			want = min
-		}
-		nb := make([]byte, len(e.buf), want)
-		copy(nb, e.buf)
-		e.buf = nb
-	}
-}
-
-// U8 appends one byte.
-func (e *Encoder) U8(v byte) *Encoder { e.buf = append(e.buf, v); return e }
-
-// Bool appends a flag byte.
-func (e *Encoder) Bool(v bool) *Encoder {
-	if v {
-		return e.U8(1)
-	}
-	return e.U8(0)
-}
-
-// U16 appends a little-endian uint16.
-func (e *Encoder) U16(v uint16) *Encoder {
-	e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
-	return e
-}
-
-// U32 appends a little-endian uint32.
-func (e *Encoder) U32(v uint32) *Encoder {
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
-	return e
-}
-
-// U64 appends a little-endian uint64.
-func (e *Encoder) U64(v uint64) *Encoder {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-	return e
-}
-
-// F64 appends an IEEE-754 float64.
-func (e *Encoder) F64(v float64) *Encoder { return e.U64(math.Float64bits(v)) }
-
-// Str appends a length-prefixed UTF-8 string (≤ 64 KiB).
-func (e *Encoder) Str(s string) *Encoder {
-	if len(s) > 0xffff {
-		s = s[:0xffff]
-	}
-	e.U16(uint16(len(s)))
-	e.buf = append(e.buf, s...)
-	return e
-}
-
-// Point appends a point.
-func (e *Encoder) Point(p geo.Point) *Encoder { return e.F64(p.X).F64(p.Y) }
-
-// Rect appends a rectangle.
-func (e *Encoder) Rect(r geo.Rect) *Encoder { return e.Point(r.Min).Point(r.Max) }
-
-// ErrShortPayload reports a truncated or malformed payload.
-var ErrShortPayload = errors.New("protocol: short or malformed payload")
-
-// Decoder consumes a payload; the first decoding error sticks and every
-// subsequent read returns zero values, so call Err once at the end.
-type Decoder struct {
-	buf  []byte
-	off  int
-	err  error
-	last string // the string Str read last
-}
-
-// NewDecoder wraps a payload.
-func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
-
-// Err returns the sticky error, nil if all reads were in bounds.
-func (d *Decoder) Err() error { return d.err }
-
-// Remaining returns the number of unread bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
-
-func (d *Decoder) take(n int) []byte {
-	if d.err != nil || d.off+n > len(d.buf) {
-		if d.err == nil {
-			d.err = ErrShortPayload
-		}
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-// U8 reads one byte.
-func (d *Decoder) U8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// Bool reads a flag byte.
-func (d *Decoder) Bool() bool { return d.U8() != 0 }
-
-// Count bounds a length prefix n just read off the wire by what the rest
-// of the payload can hold at minBytes per element. A forged or truncated
-// count sets the sticky error and reads as zero, so no decode loop runs
-// and no list is sized from it.
-func (d *Decoder) Count(n, minBytes int) int {
-	if d.err == nil && n > d.Remaining()/minBytes {
-		d.err = ErrShortPayload
-	}
-	if d.err != nil {
-		return 0
-	}
-	return n
-}
-
-// U16 reads a uint16.
-func (d *Decoder) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-// U32 reads a uint32.
-func (d *Decoder) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// U64 reads a uint64.
-func (d *Decoder) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// F64 reads a float64.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Str reads a length-prefixed string. A string equal to the one read
-// before it is returned as that same string instead of a fresh copy:
-// object lists and query batches repeat a handful of class names, so the
-// per-element allocation collapses into one per run of equal values. The
-// comparison does not allocate (the compiler recognizes string(b) == s),
-// so a miss costs what the copy alone would.
-func (d *Decoder) Str() string {
-	b := d.take(int(d.U16()))
-	if b == nil {
-		return ""
-	}
-	if string(b) != d.last {
-		d.last = string(b)
-	}
-	return d.last
-}
-
-// Point reads a point.
-func (d *Decoder) Point() geo.Point { return geo.Point{X: d.F64(), Y: d.F64()} }
-
-// Rect reads a rectangle.
-func (d *Decoder) Rect() geo.Rect { return geo.Rect{Min: d.Point(), Max: d.Point()} }

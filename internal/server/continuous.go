@@ -50,28 +50,29 @@ func newContinuousEngine(world geo.Rect) *continuousEngine {
 // rectangle and returns its handle. The initial answer is computed from the
 // current private data.
 func (s *Server) RegisterContinuousCount(query geo.Rect) (uint64, error) {
-	if !query.Valid() {
-		return 0, fmt.Errorf("server: invalid continuous query %v", query)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	id := s.cont.nextID + 1
-	if err := s.cont.add(id, query, s.privIdx.QueryHits(query, nil)); err != nil {
+	if err := s.cont.add(id, query, s.privIdx); err != nil {
 		return 0, err
 	}
 	s.met.contQueries.Set(float64(len(s.cont.queries)))
 	return id, nil
 }
 
-// add installs a continuous query seeded from hits, the region index's
-// probe of its rectangle (a superset of the users with positive overlap),
-// unless the rectangle cannot be indexed.
-func (e *continuousEngine) add(id uint64, query geo.Rect, hits []regidx.Hit) error {
+// add installs a continuous query seeded from the users' region index
+// (its probe is a superset of the users with positive overlap). It is the
+// admission of a standing count query, registered or restored: an invalid
+// rectangle is refused.
+func (e *continuousEngine) add(id uint64, query geo.Rect, users *regidx.Index) error {
+	if !query.Valid() {
+		return fmt.Errorf("server: invalid continuous query %v", query)
+	}
 	if err := e.idx.Upsert(id, query); err != nil {
 		return err
 	}
 	cq := &contQuery{id: id, query: query, probs: make(map[uint64]float64)}
-	for _, h := range hits {
+	for _, h := range users.QueryHits(query, nil) {
 		if p := prob.Overlap(h.Region, query); p > 0 {
 			cq.apply(h.ID, 0, p)
 		}

@@ -54,12 +54,20 @@ func newQueryIndex(world geo.Rect) *regidx.Index {
 }
 
 // add installs (or re-anchors) query id with its candidate set seeded
-// from the moving objects, unless its filter cannot be indexed.
+// from the moving objects. It is the admission of a standing private
+// query, registered, moved or restored: an invalid region, a negative
+// radius and a filter that cannot be indexed are refused.
 func (e *contPrivEngine) add(id uint64, region geo.Rect, radius float64, moving *grid.Index) error {
+	if !region.Valid() {
+		return fmt.Errorf("server: invalid region %v", region)
+	}
+	if radius < 0 {
+		return fmt.Errorf("server: negative radius %g", radius)
+	}
 	q := &contPrivQuery{id: id, region: region, radius: radius, filter: region.Expand(radius),
 		members: make(map[uint64]geo.Point)}
 	if err := e.idx.Upsert(id, q.filter); err != nil {
-		return err
+		return fmt.Errorf("server: continuous private range: %w", err)
 	}
 	for _, o := range moving.Search(q.filter, nil) {
 		q.members[o.ID] = o.Loc
@@ -104,17 +112,11 @@ func (e *contPrivEngine) onMovingRemove(id uint64, last geo.Point) {
 // the cloaked user's region plus her radius. The initial candidate set is
 // built from the current moving objects; updates maintain it incrementally.
 func (s *Server) RegisterContinuousPrivateRange(region geo.Rect, radius float64) (uint64, error) {
-	if !region.Valid() {
-		return 0, fmt.Errorf("server: invalid region %v", region)
-	}
-	if radius < 0 {
-		return 0, fmt.Errorf("server: negative radius %g", radius)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	id := s.contPriv.nextID + 1
 	if err := s.contPriv.add(id, region, radius, s.moving); err != nil {
-		return 0, fmt.Errorf("server: continuous private range: %w", err)
+		return 0, err
 	}
 	return id, nil
 }
@@ -151,19 +153,13 @@ func (s *Server) ContinuousPrivateRange(id uint64) ([]PublicObject, bool) {
 // cloaked region changes (she moved enough for the anonymizer to emit a
 // new region). The candidate set is rebuilt for the new filter.
 func (s *Server) MoveContinuousPrivateRange(id uint64, region geo.Rect) error {
-	if !region.Valid() {
-		return fmt.Errorf("server: invalid region %v", region)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	q, ok := s.contPriv.queries[id]
 	if !ok {
 		return fmt.Errorf("server: unknown continuous private query %d", id)
 	}
-	if err := s.contPriv.add(id, region, q.radius, s.moving); err != nil {
-		return fmt.Errorf("server: continuous private range: %w", err)
-	}
-	return nil
+	return s.contPriv.add(id, region, q.radius, s.moving)
 }
 
 // ContinuousPrivateQueryCount returns the number of standing private

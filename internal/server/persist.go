@@ -1,25 +1,23 @@
 package server
 
 import (
-	"bufio"
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
 
-	"repro/internal/geo"
+	"repro/internal/codec"
 	"repro/internal/grid"
 	"repro/internal/regidx"
 )
 
 // Snapshot / Restore persist the server's full state — stationary objects,
 // moving objects, private regions, and standing continuous queries — in a
-// versioned little-endian binary format. A snapshot taken under load is
-// consistent: it is produced under the server mutex.
+// versioned binary format written by codec.Encoder and read by
+// codec.Decoder, the primitives of the wire bodies. A snapshot taken under
+// load is consistent: it is encoded under the server's read lock.
 //
 // Layout (version 1):
 //
@@ -33,114 +31,60 @@ import (
 // Continuous answers and candidate sets are not stored; they are
 // deterministically rebuilt from the data on restore.
 
-var snapshotMagic = [4]byte{'P', 'A', 'L', 'B'}
+// snapshotMagic is "PALB" read as a little-endian u32.
+const snapshotMagic = 'P' | 'A'<<8 | 'L'<<16 | 'B'<<24
 
 const snapshotVersion = 1
 
-type snapWriter struct {
-	w   *bufio.Writer
-	err error
-}
-
-func (sw *snapWriter) bytes(b []byte) {
-	if sw.err == nil {
-		_, sw.err = sw.w.Write(b)
-	}
-}
-
-func (sw *snapWriter) u16(v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	sw.bytes(b[:])
-}
-
-func (sw *snapWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	sw.bytes(b[:])
-}
-
-func (sw *snapWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	sw.bytes(b[:])
-}
-
-func (sw *snapWriter) f64(v float64) { sw.u64(math.Float64bits(v)) }
-
-func (sw *snapWriter) str(s string) {
-	if len(s) > 0xffff {
-		s = s[:0xffff]
-	}
-	sw.u16(uint16(len(s)))
-	sw.bytes([]byte(s))
-}
-
-func (sw *snapWriter) rect(r geo.Rect) {
-	sw.f64(r.Min.X)
-	sw.f64(r.Min.Y)
-	sw.f64(r.Max.X)
-	sw.f64(r.Max.Y)
-}
-
 // Snapshot writes the server's state to w. Every section is written in
 // ascending id order, so equal states produce byte-equal snapshots
-// whatever the history of maps and buckets behind them.
+// whatever the history of maps and buckets behind them. The state is
+// encoded under the read lock and written after it is released, so a slow
+// w holds up no writer.
 func (s *Server) Snapshot(w io.Writer) error {
+	var e codec.Encoder
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-
-	sw := &snapWriter{w: bufio.NewWriter(w)}
-	sw.bytes(snapshotMagic[:])
-	sw.u16(snapshotVersion)
+	e.U32(snapshotMagic).U16(snapshotVersion)
 
 	// Stationary objects, in ID order whatever their slots.
 	stationary := slices.Clone(s.st.objs)
 	SortObjects(stationary)
-	sw.u32(uint32(len(stationary)))
+	e.U32(uint32(len(stationary)))
 	for _, o := range stationary {
-		sw.u64(o.ID)
-		sw.str(o.Class)
-		sw.f64(o.Loc.X)
-		sw.f64(o.Loc.Y)
+		e.U64(o.ID).Str(o.Class).Point(o.Loc)
 	}
 
 	moving := s.moving.All(nil)
 	slices.SortFunc(moving, func(a, b grid.Object) int { return cmp.Compare(a.ID, b.ID) })
-	sw.u32(uint32(len(moving)))
+	e.U32(uint32(len(moving)))
 	for _, o := range moving {
-		sw.u64(o.ID)
-		sw.f64(o.Loc.X)
-		sw.f64(o.Loc.Y)
+		e.U64(o.ID).Point(o.Loc)
 	}
 
 	private := s.privateRecordsLocked()
 	slices.SortFunc(private, cmpRecordID)
-	sw.u32(uint32(len(private)))
+	e.U32(uint32(len(private)))
 	for _, rec := range private {
-		sw.u64(rec.ID)
-		sw.rect(rec.Region)
+		e.U64(rec.ID).Rect(rec.Region)
 	}
 
-	sw.u32(uint32(len(s.cont.queries)))
+	e.U32(uint32(len(s.cont.queries)))
 	for _, id := range sortedIDs(s.cont.queries) {
-		sw.u64(id)
-		sw.rect(s.cont.queries[id].query)
+		e.U64(id).Rect(s.cont.queries[id].query)
 	}
 
-	sw.u32(uint32(len(s.contPriv.queries)))
+	e.U32(uint32(len(s.contPriv.queries)))
 	for _, id := range sortedIDs(s.contPriv.queries) {
 		q := s.contPriv.queries[id]
-		sw.u64(id)
-		sw.rect(q.region)
-		sw.f64(q.radius)
+		e.U64(id).Rect(q.region).F64(q.radius)
 	}
+	s.mu.RUnlock()
 
-	if sw.err != nil {
-		return fmt.Errorf("server: snapshot: %w", sw.err)
+	if _, err := w.Write(e.Bytes()); err != nil {
+		return fmt.Errorf("server: snapshot: %w", err)
 	}
 	s.met.snapshotsTaken.Inc()
-	return sw.w.Flush()
+	return nil
 }
 
 // sortedIDs returns a map's keys in ascending order.
@@ -205,192 +149,96 @@ func (s *Server) LoadSnapshot(path string) error {
 	return s.Restore(f)
 }
 
-type snapReader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (sr *snapReader) bytes(n int) []byte {
-	if sr.err != nil {
-		return nil
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(sr.r, b); err != nil {
-		sr.err = err
-		return nil
-	}
-	return b
-}
-
-func (sr *snapReader) u16() uint16 {
-	b := sr.bytes(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (sr *snapReader) u32() uint32 {
-	b := sr.bytes(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (sr *snapReader) u64() uint64 {
-	b := sr.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (sr *snapReader) f64() float64 { return math.Float64frombits(sr.u64()) }
-
-func (sr *snapReader) str() string {
-	n := int(sr.u16())
-	b := sr.bytes(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-func (sr *snapReader) rect() geo.Rect {
-	return geo.Rect{
-		Min: geo.Point{X: sr.f64(), Y: sr.f64()},
-		Max: geo.Point{X: sr.f64(), Y: sr.f64()},
-	}
-}
-
 // Restore replaces the server's state with a snapshot previously written
-// by Snapshot. On error the server is left unchanged.
+// by Snapshot. Every record passes the admission check its live write
+// path applies, and every section count is bounded by the bytes that
+// follow it. On error the server is left unchanged.
 func (s *Server) Restore(r io.Reader) error {
-	sr := &snapReader{r: bufio.NewReader(r)}
-	var magic [4]byte
-	copy(magic[:], sr.bytes(4))
-	if sr.err == nil && magic != snapshotMagic {
-		return fmt.Errorf("server: restore: bad magic %q", magic[:])
+	buf, err := io.ReadAll(r)
+	if err == nil {
+		err = s.restore(buf)
 	}
-	if v := sr.u16(); sr.err == nil && v != snapshotVersion {
-		return fmt.Errorf("server: restore: unsupported version %d", v)
+	if err != nil {
+		return fmt.Errorf("server: restore: %w", err)
+	}
+	return nil
+}
+
+// restore decodes a whole snapshot into fresh structures and swaps them in.
+func (s *Server) restore(buf []byte) error {
+	d := codec.MakeDecoder(buf, nil)
+	if m := d.U32(); d.Err() == nil && m != snapshotMagic {
+		return fmt.Errorf("bad magic %q", buf[:4])
+	}
+	if v := d.U16(); d.Err() == nil && v != snapshotVersion {
+		return fmt.Errorf("unsupported version %d", v)
 	}
 
-	// Decode everything before touching server state.
-	nStat := int(sr.u32())
-	stationary := make([]PublicObject, 0, nStat)
-	for i := 0; i < nStat && sr.err == nil; i++ {
-		stationary = append(stationary, PublicObject{
-			ID:    sr.u64(),
-			Class: sr.str(),
-			Loc:   geo.Point{X: sr.f64(), Y: sr.f64()},
-		})
+	stationary := make([]PublicObject, d.Count(int(d.U32()), 8+2+16))
+	for i := range stationary {
+		stationary[i] = PublicObject{ID: d.U64(), Class: d.Str(), Loc: d.Point()}
 	}
-	nMov := int(sr.u32())
-	type movObj struct {
-		id  uint64
-		loc geo.Point
+	if d.Err() != nil {
+		return d.Err()
 	}
-	moving := make([]movObj, 0, nMov)
-	for i := 0; i < nMov && sr.err == nil; i++ {
-		moving = append(moving, movObj{id: sr.u64(), loc: geo.Point{X: sr.f64(), Y: sr.f64()}})
+	if err := ValidateStationary(s.world, stationary); err != nil {
+		return err
 	}
-	nPriv := int(sr.u32())
-	private := make([]PrivateRecord, 0, nPriv)
-	for i := 0; i < nPriv && sr.err == nil; i++ {
-		private = append(private, PrivateRecord{ID: sr.u64(), Region: sr.rect()})
+	st := newStationaryStore(stationary)
+	s.mu.RLock()
+	cols, rows := s.moving.Dims()
+	s.mu.RUnlock()
+	moving, err := grid.New(s.world, cols, rows)
+	if err != nil {
+		return err
 	}
-	nCont := int(sr.u32())
-	type contQ struct {
-		id uint64
-		q  geo.Rect
-	}
-	contQueries := make([]contQ, 0, nCont)
-	for i := 0; i < nCont && sr.err == nil; i++ {
-		contQueries = append(contQueries, contQ{id: sr.u64(), q: sr.rect()})
-	}
-	nCP := int(sr.u32())
-	type cpQ struct {
-		id     uint64
-		region geo.Rect
-		radius float64
-	}
-	cpQueries := make([]cpQ, 0, nCP)
-	for i := 0; i < nCP && sr.err == nil; i++ {
-		cpQueries = append(cpQueries, cpQ{id: sr.u64(), region: sr.rect(), radius: sr.f64()})
-	}
-	if sr.err != nil {
-		return fmt.Errorf("server: restore: %w", sr.err)
-	}
-
-	// Validate before committing.
-	for _, o := range stationary {
-		if !s.world.Contains(o.Loc) {
-			return fmt.Errorf("server: restore: stationary %d outside world", o.ID)
+	// The remaining sections' records have fixed sizes, so once Count
+	// admits a section no read inside it can fail.
+	for n := d.Count(int(d.U32()), 8+16); n > 0; n-- {
+		id, loc := d.U64(), d.Point()
+		if err := checkMoving(s.world, id, loc); err != nil {
+			return err
 		}
-	}
-	for _, m := range moving {
-		if !s.world.Contains(m.loc) {
-			return fmt.Errorf("server: restore: moving %d outside world", m.id)
-		}
-	}
-	for _, rec := range private {
-		if !rec.Region.Valid() || !s.world.Intersects(rec.Region) {
-			return fmt.Errorf("server: restore: private region %d invalid", rec.ID)
-		}
-	}
-	for _, cq := range contQueries {
-		if !cq.q.Valid() {
-			return fmt.Errorf("server: restore: continuous query %d invalid", cq.id)
-		}
-	}
-	for _, cq := range cpQueries {
-		if !cq.region.Valid() || !(cq.radius >= 0) || !cq.region.Expand(cq.radius).Valid() {
-			return fmt.Errorf("server: restore: continuous private query %d invalid", cq.id)
-		}
+		moving.Upsert(id, loc)
 	}
 	privIdx, err := regidx.New(s.world, 32, 32)
 	if err != nil {
 		return err
 	}
-	for _, rec := range private {
-		if err := privIdx.Upsert(rec.ID, rec.Region); err != nil {
+	for n := d.Count(int(d.U32()), 8+32); n > 0; n-- {
+		id, region := d.U64(), d.Rect()
+		if err := checkPrivate(s.world, id, region); err != nil {
 			return err
 		}
+		if err := privIdx.Upsert(id, region); err != nil {
+			return err
+		}
+	}
+	// The continuous engines, their query indexes included, are rebuilt
+	// from the data rather than stored.
+	cont := newContinuousEngine(s.world)
+	for n := d.Count(int(d.U32()), 8+32); n > 0; n-- {
+		if err := cont.add(d.U64(), d.Rect(), privIdx); err != nil {
+			return err
+		}
+	}
+	contPriv := newContPrivEngine(s.world)
+	for n := d.Count(int(d.U32()), 8+32+8); n > 0; n-- {
+		if err := contPriv.add(d.U64(), d.Rect(), d.F64(), moving); err != nil {
+			return err
+		}
+	}
+	if d.Err() != nil {
+		return d.Err()
+	}
+	if d.Remaining() != 0 {
+		return fmt.Errorf("%d bytes after the last section", d.Remaining())
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	s.st = newStationaryStore(stationary)
+	s.st, s.moving, s.privIdx, s.cont, s.contPriv = st, moving, privIdx, cont, contPriv
 	s.stationaryGen++
-
-	cols, rows := s.moving.Dims()
-	fresh, err := grid.New(s.world, cols, rows)
-	if err != nil {
-		return err
-	}
-	s.moving = fresh
-	for _, m := range moving {
-		s.moving.Upsert(m.id, m.loc)
-	}
-
-	s.privIdx = privIdx
-
-	// Rebuild continuous engines, their query indexes included,
-	// deterministically from data. The rectangles were validated above,
-	// so add cannot refuse them.
-	s.cont = newContinuousEngine(s.world)
-	var hits []regidx.Hit
-	for _, cq := range contQueries {
-		hits = s.privIdx.QueryHits(cq.q, hits[:0])
-		s.cont.add(cq.id, cq.q, hits)
-	}
-	s.contPriv = newContPrivEngine(s.world)
-	for _, cq := range cpQueries {
-		s.contPriv.add(cq.id, cq.region, cq.radius, s.moving)
-	}
 	s.met.restoresApplied.Inc()
 	// Re-point the size gauges at the restored data set.
 	s.met.privateUsers.Set(float64(s.privIdx.Len()))

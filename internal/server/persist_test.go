@@ -6,9 +6,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/codec"
 	"repro/internal/geo"
 	"repro/internal/rng"
 )
@@ -47,7 +51,7 @@ func TestClassLengthSurvivesSnapshot(t *testing.T) {
 }
 
 // buildLoadedServer populates a server with all kinds of state.
-func buildLoadedServer(t *testing.T) *Server {
+func buildLoadedServer(t testing.TB) *Server {
 	t.Helper()
 	s := newServer(t)
 	loadObjects(t, s, 500, "gas", 1)
@@ -360,6 +364,184 @@ func TestLoadSnapshotMissingFile(t *testing.T) {
 	if err == nil || !os.IsNotExist(err) {
 		t.Fatalf("missing file error = %v, want os.IsNotExist", err)
 	}
+}
+
+// The snapshot format is the one the wire's codec writes, byte for byte
+// the layout of snapshot version 1: the golden file was written from
+// buildLoadedServer before the snapshot moved onto codec, and it both
+// restores and is what the same state snapshots to today.
+func TestSnapshotGoldenV1(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := func(s *Server) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := s.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if got := snap(buildLoadedServer(t)); !bytes.Equal(got, golden) {
+		t.Errorf("buildLoadedServer snapshots to %d bytes that differ from the %d-byte golden file", len(got), len(golden))
+	}
+	restored := newServer(t)
+	if err := restored.Restore(bytes.NewReader(golden)); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap(restored); !bytes.Equal(got, golden) {
+		t.Errorf("the restored golden file snapshots to %d bytes that differ from its %d", len(got), len(golden))
+	}
+}
+
+// snapshotOf encodes a snapshot by hand: the header, then the five
+// section counts, each followed by its records.
+func snapshotOf(sections ...func(e *codec.Encoder)) []byte {
+	var e codec.Encoder
+	e.U32(snapshotMagic).U16(snapshotVersion)
+	for _, sec := range sections {
+		sec(&e)
+	}
+	return e.Bytes()
+}
+
+// emptySection writes a section count of zero.
+func emptySection(e *codec.Encoder) { e.U32(0) }
+
+// Restore admits a record only as its live write path would: two
+// stationary objects with one id are refused, as LoadStationary refuses
+// them, rather than stored as a pair whose second copy can never be
+// removed.
+func TestRestoreRejectsDuplicateStationaryID(t *testing.T) {
+	dup := snapshotOf(func(e *codec.Encoder) {
+		e.U32(2)
+		e.U64(7).Str("gas").Point(geo.Pt(0.2, 0.2))
+		e.U64(7).Str("gas").Point(geo.Pt(0.8, 0.8))
+	}, emptySection, emptySection, emptySection, emptySection)
+	s := newServer(t)
+	if err := s.Restore(bytes.NewReader(dup)); err == nil {
+		t.Fatalf("a snapshot with stationary id 7 twice restored; %d objects stored", s.StationaryCount())
+	}
+	if s.StationaryCount() != 0 {
+		t.Fatalf("a refused restore left %d stationary objects", s.StationaryCount())
+	}
+}
+
+// A section count is bounded by the bytes that follow it: each of the
+// five counts, forged to 2^24 in an otherwise empty snapshot, fails the
+// restore before anything is sized from it. Allocation is measured in
+// bytes, as the least of five measurements, since other goroutines can
+// only add to the process-wide counter.
+func TestRestoreForgedCountsNeverSizeAnAllocation(t *testing.T) {
+	names := []string{"stationary", "moving", "private", "continuous count", "continuous private"}
+	for i, name := range names {
+		sections := []func(*codec.Encoder){emptySection, emptySection, emptySection, emptySection, emptySection}
+		sections[i] = func(e *codec.Encoder) { e.U32(1 << 24) }
+		forged := snapshotOf(sections[:i+1]...)
+		s := newServer(t)
+		if err := s.Restore(bytes.NewReader(forged)); err == nil {
+			t.Errorf("%s: a forged count restored", name)
+			continue
+		}
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s.Restore(bytes.NewReader(forged))
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%s: %d bytes", name, least)
+		if least >= 1<<20 {
+			t.Errorf("%s: a forged count over a %d-byte snapshot allocated %d bytes", name, len(forged), least)
+		}
+	}
+}
+
+// stallWriter blocks every Write until release is closed, and closes
+// entered on the first.
+type stallWriter struct {
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return len(p), nil
+}
+
+// Snapshot holds the read lock only while it encodes: a writer stalled on
+// the disk does not hold up a region update.
+func TestSnapshotWriteHoldsNoLock(t *testing.T) {
+	s := buildLoadedServer(t)
+	w := &stallWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	snapped := make(chan error, 1)
+	go func() { snapped <- s.Snapshot(w) }()
+	<-w.entered
+	updated := make(chan error, 1)
+	go func() { updated <- s.UpdatePrivate(1, geo.R(0.1, 0.1, 0.2, 0.2)) }()
+	select {
+	case err := <-updated:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(time.Second):
+		t.Error("UpdatePrivate waited over 1s on a stalled snapshot write")
+		defer func() { <-updated }()
+	}
+	close(w.release)
+	if err := <-snapped; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzRestore feeds Restore arbitrary bytes, seeded with real snapshots,
+// each of which must restore to a server that snapshots to its own bytes.
+// It must never panic, and any input it accepts must be a fixed point
+// after one round trip: its snapshot restores, and that server snapshots
+// to the same bytes.
+func FuzzRestore(f *testing.F) {
+	seed := func(s *Server) {
+		var buf, again bytes.Buffer
+		if err := s.Snapshot(&buf); err != nil {
+			f.Fatal(err)
+		}
+		restored := newServer(f)
+		if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+			f.Fatal(err)
+		}
+		if err := restored.Snapshot(&again); err != nil || !bytes.Equal(buf.Bytes(), again.Bytes()) {
+			f.Fatalf("a %d-byte snapshot restores to one of %d bytes (%v)", buf.Len(), again.Len(), err)
+		}
+		f.Add(buf.Bytes())
+	}
+	seed(newServer(f))
+	seed(buildLoadedServer(f))
+	for _, ds := range diffSeeds(f) {
+		seed(buildDiffServer(f, ds).Server)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := newServer(t)
+		if s.Restore(bytes.NewReader(data)) != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := s.Snapshot(&first); err != nil {
+			t.Fatal(err)
+		}
+		again := newServer(t)
+		if err := again.Restore(bytes.NewReader(first.Bytes())); err != nil {
+			t.Fatalf("the snapshot of an accepted input does not restore: %v", err)
+		}
+		if err := again.Snapshot(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("snapshot → restore → snapshot changed %d bytes into %d", first.Len(), second.Len())
+		}
+	})
 }
 
 func BenchmarkSnapshot(b *testing.B) {

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/codec"
 	"repro/internal/geo"
 	"repro/internal/grid"
 	"repro/internal/obs"
@@ -173,18 +174,15 @@ func (s *Server) World() geo.Rect { return s.world }
 
 // --- Public data management ---
 
-// maxClassLen is the longest class a stationary object may carry: the
-// wire and the snapshot both prefix a string with a u16 length.
-const maxClassLen = 0xffff
-
 // checkStationary is the admission check of one stationary object, apart
-// from its id being new.
+// from its id being new. A class must fit the u16 length prefix the wire
+// and the snapshot write it behind.
 func checkStationary(world geo.Rect, o PublicObject) error {
 	if !world.Contains(o.Loc) {
 		return fmt.Errorf("server: object %d at %v outside world", o.ID, o.Loc)
 	}
-	if len(o.Class) > maxClassLen {
-		return fmt.Errorf("server: object %d class of %d bytes exceeds %d", o.ID, len(o.Class), maxClassLen)
+	if len(o.Class) > codec.MaxStrLen {
+		return fmt.Errorf("server: object %d class of %d bytes exceeds %d", o.ID, len(o.Class), codec.MaxStrLen)
 	}
 	return nil
 }
@@ -353,8 +351,8 @@ func (st *stationaryStore) remove(id uint64) bool {
 // UpdateMoving upserts a moving public object (e.g. a police car): public
 // data carries exact locations by definition.
 func (s *Server) UpdateMoving(id uint64, loc geo.Point) error {
-	if !s.world.Contains(loc) {
-		return fmt.Errorf("server: moving object %d at %v outside world", id, loc)
+	if err := checkMoving(s.world, id, loc); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -363,6 +361,14 @@ func (s *Server) UpdateMoving(id uint64, loc geo.Point) error {
 	s.moving.Upsert(id, loc)
 	s.met.moving.Set(float64(s.moving.Len()))
 	s.contPriv.onMovingUpdate(id, old, had, loc)
+	return nil
+}
+
+// checkMoving is UpdateMoving's admission check.
+func checkMoving(world geo.Rect, id uint64, loc geo.Point) error {
+	if !world.Contains(loc) {
+		return fmt.Errorf("server: moving object %d at %v outside world", id, loc)
+	}
 	return nil
 }
 
@@ -396,11 +402,8 @@ func (s *Server) MovingCount() int {
 // choice). Continuous queries affected by the change are re-evaluated
 // incrementally.
 func (s *Server) UpdatePrivate(id uint64, region geo.Rect) error {
-	if !region.Valid() {
-		return fmt.Errorf("server: invalid region %v for user %d", region, id)
-	}
-	if !s.world.Intersects(region) {
-		return fmt.Errorf("server: region %v for user %d outside world", region, id)
+	if err := checkPrivate(s.world, id, region); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -414,6 +417,17 @@ func (s *Server) UpdatePrivate(id uint64, region geo.Rect) error {
 	s.met.privateUpdates.Inc()
 	s.met.privateUsers.Set(float64(s.privIdx.Len()))
 	s.cont.onPrivateUpdate(id, old, region, had)
+	return nil
+}
+
+// checkPrivate is UpdatePrivate's admission check.
+func checkPrivate(world geo.Rect, id uint64, region geo.Rect) error {
+	if !region.Valid() {
+		return fmt.Errorf("server: invalid region %v for user %d", region, id)
+	}
+	if !world.Intersects(region) {
+		return fmt.Errorf("server: region %v for user %d outside world", region, id)
+	}
 	return nil
 }
 
