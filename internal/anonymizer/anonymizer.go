@@ -380,51 +380,21 @@ func (a *Anonymizer) Saturated() bool {
 	return a.fq != nil && a.fq.full()
 }
 
-// validateRegion re-checks a cached region against the live population. It
-// reads the spatial indices without locking, so callers must hold the
-// index lock (the incremental cloakers invoke it from inside the cloak
-// phase, which runs under the read lock).
+// validateRegion re-checks a cached region against the live population:
+// the pyramid's conservative CountWithin for the space-dependent
+// cloakers, whose regions are unions of pyramid cells, so the walk never
+// descends below the region's own level (O(height) for a quadtree cell),
+// and the population grid otherwise. It reads the spatial indices without
+// locking, so callers must hold the index lock (the incremental cloakers
+// invoke it from inside the cloak phase, which runs under the read lock).
 func (a *Anonymizer) validateRegion(region geo.Rect, req privacy.Requirement) (int, bool) {
 	var count int
 	if a.pop != nil {
 		count = a.pop.Count(region)
 	} else {
-		count = a.pyramidCount(region)
+		count = a.pyr.CountWithin(region)
 	}
 	return count, count >= req.K
-}
-
-// pyramidCount counts users in an arbitrary rectangle from pyramid data by
-// recursive descent: cells fully inside the region contribute their whole
-// count, disjoint cells are skipped, and partially covered bottom cells are
-// excluded. The count is therefore a conservative lower bound — exactly
-// what k-anonymity validation needs — and costs O(perimeter) cells instead
-// of O(area), which keeps incremental validation cheaper than recloaking.
-func (a *Anonymizer) pyramidCount(region geo.Rect) int {
-	return a.pyramidCountRec(pyramid.Cell{}, region)
-}
-
-func (a *Anonymizer) pyramidCountRec(c pyramid.Cell, region geo.Rect) int {
-	r := a.pyr.Rect(c)
-	if !region.Intersects(r) {
-		return 0
-	}
-	if region.ContainsRect(r) {
-		return a.pyr.Count(c)
-	}
-	if c.Level == a.pyr.Height()-1 {
-		return 0 // partially covered bottom cell: conservative exclude
-	}
-	if a.pyr.Count(c) == 0 {
-		return 0
-	}
-	sum := 0
-	for dy := 0; dy < 2; dy++ {
-		for dx := 0; dx < 2; dx++ {
-			sum += a.pyramidCountRec(c.Child(dx, dy), region)
-		}
-	}
-	return sum
 }
 
 // StoresExactLocations reports whether the configured algorithm forces the
@@ -652,6 +622,11 @@ func (a *Anonymizer) process(ctx context.Context, id uint64, loc geo.Point, isQu
 		err := a.forward(fctx, id, res.Region)
 		fsp.End()
 		if err != nil {
+			// The database never received this region, so it must not be
+			// reused: the next update recloaks and forwards again.
+			if s.inc != nil {
+				s.inc.Invalidate(id)
+			}
 			return res, fmt.Errorf("anonymizer: forward failed: %w", err)
 		}
 	}

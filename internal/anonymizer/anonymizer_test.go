@@ -583,3 +583,35 @@ func TestBatchUpdateInvalidatesIncrementalCache(t *testing.T) {
 			got, res.Region, res.Reused)
 	}
 }
+
+// TestFailedForwardInvalidatesIncrementalCache pins invariant I1 across a
+// failed forward: a region the database never received must not stay
+// cached. Otherwise, once the link is back, the next update inside that
+// region is "reused" and acknowledged while the database still holds the
+// user's previous region.
+func TestFailedForwardInvalidatesIncrementalCache(t *testing.T) {
+	const u = 1
+	fwd := newFlakyForwarder()
+	a := newAnon(t, Config{Incremental: true, Forward: fwd.forward})
+	seedUsers(t, a, 2000, 5, 4)
+	p0, p1 := geo.Pt(0.1, 0.1), geo.Pt(0.9, 0.9)
+	if _, err := a.Update(u, p0); err != nil {
+		t.Fatal(err)
+	}
+	fwd.setDown(true)
+	if _, err := a.Update(u, p1); err == nil {
+		t.Fatal("update with the link down succeeded without a spill queue")
+	}
+	fwd.setDown(false)
+	res, err := a.Update(u, p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reused {
+		t.Errorf("region %v reused although its forward failed", res.Region)
+	}
+	if got, _ := fwd.regionOf(u); !got.Eq(res.Region) || !got.Contains(p1) {
+		t.Errorf("database holds %v for the user, anonymizer acknowledged %v at %v (reused=%v)",
+			got, res.Region, p1, res.Reused)
+	}
+}

@@ -12,10 +12,11 @@ import (
 	"repro/internal/rng"
 )
 
-// benchAnon builds a warmed anonymizer with n users for a shard setting.
-func benchAnon(b *testing.B, shards, n int) (*Anonymizer, []geo.Point) {
+// benchAnon builds a warmed anonymizer with n users for a configuration
+// (World and Clock default as in newAnon).
+func benchAnon(b *testing.B, cfg Config, n int) (*Anonymizer, []geo.Point) {
 	b.Helper()
-	a := newAnon(b, Config{Shards: shards, BatchWorkers: shards})
+	a := newAnon(b, cfg)
 	pts, err := mobility.GeneratePoints(mobility.PopulationSpec{
 		N: n, World: world, Dist: mobility.Gaussian, Seed: 9,
 	})
@@ -39,7 +40,7 @@ func BenchmarkAnonBatchUpdate(b *testing.B) {
 	const n = 5000
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			a, pts := benchAnon(b, shards, n)
+			a, pts := benchAnon(b, Config{Shards: shards, BatchWorkers: shards}, n)
 			reqs := make([]cloak.Request, n)
 			for i, p := range pts {
 				reqs[i] = cloak.Request{ID: uint64(i + 1), Loc: p}
@@ -54,21 +55,37 @@ func BenchmarkAnonBatchUpdate(b *testing.B) {
 }
 
 // BenchmarkAnonSingleUpdate is the per-call path at the same shard counts
-// (serial caller: measures per-op overhead, not contention).
+// (serial caller: measures per-op overhead, not contention). The
+// incremental variants run the configuration the daemons ship: users
+// re-send the location they were warmed at, so every update takes the
+// reuse path — validation of the cached region, no cloak — and the
+// reused/op metric shows it did.
 func BenchmarkAnonSingleUpdate(b *testing.B) {
 	const n = 5000
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			a, pts := benchAnon(b, shards, n)
-			src := rng.New(2)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := uint64(src.Intn(n)) + 1
-				if _, err := a.Update(id, pts[id-1]); err != nil {
-					b.Fatal(err)
-				}
+	for _, inc := range []bool{false, true} {
+		for _, shards := range []int{1, 4, 8} {
+			name := fmt.Sprintf("shards=%d", shards)
+			if inc {
+				name = "incremental/" + name
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				a, pts := benchAnon(b, Config{Shards: shards, BatchWorkers: shards, Incremental: inc}, n)
+				src := rng.New(2)
+				reused := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					id := uint64(src.Intn(n)) + 1
+					res, err := a.Update(id, pts[id-1])
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Reused {
+						reused++
+					}
+				}
+				b.ReportMetric(float64(reused)/float64(b.N), "reused/op")
+			})
+		}
 	}
 }
 
@@ -79,7 +96,7 @@ func BenchmarkAnonSingleUpdateParallel(b *testing.B) {
 	const n = 5000
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			a, pts := benchAnon(b, shards, n)
+			a, pts := benchAnon(b, Config{Shards: shards, BatchWorkers: shards}, n)
 			var seq atomic.Uint64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {

@@ -35,8 +35,8 @@ func MaxDist(p Point, r Rect) float64 {
 
 // MaxDist2 returns the squared maximum distance between p and r.
 func MaxDist2(p Point, r Rect) float64 {
-	dx := math.Max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
-	dy := math.Max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
+	dx := max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
+	dy := max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
 	return dx*dx + dy*dy
 }
 
@@ -72,8 +72,8 @@ func MaxDistRects(r, s Rect) float64 {
 
 // MaxDistRects2 returns the squared maximum distance between r and s.
 func MaxDistRects2(r, s Rect) float64 {
-	dx := math.Max(r.Max.X-s.Min.X, s.Max.X-r.Min.X)
-	dy := math.Max(r.Max.Y-s.Min.Y, s.Max.Y-r.Min.Y)
+	dx := max(r.Max.X-s.Min.X, s.Max.X-r.Min.X)
+	dy := max(r.Max.Y-s.Min.Y, s.Max.Y-r.Min.Y)
 	return dx*dx + dy*dy
 }
 

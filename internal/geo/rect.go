@@ -1,9 +1,6 @@
 package geo
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Rect is a closed axis-aligned rectangle [MinX,MaxX]×[MinY,MaxY].
 // A Rect with Min == Max is a degenerate (point) rectangle, which is valid:
@@ -77,11 +74,24 @@ func (r Rect) Intersects(s Rect) bool {
 		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
 }
 
+// Overlaps reports whether r and s share a region of positive area: their
+// intersection has positive width and positive height. Rectangles that
+// only touch along an edge or at a corner do not overlap, and a
+// degenerate rectangle overlaps nothing. It is OverlapArea(s) > 0 without
+// the product, which can underflow to zero. Use it where a
+// question is about area (does a cell lie partly inside a region, which
+// shards must hold a region) and Intersects where a point on a shared
+// edge must still be found.
+func (r Rect) Overlaps(s Rect) bool {
+	return min(r.Max.X, s.Max.X) > max(r.Min.X, s.Min.X) &&
+		min(r.Max.Y, s.Max.Y) > max(r.Min.Y, s.Min.Y)
+}
+
 // Intersect returns the overlap of r and s and whether it is non-empty.
 func (r Rect) Intersect(s Rect) (Rect, bool) {
 	out := Rect{
-		Min: Point{math.Max(r.Min.X, s.Min.X), math.Max(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Min(r.Max.X, s.Max.X), math.Min(r.Max.Y, s.Max.Y)},
+		Min: Point{max(r.Min.X, s.Min.X), max(r.Min.Y, s.Min.Y)},
+		Max: Point{min(r.Max.X, s.Max.X), min(r.Max.Y, s.Max.Y)},
 	}
 	if out.Min.X > out.Max.X || out.Min.Y > out.Max.Y {
 		return Rect{}, false
@@ -92,11 +102,11 @@ func (r Rect) Intersect(s Rect) (Rect, bool) {
 // OverlapArea returns the area of the intersection of r and s
 // (zero when they do not overlap or overlap only on an edge).
 func (r Rect) OverlapArea(s Rect) float64 {
-	w := math.Min(r.Max.X, s.Max.X) - math.Max(r.Min.X, s.Min.X)
+	w := min(r.Max.X, s.Max.X) - max(r.Min.X, s.Min.X)
 	if w <= 0 {
 		return 0
 	}
-	h := math.Min(r.Max.Y, s.Max.Y) - math.Max(r.Min.Y, s.Min.Y)
+	h := min(r.Max.Y, s.Max.Y) - max(r.Min.Y, s.Min.Y)
 	if h <= 0 {
 		return 0
 	}
@@ -106,16 +116,16 @@ func (r Rect) OverlapArea(s Rect) float64 {
 // Union returns the smallest rectangle containing both r and s.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
-		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
+		Min: Point{min(r.Min.X, s.Min.X), min(r.Min.Y, s.Min.Y)},
+		Max: Point{max(r.Max.X, s.Max.X), max(r.Max.Y, s.Max.Y)},
 	}
 }
 
 // UnionPoint returns the smallest rectangle containing r and p.
 func (r Rect) UnionPoint(p Point) Rect {
 	return Rect{
-		Min: Point{math.Min(r.Min.X, p.X), math.Min(r.Min.Y, p.Y)},
-		Max: Point{math.Max(r.Max.X, p.X), math.Max(r.Max.Y, p.Y)},
+		Min: Point{min(r.Min.X, p.X), min(r.Min.Y, p.Y)},
+		Max: Point{max(r.Max.X, p.X), max(r.Max.Y, p.Y)},
 	}
 }
 
@@ -147,8 +157,8 @@ func (r Rect) Expand(d float64) Rect {
 
 // ClampPoint returns the point of r closest to p.
 func (r Rect) ClampPoint(p Point) Point {
-	x := math.Min(math.Max(p.X, r.Min.X), r.Max.X)
-	y := math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y)
+	x := min(max(p.X, r.Min.X), r.Max.X)
+	y := min(max(p.Y, r.Min.Y), r.Max.Y)
 	return Point{x, y}
 }
 

@@ -38,6 +38,21 @@ func decodeBatch(d *codec.Decoder) []request {
 	return reqs
 }
 
+// encodeRequest mirrors protocol.encodeLocRequest: an unannotated helper
+// that writes a request's id and location. The user-side client calls it
+// with its own location; a trusted-tier caller must never hand it a
+// decoded one, and the pass must report the sinks inside it when one does.
+func encodeRequest(e *codec.Encoder, r request) {
+	e.U64(r.ID).Point(r.Loc) // want "wire sink Encoder.U64" "wire sink Encoder.Point"
+}
+
+// sendOwn is the user-side client encoding its own location: no taint.
+func sendOwn(id uint64, loc geo.Point) []byte {
+	var e codec.Encoder
+	encodeRequest(&e, request{ID: id, Loc: loc})
+	return e.Bytes()
+}
+
 func cloakRequest(r request) geo.Rect {
 	return geo.R(r.Loc.X-1, r.Loc.Y-1, r.Loc.X+1, r.Loc.Y+1)
 }
@@ -51,6 +66,9 @@ func handle(typ byte, payload []byte) []byte {
 		region := cloakRequest(req) //lint:sanitized fixture cloaking boundary
 		e.Rect(region)
 		e.Point(req.Loc) // want "exact location reaches wire sink Encoder.Point"
+	case protocol.MsgCloakQuery:
+		// Echoes the decoded request through the helper.
+		encodeRequest(&e, decodeRequest(d))
 	case protocol.MsgBatchUpdate:
 		for _, r := range decodeBatch(d) {
 			e.F64(r.Loc.X) // want "exact location reaches wire sink Encoder.F64"

@@ -113,9 +113,9 @@ func exactPoint(d *codec.Decoder) geo.Point { return d.Point() }
 
 // encodeLocRequest appends the body of MsgUpdate and MsgCloakQuery, and
 // one entry of MsgBatchUpdate: a user's id and own exact location, on the
-// one wire hop exact locations are allowed on.
-//
-//lint:trusted-ingress user-side client encoding its own location to the trusted tier
+// one wire hop exact locations are allowed on. It carries no
+// trusted-ingress directive: no exact location from the trusted tier
+// reaches it, and privleak reports one that ever does.
 func encodeLocRequest(e *codec.Encoder, r cloak.Request) { e.U64(r.ID).Point(r.Loc) }
 
 // decodeLocRequest is the inverse of encodeLocRequest. Trusted-tier only:
@@ -347,15 +347,11 @@ func (ac *AnonymizerClient) locCall(ctx context.Context, typ byte, id uint64, lo
 // BatchUpdate reports many exact locations in one round trip. The returned
 // slice parallels the input; nil entries mark updates the anonymizer
 // rejected (unknown user, passive mode, out-of-world location).
-//
-//lint:trusted-ingress user-side client encoding its own locations to the trusted tier
 func (ac *AnonymizerClient) BatchUpdate(reqs []cloak.Request) ([]*cloak.Result, error) {
 	return ac.BatchUpdateCtx(context.Background(), reqs)
 }
 
 // BatchUpdateCtx is BatchUpdate under a context (deadline, trace).
-//
-//lint:trusted-ingress user-side client encoding its own locations to the trusted tier
 func (ac *AnonymizerClient) BatchUpdateCtx(ctx context.Context, reqs []cloak.Request) ([]*cloak.Result, error) {
 	var e codec.Encoder
 	encodeBatchRequests(&e, reqs)

@@ -256,6 +256,47 @@ func (p *Pyramid) CountRegion(level, col0, row0, col1, row1 int) int {
 	return n
 }
 
+// CountWithin returns the number of users in cells lying entirely inside
+// region: a conservative lower bound on the users in region, exactly what
+// k-anonymity validation needs. The descent adds a contained cell's count
+// whole, skips empty cells and cells whose overlap with region has zero
+// area, and drops bottom cells only partly inside.
+//
+// Pruning by area rather than by closed intersection changes no count (a
+// cell that only touches region cannot lie inside it) but bounds the walk.
+// For a region that is itself a pyramid cell, each level above it has one
+// cell overlapping it (cell edges are exact when the world's extent is a
+// power of two), so at most 4·Height()+1 cells are visited; for any other
+// region the walk follows its boundary, one bottom cell wide.
+func (p *Pyramid) CountWithin(region geo.Rect) int {
+	n, _ := p.countWithin(Cell{}, region)
+	return n
+}
+
+// countWithin is CountWithin's descent from c; it also returns the number
+// of cells visited, which the tests bound.
+func (p *Pyramid) countWithin(c Cell, region geo.Rect) (n, visited int) {
+	r := p.Rect(c)
+	if !region.Overlaps(r) {
+		return 0, 1
+	}
+	if region.ContainsRect(r) {
+		return p.Count(c), 1
+	}
+	if c.Level == p.height-1 || p.Count(c) == 0 {
+		return 0, 1
+	}
+	visited = 1
+	for dy := 0; dy < 2; dy++ {
+		for dx := 0; dx < 2; dx++ {
+			cn, cv := p.countWithin(c.Child(dx, dy), region)
+			n += cn
+			visited += cv
+		}
+	}
+	return n, visited
+}
+
 // RegionRect returns the spatial extent of the inclusive cell range.
 func (p *Pyramid) RegionRect(level, col0, row0, col1, row1 int) geo.Rect {
 	if col0 > col1 {

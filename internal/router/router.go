@@ -6,8 +6,8 @@
 // intersects: relayed whole when one shard owns them all (Relay),
 // scattered and gathered otherwise. Point data (stationary and moving
 // objects) lives on one shard; cloaked user regions are replicated to
-// every shard their rectangle touches, so each shard can answer count
-// queries over its own residents.
+// every shard whose tiles their rectangle overlaps, so each shard can
+// answer count queries over its own residents.
 //
 // The tier is answer-preserving by construction, not by best effort: each
 // query kind reaches a sound superset of the relevant shards and gathers
@@ -183,8 +183,11 @@ func (r *Router) Topology() Topology {
 func (r *Router) ownersOf(rect geo.Rect) []int { return maskShards(r.ownerMask(rect)) }
 
 // ownerMask is ownersOf as a shard bitmask.
-func (r *Router) ownerMask(rect geo.Rect) uint64 {
-	tiles := r.grid.cover(rect)
+func (r *Router) ownerMask(rect geo.Rect) uint64 { return r.tileMask(r.grid.cover(rect)) }
+
+// tileMask is the bitmask of the shards owning tiles, or shard 0 alone
+// when tiles is empty.
+func (r *Router) tileMask(tiles []int) uint64 {
 	if len(tiles) == 0 {
 		return 1
 	}
@@ -291,10 +294,9 @@ type Relayer interface {
 //
 //   - Range. Every object inside the filter rectangle lies in a covered
 //     tile, so on its one owner, whose sorted answer is the whole answer.
-//   - Count. Every user with positive overlap shares a covered tile with
-//     the query, and residency replicates their region to that tile's
-//     owner. The owner holds every contributing user; its fold is
-//     bit-identical.
+//   - Count. Every user whose region meets the query shares a covered
+//     tile with it on which residency places her region (tiles.go). The
+//     owner holds every contributing user; its fold is bit-identical.
 //   - NN (nnBound set; rect is the region). nnBound reads T′, the least
 //     MaxDist²(o, rect) over the reply's candidates, so T′ ≥ the shard's
 //     min–max bound T ≥ the global bound T*. The reply is kept only if
@@ -347,23 +349,29 @@ func (r *Router) setUserMask(id uint64, mask uint64) {
 }
 
 // residencyOwners returns the shards a user's region must live on: the
-// owners of its covered tiles, plus shard 0 when the region hangs past
-// the world edge. The server accepts any region intersecting the world,
-// and a count query lying entirely outside the world (routed to shard 0
-// by the fallback) can still overlap the out-of-world part of such a
-// region; queries that do intersect the world always share a covered
-// tile with the region wherever their overlap is positive, so no other
-// case needs widening.
+// owners of the tiles it overlaps with positive area, plus shard 0 when
+// the region hangs past the world edge. A region touching a tile edge is
+// not replicated across it. A region with no positive-area overlap with
+// the world takes the closed cover instead. The server accepts any region
+// intersecting the world, and a count query lying entirely outside the
+// world (routed to shard 0 by the fallback) can still overlap the
+// out-of-world part of such a region. Queries that do intersect the world
+// always reach a shard holding every region they meet (tiles.go states
+// the argument).
 func (r *Router) residencyOwners(region geo.Rect) []int {
-	owners := r.ownersOf(region)
-	if region.Valid() && !(r.world.Contains(region.Min) && r.world.Contains(region.Max)) && owners[0] != 0 {
-		owners = append([]int{0}, owners...)
+	tiles := r.grid.overlapCover(region)
+	if len(tiles) == 0 {
+		tiles = r.grid.cover(region)
 	}
-	return owners
+	mask := r.tileMask(tiles)
+	if region.Valid() && !(r.world.Contains(region.Min) && r.world.Contains(region.Max)) {
+		mask |= 1
+	}
+	return maskShards(mask)
 }
 
 // UpdatePrivateCtx replicates a user's cloaked region to every shard
-// whose tiles it touches and withdraws her from shards she left. On
+// residencyOwners names and withdraws her from shards she left. On
 // partial failure the residency mask is merged conservatively (old ∪
 // succeeded) so a retry — updates are idempotent, and the anonymizer's
 // spill queue retries — converges to the exact owner set.

@@ -5,19 +5,36 @@ import "repro/internal/geo"
 // tileGrid partitions the world into a cols×rows grid of closed tiles.
 // Tiles are the unit of ownership: each shard owns one Hilbert-curve
 // range of them (hilbertOwners), and every routing decision reduces to
-// either "which tile holds this point" or "which tiles does this
-// rectangle intersect".
+// "which tile holds this point", "which tiles does this rectangle
+// intersect" or "which tiles does this region overlap".
 //
-// Two deliberate asymmetries keep the routing exact:
+// Three deliberate asymmetries keep the routing exact:
 //
 //   - Point assignment (tileOf) is a function: every world point maps to
 //     exactly one tile, boundary points to the lowest-index tile whose
 //     closed rectangle contains them. Point-addressed data (stationary
 //     and moving objects) lives on exactly one shard.
-//   - Rectangle coverage (cover) uses *closed* tile rectangles: a query
+//   - Query coverage (cover) uses *closed* tile rectangles: a query
 //     rectangle touching a tile edge covers both neighbors. Coverage is
 //     therefore a superset of every tile any relevant point can live in,
 //     which is what the scatter completeness proofs need.
+//   - Region residency (overlapCover) is *open*: a user's region lives on
+//     the owners of the tiles it overlaps with positive area, so a
+//     region that merely touches a tile edge is not replicated across it.
+//     A region with no positive-area overlap with the world (a point or
+//     segment, or one touching the world only along its edge) has an
+//     empty open cover and falls back to the closed one. Counts stay
+//     complete. A count includes a user only if her region R meets the
+//     query Q, and Q is scattered to its closed cover, or to shard 0
+//     when it misses the world. If Q meets the world, R, Q and the world
+//     pairwise intersect, so as axis-aligned boxes they share a point p.
+//     When R ∩ world has positive width and height, it holds a small box
+//     with corner p, and the tile containing p on that box's side
+//     overlaps R with positive area. That tile is in R's open cover and,
+//     holding p ∈ Q, in Q's closed cover. When the open cover is empty,
+//     the closed covers share the tile containing p. If Q misses the
+//     world, R is on shard 0 whenever it reaches outside the world, the
+//     only way it can meet Q (Router.residencyOwners).
 type tileGrid struct {
 	world      geo.Rect
 	cols, rows int
@@ -77,13 +94,23 @@ func (g tileGrid) tileOf(p geo.Point) int {
 
 // cover returns the tiles whose closed rectangles intersect rect, in
 // ascending tile order. A rectangle that misses the world entirely (or is
-// invalid) covers nothing. The index window is estimated by division and
-// widened by two (one tile for float rounding of the guess, one for
-// closed tiles sharing the touched boundary), then filtered with the
-// exact geometric test, so the result equals the brute-force "every tile
+// invalid) covers nothing. The result equals the brute-force "every tile
 // t with tileRect(t) ∩ rect ≠ ∅" — the property the tile-assignment test
 // pins down.
-func (g tileGrid) cover(rect geo.Rect) []int {
+func (g tileGrid) cover(rect geo.Rect) []int { return g.coverBy(rect, geo.Rect.Intersects) }
+
+// overlapCover returns the tiles whose rectangles overlap rect with
+// positive area, in ascending tile order: the brute-force "every tile t
+// with tileRect(t).Overlaps(rect)". It is empty for a rectangle with no
+// positive-area overlap with the world.
+func (g tileGrid) overlapCover(rect geo.Rect) []int { return g.coverBy(rect, geo.Rect.Overlaps) }
+
+// coverBy returns the tiles t, ascending, for which hit(tileRect(t),
+// rect ∩ world) holds, where hit implies closed intersection. The index
+// window is estimated by division and widened by two (one tile for float
+// rounding of the guess, one for closed tiles sharing the touched
+// boundary), then filtered with the exact geometric test.
+func (g tileGrid) coverBy(rect geo.Rect, hit func(tile, rect geo.Rect) bool) []int {
 	clamped, ok := rect.Intersect(g.world)
 	if !ok {
 		return nil
@@ -98,7 +125,7 @@ func (g tileGrid) cover(rect geo.Rect) []int {
 	for r := r0; r <= r1; r++ {
 		for c := c0; c <= c1; c++ {
 			t := r*g.cols + c
-			if g.tileRect(t).Intersects(clamped) {
+			if hit(g.tileRect(t), clamped) {
 				out = append(out, t)
 			}
 		}

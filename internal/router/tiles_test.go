@@ -329,3 +329,108 @@ func TestOwnershipIgnoresAddrs(t *testing.T) {
 		t.Fatal("tile ownership depends on shard addresses")
 	}
 }
+
+// bruteResidency is the specification residencyOwners must match: the
+// owners of every tile the region overlaps with positive area; when there
+// is none, the owners of its closed cover (shard 0 if that is empty too);
+// plus shard 0 for a valid region reaching outside the world.
+func bruteResidency(r *Router, region geo.Rect) []int {
+	clamped, _ := region.Intersect(r.world)
+	var tiles []int
+	for t := 0; t < r.grid.tiles(); t++ {
+		if r.grid.tileRect(t).Overlaps(clamped) {
+			tiles = append(tiles, t)
+		}
+	}
+	if len(tiles) == 0 {
+		tiles = bruteCover(r.grid, region)
+	}
+	set := map[int]bool{}
+	for _, t := range tiles {
+		set[r.owner[t]] = true
+	}
+	if len(tiles) == 0 || region.Valid() && !(r.world.Contains(region.Min) && r.world.Contains(region.Max)) {
+		set[0] = true
+	}
+	var out []int
+	for s := range set {
+		out = append(out, s)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestResidencyEqualsBruteForce: a region lives on exactly the owners of
+// the tiles it overlaps with positive area, with the closed-cover
+// fallback for regions without such overlap and shard 0 added for regions
+// hanging past the world edge.
+func TestResidencyEqualsBruteForce(t *testing.T) {
+	// 7 tiles per axis puts tile edges off the dyadic fractions that
+	// quadtree regions use.
+	for _, c := range []struct{ shards, tiles int }{{1, 16}, {3, 7}, {4, 16}, {8, 16}} {
+		r, err := New(Config{World: testWorld, Shards: make([]Shard, c.shards), Tiles: c.tiles})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := c.shards
+		g := r.grid
+		src := rng.New(0x7139 + uint64(shards))
+		for i := 0; i < 4000; i++ {
+			var region geo.Rect
+			switch src.Intn(6) {
+			case 0: // random, possibly hanging over the world edge
+				c := geo.Pt(src.Range(-0.2, 1.2), src.Range(-0.2, 1.2))
+				region = geo.RectAround(c, src.Float64()*0.3)
+			case 1: // edges on tile boundaries: touches its neighbours
+				c0, c1 := src.Intn(g.cols+1), src.Intn(g.cols+1)
+				r0, r1 := src.Intn(g.rows+1), src.Intn(g.rows+1)
+				region = geo.R(g.xb(c0), g.yb(r0), g.xb(c1), g.yb(r1))
+			case 2: // zero-area: a point, or a segment along a tile boundary
+				p := geo.Pt(src.Float64(), src.Float64())
+				region = geo.PointRect(p)
+				if src.Intn(2) == 0 {
+					x := g.xb(src.Intn(g.cols + 1))
+					region = geo.R(x, p.Y, x, src.Float64())
+				}
+			case 3: // outside the world, touching its edge
+				y := src.Float64()
+				region = geo.R(1, y, 1+src.Float64(), y+0.1)
+			case 4: // fully outside the world
+				region = geo.RectAround(geo.Pt(3, 3), 0.2)
+			default: // a quadtree cell of some level
+				level := src.Intn(6)
+				s := float64(int(1) << level)
+				col, row := float64(src.Intn(1<<level)), float64(src.Intn(1<<level))
+				region = geo.R(col/s, row/s, (col+1)/s, (row+1)/s)
+			}
+			if got, want := r.residencyOwners(region), bruteResidency(r, region); !eqInts(got, want) {
+				t.Fatalf("%d shards: residencyOwners(%v) = %v, want %v", shards, region, got, want)
+			}
+		}
+	}
+}
+
+// TestResidencyIgnoresEdgeContact: with 4 shards owning the quadrants, a
+// region that only touches the quadrant boundaries lives on one shard,
+// while a segment on the boundary (zero area) keeps the closed cover
+// and a region outside the world keeps shard 0.
+func TestResidencyIgnoresEdgeContact(t *testing.T) {
+	r := newTestRouter(t, 4)
+	q := func(p geo.Point) int { return r.owner[r.grid.tileOf(p)] }
+	cases := []struct {
+		region geo.Rect
+		want   []int
+	}{
+		{geo.R(0.25, 0.25, 0.5, 0.5), []int{q(geo.Pt(0.3, 0.3))}},   // touches three quadrants at a corner
+		{geo.R(0.375, 0.5, 0.5, 0.625), []int{q(geo.Pt(0.4, 0.6))}}, // touches two boundaries
+		{geo.R(0, 0, 0.5, 1), maskShards(maskOf([]int{q(geo.Pt(0.1, 0.1)), q(geo.Pt(0.1, 0.9))}))},
+		{geo.R(0.5, 0.2, 0.5, 0.3), maskShards(maskOf([]int{q(geo.Pt(0.4, 0.25)), q(geo.Pt(0.6, 0.25))}))},
+		{geo.PointRect(geo.Pt(0.5, 0.5)), r.allShards()},
+		{geo.R(1, 0.2, 1.5, 0.3), maskShards(maskOf([]int{0, q(geo.Pt(0.9, 0.25))}))},
+	}
+	for _, c := range cases {
+		if got := r.residencyOwners(c.region); !eqInts(got, c.want) {
+			t.Errorf("residencyOwners(%v) = %v, want %v", c.region, got, c.want)
+		}
+	}
+}
