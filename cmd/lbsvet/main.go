@@ -1,8 +1,11 @@
 // Command lbsvet runs the repo's static-analysis suite: the passes that
 // prove the privacy trust boundary and the health of the //lint:
-// directives declaring it (privleak), the lock hierarchy (lockorder) and
-// the metric namespace (obsname). Call deadlines need no pass: every
-// protocol client has one by construction (protocol.DefaultCallTimeout).
+// directives declaring it (privleak) and the lock hierarchy (lockorder).
+// Two properties need no pass, because they hold by construction: every
+// protocol client has a call deadline (protocol.DefaultCallTimeout), and
+// every metric and span name is checked where it is made (obs.Registry
+// and trace refuse a name that is not snake_case, and the registry a
+// re-registration that disagrees with the first).
 //
 // It loads the whole program once and runs every pass over it (the CI
 // gate, through make lint):
@@ -23,14 +26,12 @@ import (
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/loader"
 	"repro/internal/lint/passes/lockorder"
-	"repro/internal/lint/passes/obsname"
 	"repro/internal/lint/passes/privleak"
 )
 
 var all = []*analysis.Analyzer{
 	privleak.Analyzer,
 	lockorder.Analyzer,
-	obsname.Analyzer,
 }
 
 func main() { os.Exit(run()) }
@@ -75,13 +76,11 @@ func run() int {
 	for _, a := range selected {
 		for _, pkg := range prog.Packages {
 			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      prog.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-				Prog:      prog,
-				Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
+				Analyzer: a,
+				Fset:     prog.Fset,
+				Pkg:      pkg.Types,
+				Prog:     prog,
+				Report:   func(d analysis.Diagnostic) { diags = append(diags, d) },
 			}
 			if _, err := a.Run(pass); err != nil {
 				fmt.Fprintf(os.Stderr, "lbsvet: %s: %v\n", a.Name, err)

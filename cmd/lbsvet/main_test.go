@@ -11,11 +11,11 @@ func TestSelectPasses(t *testing.T) {
 		want    string // pass names joined by ","
 		wantErr string
 	}{
-		{csv: "", want: "privleak,lockorder,obsname"},
-		{csv: ",", want: "privleak,lockorder,obsname"},
+		{csv: "", want: "privleak,lockorder"},
+		{csv: ",", want: "privleak,lockorder"},
 		{csv: "privleak,", want: "privleak"},
-		{csv: " obsname , ,lockorder", want: "obsname,lockorder"},
-		{csv: "ctxcall", wantErr: `unknown pass "ctxcall" (passes: privleak, lockorder, obsname)`},
+		{csv: " lockorder , ,privleak", want: "lockorder,privleak"},
+		{csv: "obsname", wantErr: `unknown pass "obsname" (passes: privleak, lockorder)`},
 		{csv: "privleak,atomicmix", wantErr: `unknown pass "atomicmix"`},
 	}
 	for _, tc := range cases {

@@ -584,6 +584,44 @@ func TestBatchUpdateInvalidatesIncrementalCache(t *testing.T) {
 	}
 }
 
+// TestUnchangedRecomputeIsNotForwarded: a cached region holding more than
+// MaxSlack×k users is recomputed on every update, and when the recompute
+// lands on the same region the database already holds it. The user's
+// second, unmoved update is then reused: it is not forwarded again.
+func TestUnchangedRecomputeIsNotForwarded(t *testing.T) {
+	const k = 5
+	var forwarded atomic.Int64
+	a := newAnon(t, Config{Incremental: true,
+		Forward: func(uint64, geo.Rect) error { forwarded.Add(1); return nil }})
+	prof := privacy.Constant(privacy.Requirement{K: k})
+	// 8k+1 users crowd the top-right quadrant and user 1 stands alone in
+	// the bottom-left one, so her quadtree region is the whole world.
+	for id := uint64(1); id <= 8*k+2; id++ {
+		loc := geo.Pt(0.75+float64(id)*1e-3, 0.75)
+		if id == 1 {
+			loc = geo.Pt(0.1, 0.1)
+		}
+		if err := a.Register(id, prof); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Update(id, loc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := forwarded.Load()
+	res, err := a.Update(1, geo.Pt(0.1, 0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Region.Eq(world) || res.K <= 8*k {
+		t.Fatalf("region %v holding %d users, want the world holding more than %d", res.Region, res.K, 8*k)
+	}
+	if !res.Reused || forwarded.Load() != before {
+		t.Fatalf("unchanged recomputed region: reused=%v, %d forwards, want reused and none",
+			res.Reused, forwarded.Load()-before)
+	}
+}
+
 // TestFailedForwardInvalidatesIncrementalCache pins invariant I1 across a
 // failed forward: a region the database never received must not stay
 // cached. Otherwise, once the link is back, the next update inside that

@@ -34,8 +34,8 @@ type Result struct {
 	SatisfiedK       bool
 	SatisfiedMinArea bool
 	SatisfiedMaxArea bool
-	// Reused is set by the incremental cloaker when the previous region was
-	// still valid and returned without recomputation.
+	// Reused is set by the incremental cloaker when it returns the previous
+	// region: still valid, or recomputed to the same rectangle.
 	Reused bool
 }
 

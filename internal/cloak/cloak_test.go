@@ -441,17 +441,35 @@ func TestIncrementalRecomputesOnReqChange(t *testing.T) {
 	}
 }
 
+// countingCloaker counts the calls that reach its inner cloaker.
+type countingCloaker struct {
+	Cloaker
+	calls int
+}
+
+func (c *countingCloaker) Cloak(id uint64, loc geo.Point, req privacy.Requirement) Result {
+	c.calls++
+	return c.Cloaker.Cloak(id, loc, req)
+}
+
 func TestIncrementalRecomputesWhenInvalid(t *testing.T) {
 	// Validator that always fails forces recompute every time.
 	_, pyr, pts := population(t, 1000, mobility.Uniform, 21)
-	inc := NewIncremental(&Quadtree{Pyr: pyr},
+	inner := &countingCloaker{Cloaker: &Quadtree{Pyr: pyr}}
+	inc := NewIncremental(inner,
 		func(geo.Rect, privacy.Requirement) (int, bool) { return 0, false })
 	uid := uint64(3)
 	req := privacy.Requirement{K: 5}
-	inc.Cloak(uid, pts[uid-1], req)
+	first := inc.Cloak(uid, pts[uid-1], req)
 	res := inc.Cloak(uid, pts[uid-1], req)
-	if res.Reused {
-		t.Fatal("invalid cached region was reused")
+	if inner.calls != 2 {
+		t.Fatalf("inner cloaker called %d times, want a recompute on every invalid hit (2)", inner.calls)
+	}
+	// The population did not change, so the recompute lands on the cached
+	// region, which the database already holds: reported reused.
+	if first.Reused || !res.Reused || !res.Region.Eq(first.Region) {
+		t.Fatalf("first reused=%v; recompute reused=%v region %v, want %v reused",
+			first.Reused, res.Reused, res.Region, first.Region)
 	}
 }
 

@@ -16,7 +16,8 @@ type Validator func(region geo.Rect, req privacy.Requirement) (count int, ok boo
 // Incremental wraps any Cloaker with the Section 5.3 incremental
 // evaluation: the cloaked region computed at time t−1 is reused at time t
 // whenever (a) the user is still inside it and (b) it still satisfies her
-// requirement. Only when either check fails is the inner cloaker invoked.
+// requirement. Only when either check fails is the inner cloaker invoked,
+// and a recomputed region equal to the cached one is reported reused too.
 //
 // Reuse has a privacy side benefit the paper does not mention but the
 // experiments report: a stable region across updates leaks less movement
@@ -63,7 +64,8 @@ func (c *Incremental) Name() string { return c.Inner.Name() + "+inc" }
 func (c *Incremental) Cloak(id uint64, loc geo.Point, req privacy.Requirement) Result {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if prev, ok := c.cache[id]; ok && prev.req == req && prev.region.Contains(loc) {
+	prev, ok := c.cache[id]
+	if ok && prev.req == req && prev.region.Contains(loc) {
 		if c.Validate == nil {
 			return Result{
 				Region:           prev.region,
@@ -84,6 +86,9 @@ func (c *Incremental) Cloak(id uint64, loc geo.Point, req privacy.Requirement) R
 		}
 	}
 	res := c.Inner.Cloak(id, loc, req)
+	// A recompute that lands on the cached region changes nothing
+	// downstream: the cache entry is the region the database holds.
+	res.Reused = ok && res.Region == prev.region
 	c.cache[id] = cached{region: res.Region, req: req}
 	return res
 }

@@ -17,8 +17,6 @@
 package analysis
 
 import (
-	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
 
@@ -38,16 +36,14 @@ type Analyzer struct {
 	Run func(*Pass) (interface{}, error)
 }
 
-// Pass carries one package's syntax and type information to an Analyzer,
-// plus the reporting callback. Exactly one Pass is constructed per
-// (analyzer, package) pair.
+// Pass carries one package and the whole program to an Analyzer, plus the
+// reporting callback. Exactly one Pass is constructed per (analyzer,
+// package) pair.
 type Pass struct {
 	Analyzer *Analyzer
 
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
+	Fset *token.FileSet
+	Pkg  *types.Package
 
 	// Prog is the whole loaded program. Both drivers, lbsvet and the
 	// fixture runner, always set it, so interprocedural passes may
@@ -56,11 +52,6 @@ type Pass struct {
 
 	// Report emits one diagnostic.
 	Report func(Diagnostic)
-}
-
-// Reportf formats and reports a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.Report(Diagnostic{Pos: pos, Category: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
 // Diagnostic is one finding.

@@ -106,13 +106,11 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      prog.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.Info,
-		Prog:      prog,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
+		Analyzer: a,
+		Fset:     prog.Fset,
+		Pkg:      pkg.Types,
+		Prog:     prog,
+		Report:   func(d analysis.Diagnostic) { diags = append(diags, d) },
 	}
 	if _, err := a.Run(pass); err != nil {
 		t.Fatalf("linttest: %s: %v", a.Name, err)

@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 
@@ -109,7 +110,7 @@ func TestRank(t *testing.T) {
 func TestRegistryGetOrCreate(t *testing.T) {
 	reg := obs.NewRegistry()
 	a := reg.Counter("x_total", "help", obs.L("alg", "quadtree"))
-	b := reg.Counter("x_total", "ignored on reuse", obs.L("alg", "quadtree"))
+	b := reg.Counter("x_total", "help", obs.L("alg", "quadtree"))
 	if a != b {
 		t.Fatal("same (name, labels) must return the same handle")
 	}
@@ -135,12 +136,63 @@ func TestRegistryGetOrCreate(t *testing.T) {
 func TestRegistryKindConflictPanics(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("z_total", "h")
+	mustPanic(t, "re-registering a counter as a gauge", func() { reg.Gauge("z_total", "h") })
+	mustPanic(t, "a gauge under a new label set of a counter's name",
+		func() { reg.Gauge("z_total", "h", obs.L("a", "1")) })
+}
+
+// mustPanic runs fn and fails unless it panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge must panic")
+			t.Errorf("%s did not panic", what)
 		}
 	}()
-	reg.Gauge("z_total", "h")
+	fn()
+}
+
+func TestRegistryRefusesBadName(t *testing.T) {
+	reg := obs.NewRegistry()
+	for _, name := range []string{"", "Upper_total", "dashed-total", "9lives", "_lead", "spaced total"} {
+		mustPanic(t, "registering "+strconv.Quote(name), func() { reg.Counter(name, "h") })
+	}
+	for _, name := range []string{"a", "anon_updates_total", "go_gc_pause_seconds", "x9_y"} {
+		reg.Counter(name, "h")
+	}
+}
+
+func TestRegistryRefusesHelpClash(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("x_total", "help", obs.L("alg", "quadtree"))
+	mustPanic(t, "the same series with other help", func() {
+		reg.Counter("x_total", "other help", obs.L("alg", "quadtree"))
+	})
+	mustPanic(t, "a new label set with other help", func() {
+		reg.Counter("x_total", "other help", obs.L("alg", "grid"))
+	})
+}
+
+func TestRegistryRefusesBoundsClash(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := reg.Histogram("h_seconds", "h", []float64{1, 2}, obs.L("op", "a"))
+	if reg.Histogram("h_seconds", "h", nil, obs.L("op", "a")) != h {
+		t.Fatal("nil bounds must address the existing series")
+	}
+	if reg.Histogram("h_seconds", "h", []float64{1, 2}, obs.L("op", "a")) != h {
+		t.Fatal("equal bounds must address the existing series")
+	}
+	mustPanic(t, "the same series with other bounds", func() {
+		reg.Histogram("h_seconds", "h", []float64{1, 3}, obs.L("op", "a"))
+	})
+	mustPanic(t, "a new label set with other bounds", func() {
+		reg.Histogram("h_seconds", "h", obs.DefaultLatencyBuckets, obs.L("op", "b"))
+	})
+	// A new label set with nil bounds takes the name's bounds.
+	reg.Histogram("h_seconds", "h", nil, obs.L("op", "c")).Observe(1.5)
+	if s, _ := reg.Find("h_seconds", obs.L("op", "c")); len(s.Hist.Bounds) != 2 || s.Hist.Counts[1] != 1 {
+		t.Fatalf("new label set: bounds %v counts %v, want the name's bounds [1 2]", s.Hist.Bounds, s.Hist.Counts)
+	}
 }
 
 func TestExportSorted(t *testing.T) {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,9 +76,15 @@ func seriesKey(name string, labels []Label) string {
 // for an existing (name, labels) series returns the same handle, which is
 // what lazily instrumented per-label call sites need. All methods are safe
 // for concurrent use.
+//
+// A name is checked where it is made: registration panics on a name that
+// is not snake_case, and on one that disagrees with the name's first
+// series in kind, help text or bucket bounds (nil bounds agree with any),
+// since the exposition prints one HELP and TYPE per name.
 type Registry struct {
 	mu     sync.RWMutex
 	series map[string]*metric
+	first  map[string]*metric // each name's first series
 
 	hookMu sync.Mutex
 	hooks  []func()
@@ -85,19 +92,19 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{series: make(map[string]*metric)}
+	return &Registry{series: make(map[string]*metric), first: make(map[string]*metric)}
 }
 
-// lookup returns an existing series, enforcing kind agreement.
-func (r *Registry) lookup(key, name string, kind Kind) *metric {
-	m, ok := r.series[key]
-	if !ok {
-		return nil
+// ValidName reports whether name is snake_case: a lowercase letter, then
+// lowercase letters, digits and underscores. Metric and span names must be.
+func ValidName(name string) bool {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if !('a' <= c && c <= 'z' || i > 0 && (c == '_' || '0' <= c && c <= '9')) {
+			return false
+		}
 	}
-	if m.kind != kind {
-		panic(fmt.Sprintf("obs: metric %q re-registered as %v (was %v)", name, kind, m.kind))
-	}
-	return m
+	return name != ""
 }
 
 // sortLabels returns labels in deterministic key order.
@@ -113,66 +120,92 @@ func sortLabels(labels []Label) []Label {
 // Counter returns the counter registered under (name, labels), creating it
 // on first use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	labels = sortLabels(labels)
-	key := seriesKey(name, labels)
-	r.mu.RLock()
-	m := r.lookup(key, name, KindCounter)
-	r.mu.RUnlock()
-	if m != nil {
-		return m.counter
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m := r.lookup(key, name, KindCounter); m != nil {
-		return m.counter
-	}
-	m = &metric{name: name, help: help, labels: labels, kind: KindCounter, counter: &Counter{}}
-	r.series[key] = m
-	return m.counter
+	return r.register(name, help, KindCounter, nil, labels).counter
 }
 
 // Gauge returns the gauge registered under (name, labels), creating it on
 // first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	labels = sortLabels(labels)
-	key := seriesKey(name, labels)
-	r.mu.RLock()
-	m := r.lookup(key, name, KindGauge)
-	r.mu.RUnlock()
-	if m != nil {
-		return m.gauge
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m := r.lookup(key, name, KindGauge); m != nil {
-		return m.gauge
-	}
-	m = &metric{name: name, help: help, labels: labels, kind: KindGauge, gauge: &Gauge{}}
-	r.series[key] = m
-	return m.gauge
+	return r.register(name, help, KindGauge, nil, labels).gauge
 }
 
 // Histogram returns the histogram registered under (name, labels), creating
-// it with the given bucket bounds on first use (nil bounds =
-// DefaultLatencyBuckets). Later calls may pass nil bounds to address the
-// existing series.
+// it with the given bucket bounds on first use (nil bounds = the name's
+// bounds, or DefaultLatencyBuckets for a new name). Later calls may pass
+// nil bounds to address the existing series.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
+	return r.register(name, help, KindHistogram, bounds, labels).hist
+}
+
+// register is the one get-or-create path of Counter, Gauge and Histogram.
+func (r *Registry) register(name, help string, kind Kind, bounds []float64, labels []Label) *metric {
 	labels = sortLabels(labels)
 	key := seriesKey(name, labels)
 	r.mu.RLock()
-	m := r.lookup(key, name, KindHistogram)
+	m := r.series[key]
 	r.mu.RUnlock()
+	if m == nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		m = r.series[key]
+	}
 	if m != nil {
-		return m.hist
+		m.agree(kind, help, bounds)
+		return m
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m := r.lookup(key, name, KindHistogram); m != nil {
-		return m.hist
+	// A new series: a new name must be snake_case, and a new label set of
+	// a known name must agree with the name's first series.
+	first := r.first[name]
+	if first == nil && !ValidName(name) {
+		panic(fmt.Sprintf("obs: metric name %q is not snake_case", name))
 	}
-	m = &metric{name: name, help: help, labels: labels, kind: KindHistogram, hist: newHistogram(bounds)}
+	if first != nil {
+		first.agree(kind, help, bounds)
+		if len(bounds) == 0 && first.hist != nil {
+			bounds = first.hist.bounds
+		}
+	}
+	m = &metric{name: name, help: help, labels: labels, kind: kind}
+	switch kind {
+	case KindCounter:
+		m.counter = &Counter{}
+	case KindGauge:
+		m.gauge = &Gauge{}
+	case KindHistogram:
+		m.hist = newHistogram(bounds)
+	}
 	r.series[key] = m
-	return m.hist
+	if first == nil {
+		r.first[name] = m
+	}
+	return m
+}
+
+// agree panics unless a registration of m's name matches m in kind, help
+// text and, when bounds are given, bucket bounds.
+func (m *metric) agree(kind Kind, help string, bounds []float64) {
+	switch {
+	case m.kind != kind:
+		panic(fmt.Sprintf("obs: metric %q re-registered as %v (was %v)", m.name, kind, m.kind))
+	case m.help != help:
+		panic(fmt.Sprintf("obs: metric %q re-registered with help %q (was %q)", m.name, help, m.help))
+	case len(bounds) > 0 && !slices.Equal(bounds, m.hist.bounds):
+		panic(fmt.Sprintf("obs: histogram %q re-registered with bounds %v (was %v)", m.name, bounds, m.hist.bounds))
+	}
+}
+
+// snapshot freezes the series.
+func (m *metric) snapshot() MetricSnapshot {
+	s := MetricSnapshot{Name: m.name, Help: m.help, Labels: m.labels, Kind: m.kind}
+	switch m.kind {
+	case KindCounter:
+		s.Value = float64(m.counter.Value())
+	case KindGauge:
+		s.Value = m.gauge.Value()
+	case KindHistogram:
+		s.Hist = m.hist.Snapshot()
+	}
+	return s
 }
 
 // MetricSnapshot is one frozen series — the unit the wire protocol carries
@@ -209,18 +242,8 @@ func (r *Registry) Export() []MetricSnapshot {
 	}
 	r.mu.RLock()
 	out := make([]MetricSnapshot, 0, len(r.series))
-	for key, m := range r.series {
-		s := MetricSnapshot{Name: m.name, Help: m.help, Labels: m.labels, Kind: m.kind}
-		switch m.kind {
-		case KindCounter:
-			s.Value = float64(m.counter.Value())
-		case KindGauge:
-			s.Value = m.gauge.Value()
-		case KindHistogram:
-			s.Hist = m.hist.Snapshot()
-		}
-		_ = key
-		out = append(out, s)
+	for _, m := range r.series {
+		out = append(out, m.snapshot())
 	}
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -244,14 +267,5 @@ func (r *Registry) Find(name string, labels ...Label) (MetricSnapshot, bool) {
 	if !ok {
 		return MetricSnapshot{}, false
 	}
-	s := MetricSnapshot{Name: m.name, Help: m.help, Labels: m.labels, Kind: m.kind}
-	switch m.kind {
-	case KindCounter:
-		s.Value = float64(m.counter.Value())
-	case KindGauge:
-		s.Value = m.gauge.Value()
-	case KindHistogram:
-		s.Hist = m.hist.Snapshot()
-	}
-	return s, true
+	return m.snapshot(), true
 }

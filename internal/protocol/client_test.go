@@ -78,12 +78,19 @@ func TestClientRetriesAfterMidFrameReset(t *testing.T) {
 	if string(resp) != "two" {
 		t.Fatalf("resp = %q, want %q", resp, "two")
 	}
-	if got := reg.Counter("proto_retries_total", "").Value(); got == 0 {
+	if got := seriesValue(reg, "proto_retries_total"); got == 0 {
 		t.Error("proto_retries_total = 0, want > 0")
 	}
-	if got := reg.Counter("proto_reconnects_total", "").Value(); got == 0 {
+	if got := seriesValue(reg, "proto_reconnects_total"); got == 0 {
 		t.Error("proto_reconnects_total = 0, want > 0")
 	}
+}
+
+// seriesValue reads a counter or gauge of reg without registering it
+// (0 when the series does not exist yet).
+func seriesValue(reg *obs.Registry, name string) float64 {
+	s, _ := reg.Find(name)
+	return s.Value
 }
 
 // A full server restart between calls is survived transparently by the
@@ -156,7 +163,7 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 	if got := c.BreakerState(); got != breakerOpen {
 		t.Fatalf("BreakerState = %d after %d failures, want open (%d)", got, 3, breakerOpen)
 	}
-	if got := reg.Gauge("proto_breaker_state", "").Value(); got != float64(breakerOpen) {
+	if got := seriesValue(reg, "proto_breaker_state"); got != float64(breakerOpen) {
 		t.Fatalf("proto_breaker_state = %v, want %d", got, breakerOpen)
 	}
 
@@ -164,7 +171,7 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 	if _, err := c.Call(MsgStats, nil); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("open breaker returned %v, want ErrBreakerOpen", err)
 	}
-	if got := reg.Counter("proto_breaker_rejected_total", "").Value(); got == 0 {
+	if got := seriesValue(reg, "proto_breaker_rejected_total"); got == 0 {
 		t.Error("proto_breaker_rejected_total = 0, want > 0")
 	}
 
@@ -189,7 +196,7 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 	if got := c.BreakerState(); got != breakerClosed {
 		t.Fatalf("BreakerState = %d after recovery, want closed", got)
 	}
-	if got := reg.Counter("proto_breaker_opens_total", "").Value(); got == 0 {
+	if got := seriesValue(reg, "proto_breaker_opens_total"); got == 0 {
 		t.Error("proto_breaker_opens_total = 0, want > 0")
 	}
 }
@@ -255,8 +262,8 @@ func TestCallTimeoutBoundsStalledHandler(t *testing.T) {
 	if el := time.Since(start); el > 300*time.Millisecond {
 		t.Fatalf("deadline did not bound the call: took %v", el)
 	}
-	if got := reg.Counter("proto_call_timeouts_total", "").Value(); got != 1 {
-		t.Fatalf("proto_call_timeouts_total = %d, want 1", got)
+	if got := seriesValue(reg, "proto_call_timeouts_total"); got != 1 {
+		t.Fatalf("proto_call_timeouts_total = %v, want 1", got)
 	}
 }
 
@@ -356,14 +363,14 @@ func TestNonIdempotentCallsNotRetried(t *testing.T) {
 	if _, err := c.Call(MsgRegister, []byte("x")); err == nil {
 		t.Fatal("doomed register call succeeded")
 	}
-	if got := reg.Counter("proto_retries_total", "").Value(); got != 0 {
-		t.Fatalf("non-idempotent call was retried %d times", got)
+	if got := seriesValue(reg, "proto_retries_total"); got != 0 {
+		t.Fatalf("non-idempotent call was retried %v times", got)
 	}
 	if _, err := c.Call(MsgUpdate, []byte("x")); err == nil {
 		t.Fatal("doomed update call succeeded")
 	}
-	if got := reg.Counter("proto_retries_total", "").Value(); got != 3 {
-		t.Fatalf("idempotent call retried %d times, want 3", got)
+	if got := seriesValue(reg, "proto_retries_total"); got != 3 {
+		t.Fatalf("idempotent call retried %v times, want 3", got)
 	}
 }
 
@@ -392,8 +399,8 @@ func TestAcceptLoopSurvivesTransientErrors(t *testing.T) {
 	if resp, err := c.Call(1, []byte("alive")); err != nil || string(resp) != "alive" {
 		t.Fatalf("service dead after transient accept errors: %q, %v", resp, err)
 	}
-	if got := reg.Counter("proto_accept_retries_total", "").Value(); got != 4 {
-		t.Fatalf("proto_accept_retries_total = %d, want 4", got)
+	if got := seriesValue(reg, "proto_accept_retries_total"); got != 4 {
+		t.Fatalf("proto_accept_retries_total = %v, want 4", got)
 	}
 }
 
@@ -422,7 +429,7 @@ func TestMaxConnsCapsAndRecovers(t *testing.T) {
 		t.Fatal("over-cap connection served data")
 	}
 	raw.Close()
-	if got := reg.Counter("proto_conns_rejected_total", "").Value(); got == 0 {
+	if got := seriesValue(reg, "proto_conns_rejected_total"); got == 0 {
 		t.Error("proto_conns_rejected_total = 0, want > 0")
 	}
 
@@ -456,10 +463,10 @@ func TestReadTimeoutReapsIdleConnections(t *testing.T) {
 		t.Fatal("idle connection was not dropped")
 	}
 	poll(t, 2*time.Second, func() bool {
-		return reg.Counter("proto_idle_drops_total", "").Value() == 1
+		return seriesValue(reg, "proto_idle_drops_total") == 1
 	}, "idle drop to be counted")
-	if got := reg.Counter("proto_dropped_frames_total", "").Value(); got != 0 {
-		t.Fatalf("idle reap miscounted as dropped frame (%d)", got)
+	if got := seriesValue(reg, "proto_dropped_frames_total"); got != 0 {
+		t.Fatalf("idle reap miscounted as dropped frame (%v)", got)
 	}
 }
 

@@ -267,14 +267,14 @@ func TestPipelineResetFailsCallsInFlightOnce(t *testing.T) {
 	if got := registers.Load(); got > 1 {
 		t.Errorf("server saw the registration %d times, want at most once", got)
 	}
-	if got := reg.Counter("proto_retries_total", "").Value(); got != 3 {
-		t.Errorf("proto_retries_total = %d, want 3 (the idempotent calls in flight)", got)
+	if got := seriesValue(reg, "proto_retries_total"); got != 3 {
+		t.Errorf("proto_retries_total = %v, want 3 (the idempotent calls in flight)", got)
 	}
-	if got := reg.Counter("proto_reconnects_total", "").Value(); got != 1 {
-		t.Errorf("proto_reconnects_total = %d, want 1", got)
+	if got := seriesValue(reg, "proto_reconnects_total"); got != 1 {
+		t.Errorf("proto_reconnects_total = %v, want 1", got)
 	}
-	if got := reg.Counter("proto_breaker_opens_total", "").Value(); got != 0 {
-		t.Errorf("breaker opened %d times: a dead connection must count as one failure", got)
+	if got := seriesValue(reg, "proto_breaker_opens_total"); got != 0 {
+		t.Errorf("breaker opened %v times: a dead connection must count as one failure", got)
 	}
 }
 
@@ -321,8 +321,8 @@ func TestPipelineDeadlineFailsFastAndLaterCallsSucceed(t *testing.T) {
 	if resp, err := c.Call(MsgUpdate, []byte("after")); err != nil || string(resp) != "after" {
 		t.Errorf("call after the timeout: %q, %v", resp, err)
 	}
-	if got := reg.Counter("proto_call_timeouts_total", "").Value(); got != 1 {
-		t.Errorf("proto_call_timeouts_total = %d, want 1", got)
+	if got := seriesValue(reg, "proto_call_timeouts_total"); got != 1 {
+		t.Errorf("proto_call_timeouts_total = %v, want 1", got)
 	}
 }
 
@@ -349,8 +349,8 @@ func TestBackoffDoesNotBlockOtherCallers(t *testing.T) {
 		_, err := c.Call(MsgUpdate, []byte("hits the reset"))
 		retried <- err
 	}()
-	retries := reg.Counter("proto_retries_total", "")
-	poll(t, 5*time.Second, func() bool { return retries.Value() == 1 }, "the first call to start its backoff")
+	poll(t, 5*time.Second, func() bool { return seriesValue(reg, "proto_retries_total") == 1 },
+		"the first call to start its backoff")
 
 	start := time.Now() // the backoff, at least 250ms, has just begun
 	var wg sync.WaitGroup
@@ -373,8 +373,8 @@ func TestBackoffDoesNotBlockOtherCallers(t *testing.T) {
 	if err := <-retried; err != nil {
 		t.Errorf("retried call: %v", err)
 	}
-	if got := retries.Value(); got != 1 {
-		t.Errorf("proto_retries_total = %d, want 1 (the retried call only)", got)
+	if got := seriesValue(reg, "proto_retries_total"); got != 1 {
+		t.Errorf("proto_retries_total = %v, want 1 (the retried call only)", got)
 	}
 }
 

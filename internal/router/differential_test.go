@@ -103,9 +103,11 @@ type tier struct {
 	closes []func()
 }
 
-// counter reads one route_* counter of a routed tier.
+// counter reads one route_* counter of a routed tier (0 before its first
+// count registers it).
 func (tr *tier) counter(name string, labels ...obs.Label) uint64 {
-	return tr.reg.Counter(name, "", labels...).Value()
+	s, _ := tr.reg.Find(name, labels...)
+	return uint64(s.Value)
 }
 
 func (tr *tier) Close() {

@@ -167,7 +167,7 @@ func ServeAnonymizer(addr string, cfg anonymizer.Config, f Forward, o Ops) (*Ano
 		if a.link, err = protocol.DialDatabase(f.Addr, opts...); err != nil {
 			return nil, err
 		}
-		cfg.Forward, cfg.ForwardCtx = a.link.UpdatePrivate, a.link.UpdatePrivateCtx
+		cfg.ForwardCtx = a.link.UpdatePrivateCtx // anonymizer.New adapts it for the spill replay
 		cfg.ForwardQueue, cfg.ForwardBackpressure = f.Queue, f.Backpressure
 	}
 	cfg.Metrics, cfg.Tracer = o.Metrics, o.Tracer

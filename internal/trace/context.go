@@ -48,8 +48,10 @@ type Stage struct {
 	hist *obs.Histogram
 }
 
-// NewStage binds the span name to hist.
+// NewStage binds the span name to hist. It panics on a name that is not
+// snake_case, so a bad stage name fails where it is declared.
 func NewStage(name string, hist *obs.Histogram) Stage {
+	mustName(name)
 	return Stage{name: name, hist: hist}
 }
 

@@ -14,6 +14,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
@@ -62,7 +63,7 @@ type SpanRecord struct {
 	TraceID  uint64
 	SpanID   uint64
 	ParentID uint64 // 0 for a root span
-	Name     string // snake_case, family-prefixed (lbsvet obsname enforces)
+	Name     string // snake_case (checked when the span opens)
 	Proc     string // recording process ("client", "anonymizer", "lbsd")
 	Start    int64  // wall clock, Unix nanoseconds (cross-process alignment)
 	Dur      int64  // nanoseconds
@@ -168,7 +169,10 @@ func (t *Tracer) StartSpan(parent SpanContext, name string) Span {
 	return t.open(parent, name)
 }
 
+// open starts a recording span. Only a recording span checks its name, so
+// untraced paths pay nothing for the check.
 func (t *Tracer) open(parent SpanContext, name string) Span {
+	mustName(name)
 	rec := &SpanRecord{
 		TraceID:  parent.TraceID,
 		SpanID:   t.nextID(),
@@ -177,6 +181,13 @@ func (t *Tracer) open(parent SpanContext, name string) Span {
 		Proc:     t.proc,
 	}
 	return Span{t: t, rec: rec, start: time.Now()}
+}
+
+// mustName panics on a span name that is not snake_case.
+func mustName(name string) {
+	if !obs.ValidName(name) {
+		panic(fmt.Sprintf("trace: span name %q is not snake_case", name))
+	}
 }
 
 // record files a finished span, pinning slow ones.

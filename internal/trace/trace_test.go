@@ -204,6 +204,32 @@ func TestStageFeedsHistogram(t *testing.T) {
 	}
 }
 
+// A stage name is checked where the stage is declared; a span name when
+// the span records, so an unsampled start of a bad name costs nothing.
+func TestBadNamesPanic(t *testing.T) {
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	hist := obs.NewRegistry().Histogram("proto_stage_seconds", "h", nil)
+	mustPanic("NewStage(\"Proto-Stage\")", func() { NewStage("Proto-Stage", hist) })
+	mustPanic("NewStage(\"\")", func() { NewStage("", hist) })
+
+	tr := New(Config{Process: "p", Sample: 1})
+	mustPanic("a recording root named \"Bad Root\"", func() { tr.StartRoot("Bad Root") })
+	sc := SpanContext{TraceID: 1, SpanID: 2, Flags: FlagSampled}
+	mustPanic("a recording child named \"bad-child\"", func() { tr.StartSpan(sc, "bad-child") })
+	if sp := New(Config{Process: "p"}).StartRoot("Bad Root"); sp.Recording() {
+		t.Fatal("an unsampled root recorded")
+	}
+	tr.StartSpan(SpanContext{}, "bad-child").End() // unsampled: not checked
+}
+
 // The exported Chrome trace must be valid JSON with one event per span
 // plus one process_name metadata event per process.
 func TestChromeJSONValid(t *testing.T) {
