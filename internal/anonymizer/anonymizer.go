@@ -49,6 +49,10 @@ import (
 	"repro/internal/trace"
 )
 
+// popGridCols/Rows is the resolution of the exact-position index the
+// data-dependent algorithms (AlgNaive, AlgMBR) search for neighbors.
+const popGridCols, popGridRows = 64, 64
+
 // Algorithm selects the cloaking algorithm.
 type Algorithm uint8
 
@@ -105,9 +109,6 @@ type Config struct {
 	PyramidHeight int
 	// GridLevel is the fixed level for AlgGrid/AlgGridML (default 6).
 	GridLevel int
-	// PopGridCols/Rows set the exact-position index resolution used by
-	// data-dependent algorithms (default 64×64).
-	PopGridCols, PopGridRows int
 	// Incremental enables Section 5.3 incremental evaluation: regions are
 	// reused across updates while they remain valid. The region cache is
 	// shard-local, so it never crosses a shard (or user) boundary.
@@ -239,12 +240,6 @@ func New(cfg Config) (*Anonymizer, error) {
 	if cfg.GridLevel <= 0 {
 		cfg.GridLevel = 6
 	}
-	if cfg.PopGridCols <= 0 {
-		cfg.PopGridCols = 64
-	}
-	if cfg.PopGridRows <= 0 {
-		cfg.PopGridRows = 64
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -282,7 +277,7 @@ func New(cfg Config) (*Anonymizer, error) {
 	case AlgGridML:
 		a.cloaker = &cloak.Grid{Pyr: pyr, Level: cfg.GridLevel, MultiLevel: true}
 	case AlgNaive, AlgMBR:
-		pop, err := grid.New(cfg.World, cfg.PopGridCols, cfg.PopGridRows)
+		pop, err := grid.New(cfg.World, popGridCols, popGridRows)
 		if err != nil {
 			return nil, err
 		}

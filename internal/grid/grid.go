@@ -60,9 +60,6 @@ func New(world geo.Rect, cols, rows int) (*Index, error) {
 // World returns the indexed area.
 func (g *Index) World() geo.Rect { return g.world }
 
-// Dims returns the grid resolution.
-func (g *Index) Dims() (cols, rows int) { return g.cols, g.rows }
-
 // Len returns the number of indexed objects.
 func (g *Index) Len() int { return len(g.loc) }
 

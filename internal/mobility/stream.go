@@ -180,10 +180,5 @@ func (g *Stream) Pos(id uint64, tick uint64, hot *Hotspot) geo.Point {
 	return from.Lerp(to, frac)
 }
 
-// Clusters returns the generated cluster centers (read-only), mainly for
-// scenario authors picking hotspot targets that contrast with the
-// baseline city.
-func (g *Stream) Clusters() []geo.Point { return g.centers }
-
 // World returns the generation bounds.
 func (g *Stream) World() geo.Rect { return g.spec.World }

@@ -32,57 +32,35 @@ func (q *distQueue) Pop() interface{} {
 }
 
 // Browser yields the indexed items in non-decreasing distance from a query
-// point or rectangle — Hjaltason–Samet incremental distance browsing. The
-// incremental iterator serves the cold k-NN paths (Nearest, NearestOne);
-// the private-NN candidate computation uses the allocation-free
-// MinMaxCandidates descent below instead.
+// point — Hjaltason–Samet incremental distance browsing. It serves the
+// cold k-NN paths (Nearest, NearestOne); the private-NN candidate
+// computation uses the allocation-free MinMaxCandidates descent below
+// instead.
 type Browser struct {
-	q       distQueue
-	origin  func(*node) float64 // min dist² from query to a node's bounds
-	opoint  func(Item) float64  // dist² from query to an item
-	visited int                 // nodes expanded so far
+	q distQueue
+	p geo.Point
 }
-
-// Visited returns the number of tree nodes expanded so far — the index I/O
-// proxy the observability layer exports per query.
-func (b *Browser) Visited() int { return b.visited }
 
 // NewPointBrowser starts distance browsing from a point query.
 func (t *Tree) NewPointBrowser(p geo.Point) *Browser {
-	b := &Browser{
-		origin: func(n *node) float64 { return geo.MinDist2(p, n.bounds) },
-		opoint: func(it Item) float64 { return p.Dist2(it.Loc) },
-	}
-	if t.root != nil && t.size > 0 {
-		heap.Push(&b.q, queueEntry{dist2: b.origin(t.root), node: t.root})
-	}
-	return b
-}
-
-// NewRectBrowser starts distance browsing ordered by minimum distance from
-// a rectangle query (distance 0 for items inside the rectangle).
-func (t *Tree) NewRectBrowser(r geo.Rect) *Browser {
-	b := &Browser{
-		origin: func(n *node) float64 { return geo.MinDistRects2(r, n.bounds) },
-		opoint: func(it Item) float64 { return geo.MinDist2(it.Loc, r) },
-	}
-	if t.root != nil && t.size > 0 {
-		heap.Push(&b.q, queueEntry{dist2: b.origin(t.root), node: t.root})
+	b := &Browser{p: p}
+	if t.root != nil {
+		heap.Push(&b.q, queueEntry{dist2: geo.MinDist2(p, t.root.bounds), node: t.root})
 	}
 	return b
 }
 
 // expand pushes the contents of node n onto the frontier.
 func (b *Browser) expand(n *node) {
-	b.visited++
 	if n.leaf {
 		for _, item := range n.items {
-			heap.Push(&b.q, queueEntry{dist2: b.opoint(item), item: item, isItem: true})
+			heap.Push(&b.q, queueEntry{dist2: b.p.Dist2(item.Loc), item: item, isItem: true})
 		}
 		return
 	}
 	for i := range n.children {
-		heap.Push(&b.q, queueEntry{dist2: b.origin(n.children[i].n), node: n.children[i].n})
+		c := &n.children[i]
+		heap.Push(&b.q, queueEntry{dist2: geo.MinDist2(b.p, c.bounds), node: c.n})
 	}
 }
 
@@ -97,19 +75,6 @@ func (b *Browser) Next() (it Item, dist2 float64, ok bool) {
 		b.expand(e.node)
 	}
 	return Item{}, 0, false
-}
-
-// Peek2 returns the squared distance of the next item without consuming it.
-// It reports ok=false when the browser is exhausted.
-func (b *Browser) Peek2() (dist2 float64, ok bool) {
-	for b.q.Len() > 0 {
-		if b.q[0].isItem {
-			return b.q[0].dist2, true
-		}
-		e := heap.Pop(&b.q).(queueEntry)
-		b.expand(e.node)
-	}
-	return 0, false
 }
 
 // Nearest returns the k items nearest to p in increasing distance order
@@ -152,26 +117,25 @@ type minmaxEnt struct {
 // MaxDist²(o, r) over all accepted items (+Inf when there is none), and
 // returns the extended slice, B, and the number of nodes visited.
 //
-// This is the same set the incremental browse + refilter construction
-// produces (the private-NN superset of Figure 5b): B is order-independent
-// because any item never visited sits in a subtree with
-// MinDist² > running-bound ≥ B, so its MaxDist² ≥ MinDist² > B cannot
-// lower the minimum, and the subtree holding the minimizer o* can never be
+// This is the private-NN superset of Figure 5b, and the descent order
+// cannot change it: B is order-independent because any item never visited
+// sits in a subtree with MinDist² > running-bound ≥ B, so its
+// MaxDist² ≥ MinDist² > B cannot lower the minimum, and the subtree holding the minimizer o* can never be
 // pruned since its MinDist² ≤ MinDist²(o*) ≤ MaxDist²(o*) = B ≤ every
 // running bound. Children are expanded nearest-first so the bound
-// tightens as fast as the best-first browse, without the priority-queue
-// boxing that made the browse the hottest allocation site of the batch
-// engine. A nil match accepts every item.
+// tightens as fast as a best-first browse would tighten it, without the
+// priority-queue boxing that made such a browse the hottest allocation
+// site of the batch engine. A nil match accepts every item.
 func (t *Tree) MinMaxCandidates(r geo.Rect, match func(Item) bool, dst []Item) ([]Item, float64, int) {
 	bound := math.Inf(1)
-	if t.root == nil || t.size == 0 {
+	if t.root == nil {
 		return dst, bound, 0
 	}
 	start := len(dst)
 	visited := 0
-	// The stack bound is depth×fan-out; 128 covers any realistic tree
-	// (depth 8 at 40% minimum fill already holds >100k points) and the
-	// append below spills to the heap rather than truncating if exceeded.
+	// The stack bound is depth×fan-out; 128 covers depth 8, and STR packs
+	// nodes full, so depth 5 already holds a million points. The append
+	// below spills to the heap rather than truncating if exceeded.
 	var arr [128]minmaxEnt
 	stk := append(arr[:0], minmaxEnt{geo.MinDistRects2(r, t.root.bounds), t.root})
 	for len(stk) > 0 {

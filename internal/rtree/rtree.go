@@ -1,15 +1,15 @@
-// Package rtree implements an in-memory R-tree over point data: the
-// spatial index the privacy-aware database server uses for its public data
-// (gas stations, restaurants, hospitals, ...). It supports quadratic-split
-// insertion, deletion with subtree reinsertion, Sort-Tile-Recursive (STR)
-// bulk loading, rectangle range search, and best-first (priority-queue)
-// nearest-neighbor search including incremental distance browsing — the
-// primitive behind the private nearest-neighbor query processor.
+// Package rtree implements a static in-memory R-tree over point data: the
+// spatial index the privacy-aware database server uses for its stationary
+// public data (gas stations, restaurants, hospitals, ...). A tree is built
+// once by Sort-Tile-Recursive (STR) bulk loading and never edited; the
+// server replaces the whole tree when the stationary set is reloaded. It
+// answers rectangle range searches, the min–max candidate descent behind
+// the private nearest-neighbor query processor, and best-first
+// (priority-queue) nearest-neighbor search.
 package rtree
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geo"
 )
@@ -20,17 +20,15 @@ type Item struct {
 	Loc geo.Point
 }
 
-const (
-	// maxEntries is the node fan-out M; minEntries is the fill factor m.
-	maxEntries = 16
-	minEntries = maxEntries * 2 / 5 // 40% minimum fill, the classic choice
-)
+// maxEntries is the node fan-out M: STR fills every node but the last of
+// each tile to exactly M entries.
+const maxEntries = 16
 
 // child is an inner-node entry: the child's bounding rectangle stored
 // inline next to the pointer so a descent decides which subtrees to enter
 // from one contiguous scan of the parent's entry array, without chasing a
 // pointer per child just to read its rectangle. The inline copy must equal
-// child.n.bounds at all times (checkInvariants enforces it).
+// child.n.bounds (checkInvariants enforces it).
 type child struct {
 	bounds geo.Rect
 	n      *node
@@ -43,21 +41,15 @@ type node struct {
 	children []child // populated when !leaf
 }
 
+// recomputeBounds sets the bounds of a freshly packed node, which is never
+// empty.
 func (n *node) recomputeBounds() {
 	if n.leaf {
-		if len(n.items) == 0 {
-			n.bounds = geo.Rect{}
-			return
-		}
 		b := geo.PointRect(n.items[0].Loc)
 		for _, it := range n.items[1:] {
 			b = b.UnionPoint(it.Loc)
 		}
 		n.bounds = b
-		return
-	}
-	if len(n.children) == 0 {
-		n.bounds = geo.Rect{}
 		return
 	}
 	b := n.children[0].bounds
@@ -67,264 +59,16 @@ func (n *node) recomputeBounds() {
 	n.bounds = b
 }
 
-// Tree is an R-tree over point items. The zero value is an empty tree ready
-// to use. Tree is not safe for concurrent mutation; the server guards it
-// with its own lock.
+// Tree is a bulk-loaded R-tree over point items. The zero value is an
+// empty tree. A tree is never mutated after BulkLoad returns, so any number
+// of goroutines may query it at once.
 type Tree struct {
 	root *node
 	size int
 }
 
-// New returns an empty tree.
-func New() *Tree { return &Tree{} }
-
 // Len returns the number of indexed items.
 func (t *Tree) Len() int { return t.size }
-
-// Bounds returns the bounding rectangle of all items and false if empty.
-func (t *Tree) Bounds() (geo.Rect, bool) {
-	if t.root == nil || t.size == 0 {
-		return geo.Rect{}, false
-	}
-	return t.root.bounds, true
-}
-
-// Insert adds an item to the tree. Duplicate IDs are permitted by the tree
-// itself (the server layer enforces uniqueness).
-func (t *Tree) Insert(it Item) {
-	if t.root == nil {
-		t.root = &node{leaf: true, items: []Item{it}, bounds: geo.PointRect(it.Loc)}
-		t.size = 1
-		return
-	}
-	split := t.insert(t.root, it)
-	if split != nil {
-		// Root split: grow the tree by one level.
-		old := t.root
-		t.root = &node{
-			leaf: false,
-			children: []child{
-				{bounds: old.bounds, n: old},
-				{bounds: split.bounds, n: split},
-			},
-		}
-		t.root.recomputeBounds()
-	}
-	t.size++
-}
-
-// insert descends to a leaf, adds the item, and returns a new sibling if
-// the node had to split (to be linked by the caller).
-func (t *Tree) insert(n *node, it Item) *node {
-	n.bounds = n.bounds.UnionPoint(it.Loc)
-	if n.leaf {
-		n.items = append(n.items, it)
-		if len(n.items) > maxEntries {
-			return splitLeaf(n)
-		}
-		return nil
-	}
-	best := chooseSubtree(n.children, it.Loc)
-	split := t.insert(n.children[best].n, it)
-	n.children[best].bounds = n.children[best].n.bounds
-	if split != nil {
-		n.children = append(n.children, child{bounds: split.bounds, n: split})
-		if len(n.children) > maxEntries {
-			return splitInner(n)
-		}
-	}
-	return nil
-}
-
-// chooseSubtree picks the child whose bounds need the least enlargement to
-// include p, breaking ties by smaller area (the classic Guttman heuristic).
-func chooseSubtree(children []child, p geo.Point) int {
-	best := 0
-	bestEnlarge := math.Inf(1)
-	bestArea := math.Inf(1)
-	for i := range children {
-		b := children[i].bounds
-		area := b.Area()
-		enlarged := b.UnionPoint(p).Area() - area
-		if enlarged < bestEnlarge || (enlarged == bestEnlarge && area < bestArea) {
-			best, bestEnlarge, bestArea = i, enlarged, area
-		}
-	}
-	return best
-}
-
-// splitLeaf performs a quadratic split of an overflowing leaf, mutating n
-// to hold one group and returning a new node with the other.
-func splitLeaf(n *node) *node {
-	items := n.items
-	// Pick the two seeds wasting the most area if grouped together.
-	si, sj := 0, 1
-	worst := -1.0
-	for i := 0; i < len(items); i++ {
-		for j := i + 1; j < len(items); j++ {
-			waste := geo.PointRect(items[i].Loc).UnionPoint(items[j].Loc).Area()
-			if waste > worst {
-				worst, si, sj = waste, i, j
-			}
-		}
-	}
-	g1 := []Item{items[si]}
-	g2 := []Item{items[sj]}
-	b1 := geo.PointRect(items[si].Loc)
-	b2 := geo.PointRect(items[sj].Loc)
-	rest := make([]Item, 0, len(items)-2)
-	for k, it := range items {
-		if k != si && k != sj {
-			rest = append(rest, it)
-		}
-	}
-	for idx, it := range rest {
-		// Force-assign when one group must absorb everything left to reach
-		// the minimum fill.
-		remaining := len(rest) - idx
-		if len(g1)+remaining <= minEntries {
-			g1 = append(g1, it)
-			b1 = b1.UnionPoint(it.Loc)
-			continue
-		}
-		if len(g2)+remaining <= minEntries {
-			g2 = append(g2, it)
-			b2 = b2.UnionPoint(it.Loc)
-			continue
-		}
-		d1 := b1.UnionPoint(it.Loc).Area() - b1.Area()
-		d2 := b2.UnionPoint(it.Loc).Area() - b2.Area()
-		if d1 < d2 || (d1 == d2 && len(g1) < len(g2)) {
-			g1 = append(g1, it)
-			b1 = b1.UnionPoint(it.Loc)
-		} else {
-			g2 = append(g2, it)
-			b2 = b2.UnionPoint(it.Loc)
-		}
-	}
-	n.items = g1
-	n.bounds = b1
-	return &node{leaf: true, items: g2, bounds: b2}
-}
-
-// splitInner is the quadratic split for internal nodes.
-func splitInner(n *node) *node {
-	ch := n.children
-	si, sj := 0, 1
-	worst := -1.0
-	for i := 0; i < len(ch); i++ {
-		for j := i + 1; j < len(ch); j++ {
-			waste := ch[i].bounds.Union(ch[j].bounds).Area() - ch[i].bounds.Area() - ch[j].bounds.Area()
-			if waste > worst {
-				worst, si, sj = waste, i, j
-			}
-		}
-	}
-	g1 := []child{ch[si]}
-	g2 := []child{ch[sj]}
-	b1 := ch[si].bounds
-	b2 := ch[sj].bounds
-	rest := make([]child, 0, len(ch)-2)
-	for k, c := range ch {
-		if k != si && k != sj {
-			rest = append(rest, c)
-		}
-	}
-	for idx, c := range rest {
-		remaining := len(rest) - idx
-		if len(g1)+remaining <= minEntries {
-			g1 = append(g1, c)
-			b1 = b1.Union(c.bounds)
-			continue
-		}
-		if len(g2)+remaining <= minEntries {
-			g2 = append(g2, c)
-			b2 = b2.Union(c.bounds)
-			continue
-		}
-		d1 := b1.Union(c.bounds).Area() - b1.Area()
-		d2 := b2.Union(c.bounds).Area() - b2.Area()
-		if d1 < d2 || (d1 == d2 && len(g1) < len(g2)) {
-			g1 = append(g1, c)
-			b1 = b1.Union(c.bounds)
-		} else {
-			g2 = append(g2, c)
-			b2 = b2.Union(c.bounds)
-		}
-	}
-	n.children = g1
-	n.bounds = b1
-	return &node{leaf: false, children: g2, bounds: b2}
-}
-
-// Delete removes the item with the given ID at the given location.
-// It returns false if no such item exists. Underfull nodes are dissolved
-// and their remaining entries reinserted (the Guttman condense step).
-func (t *Tree) Delete(id uint64, loc geo.Point) bool {
-	if t.root == nil {
-		return false
-	}
-	var orphans []Item
-	removed := t.remove(t.root, id, loc, &orphans)
-	if !removed {
-		return false
-	}
-	t.size--
-	// Collapse a root with a single child.
-	for !t.root.leaf && len(t.root.children) == 1 {
-		t.root = t.root.children[0].n
-	}
-	if t.root.leaf && len(t.root.items) == 0 {
-		t.root = nil
-	}
-	for _, it := range orphans {
-		t.size-- // Insert will re-increment
-		t.Insert(it)
-	}
-	return true
-}
-
-func (t *Tree) remove(n *node, id uint64, loc geo.Point, orphans *[]Item) bool {
-	if !n.bounds.Contains(loc) {
-		return false
-	}
-	if n.leaf {
-		for i, it := range n.items {
-			if it.ID == id && it.Loc.Eq(loc) {
-				n.items = append(n.items[:i], n.items[i+1:]...)
-				n.recomputeBounds()
-				return true
-			}
-		}
-		return false
-	}
-	for i := range n.children {
-		c := n.children[i].n
-		if !t.remove(c, id, loc, orphans) {
-			continue
-		}
-		// Condense: dissolve underfull children into the orphan list.
-		if (c.leaf && len(c.items) < minEntries) || (!c.leaf && len(c.children) < minEntries) {
-			collectItems(c, orphans)
-			n.children = append(n.children[:i], n.children[i+1:]...)
-		} else {
-			n.children[i].bounds = c.bounds
-		}
-		n.recomputeBounds()
-		return true
-	}
-	return false
-}
-
-func collectItems(n *node, out *[]Item) {
-	if n.leaf {
-		*out = append(*out, n.items...)
-		return
-	}
-	for i := range n.children {
-		collectItems(n.children[i].n, out)
-	}
-}
 
 // Search appends to dst every item whose location lies inside r (closed
 // rectangle semantics) and returns the extended slice.
@@ -364,83 +108,6 @@ func searchNode(n *node, r geo.Rect, dst []Item, visits *int) []Item {
 		}
 	}
 	return dst
-}
-
-// Count returns the number of items inside r without materializing them.
-func (t *Tree) Count(r geo.Rect) int {
-	if t.root == nil || !t.root.bounds.Intersects(r) {
-		return 0
-	}
-	return countNode(t.root, r)
-}
-
-// countNode counts matches in a subtree already known to intersect r.
-func countNode(n *node, r geo.Rect) int {
-	if n.leaf {
-		c := 0
-		for _, it := range n.items {
-			if r.Contains(it.Loc) {
-				c++
-			}
-		}
-		return c
-	}
-	if r.ContainsRect(n.bounds) {
-		return subtreeSize(n)
-	}
-	c := 0
-	for i := range n.children {
-		ch := &n.children[i]
-		if ch.bounds.Intersects(r) {
-			c += countNode(ch.n, r)
-		}
-	}
-	return c
-}
-
-func subtreeSize(n *node) int {
-	if n.leaf {
-		return len(n.items)
-	}
-	c := 0
-	for i := range n.children {
-		c += subtreeSize(n.children[i].n)
-	}
-	return c
-}
-
-// All appends every item to dst in tree order and returns the slice.
-func (t *Tree) All(dst []Item) []Item {
-	if t.root == nil {
-		return dst
-	}
-	var walk func(*node)
-	walk = func(n *node) {
-		if n.leaf {
-			dst = append(dst, n.items...)
-			return
-		}
-		for i := range n.children {
-			walk(n.children[i].n)
-		}
-	}
-	walk(t.root)
-	return dst
-}
-
-// stats support for tests and the depth ablation.
-
-// Depth returns the height of the tree (0 for empty, 1 for a single leaf).
-func (t *Tree) Depth() int {
-	d := 0
-	for n := t.root; n != nil; {
-		d++
-		if n.leaf {
-			break
-		}
-		n = n.children[0].n
-	}
-	return d
 }
 
 // checkInvariants validates structural invariants; used by tests.

@@ -34,34 +34,64 @@ func bruteRange(items []Item, r geo.Rect) map[uint64]bool {
 	return out
 }
 
+// loadPoints bulk-loads pts with IDs 1..n and returns the items too, in
+// input order (BulkLoad reorders its own copy).
+func loadPoints(pts []geo.Point) (*Tree, []Item) {
+	items := make([]Item, len(pts))
+	for i, p := range pts {
+		items[i] = Item{ID: uint64(i + 1), Loc: p}
+	}
+	return BulkLoad(append([]Item(nil), items...)), items
+}
+
+// depth returns the height of the tree (0 for empty, 1 for a single leaf).
+func depth(t *Tree) int {
+	d := 0
+	for n := t.root; n != nil; {
+		d++
+		if n.leaf {
+			break
+		}
+		n = n.children[0].n
+	}
+	return d
+}
+
+// sameIDs reports whether got holds exactly the IDs of want, once each.
+func sameIDs(got []Item, want map[uint64]bool) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for _, it := range got {
+		if !want[it.ID] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestEmptyTree(t *testing.T) {
-	tr := New()
-	if tr.Len() != 0 {
-		t.Error("empty tree Len != 0")
-	}
-	if _, ok := tr.Bounds(); ok {
-		t.Error("empty tree has bounds")
-	}
-	if got := tr.Search(world, nil); len(got) != 0 {
-		t.Error("empty tree search returned items")
-	}
-	if got := tr.Count(world); got != 0 {
-		t.Error("empty tree count != 0")
-	}
-	if _, ok := tr.NearestOne(geo.Pt(0.5, 0.5)); ok {
-		t.Error("empty tree returned a nearest item")
-	}
-	if err := tr.checkInvariants(); err != nil {
-		t.Error(err)
+	for _, tr := range []*Tree{{}, BulkLoad(nil)} {
+		if tr.Len() != 0 {
+			t.Error("empty tree Len != 0")
+		}
+		if got := tr.Search(world, nil); len(got) != 0 {
+			t.Error("empty tree search returned items")
+		}
+		if _, visits := tr.SearchVisits(world, nil); visits != 0 {
+			t.Errorf("empty tree search visited %d nodes", visits)
+		}
+		if _, ok := tr.NearestOne(geo.Pt(0.5, 0.5)); ok {
+			t.Error("empty tree returned a nearest item")
+		}
+		if err := tr.checkInvariants(); err != nil {
+			t.Error(err)
+		}
 	}
 }
 
-func TestInsertSearchSmall(t *testing.T) {
-	tr := New()
-	pts := []geo.Point{{X: 0.1, Y: 0.1}, {X: 0.9, Y: 0.9}, {X: 0.5, Y: 0.5}}
-	for i, p := range pts {
-		tr.Insert(Item{ID: uint64(i + 1), Loc: p})
-	}
+func TestSearchSmall(t *testing.T) {
+	tr, _ := loadPoints([]geo.Point{{X: 0.1, Y: 0.1}, {X: 0.9, Y: 0.9}, {X: 0.5, Y: 0.5}})
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
@@ -75,58 +105,28 @@ func TestInsertSearchSmall(t *testing.T) {
 	}
 }
 
-func TestInsertManyMatchesBrute(t *testing.T) {
-	pts := testPoints(t, 2000, 1)
-	tr := New()
-	items := make([]Item, len(pts))
-	for i, p := range pts {
-		items[i] = Item{ID: uint64(i + 1), Loc: p}
-		tr.Insert(items[i])
-	}
-	if err := tr.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	src := rng.New(99)
-	for q := 0; q < 50; q++ {
-		r := geo.R(src.Float64(), src.Float64(), src.Float64(), src.Float64())
-		want := bruteRange(items, r)
-		got := tr.Search(r, nil)
-		if len(got) != len(want) {
-			t.Fatalf("query %v: got %d items, want %d", r, len(got), len(want))
+// TestBulkLoadMatchesBrute checks range search against a scan at every
+// packing shape up to three full levels of leaves: one partial leaf, exactly
+// one full leaf, one item over, a full and an overfull second level, and a
+// larger tree.
+func TestBulkLoadMatchesBrute(t *testing.T) {
+	src := rng.New(5)
+	for _, n := range []int{0, 1, 2, 15, 16, 17, 255, 256, 257, 3 * 16 * 16, 5000} {
+		tr, items := loadPoints(testPoints(t, max(n, 1), uint64(n)+2)[:n])
+		if tr.Len() != n {
+			t.Fatalf("n=%d: Len = %d", n, tr.Len())
 		}
-		for _, it := range got {
-			if !want[it.ID] {
-				t.Fatalf("query %v returned wrong item %d", r, it.ID)
+		if err := tr.checkInvariants(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for q := 0; q < 50; q++ {
+			r := geo.R(src.Float64(), src.Float64(), src.Float64(), src.Float64())
+			if got := tr.Search(r, nil); !sameIDs(got, bruteRange(items, r)) {
+				t.Fatalf("n=%d query %v: got %d items, want %d", n, r, len(got), len(bruteRange(items, r)))
 			}
 		}
-		if c := tr.Count(r); c != len(want) {
-			t.Fatalf("Count = %d, want %d", c, len(want))
-		}
-	}
-}
-
-func TestBulkLoadMatchesBrute(t *testing.T) {
-	pts := testPoints(t, 5000, 2)
-	items := make([]Item, len(pts))
-	for i, p := range pts {
-		items[i] = Item{ID: uint64(i + 1), Loc: p}
-	}
-	// BulkLoad reorders its input; keep a copy for brute-force checking.
-	ref := append([]Item(nil), items...)
-	tr := BulkLoad(items)
-	if tr.Len() != 5000 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if err := tr.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	src := rng.New(5)
-	for q := 0; q < 50; q++ {
-		r := geo.R(src.Float64(), src.Float64(), src.Float64(), src.Float64())
-		want := bruteRange(ref, r)
-		got := tr.Search(r, nil)
-		if len(got) != len(want) {
-			t.Fatalf("bulk query %v: got %d, want %d", r, len(got), len(want))
+		if got := tr.Search(world, nil); !sameIDs(got, bruteRange(items, world)) {
+			t.Fatalf("n=%d: whole-world search returned %d items", n, len(got))
 		}
 	}
 }
@@ -149,76 +149,13 @@ func TestFromPoints(t *testing.T) {
 	if tr.Len() != 2 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	all := tr.All(nil)
+	all := tr.Search(world, nil)
 	ids := map[uint64]bool{}
 	for _, it := range all {
 		ids[it.ID] = true
 	}
 	if !ids[1] || !ids[2] {
 		t.Errorf("FromPoints ids = %v", ids)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	pts := testPoints(t, 1000, 3)
-	tr := New()
-	items := make([]Item, len(pts))
-	for i, p := range pts {
-		items[i] = Item{ID: uint64(i + 1), Loc: p}
-		tr.Insert(items[i])
-	}
-	// Delete half, in random order.
-	perm := make([]int, len(items))
-	rng.New(7).Perm(perm)
-	deleted := map[uint64]bool{}
-	for _, i := range perm[:500] {
-		if !tr.Delete(items[i].ID, items[i].Loc) {
-			t.Fatalf("Delete(%d) failed", items[i].ID)
-		}
-		deleted[items[i].ID] = true
-	}
-	if tr.Len() != 500 {
-		t.Fatalf("Len after deletes = %d", tr.Len())
-	}
-	if err := tr.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	got := tr.Search(world, nil)
-	if len(got) != 500 {
-		t.Fatalf("search after deletes returned %d", len(got))
-	}
-	for _, it := range got {
-		if deleted[it.ID] {
-			t.Fatalf("deleted item %d still present", it.ID)
-		}
-	}
-	// Deleting a missing item returns false.
-	if tr.Delete(999999, geo.Pt(0.5, 0.5)) {
-		t.Error("Delete of missing item returned true")
-	}
-}
-
-func TestDeleteAll(t *testing.T) {
-	pts := testPoints(t, 300, 11)
-	tr := New()
-	for i, p := range pts {
-		tr.Insert(Item{ID: uint64(i + 1), Loc: p})
-	}
-	for i, p := range pts {
-		if !tr.Delete(uint64(i+1), p) {
-			t.Fatalf("delete %d failed", i+1)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len after deleting all = %d", tr.Len())
-	}
-	if _, ok := tr.Bounds(); ok {
-		t.Error("bounds nonempty after deleting all")
-	}
-	// Tree remains usable.
-	tr.Insert(Item{ID: 1, Loc: geo.Pt(0.5, 0.5)})
-	if tr.Len() != 1 {
-		t.Error("insert after full delete failed")
 	}
 }
 
@@ -278,51 +215,6 @@ func TestBrowserExhaustsAllSorted(t *testing.T) {
 	}
 }
 
-func TestBrowserPeek(t *testing.T) {
-	tr := FromPoints([]geo.Point{{X: 0.1, Y: 0}, {X: 0.5, Y: 0}})
-	b := tr.NewPointBrowser(geo.Pt(0, 0))
-	d2, ok := b.Peek2()
-	if !ok || math.Abs(d2-0.01) > 1e-12 {
-		t.Fatalf("Peek2 = %v, %v", d2, ok)
-	}
-	it, d2b, _ := b.Next()
-	if d2b != d2 || it.Loc.X != 0.1 {
-		t.Fatal("Peek did not match Next")
-	}
-	b.Next()
-	if _, ok := b.Peek2(); ok {
-		t.Error("Peek2 on exhausted browser reported ok")
-	}
-}
-
-func TestRectBrowser(t *testing.T) {
-	pts := testPoints(t, 1000, 8)
-	tr := FromPoints(pts)
-	q := geo.R(0.4, 0.4, 0.6, 0.6)
-	b := tr.NewRectBrowser(q)
-	var prev float64 = -1
-	inside := 0
-	for {
-		it, d2, ok := b.Next()
-		if !ok {
-			break
-		}
-		if d2 < prev {
-			t.Fatal("rect browser out of order")
-		}
-		prev = d2
-		if q.Contains(it.Loc) {
-			if d2 != 0 {
-				t.Fatalf("item inside rect has dist2 %v", d2)
-			}
-			inside++
-		}
-	}
-	if want := tr.Count(q); inside != want {
-		t.Fatalf("rect browser found %d inside, Count says %d", inside, want)
-	}
-}
-
 func TestNearestEdgeCases(t *testing.T) {
 	tr := FromPoints([]geo.Point{{X: 0.5, Y: 0.5}})
 	if got := tr.Nearest(geo.Pt(0, 0), 0); got != nil {
@@ -333,29 +225,45 @@ func TestNearestEdgeCases(t *testing.T) {
 	}
 }
 
+// TestDuplicateLocations loads 400 co-located items among 200 scattered
+// ones: STR spreads them over leaves under more than one parent, and every
+// query kind must still see all of them.
 func TestDuplicateLocations(t *testing.T) {
-	tr := New()
+	const dups = 400
 	p := geo.Pt(0.5, 0.5)
-	for i := 0; i < 100; i++ {
-		tr.Insert(Item{ID: uint64(i + 1), Loc: p})
+	pts := testPoints(t, 200, 12)
+	for i := 0; i < dups; i++ {
+		pts = append(pts, p)
 	}
-	if tr.Len() != 100 {
-		t.Fatal("duplicate-location inserts lost items")
+	tr, items := loadPoints(pts)
+	if err := tr.checkInvariants(); err != nil {
+		t.Fatal(err)
 	}
-	got := tr.Search(geo.RectAround(p, 0.01), nil)
-	if len(got) != 100 {
-		t.Fatalf("search found %d of 100 co-located items", len(got))
+	if tr.Len() != len(pts) {
+		t.Fatal("duplicate-location load lost items")
 	}
-	// Delete one specific ID among duplicates.
-	if !tr.Delete(50, p) {
-		t.Fatal("delete among duplicates failed")
+	if got := tr.Search(geo.PointRect(p), nil); !sameIDs(got, bruteRange(items, geo.PointRect(p))) || len(got) != dups {
+		t.Fatalf("point search found %d co-located items, want %d", len(got), dups)
 	}
-	if tr.Count(geo.RectAround(p, 0.01)) != 99 {
-		t.Fatal("wrong count after deleting one duplicate")
+	for _, it := range tr.Nearest(p, dups) {
+		if !it.Loc.Eq(p) {
+			t.Fatalf("Nearest returned %v before exhausting the items at %v", it.Loc, p)
+		}
+	}
+	// Every co-located item ties for nearest anywhere near p, so the
+	// min–max set of a small region around p holds all of them. From a
+	// point beside p, a leaf holding only duplicates sits exactly at the
+	// bound, and the descent must still enter it.
+	for _, r := range []geo.Rect{geo.RectAround(p, 0.001), geo.PointRect(geo.Pt(p.X+0.001, p.Y))} {
+		cand, _, _ := tr.MinMaxCandidates(r, nil, nil)
+		want, _ := scanMinMax(items, r, nil)
+		if !sameIDs(cand, idSet(want)) || len(want) < dups {
+			t.Fatalf("region %v: min–max set of %d items around the duplicates, scan finds %d", r, len(cand), len(want))
+		}
 	}
 }
 
-func TestPropInsertedAlwaysFindable(t *testing.T) {
+func TestPropLoadedAlwaysFindable(t *testing.T) {
 	f := func(seed uint64, nRaw uint16) bool {
 		n := int(nRaw%500) + 1
 		pts, err := mobility.GeneratePoints(mobility.PopulationSpec{
@@ -364,14 +272,11 @@ func TestPropInsertedAlwaysFindable(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tr := New()
-		for i, p := range pts {
-			tr.Insert(Item{ID: uint64(i + 1), Loc: p})
-		}
+		tr, _ := loadPoints(pts)
 		if tr.checkInvariants() != nil {
 			return false
 		}
-		// Every inserted point must be findable by a point query.
+		// Every loaded point must be findable by a point query.
 		for i, p := range pts {
 			found := false
 			for _, it := range tr.Search(geo.PointRect(p), nil) {
@@ -424,23 +329,13 @@ func TestPropNearestOneIsTrueMinimum(t *testing.T) {
 }
 
 func TestDepth(t *testing.T) {
-	if New().Depth() != 0 {
+	if depth(BulkLoad(nil)) != 0 {
 		t.Error("empty depth != 0")
 	}
 	tr := FromPoints(testPoints(t, 10000, 10))
-	d := tr.Depth()
+	d := depth(tr)
 	if d < 3 || d > 6 {
 		t.Errorf("10k-item tree depth = %d, expected a packed shallow tree", d)
-	}
-}
-
-func BenchmarkInsert(b *testing.B) {
-	pts := testPoints(b, 100000, 1)
-	tr := New()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pts[i%len(pts)]
-		tr.Insert(Item{ID: uint64(i), Loc: p})
 	}
 }
 

@@ -367,26 +367,20 @@ func (s *Server) BatchQueryCtx(ctx context.Context, entries []BatchEntry) BatchR
 	return res
 }
 
-// resolveLocked resolves slot-keyed items into dst in canonical order,
-// ascending by object ID. It sorts bare slots (in sc.slots) and indexes the
-// store with them, which is far cheaper than shuffling PublicObjects, whose
-// string field drags write barriers into every swap. The sort keys on the
-// slot itself while slot order is ID order, else it reads IDs through the
-// store.
-func (s *Server) resolveLocked(items []rtree.Item, sc *batchScratch, dst []PublicObject) []PublicObject {
+// resolve resolves slot-keyed items into dst in canonical order, ascending
+// by object ID. Slot order is ID order, so it sorts bare slots (in
+// sc.slots) and indexes the store with them, which is far cheaper than
+// shuffling PublicObjects, whose string field drags write barriers into
+// every swap.
+func (st *stationaryStore) resolve(items []rtree.Item, sc *batchScratch, dst []PublicObject) []PublicObject {
 	slots := sc.slots[:0]
 	for _, it := range items {
 		slots = append(slots, it.ID)
 	}
 	sc.slots = slots
-	objs := s.st.objs
-	if s.st.ordered {
-		slices.Sort(slots)
-	} else {
-		slices.SortFunc(slots, func(a, b uint64) int { return cmp.Compare(objs[a].ID, objs[b].ID) })
-	}
+	slices.Sort(slots)
 	for _, k := range slots {
-		dst = append(dst, objs[k])
+		dst = append(dst, st.objs[k])
 	}
 	return dst
 }
@@ -453,7 +447,7 @@ func (s *Server) runRangeGroupLocked(entries []BatchEntry, u batchUnit, out []Ba
 		// answer stays nil.
 		var objs []PublicObject
 		if len(matched) > 0 {
-			objs = s.resolveLocked(matched, sc, make([]PublicObject, 0, len(matched)))
+			objs = s.st.resolve(matched, sc, make([]PublicObject, 0, len(matched)))
 		}
 		if q.Class == "" && len(movingItems) > 0 {
 			// Moving matches are the member's own; sort just those and
@@ -504,16 +498,16 @@ func mergeSorted(a, b []PublicObject) []PublicObject {
 	return append(out, b[bi:]...)
 }
 
-// nnDescentLocked is the min–max descent of the private-NN kernel (step 1
-// of Figure 5b) over one probe region and class: the candidate item stream
-// in traversal order, its bound, and the node visits it cost.
-func (s *Server) nnDescentLocked(region geo.Rect, class string, sc *batchScratch) ([]rtree.Item, float64, int) {
+// nnDescent is the min–max descent of the private-NN kernel (step 1 of
+// Figure 5b) over one probe region and class of store st: the candidate
+// item stream in traversal order, its bound, and the node visits it cost.
+func (s *Server) nnDescent(st *stationaryStore, region geo.Rect, class string, sc *batchScratch) ([]rtree.Item, float64, int) {
 	var match func(rtree.Item) bool
-	if c, all := s.st.classID(class); !all {
-		cls := s.st.cls
+	if c, all := st.classID(class); !all {
+		cls := st.cls
 		match = func(it rtree.Item) bool { return cls[it.ID] == c }
 	}
-	items, bound, visits := s.st.tree.MinMaxCandidates(region, match, sc.items[:0])
+	items, bound, visits := st.tree.MinMaxCandidates(region, match, sc.items[:0])
 	sc.items = items
 	s.met.nodeVisits.Observe(float64(visits))
 	return items, bound, visits
@@ -532,11 +526,11 @@ func (s *Server) nnDescentLocked(region geo.Rect, class string, sc *batchScratch
 // minimizer too, so the min–max filter of S is r's exact candidate set.
 // Each member decides on a min–max descent of a subtree bulk-loaded over S.
 func (s *Server) runNNGroupLocked(entries []BatchEntry, u batchUnit, out []BatchItemResult, sc *batchScratch) int {
-	items, _, visits := s.nnDescentLocked(u.union, entries[u.members[0]].NN.Class, sc)
+	items, _, visits := s.nnDescent(s.st, u.union, entries[u.members[0]].NN.Class, sc)
 	s.met.privateNNQs.Add(uint64(len(u.members)))
 	if len(u.members) == 1 {
 		region := entries[u.members[0]].NN.Region
-		out[u.members[0]].NN = s.finishNNLocked(len(items), compact(items, sc.comb.exactNN(region, items)), sc)
+		out[u.members[0]].NN = s.finishNN(s.st, len(items), compact(items, sc.comb.exactNN(region, items)), sc)
 		return visits
 	}
 	// The subtree keeps the stream's slots and tree-side locations, so
@@ -546,18 +540,19 @@ func (s *Server) runNNGroupLocked(entries []BatchEntry, u batchUnit, out []Batch
 		cand, _, _ := sub.MinMaxCandidates(entries[i].NN.Region, nil, sc.subItems[:0])
 		sc.subItems = cand
 		region := entries[i].NN.Region
-		out[i].NN = s.finishNNLocked(len(cand), compact(cand, sc.comb.exactNN(region, cand)), sc)
+		out[i].NN = s.finishNN(s.st, len(cand), compact(cand, sc.comb.exactNN(region, cand)), sc)
 	}
 	return visits
 }
 
-// finishNNLocked answers one member from the slot-keyed survivors of its
-// exact decision, resolved in canonical order into a fresh answer.
-func (s *Server) finishNNLocked(superset int, items []rtree.Item, sc *batchScratch) PrivateNNResult {
+// finishNN answers one member from the slot-keyed survivors of its exact
+// decision, resolved against st, the store they were read from, in
+// canonical order into a fresh answer.
+func (s *Server) finishNN(st *stationaryStore, superset int, items []rtree.Item, sc *batchScratch) PrivateNNResult {
 	res := PrivateNNResult{SupersetSize: superset}
 	s.met.observeNNAnswer(len(items))
 	if len(items) > 0 {
-		res.Candidates = s.resolveLocked(items, sc, make([]PublicObject, 0, len(items)))
+		res.Candidates = st.resolve(items, sc, make([]PublicObject, 0, len(items)))
 	}
 	return res
 }

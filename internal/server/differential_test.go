@@ -67,8 +67,8 @@ func diffSeeds(t testing.TB) []uint64 {
 var diffClasses = []string{"", "gas", "bank"}
 
 // diffServer is a server plus the stationary objects it should hold, kept
-// by the test: every load, add and remove goes to both, so the reference
-// model reads this list and never the server's own store.
+// by the test: every load goes to both, so the reference model reads this
+// list and never the server's own store.
 type diffServer struct {
 	*Server
 	stationary map[uint64]PublicObject
@@ -85,59 +85,67 @@ func (d *diffServer) load(t testing.TB, objs []PublicObject) {
 	}
 }
 
-func (d *diffServer) add(t testing.TB, o PublicObject) {
-	t.Helper()
-	if err := d.AddStationary(o); err != nil {
-		t.Fatal(err)
+// diffObject places a stationary object of a random class.
+func diffObject(src *rng.Source, id uint64) PublicObject {
+	return PublicObject{
+		ID:    id,
+		Class: diffClasses[1+src.Intn(len(diffClasses)-1)],
+		Loc:   geo.Pt(src.Float64(), src.Float64()),
 	}
-	d.stationary[o.ID] = o
 }
 
-func (d *diffServer) remove(t testing.TB, id uint64) {
-	t.Helper()
-	_, want := d.stationary[id]
-	if got := d.RemoveStationary(id); got != want {
-		t.Fatalf("RemoveStationary(%d) = %v, want %v", id, got, want)
+// shuffled returns objs in a random order.
+func shuffled(src *rng.Source, objs []PublicObject) []PublicObject {
+	perm := make([]int, len(objs))
+	src.Perm(perm)
+	out := make([]PublicObject, len(objs))
+	for i, j := range perm {
+		out[i] = objs[j]
 	}
-	delete(d.stationary, id)
+	return out
+}
+
+// churn reloads a mutated copy of the held stationary set, in shuffled ID
+// order: about a tenth of the objects dropped, a tenth moved (and
+// reclassed at random), and 40 new IDs added above the rest. A query
+// between two churns must see only the second load.
+func (d *diffServer) churn(t testing.TB, src *rng.Source) {
+	t.Helper()
+	objs := make([]PublicObject, 0, len(d.stationary))
+	for _, o := range d.stationary {
+		objs = append(objs, o)
+	}
+	SortObjects(objs)
+	next := objs[len(objs)-1].ID
+	kept := objs[:0]
+	for _, o := range objs {
+		switch src.Intn(10) {
+		case 0:
+			continue
+		case 1:
+			o = diffObject(src, o.ID)
+		}
+		kept = append(kept, o)
+	}
+	for i := 0; i < 40; i++ {
+		next++
+		kept = append(kept, diffObject(src, next))
+	}
+	d.load(t, shuffled(src, kept))
 }
 
 // buildDiffServer loads one deterministic data set for a seed: stationary
-// objects of several classes, moving objects, and private users. The
-// stationary set is churned on the way: a bulk load in shuffled ID order,
-// adds out of ID order, and removals from the middle, some re-added
-// elsewhere, so store slots get relocated and leave ID order.
+// objects of several classes, bulk-loaded in shuffled ID order, moving
+// objects, and private users.
 func buildDiffServer(t testing.TB, seed uint64) *diffServer {
 	t.Helper()
 	d := &diffServer{Server: newServer(t), stationary: map[uint64]PublicObject{}}
 	src := rng.New(seed)
-	obj := func(id uint64) PublicObject {
-		return PublicObject{
-			ID:    id,
-			Class: diffClasses[1+src.Intn(len(diffClasses)-1)],
-			Loc:   geo.Pt(src.Float64(), src.Float64()),
-		}
-	}
 	objs := make([]PublicObject, 0, 600)
 	for i := 0; i < 600; i++ {
-		objs = append(objs, obj(uint64(i+1)))
+		objs = append(objs, diffObject(src, uint64(i+1)))
 	}
-	perm := make([]int, len(objs))
-	src.Perm(perm)
-	shuffled := make([]PublicObject, len(objs))
-	for i, j := range perm {
-		shuffled[i] = objs[j]
-	}
-	d.load(t, shuffled[:500])
-	for _, o := range shuffled[500:] {
-		d.add(t, o)
-	}
-	for id := uint64(50); id < 560; id += 7 {
-		d.remove(t, id)
-		if id%2 == 0 {
-			d.add(t, obj(id))
-		}
-	}
+	d.load(t, shuffled(src, objs))
 	s := d.Server
 	for i := 0; i < 80; i++ {
 		if err := s.UpdateMoving(uint64(5000+i), geo.Pt(src.Float64(), src.Float64())); err != nil {
@@ -206,7 +214,8 @@ func buildDiffBatch(src *rng.Source, n int) []BatchEntry {
 }
 
 // TestDifferentialBatchEqualsSequential is the core equivalence proof: all
-// committed seeds × worker counts {1, 2, max}, batch vs sequential.
+// committed seeds × worker counts {1, 2, max}, batch vs sequential, with
+// the stationary set churned between rounds.
 func TestDifferentialBatchEqualsSequential(t *testing.T) {
 	maxW := diffWorkers(t)
 	workerCounts := []int{1, 2, maxW}
@@ -216,6 +225,9 @@ func TestDifferentialBatchEqualsSequential(t *testing.T) {
 			s := buildDiffServer(t, seed)
 			src := rng.New(seed ^ 0xBA7C4)
 			for round := 0; round < 3; round++ {
+				if round > 0 {
+					s.churn(t, src)
+				}
 				entries := buildDiffBatch(src, 40)
 				want := sequentialBatch(s.Server, entries)
 				var groups0, shared0 int

@@ -46,11 +46,9 @@ func (s *Server) Snapshot(w io.Writer) error {
 	s.mu.RLock()
 	e.U32(snapshotMagic).U16(snapshotVersion)
 
-	// Stationary objects, in ID order whatever their slots.
-	stationary := slices.Clone(s.st.objs)
-	SortObjects(stationary)
-	e.U32(uint32(len(stationary)))
-	for _, o := range stationary {
+	// Stationary objects, in slot order, which is ID order.
+	e.U32(uint32(len(s.st.objs)))
+	for _, o := range s.st.objs {
 		e.U64(o.ID).Str(o.Class).Point(o.Loc)
 	}
 
@@ -185,10 +183,7 @@ func (s *Server) restore(buf []byte) error {
 		return err
 	}
 	st := newStationaryStore(stationary)
-	s.mu.RLock()
-	cols, rows := s.moving.Dims()
-	s.mu.RUnlock()
-	moving, err := grid.New(s.world, cols, rows)
+	moving, err := grid.New(s.world, movingGridCols, movingGridRows)
 	if err != nil {
 		return err
 	}
@@ -238,7 +233,6 @@ func (s *Server) restore(buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.st, s.moving, s.privIdx, s.cont, s.contPriv = st, moving, privIdx, cont, contPriv
-	s.stationaryGen++
 	s.met.restoresApplied.Inc()
 	// Re-point the size gauges at the restored data set.
 	s.met.privateUsers.Set(float64(s.privIdx.Len()))

@@ -2,11 +2,11 @@ package server
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -26,11 +26,8 @@ func TestClassLengthSurvivesSnapshot(t *testing.T) {
 	if err := s.LoadStationary([]PublicObject{long}); err == nil {
 		t.Fatal("LoadStationary accepted a 70000-byte class")
 	}
-	if err := s.AddStationary(long); err == nil {
-		t.Fatal("AddStationary accepted a 70000-byte class")
-	}
 	fits := PublicObject{ID: 2, Loc: geo.Pt(0.5, 0.5), Class: strings.Repeat("c", 0xffff)}
-	if err := s.AddStationary(fits); err != nil {
+	if err := s.LoadStationary([]PublicObject{fits}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -164,27 +161,8 @@ func TestSnapshotDeterministicState(t *testing.T) {
 	// Snapshots write every section in ascending id order, so equal states
 	// reached by different histories — and a snapshot → restore → snapshot
 	// round trip — produce the same bytes, whatever order the maps,
-	// region-index slots and stationary store slots hold them in.
+	// region-index slots and load inputs held them in.
 	region := geo.R(0.4, 0.4, 0.45, 0.45)
-	moved := PublicObject{ID: 250, Class: "bank", Loc: geo.Pt(0.7, 0.2)}
-	added := []PublicObject{{ID: 1001, Class: "cafe", Loc: geo.Pt(0.1, 0.9)}, {ID: 1000, Class: "gas", Loc: geo.Pt(0.5, 0.5)}}
-	history := func(s *Server, steps ...func(*Server) error) {
-		t.Helper()
-		for _, step := range steps {
-			if err := step(s); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	remove := func(id uint64) func(*Server) error {
-		return func(s *Server) error {
-			if !s.RemoveStationary(id) {
-				return fmt.Errorf("stationary %d missing", id)
-			}
-			return nil
-		}
-	}
-	add := func(o PublicObject) func(*Server) error { return func(s *Server) error { return s.AddStationary(o) } }
 	a := buildLoadedServer(t)
 	// Freed slots go to later, larger ids, so a's slots leave id order.
 	for _, id := range []uint64{5, 17, 42} {
@@ -195,8 +173,6 @@ func TestSnapshotDeterministicState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Removals from the middle relocate store slots; adds append them.
-	history(a, remove(7), remove(250), add(added[0]), remove(499), add(moved), add(added[1]))
 	b := buildLoadedServer(t)
 	b.RemovePrivate(5)
 	b.RemovePrivate(17)
@@ -205,7 +181,29 @@ func TestSnapshotDeterministicState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	history(b, remove(499), add(added[1]), remove(250), add(moved), add(added[0]), remove(7))
+	// Both reload one mutated stationary set — objects dropped, one moved,
+	// two added — fed in opposite orders, after a different interim load.
+	var objs []PublicObject
+	for _, o := range a.stationary().objs {
+		switch o.ID {
+		case 7, 499:
+		case 250:
+			objs = append(objs, PublicObject{ID: 250, Class: "bank", Loc: geo.Pt(0.7, 0.2)})
+		default:
+			objs = append(objs, o)
+		}
+	}
+	objs = append(objs, PublicObject{ID: 1001, Class: "cafe", Loc: geo.Pt(0.1, 0.9)}, PublicObject{ID: 1000, Class: "gas", Loc: geo.Pt(0.5, 0.5)})
+	reversed := slices.Clone(objs)
+	slices.Reverse(reversed)
+	for _, step := range []struct {
+		s    *Server
+		objs []PublicObject
+	}{{a, objs[:100]}, {a, objs}, {b, reversed}} {
+		if err := step.s.LoadStationary(step.objs); err != nil {
+			t.Fatal(err)
+		}
+	}
 	snap := func(s *Server) []byte {
 		t.Helper()
 		var buf bytes.Buffer
@@ -262,7 +260,7 @@ func TestRestoreRejectsOutOfWorldData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := big.AddStationary(PublicObject{ID: 1, Class: "gas", Loc: geo.Pt(5, 5)}); err != nil {
+	if err := big.LoadStationary([]PublicObject{{ID: 1, Class: "gas", Loc: geo.Pt(5, 5)}}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -132,28 +132,20 @@ func (s *Server) PrivateNN(q PrivateNNQuery) (PrivateNNResult, error) {
 	return s.PrivateNNCtx(context.Background(), q)
 }
 
-// PrivateNNCtx is PrivateNN under a context (trace): the NN kernel's steps,
-// with the decision (which reads no server state) between two read
-// sections; a stationary write in between restarts the query.
+// PrivateNNCtx is PrivateNN under a context (trace): the NN kernel's steps
+// over the stationary store current at the start. The store is never
+// edited, so the query needs no lock past picking it up, and a load that
+// swaps in another store meanwhile cannot mix two states into its answer.
 func (s *Server) PrivateNNCtx(ctx context.Context, q PrivateNNQuery) (PrivateNNResult, error) {
 	if err := q.validate(); err != nil {
 		return PrivateNNResult{}, err
 	}
 	r := s.beginSingle(ctx, s.met.privateNN)
 	s.met.privateNNQs.Inc()
-	var res PrivateNNResult
-	for done := false; !done; {
-		s.mu.RLock()
-		items, _, _ := s.nnDescentLocked(q.Region, q.Class, r.sc)
-		gen := s.stationaryGen
-		s.mu.RUnlock()
-		superset, items := len(items), compact(items, r.sc.comb.exactNN(q.Region, items))
-		s.mu.RLock()
-		if done = gen == s.stationaryGen; done {
-			res = s.finishNNLocked(superset, items, r.sc)
-		}
-		s.mu.RUnlock()
-	}
+	st := s.stationary()
+	items, _, _ := s.nnDescent(st, q.Region, q.Class, r.sc)
+	superset, items := len(items), compact(items, r.sc.comb.exactNN(q.Region, items))
+	res := s.finishNN(st, superset, items, r.sc)
 	if r.sp.Recording() {
 		r.sp.SetAttrs(trace.Int("candidates", int64(len(res.Candidates))), trace.Int("superset", int64(res.SupersetSize)))
 	}
@@ -201,14 +193,13 @@ func (s *Server) PrivateNNPartsCtx(ctx context.Context, q PrivateNNQuery) (NNPar
 		return NNParts{}, err
 	}
 	r := s.beginSingle(ctx, s.met.privateNN)
-	s.mu.RLock()
-	items, bound, _ := s.nnDescentLocked(q.Region, q.Class, r.sc)
+	st := s.stationary()
+	items, bound, _ := s.nnDescent(st, q.Region, q.Class, r.sc)
 	s.met.privateNNQs.Inc()
 	parts := NNParts{Bound: bound}
 	if len(items) > 0 {
-		parts.Candidates = s.resolveLocked(items, r.sc, make([]PublicObject, 0, len(items)))
+		parts.Candidates = st.resolve(items, r.sc, make([]PublicObject, 0, len(items)))
 	}
-	s.mu.RUnlock()
 	if r.sp.Recording() {
 		r.sp.SetAttrs(trace.Int("superset", int64(len(parts.Candidates))))
 	}

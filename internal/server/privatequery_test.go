@@ -232,15 +232,15 @@ func TestPrivateNNHugeRegion(t *testing.T) {
 }
 
 // TestPrivateNNOneSnapshot runs private NN queries while another goroutine
-// rewrites the stationary set. PrivateNN decides between two read sections,
+// rewrites the stationary set. PrivateNN decides outside the server lock,
 // so every answer must still be the answer of one state the writer passed
 // through, never survivors read in one state and resolved in another.
 //   - reload swaps between two bulk loads that share IDs but not locations
 //     or classes;
-//   - relocate removes an object and adds it back, cycling through the
-//     answer's objects: each removal moves the last store slot into the
-//     hole and each add appends a slot, so between the read sections the
-//     survivors' slots can come to hold other objects.
+//   - relocate alternates the base set with the base set less one of the
+//     answer's objects, cycling through them: every slot above the dropped
+//     object's shifts down by one, so survivors resolved against the other
+//     store would name other objects.
 func TestPrivateNNOneSnapshot(t *testing.T) {
 	src := rng.New(31)
 	var snaps [2][]PublicObject
@@ -259,8 +259,10 @@ func TestPrivateNNOneSnapshot(t *testing.T) {
 	}
 	base := answer(snaps[0])
 	relocated := []PrivateNNResult{base}
+	var rests [][]PublicObject
 	for _, o := range base.Candidates {
 		rest := slices.DeleteFunc(slices.Clone(snaps[0]), func(p PublicObject) bool { return p.ID == o.ID })
+		rests = append(rests, rest)
 		relocated = append(relocated, answer(rest))
 	}
 	cases := []struct {
@@ -272,11 +274,10 @@ func TestPrivateNNOneSnapshot(t *testing.T) {
 			return s.LoadStationary(snaps[k%2])
 		}},
 		{"relocate", relocated, func(s *Server, k int) error {
-			o := base.Candidates[k%len(base.Candidates)]
-			if !s.RemoveStationary(o.ID) {
-				return fmt.Errorf("object %d missing", o.ID)
+			if k%2 == 0 {
+				return s.LoadStationary(snaps[0])
 			}
-			return s.AddStationary(o)
+			return s.LoadStationary(rests[k/2%len(rests)])
 		}},
 	}
 	for _, tc := range cases {

@@ -53,26 +53,6 @@ func RefineNN(exact geo.Point, candidates []PublicObject) (PublicObject, bool) {
 	return best, true
 }
 
-// RefineKNN returns the k candidates nearest to the exact location in
-// increasing distance order (fewer when the list is shorter).
-func RefineKNN(exact geo.Point, k int, candidates []PublicObject) []PublicObject {
-	if k <= 0 {
-		return nil
-	}
-	out := append([]PublicObject(nil), candidates...)
-	sort.Slice(out, func(i, j int) bool {
-		di, dj := exact.Dist2(out[i].Loc), exact.Dist2(out[j].Loc)
-		if di != dj {
-			return di < dj
-		}
-		return out[i].ID < out[j].ID
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
 // TransmissionCost estimates the answer-transfer cost of a candidate list
 // in bytes, the quality-of-service proxy of experiment E4/E5 (each object:
 // id + two float64 coordinates + a small class tag).

@@ -85,10 +85,10 @@ type Server struct {
 	world geo.Rect
 
 	// Public data: the stationary store (R-tree leaves carry slots into
-	// it) and the moving grid.
-	st            *stationaryStore
-	stationaryGen uint64 // bumped by every stationary write
-	moving        *grid.Index
+	// it), replaced whole by every load and never edited, and the moving
+	// grid.
+	st     *stationaryStore
+	moving *grid.Index
 
 	// Private data: each user's cloaked region, stored once in a slot of
 	// the coarse rectangle index, which lets range-shaped public queries
@@ -116,9 +116,6 @@ type Server struct {
 type Config struct {
 	// World bounds all data. Required.
 	World geo.Rect
-	// MovingGridCols/Rows set the moving-object index resolution
-	// (default 64×64).
-	MovingGridCols, MovingGridRows int
 	// Metrics is the registry the server registers its lbs_* series in.
 	// Optional; a private registry is created when nil, so instrumentation
 	// is always live and Registry() always works.
@@ -131,19 +128,15 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
+// movingGridCols/Rows is the moving-object index resolution.
+const movingGridCols, movingGridRows = 64, 64
+
 // New builds an empty server.
 func New(cfg Config) (*Server, error) {
 	if !cfg.World.Valid() || cfg.World.Area() <= 0 {
 		return nil, fmt.Errorf("server: invalid world %v", cfg.World)
 	}
-	cols, rows := cfg.MovingGridCols, cfg.MovingGridRows
-	if cols <= 0 {
-		cols = 64
-	}
-	if rows <= 0 {
-		rows = 64
-	}
-	mov, err := grid.New(cfg.World, cols, rows)
+	mov, err := grid.New(cfg.World, movingGridCols, movingGridRows)
 	if err != nil {
 		return nil, err
 	}
@@ -174,34 +167,24 @@ func (s *Server) World() geo.Rect { return s.world }
 
 // --- Public data management ---
 
-// checkStationary is the admission check of one stationary object, apart
-// from its id being new. A class must fit the u16 length prefix the wire
-// and the snapshot write it behind.
-func checkStationary(world geo.Rect, o PublicObject) error {
-	if !world.Contains(o.Loc) {
-		return fmt.Errorf("server: object %d at %v outside world", o.ID, o.Loc)
-	}
-	if len(o.Class) > codec.MaxStrLen {
-		return fmt.Errorf("server: object %d class of %d bytes exceeds %d", o.ID, len(o.Class), codec.MaxStrLen)
-	}
-	return nil
-}
-
 // ValidateStationary runs the admission checks LoadStationary applies, in
 // input order, without touching any state: duplicate ids, out-of-world
 // locations and over-long classes are rejected with the first offending
-// object. The routing
-// tier calls this before partitioning a bulk load across shards, so a bad
-// batch fails with exactly the error a single server would report and no
-// shard receives a partial load.
+// object. A class must fit the u16 length prefix the wire and the snapshot
+// write it behind. The routing tier calls this before partitioning a bulk
+// load across shards, so a bad batch fails with exactly the error a single
+// server would report and no shard receives a partial load.
 func ValidateStationary(world geo.Rect, objs []PublicObject) error {
 	seen := make(map[uint64]struct{}, len(objs))
 	for _, o := range objs {
 		if _, dup := seen[o.ID]; dup {
 			return fmt.Errorf("server: duplicate stationary object id %d", o.ID)
 		}
-		if err := checkStationary(world, o); err != nil {
-			return err
+		if !world.Contains(o.Loc) {
+			return fmt.Errorf("server: object %d at %v outside world", o.ID, o.Loc)
+		}
+		if len(o.Class) > codec.MaxStrLen {
+			return fmt.Errorf("server: object %d class of %d bytes exceeds %d", o.ID, len(o.Class), codec.MaxStrLen)
 		}
 		seen[o.ID] = struct{}{}
 	}
@@ -209,7 +192,8 @@ func ValidateStationary(world geo.Rect, objs []PublicObject) error {
 }
 
 // LoadStationary bulk-loads stationary public objects, replacing any
-// previously loaded set.
+// previously loaded set. It is the only stationary write: stationary
+// objects are loaded as a set, never edited one at a time.
 func (s *Server) LoadStationary(objs []PublicObject) error {
 	if err := ValidateStationary(s.world, objs); err != nil {
 		return err
@@ -217,77 +201,46 @@ func (s *Server) LoadStationary(objs []PublicObject) error {
 	st := newStationaryStore(slices.Clone(objs))
 	s.mu.Lock()
 	s.st = st
-	s.stationaryGen++
 	s.met.stationary.Set(float64(st.tree.Len()))
 	s.mu.Unlock()
 	return nil
 }
 
-// AddStationary inserts one stationary object.
-func (s *Server) AddStationary(o PublicObject) error {
-	if err := checkStationary(s.world, o); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.st.add(o) {
-		return fmt.Errorf("server: duplicate stationary object id %d", o.ID)
-	}
-	s.stationaryGen++
-	s.met.stationary.Set(float64(s.st.tree.Len()))
-	return nil
-}
-
-// RemoveStationary deletes a stationary object; it reports whether it
-// existed.
-func (s *Server) RemoveStationary(id uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.st.remove(id) {
-		return false
-	}
-	s.stationaryGen++
-	s.met.stationary.Set(float64(s.st.tree.Len()))
-	return true
-}
-
 // StationaryCount returns the number of stationary public objects.
-func (s *Server) StationaryCount() int {
+func (s *Server) StationaryCount() int { return s.stationary().tree.Len() }
+
+// stationary returns the current stationary store. A store is immutable,
+// so the caller may read it without the lock.
+func (s *Server) stationary() *stationaryStore {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.st.tree.Len()
+	return s.st
 }
 
 // stationaryStore is the only store of stationary public objects. The
 // R-tree's leaf items carry a slot into objs instead of an object ID, and
 // cls holds each slot's interned class, so a query's class filter is one
-// slice read and resolving a leaf is one index. slot maps IDs to slots for
-// AddStationary's duplicate check and for RemoveStationary; no query
-// reads it.
+// slice read and resolving a leaf is one index. Slots are in ascending ID
+// order, so a canonical sort of a query's answer is a plain sort of its
+// slot numbers. A store is never mutated once built: a reader that holds
+// one may use it after the server has swapped in another.
 type stationaryStore struct {
 	tree    *rtree.Tree
 	objs    []PublicObject
 	cls     []uint32
 	classes map[string]uint32 // class → interned id
-	slot    map[uint64]int
-	// ordered reports that slot order is ascending ID order, as every
-	// build leaves it, until an add arrives out of ID order or a removal
-	// relocates a slot. While it holds, canonical sorts key on the slot.
-	ordered bool
 }
 
 // newStationaryStore builds the store over objs, which it takes over and
-// sorts by ID so that slot order starts out as ID order. LoadStationary
-// and Restore both build through it.
+// sorts by ID, so that slot order is ID order. LoadStationary and Restore
+// both build through it.
 func newStationaryStore(objs []PublicObject) *stationaryStore {
 	SortObjects(objs)
-	st := &stationaryStore{objs: objs, cls: make([]uint32, len(objs)), classes: map[string]uint32{},
-		slot: make(map[uint64]int, len(objs)), ordered: true}
+	st := &stationaryStore{objs: objs, cls: make([]uint32, len(objs)), classes: map[string]uint32{}}
 	items := make([]rtree.Item, len(objs))
 	for i, o := range objs {
 		items[i] = rtree.Item{ID: uint64(i), Loc: o.Loc}
 		st.cls[i] = st.intern(o.Class)
-		st.slot[o.ID] = i
 	}
 	st.tree = rtree.BulkLoad(items)
 	return st
@@ -312,40 +265,6 @@ func (st *stationaryStore) classID(class string) (uint32, bool) {
 		c = ^uint32(0)
 	}
 	return c, class == "" || (ok && len(st.classes) == 1)
-}
-
-// add stores o in a new last slot; it reports false for a duplicate ID.
-func (st *stationaryStore) add(o PublicObject) bool {
-	if _, dup := st.slot[o.ID]; dup {
-		return false
-	}
-	n := len(st.objs)
-	st.ordered = st.ordered && (n == 0 || st.objs[n-1].ID < o.ID)
-	st.objs, st.cls = append(st.objs, o), append(st.cls, st.intern(o.Class))
-	st.slot[o.ID] = n
-	st.tree.Insert(rtree.Item{ID: uint64(n), Loc: o.Loc})
-	return true
-}
-
-// remove deletes the object with the given ID and moves the last slot into
-// the hole, leaf item included; it reports whether the ID was stored.
-func (st *stationaryStore) remove(id uint64) bool {
-	i, ok := st.slot[id]
-	if !ok {
-		return false
-	}
-	last := len(st.objs) - 1
-	st.tree.Delete(uint64(i), st.objs[i].Loc)
-	if i != last {
-		m := st.objs[last]
-		st.tree.Delete(uint64(last), m.Loc)
-		st.tree.Insert(rtree.Item{ID: uint64(i), Loc: m.Loc})
-		st.objs[i], st.cls[i], st.slot[m.ID] = m, st.cls[last], i
-		st.ordered = false
-	}
-	delete(st.slot, id)
-	st.objs, st.cls = st.objs[:last], st.cls[:last]
-	return true
 }
 
 // UpdateMoving upserts a moving public object (e.g. a police car): public

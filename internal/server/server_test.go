@@ -3,6 +3,7 @@ package server
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -44,7 +45,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty config accepted")
 	}
-	s, err := New(Config{World: world, MovingGridCols: 8, MovingGridRows: 8})
+	s, err := New(Config{World: world})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,87 +69,41 @@ func TestLoadStationaryValidation(t *testing.T) {
 	}
 }
 
-func TestAddRemoveStationary(t *testing.T) {
-	s := newServer(t)
-	if err := s.AddStationary(PublicObject{ID: 1, Class: "gas", Loc: geo.Pt(0.5, 0.5)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddStationary(PublicObject{ID: 1, Class: "gas", Loc: geo.Pt(0.6, 0.6)}); err == nil {
-		t.Error("duplicate AddStationary accepted")
-	}
-	if err := s.AddStationary(PublicObject{ID: 2, Loc: geo.Pt(2, 2)}); err == nil {
-		t.Error("out-of-world AddStationary accepted")
-	}
-	if s.StationaryCount() != 1 {
-		t.Errorf("StationaryCount = %d", s.StationaryCount())
-	}
-	if !s.RemoveStationary(1) {
-		t.Error("RemoveStationary failed")
-	}
-	if s.RemoveStationary(1) {
-		t.Error("double remove succeeded")
-	}
-	if s.StationaryCount() != 0 {
-		t.Error("count after removal")
-	}
-}
-
-// TestStationaryStoreHistory walks the stationary store through the writes
-// that keep or break its slot order — bulk loads in shuffled ID order, an
-// add above every ID, removal of the last slot, removal from the middle
-// (which relocates the last slot), an add below every ID — and checks after
-// each that a whole-world private range answers exactly the objects held,
-// in ascending ID order.
+// TestStationaryStoreHistory walks the stationary store through a run of
+// loads — shuffled ID order, a set grown above and below every ID, shrunk
+// from the end and the middle, and an object moved — and checks after each
+// that a whole-world private range answers exactly the objects of the last
+// load, in ascending ID order, and that the count follows.
 func TestStationaryStoreHistory(t *testing.T) {
 	s := newServer(t)
-	held := map[uint64]PublicObject{}
 	obj := func(id uint64) PublicObject {
 		return PublicObject{ID: id, Class: "gas", Loc: geo.Pt(float64(id%7)/7, float64(id%11)/11)}
 	}
-	load := func(ids ...uint64) {
-		clear(held)
-		var objs []PublicObject
-		for _, id := range ids {
-			objs = append(objs, obj(id))
-			held[id] = obj(id)
-		}
-		if err := s.LoadStationary(objs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	add := func(id uint64) {
-		held[id] = obj(id)
-		if err := s.AddStationary(obj(id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	remove := func(id uint64) {
-		delete(held, id)
-		if !s.RemoveStationary(id) {
-			t.Fatalf("stationary %d missing", id)
-		}
-	}
+	moved := PublicObject{ID: 30, Class: "gas", Loc: geo.Pt(0.9, 0.1)}
 	steps := []struct {
 		name string
-		do   func()
+		objs []PublicObject
 	}{
-		{"load", func() { load(40, 10, 50, 30, 20) }},
-		{"add above", func() { add(60) }},
-		{"remove last", func() { remove(60) }},
-		{"remove middle", func() { remove(20) }},
-		{"reload", func() { load(30, 10, 20) }},
-		{"add below", func() { add(5) }},
+		{"load", []PublicObject{obj(40), obj(10), obj(50), obj(30), obj(20)}},
+		{"grow above", []PublicObject{obj(60), obj(40), obj(10), obj(50), obj(30), obj(20)}},
+		{"shrink last", []PublicObject{obj(40), obj(10), obj(50), obj(30), obj(20)}},
+		{"shrink middle", []PublicObject{obj(40), obj(10), obj(50), obj(30)}},
+		{"grow below", []PublicObject{obj(30), obj(5), obj(10)}},
+		{"move", []PublicObject{obj(10), moved, obj(5)}},
+		{"empty", nil},
 	}
 	for _, step := range steps {
-		step.do()
-		var want []PublicObject
-		for _, o := range held {
-			want = append(want, o)
+		if err := s.LoadStationary(step.objs); err != nil {
+			t.Fatal(err)
 		}
+		want := slices.Clone(step.objs)
 		SortObjects(want)
 		got, err := s.PrivateRange(PrivateRangeQuery{Region: world, Class: "gas"})
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("after %s: range answer %v (err %v), want %v", step.name, got, err, want)
+		}
+		if s.StationaryCount() != len(want) {
+			t.Fatalf("after %s: StationaryCount = %d, want %d", step.name, s.StationaryCount(), len(want))
 		}
 	}
 }
