@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -39,7 +40,7 @@ func expIncremental(cfg benchConfig) {
 			forwarded := 0
 			anon, err := anonymizer.New(anonymizer.Config{
 				World: world, Algorithm: alg, Incremental: inc,
-				Forward: func(uint64, geo.Rect) error { forwarded++; return nil },
+				ForwardCtx: func(context.Context, uint64, geo.Rect) error { forwarded++; return nil },
 			})
 			if err != nil {
 				log.Fatalf("lbsbench: %v", err)

@@ -23,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	anon, err := anonymizer.New(anonymizer.Config{World: world, Incremental: true, Forward: srv.UpdatePrivate})
+	anon, err := anonymizer.New(anonymizer.Config{World: world, Incremental: true, ForwardCtx: srv.UpdatePrivateCtx})
 	if err != nil {
 		log.Fatal(err)
 	}

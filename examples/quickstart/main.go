@@ -27,10 +27,10 @@ func main() {
 		log.Fatal(err)
 	}
 	anon, err := anonymizer.New(anonymizer.Config{
-		World:     world,
-		Algorithm: anonymizer.AlgQuadtree,
-		Clock:     evening,
-		Forward:   srv.UpdatePrivate, // only cloaked regions cross to the server
+		World:      world,
+		Algorithm:  anonymizer.AlgQuadtree,
+		Clock:      evening,
+		ForwardCtx: srv.UpdatePrivateCtx, // only cloaked regions cross to the server
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -22,7 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	anon, err := anonymizer.New(anonymizer.Config{World: world, Forward: srv.UpdatePrivate})
+	anon, err := anonymizer.New(anonymizer.Config{World: world, ForwardCtx: srv.UpdatePrivateCtx})
 	if err != nil {
 		log.Fatal(err)
 	}

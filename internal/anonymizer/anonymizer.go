@@ -110,8 +110,11 @@ type Config struct {
 	// GridLevel is the fixed level for AlgGrid/AlgGridML (default 6).
 	GridLevel int
 	// Incremental enables Section 5.3 incremental evaluation: regions are
-	// reused across updates while they remain valid. The region cache is
-	// shard-local, so it never crosses a shard (or user) boundary.
+	// reused across updates while they remain valid, and a reused region
+	// is not forwarded again. The region cache is shard-local, so it never
+	// crosses a shard (or user) boundary. On both the single and the batch
+	// path a user's entry is the region the database holds for her: the
+	// last one forwarded, dropped when its forward fails.
 	Incremental bool
 	// Shards sets the number of lock stripes for per-user state, in
 	// [1, MaxShards]. 1 (the default) reproduces the historical

@@ -553,13 +553,13 @@ func TestBatchUpdateForwardsLastRegionPerUser(t *testing.T) {
 	}
 }
 
-// TestBatchUpdateInvalidatesIncrementalCache pins invariant I1 at the
-// server across a batch: BatchUpdate cloaks past the incremental cache, so
-// it must not leave the pre-batch region cached. Otherwise the next single
-// update inside that stale region is "reused", forwards nothing, and the
-// database keeps the batch's region — which no longer contains the user's
-// acknowledged location.
-func TestBatchUpdateInvalidatesIncrementalCache(t *testing.T) {
+// TestBatchUpdateCachesTheForwardedRegion pins invariant I1 at the server
+// across a batch: BatchUpdate cloaks past the incremental cache, so it must
+// leave the region it forwarded cached, not the pre-batch one. Otherwise
+// the next single update inside that stale region is "reused", forwards
+// nothing, and the database keeps the batch's region — which no longer
+// contains the user's acknowledged location.
+func TestBatchUpdateCachesTheForwardedRegion(t *testing.T) {
 	const u = 1
 	fwd := newFlakyForwarder()
 	a := newAnon(t, Config{Incremental: true, Forward: fwd.forward})
@@ -652,4 +652,77 @@ func TestFailedForwardInvalidatesIncrementalCache(t *testing.T) {
 		t.Errorf("database holds %v for the user, anonymizer acknowledged %v at %v (reused=%v)",
 			got, res.Region, p1, res.Reused)
 	}
+}
+
+// TestBatchFailedForwardInvalidatesIncrementalCache is
+// TestFailedForwardInvalidatesIncrementalCache for the batch path: a batch
+// region the database never received must not stay cached, whether the
+// forward failed with no spill queue or was refused by a full one. The
+// user's next update inside that region must be recloaked and forwarded,
+// not acknowledged as reused.
+func TestBatchFailedForwardInvalidatesIncrementalCache(t *testing.T) {
+	p0, p1 := geo.Pt(0.1, 0.1), geo.Pt(0.9, 0.9)
+	// recloaked sends an update for u at p1 with the link up and checks
+	// that it was recloaked and reached the database.
+	recloaked := func(t *testing.T, a *Anonymizer, fwd *flakyForwarder, u uint64) {
+		t.Helper()
+		res, err := a.Update(u, p1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Reused {
+			t.Errorf("user %d: region %v reused although its batch forward failed", u, res.Region)
+		}
+		if got, _ := fwd.regionOf(u); !got.Eq(res.Region) || !got.Contains(p1) {
+			t.Errorf("user %d: database holds %v, anonymizer acknowledged %v at %v (reused=%v)",
+				u, got, res.Region, p1, res.Reused)
+		}
+	}
+
+	t.Run("no spill queue", func(t *testing.T) {
+		const u = 1
+		fwd := newFlakyForwarder()
+		a := newAnon(t, Config{Incremental: true, Forward: fwd.forward})
+		seedUsers(t, a, 2000, 5, 4)
+		if _, err := a.Update(u, p0); err != nil {
+			t.Fatal(err)
+		}
+		fwd.setDown(true)
+		a.BatchUpdate([]cloak.Request{{ID: u, Loc: p1}})
+		if st := a.Stats(); st.ForwardErrs == 0 {
+			t.Fatal("the batch forward did not fail with the link down")
+		}
+		fwd.setDown(false)
+		recloaked(t, a, fwd, u)
+	})
+
+	t.Run("spill queue full under backpressure", func(t *testing.T) {
+		fwd := newFlakyForwarder()
+		a := newAnon(t, Config{Incremental: true, Forward: fwd.forward,
+			ForwardQueue: 1, ForwardBackpressure: true,
+			ForwardRetryBase: 5 * time.Millisecond, ForwardRetryMax: 20 * time.Millisecond})
+		t.Cleanup(a.Close)
+		seedUsers(t, a, 2000, 5, 4)
+		for _, u := range []uint64{1, 2} {
+			if _, err := a.Update(u, p0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The queue is empty, so admission lets both users in; the first
+		// failed forward takes its one slot and the other is refused.
+		fwd.setDown(true)
+		results := a.BatchUpdate([]cloak.Request{{ID: 1, Loc: p1}, {ID: 2, Loc: p1}})
+		var refused []uint64
+		for i, res := range results {
+			if res == nil {
+				refused = append(refused, uint64(i+1))
+			}
+		}
+		if len(refused) != 1 {
+			t.Fatalf("%d users refused by a one-slot queue, want 1", len(refused))
+		}
+		fwd.setDown(false)
+		waitFor(t, 5*time.Second, func() bool { return a.Stats().QueueDepth == 0 }, "queue drain")
+		recloaked(t, a, fwd, refused[0])
+	})
 }

@@ -36,8 +36,9 @@ import (
 //     (bottom cell, requirement) key — the per-batch memo of the
 //     sequential path, preserved globally across shards — while other
 //     algorithms fan out per-request.
-//  3. Accounting, sequential in input order, then forwarding, once per
-//     user and concurrently.
+//  3. With Config.Incremental, each user's last region is recorded in
+//     her cache entry; then accounting, sequential in input order, then
+//     forwarding, once per user whose region changed and concurrently.
 //
 // Phases 1 and 2 are deterministic functions of the input and prior state,
 // so results are bit-identical for every (Shards, BatchWorkers) setting —
@@ -48,6 +49,13 @@ import (
 // would have left downstream. The forwards of a batch are issued together,
 // each through the same per-entry path a single update takes; users are
 // distinct, so their order on the wire does not matter.
+//
+// With Config.Incremental the batch still cloaks every entry afresh (one
+// shared descent per key), but it keeps the incremental cache what it is
+// on the single path: the region the database holds. Each user's last
+// region becomes her cache entry; when it equals the entry it replaced,
+// the database already holds it, so that entry is marked Reused and not
+// forwarded. A failed forward drops the entry, as in Update.
 func (a *Anonymizer) BatchUpdate(updates []cloak.Request) []*cloak.Result {
 	return a.BatchUpdateCtx(context.Background(), updates)
 }
@@ -103,13 +111,6 @@ func (a *Anonymizer) BatchUpdateCtx(ctx context.Context, updates []cloak.Request
 				}
 				reqs[i] = cloak.Request{ID: u.ID, Loc: u.Loc, Req: req}
 				live = append(live, i)
-				// The batch cloaks past the incremental cache and forwards
-				// a fresh region, so the cached one stops being "the last
-				// region forwarded for this user" (invariant I1 at the
-				// server): drop it, and her next single update recloaks.
-				if s.inc != nil {
-					s.inc.Invalidate(u.ID)
-				}
 			}
 			// This shard's relocations, applied as one write section: the
 			// "single writer applying relocations in batches".
@@ -169,7 +170,18 @@ func (a *Anonymizer) BatchUpdateCtx(ctx context.Context, updates []cloak.Request
 	}
 	csp.End()
 
-	// Phase 3 — accounting in input order.
+	// Phase 3 — the cache learns each user's last region, then accounting
+	// in input order.
+	var last map[uint64]int // user → her last admitted entry
+	if a.cfg.Incremental || a.cfg.Forward != nil {
+		last = make(map[uint64]int, len(creqs))
+		for j := range creqs {
+			last[creqs[j].ID] = j
+		}
+	}
+	if a.cfg.Incremental {
+		a.recordBatch(creqs, batchResults, last)
+	}
 	for j := range batchResults {
 		res := batchResults[j]
 		results[valid[j]] = &res
@@ -197,21 +209,34 @@ func (a *Anonymizer) BatchUpdateCtx(ctx context.Context, updates []cloak.Request
 	}
 
 	if a.cfg.Forward != nil {
-		a.forwardBatch(ctx, creqs, batchResults, valid, results)
+		a.forwardBatch(ctx, creqs, batchResults, valid, results, last)
 	}
 	return results
 }
 
-// forwardBatch is the batch pipeline's forwarding step: one forward per
-// distinct user of creqs, carrying the region of her last entry, all in
-// flight together. Entry j of creqs and cloaked answers results[valid[j]];
-// the entries of a user whose forward is refused are set to nil there.
-func (a *Anonymizer) forwardBatch(ctx context.Context, creqs []cloak.Request, cloaked []cloak.Result, valid []int, results []*cloak.Result) {
-	fsp, fctx := trace.Start(ctx, a.tracer, "anon_batch_forward")
-	last := make(map[uint64]int, len(creqs)) // user → her last admitted entry
-	for j := range creqs {
-		last[creqs[j].ID] = j
+// recordBatch makes the region of each user's last entry (last maps a
+// user to it) her incremental-cache entry, under her shard mutex as
+// Update's cloak is, and marks that entry Reused when the cache already
+// held the same region: the database holds it, so it is not forwarded.
+func (a *Anonymizer) recordBatch(creqs []cloak.Request, cloaked []cloak.Result, last map[uint64]int) {
+	for j, r := range creqs {
+		if last[r.ID] != j {
+			continue
+		}
+		s, _ := a.shardFor(r.ID)
+		s.mu.Lock()
+		cloaked[j].Reused = s.inc.Record(r.ID, cloaked[j].Region, r.Req)
+		s.mu.Unlock()
 	}
+}
+
+// forwardBatch is the batch pipeline's forwarding step: one forward per
+// distinct user of creqs whose last entry (last maps a user to it) is not
+// Reused, carrying that entry's region, all in flight together. Entry j of
+// creqs and cloaked answers results[valid[j]]; the entries of a user whose
+// forward is refused are set to nil there.
+func (a *Anonymizer) forwardBatch(ctx context.Context, creqs []cloak.Request, cloaked []cloak.Result, valid []int, results []*cloak.Result, last map[uint64]int) {
+	fsp, fctx := trace.Start(ctx, a.tracer, "anon_batch_forward")
 	// With a spill queue configured the error path is absorbed inside
 	// forward; without one a failed forward is already counted there
 	// and, matching the historical batch semantics, does not null the
@@ -219,24 +244,38 @@ func (a *Anonymizer) forwardBatch(ctx context.Context, creqs []cloak.Request, cl
 	// region reached neither the database nor the queue, so the user's
 	// entries fail typed rather than pretending the update landed.
 	par.For(len(creqs), forwardFanout, func(_, j int) {
-		if last[creqs[j].ID] != j {
+		id := creqs[j].ID
+		if last[id] != j || cloaked[j].Reused {
 			return
 		}
-		if err := a.forward(fctx, creqs[j].ID, cloaked[j].Region); errors.Is(err, ErrOverloaded) {
+		err := a.forward(fctx, id, cloaked[j].Region)
+		if err == nil {
+			return
+		}
+		// The database never received this region, so it must not be
+		// reused: the user's next update recloaks and forwards again.
+		if s, _ := a.shardFor(id); s.inc != nil {
+			s.inc.Invalidate(id)
+		}
+		if errors.Is(err, ErrOverloaded) {
 			results[valid[j]] = nil // each last entry is one worker's
 		}
 	})
-	refused := 0
+	sent, refused := 0, 0
 	for j := range creqs {
-		if l := last[creqs[j].ID]; results[valid[l]] == nil {
+		l := last[creqs[j].ID]
+		switch {
+		case results[valid[l]] == nil:
 			results[valid[j]] = nil // every entry of a refused user
 			if l == j {
 				refused++
 			}
+		case l == j && !cloaked[j].Reused:
+			sent++
 		}
 	}
 	if fsp.Recording() {
-		fsp.SetAttrs(trace.Int("forwarded", int64(len(last)-refused)),
+		fsp.SetAttrs(trace.Int("forwarded", int64(sent)),
 			trace.Int("shed", int64(refused)))
 		fsp.End()
 	}
@@ -247,6 +286,8 @@ func (a *Anonymizer) forwardBatch(ctx context.Context, creqs []cloak.Request, cl
 // goroutines — but a burst of runnable goroutines is what the queries
 // sharing the machine wait behind. 16 is the measured knee on city_batch
 // (DESIGN, "The inter-tier link"): update p50 within 8% of 64 wide, query
-// p50s level with a serial forward phase where 64 wide cost them 11%. A
-// constant, not a knob.
+// p50s level with a serial forward phase where 64 wide cost them 11%.
+// That knee was measured with all 64 users of a frame forwarded; with the
+// incremental cache recording batches, about 7 of them are, so the bound
+// rarely binds there. A constant, not a knob.
 const forwardFanout = 16

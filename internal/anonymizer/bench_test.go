@@ -35,22 +35,42 @@ func benchAnon(b *testing.B, cfg Config, n int) (*Anonymizer, []geo.Point) {
 
 // BenchmarkAnonBatchUpdate drives the full three-phase batch pipeline at
 // shard counts 1/4/8 — the same series lbsbench E16 prints as a table
-// of updates/sec.
+// of updates/sec. The incremental variants forward to a counting
+// forwarder and re-send the locations of a first, untimed batch, so the
+// cache finds every region unchanged; forwards/op (per entry) shows how
+// many regions still went downstream.
 func BenchmarkAnonBatchUpdate(b *testing.B) {
 	const n = 5000
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			a, pts := benchAnon(b, Config{Shards: shards, BatchWorkers: shards}, n)
-			reqs := make([]cloak.Request, n)
-			for i, p := range pts {
-				reqs[i] = cloak.Request{ID: uint64(i + 1), Loc: p}
+	for _, inc := range []bool{false, true} {
+		for _, shards := range []int{1, 4, 8} {
+			name := fmt.Sprintf("shards=%d", shards)
+			if inc {
+				name = "incremental/" + name
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			b.Run(name, func(b *testing.B) {
+				cfg := Config{Shards: shards, BatchWorkers: shards}
+				var forwards atomic.Int64
+				if inc {
+					cfg.Incremental = true
+					cfg.Forward = func(uint64, geo.Rect) error { forwards.Add(1); return nil }
+				}
+				a, pts := benchAnon(b, cfg, n)
+				reqs := make([]cloak.Request, n)
+				for i, p := range pts {
+					reqs[i] = cloak.Request{ID: uint64(i + 1), Loc: p}
+				}
 				a.BatchUpdate(reqs)
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "updates/s")
-		})
+				forwards.Store(0)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					a.BatchUpdate(reqs)
+				}
+				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "updates/s")
+				if inc {
+					b.ReportMetric(float64(forwards.Load())/(float64(n)*float64(b.N)), "forwards/op")
+				}
+			})
+		}
 	}
 }
 

@@ -22,6 +22,11 @@ import (
 // workload script is replayed against a sequential reference configuration
 // (Shards=1, BatchWorkers=1) and a sharded parallel one, and every
 // cloak.Result — batched and single-call alike — must match bit for bit.
+//
+// Every replay forwards to a recording forwarder. With the incremental
+// cache on, each op is followed by a check of what the cache promises: a
+// user's cached region is exactly the region the database last received
+// for her, so a reused region is one the database holds.
 
 // diffShards returns the shard count of the parallel side. The CI matrix
 // overrides it via ANON_TEST_SHARDS.
@@ -103,7 +108,8 @@ func buildDiffScript(t testing.TB, seed uint64, users, rounds int) []diffOp {
 		}
 		// Co-located triples with a shared requirement: ids d, d+37, d+74
 		// (same diffK class) at the identical point. For the quadtree batch
-		// these share one descent.
+		// these share one descent. Each of them is then in the batch twice,
+		// at two places, so only her last entry may reach the cache.
 		for j := 0; j < 10; j++ {
 			d := uint64(src.Intn(users-74)) + 1
 			p := world.ClampPoint(geo.Pt(src.Float64(), src.Float64()))
@@ -168,9 +174,12 @@ type diffTrace struct {
 	stats   Stats
 }
 
-// runDiffScript replays a script against a fresh anonymizer.
+// runDiffScript replays a script against a fresh anonymizer that forwards
+// to a recording forwarder.
 func runDiffScript(t testing.TB, cfg Config, users int, ops []diffOp) diffTrace {
 	t.Helper()
+	db := newFlakyForwarder()
+	cfg.Forward = db.forward
 	a := newAnon(t, cfg)
 	for id := uint64(1); id <= uint64(users); id++ {
 		if err := a.Register(id, privacy.Constant(privacy.Requirement{K: diffK(id)})); err != nil {
@@ -215,9 +224,29 @@ func runDiffScript(t testing.TB, cfg Config, users int, ops []diffOp) diffTrace 
 				t.Fatalf("Register(%d): %v", op.id, err)
 			}
 		}
+		if cfg.Incremental {
+			checkCacheHeldDownstream(t, a, db, users, op)
+		}
 	}
 	tr.stats = a.Stats()
 	return tr
+}
+
+// checkCacheHeldDownstream fails the test unless every cached region is
+// the region db last received for that user.
+func checkCacheHeldDownstream(t testing.TB, a *Anonymizer, db *flakyForwarder, users int, op diffOp) {
+	t.Helper()
+	for id := uint64(1); id <= uint64(users); id++ {
+		s, _ := a.shardFor(id)
+		cached, ok := s.inc.Cached(id)
+		if !ok {
+			continue
+		}
+		if held, ok := db.regionOf(id); !ok || held != cached {
+			t.Fatalf("after op %c: user %d has cached region %v, the database holds %v (received: %v)",
+				op.kind, id, cached, held, ok)
+		}
+	}
 }
 
 // compareTraces fails the test on the first divergence.

@@ -64,7 +64,7 @@ func TestStressShardedInvariants(t *testing.T) {
 			// Ground truth for owned users.
 			k := make(map[uint64]int)
 			passive := make(map[uint64]bool)
-			lastRegion := make(map[uint64]*geo.Rect) // last single-path cloak, nil after invalidation
+			lastRegion := make(map[uint64]*geo.Rect) // last region cloaked for the user, nil after invalidation
 			registered := make(map[uint64]bool)
 			for i := 0; i < perWorker; i++ {
 				id := base + uint64(i)
@@ -153,13 +153,15 @@ func TestStressShardedInvariants(t *testing.T) {
 				case c < 80: // batch over a random slice of owned users
 					n := 1 + src.Intn(perWorker)
 					reqs := make([]cloak.Request, 0, n)
-					locs := make(map[uint64]geo.Point, n)
 					for j := 0; j < n; j++ {
 						bid := pick()
 						bloc := geo.Pt(src.Float64(), src.Float64())
 						reqs = append(reqs, cloak.Request{ID: bid, Loc: bloc})
-						locs[bid] = bloc // later entry wins, like the pipeline
 					}
+					// The cache learns each user's last region in the
+					// batch (later entry wins, like the pipeline), after
+					// every entry is checked against the cache before it.
+					batchRegion := make(map[uint64]*geo.Rect, n)
 					for i, res := range a.BatchUpdate(reqs) {
 						bid := reqs[i].ID
 						if res == nil {
@@ -172,8 +174,12 @@ func TestStressShardedInvariants(t *testing.T) {
 						if !check(bid, reqs[i].Loc, *res) {
 							return
 						}
+						r := res.Region
+						batchRegion[bid] = &r
 					}
-					_ = locs
+					for bid, r := range batchRegion {
+						lastRegion[bid] = r
+					}
 				case c < 88: // mode toggle
 					want := !passive[id]
 					m := privacy.Active

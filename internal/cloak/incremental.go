@@ -88,9 +88,33 @@ func (c *Incremental) Cloak(id uint64, loc geo.Point, req privacy.Requirement) R
 	res := c.Inner.Cloak(id, loc, req)
 	// A recompute that lands on the cached region changes nothing
 	// downstream: the cache entry is the region the database holds.
-	res.Reused = ok && res.Region == prev.region
-	c.cache[id] = cached{region: res.Region, req: req}
+	res.Reused = c.record(id, res.Region, req)
 	return res
+}
+
+// Record caches region for id under req, as a recompute in Cloak does,
+// and reports whether it equals the region cached before. It serves a
+// caller that cloaked past the cache (the anonymizer's batch pipeline):
+// an unchanged region is one the database already holds.
+func (c *Incremental) Record(id uint64, region geo.Rect, req privacy.Requirement) (unchanged bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.record(id, region, req)
+}
+
+// record is Record with c.mu held.
+func (c *Incremental) record(id uint64, region geo.Rect, req privacy.Requirement) bool {
+	prev, ok := c.cache[id]
+	c.cache[id] = cached{region: region, req: req}
+	return ok && prev.region == region
+}
+
+// Cached returns the region cached for id, if any.
+func (c *Incremental) Cached(id uint64) (geo.Rect, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.cache[id]
+	return e.region, ok
 }
 
 // Invalidate drops the cached region of one user (e.g. on deregistration).
