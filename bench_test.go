@@ -226,18 +226,12 @@ func BenchmarkE7PublicNN(b *testing.B) {
 
 // --- E8/E9: incremental and shared execution ---
 
-func benchAnonUpdates(b *testing.B, alg anonymizer.Algorithm, incremental bool) {
-	anon, err := anonymizer.New(anonymizer.Config{
-		World: world, Algorithm: alg, Incremental: incremental,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+// benchUpdates places 10,000 users with update, then times steady-state
+// micro-movements of random users through it.
+func benchUpdates(b *testing.B, update func(id uint64, p geo.Point) error) {
 	pts := benchPoints(b, 10000, 3)
-	prof := privacy.Constant(privacy.Requirement{K: 50})
 	for i, p := range pts {
-		anon.Register(uint64(i+1), prof)
-		if _, err := anon.Update(uint64(i+1), p); err != nil {
+		if err := update(uint64(i+1), p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -246,36 +240,75 @@ func benchAnonUpdates(b *testing.B, alg anonymizer.Algorithm, incremental bool) 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := uint64(src.Intn(len(pts))) + 1
-		// Micro-movement, the steady-state update pattern.
 		p := world.ClampPoint(geo.Pt(
 			pts[id-1].X+src.Range(-0.001, 0.001),
 			pts[id-1].Y+src.Range(-0.001, 0.001),
 		))
-		if _, err := anon.Update(id, p); err != nil {
+		if err := update(id, p); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// benchQuadtreeUpdates streams the updates through an anonymizer.
+func benchQuadtreeUpdates(b *testing.B, incremental bool) {
+	anon, err := anonymizer.New(anonymizer.Config{World: world, Incremental: incremental})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof := privacy.Constant(privacy.Requirement{K: 50})
+	for id := uint64(1); id <= 10000; id++ {
+		anon.Register(id, prof)
+	}
+	benchUpdates(b, func(id uint64, p geo.Point) error {
+		_, err := anon.Update(id, p)
+		return err
+	})
+}
+
+// benchNaiveUpdates moves each user in a 64×64 grid of exact positions and
+// cloaks her with cloak.Naive, which the anonymizer does not offer.
+func benchNaiveUpdates(b *testing.B, incremental bool) {
+	pop, err := grid.New(world, 64, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var c cloak.Cloaker = &cloak.Naive{Pop: cloak.GridPopulation{Index: pop}}
+	if incremental {
+		ic := cloak.NewIncremental(c, func(region geo.Rect, req privacy.Requirement) (int, bool) {
+			n := pop.Count(region)
+			return n, n >= req.K
+		})
+		ic.MaxSlack = 8
+		c = ic
+	}
+	req := privacy.Requirement{K: 50}
+	benchUpdates(b, func(id uint64, p geo.Point) error {
+		pop.Upsert(id, p)
+		c.Cloak(id, p, req)
+		return nil
+	})
+}
+
 func BenchmarkE8RecomputeQuadtree(b *testing.B) {
-	benchAnonUpdates(b, anonymizer.AlgQuadtree, false)
+	benchQuadtreeUpdates(b, false)
 }
 
 func BenchmarkE8IncrementalQuadtree(b *testing.B) {
-	benchAnonUpdates(b, anonymizer.AlgQuadtree, true)
+	benchQuadtreeUpdates(b, true)
 }
 
 func BenchmarkE8RecomputeNaive(b *testing.B) {
-	benchAnonUpdates(b, anonymizer.AlgNaive, false)
+	benchNaiveUpdates(b, false)
 }
 
 func BenchmarkE8IncrementalNaive(b *testing.B) {
-	benchAnonUpdates(b, anonymizer.AlgNaive, true)
+	benchNaiveUpdates(b, true)
 }
 
 func BenchmarkE9SharedCloak(b *testing.B) {
 	_, pyr, pts := benchIndexes(b, 10000, 7)
-	bq := &cloak.BatchQuadtree{Pyr: pyr}
+	bq := &cloak.Batch{Pyr: pyr, Inner: &cloak.Quadtree{Pyr: pyr}}
 	reqs := make([]cloak.Request, len(pts))
 	for i, loc := range pts {
 		reqs[i] = cloak.Request{ID: uint64(i + 1), Loc: loc, Req: privacy.Requirement{K: 50}}
@@ -283,7 +316,7 @@ func BenchmarkE9SharedCloak(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bq.CloakAll(reqs)
+		bq.CloakAll(reqs, 1)
 	}
 }
 

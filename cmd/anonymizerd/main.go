@@ -30,7 +30,7 @@ func main() {
 	addr := flag.String("addr", ":7071", "listen address")
 	dbAddr := flag.String("db", "localhost:7070", "database server address (empty = do not forward)")
 	worldSize := flag.Float64("world", 1.0, "world is the square [0,size]²")
-	algName := flag.String("alg", "quadtree", "cloaking algorithm: quadtree|grid|grid-ml|naive|mbr")
+	algName := flag.String("alg", "quadtree", "cloaking algorithm: quadtree|grid|grid-ml")
 	gridLevel := flag.Int("grid-level", 6, "fixed level for grid cloaking")
 	pyramidHeight := flag.Int("pyramid-height", 10, "space partition depth")
 	incremental := flag.Bool("incremental", false, "enable incremental cloak maintenance")
@@ -41,11 +41,9 @@ func main() {
 	backpressure := flag.Bool("backpressure", true, "reject updates typed when the spill queue is full instead of evicting older ones")
 	flag.Parse()
 
-	algs := map[string]anonymizer.Algorithm{"quadtree": anonymizer.AlgQuadtree, "grid": anonymizer.AlgGrid,
-		"grid-ml": anonymizer.AlgGridML, "naive": anonymizer.AlgNaive, "mbr": anonymizer.AlgMBR}
-	alg, ok := algs[*algName]
-	if !ok {
-		log.Fatalf("anonymizerd: unknown algorithm %q", *algName)
+	alg, err := anonymizer.ParseAlgorithm(*algName)
+	if err != nil {
+		log.Fatalf("anonymizerd: %v", err)
 	}
 
 	ops := d.Start()

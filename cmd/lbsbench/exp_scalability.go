@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/anonymizer"
 	"repro/internal/cloak"
 	"repro/internal/geo"
+	"repro/internal/grid"
 	"repro/internal/mobility"
 	"repro/internal/obs"
 	"repro/internal/privacy"
@@ -19,14 +19,16 @@ import (
 )
 
 // expIncremental regenerates the Section 5.3 incremental-evaluation study:
-// a random-waypoint population streams updates through the anonymizer with
-// and without incremental cloak maintenance, for a cheap space-dependent
-// cloaker and an expensive data-dependent one.
+// a random-waypoint population streams updates with and without
+// incremental cloak maintenance, for a cheap space-dependent cloaker (the
+// quadtree, through the anonymizer) and an expensive data-dependent one
+// (naive expansion, which the anonymizer does not offer, over its own grid
+// of exact positions).
 func expIncremental(cfg benchConfig) {
 	const ticks = 20
 	fmt.Printf("%d users, random waypoint, %d ticks of updates, k=50\n\n", cfg.n, ticks)
 	t := newTable("algorithm", "mode", "reused %", "updates/sec", "regions forwarded")
-	for _, alg := range []anonymizer.Algorithm{anonymizer.AlgQuadtree, anonymizer.AlgNaive} {
+	for _, alg := range []string{"quadtree", "naive"} {
 		for _, inc := range []bool{false, true} {
 			sim, err := mobility.NewWaypointSim(mobility.WaypointConfig{
 				Population: mobility.PopulationSpec{
@@ -37,40 +39,33 @@ func expIncremental(cfg benchConfig) {
 			if err != nil {
 				log.Fatalf("lbsbench: %v", err)
 			}
-			forwarded := 0
-			anon, err := anonymizer.New(anonymizer.Config{
-				World: world, Algorithm: alg, Incremental: inc,
-				ForwardCtx: func(context.Context, uint64, geo.Rect) error { forwarded++; return nil },
-			})
-			if err != nil {
-				log.Fatalf("lbsbench: %v", err)
-			}
-			prof := privacy.Constant(reqK(50))
-			for _, u := range sim.Users() {
-				anon.Register(u.ID, prof)
-				if _, err := anon.Update(u.ID, u.Loc); err != nil {
-					log.Fatalf("lbsbench: %v", err)
+			update := e8Updater(alg, inc, sim.Users())
+			reused, forwarded := 0, 0
+			stream := func() {
+				for _, u := range sim.Users() {
+					res := update(u.ID, u.Loc)
+					if res.Reused {
+						reused++
+					} else {
+						forwarded++ // a reused region is not sent again
+					}
 				}
 			}
+			stream()
 			forwarded = 0 // count the steady state only
 			t0 := time.Now()
 			for tick := 0; tick < ticks; tick++ {
 				sim.Tick()
-				for _, u := range sim.Users() {
-					if _, err := anon.Update(u.ID, u.Loc); err != nil {
-						log.Fatalf("lbsbench: %v", err)
-					}
-				}
+				stream()
 			}
 			elapsed := time.Since(t0)
-			st := anon.Stats()
 			streamed := cfg.n * ticks
 			mode := "recompute"
 			if inc {
 				mode = "incremental"
 			}
-			t.row(alg.String(), mode,
-				100*float64(st.Reused)/float64(st.Updates),
+			t.row(alg, mode,
+				100*float64(reused)/float64(streamed+cfg.n),
 				float64(streamed)/elapsed.Seconds(),
 				forwarded)
 		}
@@ -80,6 +75,48 @@ func expIncremental(cfg benchConfig) {
 	fmt.Println("messages for every algorithm, and for the expensive data-dependent")
 	fmt.Println("cloaker it also multiplies update throughput; the space-dependent")
 	fmt.Println("descent is already near memory speed, so there the win is traffic.")
+}
+
+// e8Updater returns one E8 row's update path over the given users. The
+// quadtree row registers them with an anonymizer and updates through it.
+// The naive row keeps their exact positions in a 64×64 grid, moves a user
+// there and cloaks her with cloak.Naive, wrapped in cloak.Incremental (with
+// the anonymizer's MaxSlack of 8) when inc.
+func e8Updater(alg string, inc bool, users []mobility.User) func(id uint64, loc geo.Point) cloak.Result {
+	if alg == "quadtree" {
+		anon, err := anonymizer.New(anonymizer.Config{World: world, Incremental: inc})
+		if err != nil {
+			log.Fatalf("lbsbench: %v", err)
+		}
+		prof := privacy.Constant(reqK(50))
+		for _, u := range users {
+			anon.Register(u.ID, prof)
+		}
+		return func(id uint64, loc geo.Point) cloak.Result {
+			res, err := anon.Update(id, loc)
+			if err != nil {
+				log.Fatalf("lbsbench: %v", err)
+			}
+			return res
+		}
+	}
+	pop, err := grid.New(world, 64, 64)
+	if err != nil {
+		log.Fatalf("lbsbench: %v", err)
+	}
+	var c cloak.Cloaker = &cloak.Naive{Pop: cloak.GridPopulation{Index: pop}}
+	if inc {
+		ic := cloak.NewIncremental(c, func(region geo.Rect, req privacy.Requirement) (int, bool) {
+			n := pop.Count(region)
+			return n, n >= req.K
+		})
+		ic.MaxSlack = 8
+		c = ic
+	}
+	return func(id uint64, loc geo.Point) cloak.Result {
+		pop.Upsert(id, loc)
+		return c.Cloak(id, loc, reqK(50))
+	}
 }
 
 // expShared regenerates the Section 5.3 shared-execution study: batch
@@ -106,9 +143,9 @@ func expShared(cfg benchConfig) {
 		}
 		perUser := time.Since(t0)
 
-		b := &cloak.BatchQuadtree{Pyr: p.pyr}
+		b := &cloak.Batch{Pyr: p.pyr, Inner: q}
 		t0 = time.Now()
-		results, hits := b.CloakAll(reqs)
+		results, hits := b.CloakAll(reqs, 1)
 		batch := time.Since(t0)
 
 		distinct := map[geo.Rect]bool{}

@@ -1,16 +1,15 @@
 // Package anonymizer implements the Location Anonymizer of Section 5: the
 // trusted third party standing between mobile users and the location-based
 // database server. It registers users with their privacy profiles, receives
-// exact location updates, cloaks them with a configurable algorithm from
+// exact location updates, cloaks them with a space-dependent algorithm from
 // the cloak package, and forwards only the cloaked regions downstream.
 //
 // Storage discipline follows the paper's design goal that the anonymizer
-// "does not need to store the exact location information": with a
-// space-dependent algorithm configured, the anonymizer keeps only pyramid
-// cell counters (metadata, in the paper's words). The data-dependent
-// algorithms of Figure 3 inherently require neighbor positions, so
-// selecting them keeps an exact-position index inside the trusted party —
-// StoresExactLocations reports which regime is active.
+// "does not need to store the exact location information": it keeps only
+// pyramid cell counters (metadata, in the paper's words) and each user's
+// bottom pyramid cell; an exact point lives only as long as its request.
+// The data-dependent cloakers of Figure 3 need their neighbors' exact
+// positions, so they are not offered here (experiments run them directly).
 //
 // # Concurrency model
 //
@@ -20,10 +19,10 @@
 //   - Per-user state — profiles, modes, charges, incremental region caches —
 //     is partitioned into Config.Shards lock stripes keyed by user id.
 //     Operations on users in different shards never contend.
-//   - The spatial indices (pyramid, exact-position grid) form a single
-//     reader/writer domain: relocations are applied by one writer at a time
-//     (batched per shard in BatchUpdate), while cloaking computations — pure
-//     reads — run concurrently under the read lock.
+//   - The count pyramid is a single reader/writer domain: relocations are
+//     applied by one writer at a time (batched per shard in BatchUpdate),
+//     while cloaking computations — pure reads — run concurrently under the
+//     read lock.
 //   - Activity counts are the anon_* registry series, off every lock;
 //     Stats reads them.
 //
@@ -37,21 +36,17 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/cloak"
 	"repro/internal/geo"
-	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/privacy"
 	"repro/internal/pyramid"
 	"repro/internal/trace"
 )
-
-// popGridCols/Rows is the resolution of the exact-position index the
-// data-dependent algorithms (AlgNaive, AlgMBR) search for neighbors.
-const popGridCols, popGridRows = 64, 64
 
 // Algorithm selects the cloaking algorithm.
 type Algorithm uint8
@@ -64,34 +59,28 @@ const (
 	AlgGrid
 	// AlgGridML is AlgGrid with multi-level refinement.
 	AlgGridML
-	// AlgNaive is the data-dependent centered expansion (Figure 3a).
-	AlgNaive
-	// AlgMBR is the data-dependent k-nearest-neighbor MBR (Figure 3b).
-	AlgMBR
 )
+
+// algNames is the one name table of the algorithms, indexed by value:
+// String prints it and ParseAlgorithm reads it.
+var algNames = [...]string{AlgQuadtree: "quadtree", AlgGrid: "grid", AlgGridML: "grid-ml"}
 
 // String implements fmt.Stringer.
 func (a Algorithm) String() string {
-	switch a {
-	case AlgQuadtree:
-		return "quadtree"
-	case AlgGrid:
-		return "grid"
-	case AlgGridML:
-		return "grid-ml"
-	case AlgNaive:
-		return "naive"
-	case AlgMBR:
-		return "mbr"
-	default:
-		return fmt.Sprintf("algorithm(%d)", uint8(a))
+	if int(a) < len(algNames) {
+		return algNames[a]
 	}
+	return fmt.Sprintf("algorithm(%d)", uint8(a))
 }
 
-// spaceDependent reports whether the algorithm works from aggregate counts
-// only.
-func (a Algorithm) spaceDependent() bool {
-	return a == AlgQuadtree || a == AlgGrid || a == AlgGridML
+// ParseAlgorithm returns the algorithm whose String is name.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	for a, n := range algNames {
+		if n == name {
+			return Algorithm(a), nil
+		}
+	}
+	return 0, fmt.Errorf("anonymizer: unknown algorithm %q (want one of %s)", name, strings.Join(algNames[:], ", "))
 }
 
 // Forwarder receives cloaked regions; the production implementation is the
@@ -186,8 +175,8 @@ type Stats struct {
 	Forwarded   uint64
 	ForwardErrs uint64
 
-	// Batch-pipeline counters: batches processed and requests served from a
-	// shared descent instead of their own cloaking computation.
+	// Batch-pipeline counters: batches processed and requests served from
+	// the cloak of another with the same bottom cell and requirement.
 	Batches    uint64
 	SharedHits uint64
 
@@ -206,13 +195,13 @@ type Anonymizer struct {
 
 	shards []*shard
 
-	// idxMu guards the spatial indices: concurrent cloaking readers, one
+	// idxMu guards the count pyramid: concurrent cloaking readers, one
 	// relocation writer. Acquired after a shard mutex, never before one —
 	// the lockorder pass enforces the rank annotation below.
 	idxMu   sync.RWMutex //lint:lock index@1
 	pyr     *pyramid.Pyramid
-	pop     *grid.Index // nil when the algorithm is space-dependent
 	cloaker cloak.Cloaker
+	batch   cloak.Batch // shares cloaker's results within a batch
 
 	fq *forwardQueue // nil unless Forward + ForwardQueue configured
 
@@ -275,25 +264,12 @@ func New(cfg Config) (*Anonymizer, error) {
 	switch cfg.Algorithm {
 	case AlgQuadtree:
 		a.cloaker = &cloak.Quadtree{Pyr: pyr}
-	case AlgGrid:
-		a.cloaker = &cloak.Grid{Pyr: pyr, Level: cfg.GridLevel}
-	case AlgGridML:
-		a.cloaker = &cloak.Grid{Pyr: pyr, Level: cfg.GridLevel, MultiLevel: true}
-	case AlgNaive, AlgMBR:
-		pop, err := grid.New(cfg.World, popGridCols, popGridRows)
-		if err != nil {
-			return nil, err
-		}
-		a.pop = pop
-		gp := cloak.GridPopulation{Index: pop}
-		if cfg.Algorithm == AlgNaive {
-			a.cloaker = &cloak.Naive{Pop: gp}
-		} else {
-			a.cloaker = &cloak.MBR{Pop: gp}
-		}
+	case AlgGrid, AlgGridML:
+		a.cloaker = &cloak.Grid{Pyr: pyr, Level: cfg.GridLevel, MultiLevel: cfg.Algorithm == AlgGridML}
 	default:
 		return nil, fmt.Errorf("anonymizer: unknown algorithm %v", cfg.Algorithm)
 	}
+	a.batch = cloak.Batch{Pyr: pyr, Inner: a.cloaker}
 	a.shards = make([]*shard, cfg.Shards)
 	for i := range a.shards {
 		var inc *cloak.Incremental
@@ -378,26 +354,16 @@ func (a *Anonymizer) Saturated() bool {
 	return a.fq != nil && a.fq.full()
 }
 
-// validateRegion re-checks a cached region against the live population:
-// the pyramid's conservative CountWithin for the space-dependent
-// cloakers, whose regions are unions of pyramid cells, so the walk never
-// descends below the region's own level (O(height) for a quadtree cell),
-// and the population grid otherwise. It reads the spatial indices without
-// locking, so callers must hold the index lock (the incremental cloakers
-// invoke it from inside the cloak phase, which runs under the read lock).
+// validateRegion re-checks a cached region against the live population
+// with the pyramid's conservative CountWithin. Regions are unions of
+// pyramid cells, so the walk never descends below the region's own level
+// (O(height) for a quadtree cell). It reads the pyramid without locking,
+// so callers must hold the index lock (the incremental cloakers invoke it
+// from inside the cloak phase, which runs under the read lock).
 func (a *Anonymizer) validateRegion(region geo.Rect, req privacy.Requirement) (int, bool) {
-	var count int
-	if a.pop != nil {
-		count = a.pop.Count(region)
-	} else {
-		count = a.pyr.CountWithin(region)
-	}
+	count := a.pyr.CountWithin(region)
 	return count, count >= req.K
 }
-
-// StoresExactLocations reports whether the configured algorithm forces the
-// anonymizer to keep exact positions (data-dependent family).
-func (a *Anonymizer) StoresExactLocations() bool { return !a.cfg.Algorithm.spaceDependent() }
 
 // Algorithm returns the configured algorithm.
 func (a *Anonymizer) Algorithm() Algorithm { return a.cfg.Algorithm }
@@ -446,7 +412,7 @@ func (a *Anonymizer) UpdateProfile(id uint64, profile *privacy.Profile) error {
 }
 
 // SetMode switches a user between passive, active and query modes. A
-// passive user's location is dropped from all indices.
+// passive user's cell is dropped from the pyramid.
 func (a *Anonymizer) SetMode(id uint64, m privacy.Mode) error {
 	s, _ := a.shardFor(id)
 	s.mu.Lock()
@@ -489,14 +455,11 @@ func (a *Anonymizer) Deregister(id uint64) bool {
 	return true
 }
 
-// dropLocation removes a user from the spatial indices and her shard's
+// dropLocation removes a user from the pyramid and her shard's
 // incremental cache. The shard mutex is held by the caller.
 func (a *Anonymizer) dropLocation(s *shard, id uint64) {
 	a.idxMu.Lock()
 	a.pyr.Remove(id)
-	if a.pop != nil {
-		a.pop.Delete(id)
-	}
 	a.idxMu.Unlock()
 	if s.inc != nil {
 		s.inc.Invalidate(id)
@@ -504,8 +467,8 @@ func (a *Anonymizer) dropLocation(s *shard, id uint64) {
 }
 
 // Update processes an exact location update from an active user: the
-// location refreshes the internal indices, is cloaked under the
-// requirement active right now, and the region is forwarded downstream.
+// location moves her to its pyramid cell, is cloaked under the requirement
+// active right now, and the region is forwarded downstream.
 func (a *Anonymizer) Update(id uint64, loc geo.Point) (cloak.Result, error) {
 	return a.process(context.Background(), id, loc, false)
 }
@@ -559,7 +522,7 @@ func (a *Anonymizer) process(ctx context.Context, id uint64, loc geo.Point, isQu
 	}
 	if !isQuery && a.cfg.Forward != nil && !a.admitForward(id) {
 		// Forward backpressure: the downstream link is behind and the spill
-		// queue is full. Shed before touching the indices — the update will
+		// queue is full. Shed before touching the pyramid — the update will
 		// not be deliverable, so cloaking it would only burn CPU the
 		// overloaded tier needs.
 		s.mu.Unlock()
@@ -569,14 +532,11 @@ func (a *Anonymizer) process(ctx context.Context, id uint64, loc geo.Point, isQu
 		return cloak.Result{}, ErrOverloaded
 	}
 
-	// Refresh indices before cloaking so the user counts toward her own k —
-	// a short exclusive write section, then cloak under the read lock so
-	// other shards' descents proceed concurrently.
+	// Refresh the pyramid before cloaking so the user counts toward her own
+	// k — a short exclusive write section, then cloak under the read lock
+	// so other shards' descents proceed concurrently.
 	a.idxMu.Lock()
 	a.pyr.Upsert(id, loc)
-	if a.pop != nil {
-		a.pop.Upsert(id, loc)
-	}
 	a.idxMu.Unlock()
 
 	csp, _ := a.met.cloak.Start(ctx, a.tracer)
@@ -662,8 +622,8 @@ func (a *Anonymizer) Stats() Stats {
 	}
 }
 
-// Population returns the number of users currently tracked in the spatial
-// indices (those that sent at least one update while non-passive).
+// Population returns the number of users currently counted in the pyramid
+// (those that sent at least one update while non-passive).
 func (a *Anonymizer) Population() int {
 	a.idxMu.RLock()
 	defer a.idxMu.RUnlock()

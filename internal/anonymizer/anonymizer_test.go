@@ -71,11 +71,25 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestAlgorithmStrings: every algorithm round-trips through its name, and
+// no other name parses.
 func TestAlgorithmStrings(t *testing.T) {
-	for _, a := range []Algorithm{AlgQuadtree, AlgGrid, AlgGridML, AlgNaive, AlgMBR, Algorithm(42)} {
-		if a.String() == "" {
-			t.Errorf("empty string for %d", a)
+	for _, alg := range []Algorithm{AlgQuadtree, AlgGrid, AlgGridML} {
+		if got, err := ParseAlgorithm(alg.String()); err != nil || got != alg {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v", alg.String(), got, err)
 		}
+		a := newAnon(t, Config{Algorithm: alg})
+		if a.Algorithm() != alg {
+			t.Errorf("Algorithm() = %v, want %v", a.Algorithm(), alg)
+		}
+	}
+	for _, name := range []string{"naive", "mbr", "", "Quadtree", "algorithm(3)"} {
+		if alg, err := ParseAlgorithm(name); err == nil {
+			t.Errorf("ParseAlgorithm(%q) = %v, want an error", name, alg)
+		}
+	}
+	if s := Algorithm(42).String(); s != "algorithm(42)" {
+		t.Errorf("Algorithm(42).String() = %q", s)
 	}
 }
 
@@ -308,22 +322,8 @@ func TestIncrementalReuseRate(t *testing.T) {
 	}
 }
 
-func TestSpaceDependentStoresNoExactLocations(t *testing.T) {
-	a := newAnon(t, Config{Algorithm: AlgQuadtree})
-	if a.StoresExactLocations() {
-		t.Error("quadtree anonymizer should not store exact locations")
-	}
-	b := newAnon(t, Config{Algorithm: AlgMBR})
-	if !b.StoresExactLocations() {
-		t.Error("MBR anonymizer requires exact locations")
-	}
-	if a.Algorithm() != AlgQuadtree || b.Algorithm() != AlgMBR {
-		t.Error("Algorithm accessor")
-	}
-}
-
 func TestAllAlgorithmsSatisfyK(t *testing.T) {
-	for _, alg := range []Algorithm{AlgQuadtree, AlgGrid, AlgGridML, AlgNaive, AlgMBR} {
+	for _, alg := range []Algorithm{AlgQuadtree, AlgGrid, AlgGridML} {
 		a := newAnon(t, Config{Algorithm: alg})
 		pts := seedUsers(t, a, 1000, 25, 7)
 		res, err := a.Update(1, pts[0])

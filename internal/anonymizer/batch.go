@@ -13,13 +13,12 @@ import (
 )
 
 // BatchUpdate processes many location updates in one shared pass (Section
-// 5.3). With a space-dependent algorithm, users in the same bottom pyramid
-// cell with the same active requirement share a single cloaking
-// computation; data-dependent algorithms fall back to per-user processing
-// (their regions depend on exact positions, so sharing would be unsound).
-// Results are returned in input order; a nil entry marks an update that
-// failed (unknown user, passive mode, out-of-world location, or — under
-// forward backpressure — a full forward queue refusing the entry).
+// 5.3): users in the same bottom pyramid cell with the same active
+// requirement share one cloak, since every algorithm cloaks from cell
+// counts alone. Results are returned in input order; a nil entry marks an
+// update that failed (unknown user, passive mode, out-of-world location,
+// or — under forward backpressure — a full forward queue refusing the
+// entry).
 //
 // The batch drains through a three-phase pipeline:
 //
@@ -31,11 +30,9 @@ import (
 //     ordering is preserved; the final index state is independent of the
 //     cross-shard write interleaving because each user's position depends
 //     only on her own last entry and cell counters commute.
-//  2. Cloaking, parallel on the worker pool over the now-frozen indices
-//     (read lock): quadtree batches share one descent per distinct
-//     (bottom cell, requirement) key — the per-batch memo of the
-//     sequential path, preserved globally across shards — while other
-//     algorithms fan out per-request.
+//  2. Cloaking, parallel on the worker pool over the now-frozen pyramid
+//     (read lock): one cloak per distinct (bottom cell, requirement) key
+//     across all shards (cloak.Batch).
 //  3. With Config.Incremental, each user's last region is recorded in
 //     her cache entry; then accounting, sequential in input order, then
 //     forwarding, once per user whose region changed and concurrently.
@@ -51,7 +48,7 @@ import (
 // distinct, so their order on the wire does not matter.
 //
 // With Config.Incremental the batch still cloaks every entry afresh (one
-// shared descent per key), but it keeps the incremental cache what it is
+// shared cloak per key), but it keeps the incremental cache what it is
 // on the single path: the region the database holds. Each user's last
 // region becomes her cache entry; when it equals the entry it replaced,
 // the database already holds it, so that entry is marked Reused and not
@@ -117,9 +114,6 @@ func (a *Anonymizer) BatchUpdateCtx(ctx context.Context, updates []cloak.Request
 			a.idxMu.Lock()
 			for _, i := range live {
 				a.pyr.Upsert(reqs[i].ID, reqs[i].Loc)
-				if a.pop != nil {
-					a.pop.Upsert(reqs[i].ID, reqs[i].Loc)
-				}
 				admitted[i] = true
 			}
 			a.idxMu.Unlock()
@@ -148,21 +142,10 @@ func (a *Anonymizer) BatchUpdateCtx(ctx context.Context, updates []cloak.Request
 		asp.End()
 	}
 
-	// Phase 2 — cloak the whole batch over the frozen indices.
+	// Phase 2 — cloak the whole batch over the frozen pyramid.
 	csp, _ := a.met.batch.Start(ctx, a.tracer)
-	var batchResults []cloak.Result
-	var sharedHits int
 	a.idxMu.RLock()
-	if q, ok := a.cloaker.(*cloak.Quadtree); ok {
-		bq := &cloak.BatchQuadtree{Pyr: q.Pyr}
-		batchResults, sharedHits = bq.CloakAllParallel(creqs, a.workers) //lint:sanitized cloaking boundary: k-anonymous regions replace the exact points
-	} else {
-		batchResults = make([]cloak.Result, len(creqs))
-		par.For(len(creqs), a.workers, func(_, j int) {
-			r := creqs[j]
-			batchResults[j] = a.cloaker.Cloak(r.ID, r.Loc, r.Req) //lint:sanitized cloaking boundary: the k-anonymous region replaces the exact point
-		})
-	}
+	batchResults, sharedHits := a.batch.CloakAll(creqs, a.workers) //lint:sanitized cloaking boundary: k-anonymous regions replace the exact points
 	a.idxMu.RUnlock()
 	if csp.Recording() {
 		csp.SetAttrs(trace.Str("alg", a.cfg.Algorithm.String()),

@@ -50,11 +50,11 @@ func TestHotPathAllocs(t *testing.T) {
 			_, err := a.Update(1, pts[step%2])
 			return err
 		}},
-		{"BatchUpdateCtx 64 users", 112, func() error {
+		{"BatchUpdateCtx 64 users", 111, func() error {
 			step++
 			return batch(moving[step%2])
 		}},
-		{"BatchUpdateCtx 64 users, unchanged", 112, func() error {
+		{"BatchUpdateCtx 64 users, unchanged", 111, func() error {
 			return batch(moving[0])
 		}},
 	}

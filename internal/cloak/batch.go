@@ -14,13 +14,17 @@ type Request struct {
 	Req privacy.Requirement
 }
 
-// BatchQuadtree performs the Section 5.3 shared execution over the
-// space-dependent quadtree cloaker: users that fall into the same bottom
-// pyramid cell with the same requirement share one descent. In a typical
-// workload the number of distinct (cell, requirement) pairs is far smaller
-// than the number of users, so one pass serves everybody.
-type BatchQuadtree struct {
-	Pyr *pyramid.Pyramid
+// Batch performs the Section 5.3 shared execution over a space-dependent
+// cloaker: users that fall into the same bottom pyramid cell with the same
+// requirement share one Inner.Cloak. Inner's result must depend on the
+// location only through the cells of Pyr that contain it (Quadtree's and
+// Grid's do), so it is a function of (bottom cell, requirement) alone and
+// sharing is exact. In a typical workload the number of distinct (cell, requirement)
+// pairs is far smaller than the number of users, so one pass serves
+// everybody.
+type Batch struct {
+	Pyr   *pyramid.Pyramid
+	Inner Cloaker
 }
 
 // batchKey identifies a shareable unit of work.
@@ -29,64 +33,52 @@ type batchKey struct {
 	req  privacy.Requirement
 }
 
-// CloakAll cloaks every request, sharing computation between users in the
-// same bottom cell with the same requirement. Results are returned in
-// request order. SharedHits reports how many requests were served from a
-// previously computed descent in this batch.
-func (b *BatchQuadtree) CloakAll(reqs []Request) (results []Result, sharedHits int) {
-	results = make([]Result, len(reqs))
-	memo := make(map[batchKey]Result, len(reqs)/2+1)
-	q := &Quadtree{Pyr: b.Pyr}
-	bottom := b.Pyr.Height() - 1
-	for i, r := range reqs {
-		key := batchKey{cell: b.Pyr.CellAt(bottom, r.Loc), req: r.Req}
-		if res, ok := memo[key]; ok {
-			results[i] = res
-			sharedHits++
-			continue
-		}
-		res := q.Cloak(r.ID, r.Loc, r.Req)
-		memo[key] = res
-		results[i] = res
-	}
-	return results, sharedHits
-}
-
-// CloakAllParallel is CloakAll with the distinct descents fanned out over a
-// worker pool. The per-batch shared-descent memo is preserved globally:
-// the requests are first grouped by (bottom cell, requirement) in input
-// order, then exactly one descent per distinct key runs on the pool, and
-// every request is answered from its key's descent. Because a descent is a
-// pure read of the pyramid and ignores the requesting user's identity, the
-// results — and the shared-hit count, len(reqs) − distinct keys — are
-// bit-identical to the sequential CloakAll. The pyramid must not be
-// mutated while the call runs (the anonymizer holds its index read lock).
-func (b *BatchQuadtree) CloakAllParallel(reqs []Request, workers int) (results []Result, sharedHits int) {
-	if workers <= 1 {
-		return b.CloakAll(reqs)
-	}
+// CloakAll cloaks every request and returns the results in request order.
+// The requests are grouped by (bottom cell, requirement) in input order and
+// one Inner.Cloak runs per distinct key, inline when workers ≤ 1 and on a
+// pool of that many otherwise; every request is answered from its key's
+// result. sharedHits, len(reqs) − distinct keys, counts the requests served
+// from another's computation. Results and sharedHits are the same for
+// every worker count. The pyramid must not be mutated while the call runs
+// (the anonymizer holds its index read lock).
+func (b *Batch) CloakAll(reqs []Request, workers int) (results []Result, sharedHits int) {
 	results = make([]Result, len(reqs))
 	bottom := b.Pyr.Height() - 1
-	index := make(map[batchKey]int, len(reqs)/2+1)
-	keyOf := make([]int, len(reqs))
-	var firsts []Request // first request of each distinct key, in input order
+	first := make(map[batchKey]int, len(reqs)) // key → its first request
+	firstOf := make([]int, len(reqs))
+	firsts := make([]int, 0, len(reqs)) // the first request of every key
 	for i, r := range reqs {
 		key := batchKey{cell: b.Pyr.CellAt(bottom, r.Loc), req: r.Req}
-		j, ok := index[key]
+		f, ok := first[key]
 		if !ok {
-			j = len(firsts)
-			index[key] = j
-			firsts = append(firsts, r)
+			f = i
+			first[key] = i
+			firsts = append(firsts, i)
 		}
-		keyOf[i] = j
+		firstOf[i] = f
 	}
-	shared := make([]Result, len(firsts))
-	par.For(len(firsts), workers, func(_, j int) {
-		q, r := Quadtree{Pyr: b.Pyr}, firsts[j]
-		shared[j] = q.Cloak(r.ID, r.Loc, r.Req)
-	})
-	for i := range reqs {
-		results[i] = shared[keyOf[i]]
+	b.cloakFirsts(reqs, firsts, results, workers)
+	for i, f := range firstOf {
+		results[i] = results[f]
 	}
 	return results, len(reqs) - len(firsts)
+}
+
+// cloakFirsts fills results[i] for every i in firsts: inline at one worker,
+// where it allocates nothing, and on the pool otherwise. It is a function
+// of its own so that the pool's closure, which escapes to the workers,
+// captures this frame's copies of the slices, not CloakAll's results.
+func (b *Batch) cloakFirsts(reqs []Request, firsts []int, results []Result, workers int) {
+	if workers <= 1 {
+		for _, i := range firsts {
+			r := reqs[i]
+			results[i] = b.Inner.Cloak(r.ID, r.Loc, r.Req)
+		}
+		return
+	}
+	par.For(len(firsts), workers, func(_, j int) {
+		i := firsts[j]
+		r := reqs[i]
+		results[i] = b.Inner.Cloak(r.ID, r.Loc, r.Req)
+	})
 }

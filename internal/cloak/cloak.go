@@ -62,8 +62,10 @@ func finish(region geo.Rect, count int, req privacy.Requirement) Result {
 }
 
 // Cloaker turns an exact location into a cloaked region under a privacy
-// requirement. Implementations are not goroutine-safe; the anonymizer
-// serializes cloaking.
+// requirement. The built-in cloakers only read their index, so any number
+// of Cloak calls may run concurrently while no writer mutates it: the
+// anonymizer's single and batch paths both cloak concurrently under its
+// index read lock.
 type Cloaker interface {
 	// Name identifies the algorithm in experiment output.
 	Name() string

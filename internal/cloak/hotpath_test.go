@@ -8,15 +8,16 @@ import (
 
 // TestHotPathAllocs holds the cloaker's allocation budgets: heap
 // allocations per call on a warm, fixed fixture, which may only go down.
-// The batches are 64 requests with shared cells; the parallel one fans
-// out over four workers.
+// The batches are 64 quadtree requests with shared cells, cloaked inline
+// and fanned out over four workers.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
-	b, reqs := buildBatch(t, 1000, 3)
+	pyr, reqs := buildBatch(t, 1000, 3)
 	reqs = reqs[:64]
-	q := &Quadtree{Pyr: b.Pyr}
+	q := &Quadtree{Pyr: pyr}
+	b := &Batch{Pyr: pyr, Inner: q}
 	req := privacy.Requirement{K: 25}
 	cases := []struct {
 		name   string
@@ -24,8 +25,8 @@ func TestHotPathAllocs(t *testing.T) {
 		run    func()
 	}{
 		{"Quadtree.Cloak", 0, func() { q.Cloak(reqs[0].ID, reqs[0].Loc, req) }},
-		{"CloakAll 64", 6, func() { b.CloakAll(reqs) }},
-		{"CloakAllParallel 64 on 4", 22, func() { b.CloakAllParallel(reqs, 4) }},
+		{"CloakAll 64", 6, func() { b.CloakAll(reqs, 1) }},
+		{"CloakAll 64 on 4", 13, func() { b.CloakAll(reqs, 4) }},
 	}
 	for _, tc := range cases {
 		allocs := testing.AllocsPerRun(200, tc.run)

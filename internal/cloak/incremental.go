@@ -31,16 +31,13 @@ type Validator func(region geo.Rect, req privacy.Requirement) (count int, ok boo
 // time — the anonymizer's reader/writer lock enforces that).
 type Incremental struct {
 	Inner Cloaker
-	// Validate re-checks a cached region. When nil, only containment of the
-	// new location is checked (cheapest, but may under-satisfy k after other
-	// users moved away).
+	// Validate re-checks a cached region; it is required.
 	Validate Validator
 	// MaxSlack, when positive, forces a recompute whenever the cached
 	// region's current population exceeds MaxSlack×k. Without it a region
 	// computed under a sparse population (e.g. the whole world during
 	// startup) would stay valid forever and quality of service would never
 	// recover; with it the region re-tightens once the population allows.
-	// Only effective when Validate is set (it supplies the count).
 	MaxSlack int
 
 	mu    sync.Mutex
@@ -66,16 +63,6 @@ func (c *Incremental) Cloak(id uint64, loc geo.Point, req privacy.Requirement) R
 	defer c.mu.Unlock()
 	prev, ok := c.cache[id]
 	if ok && prev.req == req && prev.region.Contains(loc) {
-		if c.Validate == nil {
-			return Result{
-				Region:           prev.region,
-				K:                req.K, // unknown without validation; assume held
-				SatisfiedK:       true,
-				SatisfiedMinArea: prev.region.Area() >= req.MinArea,
-				SatisfiedMaxArea: prev.region.Area() <= req.EffectiveMaxArea(),
-				Reused:           true,
-			}
-		}
 		if count, valid := c.Validate(prev.region, req); valid {
 			if c.MaxSlack <= 0 || count <= c.MaxSlack*req.K {
 				r := finish(prev.region, count, req)

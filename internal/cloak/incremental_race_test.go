@@ -17,7 +17,7 @@ import (
 // mutex it must be silent.
 func TestIncrementalConcurrentAccess(t *testing.T) {
 	_, pyr, pts := population(t, 2000, mobility.Uniform, 11)
-	inc := NewIncremental(&Quadtree{Pyr: pyr}, nil)
+	inc := NewIncremental(&Quadtree{Pyr: pyr}, pyramidCount(pyr))
 	req := privacy.Requirement{K: 10}
 
 	var wg sync.WaitGroup
@@ -54,7 +54,7 @@ func TestIncrementalConcurrentAccess(t *testing.T) {
 // that user's own region.
 func TestIncrementalConcurrentDistinctUsers(t *testing.T) {
 	_, pyr, pts := population(t, 1000, mobility.Uniform, 12)
-	inc := NewIncremental(&Quadtree{Pyr: pyr}, nil)
+	inc := NewIncremental(&Quadtree{Pyr: pyr}, pyramidCount(pyr))
 	req := privacy.Requirement{K: 5}
 
 	var wg sync.WaitGroup

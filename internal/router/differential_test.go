@@ -21,7 +21,9 @@ import (
 	"time"
 
 	"repro/internal/anonymizer"
+	"repro/internal/cloak"
 	"repro/internal/geo"
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/privacy"
 	"repro/internal/protocol"
@@ -34,14 +36,44 @@ var diffWorld = geo.R(0, 0, 1, 1)
 
 var diffClasses = []string{"", "gas", "bank"}
 
-// diffAlgorithms is every cloaking algorithm the anonymizer implements;
-// the suite draws resident regions and query regions from all of them.
-var diffAlgorithms = []anonymizer.Algorithm{
-	anonymizer.AlgQuadtree,
-	anonymizer.AlgGrid,
-	anonymizer.AlgGridML,
-	anonymizer.AlgNaive,
-	anonymizer.AlgMBR,
+// diffAlgorithms is every cloaking algorithm of the paper; the suite draws
+// resident regions and query regions from all of them.
+var diffAlgorithms = []string{"quadtree", "grid", "grid-ml", "naive", "mbr"}
+
+// diffCloaker returns a function that moves a user to a point and cloaks
+// her there under her diffK requirement. The space-dependent algorithms
+// run in an anonymizer. The anonymizer cloaks from cell counts only, so
+// naive and MBR run over their own 64×64 grid of exact positions.
+func diffCloaker(t *testing.T, alg string, users int) func(id uint64, p geo.Point) (cloak.Result, error) {
+	t.Helper()
+	if alg == "naive" || alg == "mbr" {
+		gi, err := grid.New(diffWorld, 64, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c cloak.Cloaker = &cloak.Naive{Pop: cloak.GridPopulation{Index: gi}}
+		if alg == "mbr" {
+			c = &cloak.MBR{Pop: cloak.GridPopulation{Index: gi}}
+		}
+		return func(id uint64, p geo.Point) (cloak.Result, error) {
+			gi.Upsert(id, p)
+			return c.Cloak(id, p, privacy.Requirement{K: diffK(id)}), nil
+		}
+	}
+	a, err := anonymizer.ParseAlgorithm(alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anon, err := anonymizer.New(anonymizer.Config{World: diffWorld, Algorithm: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(1); id <= uint64(users); id++ {
+		if err := anon.Register(id, privacy.Constant(privacy.Requirement{K: diffK(id)})); err != nil {
+			t.Fatalf("%v: Register(%d): %v", alg, id, err)
+		}
+	}
+	return anon.Update
 }
 
 // diffShardCounts returns the routed shard counts to compare against the
@@ -337,21 +369,14 @@ func cloakRegions(t *testing.T, seed uint64, data diffData) (resident []geo.Rect
 	resident = make([]geo.Rect, len(data.userLoc))
 	queries = make([][]geo.Rect, len(diffAlgorithms))
 	for ai, alg := range diffAlgorithms {
-		a, err := anonymizer.New(anonymizer.Config{World: diffWorld, Algorithm: alg})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cloakAt := diffCloaker(t, alg, len(data.userLoc))
 		for i, p := range data.userLoc {
-			id := uint64(i + 1)
-			if err := a.Register(id, privacy.Constant(privacy.Requirement{K: diffK(id)})); err != nil {
-				t.Fatalf("%v: Register(%d): %v", alg, id, err)
-			}
-			a.Update(id, p) // warm pass; K may be unsatisfiable mid-load
+			cloakAt(uint64(i+1), p) // warm pass; K may be unsatisfiable mid-load
 		}
 		queries[ai] = make([]geo.Rect, len(data.userLoc))
 		for i, p := range data.userLoc {
 			id := uint64(i + 1)
-			res, err := a.Update(id, p)
+			res, err := cloakAt(id, p)
 			region := res.Region
 			if err != nil || !region.Valid() || region.Area() == 0 {
 				region = geo.RectAround(p, 0.01+0.04*src.Float64()).Clip(diffWorld)
@@ -360,7 +385,7 @@ func cloakRegions(t *testing.T, seed uint64, data diffData) (resident []geo.Rect
 				resident[i] = region
 			}
 			qp := diffWorld.ClampPoint(geo.Pt(p.X+src.Range(-0.02, 0.02), p.Y+src.Range(-0.02, 0.02)))
-			qres, err := a.CloakQuery(id, qp)
+			qres, err := cloakAt(id, qp) // a query cloak moves the user too
 			qregion := qres.Region
 			if err != nil || !qregion.Valid() || qregion.Area() == 0 {
 				qregion = geo.RectAround(qp, 0.01+0.04*src.Float64()).Clip(diffWorld)
