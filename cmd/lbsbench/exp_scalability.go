@@ -52,7 +52,7 @@ func expIncremental(cfg benchConfig) {
 				}
 			}
 			stream()
-			forwarded = 0 // count the steady state only
+			reused, forwarded = 0, 0 // count the timed steady state only
 			t0 := time.Now()
 			for tick := 0; tick < ticks; tick++ {
 				sim.Tick()
@@ -65,7 +65,7 @@ func expIncremental(cfg benchConfig) {
 				mode = "incremental"
 			}
 			t.row(alg, mode,
-				100*float64(reused)/float64(streamed+cfg.n),
+				100*float64(reused)/float64(streamed),
 				float64(streamed)/elapsed.Seconds(),
 				forwarded)
 		}

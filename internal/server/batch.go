@@ -40,15 +40,17 @@ import (
 //     superset that contains the member's own candidate set produces a
 //     bit-identical PDF.
 //   - Private NN: the min–max superset of a union region contains every
-//     member's own candidate set (argued on runNNGroupLocked), the exact
+//     member's own candidate set (argued on runNNGroup), the exact
 //     decision reads that set alone, and answers are in canonical order.
 //
 // The three group runners below are the only code that probes the indices
-// for a query (PrivateNN and PrivateNNParts run the NN runner's steps under
-// their own lock sections). The single-query methods run them on a group of
+// for a query (PrivateNN and PrivateNNParts run the NN runner's steps on
+// the store they pick up). The single-query methods run them on a group of
 // one whose union is the query's own probe rectangle, so "sequential" and
 // "batch" cannot drift apart; what the differential suite pins down is that
-// filtering a shared union descent equals a member's own descent.
+// filtering a shared union descent equals a member's own descent. The
+// single-query methods also consult the stationary store's answer memo
+// (memo.go) first; a batch does not.
 //
 // Lock order: BatchQuery takes s.mu (read) once in the coordinating
 // goroutine and holds it across the fan-out, so workers read a frozen
@@ -153,7 +155,7 @@ var oneMember = []int{0} // read-only
 type batchScratch struct {
 	items      []rtree.Item   // union-descent / NN-candidate item stream
 	subItems   []rtree.Item   // one member's items: subtree descent or range matches
-	slots      []uint64       // one answer's store slots awaiting sort and resolve
+	slots      []uint64       // the store slots of the last answer resolved, sorted
 	movingObjs []PublicObject // per-member moving matches awaiting merge
 	hits       []regidx.Hit   // region-index probe output: ids with their regions
 	pairs      []UserProb     // count kernel output, member after member
@@ -327,6 +329,7 @@ func (s *Server) BatchQueryCtx(ctx context.Context, entries []BatchEntry) BatchR
 	// synchronization to the fan-out.
 	dsp, dctx := trace.Start(ctx, s.tracer, "lbs_batch_descent")
 	s.mu.RLock()
+	st := s.st.Load()
 	par.For(len(units), workers, func(w, ui int) {
 		u := units[ui]
 		sc := &c.scratches[w]
@@ -334,9 +337,9 @@ func (s *Server) BatchQueryCtx(ctx context.Context, entries []BatchEntry) BatchR
 		var visits int
 		switch u.kind {
 		case BatchPrivateRange:
-			visits = s.runRangeGroupLocked(entries, u, res.Items, sc)
+			visits = s.runRangeGroup(st, entries, u, res.Items, sc)
 		case BatchPrivateNN:
-			visits = s.runNNGroupLocked(entries, u, res.Items, sc)
+			visits = s.runNNGroup(st, entries, u, res.Items, sc)
 		case BatchPublicCount:
 			visits = s.runCountGroupLocked(entries, u, sc)
 			lo := 0
@@ -367,25 +370,35 @@ func (s *Server) BatchQueryCtx(ctx context.Context, entries []BatchEntry) BatchR
 	return res
 }
 
-// resolve resolves slot-keyed items into dst in canonical order, ascending
-// by object ID. Slot order is ID order, so it sorts bare slots (in
-// sc.slots) and indexes the store with them, which is far cheaper than
-// shuffling PublicObjects, whose string field drags write barriers into
-// every swap.
-func (st *stationaryStore) resolve(items []rtree.Item, sc *batchScratch, dst []PublicObject) []PublicObject {
+// sortedSlots puts the slots of slot-keyed items into sc.slots in
+// canonical order, ascending by object ID, and returns them. Slot order
+// is ID order, so sorting bare slots and indexing the store with them
+// (objects) is far cheaper than shuffling PublicObjects, whose string
+// field drags write barriers into every swap.
+func (sc *batchScratch) sortedSlots(items []rtree.Item) []uint64 {
 	slots := sc.slots[:0]
 	for _, it := range items {
 		slots = append(slots, it.ID)
 	}
 	sc.slots = slots
 	slices.Sort(slots)
-	for _, k := range slots {
-		dst = append(dst, st.objs[k])
-	}
-	return dst
+	return slots
 }
 
-// runRangeGroupLocked is the private-range kernel (Figure 5a): it answers
+// objects resolves sorted slots into a fresh, exact-size answer (it
+// escapes into a result); an empty answer is nil.
+func (st *stationaryStore) objects(slots []uint64) []PublicObject {
+	if len(slots) == 0 {
+		return nil
+	}
+	out := make([]PublicObject, len(slots))
+	for i, k := range slots {
+		out[i] = st.objs[k]
+	}
+	return out
+}
+
+// runRangeGroup is the private-range kernel (Figure 5a): it answers
 // every member of one group from a single descent of the stationary R-tree
 // (and, if any member admits moving objects, a single scan of the moving
 // grid) over the group's union rectangle. Per member, the union's item
@@ -394,9 +407,12 @@ func (st *stationaryStore) resolve(items []rtree.Item, sc *batchScratch, dst []P
 // The candidate set is complete by construction (invariant I5): an object
 // within Radius of any point p of a member's region satisfies
 // MinDist(obj, region) ≤ Radius and lies inside the expanded MBR, which the
-// union covers. It returns the R-tree node visits the descent cost.
-func (s *Server) runRangeGroupLocked(entries []BatchEntry, u batchUnit, out []BatchItemResult, sc *batchScratch) int {
-	items, visits := s.st.tree.SearchVisits(u.union, sc.items[:0])
+// union covers. It returns the R-tree node visits the descent cost. It
+// reads the moving grid only for a member with Class == "", so only such
+// a group needs the read lock; a group of class-filtered members reads
+// the store st alone, and sc.slots ends holding the last member's answer.
+func (s *Server) runRangeGroup(st *stationaryStore, entries []BatchEntry, u batchUnit, out []BatchItemResult, sc *batchScratch) int {
+	items, visits := st.tree.SearchVisits(u.union, sc.items[:0])
 	sc.items = items
 	s.met.nodeVisits.Observe(float64(visits))
 	s.met.privateRangeQs.Add(uint64(len(u.members)))
@@ -418,7 +434,7 @@ func (s *Server) runRangeGroupLocked(entries []BatchEntry, u batchUnit, out []Ba
 	for _, i := range u.members {
 		q := entries[i].Range
 		f := q.filter()
-		class, all := s.st.classID(q.Class)
+		class, all := st.classID(q.Class)
 		// Contains is inclusive on both ends, so the window is
 		// [first X ≥ f.Min.X, first X > f.Max.X). Geometric checks read
 		// the tree item's location — exactly what the member's own index
@@ -437,18 +453,13 @@ func (s *Server) runRangeGroupLocked(entries []BatchEntry, u batchUnit, out []Ba
 			if q.Mode == RangeRounded && geo.MinDist(it.Loc, q.Region) > q.Radius {
 				continue
 			}
-			if !all && s.st.cls[it.ID] != class {
+			if !all && st.cls[it.ID] != class {
 				continue
 			}
 			matched = append(matched, it)
 		}
 		sc.subItems = matched
-		// Exact-size the answer (it escapes into the result); an empty
-		// answer stays nil.
-		var objs []PublicObject
-		if len(matched) > 0 {
-			objs = s.st.resolve(matched, sc, make([]PublicObject, 0, len(matched)))
-		}
+		objs := st.objects(sc.sortedSlots(matched))
 		if q.Class == "" && len(movingItems) > 0 {
 			// Moving matches are the member's own; sort just those and
 			// merge the two canonically-ordered runs. The comparator key is
@@ -513,7 +524,7 @@ func (s *Server) nnDescent(st *stationaryStore, region geo.Rect, class string, s
 	return items, bound, visits
 }
 
-// runNNGroupLocked is the private-NN kernel (Figure 5b): it answers every
+// runNNGroup is the private-NN kernel (Figure 5b): it answers every
 // member of one group from a single min–max descent over the group's union
 // region (members share one class), and returns the node visits it cost.
 // A group of one is its own union: the exact decision runs on the item
@@ -525,12 +536,12 @@ func (s *Server) nnDescent(st *stationaryStore, region geo.Rect, class string, s
 // MinDist²(o, U) ≤ MinDist²(o, r) ≤ B(U), so it sits in S — r's bound
 // minimizer too, so the min–max filter of S is r's exact candidate set.
 // Each member decides on a min–max descent of a subtree bulk-loaded over S.
-func (s *Server) runNNGroupLocked(entries []BatchEntry, u batchUnit, out []BatchItemResult, sc *batchScratch) int {
-	items, _, visits := s.nnDescent(s.st, u.union, entries[u.members[0]].NN.Class, sc)
+func (s *Server) runNNGroup(st *stationaryStore, entries []BatchEntry, u batchUnit, out []BatchItemResult, sc *batchScratch) int {
+	items, _, visits := s.nnDescent(st, u.union, entries[u.members[0]].NN.Class, sc)
 	s.met.privateNNQs.Add(uint64(len(u.members)))
 	if len(u.members) == 1 {
 		region := entries[u.members[0]].NN.Region
-		out[u.members[0]].NN = s.finishNN(s.st, len(items), compact(items, sc.comb.exactNN(region, items)), sc)
+		out[u.members[0]].NN = s.finishNN(st, len(items), compact(items, sc.comb.exactNN(region, items)), sc)
 		return visits
 	}
 	// The subtree keeps the stream's slots and tree-side locations, so
@@ -540,21 +551,24 @@ func (s *Server) runNNGroupLocked(entries []BatchEntry, u batchUnit, out []Batch
 		cand, _, _ := sub.MinMaxCandidates(entries[i].NN.Region, nil, sc.subItems[:0])
 		sc.subItems = cand
 		region := entries[i].NN.Region
-		out[i].NN = s.finishNN(s.st, len(cand), compact(cand, sc.comb.exactNN(region, cand)), sc)
+		out[i].NN = s.finishNN(st, len(cand), compact(cand, sc.comb.exactNN(region, cand)), sc)
 	}
 	return visits
 }
 
 // finishNN answers one member from the slot-keyed survivors of its exact
 // decision, resolved against st, the store they were read from, in
-// canonical order into a fresh answer.
+// canonical order into a fresh answer; sc.slots ends holding the
+// survivors' sorted slots.
 func (s *Server) finishNN(st *stationaryStore, superset int, items []rtree.Item, sc *batchScratch) PrivateNNResult {
-	res := PrivateNNResult{SupersetSize: superset}
-	s.met.observeNNAnswer(len(items))
-	if len(items) > 0 {
-		res.Candidates = st.resolve(items, sc, make([]PublicObject, 0, len(items)))
-	}
-	return res
+	return s.nnAnswer(st, superset, sc.sortedSlots(items))
+}
+
+// nnAnswer builds a private NN answer from its survivors' sorted slots in
+// st, computed or memoized, and observes its size.
+func (s *Server) nnAnswer(st *stationaryStore, superset int, slots []uint64) PrivateNNResult {
+	s.met.observeNNAnswer(len(slots))
+	return PrivateNNResult{SupersetSize: superset, Candidates: st.objects(slots)}
 }
 
 // runCountGroupLocked is the public-count kernel (Figure 6a): it gathers,

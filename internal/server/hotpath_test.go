@@ -10,10 +10,13 @@ import (
 // TestHotPathAllocs holds the database tier's allocation budgets: heap
 // allocations per call on a warm, fixed fixture, which may only go down.
 // The mixed batch runs BatchQueryCtx through every group kernel
-// (runRangeGroupLocked, runNNGroupLocked, runCountGroupLocked) and the
-// overlap grouping of groupShared. The wide PrivateNN's min–max superset
-// holds thousands of candidates, so its exact decision probes through the
-// candidate grid instead of the plain scan.
+// (runRangeGroup, runNNGroup, runCountGroupLocked) and the overlap
+// grouping of groupShared. A repeated PrivateNN is a memo hit, which
+// allocates only its answer; the miss row asks a fresh region every call,
+// so it runs the kernel and memoizes the answer's entry and slots. The wide
+// PrivateNN's first call runs a min–max superset of thousands of
+// candidates, whose exact decision probes through the candidate grid
+// instead of the plain scan.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -21,6 +24,7 @@ func TestHotPathAllocs(t *testing.T) {
 	s := batchFixture(t)
 	s.queryWorkers = 1
 	nn := PrivateNNQuery{Region: geo.R(0.6, 0.6, 0.7, 0.7)}
+	misses := 0
 	dense := newServer(t)
 	loadObjects(t, dense, 20000, "gas", 11)
 	wide := PrivateNNQuery{Region: geo.R(0.3, 0.3, 0.55, 0.55)}
@@ -50,6 +54,12 @@ func TestHotPathAllocs(t *testing.T) {
 			return s.UpdatePrivate(1, regions[updates%2])
 		}},
 		{"PrivateNN", 1, func() error { _, err := s.PrivateNN(nn); return err }},
+		{"PrivateNN miss", 3, func() error {
+			misses++
+			d := float64(misses) * 0x1p-30
+			_, err := s.PrivateNN(PrivateNNQuery{Region: geo.R(0.6+d, 0.6, 0.7+d, 0.7)})
+			return err
+		}},
 		{"PrivateNN wide region", 1, func() error { _, err := dense.PrivateNN(wide); return err }},
 		{"PublicRangeCount", 1, func() error { _, err := s.PublicRangeCount(count); return err }},
 		{"BatchQueryCtx mixed batch", 16, func() error {

@@ -47,6 +47,8 @@ type metrics struct {
 	batches         *obs.Counter
 	batchEntries    *obs.Counter
 	batchSharedHits *obs.Counter
+	memoHits        *obs.Counter
+	memoMisses      *obs.Counter
 
 	// Gauges: current data-set sizes.
 	privateUsers *obs.Gauge
@@ -98,6 +100,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 		batches:         reg.Counter("lbs_batch_queries_total", "Shared-execution batch query calls served."),
 		batchEntries:    reg.Counter("lbs_batch_entries_total", "Query entries admitted across all batches."),
 		batchSharedHits: reg.Counter("lbs_batch_shared_hits_total", "Batch entries answered by a shared index descent another entry initiated."),
+		memoHits:        reg.Counter("lbs_private_memo_hits_total", "Private NN and class-filtered range queries answered from the stationary store's answer memo."),
+		memoMisses:      reg.Counter("lbs_private_memo_misses_total", "Private NN and class-filtered range queries that ran their kernel and offered the answer to the memo."),
 
 		privateUsers: reg.Gauge("lbs_private_users", "Anonymized users currently tracked (cloaked regions stored)."),
 		stationary:   reg.Gauge("lbs_stationary_objects", "Stationary public objects indexed."),

@@ -47,8 +47,9 @@ func (s *Server) Snapshot(w io.Writer) error {
 	e.U32(snapshotMagic).U16(snapshotVersion)
 
 	// Stationary objects, in slot order, which is ID order.
-	e.U32(uint32(len(s.st.objs)))
-	for _, o := range s.st.objs {
+	st := s.st.Load()
+	e.U32(uint32(len(st.objs)))
+	for _, o := range st.objs {
 		e.U64(o.ID).Str(o.Class).Point(o.Loc)
 	}
 
@@ -232,11 +233,12 @@ func (s *Server) restore(buf []byte) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.st, s.moving, s.privIdx, s.cont, s.contPriv = st, moving, privIdx, cont, contPriv
+	s.st.Store(st)
+	s.moving, s.privIdx, s.cont, s.contPriv = moving, privIdx, cont, contPriv
 	s.met.restoresApplied.Inc()
 	// Re-point the size gauges at the restored data set.
 	s.met.privateUsers.Set(float64(s.privIdx.Len()))
-	s.met.stationary.Set(float64(s.st.tree.Len()))
+	s.met.stationary.Set(float64(st.tree.Len()))
 	s.met.moving.Set(float64(s.moving.Len()))
 	s.met.contQueries.Set(float64(len(s.cont.queries)))
 	return nil

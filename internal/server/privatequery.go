@@ -75,7 +75,10 @@ func (s *Server) PrivateRange(q PrivateRangeQuery) ([]PublicObject, error) {
 }
 
 // PrivateRangeCtx is PrivateRange under a context (trace): the range
-// kernel on a group of one.
+// kernel on a group of one. A class-filtered query reads only the
+// stationary store it picks up, so it takes no lock and its answer is
+// memoized on that store; a query with Class == "" also reads the moving
+// grid, so it runs under the read lock and is never memoized.
 func (s *Server) PrivateRangeCtx(ctx context.Context, q PrivateRangeQuery) ([]PublicObject, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
@@ -83,9 +86,21 @@ func (s *Server) PrivateRangeCtx(ctx context.Context, q PrivateRangeQuery) ([]Pu
 	r := s.beginSingle(ctx, s.met.privateRange)
 	entries := [1]BatchEntry{{Range: q}}
 	var out [1]BatchItemResult
-	s.mu.RLock()
-	s.runRangeGroupLocked(entries[:], groupOfOne(q.filter()), out[:], r.sc)
-	s.mu.RUnlock()
+	if q.Class == "" {
+		s.mu.RLock()
+		s.runRangeGroup(s.st.Load(), entries[:], groupOfOne(q.filter()), out[:], r.sc)
+		s.mu.RUnlock()
+	} else {
+		st := s.stationary()
+		key := st.memoKey(memoRange, q.Region, q.Class, q.Radius, q.Mode)
+		if e := s.memoGet(st, key); e != nil {
+			s.met.privateRangeQs.Inc()
+			out[0].Range = st.objects(e.slots)
+		} else {
+			s.runRangeGroup(st, entries[:], groupOfOne(q.filter()), out[:], r.sc)
+			memoPut(st, memoEntry{key: key}, r.sc.slots)
+		}
+	}
 	if r.sp.Recording() {
 		r.sp.SetAttrs(trace.Int("results", int64(len(out[0].Range))))
 	}
@@ -132,10 +147,11 @@ func (s *Server) PrivateNN(q PrivateNNQuery) (PrivateNNResult, error) {
 	return s.PrivateNNCtx(context.Background(), q)
 }
 
-// PrivateNNCtx is PrivateNN under a context (trace): the NN kernel's steps
-// over the stationary store current at the start. The store is never
-// edited, so the query needs no lock past picking it up, and a load that
-// swaps in another store meanwhile cannot mix two states into its answer.
+// PrivateNNCtx is PrivateNN under a context (trace): the answer memoized
+// on the stationary store current at the start, or the NN kernel's steps
+// over that store. The store is never edited, so the query takes no lock,
+// and a load that swaps in another store meanwhile cannot mix two states
+// into its answer.
 func (s *Server) PrivateNNCtx(ctx context.Context, q PrivateNNQuery) (PrivateNNResult, error) {
 	if err := q.validate(); err != nil {
 		return PrivateNNResult{}, err
@@ -143,9 +159,16 @@ func (s *Server) PrivateNNCtx(ctx context.Context, q PrivateNNQuery) (PrivateNNR
 	r := s.beginSingle(ctx, s.met.privateNN)
 	s.met.privateNNQs.Inc()
 	st := s.stationary()
-	items, _, _ := s.nnDescent(st, q.Region, q.Class, r.sc)
-	superset, items := len(items), compact(items, r.sc.comb.exactNN(q.Region, items))
-	res := s.finishNN(st, superset, items, r.sc)
+	key := st.memoKey(memoNN, q.Region, q.Class, 0, 0)
+	var res PrivateNNResult
+	if e := s.memoGet(st, key); e != nil {
+		res = s.nnAnswer(st, e.superset, e.slots)
+	} else {
+		items, _, _ := s.nnDescent(st, q.Region, q.Class, r.sc)
+		superset, items := len(items), compact(items, r.sc.comb.exactNN(q.Region, items))
+		res = s.finishNN(st, superset, items, r.sc)
+		memoPut(st, memoEntry{key: key, superset: superset}, r.sc.slots)
+	}
 	if r.sp.Recording() {
 		r.sp.SetAttrs(trace.Int("candidates", int64(len(res.Candidates))), trace.Int("superset", int64(res.SupersetSize)))
 	}
@@ -186,19 +209,25 @@ func (s *Server) PrivateNNParts(q PrivateNNQuery) (NNParts, error) {
 	return s.PrivateNNPartsCtx(context.Background(), q)
 }
 
-// PrivateNNPartsCtx is PrivateNNParts under a context (trace): the min–max
-// descent and the canonical resolution of its whole stream.
+// PrivateNNPartsCtx is PrivateNNParts under a context (trace): the parts
+// memoized on the stationary store, or the min–max descent and the
+// canonical resolution of its whole stream.
 func (s *Server) PrivateNNPartsCtx(ctx context.Context, q PrivateNNQuery) (NNParts, error) {
 	if err := q.validate(); err != nil {
 		return NNParts{}, err
 	}
 	r := s.beginSingle(ctx, s.met.privateNN)
-	st := s.stationary()
-	items, bound, _ := s.nnDescent(st, q.Region, q.Class, r.sc)
 	s.met.privateNNQs.Inc()
-	parts := NNParts{Bound: bound}
-	if len(items) > 0 {
-		parts.Candidates = st.resolve(items, r.sc, make([]PublicObject, 0, len(items)))
+	st := s.stationary()
+	key := st.memoKey(memoNNParts, q.Region, q.Class, 0, 0)
+	var parts NNParts
+	if e := s.memoGet(st, key); e != nil {
+		parts = NNParts{Bound: e.bound, Candidates: st.objects(e.slots)}
+	} else {
+		items, bound, _ := s.nnDescent(st, q.Region, q.Class, r.sc)
+		slots := r.sc.sortedSlots(items)
+		parts = NNParts{Bound: bound, Candidates: st.objects(slots)}
+		memoPut(st, memoEntry{key: key, bound: bound}, slots)
 	}
 	if r.sp.Recording() {
 		r.sp.SetAttrs(trace.Int("superset", int64(len(parts.Candidates))))

@@ -449,46 +449,63 @@ func loadBenchClasses(b *testing.B, n, classes int, seed uint64) *Server {
 }
 
 // BenchmarkPrivateRange times class-filtered private range queries over
-// 10,000 uniform objects; "cands" is the mean answer size.
+// 10,000 uniform objects: "hit" repeats one query, which the memo answers;
+// "miss" shifts the region by a sub-nanometre step every call, so every
+// call runs the range kernel and memoizes its answer. "cands" is the mean
+// answer size.
 func BenchmarkPrivateRange(b *testing.B) {
-	for _, classes := range []int{1, 4} {
-		s := loadBenchClasses(b, 10000, classes, 1)
-		b.Run(fmt.Sprintf("classes=%d", classes), func(b *testing.B) {
-			q := PrivateRangeQuery{Region: geo.R(0.45, 0.45, 0.55, 0.55), Radius: 0.05, Class: "gas"}
-			cands := 0
-			for i := 0; i < b.N; i++ {
-				res, err := s.PrivateRange(q)
-				if err != nil {
-					b.Fatal(err)
+	for _, path := range []string{"hit", "miss"} {
+		for _, classes := range []int{1, 4} {
+			s := loadBenchClasses(b, 10000, classes, 1)
+			b.Run(fmt.Sprintf("%s/classes=%d", path, classes), func(b *testing.B) {
+				q := PrivateRangeQuery{Region: geo.R(0.45, 0.45, 0.55, 0.55), Radius: 0.05, Class: "gas"}
+				cands := 0
+				for i := 0; i < b.N; i++ {
+					if path == "miss" {
+						d := float64(i) * 0x1p-40
+						q.Region = geo.R(0.45+d, 0.45, 0.55+d, 0.55)
+					}
+					res, err := s.PrivateRange(q)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cands += len(res)
 				}
-				cands += len(res)
-			}
-			b.ReportMetric(float64(cands)/float64(b.N), "cands")
-		})
+				b.ReportMetric(float64(cands)/float64(b.N), "cands")
+			})
+		}
 	}
 }
 
 // BenchmarkPrivateNN times class-filtered private NN queries over 50,000
 // uniform objects (analyst_largek's density) by stored classes and square
 // region width, from cloak-sized regions whose supersets are probed by a
-// plain scan to 1/4-world regions with supersets of ~15,000; "cands" is the
-// mean answer size.
+// plain scan to 1/4-world regions with supersets of ~15,000: "hit" repeats
+// one region, which the memo answers; "miss" tours the world and shifts
+// every region by a sub-nanometre step, so every call runs the NN kernel
+// and memoizes its answer. "cands" is the mean answer size.
 func BenchmarkPrivateNN(b *testing.B) {
-	for _, classes := range []int{1, 4} {
-		s := loadBenchClasses(b, 50000, classes, 2)
-		for _, w := range []int{128, 32, 16, 8, 4} {
-			b.Run(fmt.Sprintf("classes=%d/width=1/%d", classes, w), func(b *testing.B) {
-				side, cands := 1/float64(w), 0
-				for i := 0; i < b.N; i++ {
-					x, y := 0.1+0.5*float64(i%97)/97, 0.1+0.5*float64(i%89)/89
-					res, err := s.PrivateNN(PrivateNNQuery{Region: geo.R(x, y, x+side, y+side), Class: "gas"})
-					if err != nil {
-						b.Fatal(err)
+	for _, path := range []string{"hit", "miss"} {
+		for _, classes := range []int{1, 4} {
+			s := loadBenchClasses(b, 50000, classes, 2)
+			for _, w := range []int{128, 32, 16, 8, 4} {
+				b.Run(fmt.Sprintf("%s/classes=%d/width=1/%d", path, classes, w), func(b *testing.B) {
+					side, cands := 1/float64(w), 0
+					x, y := 0.3, 0.3
+					for i := 0; i < b.N; i++ {
+						if path == "miss" {
+							d := float64(i) * 0x1p-40
+							x, y = 0.1+0.5*float64(i%97)/97+d, 0.1+0.5*float64(i%89)/89
+						}
+						res, err := s.PrivateNN(PrivateNNQuery{Region: geo.R(x, y, x+side, y+side), Class: "gas"})
+						if err != nil {
+							b.Fatal(err)
+						}
+						cands += len(res.Candidates)
 					}
-					cands += len(res.Candidates)
-				}
-				b.ReportMetric(float64(cands)/float64(b.N), "cands")
-			})
+					b.ReportMetric(float64(cands)/float64(b.N), "cands")
+				})
+			}
 		}
 	}
 }

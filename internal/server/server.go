@@ -14,10 +14,12 @@ package server
 import (
 	"cmp"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/codec"
 	"repro/internal/geo"
@@ -86,8 +88,10 @@ type Server struct {
 
 	// Public data: the stationary store (R-tree leaves carry slots into
 	// it), replaced whole by every load and never edited, and the moving
-	// grid.
-	st     *stationaryStore
+	// grid. A new store is stored under the write lock; a reader loads it
+	// without the lock (stationary) or, when it also reads other state,
+	// under the read lock.
+	st     atomic.Pointer[stationaryStore]
 	moving *grid.Index
 
 	// Private data: each user's cloaked region, stored once in a slot of
@@ -150,13 +154,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		world:        cfg.World,
-		st:           newStationaryStore(nil),
 		moving:       mov,
 		privIdx:      pidx,
 		queryWorkers: workers,
 		met:          newMetrics(cfg.Metrics),
 		tracer:       cfg.Tracer,
 	}
+	s.st.Store(newStationaryStore(nil))
 	s.cont = newContinuousEngine(cfg.World)
 	s.contPriv = newContPrivEngine(cfg.World)
 	return s, nil
@@ -200,7 +204,7 @@ func (s *Server) LoadStationary(objs []PublicObject) error {
 	}
 	st := newStationaryStore(slices.Clone(objs))
 	s.mu.Lock()
-	s.st = st
+	s.st.Store(st)
 	s.met.stationary.Set(float64(st.tree.Len()))
 	s.mu.Unlock()
 	return nil
@@ -209,13 +213,10 @@ func (s *Server) LoadStationary(objs []PublicObject) error {
 // StationaryCount returns the number of stationary public objects.
 func (s *Server) StationaryCount() int { return s.stationary().tree.Len() }
 
-// stationary returns the current stationary store. A store is immutable,
+// stationary returns the current stationary store without taking the
+// lock, so it never queues behind a waiting writer. A store is immutable,
 // so the caller may read it without the lock.
-func (s *Server) stationary() *stationaryStore {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st
-}
+func (s *Server) stationary() *stationaryStore { return s.st.Load() }
 
 // stationaryStore is the only store of stationary public objects. The
 // R-tree's leaf items carry a slot into objs instead of an object ID, and
@@ -223,12 +224,14 @@ func (s *Server) stationary() *stationaryStore {
 // slice read and resolving a leaf is one index. Slots are in ascending ID
 // order, so a canonical sort of a query's answer is a plain sort of its
 // slot numbers. A store is never mutated once built: a reader that holds
-// one may use it after the server has swapped in another.
+// one may use it after the server has swapped in another. Its memo
+// (memo.go) holds answers computed from it alone.
 type stationaryStore struct {
 	tree    *rtree.Tree
 	objs    []PublicObject
 	cls     []uint32
 	classes map[string]uint32 // class → interned id
+	memo    answerMemo
 }
 
 // newStationaryStore builds the store over objs, which it takes over and
@@ -237,6 +240,7 @@ type stationaryStore struct {
 func newStationaryStore(objs []PublicObject) *stationaryStore {
 	SortObjects(objs)
 	st := &stationaryStore{objs: objs, cls: make([]uint32, len(objs)), classes: map[string]uint32{}}
+	st.memo.seed = rand.Uint64()
 	items := make([]rtree.Item, len(objs))
 	for i, o := range objs {
 		items[i] = rtree.Item{ID: uint64(i), Loc: o.Loc}
