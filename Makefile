@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test lint benchmark benchmark-compare bench-micro soak soak-short soak-shard-kill-twin fuzz-smoke
+.PHONY: build test lint experiments benchmark benchmark-compare bench-micro soak soak-short soak-shard-kill-twin fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,13 @@ lint:
 	$(GO) test ./internal/lint/...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "lint: staticcheck not installed, skipping (CI runs it)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; else echo "lint: govulncheck not installed, skipping (CI runs it)"; fi
+
+# Every lbsbench experiment at the default size (n = 10,000, seed 1),
+# about 50 s on 2 cores. The run checks every verdict it prints, timing
+# verdicts included (they hold only at this size), and exits 1 naming
+# each failed one. CI's bench job runs this target.
+experiments:
+	$(GO) run ./cmd/lbsbench
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): every
 # workload untraced then traced against the real three-tier stack, ~4 min.

@@ -2,10 +2,9 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"slices"
 
 	"repro/internal/altpriv"
-	"repro/internal/attack"
 	"repro/internal/cloak"
 	"repro/internal/geo"
 	"repro/internal/mobility"
@@ -17,31 +16,23 @@ import (
 // alternative mechanisms the paper surveys in Section 2.1 — false dummies
 // and landmark objects — under comparable adversaries, plus the service
 // cost each mechanism implies.
-func expAlternatives(cfg benchConfig) {
-	p := buildPopulation(cfg.n, mobility.Uniform, cfg.seed)
+func expAlternatives(cfg benchConfig, r *report) {
+	p := buildPopulation(cfg.n, mobility.Uniform, cfg.seed, 10)
 	fmt.Printf("%d users, uniform distribution\n\n", cfg.n)
 
 	// k-anonymity reference rows (center attack, as in E2/E3).
 	t := newTable("mechanism", "param", "leakage", "exact-hit %", "notes")
 	for _, k := range []int{10, 50} {
-		q := &cloak.Quadtree{Pyr: p.pyr}
-		var sams []attack.Sample
-		stride := len(p.pts)/300 + 1
-		for i := 0; i < len(p.pts) && len(sams) < 300; i += stride {
-			res := q.Cloak(uint64(i+1), p.pts[i], reqK(k))
-			sams = append(sams, attack.Sample{Region: res.Region, TrueLoc: p.pts[i]})
-		}
-		rep := attack.Evaluate(attack.Center{}, sams, 0.005, cfg.seed)
+		_, _, rep := leakRow(&cloak.Quadtree{Pyr: p.pyr}, p, k, 300, cfg.seed)
 		t.row("k-anonymity (quadtree)", fmt.Sprintf("k=%d", k),
 			rep.Leakage, 100*rep.HitRate, "guaranteed ≥k users")
 	}
 
 	// False dummies: uniform-pick adversary.
+	var pickOverPrior []float64 // pick rate × n: 1 for a uniform pick
 	for _, n := range []int{5, 20} {
 		g, err := altpriv.NewDummyGenerator(world, n, 0.01, cfg.seed)
-		if err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
+		must(err)
 		var sams []altpriv.DummySample
 		stride := len(p.pts)/300 + 1
 		for i := 0; i < len(p.pts) && len(sams) < 300; i += stride {
@@ -49,24 +40,19 @@ func expAlternatives(cfg benchConfig) {
 			sams = append(sams, altpriv.DummySample{Report: repp, TrueLoc: p.pts[i]})
 		}
 		eval := altpriv.EvaluateDummies(sams, cfg.seed+1)
+		pickOverPrior = append(pickOverPrior, eval.PickRate*float64(n))
 		t.row("false dummies", fmt.Sprintf("n=%d", n),
 			eval.Leakage, 100*eval.PickRate,
 			fmt.Sprintf("n× query cost; motion filter below"))
 	}
 
 	// Landmarks: the adversary's guess IS the landmark.
+	var alone float64 // share of users alone at their landmark, at |L| = 1000
 	for _, nl := range []int{100, 1000} {
-		lmPts, err := mobility.GeneratePoints(mobility.PopulationSpec{
-			N: nl, World: world, Dist: mobility.Uniform, Seed: cfg.seed + 9,
-		})
-		if err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
-		lm, err := altpriv.NewLandmarks(lmPts)
-		if err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
+		lm, err := altpriv.NewLandmarks(points(nl, mobility.Uniform, cfg.seed+9))
+		must(err)
 		eval := altpriv.EvaluateLandmarks(lm, p.pts)
+		alone = eval.AloneRate
 		t.row("landmarks", fmt.Sprintf("|L|=%d", nl),
 			"-", "-",
 			fmt.Sprintf("err %.4f, mean cell pop %.1f, alone %.1f%%",
@@ -77,6 +63,7 @@ func expAlternatives(cfg benchConfig) {
 	// The dummies' Achilles heel: a motion-model filter across updates.
 	fmt.Println("\nmotion-filter adversary vs dummies (20 updates, walking user):")
 	t2 := newTable("dummy style", "mean surviving candidates (of 8)", "true chain alive")
+	var survivors []float64
 	for _, style := range []struct {
 		name    string
 		walking bool
@@ -100,18 +87,21 @@ func expAlternatives(cfg benchConfig) {
 		}
 		surv, alive := altpriv.MotionFilterDummies(series, idxs, 0.015)
 		t2.row(style.name, surv, alive)
+		survivors = append(survivors, surv)
 	}
 	t2.flush()
-	fmt.Println("\nreading: dummies protect a snapshot (pick rate 1/n) but naive")
-	fmt.Println("dummies collapse under a motion filter; landmarks give uncontrolled")
-	fmt.Println("anonymity (rural users are alone at their landmark). k-anonymity is")
-	fmt.Println("the only mechanism with a per-user guarantee — the paper's position.")
+	r.check("dummies hide a snapshot: a uniform pick finds the user less than twice as often as 1/n",
+		slices.Max(pickOverPrior) < 2, "pick rate × n %.4g at n = 5, 20", pickOverPrior)
+	r.check("a motion filter collapses independent dummies (≤ 2 of 8 left) but not walking ones (8 of 8)",
+		survivors[0] <= 2 && survivors[1] == 8, "%.4g survivors", survivors)
+	r.check("landmarks give uncontrolled anonymity: some users are alone at |L| = 1000", alone > 0,
+		"%.2f%% alone", 100*alone)
 }
 
 // expTracking (E13) runs the trajectory-linking adversary against all
 // cloaking algorithms plus the incremental (frozen-region) defense.
-func expTracking(cfg benchConfig) {
-	p := buildPopulation(cfg.n, mobility.Uniform, cfg.seed)
+func expTracking(cfg benchConfig, r *report) {
+	p := buildPopulation(cfg.n, mobility.Uniform, cfg.seed, 10)
 	const (
 		speed = 0.004
 		ticks = 40
@@ -120,9 +110,7 @@ func expTracking(cfg benchConfig) {
 
 	uid := uint64(cfg.n + 1)
 	start := geo.Pt(0.3, 0.5)
-	if err := p.pyr.Insert(uid, start); err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
+	must(p.pyr.Insert(uid, start))
 	p.gi.Upsert(uid, start)
 
 	trajectory := func(c cloak.Cloaker) []track.Step {
@@ -144,33 +132,32 @@ func expTracking(cfg benchConfig) {
 		{"mbr", func(p population) cloak.Cloaker { return &cloak.MBR{Pop: p.pop} }},
 		{"quadtree", func(p population) cloak.Cloaker { return &cloak.Quadtree{Pyr: p.pyr} }},
 		{"grid L5", func(p population) cloak.Cloaker { return &cloak.Grid{Pyr: p.pyr, Level: 5} }},
+		// Incremental reuse keeps the region frozen while the user stays
+		// inside the cached cell.
+		{"quadtree+incremental", func(p population) cloak.Cloaker {
+			return cloak.NewIncremental(&cloak.Quadtree{Pyr: p.pyr}, func(region geo.Rect, req privacy.Requirement) (int, bool) {
+				n := p.gi.Count(region)
+				return n, n >= req.K
+			})
+		}},
 	}
+	var shrink, guessErr []float64 // by cloaker
+	violations := 0
 	for _, nc := range cloakers {
 		rep, err := track.Evaluate(trajectory(nc.make(p)), speed*1.5)
-		if err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
+		must(err)
 		t.row(nc.name, rep.MeanShrink, rep.FinalShrink, rep.MeanGuessError, rep.ContainmentViolations)
+		shrink = append(shrink, rep.MeanShrink)
+		guessErr = append(guessErr, rep.MeanGuessError)
+		violations += rep.ContainmentViolations
 	}
-	// Incremental defense: validate-and-reuse keeps the region frozen while
-	// the user stays inside, which blinds the linking adversary.
-	inc := cloak.NewIncremental(&cloak.Quadtree{Pyr: p.pyr},
-		func(region geo.Rect, req privacy.Requirement) (int, bool) {
-			n := p.gi.Count(region)
-			return n, n >= req.K
-		})
-	rep, err := track.Evaluate(trajectory(inc), speed*1.5)
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
-	t.row("quadtree+incremental", rep.MeanShrink, rep.FinalShrink, rep.MeanGuessError, rep.ContainmentViolations)
 	t.flush()
-	fmt.Println("\nreading: centered data-dependent regions are immune to linking but")
-	fmt.Println("leak instantly (guess error ≈ 0); static cells leak at every cell")
-	fmt.Println("transition (shrink < 1). Incremental reuse matches plain quadtree")
-	fmt.Println("here because an exit from the cached cell forces a recompute — a")
-	fmt.Println("truly link-resistant cloak must overlap old and new regions at the")
-	fmt.Println("transition, which is exactly the future work the paper gestures at")
-	fmt.Println("(regions frozen for a user who stays put do have shrink exactly 1;")
-	fmt.Println("see internal/track's tests).")
+	r.check("the linking adversary is sound: no containment violation", violations == 0,
+		"%d violations", violations)
+	r.check("naive regions defeat linking (mean shrink ≥ 0.99) but their center is the user (error < 0.001)",
+		shrink[0] >= 0.99 && guessErr[0] < 0.001, "mean shrink %.4g, guess error %.4g", shrink[0], guessErr[0])
+	r.check("static grid cells leak at cell transitions (grid L5 mean shrink < 0.9)", shrink[3] < 0.9,
+		"mean shrink %.4g", shrink[3])
+	r.check("incremental reuse keeps the quadtree's transition leak", shrink[2] == 1 || shrink[4] < 1,
+		"mean shrink %.4g (quadtree) and %.4g (incremental)", shrink[2], shrink[4])
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cloak"
 	"repro/internal/mobility"
@@ -13,7 +14,7 @@ func reqK(k int) privacy.Requirement { return privacy.Requirement{K: k} }
 // expProfiles regenerates Figure 2: the example privacy profile resolved
 // across the day, showing which requirement applies at each hour and the
 // resulting timeline segments.
-func expProfiles(cfg benchConfig) {
+func expProfiles(cfg benchConfig, _ *report) {
 	p := privacy.PaperExample()
 
 	fmt.Println("profile entries (paper example):")
@@ -51,8 +52,8 @@ func expProfiles(cfg benchConfig) {
 // expBestEffort (E10) quantifies best-effort cloaking under contradictory
 // profiles: the satisfaction rate of each constraint as Amax tightens
 // against a fixed k.
-func expBestEffort(cfg benchConfig) {
-	p := buildPopulation(cfg.n, mobility.Uniform, cfg.seed)
+func expBestEffort(cfg benchConfig, r *report) {
+	p := buildPopulation(cfg.n, mobility.Uniform, cfg.seed, 10)
 	q := &cloak.Quadtree{Pyr: p.pyr}
 
 	const k = 100
@@ -62,6 +63,7 @@ func expBestEffort(cfg benchConfig) {
 	fmt.Printf("population %d, k=%d (area needed ≈ %.4g)\n\n", cfg.n, k, needed)
 
 	t := newTable("Amax", "k ok %", "Amax ok %", "both %", "mean area")
+	var kOKs, aOKs []float64
 	for _, mult := range []float64{0.1, 0.5, 1, 2, 8, 32} {
 		amax := needed * mult
 		req := privacy.Requirement{K: k, MaxArea: amax}
@@ -89,8 +91,12 @@ func expBestEffort(cfg benchConfig) {
 			100*float64(aOK)/float64(count),
 			100*float64(both)/float64(count),
 			areaSum/float64(count))
+		kOKs = append(kOKs, 100*float64(kOK)/float64(count))
+		aOKs = append(aOKs, 100*float64(aOK)/float64(count))
 	}
 	t.flush()
-	fmt.Println("\nreading: k is always preferred (the paper's hard minimum);")
-	fmt.Println("tight Amax values are sacrificed and flagged best-effort.")
+	r.check("k is met on every request at every Amax (the hard minimum)", slices.Min(kOKs) == 100,
+		"k ok %% %.4g", kOKs)
+	r.check("Amax gives way at 0.1× the needed area and holds at 32×", aOKs[0] == 0 && aOKs[5] == 100,
+		"Amax ok %% %.4g", aOKs)
 }

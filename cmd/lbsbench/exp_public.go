@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/cloak"
@@ -14,32 +15,31 @@ import (
 
 // buildPrivateServer cloaks every user with the quadtree cloaker at the
 // given k and stores the regions in a fresh server; returns the server and
-// the exact locations (ground truth).
-func buildPrivateServer(cfg benchConfig, k int) (*server.Server, []geo.Point) {
-	p := buildPopulation(cfg.n, mobility.Uniform, cfg.seed)
+// each user's region and exact location (ground truth), user i+1 at i.
+func buildPrivateServer(cfg benchConfig, k int) (*server.Server, []regionSample) {
+	p := buildPopulation(cfg.n, mobility.Uniform, cfg.seed, 10)
 	srv, err := server.New(server.Config{World: world})
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	q := &cloak.Quadtree{Pyr: p.pyr}
+	users := make([]regionSample, len(p.pts))
 	for i, loc := range p.pts {
-		res := q.Cloak(uint64(i+1), loc, reqK(k))
-		if err := srv.UpdatePrivate(uint64(i+1), res.Region); err != nil {
-			panic(err)
-		}
+		users[i] = regionSample{q.Cloak(uint64(i+1), loc, reqK(k)).Region, loc}
+		must(srv.UpdatePrivate(uint64(i+1), users[i].region))
 	}
-	return srv, p.pts
+	return srv, users
 }
 
 // expPublicCount regenerates Figure 6a: probabilistic range counts over
 // cloaked users in the three answer formats, against the naive baseline.
-func expPublicCount(cfg benchConfig) {
+func expPublicCount(cfg benchConfig, r *report) {
 	fmt.Printf("%d users cloaked at several privacy levels; 30 random queries each\n\n", cfg.n)
 	t := newTable("k", "query side", "true count", "E[count]", "naive", "E err %", "naive err %", "interval width", "time")
 	src := rng.New(cfg.seed + 300)
+	var widths, naiveErrs [2][]float64 // by query side, then k
+	missed, worse := 0, 0
 	for _, k := range []int{10, 50, 200} {
-		srv, exact := buildPrivateServer(cfg, k)
-		for _, side := range []float64{0.1, 0.25} {
+		srv, users := buildPrivateServer(cfg, k)
+		for si, side := range []float64{0.1, 0.25} {
 			var truthSum, naiveSum int
 			var expectSum, expErr, naiveErr, widthSum float64
 			var elapsed time.Duration
@@ -50,19 +50,15 @@ func expPublicCount(cfg benchConfig) {
 				t0 := time.Now()
 				res, err := srv.PublicRangeCount(server.PublicRangeCountQuery{Query: query})
 				elapsed += time.Since(t0)
-				if err != nil {
-					fmt.Printf("error: %v\n", err)
-					return
-				}
+				must(err)
 				truth := 0
-				for _, p := range exact {
-					if query.Contains(p) {
+				for _, u := range users {
+					if query.Contains(u.loc) {
 						truth++
 					}
 				}
-				if truth < res.Answer.Lo || truth > res.Answer.Hi {
-					fmt.Printf("INTERVAL VIOLATION: [%d,%d] misses %d\n", res.Answer.Lo, res.Answer.Hi, truth)
-					return
+				if truth < res.Answer.Lo || truth > res.Answer.Hi || res.Answer.Hi != res.NaiveCount {
+					missed++
 				}
 				truthSum += truth
 				naiveSum += res.NaiveCount
@@ -72,27 +68,37 @@ func expPublicCount(cfg benchConfig) {
 				widthSum += float64(res.Answer.Hi - res.Answer.Lo)
 			}
 			meanTruth := float64(truthSum) / trials
+			expPct, naivePct := 100*expErr/trials/max(meanTruth, 1), 100*naiveErr/trials/max(meanTruth, 1)
 			t.row(k, side, meanTruth, expectSum/trials, float64(naiveSum)/trials,
-				100*expErr/trials/maxf(meanTruth, 1),
-				100*naiveErr/trials/maxf(meanTruth, 1),
-				widthSum/trials, elapsed/trials)
+				expPct, naivePct, widthSum/trials, elapsed/trials)
+			if expPct >= naivePct {
+				worse++
+			}
+			widths[si] = append(widths[si], widthSum/trials)
+			naiveErrs[si] = append(naiveErrs[si], naivePct)
 		}
 	}
 	t.flush()
-	fmt.Println("\nreading: the expected-value answer tracks the truth closely while")
-	fmt.Println("the naive solid-object count over-counts — and the error and the")
-	fmt.Println("interval width both grow with k, quantifying the privacy cost.")
+	r.check("the interval brackets the true count and tops out at the naive count (I7)", missed == 0,
+		"%d of 180 intervals miss the truth or the naive count", missed)
+	r.check("the expected value errs less than the naive count in every row", worse == 0,
+		"%d of 6 rows where it does not", worse)
+	r.check("interval width and naive error never shrink as k grows",
+		slices.IsSorted(widths[0]) && slices.IsSorted(widths[1]) && slices.IsSorted(naiveErrs[0]) && slices.IsSorted(naiveErrs[1]),
+		"widths %.4g and %.4g, naive error %% %.4g and %.4g (sides 0.1 and 0.25)", widths[0], widths[1], naiveErrs[0], naiveErrs[1])
 }
 
 // expPublicNN regenerates Figure 6b: the e-coupon query — candidate-set
 // size after min–max pruning, and the quality of the probability
 // assignment against brute-force ground truth over many trials.
-func expPublicNN(cfg benchConfig) {
+func expPublicNN(cfg benchConfig, r *report) {
 	fmt.Printf("%d users; 25 random query points per privacy level\n\n", cfg.n)
 	t := newTable("k", "pruned", "candidates", "P(best is true NN)", "true NN in cands %", "time")
 	src := rng.New(cfg.seed + 400)
+	var pruned, cands, best []float64
+	missed, wrongSet := 0, 0
 	for _, k := range []int{10, 50, 200} {
-		srv, exact := buildPrivateServer(cfg, k)
+		srv, users := buildPrivateServer(cfg, k)
 		var prunedSum, candSum int
 		var bestHit, containHit int
 		var elapsed time.Duration
@@ -102,19 +108,28 @@ func expPublicNN(cfg benchConfig) {
 			t0 := time.Now()
 			res, err := srv.PublicNN(server.PublicNNQuery{From: q, Samples: 2000, Seed: uint64(i + 1)})
 			elapsed += time.Since(t0)
-			if err != nil {
-				fmt.Printf("error: %v\n", err)
-				return
-			}
+			must(err)
 			prunedSum += res.PrunedCount
 			candSum += len(res.Candidates)
-			// Ground truth.
-			bestD := math.Inf(1)
+			// Ground truth: the nearest exact location, and Figure 6b's rule
+			// by brute force — keep each user whose region's MinDist is
+			// within the smallest MaxDist.
+			bestD, bound := math.Inf(1), math.Inf(1)
 			var trueNN uint64
-			for j, p := range exact {
-				if d := q.Dist2(p); d < bestD {
+			for j, u := range users {
+				if d := q.Dist2(u.loc); d < bestD {
 					bestD, trueNN = d, uint64(j+1)
 				}
+				bound = min(bound, geo.MaxDist2(q, u.region))
+			}
+			kept := 0
+			for _, u := range users {
+				if geo.MinDist2(q, u.region) <= bound {
+					kept++
+				}
+			}
+			if kept != len(res.Candidates) {
+				wrongSet++
 			}
 			if _, ok := res.CandidateRegions[trueNN]; ok {
 				containHit++
@@ -126,12 +141,18 @@ func expPublicNN(cfg benchConfig) {
 		t.row(k, float64(prunedSum)/trials, float64(candSum)/trials,
 			float64(bestHit)/trials, 100*float64(containHit)/trials,
 			elapsed/trials)
+		missed += trials - containHit
+		pruned = append(pruned, float64(prunedSum)/trials)
+		cands = append(cands, float64(candSum)/trials)
+		best = append(best, float64(bestHit)/trials)
 	}
 	t.flush()
-	fmt.Println("\nreading: min–max pruning discards almost the entire population")
-	fmt.Println("(targets A, B, C of Figure 6b) and the true nearest user is always")
-	fmt.Println("in the candidate set (I8). The highest-probability answer beats a")
-	fmt.Println("uniform guess over the candidates by an order of magnitude, but its")
-	fmt.Println("hit rate drops as k grows — cloaked regions blur who is closest,")
-	fmt.Println("which is exactly the privacy working as intended.")
+	r.check("the true nearest user is a candidate on every trial (I8)", missed == 0,
+		"%d of 75 trials miss it", missed)
+	r.check("candidates are exactly the users min–max dominance cannot rule out", wrongSet == 0,
+		"%d of 75 trials differ from the brute-force rule", wrongSet)
+	r.check("min–max pruning never discards more users as k grows", falling(pruned),
+		"%.4g of %d pruned at k = 10, 50, 200", pruned, cfg.n)
+	r.check("at k = 10 the most probable user beats a uniform guess over the candidates",
+		best[0] > 1/cands[0], "P(best is true NN) %.4g against 1/%.4g", best[0], cands[0])
 }

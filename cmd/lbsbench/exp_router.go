@@ -23,7 +23,7 @@ import (
 // tiles across servers costs or buys on those cores. Answers are
 // bit-identical in every topology (the router differential suite), so
 // this table is purely about cost.
-func expRouterScale(cfg benchConfig) {
+func expRouterScale(cfg benchConfig, _ *report) {
 	const queries = 2000
 	workers := runtime.GOMAXPROCS(0)
 	fmt.Printf("%d private users, %d public objects, %d mixed queries, %d workers, GOMAXPROCS=%d\n\n",
@@ -44,10 +44,11 @@ func expRouterScale(cfg benchConfig) {
 	var base float64
 	for _, tp := range grid {
 		st, err := stack.Boot(stack.Topology{Shards: tp.shards})
-		if err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
-		seedRouterTier(st.DBAddr(), cfg)
+		must(err)
+		cli, err := protocol.DialDatabase(st.DBAddr())
+		must(err)
+		loadBenchData(cli, cfg)
+		cli.Close()
 		qps := driveRouterTier(st.DBAddr(), cfg.seed, queries, workers)
 		st.Close()
 		rel := "1.00x"
@@ -59,22 +60,7 @@ func expRouterScale(cfg benchConfig) {
 		t.row(tp.name, tp.shards, qps, rel)
 	}
 	t.flush()
-	fmt.Println("\nreading: every row answers the same queries over the same data on")
-	fmt.Println("the same cores. The 1-shard router pays the extra hop and the gather")
-	fmt.Println("bookkeeping; each further shard adds scatter work and another server")
-	fmt.Println("sharing those cores. No recorded run has the routed tier passing the")
-	fmt.Println("direct baseline; whether it can is open (EXPERIMENTS.md E20).")
-}
-
-// seedRouterTier loads the identical data set into whatever tier addr
-// fronts: public objects in one frame, then every user's cloaked region.
-func seedRouterTier(addr string, cfg benchConfig) {
-	cli, err := protocol.DialDatabase(addr)
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
-	defer cli.Close()
-	loadBenchData(cli, cfg)
+	fmt.Println("\nnote: a cost ledger with no paper claim; whether the routed tier can pass the direct baseline is open (EXPERIMENTS.md E20).")
 }
 
 // driveRouterTier fans the mixed query workload over worker connections
@@ -89,9 +75,7 @@ func driveRouterTier(addr string, seed uint64, queries, workers int) float64 {
 		go func(w int) {
 			defer wg.Done()
 			cli, err := protocol.DialDatabase(addr, protocol.WithCallTimeout(10*time.Second))
-			if err != nil {
-				log.Fatalf("lbsbench: %v", err)
-			}
+			must(err)
 			defer cli.Close()
 			src := rng.New(seed + 1000 + uint64(w)*7919)
 			for i := 0; i < per; i++ {

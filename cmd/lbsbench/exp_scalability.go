@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"strings"
 	"time"
 
@@ -24,10 +25,12 @@ import (
 // quadtree, through the anonymizer) and an expensive data-dependent one
 // (naive expansion, which the anonymizer does not offer, over its own grid
 // of exact positions).
-func expIncremental(cfg benchConfig) {
+func expIncremental(cfg benchConfig, r *report) {
 	const ticks = 20
 	fmt.Printf("%d users, random waypoint, %d ticks of updates, k=50\n\n", cfg.n, ticks)
 	t := newTable("algorithm", "mode", "reused %", "updates/sec", "regions forwarded")
+	var reusedPct, naiveRate []float64 // incremental rows; naive's recompute and incremental rows
+	recomputeForwards := 0
 	for _, alg := range []string{"quadtree", "naive"} {
 		for _, inc := range []bool{false, true} {
 			sim, err := mobility.NewWaypointSim(mobility.WaypointConfig{
@@ -36,9 +39,7 @@ func expIncremental(cfg benchConfig) {
 				},
 				MinSpeed: 0.0005, MaxSpeed: 0.005,
 			})
-			if err != nil {
-				log.Fatalf("lbsbench: %v", err)
-			}
+			must(err)
 			update := e8Updater(alg, inc, sim.Users())
 			reused, forwarded := 0, 0
 			stream := func() {
@@ -63,18 +64,24 @@ func expIncremental(cfg benchConfig) {
 			mode := "recompute"
 			if inc {
 				mode = "incremental"
+				reusedPct = append(reusedPct, 100*float64(reused)/float64(streamed))
+			} else if reused == 0 {
+				recomputeForwards += forwarded
 			}
-			t.row(alg, mode,
-				100*float64(reused)/float64(streamed),
-				float64(streamed)/elapsed.Seconds(),
-				forwarded)
+			rate := float64(streamed) / elapsed.Seconds()
+			t.row(alg, mode, 100*float64(reused)/float64(streamed), rate, forwarded)
+			if alg == "naive" {
+				naiveRate = append(naiveRate, rate)
+			}
 		}
 	}
 	t.flush()
-	fmt.Println("\nreading: incremental evaluation removes ~95% of downstream region")
-	fmt.Println("messages for every algorithm, and for the expensive data-dependent")
-	fmt.Println("cloaker it also multiplies update throughput; the space-dependent")
-	fmt.Println("descent is already near memory speed, so there the win is traffic.")
+	r.check("recompute reuses nothing and forwards every update", recomputeForwards == 2*cfg.n*ticks,
+		"%d of %d updates forwarded without reuse", recomputeForwards, 2*cfg.n*ticks)
+	r.check("incremental evaluation reuses at least three regions in four for every algorithm",
+		slices.Min(reusedPct) >= 75, "reused %% %.4g (quadtree / naive)", reusedPct)
+	r.timing("naive: incremental evaluation at least doubles update throughput", naiveRate[1] >= 2*naiveRate[0],
+		"%.4g against %.4g updates/s (%.1fx)", naiveRate[1], naiveRate[0], naiveRate[1]/naiveRate[0])
 }
 
 // e8Updater returns one E8 row's update path over the given users. The
@@ -85,25 +92,19 @@ func expIncremental(cfg benchConfig) {
 func e8Updater(alg string, inc bool, users []mobility.User) func(id uint64, loc geo.Point) cloak.Result {
 	if alg == "quadtree" {
 		anon, err := anonymizer.New(anonymizer.Config{World: world, Incremental: inc})
-		if err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
+		must(err)
 		prof := privacy.Constant(reqK(50))
 		for _, u := range users {
-			anon.Register(u.ID, prof)
+			must(anon.Register(u.ID, prof))
 		}
 		return func(id uint64, loc geo.Point) cloak.Result {
 			res, err := anon.Update(id, loc)
-			if err != nil {
-				log.Fatalf("lbsbench: %v", err)
-			}
+			must(err)
 			return res
 		}
 	}
 	pop, err := grid.New(world, 64, 64)
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
+	must(err)
 	var c cloak.Cloaker = &cloak.Naive{Pop: cloak.GridPopulation{Index: pop}}
 	if inc {
 		ic := cloak.NewIncremental(c, func(region geo.Rect, req privacy.Requirement) (int, bool) {
@@ -122,15 +123,16 @@ func e8Updater(alg string, inc bool, users []mobility.User) func(id uint64, loc 
 // expShared regenerates the Section 5.3 shared-execution study: batch
 // cloaking of a full population in one pass vs per-user cloaking, plus the
 // shared continuous-query engine under update load.
-func expShared(cfg benchConfig) {
+func expShared(cfg benchConfig, r *report) {
 	// A pyramid whose bottom level matches the anonymization granularity is
 	// what makes sharing productive: with 2^6×2^6 = 4096 bottom cells many
 	// users in a clustered population fall into the same cell and reuse one
 	// descent.
-	p := buildPopulationH(cfg.n, mobility.Gaussian, cfg.seed, 7)
+	p := buildPopulation(cfg.n, mobility.Gaussian, cfg.seed, 7)
 	fmt.Printf("%d users (gaussian clusters), pyramid height 7\n\n", cfg.n)
 
 	t := newTable("k", "per-user time", "batch time", "shared hits %", "distinct regions")
+	var hitPct, distinctN []float64
 	for _, k := range []int{10, 50, 200} {
 		q := &cloak.Quadtree{Pyr: p.pyr}
 		reqs := make([]cloak.Request, len(p.pts))
@@ -138,8 +140,8 @@ func expShared(cfg benchConfig) {
 			reqs[i] = cloak.Request{ID: uint64(i + 1), Loc: loc, Req: reqK(k)}
 		}
 		t0 := time.Now()
-		for _, r := range reqs {
-			q.Cloak(r.ID, r.Loc, r.Req)
+		for _, rq := range reqs {
+			q.Cloak(rq.ID, rq.Loc, rq.Req)
 		}
 		perUser := time.Since(t0)
 
@@ -149,28 +151,29 @@ func expShared(cfg benchConfig) {
 		batch := time.Since(t0)
 
 		distinct := map[geo.Rect]bool{}
-		for _, r := range results {
-			distinct[r.Region] = true
+		for _, res := range results {
+			distinct[res.Region] = true
 		}
 		t.row(k, perUser, batch,
 			100*float64(hits)/float64(len(reqs)), len(distinct))
+		hitPct = append(hitPct, 100*float64(hits)/float64(len(reqs)))
+		distinctN = append(distinctN, float64(len(distinct)))
 	}
 	t.flush()
-	fmt.Println("\nreading: most requests are served from a previously computed")
-	fmt.Println("descent, and the whole population collapses to a few hundred")
-	fmt.Println("distinct regions — one shared computation (and one downstream")
-	fmt.Println("message) per region instead of per user.")
+	r.check("batch cloaking shares descents and leaves at most one region per four users",
+		slices.Min(hitPct) > 0 && 4*slices.Max(distinctN) <= float64(cfg.n),
+		"shared hits %% %.4g; %v distinct regions for %d users", hitPct, distinctN, cfg.n)
 
 	// Continuous-query shared execution: maintained answers vs re-running
 	// every query on every update.
 	fmt.Println("\ncontinuous count queries under update load:")
-	srv, _ := server.New(server.Config{World: world})
-	const numQueries = 100
-	for i := 0; i < numQueries; i++ {
-		c := geo.Pt(p.pts[i*7%len(p.pts)].X, p.pts[i*7%len(p.pts)].Y)
-		if _, err := srv.RegisterContinuousCount(geo.RectAround(c, 0.05).Clip(world)); err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
+	srv, err := server.New(server.Config{World: world})
+	must(err)
+	standing := make([]geo.Rect, 100)
+	for i := range standing {
+		standing[i] = geo.RectAround(p.pts[i*7%len(p.pts)], 0.05).Clip(world)
+		_, err := srv.RegisterContinuousCount(standing[i])
+		must(err)
 	}
 	q := &cloak.Quadtree{Pyr: p.pyr}
 	regions := make([]geo.Rect, len(p.pts))
@@ -181,9 +184,7 @@ func expShared(cfg benchConfig) {
 	t0 := time.Now()
 	for i := 0; i < updates; i++ {
 		uid := uint64(i%len(p.pts)) + 1
-		if err := srv.UpdatePrivate(uid, regions[uid-1]); err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
+		must(srv.UpdatePrivate(uid, regions[uid-1]))
 	}
 	incElapsed := time.Since(t0)
 
@@ -191,74 +192,49 @@ func expShared(cfg benchConfig) {
 	// update batch (measured per 1000 updates to keep the run short).
 	t0 = time.Now()
 	const naiveRounds = 10
-	for r := 0; r < naiveRounds; r++ {
-		for i := 0; i < numQueries; i++ {
-			c := geo.Pt(p.pts[i*7%len(p.pts)].X, p.pts[i*7%len(p.pts)].Y)
-			if _, err := srv.PublicRangeCount(server.PublicRangeCountQuery{
-				Query: geo.RectAround(c, 0.05).Clip(world),
-			}); err != nil {
-				log.Fatalf("lbsbench: %v", err)
-			}
+	for round := 0; round < naiveRounds; round++ {
+		for _, query := range standing {
+			_, err := srv.PublicRangeCount(server.PublicRangeCountQuery{Query: query})
+			must(err)
 		}
 	}
 	naivePerRound := time.Since(t0) / naiveRounds
 
 	t2 := newTable("approach", "cost")
-	t2.row(fmt.Sprintf("incremental: %d updates × %d standing queries", updates, numQueries),
+	t2.row(fmt.Sprintf("incremental: %d updates × %d standing queries", updates, len(standing)),
 		fmt.Sprintf("%v total (%.2fµs/update)", incElapsed.Round(time.Millisecond),
 			float64(incElapsed.Microseconds())/updates))
 	t2.row("re-evaluate all queries once", naivePerRound)
 	t2.flush()
-	fmt.Println("\nreading: the incremental engine charges each update only for the")
-	fmt.Println("queries it touches; re-running the full query set per refresh costs")
-	fmt.Println("orders of magnitude more at realistic update rates.")
+	perUpdate := incElapsed / updates
+	r.timing("an update costs under 1/100 of one re-evaluation of the standing queries",
+		100*perUpdate < naivePerRound, "%v against %v", perUpdate, naivePerRound)
 }
 
 // expEndToEnd regenerates the Figure 1 architecture as a live TCP
 // deployment and measures end-to-end latencies of each flow, then asks the
 // daemons for their own request histograms (MsgMetrics) so the client and
 // server views of the same latencies sit side by side.
-func expEndToEnd(cfg benchConfig) {
+func expEndToEnd(cfg benchConfig, _ *report) {
 	st, err := stack.Boot(stack.Topology{})
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
+	must(err)
 	defer st.Close()
 	user, err := protocol.DialAnonymizer(st.AnonAddr())
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
+	must(err)
 	defer user.Close()
 	admin, err := protocol.DialDatabase(st.DBAddr())
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
+	must(err)
 	defer admin.Close()
 
 	// Load data.
-	n := cfg.n
-	if n > 5000 {
-		n = 5000 // keep the TCP experiment snappy
-	}
-	objPts, _ := mobility.GeneratePoints(mobility.PopulationSpec{
-		N: 2000, World: world, Dist: mobility.Uniform, Seed: cfg.seed + 1,
-	})
-	objs := make([]server.PublicObject, len(objPts))
-	for i, p := range objPts {
-		objs[i] = server.PublicObject{ID: uint64(i + 1), Class: "gas", Loc: p}
-	}
-	if err := admin.LoadStationary(objs); err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
-	userPts, _ := mobility.GeneratePoints(mobility.PopulationSpec{
-		N: n, World: world, Dist: mobility.Uniform, Seed: cfg.seed,
-	})
+	n := min(cfg.n, 5000) // keep the TCP experiment snappy
+	must(admin.LoadStationary(publicObjects(2000, "gas", cfg.seed+1)))
+	userPts := points(n, mobility.Uniform, cfg.seed)
 	prof := privacy.Constant(reqK(25))
 	for i, p := range userPts {
-		user.Register(uint64(i+1), prof)
-		if _, err := user.Update(uint64(i+1), p); err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
+		must(user.Register(uint64(i+1), prof))
+		_, err := user.Update(uint64(i+1), p)
+		must(err)
 	}
 
 	measure := func(name string, iters int, f func(i int) error) []interface{} {
@@ -317,8 +293,7 @@ func expEndToEnd(cfg benchConfig) {
 	} {
 		series, err := tier.fetch()
 		if err != nil {
-			log.Printf("lbsbench: %s metrics: %v", tier.name, err)
-			continue
+			log.Fatalf("lbsbench: %s metrics: %v", tier.name, err)
 		}
 		for _, s := range series {
 			if s.Name != "proto_request_seconds" || s.Hist.Count() == 0 {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"log"
 	"runtime"
 	"time"
 
@@ -57,16 +56,6 @@ func serverBenchMix(src *rng.Source, n int) []server.BatchEntry {
 	return entries
 }
 
-// buildBenchServer loads the benchmark population into a fresh server.
-func buildBenchServer(cfg benchConfig, workers int) *server.Server {
-	s, err := server.New(server.Config{World: world, QueryWorkers: workers})
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
-	loadBenchData(s, cfg)
-	return s
-}
-
 // loadBenchData loads the seeded data set E17 and E20 share into db, a
 // server in-process or a database tier over the wire: uniform public
 // objects, then one cloak-sized region per Gaussian-placed user.
@@ -74,30 +63,10 @@ func loadBenchData(db interface {
 	LoadStationary([]server.PublicObject) error
 	UpdatePrivate(uint64, geo.Rect) error
 }, cfg benchConfig) {
-	objPts, err := mobility.GeneratePoints(mobility.PopulationSpec{
-		N: cfg.objs, World: world, Dist: mobility.Uniform, Seed: cfg.seed + 1,
-	})
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
-	objs := make([]server.PublicObject, len(objPts))
-	for i, p := range objPts {
-		objs[i] = server.PublicObject{ID: uint64(i + 1), Class: "poi", Loc: p}
-	}
-	if err := db.LoadStationary(objs); err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
-	userPts, err := mobility.GeneratePoints(mobility.PopulationSpec{
-		N: cfg.n, World: world, Dist: mobility.Gaussian, Seed: cfg.seed,
-	})
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
+	must(db.LoadStationary(publicObjects(cfg.objs, "poi", cfg.seed+1)))
 	src := rng.New(cfg.seed + 7)
-	for i, p := range userPts {
-		if err := db.UpdatePrivate(uint64(i+1), geo.RectAround(p, 0.005+0.03*src.Float64()).Clip(world)); err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
+	for i, p := range points(cfg.n, mobility.Gaussian, cfg.seed) {
+		must(db.UpdatePrivate(uint64(i+1), geo.RectAround(p, 0.005+0.03*src.Float64()).Clip(world)))
 	}
 }
 
@@ -105,7 +74,7 @@ func loadBenchData(db interface {
 // wire: queries/sec for the per-query client baseline and for BatchQuery
 // at worker counts 1, 4, 8, at the process's GOMAXPROCS, over identical
 // clustered query mixes on identical data.
-func expServerBatch(cfg benchConfig) {
+func expServerBatch(cfg benchConfig, r *report) {
 	const (
 		rounds     = 400 // batches per measured pass — long enough to damp scheduler noise
 		batchSize  = 64
@@ -126,21 +95,19 @@ func expServerBatch(cfg benchConfig) {
 		{"batch", 8},
 	}
 	t := newTable("mode", "workers", "queries/sec", "shared hits %", "vs perquery")
-	var base float64 // the perquery reference, measured first
+	var base, batch1 float64 // the perquery reference, measured first; batch at 1 worker
 	for _, sr := range grid {
-		s := buildBenchServer(cfg, sr.workers)
+		s, err := server.New(server.Config{World: world, QueryWorkers: sr.workers})
+		must(err)
+		loadBenchData(s, cfg)
 		svc, err := stack.ServeDatabase("127.0.0.1:0", s, stack.Ops{})
-		if err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
+		must(err)
 		dc, err := protocol.DialDatabase(svc.Addr())
-		if err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
+		must(err)
 		src := rng.New(cfg.seed + 99)
 		batches := make([][]server.BatchEntry, rounds)
-		for r := range batches {
-			batches[r] = serverBenchMix(src, batchSize)
+		for i := range batches {
+			batches[i] = serverBenchMix(src, batchSize)
 		}
 		runPass := func(bs [][]server.BatchEntry) (time.Duration, int) {
 			shared := 0
@@ -157,15 +124,11 @@ func expServerBatch(cfg benchConfig) {
 						case server.BatchPublicCount:
 							_, err = dc.PublicCount(e.Count.Query)
 						}
-						if err != nil {
-							log.Fatalf("lbsbench: %v", err)
-						}
+						must(err)
 					}
 				} else {
 					res, err := dc.BatchQuery(entries)
-					if err != nil {
-						log.Fatalf("lbsbench: %v", err)
-					}
+					must(err)
 					shared += res.SharedHits
 				}
 			}
@@ -188,15 +151,13 @@ func expServerBatch(cfg benchConfig) {
 		} else {
 			rel = fmt.Sprintf("%.2fx", qps/base)
 		}
+		if sr.mode == "batch" && sr.workers == 1 {
+			batch1 = qps
+		}
 		t.row(sr.mode, sr.workers, qps, 100*float64(sharedHits)/float64(entriesRun), rel)
 	}
 	t.flush()
-
-	fmt.Println("\nreading: per-query mode pays one wire round trip — frame encode, two")
-	fmt.Println("syscalls per side, dispatch — per query; a batch frame pays it once per")
-	fmt.Println("64 queries, and inside the server overlapping rectangles collapse into")
-	fmt.Println("one shared index descent per group (SINA-style shared execution) fanned")
-	fmt.Println("over the worker pool under a single frozen snapshot. Answers are")
-	fmt.Println("bit-identical to the sequential path at every worker count and every")
-	fmt.Println("GOMAXPROCS (differential suites).")
+	fmt.Println("\nnote: a batch frame pays the wire round trip once per 64 queries; answers are bit-identical to the per-query path (differential suites).")
+	r.timing("a 64-entry batch frame (1 worker) at least doubles per-query throughput", batch1 >= 2*base,
+		"%.2fx", batch1/base)
 }

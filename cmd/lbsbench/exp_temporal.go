@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"slices"
 
 	"repro/internal/cloak"
 	"repro/internal/mobility"
@@ -13,7 +13,7 @@ import (
 // instantly with a region big enough to hold k users *now*; temporal
 // cloaking answers with a small fixed cell but delays the answer until k
 // users have *visited* the cell.
-func expTemporal(cfg benchConfig) {
+func expTemporal(cfg benchConfig, r *report) {
 	const (
 		ticks    = 400
 		maxDelay = 200
@@ -26,26 +26,18 @@ func expTemporal(cfg benchConfig) {
 			},
 			MinSpeed: 0.002, MaxSpeed: 0.01,
 		})
-		if err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
-		p := buildPopulation(cfg.n, dist, cfg.seed)
-		tc, err := cloak.NewTemporal(p.pyr, level, maxDelay)
-		if err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
+		must(err)
+		p := buildPopulation(cfg.n, dist, cfg.seed, 10)
 		cellArea := p.pyr.CellArea(level)
 
 		fmt.Printf("\npopulation: %d users (%v), level-%d cells (area %.5f), %d ticks\n",
 			cfg.n, dist, level, cellArea, ticks)
 		t := newTable("k", "released %", "satisfied %", "mean delay (ticks)", "area vs spatial")
-
+		var satisfiedPct, delays, areaRatio []float64
 		for _, k := range []int{10, 50, 200} {
 			// Fresh temporal cloaker per k to keep pending queues separate.
-			tc, err = cloak.NewTemporal(p.pyr, level, maxDelay)
-			if err != nil {
-				log.Fatalf("lbsbench: %v", err)
-			}
+			tc, err := cloak.NewTemporal(p.pyr, level, maxDelay)
+			must(err)
 			// Every 20th user requests temporal cloaking with this k; the
 			// rest only feed visit history.
 			requested := 0
@@ -69,10 +61,7 @@ func expTemporal(cfg benchConfig) {
 					}
 				}
 			}
-			meanDelay := 0.0
-			if satisfied > 0 {
-				meanDelay = float64(delaySum) / float64(satisfied)
-			}
+			meanDelay := float64(delaySum) / max(float64(satisfied), 1)
 			// Spatial comparison: quadtree region area for the same k.
 			q := &cloak.Quadtree{Pyr: p.pyr}
 			var spatialArea float64
@@ -81,17 +70,21 @@ func expTemporal(cfg benchConfig) {
 				spatialArea += res.Region.Area()
 			}
 			spatialArea /= 100
+			satisfiedPct = append(satisfiedPct, 100*float64(satisfied)/max(float64(released), 1))
+			areaRatio = append(areaRatio, cellArea/spatialArea)
 			t.row(k,
-				100*float64(released)/maxf(float64(requested), 1),
-				100*float64(satisfied)/maxf(float64(released), 1),
+				100*float64(released)/max(float64(requested), 1),
+				satisfiedPct[len(satisfiedPct)-1],
 				meanDelay,
-				fmt.Sprintf("%.3fx", cellArea/spatialArea))
+				fmt.Sprintf("%.3fx", areaRatio[len(areaRatio)-1]))
+			if satisfied > 0 {
+				delays = append(delays, meanDelay)
+			}
 		}
 		t.flush()
+		r.check(fmt.Sprintf("%v: the fixed cell shrinks against the equal-k spatial region as k grows", dist),
+			falling(areaRatio), "cell / spatial area %.4g at k = 10, 50, 200", areaRatio)
+		r.check(fmt.Sprintf("%v: satisfaction never rises with k, and satisfied releases wait longer", dist),
+			falling(satisfiedPct) && slices.IsSorted(delays), "satisfied %% %.4g; mean delay %.4g ticks", satisfiedPct, delays)
 	}
-	fmt.Println("\nreading: temporal cloaking holds the region at one small cell")
-	fmt.Println("(often far below the spatial region for the same k) and pays in")
-	fmt.Println("latency instead; sparse populations or large k push delays toward")
-	fmt.Println("the MaxDelay bound and satisfaction drops — the dual of the")
-	fmt.Println("spatial family's area blow-up.")
 }

@@ -1,6 +1,14 @@
 // Command lbsbench regenerates every experiment in EXPERIMENTS.md — one
 // per figure of the paper plus the Section 5.3 scalability studies. Each
-// experiment prints the table its EXPERIMENTS.md section records.
+// experiment prints the table its EXPERIMENTS.md section records, then its
+// verdicts: the section's readings as predicates over the table's numbers.
+// Every run checks every verdict it prints and exits 1 naming each one
+// that fails.
+//
+// A timing verdict (marked "timing") states only a time, so it holds only
+// at the size it was written for: the lbsbench run at the default size
+// asserts it (`make experiments`, CI's bench job). Every other verdict is
+// also asserted by TestEveryExperimentRuns at n = 300, seed 1.
 //
 // Usage:
 //
@@ -14,21 +22,46 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
 )
 
-// experiment is one reproducible study.
+// experiment is one reproducible study: run prints its tables and
+// reports its verdicts on r.
 type experiment struct {
 	id    string
 	title string
-	run   func(cfg benchConfig)
+	run   func(cfg benchConfig, r *report)
+}
+
+// verdict is one statement an experiment makes about its own table.
+type verdict struct {
+	name, detail  string
+	holds, timing bool
+}
+
+// report collects one experiment's verdicts.
+type report struct{ verdicts []verdict }
+
+// check records a verdict; detail, formatted with args, gives the numbers
+// behind it.
+func (r *report) check(name string, holds bool, detail string, args ...any) {
+	r.verdicts = append(r.verdicts, verdict{name: name, detail: fmt.Sprintf(detail, args...), holds: holds})
+}
+
+// timing records a verdict that states only a time.
+func (r *report) timing(name string, holds bool, detail string, args ...any) {
+	r.check(name, holds, detail, args...)
+	r.verdicts[len(r.verdicts)-1].timing = true
 }
 
 // benchConfig carries the shared knobs.
@@ -112,14 +145,37 @@ func main() {
 
 	cfg := benchConfig{n: *n, objs: *objs, seed: *seed}
 	start := time.Now()
-	for _, e := range sel {
-		fmt.Printf("\n=== %s: %s ===\n", e.id, e.title)
-		t0 := time.Now()
-		e.run(cfg)
-		fmt.Printf("--- %s done in %v ---\n", e.id, time.Since(t0).Round(time.Millisecond))
-	}
+	failed := runExperiments(os.Stdout, sel, cfg)
 	fmt.Printf("\n%d experiment(s) in %v (n=%d, objs=%d, seed=%d)\n",
 		len(sel), time.Since(start).Round(time.Millisecond), cfg.n, cfg.objs, cfg.seed)
+	if len(failed) > 0 {
+		log.Fatalf("lbsbench: %d verdict(s) failed:\n\t%s", len(failed), strings.Join(failed, "\n\t"))
+	}
+}
+
+// runExperiments runs each experiment, prints its verdicts under its
+// tables, and returns every failed verdict as "id: name".
+func runExperiments(w io.Writer, sel []experiment, cfg benchConfig) (failed []string) {
+	for _, e := range sel {
+		fmt.Fprintf(w, "\n=== %s: %s ===\n", e.id, e.title)
+		t0 := time.Now()
+		var r report
+		e.run(cfg, &r)
+		fmt.Fprintln(w)
+		for _, v := range r.verdicts {
+			status, kind := "ok", ""
+			if !v.holds {
+				status = "FAIL"
+				failed = append(failed, e.id+": "+v.name)
+			}
+			if v.timing {
+				kind = " (timing)"
+			}
+			fmt.Fprintf(w, "verdict %s%s: %s — %s\n", status, kind, v.name, v.detail)
+		}
+		fmt.Fprintf(w, "--- %s done in %v ---\n", e.id, time.Since(t0).Round(time.Millisecond))
+	}
+	return failed
 }
 
 // table is a minimal column formatter over tabwriter.
@@ -154,3 +210,8 @@ func (t *table) row(cells ...interface{}) {
 }
 
 func (t *table) flush() { t.w.Flush() }
+
+// falling reports whether no value is above the one before it.
+func falling(v []float64) bool {
+	return slices.IsSortedFunc(v, func(a, b float64) int { return cmp.Compare(b, a) })
+}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -49,9 +50,9 @@ func TestSelectExperiments(t *testing.T) {
 	}
 }
 
-// TestEveryExperimentRuns keeps every table printer working: each
-// registered experiment runs once at a small population. The tables
-// themselves are not checked; a failing experiment exits the process.
+// TestEveryExperimentRuns runs each registered experiment once at a small
+// population and asserts every verdict it reports except the timing ones,
+// which hold only at the default size the lbsbench run checks.
 func TestEveryExperimentRuns(t *testing.T) {
 	seen := map[string]bool{}
 	for _, e := range experiments {
@@ -62,6 +63,43 @@ func TestEveryExperimentRuns(t *testing.T) {
 	}
 	cfg := benchConfig{n: 300, objs: 300, seed: 1}
 	for _, e := range experiments {
-		t.Run(e.id, func(t *testing.T) { e.run(cfg) })
+		t.Run(e.id, func(t *testing.T) {
+			var r report
+			e.run(cfg, &r)
+			for _, v := range r.verdicts {
+				if !v.holds && !v.timing {
+					t.Errorf("verdict failed: %s — %s", v.name, v.detail)
+				}
+			}
+		})
+	}
+}
+
+// TestRunnerNamesFailedVerdicts: a verdict that does not hold, timing or
+// not, is printed as failed and returned by name, so lbsbench exits 1
+// naming it.
+func TestRunnerNamesFailedVerdicts(t *testing.T) {
+	sel := []experiment{
+		{"X1", "holds", func(_ benchConfig, r *report) { r.check("fine", true, "") }},
+		{"X2", "fails", func(_ benchConfig, r *report) {
+			r.check("wrong", false, "%d of %d", 1, 2)
+			r.check("right", true, "")
+			r.timing("slow", false, "%s", "3x")
+		}},
+	}
+	var out bytes.Buffer
+	failed := runExperiments(&out, sel, benchConfig{})
+	if want := []string{"X2: wrong", "X2: slow"}; !reflect.DeepEqual(failed, want) {
+		t.Errorf("failed = %q, want %q", failed, want)
+	}
+	for _, line := range []string{
+		"verdict ok: fine — \n",
+		"verdict FAIL: wrong — 1 of 2\n",
+		"verdict ok: right — \n",
+		"verdict FAIL (timing): slow — 3x\n",
+	} {
+		if !strings.Contains(out.String(), line) {
+			t.Errorf("output lacks %q:\n%s", line, out.String())
+		}
 	}
 }

@@ -23,33 +23,43 @@ type population struct {
 	pop cloak.GridPopulation
 }
 
-// buildPopulation generates n users and indexes them in both the grid and
-// the pyramid (height 10).
-func buildPopulation(n int, dist mobility.Distribution, seed uint64) population {
-	return buildPopulationH(n, dist, seed, 10)
+// must ends the run on a harness error — a failed set-up step or call,
+// not a verdict — with exit status 1, as a failed verdict does.
+func must(err error) {
+	if err != nil {
+		log.Fatalf("lbsbench: %v", err)
+	}
 }
 
-// buildPopulationH is buildPopulation with an explicit pyramid height.
-func buildPopulationH(n int, dist mobility.Distribution, seed uint64, height int) population {
+// points generates n seeded user or object locations.
+func points(n int, dist mobility.Distribution, seed uint64) []geo.Point {
 	pts, err := mobility.GeneratePoints(mobility.PopulationSpec{
 		N: n, World: world, Dist: dist, Seed: seed,
 	})
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
+	must(err)
+	return pts
+}
+
+// publicObjects places n public objects of one class uniformly.
+func publicObjects(n int, class string, seed uint64) []server.PublicObject {
+	objs := make([]server.PublicObject, n)
+	for i, p := range points(n, mobility.Uniform, seed) {
+		objs[i] = server.PublicObject{ID: uint64(i + 1), Class: class, Loc: p}
 	}
+	return objs
+}
+
+// buildPopulation generates n users and indexes them in both the grid and
+// a pyramid of the given height.
+func buildPopulation(n int, dist mobility.Distribution, seed uint64, height int) population {
+	pts := points(n, dist, seed)
 	gi, err := grid.New(world, 64, 64)
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
+	must(err)
 	pyr, err := pyramid.New(world, height)
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
+	must(err)
 	for i, p := range pts {
 		gi.Upsert(uint64(i+1), p)
-		if err := pyr.Insert(uint64(i+1), p); err != nil {
-			log.Fatalf("lbsbench: %v", err)
-		}
+		must(pyr.Insert(uint64(i+1), p))
 	}
 	return population{pts: pts, gi: gi, pyr: pyr, pop: cloak.GridPopulation{Index: gi}}
 }
@@ -58,22 +68,9 @@ func buildPopulationH(n int, dist mobility.Distribution, seed uint64, height int
 // objects of class "gas" and returns the object list.
 func buildServerWithObjects(nObjs int, seed uint64) (*server.Server, []server.PublicObject) {
 	srv, err := server.New(server.Config{World: world})
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
-	pts, err := mobility.GeneratePoints(mobility.PopulationSpec{
-		N: nObjs, World: world, Dist: mobility.Uniform, Seed: seed,
-	})
-	if err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
-	objs := make([]server.PublicObject, nObjs)
-	for i, p := range pts {
-		objs[i] = server.PublicObject{ID: uint64(i + 1), Class: "gas", Loc: p}
-	}
-	if err := srv.LoadStationary(objs); err != nil {
-		log.Fatalf("lbsbench: %v", err)
-	}
+	must(err)
+	objs := publicObjects(nObjs, "gas", seed)
+	must(srv.LoadStationary(objs))
 	return srv, objs
 }
 
