@@ -22,9 +22,8 @@ import (
 // framing, syscall and dispatch overhead of a query is exactly what
 // batching amortizes.
 
-// serverBenchMix generates one clustered mixed batch so overlap groups —
-// and therefore shared descents — actually form, mirroring many users
-// querying the same hot neighborhood. Query cloaks are small (half-size
+// serverBenchMix generates one clustered mixed batch, mirroring many
+// users querying the same hot neighborhood. Query cloaks are small (half-size
 // 0.001–0.005 on the unit world): the common LBS case is a point-ish
 // query hidden inside a modest cloak, whose index work is a few
 // microseconds — so the per-call wire overhead (framing, two syscalls
@@ -70,10 +69,10 @@ func loadBenchData(db interface {
 	}
 }
 
-// expServerBatch measures the shared-execution batch engine through the
-// wire: queries/sec for the per-query client baseline and for BatchQuery
-// at worker counts 1, 4, 8, at the process's GOMAXPROCS, over identical
-// clustered query mixes on identical data.
+// expServerBatch measures batch queries through the wire: queries/sec
+// for the per-query client baseline and for BatchQuery at worker counts
+// 1, 4, 8, at the process's GOMAXPROCS, over identical clustered query
+// mixes on identical data.
 func expServerBatch(cfg benchConfig, r *report) {
 	const (
 		rounds     = 400 // batches per measured pass — long enough to damp scheduler noise
@@ -94,7 +93,7 @@ func expServerBatch(cfg benchConfig, r *report) {
 		{"batch", 4},
 		{"batch", 8},
 	}
-	t := newTable("mode", "workers", "queries/sec", "shared hits %", "vs perquery")
+	t := newTable("mode", "workers", "queries/sec", "memo hits %", "vs perquery")
 	var base, batch1 float64 // the perquery reference, measured first; batch at 1 worker
 	for _, sr := range grid {
 		s, err := server.New(server.Config{World: world, QueryWorkers: sr.workers})

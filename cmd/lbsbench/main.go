@@ -88,7 +88,7 @@ var experiments = []experiment{
 	{"E14", "Section 2.1 — spatio-temporal cloaking (latency vs area)", expTemporal},
 	{"E15", "ablation — region index vs full scan", expRegionIndex},
 	{"E16", "sharded parallel anonymizer pipeline", expParallel},
-	{"E17", "shared-execution batch query engine (TCP)", expServerBatch},
+	{"E17", "batch queries over the wire (TCP)", expServerBatch},
 	{"E20", "spatially-partitioned routing tier — 1 shard vs N shards (TCP)", expRouterScale},
 }
 

@@ -256,7 +256,7 @@ func codecCases(g gen) []codecCase {
 		entries := g.entries(n)
 		add("batchEntries", entries, func(e *codec.Encoder) { encodeBatchEntries(e, entries) },
 			func(d *codec.Decoder) (interface{}, error) { return decodeBatchEntries(d) })
-		res := server.BatchResult{Groups: g.r.Intn(9), SharedHits: g.r.Intn(9), Items: make([]server.BatchItemResult, n)}
+		res := server.BatchResult{SharedHits: g.r.Intn(9), Items: make([]server.BatchItemResult, n)}
 		subs := make([]router.SubQuery, n)
 		subRes := make([]router.SubResult, n)
 		for i, be := range entries {

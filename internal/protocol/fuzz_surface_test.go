@@ -150,7 +150,7 @@ func FuzzDecodeBatchResult(f *testing.F) {
 	entries := batchEntriesSeed()
 	f.Add(body(func(e *codec.Encoder) {
 		encodeBatchResult(e, entries, server.BatchResult{
-			Groups: 2, SharedHits: 1,
+			SharedHits: 1,
 			Items: []server.BatchItemResult{
 				{Range: objectsSeed()},
 				{NN: server.PrivateNNResult{SupersetSize: 2, Candidates: objectsSeed()[:1]}},

@@ -426,7 +426,7 @@ func decodeContAnswer(d *codec.Decoder) server.ContinuousCountAnswer {
 }
 
 // maxBatchEntries bounds a MsgBatchQuery frame: large enough for any
-// realistic shared-execution window, small enough that a hostile peer
+// realistic batch window, small enough that a hostile peer
 // cannot turn one frame into an unbounded amount of work.
 const maxBatchEntries = 4096
 
@@ -503,7 +503,7 @@ func encodeBatchResult(e *codec.Encoder, entries []server.BatchEntry, res server
 	// Pre-scan the exact response size so the whole frame is built in one
 	// allocation. Failed entries are skipped (error strings are rare and
 	// cheap to absorb through Grow's geometric fallback).
-	size := 13
+	size := 9
 	for i, it := range res.Items {
 		if it.Err != nil {
 			continue
@@ -520,7 +520,7 @@ func encodeBatchResult(e *codec.Encoder, entries []server.BatchEntry, res server
 	}
 	e.Grow(size)
 	e.U8(MsgBatchResult)
-	e.U32(uint32(res.Groups)).U32(uint32(res.SharedHits))
+	e.U32(uint32(res.SharedHits))
 	e.U32(uint32(len(res.Items)))
 	for i, it := range res.Items {
 		e.Bool(it.Err != nil)
@@ -554,7 +554,6 @@ func decodeBatchResult(d *codec.Decoder) (server.BatchResult, error) {
 		return server.BatchResult{}, fmt.Errorf("protocol: batch response tagged %d, want %d", tag, MsgBatchResult)
 	}
 	var res server.BatchResult
-	res.Groups = int(d.U32())
 	res.SharedHits = int(d.U32())
 	n := d.Count(int(d.U32()), 2)
 	res.Items = make([]server.BatchItemResult, 0, n)
@@ -688,8 +687,8 @@ func (dc *DatabaseClient) PublicCountCtx(ctx context.Context, query geo.Rect) (s
 	return res, d.Err()
 }
 
-// BatchQuery submits a mixed batch of range/NN/count queries for shared
-// execution and returns per-entry results in input order. Per-entry
+// BatchQuery submits a mixed batch of range/NN/count queries in one frame
+// and returns per-entry results in input order. Per-entry
 // failures come back as *server.BatchEntryError values inside the items;
 // the call-level error covers transport and framing only.
 func (dc *DatabaseClient) BatchQuery(entries []server.BatchEntry) (server.BatchResult, error) {

@@ -202,7 +202,8 @@ func TestWireNoAliasStress(t *testing.T) {
 						errs <- err
 						return
 					}
-					if !reflect.DeepEqual(got, wantBatch) {
+					// Memo hits depend on what ran before; the answers do not.
+					if !reflect.DeepEqual(got.Items, wantBatch.Items) {
 						errs <- fmt.Errorf("goroutine %d iter %d: batch response diverged", g, i)
 						return
 					}
@@ -222,7 +223,7 @@ func TestWireNoAliasStress(t *testing.T) {
 				errs <- fmt.Errorf("goroutine %d: early range response corrupted retroactively", g)
 				return
 			}
-			if earlyBatch.Items != nil && !reflect.DeepEqual(earlyBatch, wantBatch) {
+			if earlyBatch.Items != nil && !reflect.DeepEqual(earlyBatch.Items, wantBatch.Items) {
 				errs <- fmt.Errorf("goroutine %d: early batch response corrupted retroactively", g)
 				return
 			}

@@ -54,8 +54,8 @@ const (
 	MsgContCount      byte = 19
 	MsgUnregContCount byte = 20
 	MsgUpdateMoving   byte = 21
-	// MsgBatchQuery carries a mixed batch of range/NN/count queries into
-	// the shared-execution engine; the OK response payload is a typed
+	// MsgBatchQuery carries a mixed batch of range/NN/count queries in one
+	// frame; the OK response payload is a typed
 	// MsgBatchResult sub-frame with one status-tagged result per entry.
 	MsgBatchQuery  byte = 22
 	MsgBatchResult byte = 23

@@ -11,15 +11,18 @@ import (
 // fixedShard answers every sub-batch from one fixed object and one fixed
 // user probability, into a reused buffer, so that the router's own
 // allocations are all that is counted. The router copies what it keeps,
-// and no other Shard method is called.
+// and no other Shard method is called. frames counts the sub-batches the
+// shard was sent.
 type fixedShard struct {
 	Shard
-	objs  []server.PublicObject
-	probs []server.UserProb
-	out   []SubResult
+	objs   []server.PublicObject
+	probs  []server.UserProb
+	out    []SubResult
+	frames int
 }
 
 func (f *fixedShard) ShardBatchCtx(_ context.Context, subs []SubQuery) ([]SubResult, error) {
+	f.frames++
 	f.out = f.out[:0]
 	for _, sq := range subs {
 		sr := SubResult{Index: sq.Index, Kind: sq.Entry.Kind}
@@ -46,6 +49,12 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	world := geo.R(0, 0, 1, 1)
 	shards := make([]Shard, 4)
+	frames := func() (n int) {
+		for _, sh := range shards {
+			n += sh.(*fixedShard).frames
+		}
+		return n
+	}
 	for i := range shards {
 		shards[i] = &fixedShard{
 			objs:  []server.PublicObject{{ID: uint64(i + 1), Loc: geo.Pt(0.2*float64(i+1), 0.5)}},
@@ -68,9 +77,10 @@ func TestHotPathAllocs(t *testing.T) {
 		run    func() error
 	}{
 		{"BatchQueryCtx mixed batch", 94, func() error {
-			res, err := r.BatchQueryCtx(context.Background(), batch)
-			if err == nil && res.Groups <= 4 {
-				t.Errorf("Groups = %d: no second wave", res.Groups)
+			before := frames()
+			_, err := r.BatchQueryCtx(context.Background(), batch)
+			if sent := frames() - before; err == nil && sent <= 4 {
+				t.Errorf("%d sub-batch frames: no second wave", sent)
 			}
 			return err
 		}},

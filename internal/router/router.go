@@ -663,10 +663,9 @@ func errUnknownKind(kind server.BatchKind) error {
 // phase-one bound is known (exactly as PrivateNNCtx does per query).
 // Per-entry failures come back as *server.BatchEntryError values in the
 // items with the same text a single server produces; the call-level error
-// covers transport only. Groups and SharedHits are topology-dependent
-// diagnostics here: Groups counts forwarded sub-batches, SharedHits stays
-// zero (sharing happens inside each shard, which reports its own
-// batch metrics).
+// covers transport only. SharedHits stays zero here: each shard answers
+// its sub-batch through its single-query methods, whose memo hits show in
+// the shard's own lbs_private_memo_hits_total.
 func (r *Router) BatchQueryCtx(ctx context.Context, entries []server.BatchEntry) (server.BatchResult, error) {
 	n := len(entries)
 	res := server.BatchResult{Items: make([]server.BatchItemResult, n)}
@@ -694,11 +693,9 @@ func (r *Router) BatchQueryCtx(ctx context.Context, entries []server.BatchEntry)
 		}
 	}
 	byEntry := make([][]SubResult, n)
-	groups, err := r.scatterSubBatches(ctx, wave1, byEntry)
-	if err != nil {
+	if err := r.scatterSubBatches(ctx, wave1, byEntry); err != nil {
 		return server.BatchResult{}, err
 	}
-	res.Groups = groups
 
 	// Second wave for NN entries whose bound opens a wider neighborhood.
 	wave2 := make([][]SubQuery, len(r.shards))
@@ -714,11 +711,9 @@ func (r *Router) BatchQueryCtx(ctx context.Context, entries []server.BatchEntry)
 			wave2[s] = append(wave2[s], SubQuery{Index: i, Entry: be})
 		}
 	}
-	groups2, err := r.scatterSubBatches(ctx, wave2, byEntry)
-	if err != nil {
+	if err := r.scatterSubBatches(ctx, wave2, byEntry); err != nil {
 		return server.BatchResult{}, err
 	}
-	res.Groups += groups2
 
 	gsp, _ := r.met.gather.Start(ctx, r.tracer)
 	defer gsp.End()
@@ -758,9 +753,9 @@ func (r *Router) BatchQueryCtx(ctx context.Context, entries []server.BatchEntry)
 
 // scatterSubBatches sends every non-empty per-shard sub-batch and files
 // the returned sub-results into byEntry, keeping shard-ascending order so
-// error selection is deterministic. It returns the number of sub-batches
-// sent; a transport failure fails the whole batch call.
-func (r *Router) scatterSubBatches(ctx context.Context, perShard [][]SubQuery, byEntry [][]SubResult) (int, error) {
+// error selection is deterministic. A transport failure fails the whole
+// batch call.
+func (r *Router) scatterSubBatches(ctx context.Context, perShard [][]SubQuery, byEntry [][]SubResult) error {
 	var targets []int
 	for s, subs := range perShard {
 		if len(subs) > 0 {
@@ -768,26 +763,26 @@ func (r *Router) scatterSubBatches(ctx context.Context, perShard [][]SubQuery, b
 		}
 	}
 	if len(targets) == 0 {
-		return 0, nil
+		return nil
 	}
 	res, errs := scatterCall(r, ctx, targets, func(ctx context.Context, s int) ([]SubResult, error) {
 		return r.shards[s].ShardBatchCtx(ctx, perShard[s])
 	})
 	if err := firstErr(errs); err != nil {
-		return 0, err
+		return err
 	}
 	for k, s := range targets {
 		if len(res[k]) != len(perShard[s]) {
-			return 0, fmt.Errorf("router: shard %d answered %d of %d sub-queries", s, len(res[k]), len(perShard[s]))
+			return fmt.Errorf("router: shard %d answered %d of %d sub-queries", s, len(res[k]), len(perShard[s]))
 		}
 		for _, sr := range res[k] {
 			if sr.Index < 0 || sr.Index >= len(byEntry) {
-				return 0, fmt.Errorf("router: shard %d returned sub-result for entry %d of %d", s, sr.Index, len(byEntry))
+				return fmt.Errorf("router: shard %d returned sub-result for entry %d of %d", s, sr.Index, len(byEntry))
 			}
 			byEntry[sr.Index] = append(byEntry[sr.Index], sr)
 		}
 	}
-	return len(targets), nil
+	return nil
 }
 
 // firstSubErr returns the first failure cause among a gathered entry's

@@ -31,7 +31,7 @@ func batchFixture(t testing.TB) *Server {
 }
 
 // sequentialBatch answers the same entries through the per-query public
-// methods — the reference the shared-execution engine must bit-equal.
+// methods — the reference every batch entry must bit-equal.
 func sequentialBatch(s *Server, entries []BatchEntry) []BatchItemResult {
 	out := make([]BatchItemResult, len(entries))
 	for i, e := range entries {
@@ -94,7 +94,7 @@ func assertItemsEqual(t *testing.T, got, want []BatchItemResult) {
 func TestBatchQueryEmpty(t *testing.T) {
 	s := newServer(t)
 	res := s.BatchQuery(nil)
-	if len(res.Items) != 0 || res.Groups != 0 || res.SharedHits != 0 {
+	if len(res.Items) != 0 || res.SharedHits != 0 {
 		t.Errorf("empty batch returned %+v", res)
 	}
 	if m := s.Metrics(); m.Batches != 0 || m.BatchEntries != 0 {
@@ -121,22 +121,12 @@ func TestBatchQueryMixedMatchesSequential(t *testing.T) {
 		res := s.BatchQuery(entries)
 		assertItemsEqual(t, res.Items, want)
 	}
-	// Entries 0 and 2 overlap (one shared range descent); entries 1 and 4
-	// overlap (one shared count probe); 3, 5, 6 stand alone.
-	s.queryWorkers = 1
-	res := s.BatchQuery(entries)
-	if res.Groups != 5 {
-		t.Errorf("Groups = %d, want 5", res.Groups)
-	}
-	if res.SharedHits != 2 {
-		t.Errorf("SharedHits = %d, want 2", res.SharedHits)
-	}
 }
 
 // TestBatchQueryInvalidEntryFailsAlone pins the failure-edge contract: an
-// invalid entry inside what would be an overlapping group fails alone with
-// a typed *BatchEntryError, and the valid members still bit-equal their
-// solo answers — the bad entry never poisons the shared descent.
+// invalid entry among overlapping valid ones fails alone with a typed
+// *BatchEntryError, and the valid entries still bit-equal their solo
+// answers.
 func TestBatchQueryInvalidEntryFailsAlone(t *testing.T) {
 	s := batchFixture(t)
 	entries := []BatchEntry{
@@ -182,11 +172,6 @@ func TestBatchQueryInvalidEntryFailsAlone(t *testing.T) {
 			t.Errorf("item %d: result diverges from solo run", good)
 		}
 	}
-	// The two valid range entries overlap each other → one shared descent.
-	if res.Groups != 1 || res.SharedHits != 1 {
-		t.Errorf("Groups=%d SharedHits=%d, want 1/1 (invalid entries excluded from grouping)",
-			res.Groups, res.SharedHits)
-	}
 }
 
 func TestBatchQueryUnknownKind(t *testing.T) {
@@ -210,9 +195,8 @@ func TestBatchQueryMetrics(t *testing.T) {
 	}
 	s.BatchQuery(entries)
 	m := s.Metrics()
-	if m.Batches != 1 || m.BatchEntries != 3 || m.BatchSharedHits != 1 {
-		t.Errorf("metrics = Batches:%d Entries:%d SharedHits:%d, want 1/3/1",
-			m.Batches, m.BatchEntries, m.BatchSharedHits)
+	if m.Batches != 1 || m.BatchEntries != 3 {
+		t.Errorf("metrics = Batches:%d Entries:%d, want 1/3", m.Batches, m.BatchEntries)
 	}
 	// Per-class counters advance exactly as the sequential path would.
 	if m.PrivateRangeQs != 2 || m.PrivateNNQs != 1 {
@@ -220,7 +204,68 @@ func TestBatchQueryMetrics(t *testing.T) {
 	}
 }
 
-// The pool the batch engine fans out on runs every unit exactly once.
+// TestBatchMemoSharesAnswersWithSingleQueries checks that a batch entry
+// and the same query asked alone share the stationary store's answer
+// memo, in both orders: a batch NN entry and a class-filtered range entry
+// are memo hits after the same single queries, and single queries are
+// memo hits after the same batch entries. BatchResult.SharedHits and
+// Metrics().BatchSharedHits count exactly the batch entries the memo
+// answered; unfiltered range and count entries never consult it.
+func TestBatchMemoSharesAnswersWithSingleQueries(t *testing.T) {
+	s := batchFixture(t)
+	st := s.stationary()
+	// Two regions whose four memoizable keys take four table positions
+	// (the placement is seeded at random per store), so no answer evicts
+	// another.
+	regions := []geo.Rect{geo.R(0.6, 0.6, 0.7, 0.7), geo.R(0.1, 0.8, 0.2, 0.9)}
+	for placed := map[int]bool{}; len(placed) < 4; regions[0].Max.X, regions[1].Max.X = regions[0].Max.X+1e-3, regions[1].Max.X+1e-3 {
+		clear(placed)
+		for _, r := range regions {
+			nk, rk := st.memoKey(memoNN, r, "gas", 0, 0), st.memoKey(memoRange, r, "gas", 0.05, RangeRounded)
+			placed[st.memo.index(&nk)], placed[st.memo.index(&rk)] = true, true
+		}
+	}
+	batchOf := func(r geo.Rect) []BatchEntry {
+		return []BatchEntry{
+			{Kind: BatchPrivateNN, NN: PrivateNNQuery{Region: r, Class: "gas"}},
+			{Kind: BatchPrivateRange, Range: PrivateRangeQuery{Region: r, Radius: 0.05, Class: "gas"}},
+			{Kind: BatchPrivateRange, Range: PrivateRangeQuery{Region: r, Radius: 0.05}},
+			{Kind: BatchPublicCount, Count: PublicRangeCountQuery{Query: r}},
+		}
+	}
+	check := func(step string, res BatchResult, wantShared int, wantHits, wantMisses uint64) {
+		t.Helper()
+		if hits, misses := memoCounts(s); hits != wantHits || misses != wantMisses {
+			t.Errorf("%s: memo %d hits, %d misses, want %d and %d", step, hits, misses, wantHits, wantMisses)
+		}
+		if res.SharedHits != wantShared {
+			t.Errorf("%s: SharedHits = %d, want %d", step, res.SharedHits, wantShared)
+		}
+	}
+
+	// Single queries first: they miss, and the batch's two memoizable
+	// entries then hit.
+	first := batchOf(regions[0])
+	want := sequentialBatch(s, first)
+	check("single queries", BatchResult{}, 0, 0, 2)
+	res := s.BatchQuery(first)
+	assertItemsEqual(t, res.Items, want)
+	check("batch after single queries", res, 2, 2, 2)
+
+	// The batch first: its two memoizable entries miss, and the single
+	// queries then hit.
+	second := batchOf(regions[1])
+	res = s.BatchQuery(second)
+	check("batch", res, 0, 2, 4)
+	assertItemsEqual(t, res.Items, sequentialBatch(s, second))
+	check("single queries after the batch", BatchResult{}, 0, 4, 4)
+
+	if m := s.Metrics(); m.BatchSharedHits != 2 || m.BatchEntries != 8 {
+		t.Errorf("metrics: BatchSharedHits %d of %d entries, want 2 of 8", m.BatchSharedHits, m.BatchEntries)
+	}
+}
+
+// The pool a batch fans out on runs every entry exactly once.
 func TestParallelForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
 		hits := make([]int32, 100)
@@ -244,8 +289,8 @@ func benchBatchServer(b *testing.B, workers int) (*Server, []BatchEntry) {
 	return s, entries
 }
 
-// BenchmarkServerBatchPerQuery is the no-sharing baseline: the same mix
-// answered one query at a time through the public methods.
+// BenchmarkServerBatchPerQuery is the baseline: the same mix answered one
+// query at a time through the public methods.
 func BenchmarkServerBatchPerQuery(b *testing.B) {
 	s, entries := benchBatchServer(b, 1)
 	b.ResetTimer()
@@ -254,8 +299,8 @@ func BenchmarkServerBatchPerQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkServerBatchSequential measures shared execution alone:
-// BatchQuery on the degenerate one-worker loop.
+// BenchmarkServerBatchSequential measures BatchQuery on the degenerate
+// one-worker loop.
 func BenchmarkServerBatchSequential(b *testing.B) {
 	s, entries := benchBatchServer(b, 1)
 	b.ResetTimer()
@@ -264,7 +309,7 @@ func BenchmarkServerBatchSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkServerBatchParallel adds the worker pool on top of sharing.
+// BenchmarkServerBatchParallel adds the worker pool.
 func BenchmarkServerBatchParallel(b *testing.B) {
 	s, entries := benchBatchServer(b, runtime.GOMAXPROCS(0))
 	b.ResetTimer()

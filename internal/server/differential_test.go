@@ -13,8 +13,8 @@ import (
 	"repro/internal/rng"
 )
 
-// The differential suite proves the shared-execution batch engine
-// equivalent to the sequential per-query path: for every seed in
+// The differential suite proves BatchQuery equivalent to the sequential
+// per-query path: for every seed in
 // testdata/diff_seeds.txt, one deterministic data set and query mix is
 // evaluated through the public per-query methods (the reference) and
 // through BatchQuery at several worker counts — including the degenerate
@@ -163,11 +163,11 @@ func buildDiffServer(t testing.TB, seed uint64) *diffServer {
 }
 
 // buildDiffBatch generates one deterministic mixed query batch: clustered
-// rectangles (so shared descents actually form), all three query kinds,
+// rectangles (so entries overlap), all three query kinds,
 // both range modes, class filters, and a sprinkling of invalid entries
 // whose typed errors must also match the sequential path.
 func buildDiffBatch(src *rng.Source, n int) []BatchEntry {
-	// Cluster centers pull rectangles together so overlap groups form.
+	// Cluster centers pull rectangles together so entries overlap.
 	centers := make([]geo.Point, 6)
 	for i := range centers {
 		centers[i] = geo.Pt(0.15+0.7*src.Float64(), 0.15+0.7*src.Float64())
@@ -230,20 +230,9 @@ func TestDifferentialBatchEqualsSequential(t *testing.T) {
 				}
 				entries := buildDiffBatch(src, 40)
 				want := sequentialBatch(s.Server, entries)
-				var groups0, shared0 int
-				for wi, w := range workerCounts {
+				for _, w := range workerCounts {
 					s.queryWorkers = w
-					res := s.BatchQuery(entries)
-					assertItemsEqual(t, res.Items, want)
-					if wi == 0 {
-						groups0, shared0 = res.Groups, res.SharedHits
-					} else if res.Groups != groups0 || res.SharedHits != shared0 {
-						t.Fatalf("workers=%d: grouping diverges (%d/%d vs %d/%d)",
-							w, res.Groups, res.SharedHits, groups0, shared0)
-					}
-				}
-				if shared0 == 0 {
-					t.Error("clustered batch produced no shared descents")
+					assertItemsEqual(t, s.BatchQuery(entries).Items, want)
 				}
 			}
 		})
@@ -275,7 +264,7 @@ func TestDifferentialAcrossGoMaxProcs(t *testing.T) {
 }
 
 // TestDifferentialBatchSplitInvariance: splitting a batch into chunks must
-// not change any per-entry answer — only the sharing opportunity.
+// not change any per-entry answer.
 func TestDifferentialBatchSplitInvariance(t *testing.T) {
 	s := buildDiffServer(t, 42)
 	s.queryWorkers = diffWorkers(t)

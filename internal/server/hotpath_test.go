@@ -9,9 +9,10 @@ import (
 
 // TestHotPathAllocs holds the database tier's allocation budgets: heap
 // allocations per call on a warm, fixed fixture, which may only go down.
-// The mixed batch runs BatchQueryCtx through every group kernel
-// (runRangeGroup, runNNGroup, runCountGroupLocked) and the overlap
-// grouping of groupShared. A repeated PrivateNN is a memo hit, which
+// The mixed batch runs BatchQueryCtx through every kind's answer function
+// (answerRange with and without a class, answerNN, answerCount) on the
+// pooled coordinator; its NN and class-filtered range entries are memo
+// hits after the first call. A repeated PrivateNN is a memo hit, which
 // allocates only its answer; the miss row asks a fresh region every call,
 // so it runs the kernel and memoizes the answer's entry and slots. The wide
 // PrivateNN's first call runs a min–max superset of thousands of
@@ -62,7 +63,7 @@ func TestHotPathAllocs(t *testing.T) {
 		}},
 		{"PrivateNN wide region", 1, func() error { _, err := dense.PrivateNN(wide); return err }},
 		{"PublicRangeCount", 1, func() error { _, err := s.PublicRangeCount(count); return err }},
-		{"BatchQueryCtx mixed batch", 16, func() error {
+		{"BatchQueryCtx mixed batch", 10, func() error {
 			for _, it := range s.BatchQueryCtx(context.Background(), batch).Items {
 				if it.Err != nil {
 					return it.Err

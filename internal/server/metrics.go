@@ -23,10 +23,10 @@ type Metrics struct {
 	SnapshotsTaken  uint64
 	RestoresApplied uint64
 
-	// Shared-execution batch engine (batch.go).
+	// Batch queries (batch.go).
 	Batches         uint64 // BatchQuery calls served
-	BatchEntries    uint64 // entries admitted across all batches
-	BatchSharedHits uint64 // entries answered by another entry's descent
+	BatchEntries    uint64 // entries across all batches
+	BatchSharedHits uint64 // batch entries answered from the answer memo
 }
 
 // metrics holds the server's registered obs series. Handles are registered
@@ -69,7 +69,6 @@ type metrics struct {
 	countUsers   *obs.Histogram // users with positive overlap per count answer
 	nodeVisits   *obs.Histogram // index nodes visited per query
 	batchSize    *obs.Histogram // entries per BatchQuery call
-	batchGroups  *obs.Histogram // independent work units per batch
 	batch        trace.Stage    // lbs_batch span → lbs_batch_seconds
 }
 
@@ -97,9 +96,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 		continuousReads: reg.Counter("lbs_continuous_reads_total", "Continuous-query answer reads."),
 		snapshotsTaken:  reg.Counter("lbs_snapshots_total", "State snapshots written."),
 		restoresApplied: reg.Counter("lbs_restores_total", "State snapshots restored."),
-		batches:         reg.Counter("lbs_batch_queries_total", "Shared-execution batch query calls served."),
-		batchEntries:    reg.Counter("lbs_batch_entries_total", "Query entries admitted across all batches."),
-		batchSharedHits: reg.Counter("lbs_batch_shared_hits_total", "Batch entries answered by a shared index descent another entry initiated."),
+		batches:         reg.Counter("lbs_batch_queries_total", "Batch query calls served."),
+		batchEntries:    reg.Counter("lbs_batch_entries_total", "Query entries across all batches."),
+		batchSharedHits: reg.Counter("lbs_batch_shared_hits_total", "Batch entries answered from the stationary store's answer memo."),
 		memoHits:        reg.Counter("lbs_private_memo_hits_total", "Private NN and class-filtered range queries answered from the stationary store's answer memo."),
 		memoMisses:      reg.Counter("lbs_private_memo_misses_total", "Private NN and class-filtered range queries that ran their kernel and offered the answer to the memo."),
 
@@ -126,10 +125,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Spatial-index nodes visited per query.",
 			obs.CountBuckets),
 		batchSize: reg.Histogram("lbs_batch_size",
-			"Entries per shared-execution batch query.",
-			obs.CountBuckets),
-		batchGroups: reg.Histogram("lbs_batch_groups",
-			"Independent work units (shared descents + NN entries) per batch.",
+			"Entries per batch query.",
 			obs.CountBuckets),
 		batch: trace.NewStage("lbs_batch", reg.Histogram("lbs_batch_seconds",
 			"Whole-batch query latency.",

@@ -75,37 +75,115 @@ func (s *Server) PrivateRange(q PrivateRangeQuery) ([]PublicObject, error) {
 }
 
 // PrivateRangeCtx is PrivateRange under a context (trace): the range
-// kernel on a group of one. A class-filtered query reads only the
-// stationary store it picks up, so it takes no lock and its answer is
-// memoized on that store; a query with Class == "" also reads the moving
-// grid, so it runs under the read lock and is never memoized.
+// answer under the private_range class span.
 func (s *Server) PrivateRangeCtx(ctx context.Context, q PrivateRangeQuery) ([]PublicObject, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
 	r := s.beginSingle(ctx, s.met.privateRange)
-	entries := [1]BatchEntry{{Range: q}}
-	var out [1]BatchItemResult
-	if q.Class == "" {
-		s.mu.RLock()
-		s.runRangeGroup(s.st.Load(), entries[:], groupOfOne(q.filter()), out[:], r.sc)
-		s.mu.RUnlock()
-	} else {
-		st := s.stationary()
-		key := st.memoKey(memoRange, q.Region, q.Class, q.Radius, q.Mode)
-		if e := s.memoGet(st, key); e != nil {
-			s.met.privateRangeQs.Inc()
-			out[0].Range = st.objects(e.slots)
-		} else {
-			s.runRangeGroup(st, entries[:], groupOfOne(q.filter()), out[:], r.sc)
-			memoPut(st, memoEntry{key: key}, r.sc.slots)
-		}
-	}
+	objs, _ := s.answerRange(q, r.sc)
 	if r.sp.Recording() {
-		r.sp.SetAttrs(trace.Int("results", int64(len(out[0].Range))))
+		r.sp.SetAttrs(trace.Int("results", int64(len(objs))))
 	}
 	s.endSingle(r)
-	return out[0].Range, nil
+	return objs, nil
+}
+
+// answerRange answers one validated private range query, asked alone or
+// as a batch entry, and reports whether the answer came from the memo. A
+// class-filtered query reads only the stationary store it picks up, so it
+// takes no lock and its answer is memoized on that store; a query with
+// Class == "" also reads the moving grid, so it runs under the read lock
+// and is never memoized.
+func (s *Server) answerRange(q PrivateRangeQuery, sc *batchScratch) ([]PublicObject, bool) {
+	s.met.privateRangeQs.Inc()
+	if q.Class == "" {
+		s.mu.RLock()
+		objs := s.rangeKernel(s.st.Load(), q, sc)
+		s.mu.RUnlock()
+		return objs, false
+	}
+	st := s.stationary()
+	key := st.memoKey(memoRange, q.Region, q.Class, q.Radius, q.Mode)
+	if e := s.memoGet(st, key); e != nil {
+		return st.objects(e.slots), true
+	}
+	objs := s.rangeKernel(st, q, sc)
+	memoPut(st, memoEntry{key: key}, sc.slots)
+	return objs, false
+}
+
+// rangeKernel is the private-range kernel (Figure 5a): one descent of st's
+// R-tree over the query's expanded MBR, filtered down to the rounded
+// rectangle (RangeRounded) and the class; the surviving slots are sorted
+// into sc.slots and resolved into the canonical answer. The candidate set
+// is complete by construction (invariant I5): an object within Radius of
+// any point p of the region satisfies MinDist(obj, region) ≤ Radius and
+// lies inside the expanded MBR. A query with Class == "" also scans the
+// moving grid, so its caller holds the read lock.
+func (s *Server) rangeKernel(st *stationaryStore, q PrivateRangeQuery, sc *batchScratch) []PublicObject {
+	f := q.filter()
+	items, visits := st.tree.SearchVisits(f, sc.items[:0])
+	sc.items = items
+	s.met.nodeVisits.Observe(float64(visits))
+	class, all := st.classID(q.Class)
+	slots := sc.slots[:0]
+	for _, it := range items {
+		if q.Mode == RangeRounded && geo.MinDist(it.Loc, q.Region) > q.Radius {
+			continue
+		}
+		if !all && st.cls[it.ID] != class {
+			continue
+		}
+		slots = append(slots, it.ID)
+	}
+	slices.Sort(slots)
+	sc.slots = slots
+	// Canonical order: the answer is a set, and emitting it sorted makes
+	// the single-server result bit-identical to a scatter/gather union of
+	// per-shard results.
+	objs := st.objects(slots)
+	if q.Class != "" {
+		return objs
+	}
+	sc.moving = s.moving.Search(f, sc.moving[:0])
+	moving := sc.movingObjs[:0]
+	for _, m := range sc.moving {
+		if q.Mode == RangeRounded && geo.MinDist(m.Loc, q.Region) > q.Radius {
+			continue
+		}
+		// A moving object has no class. Its ID space is its own, so its
+		// record comes off the grid entry, never the store.
+		moving = append(moving, PublicObject{ID: m.ID, Loc: m.Loc})
+	}
+	sc.movingObjs = moving
+	if len(moving) == 0 {
+		return objs
+	}
+	// Sort just the moving matches and merge the two canonically-ordered
+	// runs. The comparator key is total over any one answer's objects
+	// (SortObjects's contract), so the merged order is byte-identical to
+	// sorting the union.
+	SortObjects(moving)
+	return mergeSorted(objs, moving)
+}
+
+// mergeSorted merges two canonically-ordered runs into a fresh slice in
+// SortObjects order.
+func mergeSorted(a, b []PublicObject) []PublicObject {
+	out := make([]PublicObject, 0, len(a)+len(b))
+	ai, bi := 0, 0
+	for ai < len(a) && bi < len(b) {
+		if cmpObjects(b[bi], a[ai]) < 0 {
+			out = append(out, b[bi])
+			bi++
+		} else {
+			out = append(out, a[ai])
+			ai++
+		}
+	}
+	out = append(out, a[ai:]...)
+	return append(out, b[bi:]...)
 }
 
 // PrivateNNQuery is a private nearest-neighbor query over public data:
@@ -147,33 +225,63 @@ func (s *Server) PrivateNN(q PrivateNNQuery) (PrivateNNResult, error) {
 	return s.PrivateNNCtx(context.Background(), q)
 }
 
-// PrivateNNCtx is PrivateNN under a context (trace): the answer memoized
-// on the stationary store current at the start, or the NN kernel's steps
-// over that store. The store is never edited, so the query takes no lock,
-// and a load that swaps in another store meanwhile cannot mix two states
-// into its answer.
+// PrivateNNCtx is PrivateNN under a context (trace): the NN answer under
+// the private_nn class span.
 func (s *Server) PrivateNNCtx(ctx context.Context, q PrivateNNQuery) (PrivateNNResult, error) {
 	if err := q.validate(); err != nil {
 		return PrivateNNResult{}, err
 	}
 	r := s.beginSingle(ctx, s.met.privateNN)
-	s.met.privateNNQs.Inc()
-	st := s.stationary()
-	key := st.memoKey(memoNN, q.Region, q.Class, 0, 0)
-	var res PrivateNNResult
-	if e := s.memoGet(st, key); e != nil {
-		res = s.nnAnswer(st, e.superset, e.slots)
-	} else {
-		items, _, _ := s.nnDescent(st, q.Region, q.Class, r.sc)
-		superset, items := len(items), compact(items, r.sc.comb.exactNN(q.Region, items))
-		res = s.finishNN(st, superset, items, r.sc)
-		memoPut(st, memoEntry{key: key, superset: superset}, r.sc.slots)
-	}
+	res, _ := s.answerNN(q, r.sc)
 	if r.sp.Recording() {
 		r.sp.SetAttrs(trace.Int("candidates", int64(len(res.Candidates))), trace.Int("superset", int64(res.SupersetSize)))
 	}
 	s.endSingle(r)
 	return res, nil
+}
+
+// answerNN answers one validated private NN query, asked alone or as a
+// batch entry, and reports whether the answer came from the memo: the
+// answer memoized on the stationary store current at the start, or the NN
+// kernel's steps over that store — the min–max descent, the exact
+// decision on the item stream, and the canonical resolution of only its
+// survivors. The store is never edited, so the query takes no lock, and a
+// load that swaps in another store meanwhile cannot mix two states into
+// its answer.
+func (s *Server) answerNN(q PrivateNNQuery, sc *batchScratch) (PrivateNNResult, bool) {
+	s.met.privateNNQs.Inc()
+	st := s.stationary()
+	key := st.memoKey(memoNN, q.Region, q.Class, 0, 0)
+	if e := s.memoGet(st, key); e != nil {
+		return s.nnAnswer(st, e.superset, e.slots), true
+	}
+	items, _ := s.nnDescent(st, q.Region, q.Class, sc)
+	superset := len(items)
+	slots := sc.sortedSlots(compact(items, sc.comb.exactNN(q.Region, items)))
+	memoPut(st, memoEntry{key: key, superset: superset}, slots)
+	return s.nnAnswer(st, superset, slots), false
+}
+
+// nnDescent is the min–max descent of the private-NN kernel (step 1 of
+// Figure 5b) over one probe region and class of store st: the candidate
+// item stream in traversal order and its bound.
+func (s *Server) nnDescent(st *stationaryStore, region geo.Rect, class string, sc *batchScratch) ([]rtree.Item, float64) {
+	var match func(rtree.Item) bool
+	if c, all := st.classID(class); !all {
+		cls := st.cls
+		match = func(it rtree.Item) bool { return cls[it.ID] == c }
+	}
+	items, bound, visits := st.tree.MinMaxCandidates(region, match, sc.items[:0])
+	sc.items = items
+	s.met.nodeVisits.Observe(float64(visits))
+	return items, bound
+}
+
+// nnAnswer builds a private NN answer from its survivors' sorted slots in
+// st, computed or memoized, and observes its size.
+func (s *Server) nnAnswer(st *stationaryStore, superset int, slots []uint64) PrivateNNResult {
+	s.met.observeNNAnswer(len(slots))
+	return PrivateNNResult{SupersetSize: superset, Candidates: st.objects(slots)}
 }
 
 // validate checks the query parameters (shared with BatchQuery).
@@ -224,7 +332,7 @@ func (s *Server) PrivateNNPartsCtx(ctx context.Context, q PrivateNNQuery) (NNPar
 	if e := s.memoGet(st, key); e != nil {
 		parts = NNParts{Bound: e.bound, Candidates: st.objects(e.slots)}
 	} else {
-		items, bound, _ := s.nnDescent(st, q.Region, q.Class, r.sc)
+		items, bound := s.nnDescent(st, q.Region, q.Class, r.sc)
 		slots := r.sc.sortedSlots(items)
 		parts = NNParts{Bound: bound, Candidates: st.objects(slots)}
 		memoPut(st, memoEntry{key: key, bound: bound}, slots)

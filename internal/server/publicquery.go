@@ -48,27 +48,46 @@ func (s *Server) PublicRangeCount(q PublicRangeCountQuery) (PublicRangeCountResu
 }
 
 // PublicRangeCountCtx is PublicRangeCount under a context (trace): the
-// count kernel on a group of one, its PDF folded after the read lock is
-// released.
+// count answer under the public_count class span.
 func (s *Server) PublicRangeCountCtx(ctx context.Context, q PublicRangeCountQuery) (PublicRangeCountResult, error) {
 	if err := q.validate(); err != nil {
 		return PublicRangeCountResult{}, err
 	}
-	r := s.countSingle(ctx, q.Query)
-	res := r.sc.foldCount(r.sc.pairs)
+	r := s.beginSingle(ctx, s.met.publicCount)
+	res := s.answerCount(q.Query, r.sc)
 	s.endCount(r, res.NaiveCount)
 	return res, nil
 }
 
-// countSingle gathers the (user, probability) pairs of one validated count
-// rectangle; the caller finishes from r.sc.pairs and closes with endCount.
-func (s *Server) countSingle(ctx context.Context, query geo.Rect) singleQuery {
-	r := s.beginSingle(ctx, s.met.publicCount)
-	entries := [1]BatchEntry{{Count: PublicRangeCountQuery{Query: query}}}
+// answerCount answers one validated count rectangle, asked alone or as a
+// batch entry: the count kernel's pairs, folded after the read lock is
+// released.
+func (s *Server) answerCount(query geo.Rect, sc *batchScratch) PublicRangeCountResult {
+	return sc.foldCount(s.countPairs(query, sc))
+}
+
+// countPairs is the public-count kernel (Figure 6a): it gathers the
+// (user, overlap probability) pairs with positive overlap into sc.pairs
+// from one probe of the region index, whose hits carry each region read
+// in place from its slot. The read lock is held across the probe and the
+// overlap tests, never across the fold. Pair order is a probe artifact
+// and carries no meaning: every consumer sorts before it accumulates
+// (foldCount) or emits (PublicCountProbs). The pair count — the n its PDF
+// fold costs O(n²) in — is observed in lbs_public_count_users.
+func (s *Server) countPairs(query geo.Rect, sc *batchScratch) []UserProb {
+	s.met.publicCountQs.Inc()
 	s.mu.RLock()
-	s.runCountGroupLocked(entries[:], groupOfOne(query), r.sc)
+	hits := s.privIdx.QueryHits(query, sc.hits[:0])
+	pairs := sc.pairs[:0]
+	for _, h := range hits {
+		if p := prob.Overlap(h.Region, query); p > 0 {
+			pairs = append(pairs, UserProb{ID: h.ID, P: p})
+		}
+	}
 	s.mu.RUnlock()
-	return r
+	sc.hits, sc.pairs = hits, pairs
+	s.met.countUsers.Observe(float64(len(pairs)))
+	return pairs
 }
 
 // endCount closes a single count query that saw naive overlapping users.
@@ -98,14 +117,15 @@ func (s *Server) PublicCountProbs(q PublicRangeCountQuery) ([]UserProb, error) {
 }
 
 // PublicCountProbsCtx is PublicCountProbs under a context (trace): the
-// count kernel on a group of one, its pairs copied out of the scratch.
+// count kernel's pairs, copied out of the scratch.
 func (s *Server) PublicCountProbsCtx(ctx context.Context, q PublicRangeCountQuery) ([]UserProb, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
-	r := s.countSingle(ctx, q.Query)
-	pairs := make([]UserProb, len(r.sc.pairs))
-	copy(pairs, r.sc.pairs)
+	r := s.beginSingle(ctx, s.met.publicCount)
+	found := s.countPairs(q.Query, r.sc)
+	pairs := make([]UserProb, len(found))
+	copy(pairs, found)
 	slices.SortFunc(pairs, func(a, b UserProb) int { return cmp.Compare(a.ID, b.ID) })
 	s.endCount(r, len(pairs))
 	return pairs, nil
@@ -279,9 +299,8 @@ func (s *Server) PrivateCount(q PrivateCountQuery) (prob.CountAnswer, error) {
 		return prob.CountAnswer{}, fmt.Errorf("server: invalid radius %g", q.Radius)
 	}
 	expanded := q.Region.Expand(q.Radius)
-	ctx := context.Background()
-	r := s.countSingle(ctx, expanded)
-	pairs := slices.DeleteFunc(r.sc.pairs, func(up UserProb) bool { return up.ID == q.ExcludeID })
+	r := s.beginSingle(context.Background(), s.met.publicCount)
+	pairs := slices.DeleteFunc(s.countPairs(expanded, r.sc), func(up UserProb) bool { return up.ID == q.ExcludeID })
 	ans := r.sc.foldCount(pairs).Answer
 	s.endCount(r, len(pairs))
 	return ans, nil

@@ -18,9 +18,9 @@ import (
 // Section 6 with linear scans — over the stationary objects the test holds
 // beside the server (diffServer) and the server's raw moving and private
 // stores — no R-tree,
-// no grid probe, no region index, no scratch, no grouping. The per-query
-// methods and BatchQuery share one kernel per kind, so agreeing with each
-// other proves only that shared-union filtering equals an own descent;
+// no grid probe, no region index, no scratch, no memo. The per-query
+// methods and BatchQuery run one answer function per kind, so agreeing
+// with each other proves only that the fan-out keeps entries apart;
 // agreeing with this model proves the kernel computes the right answer.
 // Float operations are the same geo/prob primitives applied to the same
 // operands, so equality is bit for bit.

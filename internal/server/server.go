@@ -124,8 +124,8 @@ type Config struct {
 	// Optional; a private registry is created when nil, so instrumentation
 	// is always live and Registry() always works.
 	Metrics *obs.Registry
-	// QueryWorkers is the worker-pool width BatchQuery fans independent
-	// query groups out to (default GOMAXPROCS; 1 = a plain loop).
+	// QueryWorkers is the worker-pool width BatchQuery fans its entries
+	// out to (default GOMAXPROCS; 1 = a plain loop).
 	QueryWorkers int
 	// Tracer records pipeline-stage spans for traced requests (the *Ctx
 	// entry points). Optional; nil disables span recording.
