@@ -22,16 +22,30 @@ import (
 
 // Overlap returns P(user ∈ query) for a user uniformly distributed in
 // region: the ratio of the overlapped area to the region area (Figure 6a).
-// A degenerate (point) region yields 0 or 1.
+// A zero-area region is uniform over its extent instead: a point scores
+// 1 or 0 by containment, a segment the share of its length inside the
+// query.
 func Overlap(region, query geo.Rect) float64 {
-	a := region.Area()
-	if a == 0 {
-		if query.Contains(region.Min) {
+	if a := region.Area(); a > 0 {
+		return region.OverlapArea(query) / a
+	}
+	return extentShare(region.Min.X, region.Max.X, query.Min.X, query.Max.X) *
+		extentShare(region.Min.Y, region.Max.Y, query.Min.Y, query.Max.Y)
+}
+
+// extentShare returns the share of [lo, hi] inside [qlo, qhi]: 1 or 0 by
+// containment when lo == hi.
+func extentShare(lo, hi, qlo, qhi float64) float64 {
+	if lo == hi {
+		if lo >= qlo && lo <= qhi {
 			return 1
 		}
 		return 0
 	}
-	return region.OverlapArea(query) / a
+	if o := min(hi, qhi) - max(lo, qlo); o > 0 {
+		return o / (hi - lo)
+	}
+	return 0
 }
 
 // CountAnswer is the paper's three answer formats for a probabilistic
@@ -138,68 +152,57 @@ func flush(v float64) float64 {
 // microcode assist per operation (EXPERIMENTS E24). Everything else here
 // is a bit-exact rewrite of that flushed recurrence, O(n²) time at worst:
 //   - only the live support pdf[lo..hi] (every nonzero entry) is swept,
-//     trimmed of zeros at both ends after each sweep;
+//     trimmed of zeros at both ends after each user;
 //   - a user with p == 0 is the identity and is skipped; a user with
 //     p == 1 moves the PDF one place right exactly, and the recurrence
 //     commutes with that move, so such users are counted and applied as
-//     one shift at the end;
-//   - two users share one sweep: the first user's new entry j−1, computed
-//     for the second user's update of j, stays in a register for its
-//     update of j−1, so every product, sum and flush is the one the
-//     user-at-a-time loop performs.
-//
-// The explicit float64 conversions round each product on its own, so no
-// platform fuses a multiply-add and every tier computes the same bits.
+//     one shift at the end.
 func PoissonBinomial(probs []float64) []float64 {
 	pdf := make([]float64, len(probs)+1)
 	pdf[0] = 1
 	lo, hi := 0, 0
 	certain := 0
-	pending, p1 := false, 0.0
 	for _, p := range probs {
-		switch {
-		case p == 1:
+		switch p {
+		case 1:
 			certain++
-			continue
-		case p == 0:
-			continue
-		case !pending:
-			pending, p1 = true, p
-			continue
+		case 0:
+		default:
+			sweep(pdf[lo:hi+2], p, 1-p)
+			lo, hi = liveSupport(pdf, lo, hi+1)
 		}
-		// Users p1 then p2 over w, the live support plus the two entries
-		// they extend it by: up is the first user's entry j, down its
-		// entry j−1, and w[j] takes the second user's entry j.
-		pending = false
-		q1, p2, q2 := 1-p1, p, 1-p
-		w := pdf[lo : hi+3]
-		up := flush(w[len(w)-3] * p1)
-		w[len(w)-1] = flush(up * p2)
-		for j := len(w) - 2; j >= 2; j-- {
-			down := flush(float64(w[j-1]*q1) + float64(w[j-2]*p1))
-			w[j] = flush(float64(up*q2) + float64(down*p2))
-			up = down
-		}
-		down := flush(w[0] * q1)
-		w[1] = flush(float64(up*q2) + float64(down*p2))
-		w[0] = flush(down * q2)
-		lo, hi = liveSupport(pdf, lo, hi+2)
-	}
-	if pending {
-		q1 := 1 - p1
-		w := pdf[lo : hi+2]
-		w[len(w)-1] = flush(w[len(w)-2] * p1)
-		for j := len(w) - 2; j >= 1; j-- {
-			w[j] = flush(float64(w[j]*q1) + float64(w[j-1]*p1))
-		}
-		w[0] = flush(w[0] * q1)
-		lo, hi = liveSupport(pdf, lo, hi+1)
 	}
 	if certain > 0 {
 		copy(pdf[lo+certain:], pdf[lo:hi+1])
 		clear(pdf[lo : lo+certain])
 	}
 	return pdf
+}
+
+// sweep applies one user's step, w[j] = flush(w[j]·q + w[j−1]·p) for
+// j = len(w)−1 … 1 and then w[0] = flush(w[0]·q), the entry below w[0]
+// being zero. With AVX2 the top full four-entry blocks go four lanes at
+// a time and the loop below finishes the rest. The lanes compute exactly
+// the scalar step (sweepAVX2), and Go never sets the flush-to-zero or
+// denormals-are-zero modes, so both paths round subnormal intermediates
+// alike and store the same bits; the loop carries the entry below in a
+// register, so each entry is loaded once.
+//
+// The explicit float64 conversions round each product on its own, so no
+// platform fuses a multiply-add and every tier computes the same bits.
+func sweep(w []float64, p, q float64) {
+	j := len(w) - 1
+	if useAVX2 {
+		sweepAVX2(w, p, q)
+		j %= 4
+	}
+	cur := w[j]
+	for ; j >= 1; j-- {
+		below := w[j-1]
+		w[j] = flush(float64(cur*q) + float64(below*p))
+		cur = below
+	}
+	w[0] = flush(cur * q)
 }
 
 // liveSupport narrows [lo, hi] past zero entries at both ends, never

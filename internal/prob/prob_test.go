@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -14,21 +17,28 @@ import (
 )
 
 func TestOverlap(t *testing.T) {
-	region := geo.R(0, 0, 2, 2)
+	square := geo.R(0, 0, 2, 2)
 	cases := []struct {
-		query geo.Rect
-		want  float64
+		region, query geo.Rect
+		want          float64
 	}{
-		{geo.R(0, 0, 2, 2), 1},            // full overlap
-		{geo.R(0, 0, 1, 2), 0.5},          // half
-		{geo.R(0, 0, 1, 1), 0.25},         // quarter
-		{geo.R(5, 5, 6, 6), 0},            // disjoint
-		{geo.R(-1, -1, 3, 3), 1},          // query contains region
-		{geo.R(1, 1, 1.5, 1.5), 1.0 / 16}, // interior sliver
+		{square, geo.R(0, 0, 2, 2), 1},            // full overlap
+		{square, geo.R(0, 0, 1, 2), 0.5},          // half
+		{square, geo.R(0, 0, 1, 1), 0.25},         // quarter
+		{square, geo.R(5, 5, 6, 6), 0},            // disjoint
+		{square, geo.R(-1, -1, 3, 3), 1},          // query contains region
+		{square, geo.R(1, 1, 1.5, 1.5), 1.0 / 16}, // interior sliver
+		// Segments score the share of their length inside the query,
+		// whichever end their Min corner lies at.
+		{geo.R(0.5, 0.2, 0.5, 0.8), geo.R(0.4, 0.5, 0.6, 0.9), 0.5},
+		{geo.R(0.5, 0.45, 0.5, 2), geo.R(0.4, 0.4, 0.6, 0.5), 0.05 / 1.55},
+		{geo.R(0.2, 0.5, 0.6, 0.5), geo.R(0.4, 0.4, 0.8, 0.6), 0.5},
+		{geo.R(0.2, 0.5, 0.6, 0.5), geo.R(0.4, 0.6, 0.8, 0.9), 0}, // beside the query
+		{geo.R(0.5, 0.2, 0.5, 0.8), geo.R(0.5, 0, 1, 1), 1},       // on its edge
 	}
 	for _, c := range cases {
-		if got := Overlap(region, c.query); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Overlap(%v) = %v, want %v", c.query, got, c.want)
+		if got := Overlap(c.region, c.query); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("Overlap(%v, %v) = %v, want %v", c.region, c.query, got, c.want)
 		}
 	}
 }
@@ -173,11 +183,30 @@ func checkPoissonBinomial(probs []float64) error {
 	return nil
 }
 
+// eachSweepPath calls run once through the vector kernel (when the CPU
+// check selected it) and once with the kernel forced off, through the
+// portable loop alone.
+func eachSweepPath(run func(path string)) {
+	vector := useAVX2
+	defer func() { useAVX2 = vector }()
+	for _, path := range []struct {
+		name string
+		on   bool
+	}{{"vector", vector}, {"portable", false}} {
+		useAVX2 = path.on
+		run(path.name)
+	}
+}
+
 // TestPoissonBinomialMatchesFlushedReference runs the kernel against the
 // user-at-a-time reference on seeded vectors of every shape its rewrites
 // special-case: certain and impossible users anywhere in the order,
-// probabilities whose products underflow at once, users that barely move
-// the PDF, and the sorted, 18 %-certain shape of a large-k count.
+// probabilities whose products underflow at once or land exactly on the
+// flush threshold, users that barely move the PDF, and the sorted,
+// 18 %-certain shape of a large-k count. Lengths 1–12 give live supports
+// with every remainder modulo the vector kernel's four lanes, and
+// supports too short for one full block; every case runs through both
+// sweep paths.
 func TestPoissonBinomialMatchesFlushedReference(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -187,6 +216,9 @@ func TestPoissonBinomialMatchesFlushedReference(t *testing.T) {
 		{"one", func(*rng.Source) float64 { return 1 }},
 		{"tiny", func(*rng.Source) float64 { return 1e-300 }},
 		{"near-one", func(*rng.Source) float64 { return 1 - 1e-12 }},
+		// At n = 1022 the top entry is 0.5¹⁰²² = 2⁻¹⁰²², the flush
+		// threshold itself: kept, not flushed.
+		{"half", func(*rng.Source) float64 { return 0.5 }},
 		{"uniform", func(src *rng.Source) float64 { return src.Float64() }},
 		{"mixed", func(src *rng.Source) float64 {
 			return [...]float64{0, 1, 1e-300, 1 - 1e-12, src.Float64()}[src.Intn(5)]
@@ -198,29 +230,58 @@ func TestPoissonBinomialMatchesFlushedReference(t *testing.T) {
 			return src.Float64()
 		}},
 	}
-	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 64, 65, 255, 1000, 1001, 3000}
-	for k, kind := range kinds {
-		src := rng.New(uint64(k + 1))
-		for _, n := range lengths {
-			probs := make([]float64, n)
-			for i := range probs {
-				probs[i] = kind.draw(src)
-			}
-			sorted := slices.Clone(probs)
-			sort.Float64s(sorted)
-			for _, v := range [][]float64{probs, sorted} {
-				if err := checkPoissonBinomial(v); err != nil {
-					t.Errorf("%s/n=%d/sorted=%v: %v", kind.name, n, slices.IsSorted(v), err)
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 16, 17, 64, 65, 255, 1000, 1001, 1022, 3000}
+	eachSweepPath(func(path string) {
+		t.Run(path, func(t *testing.T) {
+			for k, kind := range kinds {
+				src := rng.New(uint64(k + 1))
+				for _, n := range lengths {
+					probs := make([]float64, n)
+					for i := range probs {
+						probs[i] = kind.draw(src)
+					}
+					sorted := slices.Clone(probs)
+					sort.Float64s(sorted)
+					for _, v := range [][]float64{probs, sorted} {
+						if err := checkPoissonBinomial(v); err != nil {
+							t.Errorf("%s/n=%d/sorted=%v: %v", kind.name, n, slices.IsSorted(v), err)
+						}
+					}
 				}
 			}
-		}
+		})
+	})
+}
+
+// TestVectorKernelSelected holds the CPU check to the operating system's
+// own report: where /proc/cpuinfo lists avx2, the vector kernel must be
+// selected, or a wrong check would silently fall back to the portable
+// loop.
+func TestVectorKernelSelected(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skipf("no AVX2 kernel to select on %s/%s", runtime.GOOS, runtime.GOARCH)
 	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skip(err)
+	}
+	for _, line := range strings.Split(string(info), "\n") {
+		name, flags, ok := strings.Cut(line, ":")
+		if !ok || strings.TrimSpace(name) != "flags" {
+			continue
+		}
+		if slices.Contains(strings.Fields(flags), "avx2") && !useAVX2 {
+			t.Fatal("/proc/cpuinfo lists avx2, but the vector kernel is not selected")
+		}
+		return
+	}
+	t.Skip("/proc/cpuinfo has no flags line")
 }
 
 // FuzzPoissonBinomial reads each byte as one user's probability — 0 and
 // 255 are the impossible and the certain user, 1 and 254 the extremes
 // 1e-300 and 1 − 1e-12, anything else b/255 — and holds the kernel to the
-// flushed reference.
+// flushed reference, and its two sweep paths to the same bits.
 func FuzzPoissonBinomial(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 255, 128, 1, 254, 255, 0})
@@ -242,6 +303,13 @@ func FuzzPoissonBinomial(f *testing.F) {
 		}
 		if err := checkPoissonBinomial(probs); err != nil {
 			t.Fatal(err)
+		}
+		var pdfs [][]float64
+		eachSweepPath(func(string) { pdfs = append(pdfs, PoissonBinomial(probs)) })
+		for i := range pdfs[0] {
+			if math.Float64bits(pdfs[0][i]) != math.Float64bits(pdfs[1][i]) {
+				t.Fatalf("pdf[%d]: vector %v, portable %v", i, pdfs[0][i], pdfs[1][i])
+			}
 		}
 	})
 }
@@ -388,10 +456,13 @@ func BenchmarkPoissonBinomialCloaked1500(b *testing.B) {
 		probs[i] = math.Mod(float64(i+1)*0.6180339887498949, 1)
 	}
 	sort.Float64s(probs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pdfSink = PoissonBinomial(probs)
-	}
+	eachSweepPath(func(path string) {
+		b.Run(path, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pdfSink = PoissonBinomial(probs)
+			}
+		})
+	})
 }
 
 // pdfSink keeps the benchmarked call from being optimised away.

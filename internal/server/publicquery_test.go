@@ -115,6 +115,26 @@ func TestPublicRangeCountAccuracy(t *testing.T) {
 	}
 }
 
+// A user cloaked to a segment half inside the query may be counted
+// (invariant I7): the user enters Hi, not Lo, with half the segment's
+// length inside.
+func TestPublicRangeCountSegmentRegion(t *testing.T) {
+	s := newServer(t)
+	if err := s.UpdatePrivate(1, geo.R(0.5, 0.2, 0.5, 0.8)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.PublicRangeCount(PublicRangeCountQuery{Query: geo.R(0.4, 0.5, 0.6, 0.9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Answer.Lo != 0 || res.Answer.Hi != 1 {
+		t.Errorf("interval = [%d,%d], want [0,1]", res.Answer.Lo, res.Answer.Hi)
+	}
+	if math.Abs(res.Answer.Expected-0.5) > 1e-12 {
+		t.Errorf("Expected = %v, want 0.5", res.Answer.Expected)
+	}
+}
+
 func TestPublicRangeCountEmpty(t *testing.T) {
 	s := newServer(t)
 	res, err := s.PublicRangeCount(PublicRangeCountQuery{Query: geo.R(0, 0, 1, 1)})
